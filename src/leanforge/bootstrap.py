@@ -8,13 +8,12 @@ comment, no backend involved).  Either way the commented text must carry the
 exact code token stream of the original proof; anything else is rejected.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import corpus
+from . import artifacts, corpus
 from .corpus import LexError, TheoremRecord, TokenDivergence
 from .genclient import (
     FL_PROOF_SECTION,
@@ -335,10 +334,7 @@ def obt_from_entry(entry: Dict[str, str]) -> ObtRecord:
 
 
 def save_obt_dataset(records: Sequence[ObtRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        for record in records:
-            sink.write(json.dumps(obt_to_entry(record), ensure_ascii=False))
-            sink.write("\n")
+    artifacts.write_jsonl(path, map(obt_to_entry, records))
 
 
 def load_obt_dataset(path: str) -> List[ObtRecord]:
@@ -347,25 +343,20 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     The code-preservation invariant is enforced here as well as at
     creation, so a hand-edited file cannot smuggle in altered proofs.
     """
+    try:
+        lines = artifacts.read_jsonl(path)
+    except artifacts.ArtifactError as exc:
+        raise PreconditionViolated(str(exc)) from exc
     out: List[ObtRecord] = []
-    with open(path, "r", encoding="utf-8") as source:
-        for lineno, line in enumerate(source, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PreconditionViolated(
-                    f"{path}:{lineno}: unreadable record: {exc}"
-                ) from exc
-            record = obt_from_entry(entry)
-            for attr, wire in _WIRE_FIELDS:
-                if not getattr(record, attr):
-                    raise PreconditionViolated(f"{path}:{lineno}: {wire} is empty")
-            ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
-            if not ok:
-                raise BootstrapVerificationFailed(
-                    f"{path}:{lineno}: {record.name}", divergence
-                )
-            out.append(record)
+    for line in lines:
+        record = obt_from_entry(line.entry)
+        for attr, wire in _WIRE_FIELDS:
+            if not getattr(record, attr):
+                raise PreconditionViolated(f"{path}:{line.lineno}: {wire} is empty")
+        ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
+        if not ok:
+            raise BootstrapVerificationFailed(
+                f"{path}:{line.lineno}: {record.name}", divergence
+            )
+        out.append(record)
     return out

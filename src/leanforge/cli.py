@@ -7,12 +7,13 @@ touched; a validation failure exits 2, runtime failures exit 1.
 """
 
 import argparse
-import json
+import dataclasses
 import os
 import random
 import sys
 from typing import List, Optional, Sequence
 
+from . import artifacts
 from . import bootstrap as bootstrap_mod
 from . import corpus, genclient, informalize, prover, retrieval, trainprep
 from .config import (
@@ -37,66 +38,48 @@ class MissingArtifact(FileNotFoundError):
             f"expected file {path} is missing; run `leanforge {producer}` first")
 
 
-def _read_jsonl(path: str) -> List[dict]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as source:
-        for lineno, line in enumerate(source, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: unreadable JSON: {exc}")
-    return entries
-
-
 def _require(path: str, producer: str) -> str:
     if not os.path.exists(path):
         raise MissingArtifact(path, producer)
     return path
 
 
-def _field(entry: dict, key: str, path: str, index: int):
-    if key not in entry:
-        raise ValueError(f"{path}: entry {index + 1} has no {key!r} field")
-    return entry[key]
+def _load(path: str, cls) -> list:
+    """One ``cls`` per JSONL entry, built from the keys that name its fields.
 
-
-def _save_theorems(records: Sequence[corpus.TheoremRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        for r in records:
-            sink.write(json.dumps({
-                "name": r.name,
-                "statement": r.statement,
-                "proof": r.proof,
-                "file_path": r.file_path,
-                "commit": r.commit,
-                "difficulty": r.difficulty,
-            }, ensure_ascii=False) + "\n")
-
-
-def _load_theorems(path: str) -> List[corpus.TheoremRecord]:
-    return [
-        corpus.TheoremRecord(
-            name=_field(e, "name", path, i),
-            statement=_field(e, "statement", path, i),
-            proof=_field(e, "proof", path, i),
-            file_path=_field(e, "file_path", path, i),
-            commit=_field(e, "commit", path, i),
-            difficulty=_field(e, "difficulty", path, i),
-        )
-        for i, e in enumerate(_read_jsonl(path))
-    ]
+    Other keys are ignored; a field without a default that the entry lacks
+    raises, naming the file, line and field.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    out = []
+    for line in artifacts.read_jsonl(path):
+        for key in required:
+            if key not in line.entry:
+                raise ValueError(f"{path}:{line.lineno}: entry has no {key!r} field")
+        out.append(cls(**{key: line.entry[key] for key in names if key in line.entry}))
+    return out
 
 
 # --- extract ---------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _SourceFile:
+    """One entry of a JSONL corpus."""
+
+    source: str
+    file_path: str
+    commit: Optional[str] = None
 
 
 def _iter_corpus_sources(config: PipelineConfig):
     """Yield (source_text, file_path, commit) for every input file.
 
     The corpus path is either a directory tree of .lean files or a JSONL
-    file whose entries carry source/file_path/commit.
+    file whose entries carry source/file_path and optionally commit.
     """
     root = config.corpus.path
     if os.path.isdir(root):
@@ -111,10 +94,9 @@ def _iter_corpus_sources(config: PipelineConfig):
                     yield source.read(), relative, config.corpus.commit
     else:
         _require(root, "extract with a corpus directory, or create the file")
-        for i, entry in enumerate(_read_jsonl(root)):
-            yield (_field(entry, "source", root, i),
-                   _field(entry, "file_path", root, i),
-                   entry.get("commit", config.corpus.commit))
+        for entry in _load(root, _SourceFile):
+            yield (entry.source, entry.file_path,
+                   config.corpus.commit if entry.commit is None else entry.commit)
 
 
 def cmd_extract(args, config: PipelineConfig) -> int:
@@ -130,11 +112,10 @@ def cmd_extract(args, config: PipelineConfig) -> int:
             records.extend(corpus.extract_theorems(source, file_path, commit))
         except corpus.LexError as exc:
             skips.append({"file": file_path, "reason": str(exc)})
-    _save_theorems(records, stage_path(config, "theorems"))
-    with open(stage_path(config, "extract_skips"), "w", encoding="utf-8",
-              newline="\n") as sink:
-        for entry in skips:
-            sink.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    # theorems.jsonl carries the TheoremRecord fields in declaration order.
+    artifacts.write_jsonl(stage_path(config, "theorems"),
+                          map(dataclasses.asdict, records))
+    artifacts.write_jsonl(stage_path(config, "extract_skips"), skips)
     print(f"extracted {len(records)} theorems from {files} files "
           f"({len(skips)} files skipped)")
     return 0
@@ -145,7 +126,7 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 
 def _load_pairs(path: str, dimension: int):
     """Pair file entries hold either nl/fl texts or precomputed vectors."""
-    entries = _read_jsonl(path)
+    entries = [line.entry for line in artifacts.read_jsonl(path)]
     texts = [e for e in entries if "nl" in e]
     if texts:
         embedder = retrieval.HashEmbedder(dimension)
@@ -175,11 +156,8 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     )
     head, trace = retrieval.train_projection(pairs, train_config)
     retrieval.save_head(head, stage_path(config, "projection"))
-    with open(stage_path(config, "loss_trace"), "w", encoding="utf-8",
-              newline="\n") as sink:
-        sink.write("step,loss\n")
-        for step, loss in enumerate(trace, start=1):
-            sink.write(f"{step},{loss:.10f}\n")
+    artifacts.write_text(stage_path(config, "loss_trace"), "step,loss\n" + "".join(
+        f"{step},{loss:.10f}\n" for step, loss in enumerate(trace, start=1)))
     nl_vectors = [p[0] for p in pairs]
     fl_vectors = [p[1] for p in pairs]
     edges, counts, _ = retrieval.similarity_histogram(nl_vectors, fl_vectors, head)
@@ -193,26 +171,15 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
 # --- informalize -----------------------------------------------------------------
 
 
-def _load_example_pool(path: str) -> List[informalize.ExamplePair]:
-    return [
-        informalize.ExamplePair(
-            name=_field(e, "name", path, i),
-            nl=_field(e, "nl", path, i),
-            fl=_field(e, "fl", path, i),
-        )
-        for i, e in enumerate(_read_jsonl(path))
-    ]
-
-
 def cmd_informalize(args, config: PipelineConfig) -> int:
-    records = _load_theorems(
-        _require(stage_path(config, "theorems"), "extract"))
+    records = _load(_require(stage_path(config, "theorems"), "extract"),
+                    corpus.TheoremRecord)
     pool: Sequence[informalize.ExamplePair] = ()
     index = None
     embedder = None
     if config.retrieval.examples:
         _require(config.retrieval.examples, "informalize with a pool file")
-        pool = _load_example_pool(config.retrieval.examples)
+        pool = _load(config.retrieval.examples, informalize.ExamplePair)
         head = retrieval.load_head(
             _require(stage_path(config, "projection"), "train-retriever"))
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
@@ -253,11 +220,10 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
 
 
 def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    records = _load_theorems(
-        _require(stage_path(config, "theorems"), "extract"))
-    entries = _read_jsonl(
-        _require(stage_path(config, "informal"), "informalize"))
-    by_name = {e["Name"]: e for e in entries}
+    records = _load(_require(stage_path(config, "theorems"), "extract"),
+                    corpus.TheoremRecord)
+    by_name = {line.entry["Name"]: line.entry for line in artifacts.read_jsonl(
+        _require(stage_path(config, "informal"), "informalize"))}
     kept = [r for r in records if r.name in by_name]
     informals = [
         informalize.InformalizationResult(
@@ -322,38 +288,17 @@ def cmd_prep(args, config: PipelineConfig) -> int:
 # --- prove / report --------------------------------------------------------------
 
 
-def _load_problems(path: str) -> List[prover.Problem]:
-    return [
-        prover.Problem(
-            name=_field(e, "name", path, i),
-            fl_statement=_field(e, "fl_statement", path, i),
-            nl_statement_and_proof=e.get("nl_statement_and_proof", ""),
-            imports=e.get("imports", ""),
-        )
-        for i, e in enumerate(_read_jsonl(path))
-    ]
-
-
-def _load_seed_pool(path: str) -> List[prover.PoolExample]:
-    return [
-        prover.PoolExample(
-            name=_field(e, "name", path, i),
-            nl=_field(e, "nl", path, i),
-            fl=_field(e, "fl", path, i),
-        )
-        for i, e in enumerate(_read_jsonl(path))
-    ]
-
-
 def cmd_prove(args, config: PipelineConfig) -> int:
     v = config.prover
     if not v.problems:
         raise ConfigError(["prover.problems: required for prove"])
     if not v.seed_examples:
         raise ConfigError(["prover.seed_examples: required for prove"])
-    problems = _load_problems(_require(v.problems, "prove with a problem file"))
-    seed_pool = _load_seed_pool(
-        _require(v.seed_examples, "prove with a seed example file"))
+    problems = _load(_require(v.problems, "prove with a problem file"), prover.Problem)
+    # Seed files share the example-pool layout; every entry is a seed.
+    seed_pool = [prover.PoolExample(e.name, e.nl, e.fl) for e in _load(
+        _require(v.seed_examples, "prove with a seed example file"),
+        informalize.ExamplePair)]
     os.makedirs(config.workdir, exist_ok=True)
     stage = prover.HarnessConfig(
         n_samples=(args.n_samples if args.n_samples is not None
@@ -380,7 +325,7 @@ def cmd_report(args, config: PipelineConfig) -> int:
     v = config.prover
     if not v.problems:
         raise ConfigError(["prover.problems: required for report"])
-    problems = _load_problems(_require(v.problems, "prove with a problem file"))
+    problems = _load(_require(v.problems, "prove with a problem file"), prover.Problem)
     report = prover.load_report(
         _require(stage_path(config, "report"), "prove"),
         problems,
@@ -405,11 +350,16 @@ def _pick(entry: dict, keys) -> str:
     return ""
 
 
+def _review_block(entry: dict) -> str:
+    return (f"=== {_pick(entry, _NAME_KEYS)} ===\n"
+            + "[NL]\n" + _pick(entry, _NL_KEYS).rstrip("\n") + "\n"
+            + "[FL]\n" + _pick(entry, _FL_KEYS).rstrip("\n") + "\n\n")
+
+
 def cmd_sample(args, config: PipelineConfig) -> int:
     dataset = args.dataset or stage_path(config, "obt")
     _require(dataset, "bootstrap, or pass --dataset")
-    with open(dataset, "r", encoding="utf-8") as source:
-        lines = [line for line in source if line.strip()]
+    lines = artifacts.read_jsonl(dataset)
     if args.n > len(lines):
         raise ValueError(
             f"cannot sample {args.n} records from a dataset of {len(lines)}")
@@ -419,21 +369,12 @@ def cmd_sample(args, config: PipelineConfig) -> int:
     os.makedirs(config.workdir, exist_ok=True)
     if args.for_review:
         output = args.output or stage_path(config, "review")
-        with open(output, "w", encoding="utf-8", newline="\n") as sink:
-            for index in indices:
-                entry = json.loads(lines[index])
-                sink.write(f"=== {_pick(entry, _NAME_KEYS)} ===\n")
-                sink.write("[NL]\n")
-                sink.write(_pick(entry, _NL_KEYS).rstrip("\n") + "\n")
-                sink.write("[FL]\n")
-                sink.write(_pick(entry, _FL_KEYS).rstrip("\n") + "\n\n")
+        artifacts.write_text(output, (_review_block(lines[i].entry) for i in indices))
     else:
         output = args.output or stage_path(config, "sample")
         # Original lines pass through untouched so the subset stays
         # byte-comparable against its source dataset.
-        with open(output, "w", encoding="utf-8", newline="") as sink:
-            for index in indices:
-                sink.write(lines[index])
+        artifacts.write_text(output, (lines[i].text for i in indices))
     print(f"sampled {args.n}/{len(lines)} records (seed {seed}) -> {output}")
     return 0
 

@@ -10,14 +10,14 @@ refused unless a restart is requested.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import genclient, retrieval
+from . import artifacts, genclient, retrieval
 from .corpus import TheoremRecord
 from .genclient import (
     FL_PROOF_SECTION,
@@ -155,7 +155,7 @@ def informalization_prompt(record: TheoremRecord, examples: Sequence[ExamplePair
         {
             "examples": "".join(format_example(p) for p in examples),
             "fl_statement": record.statement,
-            "fl_proof": record.statement + record.proof,
+            "fl_proof": record.proof,
         },
     )
 
@@ -250,23 +250,19 @@ class InformalizeConfig:
     temperature: float = 0.7
 
 
-def _result_to_json(result: InformalizationResult) -> str:
-    return json.dumps(
-        {
-            "theorem_name": result.theorem_name,
-            "nl_statement_and_proof": result.nl_statement_and_proof,
-            "examples_used": list(result.examples_used),
-            "attempts": result.attempts,
-            "verdict": result.verdict,
-            "reasons": list(result.reasons),
-            "attempt_reasons": [list(r) for r in result.attempt_reasons],
-        },
-        ensure_ascii=False,
-    )
+def _result_to_entry(result: InformalizationResult) -> dict:
+    return {
+        "theorem_name": result.theorem_name,
+        "nl_statement_and_proof": result.nl_statement_and_proof,
+        "examples_used": list(result.examples_used),
+        "attempts": result.attempts,
+        "verdict": result.verdict,
+        "reasons": list(result.reasons),
+        "attempt_reasons": [list(r) for r in result.attempt_reasons],
+    }
 
 
-def _result_from_json(line: str) -> InformalizationResult:
-    raw = json.loads(line)
+def _result_from_entry(raw: dict) -> InformalizationResult:
     return InformalizationResult(
         theorem_name=raw["theorem_name"],
         nl_statement_and_proof=raw["nl_statement_and_proof"],
@@ -279,18 +275,25 @@ def _result_from_json(line: str) -> InformalizationResult:
 
 
 def load_checkpoint(path: str) -> List[InformalizationResult]:
+    """The checkpointed results, after dropping a torn final line.
+
+    The torn line is cut from the file, so the resumed run regenerates its
+    record and appends after the last whole entry.
+    """
+    try:
+        lines = artifacts.resume_jsonl(path)
+    except artifacts.ArtifactError as exc:
+        raise CheckpointCorrupt(
+            f"{exc}; pass restart to discard the checkpoint") from exc
     results = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                results.append(_result_from_json(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointCorrupt(
-                    f"{path}:{lineno}: unreadable checkpoint entry ({exc}); "
-                    "pass restart to discard the checkpoint"
-                ) from exc
+    for line in lines:
+        try:
+            results.append(_result_from_entry(line.entry))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointCorrupt(
+                f"{path}:{line.lineno}: unreadable checkpoint entry ({exc}); "
+                "pass restart to discard the checkpoint"
+            ) from exc
     return results
 
 
@@ -336,10 +339,9 @@ def informalize_corpus(
             if done:
                 logger.info("resuming after %d checkpointed records", len(done))
     results = list(done)
-    sink = None
-    if config.checkpoint_path:
-        sink = open(config.checkpoint_path, "a", encoding="utf-8", newline="\n")
-    try:
+    checkpoint = (artifacts.appending_jsonl(config.checkpoint_path)
+                  if config.checkpoint_path else contextlib.nullcontext())
+    with checkpoint as append:
         for record in records[len(done):]:
             examples: Sequence[ExamplePair] = ()
             if config.index is not None and config.pool and config.embedder is not None:
@@ -359,12 +361,8 @@ def informalize_corpus(
                 temperature=config.temperature,
             )
             results.append(result)
-            if sink is not None:
-                sink.write(_result_to_json(result) + "\n")
-                sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+            if append is not None:
+                append(_result_to_entry(result))
     return results
 
 
@@ -379,47 +377,18 @@ def save_informal_dataset(
     field carries whatever the last attempt produced.
     """
     by_name = {r.theorem_name: r for r in results}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for record in records:
-            result = by_name.get(record.name)
-            if result is None:
-                continue
-            f.write(
-                json.dumps(
-                    {
-                        "Name": record.name,
-                        "Statement": record.statement,
-                        "Proof": record.proof,
-                        "File_path": record.file_path,
-                        "Commit": record.commit,
-                        "Generated_informal_statement_and_proof": result.nl_statement_and_proof,
-                        "verdict": result.verdict,
-                        "reasons": list(result.reasons),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def load_informal_dataset(
-    path: str, limits: QualityLimits, tokenizer=None
-) -> List[dict]:
-    """Read the dataset back, re-screening every pass verdict."""
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry.get("verdict") == "pass":
-                verdict = quality_check(
-                    entry["Generated_informal_statement_and_proof"], limits, tokenizer
-                )
-                if not verdict.passed:
-                    raise CheckpointCorrupt(
-                        f"{path}:{lineno}: pass entry {entry.get('Name')!r} "
-                        f"violates limits ({', '.join(verdict.reasons)})"
-                    )
-            entries.append(entry)
-    return entries
+    kept = [(record, by_name[record.name]) for record in records
+            if record.name in by_name]
+    artifacts.write_jsonl(path, (
+        {
+            "Name": record.name,
+            "Statement": record.statement,
+            "Proof": record.proof,
+            "File_path": record.file_path,
+            "Commit": record.commit,
+            "Generated_informal_statement_and_proof": result.nl_statement_and_proof,
+            "verdict": result.verdict,
+            "reasons": list(result.reasons),
+        }
+        for record, result in kept
+    ))

@@ -8,7 +8,6 @@ round runs; all growth is committed between rounds, which keeps a round's
 problems order-independent.
 """
 
-import json
 import logging
 import os
 import re
@@ -17,7 +16,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from . import corpus
+from . import artifacts, corpus
 from .corpus import LexError
 from .genclient import (
     FL_PROOF_SECTION,
@@ -30,7 +29,7 @@ from .genclient import (
     prover_template,
     render_prompt,
 )
-from .trainprep import WhitespaceTokenizer, count_tokens
+from .trainprep import WhitespaceTokenizer
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +73,7 @@ class Problem:
 
     name: str
     fl_statement: str
-    nl_statement_and_proof: str
+    nl_statement_and_proof: str = ""
     imports: str = ""
 
     def __post_init__(self):
@@ -234,13 +233,13 @@ def assemble_proof_prompt(
         })
 
     base = assemble(0)
-    base_count = count_tokens(base, tok)
+    base_count = tok.count(base)
     if base_count > token_budget:
         raise PromptExceedsBudget(problem.name, base_count, token_budget)
     chosen = base
     for k in range(1, len(candidates) + 1):
         candidate = assemble(k)
-        if count_tokens(candidate, tok) > token_budget:
+        if tok.count(candidate) > token_budget:
             break
         chosen = candidate
     return chosen
@@ -360,10 +359,6 @@ class ExternalVerifier:
             os.unlink(handle.name)
 
 
-def verify(problem: Problem, proof_text: str, verifier) -> Tuple[str, str]:
-    return verifier.check(problem, proof_text)
-
-
 def evaluate_sample(
     problem: Problem, sample_index: int, generated_text: str, verifier
 ) -> ProofAttempt:
@@ -379,7 +374,7 @@ def evaluate_sample(
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
                             "rejected", f"pre-verification screen: {patterns}")
     try:
-        verdict, diagnostic = verify(problem, proof, verifier)
+        verdict, diagnostic = verifier.check(problem, proof)
     except (VerifierTimeout, VerifierCrashed) as exc:
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
                             "error", str(exc))
@@ -515,37 +510,34 @@ def save_report(report: HarnessReport, path: str) -> None:
             for r in report.rounds
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as sink:
-        sink.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for name in sorted(report.proved):
-            round_number, sample_index = report.first_success[name]
-            sink.write(json.dumps({
-                "name": name,
-                "round": round_number,
-                "sample_index": sample_index,
-                "proof": report.proved[name],
-            }, ensure_ascii=False) + "\n")
+    artifacts.write_jsonl(path, [header, *(
+        {
+            "name": name,
+            "round": report.first_success[name][0],
+            "sample_index": report.first_success[name][1],
+            "proof": report.proved[name],
+        }
+        for name in sorted(report.proved)
+    )])
 
 
 def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessReport:
     """Load a report, re-verifying every stored proof. Stale verdicts raise."""
     by_name = {p.name: p for p in problems}
-    with open(path, "r", encoding="utf-8") as source:
-        lines = [line for line in source if line.strip()]
+    lines = artifacts.read_jsonl(path)
     if not lines:
         raise ReportInvalid(f"{path}: empty report")
-    header = json.loads(lines[0])
+    header = lines[0].entry
     if header.get("kind") != "harness-report":
         raise ReportInvalid(f"{path}: not a harness report")
     proved: Dict[str, str] = {}
     first_success: Dict[str, Tuple[int, int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        entry = json.loads(line)
+    for lineno, _, entry in lines[1:]:
         name = entry["name"]
         problem = by_name.get(name)
         if problem is None:
             raise ReportInvalid(f"{path}:{lineno}: unknown problem {name}")
-        verdict, diagnostic = verify(problem, entry["proof"], verifier)
+        verdict, diagnostic = verifier.check(problem, entry["proof"])
         if verdict != "verified":
             raise ReportInvalid(
                 f"{path}:{lineno}: stored proof for {name} no longer verifies"

@@ -11,15 +11,15 @@ analytic and is checked against finite differences in the tests.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import requests
+
+from . import artifacts
 
 logger = logging.getLogger(__name__)
 
@@ -133,14 +133,11 @@ def save_head(head: ProjectionHead, path: str) -> None:
         "checksum": head.checksum(),
         "weights": head.weights.tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f)
-        f.write("\n")
+    artifacts.write_json(path, payload)
 
 
 def load_head(path: str) -> ProjectionHead:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = artifacts.read_json(path)
     head = ProjectionHead(
         weights=np.asarray(payload["weights"], dtype=np.float64),
         d_in=int(payload["d_in"]),
@@ -360,44 +357,6 @@ def top_k(index: SimilarityIndex, query: EmbeddingVector, k: int) -> List[Tuple[
     return [(index.ids[i], float(sims[i])) for i in order[:k]]
 
 
-def save_index(index: SimilarityIndex, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        header = {
-            "kind": "similarity-index",
-            "dimension": index.dimension,
-            "head_checksum": index.head.checksum(),
-        }
-        f.write(json.dumps(header) + "\n")
-        for entry_id, row in zip(index.ids, index.vectors):
-            f.write(json.dumps({"id": entry_id, "vector": row.tolist()}) + "\n")
-
-
-def load_index(path: str, head: ProjectionHead) -> SimilarityIndex:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line for line in f.read().split("\n") if line]
-    if not lines:
-        raise RetrievalError(f"empty index file {path}")
-    header = json.loads(lines[0])
-    if header.get("kind") != "similarity-index":
-        raise RetrievalError(f"{path} is not a similarity index")
-    if header["head_checksum"] != head.checksum():
-        raise RetrievalError(
-            "index was built with a different head (checksum mismatch)"
-        )
-    ids = []
-    rows = []
-    for line in lines[1:]:
-        entry = json.loads(line)
-        ids.append(entry["id"])
-        rows.append(np.asarray(entry["vector"], dtype=np.float64))
-    vectors = np.stack(rows)
-    if vectors.shape[1] != header["dimension"]:
-        raise DimensionMismatch("index entry dimension disagrees with header")
-    return SimilarityIndex(
-        ids=ids, vectors=vectors, norms=np.linalg.norm(vectors, axis=1), head=head
-    )
-
-
 # --- similarity histogram -----------------------------------------------------
 
 
@@ -427,11 +386,9 @@ def similarity_histogram(
 
 
 def write_histogram_csv(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([f"{left:.6f}", f"{right:.6f}", int(count)])
+    artifacts.write_text(path, "bin_left,bin_right,count\n" + "".join(
+        f"{left:.6f},{right:.6f},{int(count)}\n"
+        for left, right, count in zip(edges[:-1], edges[1:], counts)))
 
 
 # --- base embedding providers -------------------------------------------------

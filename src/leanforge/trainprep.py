@@ -10,12 +10,12 @@ distribution in training and testing.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from . import artifacts
 from .corpus import count_tactic_steps
 from .genclient import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 
@@ -84,10 +84,6 @@ class VocabTokenizer:
             total += 1
             i += length
         return total
-
-
-def count_tokens(text: str, tokenizer) -> int:
-    return tokenizer.count(text)
 
 
 # --- record shapes ------------------------------------------------------------
@@ -295,23 +291,16 @@ def emit_training_set(
 
 
 def save_training_set(packed: Sequence[PackedRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for record in packed:
-            f.write(
-                json.dumps(
-                    {
-                        "instruction": record.instruction,
-                        "target": record.target,
-                        "example_count": record.example_count,
-                        "difficulty": record.difficulty,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    artifacts.write_jsonl(path, (
+        {
+            "instruction": record.instruction,
+            "target": record.target,
+            "example_count": record.example_count,
+            "difficulty": record.difficulty,
+        }
+        for record in packed
+    ))
 
 
 def save_skip_report(skipped: Sequence[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for entry in skipped:
-            f.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    artifacts.write_jsonl(path, skipped)

@@ -2,6 +2,7 @@
 end-to-end pipeline fixture (built around the mock backend so every byte is
 reproducible)."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import yaml
 import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
-from leanforge import cli, corpus, retrieval
+from leanforge import cli, corpus, retrieval, trainprep
 from leanforge.config import (
     ConfigError,
     fork_seed,
@@ -376,6 +377,24 @@ class TestPrepCommand:
         assert run(["prep", "-c", config, "--no-bootstrapped"]) == 0
         rows = read_jsonl(tmp_path / "work" / "train.jsonl")
         assert all("/-" not in r["target"] for r in rows)
+
+    def test_failed_write_keeps_previous_train_set(self, tmp_path, monkeypatch):
+        config = self.make_workdir(tmp_path)
+        assert run(["prep", "-c", config]) == 0
+        workdir = tmp_path / "work"
+        before = read_bytes(workdir / "train.jsonl")
+        emit = trainprep.emit_training_set
+
+        def emit_unserializable(*args, **kwargs):
+            packed, skipped = emit(*args, **kwargs)
+            packed[1] = dataclasses.replace(packed[1], target=object())
+            return packed, skipped
+
+        monkeypatch.setattr(trainprep, "emit_training_set", emit_unserializable)
+        with pytest.raises(TypeError):
+            run(["prep", "-c", config])
+        assert read_bytes(workdir / "train.jsonl") == before
+        assert [n for n in os.listdir(workdir) if n.endswith(".tmp")] == []
 
 
 # --- sample -----------------------------------------------------------------------
@@ -750,6 +769,48 @@ class TestPipelineEndToEnd:
         assert run(["prep", "-c", config]) == 0
         for artifact, expected in baseline.items():
             assert read_bytes(workdir / artifact) == expected, artifact
+
+    def test_resume_from_torn_checkpoint_matches(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        run_pipeline(config)
+        baseline = {a: read_bytes(workdir / a)
+                    for a in ("informalize.ckpt.jsonl", "informal.jsonl")}
+
+        # A crash in mid-append leaves a final line without its newline.
+        checkpoint = workdir / "informalize.ckpt.jsonl"
+        lines = read_bytes(checkpoint).splitlines(True)
+        checkpoint.write_bytes(b"".join(lines[:4]) + lines[4][:len(lines[4]) // 2])
+
+        assert run(["informalize", "-c", config, "--resume"]) == 0
+        for artifact, expected in baseline.items():
+            assert read_bytes(workdir / artifact) == expected, artifact
+
+    def test_report_error_names_file_and_line(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        assert run(["prove", "-c", config]) == 0
+        report = workdir / "report.jsonl"
+        lines = report.read_text(encoding="utf-8").splitlines(True)
+        report.write_text(lines[0] + "{'name': 'demo_add_comm'}\n" + "".join(lines[2:]),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", "-c", config]) == 1
+        assert "report.jsonl:2: unreadable JSON" in capsys.readouterr().err
+
+    def test_corrupt_projection_error_names_file_and_line(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        assert run(["extract", "-c", config]) == 0
+        assert run(["train-retriever", "-c", config]) == 0
+        projection = workdir / "projection.json"
+        projection.write_text(projection.read_text()[:40], encoding="utf-8")
+        capsys.readouterr()
+        assert run(["informalize", "-c", config]) == 1
+        assert "projection.json:1: unreadable JSON" in capsys.readouterr().err
 
     def test_restart_discards_checkpoint(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fixture")

@@ -323,7 +323,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server():
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _ChatHandler.seen = []
     _ChatHandler.flaky_failures = 0

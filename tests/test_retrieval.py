@@ -35,10 +35,8 @@ from leanforge.retrieval import (
     cosine_pair_gradient,
     embedding,
     load_head,
-    load_index,
     mean_pool,
     save_head,
-    save_index,
     similarity_histogram,
     top_k,
     train_projection,
@@ -457,27 +455,6 @@ class TestTopK:
         with pytest.raises(ZeroNormQuery):
             top_k(index, ev(0.0, 1.0), 1)
 
-    def test_index_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(109)
-        head = ProjectionHead.initialize(5, 3, seed=21)
-        corpus = [(f"x{i}", embedding(rng.normal(size=5))) for i in range(7)]
-        index = build_index(corpus, head)
-        path = str(tmp_path / "index.jsonl")
-        save_index(index, path)
-        loaded = load_index(path, head)
-        assert loaded.ids == index.ids
-        assert np.array_equal(loaded.vectors, index.vectors)
-        query = embedding(rng.normal(size=5))
-        assert top_k(loaded, query, 3) == top_k(index, query, 3)
-
-    def test_index_load_rejects_other_head(self, tmp_path):
-        index = build_index([("a", ev(1.0, 0.0))], identity_head(2))
-        path = str(tmp_path / "index.jsonl")
-        save_index(index, path)
-        other = ProjectionHead.initialize(2, 2, seed=99)
-        with pytest.raises(RetrievalError, match="checksum"):
-            load_index(path, other)
-
 
 class TestHistogram:
     def test_counts_cover_all_combinations(self):
@@ -597,7 +574,8 @@ class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def embedding_server():
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _EmbeddingHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}"

@@ -22,7 +22,6 @@ from leanforge.trainprep import (
     VocabTokenizer,
     WhitespaceTokenizer,
     base_instruction,
-    count_tokens,
     curriculum_sort,
     emit_training_set,
     example_block,
@@ -150,8 +149,8 @@ class TestVocabTokenizer:
 
 class TestCountTokens:
     def test_delegates(self):
-        assert count_tokens("a b c", WhitespaceTokenizer()) == 3
-        assert count_tokens("", WhitespaceTokenizer()) == 0
+        assert WhitespaceTokenizer().count("a b c") == 3
+        assert WhitespaceTokenizer().count("") == 0
 
 
 class TestCurriculumSort:
