@@ -13,30 +13,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import artifacts, corpus
+from . import artifacts, corpus, prompts
 from .corpus import LexError, TheoremRecord, TokenDivergence
 from .genclient import (
-    FL_PROOF_SECTION,
-    NL_SECTION,
     GenClientError,
     GenerationBudget,
     GenerationRequest,
-    PromptTemplate,
     RetryPolicy,
     complete,
-    render_prompt,
 )
 from .informalize import InformalizationResult
 
 logger = logging.getLogger(__name__)
-
-COMMENTED_SECTION = "### Commented Lean4 version of theorem and proof:"
-
-COMMENT_INSTRUCTION = (
-    "Document the natural language proof inside the Lean4 proof below by "
-    "inserting `--` comment lines next to the steps they explain. Copy the "
-    "Lean4 code exactly: do not add, remove, reorder, or rewrite any code."
-)
 
 
 class BootstrapVerificationFailed(RuntimeError):
@@ -127,26 +115,6 @@ def verify_bootstrap(
 # --- interleaved generation ------------------------------------------------------
 
 
-def bootstrap_template() -> PromptTemplate:
-    text = (
-        COMMENT_INSTRUCTION
-        + "\n\n"
-        + NL_SECTION
-        + "\n${nl}\n\n"
-        + FL_PROOF_SECTION
-        + "\n${fl_proof}\n\n"
-        + COMMENTED_SECTION
-        + "\n"
-    )
-    return PromptTemplate.parse("bootstrap", text)
-
-
-def bootstrap_prompt(record: TheoremRecord, nl_text: str) -> str:
-    return render_prompt(
-        bootstrap_template(), {"nl": nl_text, "fl_proof": record.proof}
-    )
-
-
 def _unfence(text: str) -> str:
     """Strip one Markdown code fence if the reply arrives wrapped in one."""
     stripped = text.strip()
@@ -180,7 +148,7 @@ def bootstrap_theorem(
     if mode is BootstrapMode.HEAD:
         return head_bootstrap(nl_text, record.proof)
 
-    prompt = bootstrap_prompt(record, nl_text)
+    prompt = prompts.bootstrap_prompt(nl_text, record.proof)
     divergence: Optional[TokenDivergence] = None
     detail = ""
     for attempt in range(1, max_attempts + 1):

@@ -274,12 +274,6 @@ def semantic_tokens(source: str) -> List[LeanToken]:
     return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
 
 
-def token_equal(a: str, b: str) -> bool:
-    """True when the two sources agree token for token, ignoring comments and
-    whitespace."""
-    return [t.text for t in semantic_tokens(a)] == [t.text for t in semantic_tokens(b)]
-
-
 def token_divergence(reference: str, candidate: str) -> Optional[TokenDivergence]:
     """First semantic-token mismatch between two sources, or None if equal.
 

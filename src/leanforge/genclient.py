@@ -1,9 +1,10 @@
 """Uniform client for text-generation backends.
 
 One request/response shape covers the remote chat-completion adapter and the
-deterministic mock used by tests and offline runs.  Prompts are built from
-``PromptTemplate`` with ``${slot}`` markers, rendered in a single pass so
-slot syntax inside bound values is never re-expanded.
+deterministic mock used by tests and offline runs.  Requests carry a finished
+prompt string; the prompts themselves are built in ``leanforge.prompts``.
+The chat system message, if any, is the backend's configured
+``system_prompt``.
 
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import logging
 import os
 import random
-import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -23,28 +23,9 @@ import requests
 
 logger = logging.getLogger(__name__)
 
-SYSTEM_PROVER = (
-    "You are a Lean4 expert who can write good Lean4 code based on natural "
-    "language mathematical theorem and proof"
-)
-SYSTEM_INFORMALIZER = (
-    "You are a mathematician who can write natural language proof based on "
-    "Lean4 proof"
-)
-
-NL_SECTION = "### Natural language version of theorem and proof:"
-FL_STATEMENT_SECTION = "### Lean4 version of theorem statement:"
-FL_PROOF_SECTION = "### Lean4 version of theorem and proof:"
-
 
 class GenClientError(Exception):
     pass
-
-
-class MissingSlot(GenClientError):
-    def __init__(self, slot: str):
-        super().__init__(f"unbound template slot {slot!r}")
-        self.slot = slot
 
 
 class BackendUnavailable(GenClientError):
@@ -57,79 +38,6 @@ class MalformedBackendReply(GenClientError):
 
 class BudgetExceeded(GenClientError):
     pass
-
-
-# --- prompt templates ---------------------------------------------------------
-
-_SLOT = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Literal text interleaved with named slots.
-
-    segments is an ordered tuple of ("lit", text) and ("slot", name) parts.
-    """
-
-    name: str
-    segments: Tuple[Tuple[str, str], ...]
-
-    @property
-    def slots(self) -> frozenset:
-        return frozenset(text for kind, text in self.segments if kind == "slot")
-
-    @classmethod
-    def parse(cls, name: str, text: str) -> "PromptTemplate":
-        segments: List[Tuple[str, str]] = []
-        pos = 0
-        for match in _SLOT.finditer(text):
-            if match.start() > pos:
-                segments.append(("lit", text[pos : match.start()]))
-            segments.append(("slot", match.group(1)))
-            pos = match.end()
-        if pos < len(text):
-            segments.append(("lit", text[pos:]))
-        return cls(name=name, segments=tuple(segments))
-
-
-def render_prompt(template: PromptTemplate, bindings: Dict[str, str]) -> str:
-    parts = []
-    for kind, text in template.segments:
-        if kind == "lit":
-            parts.append(text)
-        else:
-            if text not in bindings:
-                raise MissingSlot(text)
-            parts.append(bindings[text])
-    return "".join(parts)
-
-
-def informalization_template() -> PromptTemplate:
-    """Prompt asking for the NL rendering of a Lean4 theorem and proof."""
-    return PromptTemplate.parse(
-        "informalize",
-        "${examples}"
-        + FL_STATEMENT_SECTION
-        + "\n${fl_statement}\n\n"
-        + FL_PROOF_SECTION
-        + "\n${fl_proof}\n\n"
-        + NL_SECTION
-        + "\n",
-    )
-
-
-def prover_template() -> PromptTemplate:
-    """Prompt asking for a Lean4 proof given NL guidance and the statement."""
-    return PromptTemplate.parse(
-        "prove",
-        "${examples}"
-        + NL_SECTION
-        + "\n${nl}\n\n"
-        + FL_STATEMENT_SECTION
-        + "\n${fl_statement}\n\n"
-        + FL_PROOF_SECTION
-        + "\n",
-    )
 
 
 # --- requests and responses ---------------------------------------------------

@@ -17,15 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import artifacts, genclient, retrieval
+from . import artifacts, genclient, prompts, retrieval
 from .corpus import TheoremRecord
-from .genclient import (
-    FL_PROOF_SECTION,
-    NL_SECTION,
-    GenerationRequest,
-    informalization_template,
-    render_prompt,
-)
+from .genclient import GenerationRequest
 from .trainprep import WhitespaceTokenizer
 
 logger = logging.getLogger(__name__)
@@ -145,21 +139,6 @@ def select_examples(
 # --- per-theorem generation -----------------------------------------------------
 
 
-def format_example(pair: ExamplePair) -> str:
-    return f"{FL_PROOF_SECTION}\n{pair.fl}\n\n{NL_SECTION}\n{pair.nl}\n\n"
-
-
-def informalization_prompt(record: TheoremRecord, examples: Sequence[ExamplePair]) -> str:
-    return render_prompt(
-        informalization_template(),
-        {
-            "examples": "".join(format_example(p) for p in examples),
-            "fl_statement": record.statement,
-            "fl_proof": record.proof,
-        },
-    )
-
-
 def informalize_theorem(
     record: TheoremRecord,
     examples: Sequence[ExamplePair],
@@ -179,7 +158,7 @@ def informalize_theorem(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    prompt = informalization_prompt(record, examples)
+    prompt = prompts.informalization_prompt(examples, record.statement, record.proof)
     example_names = tuple(p.name for p in examples)
     attempt_reasons: List[Tuple[str, ...]] = []
     text = ""

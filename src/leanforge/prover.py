@@ -19,16 +19,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import artifacts, corpus
 from .corpus import LexError
 from .genclient import (
-    FL_PROOF_SECTION,
-    NL_SECTION,
     GenClientError,
     GenerationBudget,
     GenerationRequest,
     RetryPolicy,
     complete,
-    prover_template,
-    render_prompt,
 )
+from .prompts import example_block, proof_prompt
 from .trainprep import WhitespaceTokenizer
 
 logger = logging.getLogger(__name__)
@@ -197,13 +194,6 @@ def selection_order(pool: Sequence[PoolExample]) -> List[PoolExample]:
     return list(reversed(verified)) + seeds
 
 
-def format_pool_example(example: PoolExample) -> str:
-    return (
-        NL_SECTION + "\n" + example.nl.strip() + "\n\n"
-        + FL_PROOF_SECTION + "\n" + example.fl.strip() + "\n\n"
-    )
-
-
 def assemble_proof_prompt(
     problem: Problem,
     example_pool: Sequence[PoolExample],
@@ -221,23 +211,22 @@ def assemble_proof_prompt(
     if not example_pool:
         raise ValueError("example pool is empty")
     tok = tokenizer or WhitespaceTokenizer()
-    template = prover_template()
-    candidates = selection_order(example_pool)[: k_range[1]]
+    blocks = [
+        example_block(e.nl, e.fl)
+        for e in selection_order(example_pool)[: k_range[1]]
+    ]
 
     def assemble(k: int) -> str:
-        examples = "".join(format_pool_example(e) for e in candidates[:k])
-        return render_prompt(template, {
-            "examples": examples,
-            "nl": problem.nl_statement_and_proof,
-            "fl_statement": problem.fl_statement,
-        })
+        return proof_prompt(
+            blocks[:k], problem.nl_statement_and_proof, problem.fl_statement
+        )
 
     base = assemble(0)
     base_count = tok.count(base)
     if base_count > token_budget:
         raise PromptExceedsBudget(problem.name, base_count, token_budget)
     chosen = base
-    for k in range(1, len(candidates) + 1):
+    for k in range(1, len(blocks) + 1):
         candidate = assemble(k)
         if tok.count(candidate) > token_budget:
             break

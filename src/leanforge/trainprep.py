@@ -3,9 +3,10 @@
 Takes the bootstrapped corpus and emits instruction/target records, sorted
 easy-to-hard by tactic count and block-packed: each record's instruction is
 prefixed with as many whole predecessor records as fit the context budget,
-treating the sorted dataset as a ring.  The in-context example format uses
-the same section markers as the inference prompts so the model sees one
-distribution in training and testing.
+treating the sorted dataset as a ring; with block packing off a record is
+a ring of one and gets no examples.  Instructions are built by
+``leanforge.prompts``, the same functions that build the prover's prompts,
+so the model sees one layout in training and testing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import artifacts
 from .corpus import count_tactic_steps
-from .genclient import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
+from .prompts import example_block, proof_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -107,14 +108,6 @@ class PackSource:
 
 
 @dataclass(frozen=True)
-class InstructionRecord:
-    instruction: str
-    target: str
-    source_name: str
-    difficulty: int
-
-
-@dataclass(frozen=True)
 class PackedRecord:
     instruction: str
     target: str
@@ -122,32 +115,6 @@ class PackedRecord:
     token_count: int
     source_name: str
     difficulty: int
-
-
-def example_block(nl: str, fl: str, use_nl: bool = True) -> str:
-    parts = []
-    if use_nl:
-        parts += [NL_SECTION, "\n", nl, "\n\n"]
-    parts += [FL_PROOF_SECTION, "\n", fl, "\n\n"]
-    return "".join(parts)
-
-
-def instruction_cap(nl: str, statement: str, use_nl: bool = True) -> str:
-    """The record's own contribution: its sections up to the open proof slot."""
-    parts = []
-    if use_nl:
-        parts += [NL_SECTION, "\n", nl, "\n\n"]
-    parts += [FL_STATEMENT_SECTION, "\n", statement, "\n\n", FL_PROOF_SECTION, "\n"]
-    return "".join(parts)
-
-
-def base_instruction(source: PackSource, use_nl: bool = True) -> InstructionRecord:
-    return InstructionRecord(
-        instruction=instruction_cap(source.nl, source.statement, use_nl),
-        target=source.target,
-        source_name=source.name,
-        difficulty=source.difficulty,
-    )
 
 
 # --- curriculum and packing ---------------------------------------------------
@@ -175,27 +142,23 @@ def pack_block(
     """
     n = len(records)
     record = records[i]
-    cap = instruction_cap(record.nl, record.statement, use_nl)
     target_tokens = tokenizer.count(record.target)
+    blocks: List[str] = []  # nearest predecessor first, each formatted once
 
-    def assemble(k: int) -> Tuple[str, int]:
-        blocks = [
-            example_block(
-                records[(i - step) % n].nl,
-                records[(i - step) % n].example_fl,
-                use_nl,
-            )
-            for step in range(k, 0, -1)
-        ]
-        instruction = "".join(blocks) + cap
+    def assemble() -> Tuple[str, int]:
+        instruction = proof_prompt(
+            reversed(blocks), record.nl if use_nl else None, record.statement
+        )
         return instruction, tokenizer.count(instruction) + target_tokens
 
-    instruction, used = assemble(0)
+    instruction, used = assemble()
     if used > budget:
         raise RecordExceedsBudget(record.name, used, budget)
     k = 0
     while k < n - 1:
-        next_instruction, next_used = assemble(k + 1)
+        example = records[(i - k - 1) % n]
+        blocks.append(example_block(example.nl if use_nl else None, example.example_fl))
+        next_instruction, next_used = assemble()
         if next_used > budget:
             break
         k += 1
@@ -259,26 +222,12 @@ def emit_training_set(
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
+        # without block packing each record is a ring of one: no examples
+        ring, at = (sources, i) if config.use_block else ([source], 0)
         try:
-            if config.use_block:
-                item = pack_block(
-                    sources, i, config.context_budget, config.tokenizer, config.use_nl
-                )
-            else:
-                base = base_instruction(source, config.use_nl)
-                used = config.tokenizer.count(base.instruction) + config.tokenizer.count(
-                    base.target
-                )
-                if used > config.context_budget:
-                    raise RecordExceedsBudget(source.name, used, config.context_budget)
-                item = PackedRecord(
-                    instruction=base.instruction,
-                    target=base.target,
-                    example_count=0,
-                    token_count=used,
-                    source_name=source.name,
-                    difficulty=source.difficulty,
-                )
+            item = pack_block(
+                ring, at, config.context_budget, config.tokenizer, config.use_nl
+            )
         except RecordExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)
             skipped.append(

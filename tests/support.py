@@ -131,8 +131,8 @@ def _pad_left(out: str, pos: int, comment: str) -> str:
 def insert_comments_reckless(src: str, rng: random.Random, count: int = 3) -> str:
     """Insert block or line comments at arbitrary token boundaries.
 
-    Preserves the semantic token stream (token_equal) but may reshape lines,
-    so tactic-step counts are not protected.
+    Preserves the semantic token stream (token_divergence finds nothing) but
+    may reshape lines, so tactic-step counts are not protected.
     """
     out = src
     for _ in range(count):
@@ -151,7 +151,7 @@ def insert_comments_line_respecting(src: str, rng: random.Random, count: int = 3
     trailing line comment just before an existing newline, and a whole
     comment line duplicated onto the indentation of the following line.
     These mirror how commented proofs are actually written, and keep both
-    token_equal and tactic-step counts intact.
+    the semantic token stream and tactic-step counts intact.
     """
     out = src
     for _ in range(count):

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from leanforge import corpus
 from leanforge.bootstrap import (
-    COMMENT_INSTRUCTION,
-    COMMENTED_SECTION,
     BootstrapMode,
     BootstrapVerificationFailed,
     ObtRecord,
     PreconditionViolated,
     assemble_obt_record,
     bootstrap_corpus,
-    bootstrap_prompt,
     bootstrap_theorem,
     head_bootstrap,
     load_obt_dataset,
@@ -28,14 +25,15 @@ from leanforge.bootstrap import (
     verify_bootstrap,
 )
 from leanforge.corpus import LexError, TheoremRecord
-from leanforge.genclient import (
+from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
+from leanforge.informalize import InformalizationResult
+from leanforge.prompts import (
+    COMMENT_INSTRUCTION,
+    COMMENTED_SECTION,
     FL_PROOF_SECTION,
     NL_SECTION,
-    BackendUnavailable,
-    MockBackend,
-    RetryPolicy,
+    bootstrap_prompt,
 )
-from leanforge.informalize import InformalizationResult
 
 from fixtures.listings import (
     AMC12B_2002_P2,
@@ -194,7 +192,7 @@ class TestBootstrapTheorem:
         assert verify_bootstrap(record.proof, out)[0]
 
     def test_prompt_layout(self):
-        prompt = bootstrap_prompt(sq_record(), SQINEQ_NL)
+        prompt = bootstrap_prompt(SQINEQ_NL, sq_record().proof)
         assert prompt.startswith(COMMENT_INSTRUCTION)
         a = prompt.index(NL_SECTION)
         b = prompt.index(FL_PROOF_SECTION)

@@ -1,4 +1,4 @@
-"""Tests for the generation client: templates, retry, budget, backends."""
+"""Tests for the generation client: retry, budget, backends."""
 
 import http.server
 import json
@@ -7,10 +7,6 @@ import threading
 import pytest
 
 from leanforge.genclient import (
-    FL_PROOF_SECTION,
-    FL_STATEMENT_SECTION,
-    NL_SECTION,
-    SYSTEM_PROVER,
     BackendUnavailable,
     BudgetExceeded,
     ChatCompletionBackend,
@@ -18,72 +14,12 @@ from leanforge.genclient import (
     GenerationRequest,
     GenerationResponse,
     MalformedBackendReply,
-    MissingSlot,
     MockBackend,
-    PromptTemplate,
     RetryPolicy,
     complete,
     estimate_tokens,
-    informalization_template,
-    prover_template,
-    render_prompt,
 )
 from fixtures.listings import SQINEQ_COMMENTED
-
-
-class TestPromptTemplate:
-    def test_no_slots_returns_literal(self):
-        template = PromptTemplate.parse("plain", "just text, no holes")
-        assert render_prompt(template, {}) == "just text, no holes"
-        assert template.slots == frozenset()
-
-    def test_parse_segments(self):
-        template = PromptTemplate.parse("t", "a ${x} b ${y}")
-        assert template.segments == (
-            ("lit", "a "), ("slot", "x"), ("lit", " b "), ("slot", "y"),
-        )
-        assert template.slots == {"x", "y"}
-
-    def test_render_binds_slots(self):
-        template = PromptTemplate.parse("t", "${greeting}, ${name}!")
-        out = render_prompt(template, {"greeting": "hello", "name": "lean"})
-        assert out == "hello, lean!"
-
-    def test_missing_slot_named(self):
-        template = PromptTemplate.parse("t", "${present} ${absent}")
-        with pytest.raises(MissingSlot, match="absent"):
-            render_prompt(template, {"present": "x"})
-
-    def test_slot_marker_in_binding_not_reexpanded(self):
-        template = PromptTemplate.parse("t", "A ${x} B")
-        out = render_prompt(template, {"x": "${y}"})
-        assert out == "A ${y} B"
-
-    def test_extra_bindings_ignored(self):
-        template = PromptTemplate.parse("t", "${x}")
-        assert render_prompt(template, {"x": "1", "unused": "2"}) == "1"
-
-    def test_informalization_prompt_has_statement_marker(self):
-        out = render_prompt(
-            informalization_template(),
-            {
-                "examples": "EXAMPLE BLOCK\n\n",
-                "fl_statement": "theorem t : 1 = 1 :=",
-                "fl_proof": "theorem t : 1 = 1 := rfl",
-            },
-        )
-        assert FL_STATEMENT_SECTION in out
-        assert out.startswith("EXAMPLE BLOCK")
-        assert out.rstrip().endswith(NL_SECTION)
-
-    def test_prover_prompt_section_order(self):
-        out = render_prompt(
-            prover_template(),
-            {"examples": "", "nl": "Show 1 = 1.", "fl_statement": "theorem t : 1 = 1 :="},
-        )
-        assert 0 <= out.index(NL_SECTION) < out.index(FL_STATEMENT_SECTION)
-        assert out.index(FL_STATEMENT_SECTION) < out.index(FL_PROOF_SECTION)
-        assert "Lean4 expert" in SYSTEM_PROVER
 
 
 class TestRequestValidation:
@@ -338,7 +274,7 @@ class TestChatCompletionBackend:
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test-123")
         backend = ChatCompletionBackend(
             chat_server + "/ok", model="prover-1", api_key_env="TEST_LLM_KEY",
-            system_prompt=SYSTEM_PROVER,
+            system_prompt="You are a Lean4 expert.",
         )
         request = GenerationRequest(
             prompt="prove it", n_samples=2, temperature=0.4,
@@ -357,7 +293,7 @@ class TestChatCompletionBackend:
         assert sent["body"]["stop"] == ["###"]
         roles = [m["role"] for m in sent["body"]["messages"]]
         assert roles == ["system", "user"]
-        assert sent["body"]["messages"][0]["content"] == SYSTEM_PROVER
+        assert sent["body"]["messages"][0]["content"] == "You are a Lean4 expert."
 
     def test_no_key_env_sends_no_auth_header(self, chat_server):
         backend = ChatCompletionBackend(chat_server + "/ok", model="m")

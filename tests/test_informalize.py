@@ -14,9 +14,6 @@ from leanforge import retrieval
 from leanforge.artifacts import read_jsonl
 from leanforge.corpus import TheoremRecord
 from leanforge.genclient import (
-    FL_PROOF_SECTION,
-    FL_STATEMENT_SECTION,
-    NL_SECTION,
     BackendUnavailable,
     GenerationBudget,
     MockBackend,
@@ -33,13 +30,18 @@ from leanforge.informalize import (
     InformalizeConfig,
     QualityLimits,
     build_example_index,
-    informalization_prompt,
     informalize_corpus,
     informalize_theorem,
     load_checkpoint,
     quality_check,
     save_informal_dataset,
     select_examples,
+)
+from leanforge.prompts import (
+    FL_PROOF_SECTION,
+    FL_STATEMENT_SECTION,
+    NL_SECTION,
+    informalization_prompt,
 )
 
 
@@ -244,7 +246,7 @@ class TestInformalizeTheorem:
         # Extraction's layout: the proof repeats the statement as its header.
         statement = "theorem mythm : 2 + 2 = 4 := by"
         record = theorem("mythm", statement, statement + "\n  norm_num")
-        prompt = informalization_prompt(record, example_pool(2))
+        prompt = informalization_prompt(example_pool(2), record.statement, record.proof)
         assert FL_STATEMENT_SECTION in prompt
         assert FL_PROOF_SECTION in prompt
         assert prompt.rstrip().endswith(NL_SECTION)

@@ -1,0 +1,125 @@
+"""The prompt layer: training instructions equal proving prompts, every
+prompt's section layout, and a guard that section markers live in one module."""
+
+import ast
+import os
+
+import pytest
+
+import leanforge
+from leanforge.informalize import ExamplePair
+from leanforge.prompts import (
+    COMMENT_INSTRUCTION,
+    COMMENTED_SECTION,
+    FL_PROOF_SECTION,
+    FL_STATEMENT_SECTION,
+    NL_SECTION,
+    bootstrap_prompt,
+    example_block,
+    informalization_prompt,
+    proof_prompt,
+)
+from leanforge.prover import PoolExample, Problem, assemble_proof_prompt
+from leanforge.trainprep import PackSource, WhitespaceTokenizer, pack_block
+
+SOURCE_DIR = os.path.dirname(leanforge.__file__)
+
+# (example (nl, fl) pairs in prompt order, open record's nl, its statement)
+SAME_LAYOUT_CASES = {
+    "plain": (
+        [("Statement: p. Proof: trivial.", "theorem e0 : True := by\n  trivial"),
+         ("Statement: q. Proof: simp.", "theorem e1 : 1 = 1 := by\n  simp")],
+        "Statement: r. Proof: rfl.",
+        "theorem goal : 2 = 2 :=",
+    ),
+    "surrounding-newlines": (
+        [("Statement: p. Proof: trivial.\n", "theorem e0 : True := by\n  trivial\n"),
+         ("\n\nStatement: q.  \n", "\ntheorem e1 : 1 = 1 := by\n  simp\n\n")],
+        "Statement: r. Proof: rfl.",
+        "theorem goal : 2 = 2 :=",
+    ),
+    "literal-markers": (
+        [("Statement: ${x} holds.\n" + FL_PROOF_SECTION + " inside nl",
+          "theorem e0 : True := by\n  trivial -- ${fl_proof}")],
+        "Statement: ${nl} and " + NL_SECTION,
+        "theorem goal : ${fl_statement} :=",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_LAYOUT_CASES))
+def test_prep_instruction_equals_prove_prompt(case):
+    examples, nl, statement = SAME_LAYOUT_CASES[case]
+    tok = WhitespaceTokenizer()
+    sources = [PackSource(f"e{j}", ex_nl, "unused :=", fl, fl, 1)
+               for j, (ex_nl, fl) in enumerate(examples)]
+    sources.append(PackSource("goal", nl, statement, "by rfl", "by rfl", 1))
+    packed = pack_block(sources, len(sources) - 1, 10**6, tok)
+    pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]
+    prompt = assemble_proof_prompt(
+        Problem("goal", statement, nl), pool, (1, 16), tok, 10**6)
+    assert packed.example_count == len(examples)
+    assert packed.instruction == prompt
+    # every bound text arrives literally, slot syntax and markers included
+    for ex_nl, fl in examples:
+        assert ex_nl.strip() in prompt and fl.strip() in prompt
+    assert prompt.endswith(
+        f"{NL_SECTION}\n{nl}\n\n{FL_STATEMENT_SECTION}\n{statement}\n\n"
+        f"{FL_PROOF_SECTION}\n")
+
+
+def test_example_block_strips_texts_and_can_drop_nl():
+    assert example_block("\n nl text \n", "\nfl text\n\n") == (
+        f"{NL_SECTION}\nnl text\n\n{FL_PROOF_SECTION}\nfl text\n\n")
+    assert example_block(None, "fl text\n") == f"{FL_PROOF_SECTION}\nfl text\n\n"
+
+
+def test_bootstrap_prompt_keeps_texts_as_they_are():
+    out = bootstrap_prompt("NL text\n", "theorem t : True := by\n  trivial\n")
+    assert out == (
+        f"{COMMENT_INSTRUCTION}\n\n{NL_SECTION}\nNL text\n\n\n"
+        f"{FL_PROOF_SECTION}\ntheorem t : True := by\n  trivial\n\n\n"
+        f"{COMMENTED_SECTION}\n")
+
+
+def test_informalization_prompt_has_statement_marker():
+    out = informalization_prompt(
+        [ExamplePair("ex", "EXAMPLE NL", "theorem ex : True := trivial")],
+        "theorem t : 1 = 1 :=",
+        "theorem t : 1 = 1 := rfl",
+    )
+    assert out.startswith(f"{FL_PROOF_SECTION}\ntheorem ex : True := trivial\n\n"
+                          f"{NL_SECTION}\nEXAMPLE NL\n\n")
+    assert FL_STATEMENT_SECTION in out
+    assert out.rstrip().endswith(NL_SECTION)
+
+
+def test_prover_prompt_section_order():
+    out = proof_prompt([], "Show 1 = 1.", "theorem t : 1 = 1 :=")
+    assert 0 <= out.index(NL_SECTION) < out.index(FL_STATEMENT_SECTION)
+    assert out.index(FL_STATEMENT_SECTION) < out.index(FL_PROOF_SECTION)
+    assert NL_SECTION not in proof_prompt([], None, "theorem t : 1 = 1 :=")
+
+
+def _marker_literals(tree):
+    """Line of every string literal, f-string parts included, holding ``###``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "###" in node.value]
+
+
+def test_only_the_prompts_module_holds_section_markers():
+    offenders = []
+    for filename in sorted(os.listdir(SOURCE_DIR)):
+        if not filename.endswith(".py") or filename == "prompts.py":
+            continue
+        path = os.path.join(SOURCE_DIR, filename)
+        with open(path, "r", encoding="utf-8") as source:
+            tree = ast.parse(source.read(), filename=path)
+        offenders += [f"{filename}:{line}" for line in _marker_literals(tree)]
+    assert offenders == []
+
+
+def test_guard_sees_marker_literals():
+    tree = ast.parse('A = "### x"\nB = f"{a}### y"\nC = "#"\nD = "no marker"\n')
+    assert _marker_literals(tree) == [1, 2]

@@ -7,14 +7,8 @@ import textwrap
 
 import pytest
 
-from leanforge.genclient import (
-    FL_PROOF_SECTION,
-    FL_STATEMENT_SECTION,
-    NL_SECTION,
-    BackendUnavailable,
-    MockBackend,
-    RetryPolicy,
-)
+from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
+from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
     ExternalVerifier,
     HarnessConfig,
@@ -32,7 +26,6 @@ from leanforge.prover import (
     assemble_proof_prompt,
     evaluate_sample,
     extract_proof,
-    format_pool_example,
     format_report_table,
     initial_state,
     load_report,
@@ -117,6 +110,12 @@ def count_examples(prompt):
     return prompt.count(FL_PROOF_SECTION) - 1
 
 
+def oracle_block(example):
+    """Independent rendering of one in-context example: NL then FL, stripped."""
+    return (f"{NL_SECTION}\n{example.nl.strip()}\n\n"
+            f"{FL_PROOF_SECTION}\n{example.fl.strip()}\n\n")
+
+
 class TestAssemblePrompt:
     def test_pool_of_one(self):
         prompt = assemble_proof_prompt(
@@ -140,10 +139,10 @@ class TestAssemblePrompt:
         base = assemble_proof_prompt(problem, pool, (10, 16), tok, 100_000)
         base_tokens = tok.count(assemble_proof_prompt(
             problem, pool, (1, 1), tok, 100_000)) - tok.count(
-                format_pool_example(selection_order(pool)[0]))
+                oracle_block(selection_order(pool)[0]))
 
         ordered = selection_order(pool)[:16]
-        piece_tokens = [tok.count(format_pool_example(e)) for e in ordered]
+        piece_tokens = [tok.count(oracle_block(e)) for e in ordered]
         for budget in range(base_tokens, base_tokens + sum(piece_tokens) + 5, 7):
             total, expected_k = base_tokens, 0
             while (expected_k < len(piece_tokens)

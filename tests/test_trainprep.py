@@ -12,22 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leanforge.corpus import strip_comments, token_equal
-from leanforge.genclient import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
+from leanforge.corpus import strip_comments, token_divergence
+from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.trainprep import (
-    InstructionRecord,
     PackSource,
     PrepConfig,
     RecordExceedsBudget,
     VocabTokenizer,
     WhitespaceTokenizer,
-    base_instruction,
     curriculum_sort,
     emit_training_set,
-    example_block,
-    instruction_cap,
     pack_block,
-    pack_sources,
     save_skip_report,
     save_training_set,
 )
@@ -63,8 +58,8 @@ def oracle_pack(records, i, budget, use_nl=True):
         for step in range(k, 0, -1):
             r = records[(i - step) % n]
             if use_nl:
-                parts.append(f"{NL_SECTION}\n{r.nl}\n\n")
-            parts.append(f"{FL_PROOF_SECTION}\n{r.example_fl}\n\n")
+                parts.append(f"{NL_SECTION}\n{r.nl.strip()}\n\n")
+            parts.append(f"{FL_PROOF_SECTION}\n{r.example_fl.strip()}\n\n")
         if use_nl:
             parts.append(f"{NL_SECTION}\n{record.nl}\n\n")
         parts.append(f"{FL_STATEMENT_SECTION}\n{record.statement}\n\n{FL_PROOF_SECTION}\n")
@@ -179,7 +174,8 @@ class TestPackBlock:
         tok = WhitespaceTokenizer()
         records = [make_source("a", "one two", "t : x :=", "by ring"),
                    make_source("b", "three", "u : y :=", "by simp")]
-        cap = instruction_cap(records[0].nl, records[0].statement)
+        cap = (f"{NL_SECTION}\none two\n\n{FL_STATEMENT_SECTION}\nt : x :=\n\n"
+               f"{FL_PROOF_SECTION}\n")
         budget = tok.count(cap) + tok.count(records[0].target)
         packed = pack_block(records, 0, budget, tok)
         assert packed.example_count == 0
@@ -323,7 +319,7 @@ class TestEmitTrainingSet:
         for a, b in zip(with_boot, without):
             assert a.source_name == b.source_name
             assert a.target != b.target
-            assert token_equal(a.target, b.target)
+            assert token_divergence(a.target, b.target) is None
             assert strip_comments(b.target) == b.target
 
     def test_curriculum_flag_off_preserves_input_order(self):
@@ -376,12 +372,23 @@ class TestEmitTrainingSet:
         assert "--" in full.target
         assert "-- rewrite with the hypothesis" not in full.instruction
 
-    def test_base_instruction_invariant(self):
-        source = pack_sources(stub_corpus(), self.config())[0]
-        record = base_instruction(source)
-        assert isinstance(record, InstructionRecord)
-        assert NL_SECTION in record.instruction
-        assert record.target
+    def test_block_flag_off_instruction_is_the_record_alone(self):
+        records = stub_corpus()
+        tok = WhitespaceTokenizer()
+        packed, skipped = emit_training_set(records, self.config(use_block=False))
+        assert skipped == []
+        by_name = {r.name: r for r in records}
+        for p in packed:
+            r = by_name[p.source_name]
+            assert p.instruction == (
+                f"{NL_SECTION}\n{r.generated_informal_statement_and_proof}\n\n"
+                f"{FL_STATEMENT_SECTION}\n{r.statement}\n\n{FL_PROOF_SECTION}\n")
+            assert p.target == r.commented_proof
+            assert p.example_count == 0
+            assert p.token_count == tok.count(p.instruction) + tok.count(p.target)
+        _, skipped = emit_training_set(
+            records, self.config(use_block=False, context_budget=20))
+        assert len(skipped) == len(records)
 
 
 class TestSaveOutputs:
