@@ -26,7 +26,7 @@ from .genclient import (
     complete,
 )
 from .prompts import example_block, proof_prompt
-from .trainprep import WhitespaceTokenizer
+from .trainprep import WhitespaceTokenizer, fit_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -203,35 +203,30 @@ def assemble_proof_prompt(
 ) -> str:
     """Build the proving prompt with as many whole examples as fit.
 
-    Examples are added greedily in selection order until the next one would
-    push the assembled prompt past ``token_budget`` or the upper end of
-    ``k_range`` is reached. The token total is recounted on the assembled
-    text at each step, not summed per piece.
+    Examples are added in selection order until the next one would push the
+    prompt past ``token_budget`` or the upper end of ``k_range`` is reached.
+    The zero-example prompt and each example block are counted once and
+    summed (``trainprep.fit_blocks``): counts add at the whitespace that
+    ends every block, so the sum is the count of the assembled prompt. A
+    prompt with fewer examples than the lower end of ``k_range`` is still
+    returned, with a warning.
     """
     if not example_pool:
         raise ValueError("example pool is empty")
     tok = tokenizer or WhitespaceTokenizer()
-    blocks = [
+    nl, statement = problem.nl_statement_and_proof, problem.fl_statement
+    base = tok.count(proof_prompt((), nl, statement))
+    if base > token_budget:
+        raise PromptExceedsBudget(problem.name, base, token_budget)
+    blocks = (
         example_block(e.nl, e.fl)
         for e in selection_order(example_pool)[: k_range[1]]
-    ]
-
-    def assemble(k: int) -> str:
-        return proof_prompt(
-            blocks[:k], problem.nl_statement_and_proof, problem.fl_statement
-        )
-
-    base = assemble(0)
-    base_count = tok.count(base)
-    if base_count > token_budget:
-        raise PromptExceedsBudget(problem.name, base_count, token_budget)
-    chosen = base
-    for k in range(1, len(blocks) + 1):
-        candidate = assemble(k)
-        if tok.count(candidate) > token_budget:
-            break
-        chosen = candidate
-    return chosen
+    )
+    taken, _ = fit_blocks(base, ((b, tok.count(b)) for b in blocks), token_budget)
+    if len(taken) < k_range[0]:
+        logger.warning("prompt for %s fits only %d examples, k_min is %d",
+                       problem.name, len(taken), k_range[0])
+    return proof_prompt(taken, nl, statement)
 
 
 # --- proof extraction ----------------------------------------------------------

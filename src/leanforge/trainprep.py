@@ -39,8 +39,10 @@ class RecordExceedsBudget(ValueError):
 class WhitespaceTokenizer:
     """Splitter on word runs and single punctuation marks.
 
-    Join constant J=0: concatenating two texts can only merge tokens at the
-    seam, never create extra ones, so count(a+b) <= count(a) + count(b).
+    No token spans whitespace, so counts add at a whitespace seam:
+    count(a+b) == count(a) + count(b) when a ends in whitespace or b starts
+    with it. At any other seam two tokens can merge into one (join constant
+    J=0: count(a+b) <= count(a) + count(b)).
     """
 
     name = "whitespace"
@@ -57,19 +59,30 @@ class VocabTokenizer:
     """Greedy longest-match against a fixed vocabulary.
 
     Whitespace separates candidates and costs nothing; characters not
-    covered by the vocabulary count one token each.  Join constant J=1: a
-    seam can split at most one straddling match.
+    covered by the vocabulary count one token each. Entries hold no
+    whitespace, so no match spans it and counts add at a whitespace seam,
+    as for ``WhitespaceTokenizer``. At any other seam a straddling match
+    can split (join constant J=1).
     """
 
     def __init__(self, vocabulary: Iterable[str], name: str = "vocab"):
         self.name = name
-        self._vocab = {v for v in vocabulary if v and not v.isspace()}
+        self._vocab = {_vocab_entry(v) for v in vocabulary if v}
         self._max_len = max((len(v) for v in self._vocab), default=1)
 
     @classmethod
     def from_file(cls, path: str, name: str = "vocab") -> "VocabTokenizer":
+        """One entry per line; blank lines are skipped."""
+        entries = []
         with open(path, "r", encoding="utf-8") as f:
-            return cls((line.rstrip("\n") for line in f if line.strip()), name=name)
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entries.append(_vocab_entry(line.rstrip("\n")))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return cls(entries, name=name)
 
     def count(self, text: str) -> int:
         total = 0
@@ -85,6 +98,12 @@ class VocabTokenizer:
             total += 1
             i += length
         return total
+
+
+def _vocab_entry(entry: str) -> str:
+    if any(ch.isspace() for ch in entry):
+        raise ValueError(f"vocabulary entry {entry!r} contains whitespace")
+    return entry
 
 
 # --- record shapes ------------------------------------------------------------
@@ -125,48 +144,69 @@ def curriculum_sort(records: Sequence) -> List:
     return sorted(records, key=lambda r: r.difficulty)
 
 
+def fit_blocks(
+    base: int, blocks: Iterable[Tuple[str, int]], budget: int
+) -> Tuple[List[str], int]:
+    """Take (block, token count) pairs in order while the running total,
+    starting at ``base``, stays within ``budget``; stop at the first that
+    does not fit. Returns the blocks taken and the total.
+
+    The total is the exact count of the blocks joined and followed by the
+    prompt that ``base`` counts: every example block ends in whitespace, and
+    counts add at a whitespace seam for both tokenizers.
+    """
+    taken: List[str] = []
+    used = base
+    for block, count in blocks:
+        if used + count > budget:
+            break
+        used += count
+        taken.append(block)
+    return taken, used
+
+
+def _counted_block(record: PackSource, tokenizer, use_nl: bool) -> Tuple[str, int]:
+    block = example_block(record.nl if use_nl else None, record.example_fl)
+    return block, tokenizer.count(block)
+
+
 def pack_block(
     records: Sequence[PackSource],
     i: int,
     budget: int,
     tokenizer,
     use_nl: bool = True,
+    blocks: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> PackedRecord:
     """Fill record i's instruction with whole ring predecessors.
 
     Predecessors are taken nearest-first (i-1, i-2, ... wrapping to the end
-    of the dataset) and prepended, so the final instruction reads oldest
-    example first and ends with record i's own sections.  Token totals are
-    recounted on the assembled text at every step: concatenation can merge
-    tokens at seams, so running sums would drift.
+    of the dataset) while they fit, and prepended, so the final instruction
+    reads oldest example first and ends with record i's own sections. The
+    record's zero-example instruction and its target are counted once; each
+    predecessor adds its block's count (``fit_blocks``), so the total is
+    exact without recounting the assembled text. ``blocks`` holds every
+    record's example block and count, as ``emit_training_set`` computes them
+    once for all records; without it the predecessors' blocks are counted
+    here as they are reached.
     """
     n = len(records)
     record = records[i]
-    target_tokens = tokenizer.count(record.target)
-    blocks: List[str] = []  # nearest predecessor first, each formatted once
-
-    def assemble() -> Tuple[str, int]:
-        instruction = proof_prompt(
-            reversed(blocks), record.nl if use_nl else None, record.statement
-        )
-        return instruction, tokenizer.count(instruction) + target_tokens
-
-    instruction, used = assemble()
-    if used > budget:
-        raise RecordExceedsBudget(record.name, used, budget)
-    k = 0
-    while k < n - 1:
-        example = records[(i - k - 1) % n]
-        blocks.append(example_block(example.nl if use_nl else None, example.example_fl))
-        next_instruction, next_used = assemble()
-        if next_used > budget:
-            break
-        k += 1
-        instruction, used = next_instruction, next_used
+    nl = record.nl if use_nl else None
+    base = (tokenizer.count(proof_prompt((), nl, record.statement))
+            + tokenizer.count(record.target))
+    if base > budget:
+        raise RecordExceedsBudget(record.name, base, budget)
+    nearest_first = ((i - step) % n for step in range(1, n))
+    if blocks is None:
+        counted = (_counted_block(records[j], tokenizer, use_nl) for j in nearest_first)
+    else:
+        counted = (blocks[j] for j in nearest_first)
+    taken, used = fit_blocks(base, counted, budget)
     return PackedRecord(
-        instruction=instruction,
+        instruction=proof_prompt(reversed(taken), nl, record.statement),
         target=record.target,
-        example_count=k,
+        example_count=len(taken),
         token_count=used,
         source_name=record.name,
         difficulty=record.difficulty,
@@ -219,6 +259,10 @@ def emit_training_set(
     sources = pack_sources(records, config)
     if config.use_curriculum:
         sources = curriculum_sort(sources)
+    blocks = None
+    if config.use_block:
+        # each record's block is counted once, whichever rings it serves in
+        blocks = [_counted_block(s, config.tokenizer, config.use_nl) for s in sources]
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
@@ -226,7 +270,8 @@ def emit_training_set(
         ring, at = (sources, i) if config.use_block else ([source], 0)
         try:
             item = pack_block(
-                ring, at, config.context_budget, config.tokenizer, config.use_nl
+                ring, at, config.context_budget, config.tokenizer, config.use_nl,
+                blocks,
             )
         except RecordExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)

@@ -1,6 +1,7 @@
 """Tests for the iterative proof-writing harness."""
 
 import json
+import logging
 import random
 import sys
 import textwrap
@@ -121,6 +122,22 @@ class TestAssemblePrompt:
         prompt = assemble_proof_prompt(
             make_problem(0), seed_examples(1), token_budget=10_000)
         assert count_examples(prompt) == 1
+
+    def test_fewer_than_k_min_warns(self, caplog):
+        def warnings(k_range, budget=10_000):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="leanforge.prover"):
+                prompt = assemble_proof_prompt(
+                    make_problem(0), seed_examples(1), k_range, token_budget=budget)
+            return count_examples(prompt), [r.getMessage() for r in caplog.records]
+
+        assert warnings((10, 16)) == (
+            1, ["prompt for prob00 fits only 1 examples, k_min is 10"])
+        assert warnings((1, 16)) == (1, [])
+        zero_budget = WhitespaceTokenizer().count(assemble_proof_prompt(
+            make_problem(0), seed_examples(1), (1, 1), token_budget=10_000)) - 1
+        assert warnings((1, 16), zero_budget) == (
+            0, ["prompt for prob00 fits only 0 examples, k_min is 1"])
 
     def test_upper_clamp_at_sixteen(self):
         prompt = assemble_proof_prompt(

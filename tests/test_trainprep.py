@@ -1,7 +1,9 @@
 """Tests for tokenizers, curriculum ordering, and ring block-packing.
 
-Packing is checked against an independent greedy simulation that uses its
-own character-class token counter (no regex, no shared code).
+Packing is checked against an independent greedy simulation that assembles
+every candidate instruction and recounts it whole, with its own
+character-class token counter (no regex, no shared code) or, for the
+vocabulary tokenizer, that tokenizer's count of the whole text.
 """
 
 import json
@@ -13,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge.corpus import strip_comments, token_divergence
-from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
+from leanforge.prompts import (
+    FL_PROOF_SECTION,
+    FL_STATEMENT_SECTION,
+    NL_SECTION,
+    example_block,
+)
 from leanforge.trainprep import (
     PackSource,
     PrepConfig,
@@ -48,8 +55,9 @@ def oracle_count(text):
     return total
 
 
-def oracle_pack(records, i, budget, use_nl=True):
-    """Independent greedy simulation returning (k, total_tokens)."""
+def oracle_pack(records, i, budget, use_nl=True, count=oracle_count):
+    """Independent greedy simulation returning (k, total_tokens); every
+    candidate instruction is assembled and recounted whole with ``count``."""
     n = len(records)
     record = records[i]
 
@@ -64,7 +72,7 @@ def oracle_pack(records, i, budget, use_nl=True):
             parts.append(f"{NL_SECTION}\n{record.nl}\n\n")
         parts.append(f"{FL_STATEMENT_SECTION}\n{record.statement}\n\n{FL_PROOF_SECTION}\n")
         text = "".join(parts)
-        return oracle_count(text) + oracle_count(record.target)
+        return count(text) + count(record.target)
 
     if build(0) > budget:
         return None
@@ -92,6 +100,40 @@ def synthetic_sources(rng, count):
     return out
 
 
+# texts for the additivity properties: words, punctuation, unicode and
+# several kinds of whitespace, unicode spaces included
+SEAM_TEXT = st.text(alphabet="ab cd.,()∑_7\n\t\u00a0\u2003", max_size=30)
+WHITESPACE = st.sampled_from([" ", "\n", "\t", "\n\n", "\u00a0", "\u2003"])
+VOCAB = ["ab", "cd", "abc", "a", "b", "c", "d", "b.c", "∑_", "(a", "7)"]
+
+
+@pytest.fixture(scope="module")
+def file_vocab(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    path.write_text("\n".join(VOCAB) + "\n\n", encoding="utf-8")
+    return VocabTokenizer.from_file(str(path))
+
+
+def assert_adds_at_whitespace_seam(tok, a, b, space, space_ends_a):
+    if space_ends_a:
+        a += space
+    else:
+        b = space + b
+    assert tok.count(a + b) == tok.count(a) + tok.count(b)
+
+
+class CountingTokenizer:
+    """Counts the calls made to a wrapped tokenizer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def count(self, text):
+        self.calls += 1
+        return self.inner.count(text)
+
+
 class TestWhitespaceTokenizer:
     def test_empty(self):
         assert WhitespaceTokenizer().count("") == 0
@@ -113,6 +155,11 @@ class TestWhitespaceTokenizer:
     def test_join_constant_zero(self, a, b):
         tok = WhitespaceTokenizer()
         assert tok.count(a + b) <= tok.count(a) + tok.count(b)
+
+    @given(SEAM_TEXT, SEAM_TEXT, WHITESPACE, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_add_at_whitespace_seam(self, a, b, space, space_ends_a):
+        assert_adds_at_whitespace_seam(WhitespaceTokenizer(), a, b, space, space_ends_a)
 
 
 class TestVocabTokenizer:
@@ -140,6 +187,29 @@ class TestVocabTokenizer:
     def test_join_constant_one(self, a, b):
         tok = VocabTokenizer(["ab", "cd", "abc", "a", "b", "c", "d"])
         assert tok.count(a + b) <= tok.count(a) + tok.count(b) + 1
+
+    @given(SEAM_TEXT, SEAM_TEXT, WHITESPACE, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_add_at_whitespace_seam(self, a, b, space, space_ends_a):
+        assert_adds_at_whitespace_seam(VocabTokenizer(VOCAB), a, b, space, space_ends_a)
+
+    @given(SEAM_TEXT, SEAM_TEXT, WHITESPACE, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_file_vocab_counts_add_at_whitespace_seam(
+            self, file_vocab, a, b, space, space_ends_a):
+        assert_adds_at_whitespace_seam(file_vocab, a, b, space, space_ends_a)
+
+    @pytest.mark.parametrize("entry", ["x b", "x\tb", "ab ", " ", "x\u00a0b"])
+    def test_rejects_entry_with_whitespace(self, entry):
+        with pytest.raises(ValueError, match="contains whitespace") as info:
+            VocabTokenizer(["a", entry])
+        assert repr(entry) in str(info.value)
+
+    def test_from_file_rejection_names_path_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("ab\n\ncd\nx b\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}:4: .*'x b'"):
+            VocabTokenizer.from_file(str(path))
 
 
 class TestCountTokens:
@@ -259,6 +329,16 @@ class TestPackBlock:
         packed = pack_block(records, 0, budget=10_000, tokenizer=tok, use_nl=False)
         assert NL_SECTION not in packed.instruction
         assert "NLTEXT" not in packed.instruction
+
+
+    def test_blocks_counted_once_match_lazy_counting(self):
+        tok = WhitespaceTokenizer()
+        records = synthetic_sources(random.Random(5), 7)
+        blocks = [(b, tok.count(b)) for b in (
+            example_block(r.nl, r.example_fl) for r in records)]
+        for i in range(len(records)):
+            assert pack_block(records, i, 400, tok, blocks=blocks) == pack_block(
+                records, i, 400, tok)
 
 
 @dataclass
@@ -389,6 +469,63 @@ class TestEmitTrainingSet:
         _, skipped = emit_training_set(
             records, self.config(use_block=False, context_budget=20))
         assert len(skipped) == len(records)
+
+
+# record texts for the property below: no quotes or comment markers, so
+# every proof lexes; leading and trailing whitespace and empty texts occur
+RECORD_TEXT = st.text(alphabet="ab c.,()∑_7\n\t", max_size=40)
+
+
+class TestEmitMatchesOracle:
+    @given(
+        st.lists(st.tuples(RECORD_TEXT, RECORD_TEXT, RECORD_TEXT), max_size=7),
+        st.integers(min_value=0, max_value=300),
+        st.booleans(),
+        st.sampled_from(["whitespace", "vocab-file"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_record_matches_recount_oracle(
+            self, file_vocab, texts, budget, use_nl, tokenizer):
+        records = [
+            StubRecord(name=f"r{j}", statement=f"theorem r{j} :{statement}",
+                       proof=f":= by{proof}", commented_proof=f":= by{proof}",
+                       generated_informal_statement_and_proof=nl)
+            for j, (nl, statement, proof) in enumerate(texts)
+        ]
+        tok, count = ((WhitespaceTokenizer(), oracle_count)
+                      if tokenizer == "whitespace" else (file_vocab, file_vocab.count))
+        config = PrepConfig(context_budget=budget, tokenizer=tok, use_nl=use_nl,
+                            use_curriculum=False)
+        packed, skipped = emit_training_set(records, config)
+        sources = [make_source(r.name, r.generated_informal_statement_and_proof,
+                               r.statement, r.commented_proof) for r in records]
+        by_name = {p.source_name: p for p in packed}
+        assert len(packed) + len(skipped) == len(records)
+        for i, source in enumerate(sources):
+            expected = oracle_pack(sources, i, budget, use_nl, count)
+            if expected is None:
+                assert source.name not in by_name
+                continue
+            item = by_name[source.name]
+            assert (item.example_count, item.token_count) == expected
+            assert item.token_count == count(item.instruction) + count(item.target)
+
+    @pytest.mark.parametrize("use_block", [True, False])
+    def test_tokenizer_calls_are_linear(self, use_block):
+        records = [
+            StubRecord(name=f"r{j}", statement=f"theorem r{j} : {j} = {j} :=",
+                       proof=":= by\n  rfl", commented_proof=":= by\n  -- same\n  rfl",
+                       generated_informal_statement_and_proof=f"Fact {j}. Proof: rfl.")
+            for j in range(40)
+        ]
+        tok = CountingTokenizer(WhitespaceTokenizer())
+        packed, skipped = emit_training_set(
+            records, PrepConfig(context_budget=100_000, tokenizer=tok, use_block=use_block))
+        assert skipped == []
+        if use_block:
+            assert all(p.example_count == len(records) - 1 for p in packed)
+        # one count per example block, zero-example instruction and target
+        assert tok.calls <= 3 * len(records)
 
 
 class TestSaveOutputs:
