@@ -66,8 +66,7 @@ class ObtRecord:
     commented_proof: str
 
 
-# Serialized field names. The loader also accepts the lowercase attribute
-# names as a mirror.
+# (attribute, wire key) per field, in serialized order.
 _WIRE_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("name", "Name"),
     ("statement", "Statement"),
@@ -130,24 +129,20 @@ def bootstrap_theorem(
     record: TheoremRecord,
     nl_text: str,
     backend,
-    mode: BootstrapMode,
     max_attempts: int = 3,
     retry: Optional[RetryPolicy] = None,
     budget: Optional[GenerationBudget] = None,
     max_new_tokens: int = 1024,
     temperature: float = 0.7,
 ) -> str:
-    """Produce a commented proof for one theorem, verified against the original.
+    """Interleave comments into one theorem's proof through the backend.
 
-    Head mode is a pure text transformation. Interleaved mode asks the
-    backend and re-checks each reply; after ``max_attempts`` unverifiable
-    replies it raises with the last divergence. Backend failures propagate.
+    Each reply is checked against the original proof; after
+    ``max_attempts`` unverifiable replies this raises with the last
+    divergence. Backend failures propagate.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if mode is BootstrapMode.HEAD:
-        return head_bootstrap(nl_text, record.proof)
-
     prompt = prompts.bootstrap_prompt(nl_text, record.proof)
     divergence: Optional[TokenDivergence] = None
     detail = ""
@@ -265,7 +260,7 @@ def bootstrap_corpus(
         else:
             try:
                 commented = bootstrap_theorem(
-                    record, nl_text, backend, mode,
+                    record, nl_text, backend,
                     max_attempts=max_attempts, retry=retry, budget=budget,
                     max_new_tokens=max_new_tokens, temperature=temperature,
                 )
@@ -292,12 +287,9 @@ def obt_to_entry(record: ObtRecord) -> Dict[str, str]:
 def obt_from_entry(entry: Dict[str, str]) -> ObtRecord:
     values = {}
     for attr, wire in _WIRE_FIELDS:
-        if wire in entry:
-            values[attr] = entry[wire]
-        elif attr in entry:
-            values[attr] = entry[attr]
-        else:
+        if wire not in entry:
             raise PreconditionViolated(f"{wire}: missing from record entry")
+        values[attr] = entry[wire]
     return ObtRecord(**values)
 
 

@@ -49,7 +49,6 @@ class GenerationRequest:
     max_new_tokens: int = 512
     temperature: float = 0.7
     n_samples: int = 1
-    stop_sequences: Tuple[str, ...] = ()
     request_id: str = ""
 
     def __post_init__(self):
@@ -278,8 +277,6 @@ class ChatCompletionBackend:
             "n": request.n_samples,
             "max_tokens": request.max_new_tokens,
         }
-        if request.stop_sequences:
-            body["stop"] = list(request.stop_sequences)
         try:
             reply = self._session.post(
                 self.endpoint, json=body, headers=self._headers(), timeout=self.timeout

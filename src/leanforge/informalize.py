@@ -74,18 +74,19 @@ class ExamplePair:
     fl: str
 
 
-def quality_check(nl_text: str, limits: QualityLimits, tokenizer=None) -> QualityVerdict:
+def quality_check(nl_text: str, limits: QualityLimits) -> QualityVerdict:
     """Screen a generated NL text against the configured limits.
 
+    Length and repetition are measured in ``WhitespaceTokenizer`` tokens.
     Repetition fails only when some n-gram both repeats (count >= 2) and
     dominates (share of all n-grams above the ratio); short texts whose
     n-grams are all distinct never trip it.
     """
-    tok = tokenizer or WhitespaceTokenizer()
+    tok = WhitespaceTokenizer()
     reasons = []
     if tok.count(nl_text) > limits.max_tokens:
         reasons.append(OVERLENGTH)
-    tokens = tok.tokens(nl_text) if hasattr(tok, "tokens") else nl_text.split()
+    tokens = tok.tokens(nl_text)
     n = limits.repetition_ngram
     grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
     if grams:
@@ -145,7 +146,6 @@ def informalize_theorem(
     backend,
     limits: QualityLimits,
     max_attempts: int = 3,
-    tokenizer=None,
     retry: Optional[genclient.RetryPolicy] = None,
     budget: Optional[genclient.GenerationBudget] = None,
     max_new_tokens: int = 2048,
@@ -182,7 +182,7 @@ def informalize_theorem(
                 break
             continue
         text = response.samples[0]
-        verdict = quality_check(text, limits, tokenizer)
+        verdict = quality_check(text, limits)
         reasons = verdict.reasons
         if response.truncated[0] and OVERLENGTH not in reasons:
             reasons = (OVERLENGTH,) + reasons
@@ -220,7 +220,6 @@ class InformalizeConfig:
     pool: Sequence[ExamplePair] = ()
     index: Optional[retrieval.SimilarityIndex] = None
     embedder: object = None
-    tokenizer: object = None
     checkpoint_path: Optional[str] = None
     restart: bool = False
     retry: Optional[genclient.RetryPolicy] = None
@@ -293,9 +292,7 @@ def _validate_resume(
                 f"record {i} is {record.name!r}; pass restart to discard"
             )
         if result.verdict == "pass":
-            verdict = quality_check(
-                result.nl_statement_and_proof, config.limits, config.tokenizer
-            )
+            verdict = quality_check(result.nl_statement_and_proof, config.limits)
             if not verdict.passed:
                 raise CheckpointCorrupt(
                     f"checkpoint pass entry {result.theorem_name!r} violates "
@@ -333,7 +330,6 @@ def informalize_corpus(
                 config.backend,
                 config.limits,
                 max_attempts=config.max_attempts,
-                tokenizer=config.tokenizer,
                 retry=config.retry,
                 budget=config.budget,
                 max_new_tokens=config.max_new_tokens,

@@ -11,6 +11,7 @@ problems order-independent.
 import logging
 import os
 import re
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -152,7 +153,6 @@ class HarnessConfig:
     token_budget: int = 4096
     max_new_tokens: int = 1024
     temperature: float = 0.7
-    stop_sequences: Tuple[str, ...] = ()
     tokenizer: object = None
     retry: Optional[RetryPolicy] = None
     budget: Optional[GenerationBudget] = None
@@ -265,6 +265,30 @@ def extract_proof(generated_text: str, problem: Problem) -> str:
 
 # --- verification --------------------------------------------------------------
 
+# `sorry` and `admit` as whole names: Lean accepts a proof using them with
+# only a warning. Longer names that contain them (`h_admit`) are other names.
+_PLACEHOLDER = re.compile(r"(?<![\w'!?.])(?:sorry|admit)(?![\w'!?.])")
+
+
+def screen_proof(proof: str) -> Optional[str]:
+    """The diagnostic for a proof no checker should be asked about, else None.
+
+    Rejects Lean3 leftovers and code tokens that use ``sorry`` or ``admit``;
+    comments and string literals are not code. A proof that does not lex is
+    left to the verifier.
+    """
+    patterns = [f.pattern for f in corpus.detect_lean3_artifacts(proof)]
+    try:
+        tokens = corpus.lex_lean(proof)
+    except LexError:
+        tokens = []
+    if any(t.kind is corpus.TokenKind.CODE and _PLACEHOLDER.search(t.text)
+           for t in tokens):
+        patterns.append("sorry")
+    if not patterns:
+        return None
+    return "pre-verification screen: " + ", ".join(patterns)
+
 
 class MockVerifier:
     """Answer-key verifier: a proof is correct when its code tokens match
@@ -295,9 +319,10 @@ class ExternalVerifier:
     """Runs a checker command on a temp .lean file holding imports + proof.
 
     Exit 0 means verified; anything else is a rejection with the captured
-    stderr as diagnostic. Slow checks raise VerifierTimeout, a command that
-    cannot run raises VerifierCrashed; the harness maps both to an error
-    verdict for that sample and moves on.
+    stderr as diagnostic. The checker runs in its own session: a slow check
+    is killed with every process it started and raises VerifierTimeout. A
+    command that cannot run raises VerifierCrashed; the harness maps both to
+    an error verdict for that sample and moves on.
     """
 
     name = "external"
@@ -321,24 +346,30 @@ class ExternalVerifier:
             handle.write(content)
             handle.close()
             try:
-                result = subprocess.run(
+                process = subprocess.Popen(
                     self.command + [handle.name],
-                    capture_output=True,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
                     text=True,
-                    timeout=self.timeout_s,
+                    start_new_session=True,
                 )
-            except subprocess.TimeoutExpired as exc:
-                raise VerifierTimeout(
-                    f"verifier exceeded {self.timeout_s}s on {problem.name}"
-                ) from exc
             except OSError as exc:
                 raise VerifierCrashed(
                     f"verifier command {self.command[0]!r} failed to run: {exc}"
                 ) from exc
-            if result.returncode == 0:
+            with process:
+                try:
+                    stdout, stderr = process.communicate(timeout=self.timeout_s)
+                except subprocess.TimeoutExpired as exc:
+                    os.killpg(process.pid, signal.SIGKILL)
+                    process.communicate()
+                    raise VerifierTimeout(
+                        f"verifier exceeded {self.timeout_s}s on {problem.name}"
+                    ) from exc
+            if process.returncode == 0:
                 return "verified", ""
-            diagnostic = result.stderr.strip() or result.stdout.strip()
-            return "rejected", diagnostic or f"exit status {result.returncode}"
+            diagnostic = stderr.strip() or stdout.strip()
+            return "rejected", diagnostic or f"exit status {process.returncode}"
         finally:
             os.unlink(handle.name)
 
@@ -352,11 +383,10 @@ def evaluate_sample(
     except NoProofFound as exc:
         return ProofAttempt(problem.name, sample_index, generated_text, "",
                             "rejected", str(exc))
-    findings = corpus.detect_lean3_artifacts(proof)
-    if findings:
-        patterns = ", ".join(f.pattern for f in findings)
+    screened = screen_proof(proof)
+    if screened:
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
-                            "rejected", f"pre-verification screen: {patterns}")
+                            "rejected", screened)
     try:
         verdict, diagnostic = verifier.check(problem, proof)
     except (VerifierTimeout, VerifierCrashed) as exc:
@@ -401,7 +431,6 @@ def run_iteration(
                 max_new_tokens=config.max_new_tokens,
                 temperature=config.temperature,
                 n_samples=1,
-                stop_sequences=config.stop_sequences,
                 request_id=f"prove:{problem.name}:r{state.round}:s{sample_index}",
             )
             try:
@@ -521,7 +550,11 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
         problem = by_name.get(name)
         if problem is None:
             raise ReportInvalid(f"{path}:{lineno}: unknown problem {name}")
-        verdict, diagnostic = verifier.check(problem, entry["proof"])
+        diagnostic = screen_proof(entry["proof"])
+        if diagnostic is None:
+            verdict, diagnostic = verifier.check(problem, entry["proof"])
+        else:
+            verdict = "rejected"
         if verdict != "verified":
             raise ReportInvalid(
                 f"{path}:{lineno}: stored proof for {name} no longer verifies"

@@ -52,37 +52,14 @@ class EmbeddingServiceError(RuntimeError):
     """Transport failure or malformed reply from an embedding provider."""
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A dense vector with its euclidean norm cached at construction."""
-
-    values: np.ndarray
-    norm: float
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
-
-def embedding(values: Sequence[float]) -> EmbeddingVector:
+def embedding(values: Sequence[float]) -> np.ndarray:
+    """``values`` as a 1-d, non-empty float64 vector."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise EmptyInput("empty vector")
-    return EmbeddingVector(values=arr, norm=float(np.linalg.norm(arr)))
-
-
-def mean_pool(vectors: Sequence[EmbeddingVector]) -> EmbeddingVector:
-    """Component-wise mean of token vectors; the sentence encoding."""
-    if not vectors:
-        raise EmptyInput("mean_pool of zero vectors")
-    dim = vectors[0].dimension
-    for v in vectors[1:]:
-        if v.dimension != dim:
-            raise DimensionMismatch(f"mixed dimensions {dim} and {v.dimension}")
-    stacked = np.stack([v.values for v in vectors])
-    return embedding(stacked.mean(axis=0))
+    return arr
 
 
 # --- projection head ---------------------------------------------------------
@@ -113,12 +90,12 @@ class ProjectionHead:
             raise ValueError(f"unknown init {init!r}")
         return cls(weights=weights, d_in=d_in, d_out=d_out, seed=seed, init=init)
 
-    def project(self, vector: EmbeddingVector) -> np.ndarray:
-        if vector.dimension != self.d_in:
+    def project(self, vector: np.ndarray) -> np.ndarray:
+        if vector.shape[0] != self.d_in:
             raise DimensionMismatch(
-                f"vector dimension {vector.dimension} != head d_in {self.d_in}"
+                f"vector dimension {vector.shape[0]} != head d_in {self.d_in}"
             )
-        return self.weights @ vector.values
+        return self.weights @ vector
 
     def checksum(self) -> str:
         return hashlib.sha256(self.weights.astype("<f8").tobytes()).hexdigest()
@@ -155,34 +132,26 @@ def load_head(path: str) -> ProjectionHead:
 
 @dataclass
 class AlignmentBatch:
-    """A batch of aligned (nl, fl) pairs with an in-batch negative assignment.
+    """A batch of aligned (nl, fl) pairs. The negatives for pair i are the
+    vectors of the next pair around the ring, i + 1 mod the batch size."""
 
-    ``negative_assignment[i]`` is the index j != i whose nl/fl vectors serve
-    as the negatives for pair i; by default the next pair around the ring.
-    """
-
-    pairs: Sequence[Tuple[EmbeddingVector, EmbeddingVector]]
-    negative_assignment: Optional[Sequence[int]] = None
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        size = len(self.pairs)
-        if size < 2:
+        if len(self.pairs) < 2:
             raise EmptyInput("alignment batch needs at least two pairs")
-        dim = self.pairs[0][0].dimension
+        dim = self.pairs[0][0].shape[0]
         for nl, fl in self.pairs:
-            if nl.dimension != dim or fl.dimension != dim:
+            if nl.shape[0] != dim or fl.shape[0] != dim:
                 raise DimensionMismatch("inconsistent dimensions in batch")
-        if self.negative_assignment is None:
-            self.negative_assignment = [(i + 1) % size for i in range(size)]
-        if len(self.negative_assignment) != size:
-            raise DimensionMismatch("negative assignment length != batch size")
-        for i, j in enumerate(self.negative_assignment):
-            if i == j or not 0 <= j < size:
-                raise RetrievalError(f"invalid negative assignment {j} for pair {i}")
+
+    def negatives(self) -> np.ndarray:
+        size = len(self.pairs)
+        return (np.arange(size) + 1) % size
 
     def matrices(self) -> Tuple[np.ndarray, np.ndarray]:
-        nl = np.stack([pair[0].values for pair in self.pairs])
-        fl = np.stack([pair[1].values for pair in self.pairs])
+        nl = np.stack([pair[0] for pair in self.pairs])
+        fl = np.stack([pair[1] for pair in self.pairs])
         return nl, fl
 
 
@@ -209,7 +178,7 @@ def _row_cos(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np
 
 def contrastive_loss(batch: AlignmentBatch, head: ProjectionHead) -> float:
     _, _, a, b, na, nb = _projected_rows(batch, head)
-    j = np.asarray(batch.negative_assignment)
+    j = batch.negatives()
     pos = _row_cos(a, b, na, nb)
     neg_nl = _row_cos(a[j], b, na[j], nb)
     neg_fl = _row_cos(a, b[j], na, nb[j])
@@ -217,27 +186,11 @@ def contrastive_loss(batch: AlignmentBatch, head: ProjectionHead) -> float:
     return float(per_pair.mean())
 
 
-def cosine_pair_gradient(
-    u: EmbeddingVector, v: EmbeddingVector, head: ProjectionHead
-) -> np.ndarray:
-    """d cos(Wu, Wv) / dW for a single pair."""
-    a = head.project(u)
-    b = head.project(v)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormVector("projected vector has zero norm")
-    c = float(a @ b) / (na * nb)
-    g_a = b / (na * nb) - c * a / (na * na)
-    g_b = a / (na * nb) - c * b / (nb * nb)
-    return np.outer(g_a, u.values) + np.outer(g_b, v.values)
-
-
 def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndarray:
     """Analytic dLoss/dW, same shape as the head weights."""
     nl_raw, fl_raw, a, b, na, nb = _projected_rows(batch, head)
     size = len(batch.pairs)
-    j = np.asarray(batch.negative_assignment)
+    j = batch.negatives()
 
     d_a = np.zeros_like(a)
     d_b = np.zeros_like(b)
@@ -271,7 +224,7 @@ class TrainConfig:
 
 
 def train_projection(
-    pairs: Sequence[Tuple[EmbeddingVector, EmbeddingVector]],
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
 ) -> Tuple[ProjectionHead, List[float]]:
     """Seeded gradient descent on the contrastive loss.
@@ -283,7 +236,7 @@ def train_projection(
         raise EmptyInput("need at least two pairs to train")
     if config.lr <= 0 or config.steps < 0 or config.batch_size < 2:
         raise ValueError("training config must have lr > 0, steps >= 0, batch_size >= 2")
-    d_in = pairs[0][0].dimension
+    d_in = pairs[0][0].shape[0]
     d_out = config.d_out or d_in
     head = ProjectionHead.initialize(d_in, d_out, config.seed, config.init)
     rng = np.random.default_rng(config.seed)
@@ -323,19 +276,19 @@ class SimilarityIndex:
 
 
 def build_index(
-    corpus: Sequence[Tuple[str, EmbeddingVector]], head: ProjectionHead
+    corpus: Sequence[Tuple[str, np.ndarray]], head: ProjectionHead
 ) -> SimilarityIndex:
     if not corpus:
         raise EmptyInput("cannot index an empty corpus")
     ids = []
     rows = []
     for entry_id, vector in corpus:
-        if vector.dimension != head.d_in:
+        if vector.shape[0] != head.d_in:
             raise DimensionMismatch(
-                f"entry {entry_id!r} dimension {vector.dimension} != head d_in {head.d_in}"
+                f"entry {entry_id!r} dimension {vector.shape[0]} != head d_in {head.d_in}"
             )
         ids.append(entry_id)
-        rows.append(head.weights @ vector.values)
+        rows.append(head.weights @ vector)
     vectors = np.stack(rows)
     norms = np.linalg.norm(vectors, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
@@ -344,7 +297,7 @@ def build_index(
     return SimilarityIndex(ids=ids, vectors=vectors, norms=norms, head=head)
 
 
-def top_k(index: SimilarityIndex, query: EmbeddingVector, k: int) -> List[Tuple[str, float]]:
+def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[str, float]]:
     """The k most similar entries, descending; ties broken by ascending id."""
     if k <= 0:
         return []
@@ -361,8 +314,8 @@ def top_k(index: SimilarityIndex, query: EmbeddingVector, k: int) -> List[Tuple[
 
 
 def similarity_histogram(
-    nl_vectors: Sequence[EmbeddingVector],
-    fl_vectors: Sequence[EmbeddingVector],
+    nl_vectors: Sequence[np.ndarray],
+    fl_vectors: Sequence[np.ndarray],
     head: ProjectionHead,
     bins: int = 40,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,8 +351,9 @@ class HashEmbedder:
     """Deterministic char-n-gram feature-hash embedder.
 
     Each character n-gram (n = 2..4, over sentinel-padded text) hashes to a
-    signed one-hot token vector; the text encoding is the mean pool of its
-    token vectors.  Stable across runs and platforms.
+    bucket and a sign; the text encoding is the mean of the signed one-hot
+    vectors of its n-grams, summed per bucket.  Stable across runs and
+    platforms.
     """
 
     def __init__(self, dimension: int = 64):
@@ -407,15 +361,7 @@ class HashEmbedder:
             raise DimensionMismatch("dimension must be positive")
         self.dimension = dimension
 
-    def _ngram_vector(self, gram: str) -> EmbeddingVector:
-        digest = hashlib.sha256(gram.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:4], "big") % self.dimension
-        sign = 1.0 if digest[4] % 2 == 0 else -1.0
-        values = np.zeros(self.dimension)
-        values[bucket] = sign
-        return EmbeddingVector(values=values, norm=1.0)
-
-    def embed(self, texts: Sequence[str]) -> List[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
         out = []
         for text in texts:
             padded = "\x02" + text + "\x03"
@@ -424,7 +370,14 @@ class HashEmbedder:
                 for n in (2, 3, 4)
                 for i in range(len(padded) - n + 1)
             ]
-            out.append(mean_pool([self._ngram_vector(g) for g in grams]))
+            buckets = []
+            signs = []
+            for gram in grams:
+                digest = hashlib.sha256(gram.encode("utf-8")).digest()
+                buckets.append(int.from_bytes(digest[:4], "big") % self.dimension)
+                signs.append(1.0 if digest[4] % 2 == 0 else -1.0)
+            sums = np.bincount(buckets, weights=signs, minlength=self.dimension)
+            out.append(sums / len(grams))
         return out
 
 
@@ -442,7 +395,7 @@ class HttpEmbedder:
         self.timeout = timeout
         self._session = session or requests.Session()
 
-    def embed(self, texts: Sequence[str]) -> List[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
         if not texts:
             return []
         try:
@@ -466,9 +419,9 @@ class HttpEmbedder:
         out = []
         for row in vectors:
             vec = embedding(row)
-            if vec.dimension != self.dimension:
+            if vec.shape[0] != self.dimension:
                 raise DimensionMismatch(
-                    f"provider returned dimension {vec.dimension}, expected {self.dimension}"
+                    f"provider returned dimension {vec.shape[0]}, expected {self.dimension}"
                 )
             out.append(vec)
         return out

@@ -165,9 +165,15 @@ def fit_blocks(
     return taken, used
 
 
-def _counted_block(record: PackSource, tokenizer, use_nl: bool) -> Tuple[str, int]:
-    block = example_block(record.nl if use_nl else None, record.example_fl)
-    return block, tokenizer.count(block)
+def counted_blocks(
+    records: Sequence[PackSource], tokenizer, use_nl: bool = True
+) -> List[Tuple[str, int]]:
+    """Each record's in-context example block with its token count."""
+    out = []
+    for record in records:
+        block = example_block(record.nl if use_nl else None, record.example_fl)
+        out.append((block, tokenizer.count(block)))
+    return out
 
 
 def pack_block(
@@ -175,8 +181,8 @@ def pack_block(
     i: int,
     budget: int,
     tokenizer,
+    blocks: Sequence[Tuple[str, int]],
     use_nl: bool = True,
-    blocks: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> PackedRecord:
     """Fill record i's instruction with whole ring predecessors.
 
@@ -185,10 +191,9 @@ def pack_block(
     reads oldest example first and ends with record i's own sections. The
     record's zero-example instruction and its target are counted once; each
     predecessor adds its block's count (``fit_blocks``), so the total is
-    exact without recounting the assembled text. ``blocks`` holds every
-    record's example block and count, as ``emit_training_set`` computes them
-    once for all records; without it the predecessors' blocks are counted
-    here as they are reached.
+    exact without recounting the assembled text. ``blocks[j]`` is record
+    j's block and count from ``counted_blocks``; only predecessors' entries
+    are read.
     """
     n = len(records)
     record = records[i]
@@ -197,12 +202,8 @@ def pack_block(
             + tokenizer.count(record.target))
     if base > budget:
         raise RecordExceedsBudget(record.name, base, budget)
-    nearest_first = ((i - step) % n for step in range(1, n))
-    if blocks is None:
-        counted = (_counted_block(records[j], tokenizer, use_nl) for j in nearest_first)
-    else:
-        counted = (blocks[j] for j in nearest_first)
-    taken, used = fit_blocks(base, counted, budget)
+    nearest_first = (blocks[(i - step) % n] for step in range(1, n))
+    taken, used = fit_blocks(base, nearest_first, budget)
     return PackedRecord(
         instruction=proof_prompt(reversed(taken), nl, record.statement),
         target=record.target,
@@ -259,10 +260,9 @@ def emit_training_set(
     sources = pack_sources(records, config)
     if config.use_curriculum:
         sources = curriculum_sort(sources)
-    blocks = None
-    if config.use_block:
-        # each record's block is counted once, whichever rings it serves in
-        blocks = [_counted_block(s, config.tokenizer, config.use_nl) for s in sources]
+    # each record's block is counted once, whichever rings it serves in
+    blocks = (counted_blocks(sources, config.tokenizer, config.use_nl)
+              if config.use_block else [])
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
@@ -270,8 +270,8 @@ def emit_training_set(
         ring, at = (sources, i) if config.use_block else ([source], 0)
         try:
             item = pack_block(
-                ring, at, config.context_budget, config.tokenizer, config.use_nl,
-                blocks,
+                ring, at, config.context_budget, config.tokenizer, blocks,
+                config.use_nl,
             )
         except RecordExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)

@@ -4,10 +4,13 @@
 scanner written against the same surface grammar but structured differently
 (explicit mode stack, regex dispatch for literals).  Tests compare the
 implementation against it over the snippet corpus and randomized inputs.
+``reference_hash_embed`` is the per-n-gram form of the hash embedder that
+``HashEmbedder.embed`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -258,6 +261,34 @@ def fd_contrastive_gradient(batch, head, eps: float = 1e-5):
                 - retrieval.contrastive_loss(batch, head_minus)
             ) / (2.0 * eps)
     return grad
+
+
+def cosine_pair_gradient(u, v, head):
+    """d cos(Wu, Wv) / dW for a single pair."""
+    a = head.project(u)
+    b = head.project(v)
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    assert na > 0.0 and nb > 0.0, "projected vector has zero norm"
+    c = float(a @ b) / (na * nb)
+    g_a = b / (na * nb) - c * a / (na * na)
+    g_b = a / (na * nb) - c * b / (nb * nb)
+    return np.outer(g_a, u) + np.outer(g_b, v)
+
+
+def reference_hash_embed(text: str, dimension: int):
+    """One signed one-hot vector per character n-gram (n = 2..4, over
+    sentinel-padded text), stacked and mean-pooled."""
+    padded = "\x02" + text + "\x03"
+    vectors = []
+    for n in (2, 3, 4):
+        for i in range(len(padded) - n + 1):
+            digest = hashlib.sha256(padded[i : i + n].encode("utf-8")).digest()
+            values = np.zeros(dimension)
+            values[int.from_bytes(digest[:4], "big") % dimension] = (
+                1.0 if digest[4] % 2 == 0 else -1.0)
+            vectors.append(values)
+    return np.stack(vectors).mean(axis=0)
 
 
 def rotation_matrix(dim: int, rotate_dims: int, angle: float):

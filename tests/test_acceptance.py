@@ -47,6 +47,7 @@ from leanforge.retrieval import (
 from leanforge.trainprep import (
     RecordExceedsBudget,
     WhitespaceTokenizer,
+    counted_blocks,
     curriculum_sort,
     pack_block,
 )
@@ -281,11 +282,12 @@ class TestCriterion5:
 
         tokenizer = WhitespaceTokenizer()
         budget = 400
+        blocks = counted_blocks(ordered, tokenizer)
         agreements = 0
         for i in range(len(ordered)):
             expected = oracle_pack(ordered, i, budget)
             try:
-                packed = pack_block(ordered, i, budget, tokenizer)
+                packed = pack_block(ordered, i, budget, tokenizer, blocks)
             except RecordExceedsBudget:
                 assert expected is None, i
                 agreements += 1

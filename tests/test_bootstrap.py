@@ -187,7 +187,9 @@ class Counting:
 class TestBootstrapTheorem:
     def test_head_mode_needs_no_backend(self):
         record = sq_record()
-        out = bootstrap_theorem(record, SQINEQ_NL, None, BootstrapMode.HEAD)
+        (obt,), _ = bootstrap_corpus([record], [passing_informal(record.name, SQINEQ_NL)],
+                                     backend=None, mode=BootstrapMode.HEAD)
+        out = obt.commented_proof
         assert out.startswith("/- ")
         assert verify_bootstrap(record.proof, out)[0]
 
@@ -205,7 +207,7 @@ class TestBootstrapTheorem:
     def test_interleaved_verified_first_try(self):
         backend = Counting(MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)]))
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, BootstrapMode.INTERLEAVED)
+            sq_record(), SQINEQ_NL, backend)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
@@ -213,7 +215,7 @@ class TestBootstrapTheorem:
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
         backend = MockBackend(script=[("algebra_sqineq", fenced)])
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, BootstrapMode.INTERLEAVED)
+            sq_record(), SQINEQ_NL, backend)
         assert verify_bootstrap(SQINEQ_PLAIN, out)[0]
         assert "```" not in out
 
@@ -221,8 +223,7 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(script=[("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), SQINEQ_NL, backend,
-                              BootstrapMode.INTERLEAVED)
+            bootstrap_theorem(sq_record(), SQINEQ_NL, backend)
         assert backend.calls == 3
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
@@ -233,7 +234,7 @@ class TestBootstrapTheorem:
         backend = Counting(MockBackend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, BootstrapMode.INTERLEAVED)
+            sq_record(), SQINEQ_NL, backend)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
@@ -241,7 +242,7 @@ class TestBootstrapTheorem:
         backend = MockBackend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
             bootstrap_theorem(sq_record(), SQINEQ_NL, backend,
-                              BootstrapMode.INTERLEAVED, max_attempts=2)
+                              max_attempts=2)
 
     def test_backend_errors_propagate(self):
         class Down:
@@ -253,12 +254,12 @@ class TestBootstrapTheorem:
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
             bootstrap_theorem(sq_record(), SQINEQ_NL, Down(),
-                              BootstrapMode.INTERLEAVED, retry=policy)
+                              retry=policy)
 
     def test_attempt_floor(self):
         with pytest.raises(ValueError):
             bootstrap_theorem(sq_record(), SQINEQ_NL, MockBackend(),
-                              BootstrapMode.INTERLEAVED, max_attempts=0)
+                              max_attempts=0)
 
 
 def integral_record():
@@ -430,16 +431,17 @@ class TestDatasetFiles:
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert list(first) == WIRE_NAMES
 
-    def test_snake_case_mirror_accepted(self, tmp_path):
+    def test_snake_case_mirror_rejected(self, tmp_path):
+        # only the wire names are read; attribute names are not a second schema
         record = self.worked_record()
         mirror = {attr: getattr(record, attr) for attr in (
             "name", "statement", "proof", "file_path", "commit",
             "generated_informal_statement_and_proof", "commented_proof")}
-        assert obt_from_entry(mirror) == record
         path = tmp_path / "obt.jsonl"
         path.write_text(json.dumps(mirror, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-        assert load_obt_dataset(str(path)) == [record]
+        with pytest.raises(PreconditionViolated, match="Name: missing"):
+            load_obt_dataset(str(path))
 
     def test_tampered_code_rejected_on_load(self, tmp_path):
         record = self.worked_record()

@@ -219,8 +219,8 @@ def write_vector_pairs(path, pairs):
     with open(path, "w", encoding="utf-8") as f:
         for nl, fl in pairs:
             f.write(json.dumps(
-                {"nl_vector": [float(x) for x in nl.values],
-                 "fl_vector": [float(x) for x in fl.values]}) + "\n")
+                {"nl_vector": [float(x) for x in nl],
+                 "fl_vector": [float(x) for x in fl]}) + "\n")
     return str(path)
 
 

@@ -278,7 +278,7 @@ class TestChatCompletionBackend:
         )
         request = GenerationRequest(
             prompt="prove it", n_samples=2, temperature=0.4,
-            max_new_tokens=256, stop_sequences=("###",),
+            max_new_tokens=256,
         )
         out = backend.generate(request)
         assert len(out) == 2
@@ -290,7 +290,7 @@ class TestChatCompletionBackend:
         assert sent["body"]["temperature"] == 0.4
         assert sent["body"]["n"] == 2
         assert sent["body"]["max_tokens"] == 256
-        assert sent["body"]["stop"] == ["###"]
+        assert "stop" not in sent["body"]
         roles = [m["role"] for m in sent["body"]["messages"]]
         assert roles == ["system", "user"]
         assert sent["body"]["messages"][0]["content"] == "You are a Lean4 expert."

@@ -20,7 +20,12 @@ from leanforge.prompts import (
     proof_prompt,
 )
 from leanforge.prover import PoolExample, Problem, assemble_proof_prompt
-from leanforge.trainprep import PackSource, WhitespaceTokenizer, pack_block
+from leanforge.trainprep import (
+    PackSource,
+    WhitespaceTokenizer,
+    counted_blocks,
+    pack_block,
+)
 
 SOURCE_DIR = os.path.dirname(leanforge.__file__)
 
@@ -54,7 +59,8 @@ def test_prep_instruction_equals_prove_prompt(case):
     sources = [PackSource(f"e{j}", ex_nl, "unused :=", fl, fl, 1)
                for j, (ex_nl, fl) in enumerate(examples)]
     sources.append(PackSource("goal", nl, statement, "by rfl", "by rfl", 1))
-    packed = pack_block(sources, len(sources) - 1, 10**6, tok)
+    packed = pack_block(sources, len(sources) - 1, 10**6, tok,
+                        counted_blocks(sources, tok))
     pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]
     prompt = assemble_proof_prompt(
         Problem("goal", statement, nl), pool, (1, 16), tok, 10**6)

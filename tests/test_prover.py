@@ -2,9 +2,12 @@
 
 import json
 import logging
+import os
 import random
+import signal
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -337,6 +340,26 @@ class TestExternalVerifier:
         with pytest.raises(VerifierTimeout, match="0.3"):
             verifier.check(make_problem(0), canonical_proof(0))
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_timeout_kills_checker_children(self, tmp_path):
+        # a checker that leaves the work to a child, as `lake env lean` does
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "checker.sh"
+        script.write_text(f"sleep 30 &\necho $! > '{pid_file}'\nwait\n",
+                          encoding="utf-8")
+        verifier = ExternalVerifier(["sh", str(script)], timeout_s=0.5)
+        with pytest.raises(VerifierTimeout):
+            verifier.check(make_problem(0), canonical_proof(0))
+        pid = int(pid_file.read_text(encoding="utf-8"))
+        try:
+            deadline = time.monotonic() + 5.0
+            while process_running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not process_running(pid), f"checker child {pid} outlived the timeout"
+        finally:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+
     def test_missing_command_crashes(self):
         verifier = ExternalVerifier(["/nonexistent-lean-checker"], timeout_s=5)
         with pytest.raises(VerifierCrashed):
@@ -347,6 +370,15 @@ class TestExternalVerifier:
             ExternalVerifier([])
         with pytest.raises(ValueError):
             ExternalVerifier(["lean"], timeout_s=0)
+
+
+def process_running(pid):
+    """True while ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class ExplodingVerifier:
@@ -381,6 +413,32 @@ class TestEvaluateSample:
                                   ExplodingVerifier())
         assert attempt.verdict == "rejected"
         assert "begin-end-block" in attempt.diagnostic
+
+    @pytest.mark.parametrize("body", [
+        "  sorry",
+        "  admit",
+        "  exact (sorry)",
+        "  constructor <;> sorry",
+    ])
+    def test_sorry_rejected_before_verification(self, body):
+        problem = make_problem(3)
+        sample = f"{problem.fl_statement} by\n{body}\n"
+        attempt = evaluate_sample(problem, 0, sample, ExternalVerifier(["true"]))
+        assert attempt.verdict == "rejected"
+        assert attempt.diagnostic == "pre-verification screen: sorry"
+
+    @pytest.mark.parametrize("body", [
+        "  norm_num -- sorry, admit later\n  /- sorry -/",
+        "  have h_admit : True := trivial\n  exact sorry_free",
+        '  simp [show "sorry" = "sorry" from rfl]',
+        "  exact Foo.sorry",
+        "  exact sorry /- unterminated",
+    ])
+    def test_names_strings_and_unlexable_proofs_pass_the_screen(self, body):
+        problem = make_problem(3)
+        sample = f"{problem.fl_statement} by\n{body}\n"
+        attempt = evaluate_sample(problem, 0, sample, ExternalVerifier(["true"]))
+        assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     def test_verifier_timeout_becomes_error_verdict(self):
         class Slow:
@@ -705,6 +763,17 @@ class TestReports:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ReportInvalid, match="no longer verifies"):
             load_report(str(path), problems, verifier)
+
+    def test_screened_proof_rejected_on_load(self, tmp_path):
+        problem = make_problem(3)
+        report = HarnessReport(
+            problems_total=1, rounds=(), proved={
+                "prob03": f"{problem.fl_statement} by\n  admit\n"},
+            first_success={"prob03": (1, 0)})
+        path = tmp_path / "report.jsonl"
+        save_report(report, str(path))
+        with pytest.raises(ReportInvalid, match="pre-verification screen: sorry"):
+            load_report(str(path), [problem], ExternalVerifier(["true"]))
 
     def test_unknown_problem_rejected(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)

@@ -27,6 +27,7 @@ from leanforge.trainprep import (
     RecordExceedsBudget,
     VocabTokenizer,
     WhitespaceTokenizer,
+    counted_blocks,
     curriculum_sort,
     emit_training_set,
     pack_block,
@@ -247,7 +248,7 @@ class TestPackBlock:
         cap = (f"{NL_SECTION}\none two\n\n{FL_STATEMENT_SECTION}\nt : x :=\n\n"
                f"{FL_PROOF_SECTION}\n")
         budget = tok.count(cap) + tok.count(records[0].target)
-        packed = pack_block(records, 0, budget, tok)
+        packed = pack_block(records, 0, budget, tok, counted_blocks(records, tok))
         assert packed.example_count == 0
         assert packed.instruction == cap
         assert packed.token_count == budget
@@ -256,7 +257,8 @@ class TestPackBlock:
         tok = WhitespaceTokenizer()
         records = [make_source(f"r{i}", f"story number{i}", f"s{i} : p :=", f"by tac{i}")
                    for i in range(3)]
-        packed = pack_block(records, 1, budget=10_000, tokenizer=tok)
+        packed = pack_block(records, 1, budget=10_000, tokenizer=tok,
+                            blocks=counted_blocks(records, tok))
         assert packed.example_count == 2
         # each other record appears once as an example; the record's own nl
         # appears once, in the cap
@@ -269,7 +271,8 @@ class TestPackBlock:
         tok = WhitespaceTokenizer()
         records = [make_source(f"r{i}", f"uniquemark{i}", f"s{i} : p :=", "by ring")
                    for i in range(3)]
-        packed = pack_block(records, 0, budget=10_000, tokenizer=tok)
+        packed = pack_block(records, 0, budget=10_000, tokenizer=tok,
+                            blocks=counted_blocks(records, tok))
         assert packed.example_count == 2
         # predecessors of 0 on the ring are 2 (nearest) and 1; rendered
         # oldest-first the instruction shows 1 before 2, then the cap
@@ -283,7 +286,8 @@ class TestPackBlock:
         rng = random.Random(31)
         records = synthetic_sources(rng, 10)
         for i in range(10):
-            packed = pack_block(records, i, budget=500, tokenizer=tok)
+            packed = pack_block(records, i, budget=500, tokenizer=tok,
+                                blocks=counted_blocks(records, tok))
             expected = oracle_pack(records, i, budget=500)
             assert expected is not None
             assert (packed.example_count, packed.token_count) == expected
@@ -296,7 +300,7 @@ class TestPackBlock:
             i = rng.randrange(len(records))
             budget = rng.randint(40, 400)
             try:
-                packed = pack_block(records, i, budget, tok)
+                packed = pack_block(records, i, budget, tok, counted_blocks(records, tok))
             except RecordExceedsBudget:
                 assert oracle_pack(records, i, budget) is None
                 continue
@@ -313,20 +317,24 @@ class TestPackBlock:
         records = [make_source("tiny", "n", "s :=", "by ring"),
                    make_source("huge", "word " * 300, "s :=", "by ring")]
         with pytest.raises(RecordExceedsBudget, match="huge"):
-            pack_block(records, 1, budget=50, tokenizer=tok)
+            pack_block(records, 1, budget=50, tokenizer=tok,
+                       blocks=counted_blocks(records, tok))
 
     def test_token_count_is_exact_recount(self):
         tok = WhitespaceTokenizer()
         rng = random.Random(77)
         records = synthetic_sources(rng, 6)
-        packed = pack_block(records, 3, budget=300, tokenizer=tok)
+        packed = pack_block(records, 3, budget=300, tokenizer=tok,
+                            blocks=counted_blocks(records, tok))
         assert packed.token_count == tok.count(packed.instruction) + tok.count(packed.target)
 
     def test_use_nl_false_strips_nl_sections(self):
         tok = WhitespaceTokenizer()
         records = [make_source("a", "NLTEXT", "s :=", "by ring"),
                    make_source("b", "OTHERNL", "u :=", "by simp")]
-        packed = pack_block(records, 0, budget=10_000, tokenizer=tok, use_nl=False)
+        packed = pack_block(records, 0, budget=10_000, tokenizer=tok,
+                            blocks=counted_blocks(records, tok, use_nl=False),
+                            use_nl=False)
         assert NL_SECTION not in packed.instruction
         assert "NLTEXT" not in packed.instruction
 
@@ -334,11 +342,10 @@ class TestPackBlock:
     def test_blocks_counted_once_match_lazy_counting(self):
         tok = WhitespaceTokenizer()
         records = synthetic_sources(random.Random(5), 7)
-        blocks = [(b, tok.count(b)) for b in (
-            example_block(r.nl, r.example_fl) for r in records)]
-        for i in range(len(records)):
-            assert pack_block(records, i, 400, tok, blocks=blocks) == pack_block(
-                records, i, 400, tok)
+        for use_nl in (True, False):
+            blocks = [(b, tok.count(b)) for b in (
+                example_block(r.nl if use_nl else None, r.example_fl) for r in records)]
+            assert counted_blocks(records, tok, use_nl) == blocks
 
 
 @dataclass
