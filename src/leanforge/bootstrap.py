@@ -9,12 +9,12 @@ exact code token stream of the original proof; anything else is rejected.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
-from .corpus import LexError, TheoremRecord, TokenDivergence
+from .corpus import LeanToken, LexError, TheoremRecord, TokenDivergence
 from .genclient import (
     GenClientError,
     GenerationBudget,
@@ -64,6 +64,9 @@ class ObtRecord:
     commit: str
     generated_informal_statement_and_proof: str
     commented_proof: str
+    # Tactic-step count of ``proof``. It is not on the wire, so
+    # ``load_obt_dataset`` counts it again from the tokens it verifies with.
+    difficulty: int = field(default=0, compare=False)
 
 
 # (attribute, wire key) per field, in serialized order.
@@ -99,15 +102,18 @@ def head_bootstrap(nl_text: str, proof: str) -> str:
 
 
 def verify_bootstrap(
-    original_proof: str, commented_proof: str
+    original: Sequence[LeanToken], commented_proof: str
 ) -> Tuple[bool, Optional[TokenDivergence]]:
     """Check that the commented proof preserves the original code exactly.
 
-    Comments and whitespace are free; code and string-literal tokens must
-    match in content and order. Returns the first divergence when they do
-    not, with the offset locating it in the commented text.
+    ``original`` is the original proof's ``lex_lean`` output, which callers
+    lex once and keep; only the commented text is lexed here, and a text
+    that does not lex raises ``LexError``. Comments and whitespace are free;
+    code and string-literal tokens must match in content and order. Returns
+    the first divergence when they do not, with the offset locating it in
+    the commented text.
     """
-    divergence = corpus.token_divergence(original_proof, commented_proof)
+    divergence = corpus.token_divergence(original, corpus.lex_lean(commented_proof))
     return divergence is None, divergence
 
 
@@ -129,6 +135,7 @@ def bootstrap_theorem(
     record: TheoremRecord,
     nl_text: str,
     backend,
+    original: Sequence[LeanToken],
     max_attempts: int = 3,
     retry: Optional[RetryPolicy] = None,
     budget: Optional[GenerationBudget] = None,
@@ -137,9 +144,9 @@ def bootstrap_theorem(
 ) -> str:
     """Interleave comments into one theorem's proof through the backend.
 
-    Each reply is checked against the original proof; after
-    ``max_attempts`` unverifiable replies this raises with the last
-    divergence. Backend failures propagate.
+    Each reply is checked against ``original``, the proof's tokens; the
+    reply returned is verified. After ``max_attempts`` unverifiable replies
+    this raises with the last divergence. Backend failures propagate.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -157,7 +164,7 @@ def bootstrap_theorem(
         response = complete(request, backend, retry=retry, budget=budget)
         candidate = _unfence(response.samples[0])
         try:
-            ok, divergence = verify_bootstrap(record.proof, candidate)
+            ok, divergence = verify_bootstrap(original, candidate)
         except LexError as exc:
             ok, divergence, detail = False, None, f"output does not lex: {exc}"
         if ok:
@@ -177,17 +184,15 @@ def assemble_obt_record(
     informal: InformalizationResult,
     commented_proof: str,
 ) -> ObtRecord:
-    """Combine a theorem, its accepted NL text, and a verified commented proof."""
+    """Combine a theorem, its accepted NL text, and a commented proof that
+    has already been verified against the theorem's proof.
+
+    ``bootstrap_corpus`` verifies each pair once before it gets here, so the
+    pair is not checked a second time.
+    """
     if informal.verdict != "pass":
         raise PreconditionViolated(
             f"informal: verdict is {informal.verdict!r} for {theorem.name}, need 'pass'"
-        )
-    ok, divergence = verify_bootstrap(theorem.proof, commented_proof)
-    if not ok:
-        raise PreconditionViolated(
-            f"commented_proof: diverges from proof of {theorem.name} at "
-            f"token {divergence.index} ({divergence.expected!r} vs "
-            f"{divergence.actual!r})"
         )
     record = ObtRecord(
         name=theorem.name,
@@ -197,6 +202,7 @@ def assemble_obt_record(
         commit=theorem.commit,
         generated_informal_statement_and_proof=informal.nl_statement_and_proof,
         commented_proof=commented_proof,
+        difficulty=theorem.difficulty,
     )
     for attr, _ in _WIRE_FIELDS:
         if not getattr(record, attr):
@@ -233,7 +239,9 @@ def bootstrap_corpus(
 
     Interleaved records that cannot be verified (or whose backend gave out)
     fall back to head mode, so no accepted informalization is dropped; the
-    stats record why each fallback happened.
+    stats record why each fallback happened. Each proof is lexed once and
+    each emitted pair is verified once: an interleaved reply by
+    ``bootstrap_theorem``, a head text here.
     """
     if len(records) != len(informals):
         raise ValueError(
@@ -255,23 +263,26 @@ def bootstrap_corpus(
             stats.informal_failures += 1
             continue
         nl_text = informal.nl_statement_and_proof
-        if mode is BootstrapMode.HEAD:
-            commented = head_bootstrap(nl_text, record.proof)
-        else:
+        original = corpus.lex_lean(record.proof)
+        commented = None
+        if mode is BootstrapMode.INTERLEAVED:
             try:
                 commented = bootstrap_theorem(
-                    record, nl_text, backend,
+                    record, nl_text, backend, original,
                     max_attempts=max_attempts, retry=retry, budget=budget,
                     max_new_tokens=max_new_tokens, temperature=temperature,
                 )
             except BootstrapVerificationFailed:
                 stats.verification_fallbacks += 1
-                commented = head_bootstrap(nl_text, record.proof)
             except GenClientError as exc:
                 logger.warning("backend gave out on %s (%s), using head mode",
                                record.name, exc)
                 stats.backend_fallbacks += 1
-                commented = head_bootstrap(nl_text, record.proof)
+        if commented is None:
+            commented = head_bootstrap(nl_text, record.proof)
+            ok, divergence = verify_bootstrap(original, commented)
+            if not ok:
+                raise BootstrapVerificationFailed(record.name, divergence)
         out.append(assemble_obt_record(record, informal, commented))
         stats.emitted += 1
     return out, stats
@@ -301,7 +312,9 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     """Load an OBT dataset, re-verifying every record.
 
     The code-preservation invariant is enforced here as well as at
-    creation, so a hand-edited file cannot smuggle in altered proofs.
+    creation, so a hand-edited file cannot smuggle in altered proofs. The
+    proof's tokens, lexed for that check, also give each record its
+    ``difficulty``.
     """
     try:
         lines = artifacts.read_jsonl(path)
@@ -313,10 +326,12 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
         for attr, wire in _WIRE_FIELDS:
             if not getattr(record, attr):
                 raise PreconditionViolated(f"{path}:{line.lineno}: {wire} is empty")
-        ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
+        original = corpus.lex_lean(record.proof)
+        ok, divergence = verify_bootstrap(original, record.commented_proof)
         if not ok:
             raise BootstrapVerificationFailed(
                 f"{path}:{line.lineno}: {record.name}", divergence
             )
-        out.append(record)
+        out.append(replace(
+            record, difficulty=corpus.count_tactic_steps(original)))
     return out

@@ -1,8 +1,12 @@
-"""Lean4 source handling: lexing, comment stripping, theorem extraction,
-tactic-step counting, and Lean3-artifact detection.
+"""Lean4 source handling: lexing, theorem extraction, tactic-step counting,
+and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
-sources are treated as token streams, never elaborated.
+sources are treated as token streams, never elaborated. ``lex_lean`` is a
+regex scanner that yields ``LeanToken`` named tuples, and every function that
+works on a lexed text takes those tokens rather than the text, so a caller
+that holds a text's tokens never lexes it again: step counts come from the
+tokens of the proof, divergences from the tokens of both texts.
 """
 
 from __future__ import annotations
@@ -11,13 +15,9 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
-
-LINE_COMMENT_START = "--"
-BLOCK_COMMENT_OPEN = "/-"
-BLOCK_COMMENT_CLOSE = "-/"
 
 # Keywords that open a new top-level declaration and therefore terminate the
 # previous one.  `begin` is deliberately absent: it is not Lean4.
@@ -93,8 +93,8 @@ _LEAN3_IMPORT_ROOTS = frozenset(
     }
 )
 
-_CHAR_LITERAL = re.compile(r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^'\\\n])'")
-_IDENT_TAIL = re.compile(r"[A-Za-z0-9_'!?₀-₉-￿]")
+_CHAR_LITERAL = r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^'\\\n])'"
+_IDENT_TAIL = r"[A-Za-z0-9_'!?₀-₉-￿]"
 
 
 class LexError(ValueError):
@@ -129,8 +129,7 @@ COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
 SEMANTIC_KINDS = (TokenKind.CODE, TokenKind.STRING)
 
 
-@dataclass(frozen=True)
-class LeanToken:
+class LeanToken(NamedTuple):
     kind: TokenKind
     text: str
     start: int
@@ -172,8 +171,29 @@ class Lean3Finding:
     offset: int
 
 
-def _is_ws(ch: str) -> bool:
-    return ch in (" ", "\t", "\r", "\n")
+# One alternative per token kind, tried in this order at each position:
+# whitespace, line comment, block comment without a nested opener, string
+# literal, code run. A code run stops at whitespace, a double quote or a
+# comment opener; a char literal inside it is taken whole (so `'"'` opens no
+# string), except after an identifier character, where `'` is a prime (h').
+# The last two groups catch a block comment that nests or never closes and a
+# string that never closes; both leave the regex to ``lex_lean``. Some
+# alternative matches at every position, so the matches tile the text.
+_TOKEN = re.compile(
+    r"([ \t\r\n]+)"
+    r"|(--[^\n]*)"
+    r"|(/-[^/-]*(?:(?:/(?!-)|-(?!/))[^/-]*)*-/)"
+    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r"|((?:[^ \t\r\n\"'/-]+|(?<!" + _IDENT_TAIL + ")" + _CHAR_LITERAL
+    + r"|'|-(?!-)|/(?!-))+)"
+    r"|(/-)"
+    r'|(")'
+)
+_KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
+                  TokenKind.BLOCK_COMMENT, TokenKind.STRING, TokenKind.CODE)
+_NESTED_COMMENT, _OPEN_STRING = 6, 7
+_COMMENT_DELIMITER = re.compile(r"/-|-/")
+_new_token = tuple.__new__  # skips LeanToken's Python-level __new__
 
 
 def lex_lean(source: str) -> List[LeanToken]:
@@ -186,106 +206,60 @@ def lex_lean(source: str) -> List[LeanToken]:
     a token kind of their own.
     """
     tokens: List[LeanToken] = []
-    n = len(source)
-    i = 0
-
-    def emit(kind: TokenKind, start: int, end: int) -> None:
-        tokens.append(LeanToken(kind, source[start:end], start, end))
-
-    while i < n:
-        ch = source[i]
-        if _is_ws(ch):
-            start = i
-            while i < n and _is_ws(source[i]):
-                i += 1
-            emit(TokenKind.WHITESPACE, start, i)
-            continue
-        if source.startswith(LINE_COMMENT_START, i):
-            start = i
-            nl = source.find("\n", i)
-            i = n if nl == -1 else nl
-            emit(TokenKind.LINE_COMMENT, start, i)
-            continue
-        if source.startswith(BLOCK_COMMENT_OPEN, i):
-            start = i
-            depth = 1
-            i += 2
-            while i < n and depth > 0:
-                if source.startswith(BLOCK_COMMENT_OPEN, i):
-                    depth += 1
-                    i += 2
-                elif source.startswith(BLOCK_COMMENT_CLOSE, i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            if depth > 0:
-                raise UnterminatedComment("unterminated block comment", start)
-            emit(TokenKind.BLOCK_COMMENT, start, i)
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            while i < n:
-                if source[i] == "\\":
-                    i += 2
-                    continue
-                if source[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            else:
+    append = tokens.append
+    kinds = _KIND_OF_GROUP
+    pos = 0
+    while pos < len(source):
+        for m in _TOKEN.finditer(source, pos):
+            group = m.lastindex
+            if group < _NESTED_COMMENT:
+                start, end = m.span()
+                append(_new_token(LeanToken, (kinds[group], m.group(), start, end)))
+                continue
+            start = m.start()
+            if group == _OPEN_STRING:
                 raise UnterminatedString("unterminated string literal", start)
-            if i > n:
-                raise UnterminatedString("unterminated string literal", start)
-            emit(TokenKind.STRING, start, i)
-            continue
-
-        # Code run: consume until whitespace, a comment opener, or a string.
-        start = i
-        while i < n:
-            c = source[i]
-            if _is_ws(c) or c == '"':
-                break
-            if source.startswith(LINE_COMMENT_START, i) or source.startswith(
-                BLOCK_COMMENT_OPEN, i
-            ):
-                break
-            if c == "'":
-                # A prime after an identifier char is part of the name (h').
-                prev_is_ident = i > start and bool(_IDENT_TAIL.match(source[i - 1]))
-                if not prev_is_ident:
-                    m = _CHAR_LITERAL.match(source, i)
-                    if m:
-                        i = m.end()
-                        continue
-            i += 1
-        emit(TokenKind.CODE, start, i)
+            pos = _nested_comment_end(source, start)
+            append(_new_token(
+                LeanToken, (TokenKind.BLOCK_COMMENT, source[start:pos], start, pos)))
+            break
+        else:
+            break
     return tokens
 
 
-def strip_comments(source: str) -> str:
-    """Remove comment tokens, keeping every other byte in place."""
-    return "".join(t.text for t in lex_lean(source) if t.kind not in COMMENT_KINDS)
+def _nested_comment_end(source: str, start: int) -> int:
+    """End of the block comment opened at ``start``, counting nested openers."""
+    depth = 0
+    pos = start
+    while True:
+        m = _COMMENT_DELIMITER.search(source, pos)
+        if m is None:
+            raise UnterminatedComment("unterminated block comment", start)
+        depth += 1 if m.group() == "/-" else -1
+        pos = m.end()
+        if depth == 0:
+            return pos
 
 
-def semantic_tokens(source: str) -> List[LeanToken]:
-    """Code and string tokens only, in order; comments and whitespace dropped."""
-    return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
+def token_divergence(
+    reference: Sequence[LeanToken], candidate: Sequence[LeanToken]
+) -> Optional[TokenDivergence]:
+    """First semantic-token mismatch between two lexed texts, or None if equal.
 
-
-def token_divergence(reference: str, candidate: str) -> Optional[TokenDivergence]:
-    """First semantic-token mismatch between two sources, or None if equal.
-
-    Offsets refer to byte positions in ``candidate``.
+    Both arguments are whole ``lex_lean`` outputs; comments and whitespace
+    are skipped. Offsets refer to byte positions in the candidate text.
     """
-    ref = semantic_tokens(reference)
-    cand = semantic_tokens(candidate)
+    ref = [t for t in reference if t.kind in SEMANTIC_KINDS]
+    cand = [t for t in candidate if t.kind in SEMANTIC_KINDS]
     for idx in range(max(len(ref), len(cand))):
         expected = ref[idx].text if idx < len(ref) else None
         actual = cand[idx].text if idx < len(cand) else None
         if expected != actual:
-            offset = cand[idx].start if idx < len(cand) else len(candidate)
+            if idx < len(cand):
+                offset = cand[idx].start
+            else:
+                offset = candidate[-1].end if candidate else 0
             return TokenDivergence(idx, expected, actual, offset)
     return None
 
@@ -467,9 +441,9 @@ def _extract_one(
     # The proof slice ends at the last semantic token before the boundary, so
     # trailing comments between declarations are not swallowed.
     last_sem_end = None
-    for k in range(end_idx - 1, start_idx, -1):
-        if tokens[k].kind in SEMANTIC_KINDS:
-            last_sem_end = tokens[k].end
+    for last_sem in range(end_idx - 1, start_idx, -1):
+        if tokens[last_sem].kind in SEMANTIC_KINDS:
+            last_sem_end = tokens[last_sem].end
             break
     if last_sem_end is None or last_sem_end <= statement_end:
         logger.warning(
@@ -488,7 +462,8 @@ def _extract_one(
         proof=proof,
         file_path=file_path,
         commit=commit,
-        difficulty=count_tactic_steps(proof),
+        # the slice lexes exactly as the proof text does on its own
+        difficulty=count_tactic_steps(tokens[start_idx : last_sem + 1]),
     )
     return record, end_idx
 
@@ -502,6 +477,8 @@ def _split_tactic_segments(line: str) -> int:
     `<;>` is a combinator, not a separator, and `;` inside a string literal
     does not split.
     """
+    if ";" not in line:
+        return 1 if line.strip() else 0
     segments = 0
     current_nonblank = False
     i = 0
@@ -534,19 +511,26 @@ def _split_tactic_segments(line: str) -> int:
     return segments
 
 
-def count_tactic_steps(proof: str) -> int:
-    """Static count of top-level tactic invocations in a proof.
+def count_tactic_steps(proof_tokens: Sequence[LeanToken]) -> int:
+    """Static count of top-level tactic invocations in a lexed proof.
 
-    Accepts either a full declaration, a fragment starting at ``:=``, or a
-    bare tactic block.  Steps are separated by newlines at the block's base
+    The proof is either a full declaration, a fragment starting at ``:=``, or
+    a bare tactic block.  Steps are separated by newlines at the block's base
     indentation or by `;`; a term-mode proof counts as one step.  Comments
     are ignored entirely, so commenting a proof never changes its count.
+
+    The count is taken on the proof with its comments removed, and only that
+    text is lexed again: removing a comment can join its neighbours into new
+    tokens (``:=/- c -/by`` becomes ``:=by``), so the kept tokens alone would
+    not do.
     """
-    stripped = strip_comments(proof)
+    stripped = "".join([t.text for t in proof_tokens if t.kind not in COMMENT_KINDS])
     if not stripped.strip():
         return 0
 
     tokens = [t for t in lex_lean(stripped) if t.kind in SEMANTIC_KINDS]
+    if not tokens:
+        return 0  # what is left is a comment: `-/- c -/-` strips to `--`
 
     # Locate the proof body relative to a depth-zero `:=`, if present.
     depth = 0
@@ -604,15 +588,16 @@ def _count_block_steps(body: str) -> int:
 _LEAN3_MODULE = re.compile(r"[a-z][A-Za-z0-9_']*(\.[A-Za-z0-9_']+)*$")
 
 
-def detect_lean3_artifacts(text: str) -> List[Lean3Finding]:
+def detect_lean3_artifacts(
+    text: str, tokens: Optional[Sequence[LeanToken]]
+) -> List[Lean3Finding]:
     """Flag Lean3 leftovers: begin/end tactic blocks, Lean3-style imports,
     and open_locale commands, each with its byte offset.
 
-    Never raises; unlexable text falls back to a regex scan.
+    ``tokens`` is the text's ``lex_lean`` output, or None when the text does
+    not lex; unlexable text falls back to a regex scan.
     """
-    try:
-        tokens = lex_lean(text)
-    except LexError:
+    if tokens is None:
         return _detect_lean3_raw(text)
 
     findings: List[Lean3Finding] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
-from .corpus import LexError
+from .corpus import LeanToken, LexError
 from .genclient import (
     GenClientError,
     GenerationBudget,
@@ -27,7 +27,7 @@ from .genclient import (
     complete,
 )
 from .prompts import example_block, proof_prompt
-from .trainprep import WhitespaceTokenizer, fit_blocks
+from .trainprep import fit_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -147,13 +147,13 @@ class HarnessReport:
 
 @dataclass
 class HarnessConfig:
+    tokenizer: object
     n_samples: int = 128
     max_rounds: int = 2
     k_range: Tuple[int, int] = (10, 16)
     token_budget: int = 4096
     max_new_tokens: int = 1024
     temperature: float = 0.7
-    tokenizer: object = None
     retry: Optional[RetryPolicy] = None
     budget: Optional[GenerationBudget] = None
 
@@ -197,9 +197,9 @@ def selection_order(pool: Sequence[PoolExample]) -> List[PoolExample]:
 def assemble_proof_prompt(
     problem: Problem,
     example_pool: Sequence[PoolExample],
-    k_range: Tuple[int, int] = (10, 16),
-    tokenizer=None,
-    token_budget: int = 4096,
+    k_range: Tuple[int, int],
+    tokenizer,
+    token_budget: int,
 ) -> str:
     """Build the proving prompt with as many whole examples as fit.
 
@@ -213,16 +213,16 @@ def assemble_proof_prompt(
     """
     if not example_pool:
         raise ValueError("example pool is empty")
-    tok = tokenizer or WhitespaceTokenizer()
     nl, statement = problem.nl_statement_and_proof, problem.fl_statement
-    base = tok.count(proof_prompt((), nl, statement))
+    base = tokenizer.count(proof_prompt((), nl, statement))
     if base > token_budget:
         raise PromptExceedsBudget(problem.name, base, token_budget)
     blocks = (
         example_block(e.nl, e.fl)
         for e in selection_order(example_pool)[: k_range[1]]
     )
-    taken, _ = fit_blocks(base, ((b, tok.count(b)) for b in blocks), token_budget)
+    taken, _ = fit_blocks(
+        base, ((b, tokenizer.count(b)) for b in blocks), token_budget)
     if len(taken) < k_range[0]:
         logger.warning("prompt for %s fits only %d examples, k_min is %d",
                        problem.name, len(taken), k_range[0])
@@ -270,20 +270,26 @@ def extract_proof(generated_text: str, problem: Problem) -> str:
 _PLACEHOLDER = re.compile(r"(?<![\w'!?.])(?:sorry|admit)(?![\w'!?.])")
 
 
-def screen_proof(proof: str) -> Optional[str]:
+def _lex_or_none(proof: str) -> Optional[List[LeanToken]]:
+    """The proof's tokens, or None when it does not lex. Each sample is
+    lexed once; the screen and the verifier share the result."""
+    try:
+        return corpus.lex_lean(proof)
+    except LexError:
+        return None
+
+
+def screen_proof(proof: str, tokens: Optional[Sequence[LeanToken]]) -> Optional[str]:
     """The diagnostic for a proof no checker should be asked about, else None.
 
-    Rejects Lean3 leftovers and code tokens that use ``sorry`` or ``admit``;
-    comments and string literals are not code. A proof that does not lex is
-    left to the verifier.
+    ``tokens`` is ``_lex_or_none(proof)``. Rejects Lean3 leftovers and code
+    tokens that use ``sorry`` or ``admit``; comments and string literals are
+    not code. A proof that does not lex gets only the regex Lean3 scan and
+    is otherwise left to the verifier.
     """
-    patterns = [f.pattern for f in corpus.detect_lean3_artifacts(proof)]
-    try:
-        tokens = corpus.lex_lean(proof)
-    except LexError:
-        tokens = []
+    patterns = [f.pattern for f in corpus.detect_lean3_artifacts(proof, tokens)]
     if any(t.kind is corpus.TokenKind.CODE and _PLACEHOLDER.search(t.text)
-           for t in tokens):
+           for t in tokens or ()):
         patterns.append("sorry")
     if not patterns:
         return None
@@ -292,21 +298,30 @@ def screen_proof(proof: str) -> Optional[str]:
 
 class MockVerifier:
     """Answer-key verifier: a proof is correct when its code tokens match
-    the canonical proof exactly (comments and whitespace free)."""
+    the canonical proof exactly (comments and whitespace free). Each answer
+    key is lexed once, on its first check."""
 
     name = "mock"
 
     def __init__(self, answer_key: Dict[str, str]):
         self.answer_key = dict(answer_key)
+        self._key_tokens: Dict[str, List[LeanToken]] = {}
 
-    def check(self, problem: Problem, proof_text: str) -> Tuple[str, str]:
+    def check(
+        self, problem: Problem, proof_text: str,
+        tokens: Optional[Sequence[LeanToken]],
+    ) -> Tuple[str, str]:
         key = self.answer_key.get(problem.name)
         if key is None:
             return "rejected", f"no canonical proof known for {problem.name}"
-        try:
-            divergence = corpus.token_divergence(key, proof_text)
-        except LexError as exc:
-            return "rejected", f"proof does not lex: {exc}"
+        if tokens is None:
+            return "rejected", "proof does not lex"
+        if problem.name not in self._key_tokens:
+            try:
+                self._key_tokens[problem.name] = corpus.lex_lean(key)
+            except LexError as exc:
+                return "rejected", f"canonical proof does not lex: {exc}"
+        divergence = corpus.token_divergence(self._key_tokens[problem.name], tokens)
         if divergence is None:
             return "verified", ""
         return "rejected", (
@@ -316,7 +331,8 @@ class MockVerifier:
 
 
 class ExternalVerifier:
-    """Runs a checker command on a temp .lean file holding imports + proof.
+    """Runs a checker command on a temp .lean file holding imports + proof;
+    the proof's tokens are not needed.
 
     Exit 0 means verified; anything else is a rejection with the captured
     stderr as diagnostic. The checker runs in its own session: a slow check
@@ -335,7 +351,10 @@ class ExternalVerifier:
         self.command = list(command)
         self.timeout_s = timeout_s
 
-    def check(self, problem: Problem, proof_text: str) -> Tuple[str, str]:
+    def check(
+        self, problem: Problem, proof_text: str,
+        tokens: Optional[Sequence[LeanToken]],
+    ) -> Tuple[str, str]:
         content = ""
         if problem.imports.strip():
             content = problem.imports.rstrip() + "\n\n"
@@ -383,12 +402,13 @@ def evaluate_sample(
     except NoProofFound as exc:
         return ProofAttempt(problem.name, sample_index, generated_text, "",
                             "rejected", str(exc))
-    screened = screen_proof(proof)
+    tokens = _lex_or_none(proof)
+    screened = screen_proof(proof, tokens)
     if screened:
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
                             "rejected", screened)
     try:
-        verdict, diagnostic = verifier.check(problem, proof)
+        verdict, diagnostic = verifier.check(problem, proof, tokens)
     except (VerifierTimeout, VerifierCrashed) as exc:
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
                             "error", str(exc))
@@ -412,7 +432,6 @@ def run_iteration(
     example pool visible to prompts is the one the round started with;
     newly verified proofs only join it in the returned state.
     """
-    tokenizer = config.tokenizer or WhitespaceTokenizer()
     newly: List[Tuple[Problem, str, int]] = []
     budget_used = state.budget_used
     for problem in problems:
@@ -420,7 +439,7 @@ def run_iteration(
             continue
         try:
             prompt = assemble_proof_prompt(
-                problem, state.example_pool, config.k_range, tokenizer,
+                problem, state.example_pool, config.k_range, config.tokenizer,
                 config.token_budget)
         except PromptExceedsBudget as exc:
             logger.warning("skipping %s this round: %s", problem.name, exc)
@@ -474,10 +493,9 @@ def run_iterative(
     seed_pool: Sequence[PoolExample],
     backend,
     verifier,
-    config: Optional[HarnessConfig] = None,
+    config: HarnessConfig,
 ) -> HarnessReport:
     """Run rounds until max_rounds or a round proves nothing new."""
-    config = config or HarnessConfig()
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
     state = initial_state(problems, seed_pool)
@@ -550,9 +568,10 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
         problem = by_name.get(name)
         if problem is None:
             raise ReportInvalid(f"{path}:{lineno}: unknown problem {name}")
-        diagnostic = screen_proof(entry["proof"])
+        tokens = _lex_or_none(entry["proof"])
+        diagnostic = screen_proof(entry["proof"], tokens)
         if diagnostic is None:
-            verdict, diagnostic = verifier.check(problem, entry["proof"])
+            verdict, diagnostic = verifier.check(problem, entry["proof"], tokens)
         else:
             verdict = "rejected"
         if verdict != "verified":

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import artifacts
-from .corpus import count_tactic_steps
 from .prompts import example_block, proof_prompt
 
 logger = logging.getLogger(__name__)
@@ -230,7 +229,11 @@ class PrepConfig:
 
 
 def pack_sources(records: Sequence, config: PrepConfig) -> List[PackSource]:
-    """Project bootstrapped dataset records onto the packer's view."""
+    """Project bootstrapped dataset records onto the packer's view.
+
+    Each record's ``difficulty`` is its proof's tactic-step count, which
+    ``bootstrap.load_obt_dataset`` takes from the tokens it verified.
+    """
     example_boot = (
         config.use_bootstrapped
         if config.examples_use_bootstrapped is None
@@ -247,7 +250,7 @@ def pack_sources(records: Sequence, config: PrepConfig) -> List[PackSource]:
                 statement=record.statement,
                 target=target,
                 example_fl=example_fl,
-                difficulty=count_tactic_steps(record.proof),
+                difficulty=record.difficulty,
             )
         )
     return sources

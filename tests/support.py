@@ -4,6 +4,11 @@
 scanner written against the same surface grammar but structured differently
 (explicit mode stack, regex dispatch for literals).  Tests compare the
 implementation against it over the snippet corpus and randomized inputs.
+``reference_lex_lean`` is the per-character lexer that the regex scanner in
+``corpus.lex_lean`` replaced; it emits ``LeanToken``s and raises the corpus
+``LexError``s, so the two must agree token for token and error for error.
+``reference_count_tactic_steps`` counts steps from a proof's text the way
+the string form of ``count_tactic_steps`` did: strip the comments, lex again.
 ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
 ``HashEmbedder.embed`` must match byte for byte.
 """
@@ -100,6 +105,186 @@ def reference_scan(src: str) -> List[Tuple[str, str]]:
 
 def reference_semantic_tokens(src: str) -> List[str]:
     return [text for kind, text in reference_scan(src) if kind in ("code", "string-literal")]
+
+
+# --- the per-character lexer, kept as the reference for lex_lean ---------------
+
+
+def _is_ws(ch: str) -> bool:
+    return ch in (" ", "\t", "\r", "\n")
+
+
+def reference_lex_lean(source: str):
+    """Per-character Lean4 lexer: the implementation ``lex_lean`` had before
+    the regex scanner, unchanged but for its name."""
+    from leanforge.corpus import (
+        LeanToken, TokenKind, UnterminatedComment, UnterminatedString)
+
+    tokens = []
+    n = len(source)
+    i = 0
+
+    def emit(kind, start: int, end: int) -> None:
+        tokens.append(LeanToken(kind, source[start:end], start, end))
+
+    while i < n:
+        ch = source[i]
+        if _is_ws(ch):
+            start = i
+            while i < n and _is_ws(source[i]):
+                i += 1
+            emit(TokenKind.WHITESPACE, start, i)
+            continue
+        if source.startswith("--", i):
+            start = i
+            nl = source.find("\n", i)
+            i = n if nl == -1 else nl
+            emit(TokenKind.LINE_COMMENT, start, i)
+            continue
+        if source.startswith("/-", i):
+            start = i
+            depth = 1
+            i += 2
+            while i < n and depth > 0:
+                if source.startswith("/-", i):
+                    depth += 1
+                    i += 2
+                elif source.startswith("-/", i):
+                    depth -= 1
+                    i += 2
+                else:
+                    i += 1
+            if depth > 0:
+                raise UnterminatedComment("unterminated block comment", start)
+            emit(TokenKind.BLOCK_COMMENT, start, i)
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            while i < n:
+                if source[i] == "\\":
+                    i += 2
+                    continue
+                if source[i] == '"':
+                    i += 1
+                    break
+                i += 1
+            else:
+                raise UnterminatedString("unterminated string literal", start)
+            if i > n:
+                raise UnterminatedString("unterminated string literal", start)
+            emit(TokenKind.STRING, start, i)
+            continue
+
+        # Code run: consume until whitespace, a comment opener, or a string.
+        start = i
+        while i < n:
+            c = source[i]
+            if _is_ws(c) or c == '"':
+                break
+            if source.startswith("--", i) or source.startswith("/-", i):
+                break
+            if c == "'":
+                # A prime after an identifier char is part of the name (h').
+                prev_is_ident = i > start and bool(_IDENT_CH.match(source[i - 1]))
+                if not prev_is_ident:
+                    m = _CHAR_LIT.match(source, i)
+                    if m:
+                        i = m.end()
+                        continue
+            i += 1
+        emit(TokenKind.CODE, start, i)
+    return tokens
+
+
+def reference_count_tactic_steps(proof: str) -> int:
+    """Step count of a proof text as the string form of
+    ``count_tactic_steps`` took it: strip comments, lex the rest again."""
+    from leanforge import corpus
+    from leanforge.corpus import COMMENT_KINDS, SEMANTIC_KINDS, TokenKind
+
+    stripped = "".join(
+        t.text for t in reference_lex_lean(proof) if t.kind not in COMMENT_KINDS)
+    if not stripped.strip():
+        return 0
+    tokens = [t for t in reference_lex_lean(stripped) if t.kind in SEMANTIC_KINDS]
+    if not tokens:
+        # Removing comments left only a comment (`-/- c -/-` becomes `--`).
+        # The string form raised IndexError here; both forms now count 0.
+        return 0
+    depth = 0
+    body_start = None
+    tactic_mode = False
+    for idx, t in enumerate(tokens):
+        if t.kind != TokenKind.CODE:
+            continue
+        if depth == 0 and t.text == ":=":
+            nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
+            if nxt is not None and nxt.kind == TokenKind.CODE and nxt.text == "by":
+                tactic_mode = True
+                body_start = nxt.end
+            else:
+                body_start = t.end
+            break
+        depth += corpus._bracket_delta(t.text)
+    if body_start is None:
+        first = tokens[0]
+        if first.kind == TokenKind.CODE and first.text == "by":
+            body = stripped[first.end:]
+        else:
+            body = stripped
+        return max(1, corpus._count_block_steps(body))
+    if not tactic_mode:
+        return 1
+    return max(1, corpus._count_block_steps(stripped[body_start:]))
+
+
+# --- text-level helpers over the token API ------------------------------------
+
+
+def strip_comments(source: str) -> str:
+    """Remove comment tokens, keeping every other byte in place."""
+    from leanforge.corpus import COMMENT_KINDS, lex_lean
+
+    return "".join(t.text for t in lex_lean(source) if t.kind not in COMMENT_KINDS)
+
+
+def semantic_tokens(source: str):
+    """Code and string tokens of ``source``, in order."""
+    from leanforge.corpus import SEMANTIC_KINDS, lex_lean
+
+    return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
+
+
+def text_divergence(reference: str, candidate: str):
+    """``token_divergence`` between two texts, each lexed here."""
+    from leanforge.corpus import lex_lean, token_divergence
+
+    return token_divergence(lex_lean(reference), lex_lean(candidate))
+
+
+def steps(proof: str) -> int:
+    """``count_tactic_steps`` of a proof text."""
+    from leanforge.corpus import count_tactic_steps, lex_lean
+
+    return count_tactic_steps(lex_lean(proof))
+
+
+def lex_or_none(text: str):
+    """The text's tokens, or None when it does not lex."""
+    from leanforge.corpus import LexError, lex_lean
+
+    try:
+        return lex_lean(text)
+    except LexError:
+        return None
+
+
+def lean3_findings(text: str):
+    """``detect_lean3_artifacts`` of a text, lexed here when it lexes."""
+    from leanforge.corpus import detect_lean3_artifacts
+
+    return detect_lean3_artifacts(text, lex_or_none(text))
 
 
 # --- randomized comment insertion --------------------------------------

@@ -23,13 +23,7 @@ from leanforge.bootstrap import (
     save_obt_dataset,
     verify_bootstrap,
 )
-from leanforge.corpus import (
-    TheoremRecord,
-    lex_lean,
-    semantic_tokens,
-    strip_comments,
-    token_divergence,
-)
+from leanforge.corpus import TheoremRecord, lex_lean
 from leanforge.informalize import InformalizationResult
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
@@ -120,14 +114,15 @@ class TestCriterion1:
         for snippet in snippets:
             tokens = lex_lean(snippet)
             assert "".join(t.text for t in tokens) == snippet
-            assert token_divergence(snippet, strip_comments(snippet)) is None
+            assert support.text_divergence(
+                snippet, support.strip_comments(snippet)) is None
 
         rng = random.Random(9001)
         for trial in range(1000):
             source = snippets[trial % len(snippets)]
             mutated = support.insert_comments_reckless(
                 source, rng, count=rng.randint(1, 3))
-            assert token_divergence(source, mutated) is None, trial
+            assert support.text_divergence(source, mutated) is None, trial
 
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -154,7 +149,7 @@ MUTANT = "zzmutated"
 def mutate_token(source, index):
     """Replace the index-th semantic token, padded so neighbors keep their
     own token boundaries."""
-    token = semantic_tokens(source)[index]
+    token = support.semantic_tokens(source)[index]
     return source[:token.start] + f" {MUTANT} " + source[token.end:]
 
 
@@ -165,21 +160,21 @@ class TestCriterion2:
         verified = 0
         for source in BOOTSTRAP_SOURCES:
             commented = head_bootstrap(informal, source)
-            ok, divergence = verify_bootstrap(source, commented)
+            ok, divergence = verify_bootstrap(lex_lean(source), commented)
             assert ok and divergence is None, source[:40]
             verified += 1
         assert verified == len(BOOTSTRAP_SOURCES)
 
         mutations = 0
         for source in BOOTSTRAP_SOURCES:
-            token_count = len(semantic_tokens(source))
+            token_count = len(support.semantic_tokens(source))
             for index in range(0, token_count, 3):
                 mutated = mutate_token(source, index)
                 commented = head_bootstrap(informal, mutated)
-                ok, divergence = verify_bootstrap(source, commented)
+                ok, divergence = verify_bootstrap(lex_lean(source), commented)
                 assert not ok, (source[:40], index)
                 assert divergence.index == index
-                assert divergence.expected == semantic_tokens(source)[index].text
+                assert divergence.expected == support.semantic_tokens(source)[index].text
                 assert divergence.actual == MUTANT
                 assert commented[divergence.offset:].startswith(MUTANT)
                 mutations += 1

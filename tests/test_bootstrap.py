@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leanforge import bootstrap as bootstrap_module
 from leanforge import corpus
 from leanforge.bootstrap import (
     BootstrapMode,
@@ -50,9 +51,10 @@ from support import (
     insert_comments_line_respecting,
     insert_comments_reckless,
     random_leanish_source,
+    strip_comments,
 )
 
-SQINEQ_PLAIN = corpus.strip_comments(SQINEQ_COMMENTED)
+SQINEQ_PLAIN = strip_comments(SQINEQ_COMMENTED)
 SQINEQ_NL = (
     "Statement: for reals a and b with a^2 + b^2 = 1, a * b + (a - b) <= 1. "
     "Proof: the square (a - b - 1)^2 is nonnegative; expanding and using the "
@@ -69,6 +71,9 @@ def sq_record():
         commit="deadbeef",
         difficulty=3,
     )
+
+
+SQ_TOKENS = corpus.lex_lean(SQINEQ_PLAIN)
 
 
 def passing_informal(name, nl):
@@ -111,38 +116,38 @@ class TestHeadBootstrap:
 
     def test_always_verifies_on_fixture(self):
         out = head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN)
-        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, out)
+        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), out)
         assert ok and divergence is None
 
     def test_delimiters_in_nl_cannot_escape(self):
         nl = "uses /- a nested comment -/ and a stray -/ closer"
         out = head_bootstrap(nl, AMC12B_2002_P2)
-        ok, _ = verify_bootstrap(AMC12B_2002_P2, out)
+        ok, _ = verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), out)
         assert ok
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
     def test_verifies_for_arbitrary_nl(self, nl):
         out = head_bootstrap(nl, AMC12B_2002_P2)
-        ok, divergence = verify_bootstrap(AMC12B_2002_P2, out)
+        ok, divergence = verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), out)
         assert ok, divergence
 
 
 class TestVerifyBootstrap:
     def test_identity(self):
-        assert verify_bootstrap(AMC12B_2002_P2, AMC12B_2002_P2) == (True, None)
+        assert verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), AMC12B_2002_P2) == (True, None)
 
     def test_published_commented_listing(self):
-        ok, _ = verify_bootstrap(SQINEQ_PLAIN, SQINEQ_COMMENTED)
+        ok, _ = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), SQINEQ_COMMENTED)
         assert ok
 
     def test_worked_example_listing(self):
-        ok, _ = verify_bootstrap(INTEGRAL_PROOF, INTEGRAL_COMMENTED)
+        ok, _ = verify_bootstrap(corpus.lex_lean(INTEGRAL_PROOF), INTEGRAL_COMMENTED)
         assert ok
 
     def test_rewritten_tactic_caught_at_token(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
-        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, mutated)
+        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), mutated)
         assert not ok
         assert divergence.expected == "linarith"
         assert divergence.actual == "nlinarith"
@@ -151,7 +156,7 @@ class TestVerifyBootstrap:
     def test_dropped_tactic_caught(self):
         shorter = SQINEQ_PLAIN.replace(
             "  have h₁ : 0 ≤ (a - b - 1) ^ 2 := sq_nonneg _\n", "")
-        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, shorter)
+        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), shorter)
         assert not ok
         assert divergence.expected == "have"
 
@@ -163,12 +168,12 @@ class TestVerifyBootstrap:
             insert = (insert_comments_reckless if trial % 2 == 0
                       else insert_comments_line_respecting)
             commented = insert(src, rng, count=rng.randint(1, 4))
-            ok, divergence = verify_bootstrap(src, commented)
+            ok, divergence = verify_bootstrap(corpus.lex_lean(src), commented)
             assert ok, (trial, divergence)
 
     def test_non_lexing_candidate_raises(self):
         with pytest.raises(LexError):
-            verify_bootstrap(AMC12B_2002_P2, "/- opened but never closed")
+            verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), "/- opened but never closed")
 
 
 class Counting:
@@ -191,7 +196,7 @@ class TestBootstrapTheorem:
                                      backend=None, mode=BootstrapMode.HEAD)
         out = obt.commented_proof
         assert out.startswith("/- ")
-        assert verify_bootstrap(record.proof, out)[0]
+        assert verify_bootstrap(corpus.lex_lean(record.proof), out)[0]
 
     def test_prompt_layout(self):
         prompt = bootstrap_prompt(SQINEQ_NL, sq_record().proof)
@@ -207,7 +212,7 @@ class TestBootstrapTheorem:
     def test_interleaved_verified_first_try(self):
         backend = Counting(MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)]))
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend)
+            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
@@ -215,15 +220,15 @@ class TestBootstrapTheorem:
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
         backend = MockBackend(script=[("algebra_sqineq", fenced)])
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend)
-        assert verify_bootstrap(SQINEQ_PLAIN, out)[0]
+            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
+        assert verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), out)[0]
         assert "```" not in out
 
     def test_rewrite_retries_then_fails_with_divergence(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(script=[("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), SQINEQ_NL, backend)
+            bootstrap_theorem(sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
         assert backend.calls == 3
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
@@ -234,14 +239,14 @@ class TestBootstrapTheorem:
         backend = Counting(MockBackend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
         out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend)
+            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
     def test_non_lexing_reply_counts_as_failure(self):
         backend = MockBackend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, backend,
+            bootstrap_theorem(sq_record(), SQINEQ_NL, backend, SQ_TOKENS,
                               max_attempts=2)
 
     def test_backend_errors_propagate(self):
@@ -253,12 +258,12 @@ class TestBootstrapTheorem:
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, Down(),
+            bootstrap_theorem(sq_record(), SQINEQ_NL, Down(), SQ_TOKENS,
                               retry=policy)
 
     def test_attempt_floor(self):
         with pytest.raises(ValueError):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, MockBackend(),
+            bootstrap_theorem(sq_record(), SQINEQ_NL, MockBackend(), SQ_TOKENS,
                               max_attempts=0)
 
 
@@ -292,12 +297,6 @@ class TestAssembleObtRecord:
             reasons=("MISSING_SECTION",))
         with pytest.raises(PreconditionViolated, match="informal"):
             assemble_obt_record(integral_record(), informal, INTEGRAL_COMMENTED)
-
-    def test_diverging_proof_rejected(self):
-        informal = passing_informal(INTEGRAL_NAME, INTEGRAL_INFORMAL)
-        mutated = INTEGRAL_COMMENTED.replace("hint", "hint'")
-        with pytest.raises(PreconditionViolated, match="commented_proof"):
-            assemble_obt_record(integral_record(), informal, mutated)
 
     def test_empty_field_rejected(self):
         bare = TheoremRecord(
@@ -387,11 +386,23 @@ class TestBootstrapCorpus:
         assert stats.backend_fallbacks == 5
         assert all(r.commented_proof.startswith("/- ") for r in out)
 
+    def test_diverging_head_text_rejected(self, monkeypatch):
+        # each pair is verified once, before assembly; assembly does not
+        # check it again, so a head text that lost code must stop here
+        monkeypatch.setattr(
+            bootstrap_module, "head_bootstrap",
+            lambda nl, proof: "/- " + nl + " -/\n" + proof.replace("simpa", "simp"))
+        records, informals = small_corpus()
+        with pytest.raises(BootstrapVerificationFailed) as info:
+            bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
+        assert info.value.divergence.expected == "simpa"
+        assert info.value.divergence.actual == "simp"
+
     def test_every_emitted_record_verifies(self):
         records, informals = small_corpus()
         out, _ = bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
         for record in out:
-            ok, _ = verify_bootstrap(record.proof, record.commented_proof)
+            ok, _ = verify_bootstrap(corpus.lex_lean(record.proof), record.commented_proof)
             assert ok
 
     def test_misaligned_inputs_rejected(self):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import textwrap
 
 import pytest
@@ -14,7 +15,7 @@ import yaml
 import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
-from leanforge import cli, corpus, retrieval, trainprep
+from leanforge import cli, corpus, genclient, retrieval, trainprep
 from leanforge.config import (
     ConfigError,
     fork_seed,
@@ -489,7 +490,7 @@ class TestSampleCommand:
 # --- the golden end-to-end fixture -------------------------------------------------
 
 
-SQINEQ_PLAIN = corpus.strip_comments(listings.SQINEQ_COMMENTED)
+SQINEQ_PLAIN = support.strip_comments(listings.SQINEQ_COMMENTED)
 
 HW_ONE = (
     "theorem hw_double_neg (p : Prop) (h : p) : ¬¬p := by\n"
@@ -830,3 +831,82 @@ class TestPipelineEndToEnd:
         assert run(["prove", "-c", config, "--max-rounds", "1"]) == 0
         header = read_jsonl(workdir / "report.jsonl")[0]
         assert len(header["rounds"]) == 1
+
+
+# --- lexing budget per stage -------------------------------------------------------
+
+
+class TestLexBudget:
+    """Each stage lexes a Lean text at most once. Every binding of
+    ``corpus.lex_lean`` inside leanforge is wrapped, so no lex goes uncounted."""
+
+    def count_lexes(self, monkeypatch):
+        lexed = []
+        lex_lean = corpus.lex_lean
+
+        def counting(source):
+            lexed.append(len(source))
+            return lex_lean(source)
+
+        for name, module in list(sys.modules.items()):
+            if name == "leanforge" or name.startswith("leanforge."):
+                for attr, value in list(vars(module).items()):
+                    if value is lex_lean:
+                        monkeypatch.setattr(module, attr, counting)
+        return lexed
+
+    def count_replies(self, monkeypatch):
+        replies = []
+        generate = genclient.MockBackend.generate
+
+        def counting(backend, request):
+            replies.append(request.request_id)
+            return generate(backend, request)
+
+        monkeypatch.setattr(genclient.MockBackend, "generate", counting)
+        return replies
+
+    def test_each_stage_stays_within_its_lex_budget(self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        lexed = self.count_lexes(monkeypatch)
+        replies = self.count_replies(monkeypatch)
+
+        def lexes(argv):
+            del lexed[:], replies[:]
+            assert run(argv) == 0, argv
+            return len(lexed)
+
+        # extract: each file once, plus each theorem's comment-stripped proof
+        assert lexes(["extract", "-c", config]) <= len(CORPUS_FILES) + len(CORPUS_NAMES)
+        assert run(["train-retriever", "-c", config]) == 0
+        assert run(["informalize", "-c", config]) == 0
+
+        # bootstrap, interleaved: one reply per theorem plus one rejected
+        # reply that is asked again
+        theorems = read_jsonl(workdir / "theorems.jsonl")
+        first = theorems[0]
+        rejected = first["proof"].replace(first["name"], first["name"] + "_x", 1)
+        rules = [{"pattern": first["name"],
+                  "responses": [rejected, first["proof"] + "\n  -- checked"]}]
+        rules += [{"pattern": t["name"], "response": t["proof"] + "\n  -- checked"}
+                  for t in theorems[1:]]
+        script = tmp_path / "bootstrap-script.json"
+        script.write_text(json.dumps(rules, ensure_ascii=False), encoding="utf-8")
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"]["script"] = str(script)
+        settings["bootstrap"]["mode"] = "interleaved"
+        interleaved = write_yaml(tmp_path / "interleaved.yaml", settings)
+
+        bootstrap_lexes = lexes(["bootstrap", "-c", interleaved])
+        obt = read_jsonl(workdir / "obt.jsonl")
+        assert len(obt) == len(theorems) == len(CORPUS_NAMES)
+        assert all(e["Commented_proof"].endswith("-- checked") for e in obt)
+        assert len(replies) == len(obt) + 1
+        assert bootstrap_lexes <= len(obt) + len(replies)
+
+        # prep: each record's proof and commented proof once, plus the
+        # comment-stripped proof for its step count
+        assert lexes(["prep", "-c", config]) <= 3 * len(obt)

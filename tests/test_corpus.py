@@ -9,7 +9,7 @@ and frozen here.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import listings
@@ -18,24 +18,29 @@ from support import (
     ReferenceScanError,
     insert_comments_line_respecting,
     insert_comments_reckless,
+    lean3_findings,
     random_leanish_source,
+    reference_count_tactic_steps,
+    reference_lex_lean,
     reference_scan,
     reference_semantic_tokens,
+    semantic_tokens,
+    steps,
+    strip_comments,
+    text_divergence,
 )
 
 from leanforge import corpus
 from leanforge.corpus import (
     Lean3Finding,
+    LeanToken,
+    LexError,
     TokenKind,
     UnterminatedComment,
     UnterminatedString,
     count_tactic_steps,
-    detect_lean3_artifacts,
     extract_theorems,
     lex_lean,
-    semantic_tokens,
-    strip_comments,
-    token_divergence,
 )
 
 
@@ -140,24 +145,24 @@ class TestTokenEqual:
     def test_comment_insertion_on_proof(self):
         a = "theorem t : 1 = 1 := by\n  rfl"
         b = "theorem t : 1 = 1 := by\n  -- nice\n  rfl"
-        assert token_divergence(a, b) is None
+        assert text_divergence(a, b) is None
 
     def test_different_code(self):
-        assert token_divergence("rfl", "simp") is not None
+        assert text_divergence("rfl", "simp") is not None
 
     def test_changed_tactic(self):
         a = "theorem t : a = a := by\n  linarith"
         b = "theorem t : a = a := by\n  nlinarith"
-        assert token_divergence(a, b) is not None
+        assert text_divergence(a, b) is not None
 
     def test_commented_listing_equals_plain(self):
-        assert token_divergence(
+        assert text_divergence(
             listings.INTEGRAL_PROOF, listings.INTEGRAL_COMMENTED) is None
 
     def test_reflexive_on_corpus(self):
         for name, src in SNIPPETS.items():
-            assert token_divergence(src, src) is None, name
-            assert token_divergence(src, strip_comments(src)) is None, name
+            assert text_divergence(src, src) is None, name
+            assert text_divergence(src, strip_comments(src)) is None, name
 
     def test_randomized_comment_insertion(self):
         rng = random.Random(7)
@@ -165,7 +170,7 @@ class TestTokenEqual:
         for trial in range(200):
             src = lean4_snippets[trial % len(lean4_snippets)]
             mutated = insert_comments_reckless(src, rng, count=rng.randint(1, 4))
-            assert token_divergence(src, mutated) is None, (trial, mutated)
+            assert text_divergence(src, mutated) is None, (trial, mutated)
 
     def test_semantic_tokens_match_reference(self):
         for name, src in SNIPPETS.items():
@@ -175,20 +180,27 @@ class TestTokenEqual:
     def test_divergence_reports_first_mismatch(self):
         a = "theorem t : a = a := by\n  linarith"
         b = "theorem t : a = a := by\n  -- c\n  nlinarith"
-        div = token_divergence(a, b)
+        div = text_divergence(a, b)
         assert div is not None
         assert div.expected == "linarith"
         assert div.actual == "nlinarith"
         assert b[div.offset :].startswith("nlinarith")
 
     def test_divergence_none_when_equal(self):
-        assert token_divergence("rfl", "rfl -- done") is None
+        assert text_divergence("rfl", "rfl -- done") is None
 
     def test_divergence_when_candidate_truncated(self):
-        div = token_divergence("rfl simp", "rfl")
+        div = text_divergence("rfl simp", "rfl")
         assert div is not None
         assert div.expected == "simp"
         assert div.actual is None
+        assert div.offset == 3
+
+    def test_divergence_offset_at_end_of_candidate_with_trailing_comment(self):
+        # the candidate ran out: the offset is its length, comments included
+        div = text_divergence("rfl simp", "rfl -- c")
+        assert (div.index, div.offset) == (1, 8)
+        assert text_divergence("rfl", "").offset == 0
 
 
 class TestExtractTheorems:
@@ -276,7 +288,7 @@ class TestExtractTheorems:
 
     def test_difficulty_populated(self):
         records = extract_theorems(listings.MATHD_ALGEBRA_338, "x.lean", "c")
-        assert records[0].difficulty == count_tactic_steps(records[0].proof)
+        assert records[0].difficulty == steps(records[0].proof)
 
     def test_attribute_line_bounds_declaration(self):
         src = "theorem t : 1 = 1 := rfl\n\n@[simp]\ntheorem u : 2 = 2 := rfl\n"
@@ -288,38 +300,38 @@ class TestExtractTheorems:
 class TestCountTacticSteps:
     # Frozen expected counts; derived by hand-walking each listing.
     def test_single_tactic(self):
-        assert count_tactic_steps(":= by rfl") == 1
+        assert steps(":= by rfl") == 1
 
     def test_term_mode(self):
-        assert count_tactic_steps(":= rfl") == 1
+        assert steps(":= rfl") == 1
 
     def test_bare_tactic_block(self):
-        assert count_tactic_steps("subst x\nring") == 2
+        assert steps("subst x\nring") == 2
 
     def test_full_declaration_two_steps(self):
-        assert count_tactic_steps(listings.AMC12B_2002_P2) == 2
+        assert steps(listings.AMC12B_2002_P2) == 2
 
     def test_semicolon_chain_counts_individually(self):
-        assert count_tactic_steps(":= by constructor; rfl; rfl") == 3
+        assert steps(":= by constructor; rfl; rfl") == 3
 
     def test_alternation_combinator_not_split(self):
-        assert count_tactic_steps(":= by rw [h] <;> rfl") == 1
+        assert steps(":= by rw [h] <;> rfl") == 1
 
     def test_term_mode_listing(self):
-        assert count_tactic_steps(listings.INTEGRAL_PROOF) == 1
+        assert steps(listings.INTEGRAL_PROOF) == 1
 
     def test_commented_listing_same_count(self):
-        assert count_tactic_steps(listings.INTEGRAL_COMMENTED) == count_tactic_steps(
+        assert steps(listings.INTEGRAL_COMMENTED) == steps(
             listings.INTEGRAL_PROOF
         )
 
     def test_sqineq_counts_ignore_comments(self):
         # have + linarith, with three interleaved comment lines.
-        assert count_tactic_steps(listings.SQINEQ_COMMENTED) == 2
+        assert steps(listings.SQINEQ_COMMENTED) == 2
 
     def test_continuation_lines_not_counted(self):
         # calc continuation lines are deeper than the block base indent.
-        assert count_tactic_steps(listings.MATHD_ALGEBRA_270) == 2
+        assert steps(listings.MATHD_ALGEBRA_270) == 2
 
     def test_frozen_counts_for_listings(self):
         expected = {
@@ -329,11 +341,11 @@ class TestCountTacticSteps:
             "AMC12_2000_P5": 3,
         }
         for attr, count in expected.items():
-            assert count_tactic_steps(getattr(listings, attr)) == count, attr
+            assert steps(getattr(listings, attr)) == count, attr
 
     def test_empty_input(self):
-        assert count_tactic_steps("") == 0
-        assert count_tactic_steps("   \n ") == 0
+        assert steps("") == 0
+        assert steps("   \n ") == 0
 
     def test_invariant_under_line_respecting_comment_insertion(self):
         rng = random.Random(11)
@@ -347,27 +359,27 @@ class TestCountTacticSteps:
         ]
         for trial in range(150):
             src = sources[trial % len(sources)]
-            baseline = count_tactic_steps(src)
+            baseline = steps(src)
             mutated = insert_comments_line_respecting(src, rng, count=rng.randint(1, 3))
-            assert count_tactic_steps(mutated) == baseline, (trial, mutated)
+            assert steps(mutated) == baseline, (trial, mutated)
 
     def test_invariant_under_blank_line_insertion(self):
         rng = random.Random(13)
         src = listings.MATHD_ALGEBRA_338
-        baseline = count_tactic_steps(src)
+        baseline = steps(src)
         for _ in range(30):
             lines = src.split("\n")
             lines.insert(rng.randint(1, len(lines) - 1), "")
-            assert count_tactic_steps("\n".join(lines)) == baseline
+            assert steps("\n".join(lines)) == baseline
 
 
 class TestDetectLean3Artifacts:
     def test_lean4_listing_clean(self):
-        assert detect_lean3_artifacts(listings.MATHD_ALGEBRA_338) == []
-        assert detect_lean3_artifacts(listings.INTEGRAL_COMMENTED) == []
+        assert lean3_findings(listings.MATHD_ALGEBRA_338) == []
+        assert lean3_findings(listings.INTEGRAL_COMMENTED) == []
 
     def test_lean3_output_a(self):
-        findings = detect_lean3_artifacts(listings.LEAN3_OUTPUT_A)
+        findings = lean3_findings(listings.LEAN3_OUTPUT_A)
         patterns = [f.pattern for f in findings]
         assert patterns.count("lean3-import") == 3
         assert patterns.count("begin-end-block") == 1
@@ -375,14 +387,14 @@ class TestDetectLean3Artifacts:
         assert listings.LEAN3_OUTPUT_A[begin.offset :].startswith("begin")
 
     def test_lean3_output_b(self):
-        findings = detect_lean3_artifacts(listings.LEAN3_OUTPUT_B)
+        findings = lean3_findings(listings.LEAN3_OUTPUT_B)
         patterns = [f.pattern for f in findings]
         assert patterns.count("lean3-import") == 2
         assert patterns.count("open-locale") == 1
         assert patterns.count("begin-end-block") == 1
 
     def test_offsets_are_sorted_and_accurate(self):
-        findings = detect_lean3_artifacts(listings.LEAN3_OUTPUT_B)
+        findings = lean3_findings(listings.LEAN3_OUTPUT_B)
         offsets = [f.offset for f in findings]
         assert offsets == sorted(offsets)
         for f in findings:
@@ -390,17 +402,17 @@ class TestDetectLean3Artifacts:
             assert tail.startswith(("begin", "import", "open_locale"))
 
     def test_lean4_import_not_flagged(self):
-        assert detect_lean3_artifacts("import Mathlib.Data.Real.Basic\n") == []
+        assert lean3_findings("import Mathlib.Data.Real.Basic\n") == []
 
     def test_begin_inside_comment_not_flagged(self):
-        assert detect_lean3_artifacts("-- begin here\nrfl") == []
-        assert detect_lean3_artifacts('"begin"') == []
+        assert lean3_findings("-- begin here\nrfl") == []
+        assert lean3_findings('"begin"') == []
 
     def test_prose_import_not_flagged(self):
-        assert detect_lean3_artifacts("-- we import the library\nimport Mathlib\nrfl") == []
+        assert lean3_findings("-- we import the library\nimport Mathlib\nrfl") == []
 
     def test_unlexable_text_still_scanned(self):
-        findings = detect_lean3_artifacts("/- broken\nbegin\n  simp\nend")
+        findings = lean3_findings("/- broken\nbegin\n  simp\nend")
         assert any(f.pattern == "begin-end-block" for f in findings)
 
 
@@ -410,7 +422,7 @@ def test_property_token_equal_under_insertion(seed):
     rng = random.Random(seed)
     src = random_leanish_source(rng)
     mutated = insert_comments_reckless(src, rng, count=rng.randint(1, 3))
-    assert token_divergence(src, mutated) is None
+    assert text_divergence(src, mutated) is None
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -420,3 +432,116 @@ def test_property_strip_idempotent(seed):
     src = random_leanish_source(rng)
     once = strip_comments(src)
     assert strip_comments(once) == once
+
+
+# --- the token core against the per-character reference ------------------------
+
+
+class TestTokenCore:
+    def test_token_is_a_named_tuple_with_the_old_fields_and_repr(self):
+        token = LeanToken(TokenKind.CODE, "rfl", 4, 7)
+        assert LeanToken._fields == ("kind", "text", "start", "end")
+        assert isinstance(token, tuple)
+        assert (token.kind, token.text, token.start, token.end) == (
+            TokenKind.CODE, "rfl", 4, 7)
+        assert repr(token) == "LeanToken(code, 'rfl', 4:7)"
+        assert all(type(t) is LeanToken for t in lex_lean("a /- b -/ \"c\""))
+
+    def test_nested_comment_after_code_resumes_scanning(self):
+        src = "a/- x /- y -/ z -/b 'c' h' -- d\n\"e\""
+        assert lex_lean(src) == reference_lex_lean(src)
+
+    def test_long_inputs_agree(self):
+        for name, src in SNIPPETS.items():
+            text = (src + "\n") * 20
+            assert lex_lean(text) == reference_lex_lean(text), name
+
+
+def lex_outcome(lexer, source):
+    """The tokens, or the error type and offset when the source does not lex."""
+    try:
+        return lexer(source)
+    except LexError as exc:
+        return type(exc), exc.offset
+
+
+_LEX_ATOMS = st.sampled_from([
+    "rfl", "h'", "h''", "x₀", "Nat.succ", ":=", "by", "<;>", "(", ")", "⟨", "⟩",
+    "-", "/", "'", '"', "\\", "'\"'", "'a'", "' '", "'\\n'", "'\\''", "'\\x41'",
+    "'\\u{3b1}'", "'\\x4'", "--", "/-", "-/", "/--", "-/-", " ", "\n", "\t", "\r\n",
+    # a prime, not a char literal: `h' '` is `h'`, a space and a lone `'`
+    "h' '", "x₀'\"'", "a'-'", "b''",
+])
+_STRINGS = st.text(alphabet='ab;\\"\'-/ \n', max_size=8).map(lambda body: '"' + body + '"')
+_LINE_COMMENTS = st.text(alphabet="ab -/'\"", max_size=8).map(lambda body: "--" + body)
+_BLOCK_COMMENTS = st.recursive(
+    st.text(alphabet="ab -/'\"\n", max_size=6).map(lambda body: "/-" + body + "-/"),
+    lambda inner: st.lists(
+        st.one_of(inner, st.text(alphabet="ab '\"-", max_size=4)), max_size=3,
+    ).map(lambda parts: "/-" + "".join(parts) + "-/"),
+    max_leaves=6,
+)
+_UNTERMINATED = st.sampled_from(["/- open", '"open', "/- a /- b -/", '"esc\\', "/-"])
+LEAN_TEXT = st.one_of(
+    st.lists(st.one_of(_LEX_ATOMS, _STRINGS, _LINE_COMMENTS, _BLOCK_COMMENTS,
+                       _UNTERMINATED), max_size=14).map("".join),
+    st.text(alphabet="ab -/\n\"'\\₀", max_size=30),
+)
+
+
+@given(LEAN_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_property_lexer_agrees_with_per_character_reference(source):
+    assert lex_outcome(lex_lean, source) == lex_outcome(reference_lex_lean, source)
+
+
+# --- step counts from tokens against the text form --------------------------------
+
+
+_STEP_ATOMS = st.sampled_from([
+    "theorem t : a = b", " := ", ":=", " by", "by", "\n  ", "\n    ", "\n", " ",
+    "rfl", "simp", "norm_num", "; ", ";", " <;> ", "(", ")", "[h]", "⟨", "⟩",
+    '"s;t"', "h'", "'a'", "-", "/", "calc", "_ = 1 := by ring", "·",
+])
+_GLUED = st.sampled_from([
+    "/- c -/", "/-c-/", "/- /- n -/ -/", "/-- doc -/", "-- c\n", "--c", "\n  -- c\n",
+])
+PROOF_TEXT = st.lists(st.one_of(_STEP_ATOMS, _GLUED), max_size=16).map("".join)
+
+
+def step_outcome(count, source):
+    try:
+        return count(source)
+    except LexError as exc:
+        return type(exc)
+
+
+@given(PROOF_TEXT)
+@example("theorem t : a = b := by\n  a/- c -/b\n  rfl")
+@example("theorem t : a = b :=/- c -/by\n  simp\n  rfl")
+@example("theorem t : a = b := by simp/- c -/; rfl")
+@example("-/- c -/- rfl")
+@settings(max_examples=500, deadline=None)
+def test_property_token_step_count_matches_text_count(source):
+    assert step_outcome(steps, source) == step_outcome(
+        reference_count_tactic_steps, source)
+
+
+def test_glued_comment_joins_assign_and_by():
+    # `:=by` is one token once the comment is gone, so no `:=` opens a
+    # tactic block and every line counts; with a space, `:=` and `by` do
+    assert count_tactic_steps(lex_lean(":=/- c -/by\n  simp\n  rfl")) == 3
+    assert count_tactic_steps(lex_lean(":= /- c -/by\n  simp\n  rfl")) == 2
+
+
+def test_comment_removal_that_leaves_only_a_comment_counts_zero():
+    # stripping `/- c -/` out of `-/- c -/-` leaves `--`, a line comment
+    assert count_tactic_steps(lex_lean("-/- c -/-")) == 0
+
+
+def test_extraction_counts_from_the_file_tokens():
+    src = ("theorem a1 : 1 = 1 := by\n  simp -- first\n  rfl\n\n"
+           "/- between -/\ntheorem a2 : 2 = 2 :=/- glued -/by\n  simp\n  rfl\n")
+    records = extract_theorems(src, "x.lean", "c")
+    assert [r.difficulty for r in records] == [
+        reference_count_tactic_steps(r.proof) for r in records] == [2, 3]

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from leanforge import corpus
 from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
 from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
@@ -41,6 +42,7 @@ from leanforge.prover import (
 from leanforge.trainprep import WhitespaceTokenizer
 
 from fixtures.listings import LEAN3_OUTPUT_A, SQINEQ_COMMENTED
+from support import lex_or_none
 
 
 def make_problem(i):
@@ -52,6 +54,17 @@ def make_problem(i):
             f"Proof: by the additive identity."),
         imports="import Mathlib",
     )
+
+
+def prompt_for(problem, pool, k_range=(10, 16), token_budget=4096):
+    return assemble_proof_prompt(
+        problem, pool, k_range, WhitespaceTokenizer(), token_budget)
+
+
+def check(verifier, problem, text):
+    """``verifier.check`` given the text's tokens, as ``evaluate_sample``
+    passes them: None when the text does not lex."""
+    return verifier.check(problem, text, lex_or_none(text))
 
 
 def canonical_proof(i):
@@ -94,13 +107,13 @@ class TestDomainTypes:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HarnessConfig(n_samples=0)
+            HarnessConfig(WhitespaceTokenizer(), n_samples=0)
         with pytest.raises(ValueError):
-            HarnessConfig(max_rounds=0)
+            HarnessConfig(WhitespaceTokenizer(), max_rounds=0)
         with pytest.raises(ValueError):
-            HarnessConfig(k_range=(0, 16))
+            HarnessConfig(WhitespaceTokenizer(), k_range=(0, 16))
         with pytest.raises(ValueError):
-            HarnessConfig(k_range=(12, 4))
+            HarnessConfig(WhitespaceTokenizer(), k_range=(12, 4))
 
     def test_duplicate_problem_names(self):
         problems = [make_problem(1), make_problem(1)]
@@ -122,34 +135,31 @@ def oracle_block(example):
 
 class TestAssemblePrompt:
     def test_pool_of_one(self):
-        prompt = assemble_proof_prompt(
-            make_problem(0), seed_examples(1), token_budget=10_000)
+        prompt = prompt_for(make_problem(0), seed_examples(1), token_budget=10_000)
         assert count_examples(prompt) == 1
 
     def test_fewer_than_k_min_warns(self, caplog):
         def warnings(k_range, budget=10_000):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="leanforge.prover"):
-                prompt = assemble_proof_prompt(
-                    make_problem(0), seed_examples(1), k_range, token_budget=budget)
+                prompt = prompt_for(make_problem(0), seed_examples(1), k_range,
+                                    token_budget=budget)
             return count_examples(prompt), [r.getMessage() for r in caplog.records]
 
         assert warnings((10, 16)) == (
             1, ["prompt for prob00 fits only 1 examples, k_min is 10"])
         assert warnings((1, 16)) == (1, [])
-        zero_budget = WhitespaceTokenizer().count(assemble_proof_prompt(
+        zero_budget = WhitespaceTokenizer().count(prompt_for(
             make_problem(0), seed_examples(1), (1, 1), token_budget=10_000)) - 1
         assert warnings((1, 16), zero_budget) == (
             0, ["prompt for prob00 fits only 0 examples, k_min is 1"])
 
     def test_upper_clamp_at_sixteen(self):
-        prompt = assemble_proof_prompt(
-            make_problem(0), seed_examples(30), token_budget=100_000)
+        prompt = prompt_for(make_problem(0), seed_examples(30), token_budget=100_000)
         assert count_examples(prompt) == 16
 
     def test_small_pool_used_whole(self):
-        prompt = assemble_proof_prompt(
-            make_problem(0), seed_examples(3), token_budget=100_000)
+        prompt = prompt_for(make_problem(0), seed_examples(3), token_budget=100_000)
         assert count_examples(prompt) == 3
 
     def test_tight_budget_matches_greedy_oracle(self):
@@ -175,14 +185,13 @@ class TestAssemblePrompt:
 
     def test_zero_example_prompt_over_budget_raises(self):
         with pytest.raises(PromptExceedsBudget) as info:
-            assemble_proof_prompt(make_problem(0), seed_examples(1),
-                                  token_budget=3)
+            prompt_for(make_problem(0), seed_examples(1), token_budget=3)
         assert info.value.budget == 3
         assert info.value.needed > 3
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="pool"):
-            assemble_proof_prompt(make_problem(0), [], token_budget=1000)
+            prompt_for(make_problem(0), [], token_budget=1000)
 
     def test_verified_examples_lead_most_recent_first(self):
         pool = seed_examples(2) + [
@@ -191,8 +200,7 @@ class TestAssemblePrompt:
             PoolExample("v2", "Statement: two. Proof: q.",
                         "theorem v2 : True := by\n  trivial\n", source="round 2"),
         ]
-        prompt = assemble_proof_prompt(make_problem(0), pool,
-                                       token_budget=100_000)
+        prompt = prompt_for(make_problem(0), pool, token_budget=100_000)
         assert count_examples(prompt) == 4
         positions = [prompt.index(f"theorem {n}") for n in
                      ("v2", "v1", "seed0", "seed1")]
@@ -201,7 +209,7 @@ class TestAssemblePrompt:
     def test_problem_text_after_examples(self):
         problem = make_problem(7)
         pool = seed_examples(2)
-        prompt = assemble_proof_prompt(problem, pool, token_budget=100_000)
+        prompt = prompt_for(problem, pool, token_budget=100_000)
         assert prompt.endswith(FL_PROOF_SECTION + "\n")
         last_nl = prompt.rindex(NL_SECTION)
         last_fl_statement = prompt.rindex(FL_STATEMENT_SECTION)
@@ -272,24 +280,24 @@ class TestMockVerifier:
         commented = ("theorem prob03 : 3 + 0 = 3 := by\n"
                      "  -- the simp-normal form closes this\n"
                      "  norm_num  -- done\n")
-        assert verifier.check(make_problem(3), commented) == ("verified", "")
+        assert check(verifier, make_problem(3), commented) == ("verified", "")
 
     def test_tactic_difference_rejected(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
         wrong = canonical_proof(3).replace("norm_num", "simp")
-        verdict, diagnostic = verifier.check(make_problem(3), wrong)
+        verdict, diagnostic = check(verifier, make_problem(3), wrong)
         assert verdict == "rejected"
         assert "'norm_num'" in diagnostic and "'simp'" in diagnostic
 
     def test_unknown_problem_rejected(self):
         verifier = MockVerifier({})
-        verdict, diagnostic = verifier.check(make_problem(9), "x := y")
+        verdict, diagnostic = check(verifier, make_problem(9), "x := y")
         assert verdict == "rejected"
         assert "prob09" in diagnostic
 
     def test_unlexable_proof_rejected_not_raised(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
-        verdict, diagnostic = verifier.check(make_problem(3), '"unterminated')
+        verdict, diagnostic = check(verifier, make_problem(3), '"unterminated')
         assert verdict == "rejected"
         assert "lex" in diagnostic
 
@@ -316,13 +324,13 @@ def checker_script(tmp_path):
 class TestExternalVerifier:
     def test_accepting_run(self, checker_script):
         verifier = ExternalVerifier(checker_script, timeout_s=30)
-        verdict, diagnostic = verifier.check(make_problem(3), canonical_proof(3))
+        verdict, diagnostic = check(verifier, make_problem(3), canonical_proof(3))
         assert (verdict, diagnostic) == ("verified", "")
 
     def test_rejection_captures_stderr(self, checker_script):
         verifier = ExternalVerifier(checker_script, timeout_s=30)
         bad = canonical_proof(3).replace("norm_num", "sorry")
-        verdict, diagnostic = verifier.check(make_problem(3), bad)
+        verdict, diagnostic = check(verifier, make_problem(3), bad)
         assert verdict == "rejected"
         assert diagnostic == "proof incomplete"
 
@@ -330,7 +338,7 @@ class TestExternalVerifier:
         verifier = ExternalVerifier(checker_script, timeout_s=30)
         bare = Problem(name="prob03", fl_statement="theorem prob03 : True :=",
                        nl_statement_and_proof="x", imports="")
-        verdict, diagnostic = verifier.check(bare, canonical_proof(3))
+        verdict, diagnostic = check(verifier, bare, canonical_proof(3))
         assert (verdict, diagnostic) == ("rejected", "missing imports")
 
     def test_timeout_raises(self, tmp_path):
@@ -338,7 +346,7 @@ class TestExternalVerifier:
         slow.write_text("import time; time.sleep(30)\n", encoding="utf-8")
         verifier = ExternalVerifier([sys.executable, str(slow)], timeout_s=0.3)
         with pytest.raises(VerifierTimeout, match="0.3"):
-            verifier.check(make_problem(0), canonical_proof(0))
+            check(verifier, make_problem(0), canonical_proof(0))
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
     def test_timeout_kills_checker_children(self, tmp_path):
@@ -349,7 +357,7 @@ class TestExternalVerifier:
                           encoding="utf-8")
         verifier = ExternalVerifier(["sh", str(script)], timeout_s=0.5)
         with pytest.raises(VerifierTimeout):
-            verifier.check(make_problem(0), canonical_proof(0))
+            check(verifier, make_problem(0), canonical_proof(0))
         pid = int(pid_file.read_text(encoding="utf-8"))
         try:
             deadline = time.monotonic() + 5.0
@@ -363,7 +371,7 @@ class TestExternalVerifier:
     def test_missing_command_crashes(self):
         verifier = ExternalVerifier(["/nonexistent-lean-checker"], timeout_s=5)
         with pytest.raises(VerifierCrashed):
-            verifier.check(make_problem(0), canonical_proof(0))
+            check(verifier, make_problem(0), canonical_proof(0))
 
     def test_command_validation(self):
         with pytest.raises(ValueError):
@@ -384,11 +392,29 @@ def process_running(pid):
 class ExplodingVerifier:
     name = "exploding"
 
-    def check(self, problem, proof_text):
+    def check(self, problem, proof_text, tokens):
         raise AssertionError("verifier must not be consulted")
 
 
 class TestEvaluateSample:
+    def test_each_sample_and_each_answer_key_lexed_once(self, monkeypatch):
+        lexed = []
+        lex_lean_unwrapped = corpus.lex_lean
+
+        def counting(source):
+            lexed.append(source)
+            return lex_lean_unwrapped(source)
+
+        monkeypatch.setattr(corpus, "lex_lean", counting)
+        key = canonical_proof(3)
+        verifier = MockVerifier({"prob03": key})
+        sample = key.replace("  norm_num", "  -- close it\n  norm_num")
+        for index in range(3):
+            attempt = evaluate_sample(make_problem(3), index, sample, verifier)
+            assert attempt.verdict == "verified"
+        # the screen and the verifier share one lex of each sample
+        assert lexed == [sample, key, sample, sample]
+
     def test_verified_sample(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
         attempt = evaluate_sample(make_problem(3), 0,
@@ -442,7 +468,7 @@ class TestEvaluateSample:
 
     def test_verifier_timeout_becomes_error_verdict(self):
         class Slow:
-            def check(self, problem, proof_text):
+            def check(self, problem, proof_text, tokens):
                 raise VerifierTimeout("verifier exceeded 1s")
 
         attempt = evaluate_sample(make_problem(3), 1, canonical_proof(3), Slow())
@@ -462,6 +488,7 @@ class CountingBackend:
 
 
 def config(**kwargs):
+    kwargs.setdefault("tokenizer", WhitespaceTokenizer())
     kwargs.setdefault("n_samples", 4)
     kwargs.setdefault("token_budget", 100_000)
     return HarnessConfig(**kwargs)

@@ -8,13 +8,13 @@ vocabulary tokenizer, that tokenizer's count of the whole text.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leanforge.corpus import strip_comments, token_divergence
+from leanforge.corpus import count_tactic_steps, lex_lean
 from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
@@ -35,6 +35,7 @@ from leanforge.trainprep import (
     save_training_set,
 )
 from fixtures.listings import MATHD_ALGEBRA_270, SQINEQ_COMMENTED
+from support import strip_comments, text_divergence
 
 
 def oracle_count(text):
@@ -355,6 +356,11 @@ class StubRecord:
     proof: str
     commented_proof: str
     generated_informal_statement_and_proof: str
+    # counted from the proof's tokens, as bootstrap.load_obt_dataset does
+    difficulty: int = field(init=False)
+
+    def __post_init__(self):
+        self.difficulty = count_tactic_steps(lex_lean(self.proof))
 
 
 def stub_corpus():
@@ -406,7 +412,7 @@ class TestEmitTrainingSet:
         for a, b in zip(with_boot, without):
             assert a.source_name == b.source_name
             assert a.target != b.target
-            assert token_divergence(a.target, b.target) is None
+            assert text_divergence(a.target, b.target) is None
             assert strip_comments(b.target) == b.target
 
     def test_curriculum_flag_off_preserves_input_order(self):
