@@ -300,6 +300,12 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         _require(v.seed_examples, "prove with a seed example file"),
         informalize.ExamplePair)]
     os.makedirs(config.workdir, exist_ok=True)
+    # A mock's scripted reply lists are served in call order, which only a
+    # serial caller keeps deterministic; a chat backend gets two problems
+    # per connection, so one can be checked while the other waits.
+    concurrency = 1
+    if config.backend.kind == "chat":
+        concurrency = 2 * config.backend.max_in_flight
     stage = prover.HarnessConfig(
         n_samples=(args.n_samples if args.n_samples is not None
                    else v.n_samples),
@@ -312,11 +318,13 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         tokenizer=make_tokenizer(config.prep),
         retry=make_retry(config.backend.retry, fork_seed(config.seed, "retry")),
         budget=make_budget(config.backend.budget),
+        concurrency=concurrency,
     )
     report = prover.run_iterative(
         problems, seed_pool, make_backend(config.backend),
         make_verifier(v), stage)
     prover.save_report(report, stage_path(config, "report"))
+    artifacts.write_jsonl(stage_path(config, "attempts"), report.attempts)
     print(prover.format_report_table(report))
     return 0
 

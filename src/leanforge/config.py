@@ -47,6 +47,7 @@ STAGE_FILES = {
     "train": "train.jsonl",
     "train_skips": "train_skips.jsonl",
     "report": "report.jsonl",
+    "attempts": "prove.attempts.jsonl",
     "sample": "sample.jsonl",
     "review": "review.txt",
 }
@@ -94,6 +95,7 @@ class BackendSettings:
     api_key_env: str = ""
     system_prompt: str = ""
     timeout: float = 120.0
+    max_in_flight: int = 2  # chat: open connections, at most
     temperature: float = 0.7
     max_new_tokens: int = 2048
     retry: RetrySettings = field(default_factory=RetrySettings)
@@ -292,6 +294,8 @@ def validate(config: PipelineConfig) -> List[str]:
         check(lambda: bool(b.model),
               "backend.model: required for chat backends")
     check(lambda: b.timeout > 0, "backend.timeout: must be positive")
+    check(lambda: isinstance(b.max_in_flight, int) and b.max_in_flight >= 1,
+          "backend.max_in_flight: must be an integer >= 1")
     check(lambda: b.temperature >= 0, "backend.temperature: must be >= 0")
     check(lambda: b.max_new_tokens >= 1,
           "backend.max_new_tokens: must be >= 1")
@@ -364,6 +368,7 @@ def make_backend(settings: BackendSettings):
             api_key_env=settings.api_key_env or None,
             system_prompt=settings.system_prompt,
             timeout=settings.timeout,
+            max_in_flight=settings.max_in_flight,
         )
     script: List[Tuple[str, object]] = []
     if settings.script:

@@ -322,8 +322,9 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
     """Pull top-level ``theorem``/``lemma`` declarations out of a Lean4 file.
 
     Declarations that appear inside comments or strings are ignored.  A header
-    without a name or without a ``:=`` proof boundary is skipped with a log
-    entry rather than raised, so one malformed declaration cannot sink a file.
+    without a name or without a ``:=`` proof boundary, or a proof that no
+    longer lexes once its comments are removed, is skipped with a log entry
+    rather than raised, so one malformed declaration cannot sink a file.
     """
     tokens = lex_lean(source)
     records: List[TheoremRecord] = []
@@ -456,14 +457,27 @@ def _extract_one(
 
     statement = source[keyword.start : statement_end]
     proof = source[keyword.start : last_sem_end]
+    try:
+        # the slice lexes exactly as the proof text does on its own
+        difficulty = count_tactic_steps(tokens[start_idx : last_sem + 1])
+    except LexError as exc:
+        # Removing the comments glued a new comment opener or quote together.
+        logger.warning(
+            "skipping declaration %r at offset %d in %s: its proof does not "
+            "lex with comments removed: %s",
+            name,
+            keyword.start,
+            file_path,
+            exc,
+        )
+        return None, end_idx
     record = TheoremRecord(
         name=name,
         statement=statement,
         proof=proof,
         file_path=file_path,
         commit=commit,
-        # the slice lexes exactly as the proof text does on its own
-        difficulty=count_tactic_steps(tokens[start_idx : last_sem + 1]),
+        difficulty=difficulty,
     )
     return record, end_idx
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import logging
 import os
 import random
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import requests
@@ -86,27 +87,88 @@ class GenerationBudget:
 
     Charged once per logical request, up front: prompt estimate plus the
     worst-case completion (max_new_tokens per sample).  Retries of a failed
-    attempt are not re-charged.
+    attempt are not re-charged.  Charges and reservations take one lock, so
+    concurrent callers see the ceilings exactly.
     """
 
     max_requests: Optional[int] = None
     max_tokens: Optional[int] = None
     requests_used: int = 0
     tokens_used: int = 0
+    requests_reserved: int = field(default=0, init=False)
+    tokens_reserved: int = field(default=0, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
 
     def charge(self, request: GenerationRequest) -> None:
-        cost = estimate_tokens(request.prompt) + request.max_new_tokens * request.n_samples
-        if self.max_requests is not None and self.requests_used + 1 > self.max_requests:
-            raise BudgetExceeded(
-                f"request ceiling {self.max_requests} reached"
-            )
-        if self.max_tokens is not None and self.tokens_used + cost > self.max_tokens:
-            raise BudgetExceeded(
-                f"token ceiling {self.max_tokens} would be exceeded "
-                f"({self.tokens_used} used, next request needs ~{cost})"
-            )
-        self.requests_used += 1
-        self.tokens_used += cost
+        cost = _cost(request)
+        with self._lock:
+            if self.max_requests is not None and (
+                    self.requests_used + self.requests_reserved + 1 > self.max_requests):
+                raise BudgetExceeded(
+                    f"request ceiling {self.max_requests} reached"
+                )
+            if self.max_tokens is not None and (
+                    self.tokens_used + self.tokens_reserved + cost > self.max_tokens):
+                raise BudgetExceeded(
+                    f"token ceiling {self.max_tokens} would be exceeded "
+                    f"({self.tokens_used} used, next request needs ~{cost})"
+                )
+            self.requests_used += 1
+            self.tokens_used += cost
+
+    def reserve(self, requests: int, tokens: int) -> Optional["Reservation"]:
+        """Set aside ``requests`` and ``tokens`` for one caller, or return
+        None when they do not fit under the ceilings beside what is used
+        and reserved already."""
+        with self._lock:
+            if self.max_requests is not None and (
+                    self.requests_used + self.requests_reserved + requests
+                    > self.max_requests):
+                return None
+            if self.max_tokens is not None and (
+                    self.tokens_used + self.tokens_reserved + tokens > self.max_tokens):
+                return None
+            self.requests_reserved += requests
+            self.tokens_reserved += tokens
+        return Reservation(self, requests, tokens)
+
+
+class Reservation:
+    """Budget set aside by ``GenerationBudget.reserve``.
+
+    Passed to ``complete`` in place of the budget: each charge moves its cost
+    from reserved to used and fails only past the reservation. ``release``
+    hands back what was not charged.
+    """
+
+    def __init__(self, budget: GenerationBudget, requests: int, tokens: int):
+        self.budget = budget
+        self.requests = requests
+        self.tokens = tokens
+
+    def charge(self, request: GenerationRequest) -> None:
+        cost = _cost(request)
+        if self.requests < 1 or cost > self.tokens:
+            raise BudgetExceeded("request exceeds its reservation")
+        with self.budget._lock:
+            self.requests -= 1
+            self.tokens -= cost
+            self.budget.requests_reserved -= 1
+            self.budget.tokens_reserved -= cost
+            self.budget.requests_used += 1
+            self.budget.tokens_used += cost
+
+    def release(self) -> None:
+        with self.budget._lock:
+            self.budget.requests_reserved -= self.requests
+            self.budget.tokens_reserved -= self.tokens
+            self.requests = self.tokens = 0
+
+
+def _cost(request: GenerationRequest) -> int:
+    """Tokens a budget charges for ``request``."""
+    return estimate_tokens(request.prompt) + request.max_new_tokens * request.n_samples
 
 
 @dataclass
@@ -230,10 +292,15 @@ class MockBackend:
 class ChatCompletionBackend:
     """Adapter for chat-completion HTTP services.
 
-    Wire format: POST {model, messages, temperature, n, max_tokens[, stop]}
-    to the endpoint; reply {choices: [{message: {content}, finish_reason}]}.
+    Wire format: POST {model, messages, temperature, n, max_tokens} to the
+    endpoint; reply {choices: [{message: {content}, finish_reason}]}.
     The bearer token comes from the environment variable named by
     api_key_env; a missing key surfaces as BackendUnavailable at call time.
+
+    All calls share one keep-alive session whose connection pool holds at
+    most ``max_in_flight`` connections and blocks when they are all busy,
+    so concurrent callers never open more; a call's latency includes the
+    wait for a free connection.
     """
 
     def __init__(
@@ -243,16 +310,22 @@ class ChatCompletionBackend:
         api_key_env: Optional[str] = None,
         system_prompt: str = "",
         timeout: float = 120.0,
-        session=None,
+        max_in_flight: int = 2,
         name: Optional[str] = None,
     ):
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
         self.system_prompt = system_prompt
         self.timeout = timeout
         self.name = name or model
-        self._session = session or requests.Session()
+        self._session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(
+            pool_maxsize=max_in_flight, pool_block=True)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}

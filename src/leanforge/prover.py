@@ -5,7 +5,7 @@ proofs per unproved problem, and checks every sample. Proofs the verifier
 accepts join the example pool for the next round, so later rounds prompt
 with solved problems from the same dataset. The pool is frozen while a
 round runs; all growth is committed between rounds, which keeps a round's
-problems order-independent.
+problems independent, so several of them can be in flight at once.
 """
 
 import logging
@@ -14,7 +14,8 @@ import re
 import signal
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
@@ -23,8 +24,10 @@ from .genclient import (
     GenClientError,
     GenerationBudget,
     GenerationRequest,
+    Reservation,
     RetryPolicy,
     complete,
+    estimate_tokens,
 )
 from .prompts import example_block, proof_prompt
 from .trainprep import fit_blocks
@@ -80,6 +83,15 @@ class Problem:
         if not self.fl_statement:
             raise ValueError(f"problem {self.name}: fl_statement must be nonempty")
 
+    @cached_property
+    def statement_texts(self) -> Optional[List[str]]:
+        """The statement's semantic token texts, lexed on first use; None
+        when the statement does not lex."""
+        tokens = _lex_or_none(self.fl_statement)
+        if tokens is None:
+            return None
+        return [t.text for t in tokens if t.kind in corpus.SEMANTIC_KINDS]
+
 
 @dataclass(frozen=True)
 class ProofAttempt:
@@ -115,6 +127,7 @@ class IterationState:
     unproved: FrozenSet[str]
     budget_used: int
     first_success: Dict[str, Tuple[int, int]]
+    attempts: Tuple[dict, ...] = ()  # attempt log lines of every round run
 
     def __post_init__(self):
         if self.round < 1:
@@ -139,6 +152,8 @@ class HarnessReport:
     rounds: Tuple[RoundSummary, ...]
     proved: Dict[str, str]
     first_success: Dict[str, Tuple[int, int]]
+    # The attempt log; it is written to its own file, not to the report.
+    attempts: Tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def cumulative_rate(self) -> float:
@@ -156,10 +171,13 @@ class HarnessConfig:
     temperature: float = 0.7
     retry: Optional[RetryPolicy] = None
     budget: Optional[GenerationBudget] = None
+    concurrency: int = 1  # problems in flight
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         lo, hi = self.k_range
@@ -279,18 +297,28 @@ def _lex_or_none(proof: str) -> Optional[List[LeanToken]]:
         return None
 
 
-def screen_proof(proof: str, tokens: Optional[Sequence[LeanToken]]) -> Optional[str]:
+def screen_proof(
+    problem: Problem, proof: str, tokens: Optional[Sequence[LeanToken]]
+) -> Optional[str]:
     """The diagnostic for a proof no checker should be asked about, else None.
 
-    ``tokens`` is ``_lex_or_none(proof)``. Rejects Lean3 leftovers and code
-    tokens that use ``sorry`` or ``admit``; comments and string literals are
-    not code. A proof that does not lex gets only the regex Lean3 scan and
-    is otherwise left to the verifier.
+    ``tokens`` is ``_lex_or_none(proof)``. Rejects Lean3 leftovers, code
+    tokens that use ``sorry`` or ``admit``, and a proof whose semantic
+    tokens do not begin with those of the problem's statement (a checker
+    would accept a proof of an easier statement under the same name);
+    comments and string literals are not code. A proof that does not lex
+    gets only the regex Lean3 scan and is otherwise left to the verifier.
     """
     patterns = [f.pattern for f in corpus.detect_lean3_artifacts(proof, tokens)]
-    if any(t.kind is corpus.TokenKind.CODE and _PLACEHOLDER.search(t.text)
-           for t in tokens or ()):
-        patterns.append("sorry")
+    if tokens is not None:
+        if any(t.kind is corpus.TokenKind.CODE and _PLACEHOLDER.search(t.text)
+               for t in tokens):
+            patterns.append("sorry")
+        statement = problem.statement_texts
+        if statement is not None:
+            head = [t.text for t in tokens if t.kind in corpus.SEMANTIC_KINDS]
+            if head[:len(statement)] != statement:
+                patterns.append("statement changed")
     if not patterns:
         return None
     return "pre-verification screen: " + ", ".join(patterns)
@@ -403,7 +431,7 @@ def evaluate_sample(
         return ProofAttempt(problem.name, sample_index, generated_text, "",
                             "rejected", str(exc))
     tokens = _lex_or_none(proof)
-    screened = screen_proof(proof, tokens)
+    screened = screen_proof(problem, proof, tokens)
     if screened:
         return ProofAttempt(problem.name, sample_index, generated_text, proof,
                             "rejected", screened)
@@ -419,6 +447,58 @@ def evaluate_sample(
 # --- the iteration loop --------------------------------------------------------
 
 
+DIAGNOSTIC_CHARS = 200  # diagnostic length kept in the attempt log
+
+
+def _prove_problem(
+    problem: Problem,
+    prompt: str,
+    round_number: int,
+    backend,
+    verifier,
+    config: HarnessConfig,
+    budget,
+) -> Tuple[int, List[dict], Optional[ProofAttempt]]:
+    """Sample ``problem`` until the first verified proof or ``n_samples``.
+
+    ``budget`` is what ``complete`` charges: None, the shared budget, or a
+    reservation on it, released on return. Returns the samples drawn, their
+    attempt log lines and the verified attempt, if any.
+    """
+    log: List[dict] = []
+    try:
+        for sample_index in range(config.n_samples):
+            request = GenerationRequest(
+                prompt=prompt,
+                max_new_tokens=config.max_new_tokens,
+                temperature=config.temperature,
+                n_samples=1,
+                request_id=f"prove:{problem.name}:r{round_number}:s{sample_index}",
+            )
+            try:
+                response = complete(request, backend, retry=config.retry,
+                                    budget=budget)
+            except GenClientError as exc:
+                logger.warning("generation for %s stopped at sample %d: %s",
+                               problem.name, sample_index, exc)
+                return sample_index, log, None
+            attempt = evaluate_sample(
+                problem, sample_index, response.samples[0], verifier)
+            log.append({
+                "problem": problem.name,
+                "round": round_number,
+                "sample_index": sample_index,
+                "verdict": attempt.verdict,
+                "diagnostic": attempt.diagnostic[:DIAGNOSTIC_CHARS],
+            })
+            if attempt.verdict == "verified":
+                return sample_index + 1, log, attempt
+        return config.n_samples, log, None
+    finally:
+        if isinstance(budget, Reservation):
+            budget.release()
+
+
 def run_iteration(
     state: IterationState,
     problems: Sequence[Problem],
@@ -431,60 +511,84 @@ def run_iteration(
     Sampling stops early per problem on the first verified proof. The
     example pool visible to prompts is the one the round started with;
     newly verified proofs only join it in the returned state.
+
+    Up to ``config.concurrency`` problems are in flight at once, each with
+    the sample sequence a serial run gives it, and results are committed in
+    problem order. With a budget, each problem first reserves its worst case
+    in problem order; one whose reservation does not fit waits for every
+    earlier problem and runs alone against the shared budget, so a run that
+    hits a ceiling stops at the samples a serial run stops at.
     """
-    newly: List[Tuple[Problem, str, int]] = []
-    budget_used = state.budget_used
-    for problem in problems:
-        if problem.name not in state.unproved:
-            continue
-        try:
-            prompt = assemble_proof_prompt(
-                problem, state.example_pool, config.k_range, config.tokenizer,
-                config.token_budget)
-        except PromptExceedsBudget as exc:
-            logger.warning("skipping %s this round: %s", problem.name, exc)
-            continue
-        for sample_index in range(config.n_samples):
-            request = GenerationRequest(
-                prompt=prompt,
-                max_new_tokens=config.max_new_tokens,
-                temperature=config.temperature,
-                n_samples=1,
-                request_id=f"prove:{problem.name}:r{state.round}:s{sample_index}",
-            )
+    # Imported here: the CLI's start-up does not pay for the thread pool.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    futures = []
+    pending = set()
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        for problem in problems:
+            if problem.name not in state.unproved:
+                continue
             try:
-                response = complete(request, backend, retry=config.retry,
-                                    budget=config.budget)
-            except GenClientError as exc:
-                logger.warning("generation for %s stopped at sample %d: %s",
-                               problem.name, sample_index, exc)
-                break
-            budget_used += 1
-            attempt = evaluate_sample(
-                problem, sample_index, response.samples[0], verifier)
-            if attempt.verdict == "verified":
-                newly.append((problem, attempt.extracted_proof, sample_index))
-                break
+                prompt = assemble_proof_prompt(
+                    problem, state.example_pool, config.k_range, config.tokenizer,
+                    config.token_budget)
+            except PromptExceedsBudget as exc:
+                logger.warning("skipping %s this round: %s", problem.name, exc)
+                continue
+            while len(pending) >= config.concurrency:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()  # a failed problem stops the round
+            budget, alone = config.budget, False
+            if budget is not None:
+                reservation = budget.reserve(
+                    config.n_samples,
+                    config.n_samples * (estimate_tokens(prompt) + config.max_new_tokens))
+                alone = reservation is None
+                if alone:
+                    # Once every earlier problem is done, the budget is what
+                    # a serial run would see here.
+                    wait(pending)
+                    pending = set()
+                else:
+                    budget = reservation
+            future = pool.submit(_prove_problem, problem, prompt, state.round,
+                                 backend, verifier, config, budget)
+            futures.append((problem, future))
+            if alone:
+                future.result()  # later problems start after it
+            else:
+                pending.add(future)
+    results = [(problem, future.result()) for problem, future in futures]
 
     proved = dict(state.proved)
     first_success = dict(state.first_success)
-    pool = list(state.example_pool)
-    for problem, proof, sample_index in newly:
-        proved[problem.name] = proof
-        first_success[problem.name] = (state.round, sample_index)
-        pool.append(PoolExample(
+    pool_examples = list(state.example_pool)
+    attempts = list(state.attempts)
+    budget_used = state.budget_used
+    newly = set()
+    for problem, (drawn, log, verified) in results:
+        budget_used += drawn
+        attempts.extend(log)
+        if verified is None:
+            continue
+        newly.add(problem.name)
+        proved[problem.name] = verified.extracted_proof
+        first_success[problem.name] = (state.round, verified.sample_index)
+        pool_examples.append(PoolExample(
             name=problem.name,
             nl=problem.nl_statement_and_proof,
-            fl=proof,
+            fl=verified.extracted_proof,
             source=f"round {state.round}",
         ))
     return IterationState(
         round=state.round + 1,
-        example_pool=tuple(pool),
+        example_pool=tuple(pool_examples),
         proved=proved,
-        unproved=state.unproved - {p.name for p, _, _ in newly},
+        unproved=state.unproved - newly,
         budget_used=budget_used,
         first_success=first_success,
+        attempts=tuple(attempts),
     )
 
 
@@ -519,6 +623,7 @@ def run_iterative(
         rounds=tuple(rounds),
         proved=dict(state.proved),
         first_success=dict(state.first_success),
+        attempts=state.attempts,
     )
 
 
@@ -569,7 +674,7 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
         if problem is None:
             raise ReportInvalid(f"{path}:{lineno}: unknown problem {name}")
         tokens = _lex_or_none(entry["proof"])
-        diagnostic = screen_proof(entry["proof"], tokens)
+        diagnostic = screen_proof(problem, entry["proof"], tokens)
         if diagnostic is None:
             verdict, diagnostic = verifier.check(problem, entry["proof"], tokens)
         else:

@@ -15,7 +15,7 @@ import yaml
 import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
-from leanforge import cli, corpus, genclient, retrieval, trainprep
+from leanforge import cli, corpus, genclient, prover, retrieval, trainprep
 from leanforge.config import (
     ConfigError,
     fork_seed,
@@ -98,6 +98,13 @@ class TestConfig:
             tmp_path / "c.yaml",
             {"corpus": {"path": "${PIPELINE_TEST_UNSET}/src"}})
         with pytest.raises(ConfigError, match="PIPELINE_TEST_UNSET"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "two"])
+    def test_max_in_flight_must_be_a_positive_integer(self, tmp_path, value):
+        path = write_yaml(
+            tmp_path / "c.yaml", {"backend": {"max_in_flight": value}})
+        with pytest.raises(ConfigError, match="backend.max_in_flight"):
             load_config(path)
 
     def test_literal_api_key_rejected(self, tmp_path):
@@ -683,6 +690,7 @@ PIPELINE_ARTIFACTS = [
     "train.jsonl",
     "train_skips.jsonl",
     "report.jsonl",
+    "prove.attempts.jsonl",
     "sample.jsonl",
 ]
 
@@ -831,6 +839,48 @@ class TestPipelineEndToEnd:
         assert run(["prove", "-c", config, "--max-rounds", "1"]) == 0
         header = read_jsonl(workdir / "report.jsonl")[0]
         assert len(header["rounds"]) == 1
+
+
+class TestProveConcurrency:
+    def problems_in_flight(self, monkeypatch, argv):
+        seen = []
+
+        def recording(problems, seed_pool, backend, verifier, config):
+            seen.append(config.concurrency)
+            return prover.HarnessReport(problems_total=len(problems), rounds=(),
+                                        proved={}, first_success={})
+
+        monkeypatch.setattr(prover, "run_iterative", recording)
+        assert run(argv) == 0
+        return seen
+
+    def test_mock_backend_runs_one_problem_at_a_time(self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        config = pipeline_config(tmp_path, fixture, tmp_path / "run")
+        assert self.problems_in_flight(monkeypatch, ["prove", "-c", config]) == [1]
+
+    def test_chat_backend_runs_two_problems_per_connection(
+            self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        config = pipeline_config(tmp_path, fixture, tmp_path / "run")
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"] = {"kind": "chat", "endpoint": "http://127.0.0.1:9/v1",
+                               "model": "m", "max_in_flight": 3}
+        chat = write_yaml(tmp_path / "chat.yaml", settings)
+        assert self.problems_in_flight(monkeypatch, ["prove", "-c", chat]) == [6]
+
+    def test_attempt_log_has_one_line_per_sample(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        assert run(["prove", "-c", config]) == 0
+        header = read_jsonl(workdir / "report.jsonl")[0]
+        lines = read_jsonl(workdir / "prove.attempts.jsonl")
+        assert len(lines) == header["rounds"][-1]["budget_used"]
+        assert [(a["problem"], a["round"], a["sample_index"], a["verdict"])
+                for a in lines] == [("demo_add_comm", 1, 0, "verified"),
+                                    ("demo_sub_self", 1, 0, "verified")]
 
 
 # --- lexing budget per stage -------------------------------------------------------

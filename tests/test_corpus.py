@@ -290,6 +290,17 @@ class TestExtractTheorems:
         records = extract_theorems(listings.MATHD_ALGEBRA_338, "x.lean", "c")
         assert records[0].difficulty == steps(records[0].proof)
 
+    def test_proof_unlexable_without_comments_skips_only_its_declaration(
+            self, caplog):
+        # removing `/- half -/` glues `/` and `-b` into an unclosed `/-`
+        src = ("theorem ok : 1 = 1 := rfl\n\n"
+               "theorem t : 2 = 2 := by\n  simp [a //- half -/-b]\n")
+        with caplog.at_level("WARNING", logger="leanforge.corpus"):
+            records = extract_theorems(src, "x.lean", "c")
+        assert [r.name for r in records] == ["ok"]
+        (message,) = caplog.messages
+        assert "'t' at offset 27 in x.lean" in message
+
     def test_attribute_line_bounds_declaration(self):
         src = "theorem t : 1 = 1 := rfl\n\n@[simp]\ntheorem u : 2 = 2 := rfl\n"
         records = extract_theorems(src, "x.lean", "c")

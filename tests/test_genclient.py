@@ -3,6 +3,8 @@
 import http.server
 import json
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,6 +21,15 @@ from leanforge.genclient import (
     complete,
     estimate_tokens,
 )
+from leanforge.prover import (
+    HarnessConfig,
+    MockVerifier,
+    PoolExample,
+    Problem,
+    initial_state,
+    run_iteration,
+)
+from leanforge.trainprep import WhitespaceTokenizer
 from fixtures.listings import SQINEQ_COMMENTED
 
 
@@ -211,6 +222,61 @@ class TestComplete:
         assert budget.requests_used == 1
 
 
+class TestReservations:
+    def test_reservation_counts_against_the_ceilings(self):
+        budget = GenerationBudget(max_requests=5, max_tokens=1000)
+        first = budget.reserve(3, 300)
+        assert first is not None
+        assert budget.reserve(3, 300) is None  # 6 requests > 5
+        assert budget.reserve(2, 701) is None  # 1001 tokens > 1000
+        second = budget.reserve(2, 700)
+        with pytest.raises(BudgetExceeded):
+            complete(GenerationRequest(prompt="p", max_new_tokens=1),
+                     MockBackend(), budget=budget)
+        assert (budget.requests_used, budget.requests_reserved) == (0, 5)
+        second.release()
+        first.release()
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+
+    def test_charges_move_from_reserved_to_used(self):
+        budget = GenerationBudget(max_requests=4, max_tokens=1000)
+        request = GenerationRequest(prompt="x" * 40, max_new_tokens=90)
+        reservation = budget.reserve(2, 200)
+        complete(request, MockBackend(), budget=reservation)
+        assert (budget.requests_used, budget.tokens_used) == (1, 100)
+        assert (budget.requests_reserved, budget.tokens_reserved) == (1, 100)
+        reservation.release()
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+        assert (budget.requests_used, budget.tokens_used) == (1, 100)
+
+    def test_charge_past_the_reservation_refused(self):
+        budget = GenerationBudget()
+        reservation = budget.reserve(1, 100)
+        request = GenerationRequest(prompt="x" * 40, max_new_tokens=90)
+        complete(request, MockBackend(), budget=reservation)
+        with pytest.raises(BudgetExceeded, match="reservation"):
+            complete(request, MockBackend(), budget=reservation)
+        assert budget.requests_used == 1
+
+    def test_concurrent_charges_respect_the_ceiling(self):
+        budget = GenerationBudget(max_requests=50)
+        request = GenerationRequest(prompt="p")
+
+        def charge_all(_):
+            taken = 0
+            for _ in range(40):
+                try:
+                    budget.charge(request)
+                    taken += 1
+                except BudgetExceeded:
+                    pass
+            return taken
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            taken = sum(pool.map(charge_all, range(4)))
+        assert taken == budget.requests_used == 50
+
+
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     """Chat-completion endpoint; the path picks the failure mode."""
 
@@ -345,7 +411,89 @@ class TestChatCompletionBackend:
         with pytest.raises(MalformedBackendReply, match="requested 2"):
             backend.generate(GenerationRequest(prompt="p", n_samples=2))
 
+    def test_max_in_flight_validated(self):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            ChatCompletionBackend("http://127.0.0.1:9/ok", model="m",
+                                  max_in_flight=0)
+
     def test_connection_refused_is_unavailable(self):
         backend = ChatCompletionBackend("http://127.0.0.1:9/ok", model="m", timeout=0.5)
         with pytest.raises(BackendUnavailable):
             backend.generate(GenerationRequest(prompt="p"))
+
+
+class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
+    """Chat endpoint that keeps each connection open until it idles out."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(0.005)
+        body = json.dumps({"choices": [
+            {"message": {"content": "no proof here"}, "finish_reason": "stop"}
+        ]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _PooledServer(http.server.HTTPServer):
+    """Serves connections on a fixed number of handler threads, as a server
+    behind a worker pool does: a connection holds its thread until it closes
+    or idles out, and a connection beyond the pool waits for a free thread.
+    Counts the connections it accepts."""
+
+    def __init__(self, workers, idle_s):
+        handler = type("Handler", (_KeepAliveHandler,), {"timeout": idle_s})
+        super().__init__(("127.0.0.1", 0), handler)
+        self.accepted = 0
+        self.workers = ThreadPoolExecutor(max_workers=workers)
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        self.workers.submit(self._serve, request, client_address)
+
+    def _serve(self, request, client_address):
+        try:
+            self.finish_request(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+
+class TestConnectionBound:
+    IDLE_S = 3.0
+
+    def test_round_never_opens_more_connections_than_max_in_flight(self):
+        server = _PooledServer(workers=2, idle_s=self.IDLE_S)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        backend = ChatCompletionBackend(
+            f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+            model="m", max_in_flight=2)
+        problems = [Problem(name=f"p{i}", fl_statement=f"theorem p{i} : True :=")
+                    for i in range(6)]
+        seeds = [PoolExample("seed", "Statement: s.", "theorem seed : True := trivial")]
+        config = HarnessConfig(tokenizer=WhitespaceTokenizer(), n_samples=2,
+                               k_range=(1, 1), concurrency=4)
+        try:
+            started = time.perf_counter()
+            state = run_iteration(initial_state(problems, seeds), problems,
+                                  backend, MockVerifier({}), config)
+            elapsed = time.perf_counter() - started
+        finally:
+            backend._session.close()
+            server.shutdown()
+            server.workers.shutdown()
+            server.server_close()
+            thread.join()
+        assert state.budget_used == 12
+        assert server.accepted <= 2
+        # a third connection would wait for an idle one to time out
+        assert elapsed < self.IDLE_S / 3

@@ -12,7 +12,12 @@ import time
 import pytest
 
 from leanforge import corpus
-from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
+from leanforge.genclient import (
+    BackendUnavailable,
+    GenerationBudget,
+    MockBackend,
+    RetryPolicy,
+)
 from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
     ExternalVerifier,
@@ -104,6 +109,10 @@ class TestDomainTypes:
             IterationState(round=1, example_pool=(), proved={"a": "x"},
                            unproved=frozenset({"a"}), budget_used=0,
                            first_success={})
+
+    def test_concurrency_validated(self):
+        with pytest.raises(ValueError, match="concurrency"):
+            config(concurrency=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -409,11 +418,13 @@ class TestEvaluateSample:
         key = canonical_proof(3)
         verifier = MockVerifier({"prob03": key})
         sample = key.replace("  norm_num", "  -- close it\n  norm_num")
+        problem = make_problem(3)
         for index in range(3):
-            attempt = evaluate_sample(make_problem(3), index, sample, verifier)
+            attempt = evaluate_sample(problem, index, sample, verifier)
             assert attempt.verdict == "verified"
-        # the screen and the verifier share one lex of each sample
-        assert lexed == [sample, key, sample, sample]
+        # the screen and the verifier share one lex of each sample; the
+        # statement is lexed once per problem, the answer key once
+        assert lexed == [sample, problem.fl_statement, key, sample, sample]
 
     def test_verified_sample(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
@@ -464,6 +475,26 @@ class TestEvaluateSample:
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
         attempt = evaluate_sample(problem, 0, sample, ExternalVerifier(["true"]))
+        assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
+
+    @pytest.mark.parametrize("statement", [
+        "theorem prob03 : True :=",
+        "theorem prob03 (h : False) : 3 + 0 = 3 :=",
+        "theorem prob03 : 3 + 0 = 3 ∨ True :=",
+        "lemma prob03 : 3 + 0 = 3 :=",
+    ])
+    def test_changed_statement_rejected_before_verification(self, statement):
+        sample = f"{statement} by\n  norm_num\n"
+        attempt = evaluate_sample(make_problem(3), 0, sample,
+                                  ExternalVerifier(["true"]))
+        assert (attempt.verdict, attempt.diagnostic) == (
+            "rejected", "pre-verification screen: statement changed")
+
+    def test_statement_layout_and_comments_are_free(self):
+        sample = ("theorem prob03 :\n    3 + 0 -- the sum\n    = 3 :=\n"
+                  "  /- by evaluation -/ by\n  norm_num\n")
+        attempt = evaluate_sample(make_problem(3), 0, sample,
+                                  ExternalVerifier(["true"]))
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     def test_verifier_timeout_becomes_error_verdict(self):
@@ -767,6 +798,114 @@ class TestRandomizedScenarios:
                 len(problems) * n_samples * max_rounds)
 
 
+class JitteredBackend:
+    """``ScenarioBackend`` answering after a seeded 0-3 ms pause per request,
+    so concurrent problems finish in a shuffled order."""
+
+    name = "jittered"
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.seed = seed
+
+    def generate(self, request):
+        rng = random.Random(f"{self.seed}:{request.request_id}")
+        time.sleep(rng.uniform(0.0, 0.003))
+        return self.inner.generate(request)
+
+
+class TestConcurrentRounds:
+    def run(self, scenario, concurrency, seed, **ceilings):
+        problems, gates, proofs, max_rounds, n_samples = scenario
+        budget = GenerationBudget(**ceilings)
+        report = run_iterative(
+            problems, seed_examples(2),
+            JitteredBackend(ScenarioBackend(gates, proofs), seed),
+            MockVerifier(proofs),
+            config(max_rounds=max_rounds, n_samples=n_samples,
+                   max_new_tokens=64, budget=budget, concurrency=concurrency))
+        return report, report.attempts, budget.requests_used, budget.tokens_used
+
+    def test_reports_budgets_and_attempt_logs_match_serial(self):
+        rng = random.Random(97)
+        bound = 0
+        for trial in range(8):
+            problems, gates, proofs = random_scenario(rng)
+            scenario = (problems, gates, proofs, rng.randint(1, 3),
+                        rng.randint(1, 3))
+            serial = self.run(scenario, 1, trial)
+            requests, tokens = serial[2], serial[3]
+            assert self.run(scenario, 4, trial) == serial, trial
+            for ceilings in ({"max_requests": rng.randint(1, requests)},
+                             {"max_tokens": rng.randint(1, tokens)}):
+                serial = self.run(scenario, 1, trial, **ceilings)
+                assert self.run(scenario, 4, trial, **ceilings) == serial, (
+                    trial, ceilings)
+                bound += serial[2] < requests
+        assert bound >= 8  # most ceilings stop the run early
+
+    def test_attempt_log_lines(self):
+        problems = [make_problem(0), make_problem(1)]
+        bad = "theorem prob00 : True := by\n  trivial\n"
+        backend = MockBackend(script=[
+            ("theorem prob00 : 0 + 0 = 0 :=\n", [bad, canonical_proof(0)]),
+        ])
+        verifier = MockVerifier({"prob00": canonical_proof(0)})
+        report = run_iterative(problems, seed_examples(1), backend, verifier,
+                               config(n_samples=2, max_rounds=1))
+        assert report.attempts == (
+            {"problem": "prob00", "round": 1, "sample_index": 0,
+             "verdict": "rejected",
+             "diagnostic": "pre-verification screen: statement changed"},
+            {"problem": "prob00", "round": 1, "sample_index": 1,
+             "verdict": "verified", "diagnostic": ""},
+            {"problem": "prob01", "round": 1, "sample_index": 0,
+             "verdict": "rejected",
+             "diagnostic": "no fenced or theorem-headed region declaring prob01"},
+            {"problem": "prob01", "round": 1, "sample_index": 1,
+             "verdict": "rejected",
+             "diagnostic": "no fenced or theorem-headed region declaring prob01"},
+        )
+
+    def test_long_diagnostics_are_cut(self):
+        class Verbose:
+            def check(self, problem, proof_text, tokens):
+                return "rejected", "x" * 500
+
+        problems = [make_problem(0)]
+        backend = MockBackend(default_text=canonical_proof(0))
+        report = run_iterative(problems, seed_examples(1), backend, Verbose(),
+                               config(n_samples=1, max_rounds=1))
+        assert [a["diagnostic"] for a in report.attempts] == ["x" * 200]
+
+    def test_failing_problem_fails_the_round(self):
+        class Broken:
+            name = "broken"
+
+            def generate(self, request):
+                raise RuntimeError("backend bug")
+
+        problems = [make_problem(i) for i in range(3)]
+        state = initial_state(problems, seed_examples(1))
+        with pytest.raises(RuntimeError, match="backend bug"):
+            run_iteration(state, problems, Broken(), MockVerifier({}),
+                          config(concurrency=2))
+
+    def test_reservations_are_returned(self):
+        problems = [make_problem(i) for i in range(5)]
+        state = initial_state(problems, seed_examples(1))
+        budget = GenerationBudget(max_requests=11)
+        backend = MockBackend(default_text=canonical_proof(0))
+        new = run_iteration(state, problems, backend, MockVerifier({}),
+                            config(n_samples=4, budget=budget, concurrency=3))
+        # two problems reserve their 4 requests each; the third cannot and
+        # runs alone on the 3 left, as a serial run would
+        assert new.budget_used == budget.requests_used == 11
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+        assert [a["problem"] for a in new.attempts] == (
+            ["prob00"] * 4 + ["prob01"] * 4 + ["prob02"] * 3)
+
+
 class TestReports:
     def round_trip(self, tmp_path):
         problems, seeds, backend, verifier = two_round_setup()
@@ -800,6 +939,17 @@ class TestReports:
         path = tmp_path / "report.jsonl"
         save_report(report, str(path))
         with pytest.raises(ReportInvalid, match="pre-verification screen: sorry"):
+            load_report(str(path), [problem], ExternalVerifier(["true"]))
+
+    def test_changed_statement_rejected_on_load(self, tmp_path):
+        problem = make_problem(3)
+        report = HarnessReport(
+            problems_total=1, rounds=(), proved={
+                "prob03": "theorem prob03 : True := by\n  trivial\n"},
+            first_success={"prob03": (1, 0)})
+        path = tmp_path / "report.jsonl"
+        save_report(report, str(path))
+        with pytest.raises(ReportInvalid, match="statement changed"):
             load_report(str(path), [problem], ExternalVerifier(["true"]))
 
     def test_unknown_problem_rejected(self, tmp_path):
