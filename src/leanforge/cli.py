@@ -56,11 +56,15 @@ def _load(path: str, cls) -> list:
                 and f.default_factory is dataclasses.MISSING]
     out = []
     for line in artifacts.read_jsonl(path):
-        for key in required:
-            if key not in line.entry:
-                raise ValueError(f"{path}:{line.lineno}: entry has no {key!r} field")
+        _require_fields(path, line, required)
         out.append(cls(**{key: line.entry[key] for key in names if key in line.entry}))
     return out
+
+
+def _require_fields(path: str, line: artifacts.Line, keys) -> None:
+    for key in keys:
+        if key not in line.entry:
+            raise ValueError(f"{path}:{line.lineno}: entry has no {key!r} field")
 
 
 # --- extract ---------------------------------------------------------------------
@@ -125,19 +129,28 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 
 
 def _load_pairs(path: str, dimension: int):
-    """Pair file entries hold either nl/fl texts or precomputed vectors."""
-    entries = [line.entry for line in artifacts.read_jsonl(path)]
-    texts = [e for e in entries if "nl" in e]
-    if texts:
+    """Pair file entries hold either nl/fl texts or nl_vector/fl_vector
+    vectors of ``dimension`` floats; the first entry sets the format for
+    the whole file."""
+    lines = artifacts.read_jsonl(path)
+    text = bool(lines) and "nl" in lines[0].entry
+    keys = ("nl", "fl") if text else ("nl_vector", "fl_vector")
+    for line in lines:
+        _require_fields(path, line, keys)
+    if text:
         embedder = retrieval.HashEmbedder(dimension)
-        nl_vectors = embedder.embed([e["nl"] for e in entries])
-        fl_vectors = embedder.embed([e["fl"] for e in entries])
+        nl_vectors = embedder.embed([line.entry["nl"] for line in lines])
+        fl_vectors = embedder.embed([line.entry["fl"] for line in lines])
         return list(zip(nl_vectors, fl_vectors))
-    return [
-        (retrieval.embedding([float(x) for x in e["nl_vector"]]),
-         retrieval.embedding([float(x) for x in e["fl_vector"]]))
-        for e in entries
-    ]
+
+    def vector(line: artifacts.Line, key: str):
+        values = retrieval.embedding([float(x) for x in line.entry[key]])
+        if values.shape[0] != dimension:
+            raise ValueError(f"{path}:{line.lineno}: {key} has {values.shape[0]} values, "
+                             f"expected retrieval.dimension {dimension}")
+        return values
+
+    return [(vector(line, "nl_vector"), vector(line, "fl_vector")) for line in lines]
 
 
 def cmd_train_retriever(args, config: PipelineConfig) -> int:

@@ -306,7 +306,9 @@ def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[str, 
     if qnorm == 0.0:
         raise ZeroNormQuery("projected query has zero norm")
     sims = index.vectors @ projected / (index.norms * qnorm)
-    order = sorted(range(len(index)), key=lambda i: (-sims[i], index.ids[i]))
+    # The last key sorts first. Object ids compare as Python strings, which a
+    # fixed-width unicode array would not (it drops trailing NULs).
+    order = np.lexsort((np.array(index.ids, dtype=object), -sims))
     return [(index.ids[i], float(sims[i])) for i in order[:k]]
 
 
@@ -362,6 +364,11 @@ class HashEmbedder:
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
+        # Texts share most of their n-grams, so one call hashes each distinct
+        # gram once, to the code 2 * bucket + (1 if its sign is -1 else 0).
+        # Bucket sums are exact integer counts, so the vectors match the
+        # per-gram sum bit for bit.
+        codes = {}
         out = []
         for text in texts:
             padded = "\x02" + text + "\x03"
@@ -370,14 +377,14 @@ class HashEmbedder:
                 for n in (2, 3, 4)
                 for i in range(len(padded) - n + 1)
             ]
-            buckets = []
-            signs = []
             for gram in grams:
-                digest = hashlib.sha256(gram.encode("utf-8")).digest()
-                buckets.append(int.from_bytes(digest[:4], "big") % self.dimension)
-                signs.append(1.0 if digest[4] % 2 == 0 else -1.0)
-            sums = np.bincount(buckets, weights=signs, minlength=self.dimension)
-            out.append(sums / len(grams))
+                if gram not in codes:
+                    digest = hashlib.sha256(gram.encode("utf-8")).digest()
+                    bucket = int.from_bytes(digest[:4], "big") % self.dimension
+                    codes[gram] = 2 * bucket + digest[4] % 2
+            counts = np.bincount([codes[gram] for gram in grams],
+                                 minlength=2 * self.dimension)
+            out.append((counts[0::2] - counts[1::2]) / len(grams))
         return out
 
 

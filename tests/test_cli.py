@@ -290,6 +290,52 @@ class TestTrainRetriever:
         assert run(["train-retriever", "-c", config]) == 0
         assert (tmp_path / "work" / "projection.json").exists()
 
+    @pytest.mark.parametrize("entries, line, key", [
+        ([{"nl": "a + b", "fl": "theorem a"},
+          {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16}], 2, "nl"),
+        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
+          {"nl": "a + b", "fl": "theorem a"}], 2, "nl_vector"),
+        ([{"nl": "a + b", "fl": "theorem a"}, {"nl": "b + a"}], 2, "fl"),
+        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
+          {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
+          {"fl_vector": [1.0] * 16}], 3, "nl_vector"),
+    ], ids=["vector-after-text", "text-after-vector", "text-without-fl",
+            "vector-without-nl"])
+    def test_entry_without_a_key_of_the_file_format_names_line_and_key(
+            self, tmp_path, capsys, entries, line, key):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        err = capsys.readouterr().err
+        assert f"pairs.jsonl:{line}: entry has no {key!r} field" in err
+        assert not (tmp_path / "work" / "projection.json").exists()
+
+    @pytest.mark.parametrize("bad_side", ["nl_vector", "fl_vector"])
+    def test_vector_of_the_wrong_length_names_line_and_lengths(
+            self, tmp_path, capsys, bad_side):
+        pairs = support.rotated_pair_corpus(7, 12, 16, 2, 1.0)
+        nl, fl = pairs[4]
+        short = [1.0, 0.5, 0.25]
+        pairs[4] = (short, fl) if bad_side == "nl_vector" else (nl, short)
+        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert (f"pairs.jsonl:5: {bad_side} has 3 values, "
+                f"expected retrieval.dimension 16") in capsys.readouterr().err
+        assert not (tmp_path / "work" / "projection.json").exists()
+
+    def test_vectors_all_shorter_than_the_dimension_are_rejected(self, tmp_path, capsys):
+        # A head trained on them could never serve informalize, which embeds
+        # its pool at retrieval.dimension.
+        pairs = support.rotated_pair_corpus(7, 12, 3, 2, 1.0)
+        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
+        config = retriever_config(tmp_path, pairs_path, steps=5, dimension=64)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert ("pairs.jsonl:1: nl_vector has 3 values, "
+                "expected retrieval.dimension 64") in capsys.readouterr().err
+        assert not (tmp_path / "work" / "projection.json").exists()
+
     def test_missing_pairs_file_exits_1_naming_it(self, tmp_path, capsys):
         config = retriever_config(tmp_path, tmp_path / "nope.jsonl")
         assert run(["train-retriever", "-c", config]) == 1

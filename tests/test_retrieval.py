@@ -5,6 +5,7 @@ and the loss against a scalar direct-formula evaluation (tests/support.py);
 ranking is checked against brute-force sorts.
 """
 
+import hashlib
 import http.server
 import json
 import math
@@ -414,6 +415,12 @@ class TestTopK:
         index = build_index([("zeta", v), ("alpha", v)], identity_head(2))
         assert [r[0] for r in top_k(index, v, 2)] == ["alpha", "zeta"]
 
+    def test_tied_ids_compare_as_python_strings(self):
+        v = ev(1.0, 0.0)
+        ids = ["b\x00", "b", "a\x00\x00", "a\x00", "é", "z"]
+        index = build_index([(i, v) for i in ids], identity_head(2))
+        assert [r[0] for r in top_k(index, v, 6)] == sorted(ids)
+
     def test_zero_norm_query(self):
         # head annihilates the second coordinate, so this query projects to 0
         head = ProjectionHead(
@@ -473,11 +480,11 @@ class TestHistogram:
 
 class TestHashEmbedder:
     def test_deterministic(self):
+        # the gram memo lives for one call; a second call rebuilds it
         emb = HashEmbedder(dimension=32)
-        a = emb.embed(["theorem foo", "bar"])
-        b = emb.embed(["theorem foo", "bar"])
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = emb.embed(["theorem foo", "bar", "theorem foo"])
+        b = emb.embed(["theorem foo", "bar", "theorem foo"])
+        assert [x.tobytes() for x in a] == [y.tobytes() for y in b]
 
     def test_dimension_and_nonzero(self):
         emb = HashEmbedder(dimension=48)
@@ -514,6 +521,39 @@ class TestHashEmbedder:
             expected = reference_hash_embed(text, dimension)
             assert vec.dtype == np.float64 and vec.shape == (dimension,)
             assert vec.tobytes() == expected.tobytes(), text
+
+    @given(st.lists(st.sampled_from(["", "n + 0 = n", "0 + n = n", "n + 0", "ℕ ∀ n"])
+                    | st.text(alphabet="ab +=ℕ", max_size=12), max_size=8),
+           st.sampled_from([1, 7, 64]), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_equals_one_call_per_text_in_any_order(self, texts, dimension, rng):
+        texts = texts + texts[:2]
+        emb = HashEmbedder(dimension=dimension)
+        together = emb.embed(texts)
+        order = list(range(len(texts)))
+        rng.shuffle(order)
+        for i in order:
+            (alone,) = emb.embed([texts[i]])
+            assert alone.tobytes() == together[i].tobytes(), texts[i]
+
+    def test_each_distinct_gram_hashed_once_per_call(self, monkeypatch):
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data):
+            hashed.append(data)
+            return real_sha256(data)
+
+        monkeypatch.setattr(retrieval.hashlib, "sha256", counting_sha256)
+        texts = ["n + 0 = n", "n + 0 = n", "0 + n = n", "abab"]
+        grams = {
+            padded[i : i + n]
+            for padded in ("\x02" + t + "\x03" for t in texts)
+            for n in (2, 3, 4)
+            for i in range(len(padded) - n + 1)
+        }
+        HashEmbedder(dimension=32).embed(texts)
+        assert sorted(hashed) == sorted(g.encode("utf-8") for g in grams)
 
     def test_bad_dimension(self):
         with pytest.raises(DimensionMismatch):
