@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
-from .corpus import LeanToken, LexError, TheoremRecord, TokenDivergence
+from .corpus import LeanToken, LexError, TokenDivergence
 from .genclient import (
     GenClientError,
     GenerationBudget,
@@ -22,7 +22,6 @@ from .genclient import (
     RetryPolicy,
     complete,
 )
-from .informalize import InformalizationResult
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +63,8 @@ class ObtRecord:
     commit: str
     generated_informal_statement_and_proof: str
     commented_proof: str
-    # Tactic-step count of ``proof``. It is not on the wire, so
-    # ``load_obt_dataset`` counts it again from the tokens it verifies with.
+    # Tactic-step count of ``proof``. It is not on the wire;
+    # ``load_obt_dataset`` counts it from the tokens it verifies with.
     difficulty: int = field(default=0, compare=False)
 
 
@@ -82,6 +81,11 @@ _WIRE_FIELDS: Tuple[Tuple[str, str], ...] = (
     ),
     ("commented_proof", "Commented_proof"),
 )
+
+# An informal.jsonl entry carries every wire field but the last, the
+# commented proof that bootstrap adds, plus the quality screen's verdict.
+_INFORMAL_FIELDS = _WIRE_FIELDS[:-1]
+INFORMAL_KEYS = tuple(wire for _, wire in _INFORMAL_FIELDS) + ("verdict",)
 
 
 # --- verification ---------------------------------------------------------------
@@ -132,7 +136,7 @@ def _unfence(text: str) -> str:
 
 
 def bootstrap_theorem(
-    record: TheoremRecord,
+    record: ObtRecord,
     nl_text: str,
     backend,
     original: Sequence[LeanToken],
@@ -179,34 +183,16 @@ def bootstrap_theorem(
 # --- record assembly -------------------------------------------------------------
 
 
-def assemble_obt_record(
-    theorem: TheoremRecord,
-    informal: InformalizationResult,
-    commented_proof: str,
-) -> ObtRecord:
-    """Combine a theorem, its accepted NL text, and a commented proof that
-    has already been verified against the theorem's proof.
+def assemble_obt_record(draft: ObtRecord, commented_proof: str) -> ObtRecord:
+    """Fill a record's commented proof, already verified against its proof.
 
     ``bootstrap_corpus`` verifies each pair once before it gets here, so the
     pair is not checked a second time.
     """
-    if informal.verdict != "pass":
-        raise PreconditionViolated(
-            f"informal: verdict is {informal.verdict!r} for {theorem.name}, need 'pass'"
-        )
-    record = ObtRecord(
-        name=theorem.name,
-        statement=theorem.statement,
-        proof=theorem.proof,
-        file_path=theorem.file_path,
-        commit=theorem.commit,
-        generated_informal_statement_and_proof=informal.nl_statement_and_proof,
-        commented_proof=commented_proof,
-        difficulty=theorem.difficulty,
-    )
+    record = replace(draft, commented_proof=commented_proof)
     for attr, _ in _WIRE_FIELDS:
         if not getattr(record, attr):
-            raise PreconditionViolated(f"{attr}: empty for {theorem.name}")
+            raise PreconditionViolated(f"{attr}: empty for {record.name}")
     return record
 
 
@@ -225,8 +211,7 @@ class BootstrapStats:
 
 
 def bootstrap_corpus(
-    records: Sequence[TheoremRecord],
-    informals: Sequence[InformalizationResult],
+    entries: Sequence[Dict[str, str]],
     backend=None,
     mode: BootstrapMode = BootstrapMode.INTERLEAVED,
     max_attempts: int = 3,
@@ -235,40 +220,33 @@ def bootstrap_corpus(
     max_new_tokens: int = 1024,
     temperature: float = 0.7,
 ) -> Tuple[List[ObtRecord], BootstrapStats]:
-    """Bootstrap every record whose informalization passed.
+    """Bootstrap every ``informal.jsonl`` entry whose verdict is a pass.
 
-    Interleaved records that cannot be verified (or whose backend gave out)
-    fall back to head mode, so no accepted informalization is dropped; the
-    stats record why each fallback happened. Each proof is lexed once and
-    each emitted pair is verified once: an interleaved reply by
-    ``bootstrap_theorem``, a head text here.
+    Records come out in entry order. Interleaved records that cannot be
+    verified (or whose backend gave out) fall back to head mode, so no
+    accepted informalization is dropped; the stats record why each fallback
+    happened. Each proof is lexed once and each emitted pair is verified
+    once: an interleaved reply by ``bootstrap_theorem``, a head text here.
     """
-    if len(records) != len(informals):
-        raise ValueError(
-            f"got {len(records)} records but {len(informals)} informalization results"
-        )
     if mode is BootstrapMode.INTERLEAVED and backend is None:
         raise ValueError("interleaved mode needs a backend")
 
     out: List[ObtRecord] = []
     stats = BootstrapStats()
-    for record, informal in zip(records, informals):
+    for entry in entries:
         stats.total += 1
-        if informal.theorem_name != record.name:
-            raise ValueError(
-                f"record {record.name} paired with informalization of "
-                f"{informal.theorem_name}"
-            )
-        if informal.verdict != "pass":
+        if entry["verdict"] != "pass":
             stats.informal_failures += 1
             continue
-        nl_text = informal.nl_statement_and_proof
-        original = corpus.lex_lean(record.proof)
+        draft = ObtRecord(commented_proof="", **{
+            attr: entry[wire] for attr, wire in _INFORMAL_FIELDS})
+        nl_text = draft.generated_informal_statement_and_proof
+        original = corpus.lex_lean(draft.proof)
         commented = None
         if mode is BootstrapMode.INTERLEAVED:
             try:
                 commented = bootstrap_theorem(
-                    record, nl_text, backend, original,
+                    draft, nl_text, backend, original,
                     max_attempts=max_attempts, retry=retry, budget=budget,
                     max_new_tokens=max_new_tokens, temperature=temperature,
                 )
@@ -276,14 +254,14 @@ def bootstrap_corpus(
                 stats.verification_fallbacks += 1
             except GenClientError as exc:
                 logger.warning("backend gave out on %s (%s), using head mode",
-                               record.name, exc)
+                               draft.name, exc)
                 stats.backend_fallbacks += 1
         if commented is None:
-            commented = head_bootstrap(nl_text, record.proof)
+            commented = head_bootstrap(nl_text, draft.proof)
             ok, divergence = verify_bootstrap(original, commented)
             if not ok:
-                raise BootstrapVerificationFailed(record.name, divergence)
-        out.append(assemble_obt_record(record, informal, commented))
+                raise BootstrapVerificationFailed(draft.name, divergence)
+        out.append(assemble_obt_record(draft, commented))
         stats.emitted += 1
     return out, stats
 

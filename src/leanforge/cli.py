@@ -135,8 +135,19 @@ def _load_pairs(path: str, dimension: int):
     lines = artifacts.read_jsonl(path)
     text = bool(lines) and "nl" in lines[0].entry
     keys = ("nl", "fl") if text else ("nl_vector", "fl_vector")
+    expected = "a string" if text else "a list of numbers"
+
+    def well_typed(value) -> bool:
+        if text:
+            return isinstance(value, str)
+        return isinstance(value, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
     for line in lines:
         _require_fields(path, line, keys)
+        for key in keys:
+            if not well_typed(line.entry[key]):
+                raise ValueError(f"{path}:{line.lineno}: {key} is not {expected}")
     if text:
         embedder = retrieval.HashEmbedder(dimension)
         nl_vectors = embedder.embed([line.entry["nl"] for line in lines])
@@ -233,31 +244,17 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
 
 
 def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    records = _load(_require(stage_path(config, "theorems"), "extract"),
-                    corpus.TheoremRecord)
-    by_name = {line.entry["Name"]: line.entry for line in artifacts.read_jsonl(
-        _require(stage_path(config, "informal"), "informalize"))}
-    kept = [r for r in records if r.name in by_name]
-    informals = [
-        informalize.InformalizationResult(
-            theorem_name=r.name,
-            nl_statement_and_proof=by_name[r.name][
-                "Generated_informal_statement_and_proof"],
-            examples_used=(),
-            attempts=0,
-            verdict=by_name[r.name]["verdict"],
-            reasons=tuple(by_name[r.name].get("reasons", ())),
-        )
-        for r in kept
-    ]
+    path = _require(stage_path(config, "informal"), "informalize")
+    lines = artifacts.read_jsonl(path)
+    for line in lines:
+        _require_fields(path, line, bootstrap_mod.INFORMAL_KEYS)
     mode_name = args.mode or config.bootstrap.mode
     mode = bootstrap_mod.BootstrapMode[mode_name.upper()]
     backend = None
     if mode is bootstrap_mod.BootstrapMode.INTERLEAVED:
         backend = make_backend(config.backend)
     obt_records, stats = bootstrap_mod.bootstrap_corpus(
-        kept,
-        informals,
+        [line.entry for line in lines],
         backend=backend,
         mode=mode,
         max_attempts=config.bootstrap.max_attempts,

@@ -113,10 +113,6 @@ class UnterminatedString(LexError):
     pass
 
 
-class MalformedDeclaration(ValueError):
-    """A theorem/lemma header without a recoverable name or proof boundary."""
-
-
 class TokenKind(Enum):
     CODE = "code"
     LINE_COMMENT = "line-comment"

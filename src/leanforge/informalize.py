@@ -346,14 +346,12 @@ def save_informal_dataset(
     results: Sequence[InformalizationResult],
     path: str,
 ) -> None:
-    """Write the NL-FL aligned dataset, one theorem per line.
+    """Write the NL-FL aligned dataset, one line per record, in record order.
 
-    Fail-verdict records are retained so the corpus counts add up; the NL
-    field carries whatever the last attempt produced.
+    ``results[i]`` is the result for ``records[i]``; names need not be
+    unique. Fail-verdict records are retained so the corpus counts add up;
+    the NL field carries whatever the last attempt produced.
     """
-    by_name = {r.theorem_name: r for r in results}
-    kept = [(record, by_name[record.name]) for record in records
-            if record.name in by_name]
     artifacts.write_jsonl(path, (
         {
             "Name": record.name,
@@ -365,5 +363,5 @@ def save_informal_dataset(
             "verdict": result.verdict,
             "reasons": list(result.reasons),
         }
-        for record, result in kept
+        for record, result in zip(records, results, strict=True)
     ))

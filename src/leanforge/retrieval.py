@@ -1,4 +1,4 @@
-"""Example retrieval: a trainable linear projection over pluggable base
+"""Example retrieval: a trainable linear projection over char-n-gram hash
 embeddings, scored by cosine similarity.
 
 The projection head is trained with a contrastive objective over aligned
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import requests
 
 from . import artifacts
 
@@ -46,10 +45,6 @@ class ZeroNormQuery(RetrievalError):
 
 class DivergedLoss(RetrievalError):
     pass
-
-
-class EmbeddingServiceError(RuntimeError):
-    """Transport failure or malformed reply from an embedding provider."""
 
 
 def embedding(values: Sequence[float]) -> np.ndarray:
@@ -346,7 +341,7 @@ def write_histogram_csv(path: str, edges: np.ndarray, counts: np.ndarray) -> Non
         for left, right, count in zip(edges[:-1], edges[1:], counts)))
 
 
-# --- base embedding providers -------------------------------------------------
+# --- base embedding ------------------------------------------------------------
 
 
 class HashEmbedder:
@@ -385,50 +380,4 @@ class HashEmbedder:
             counts = np.bincount([codes[gram] for gram in grams],
                                  minlength=2 * self.dimension)
             out.append((counts[0::2] - counts[1::2]) / len(grams))
-        return out
-
-
-class HttpEmbedder:
-    """Provider speaking the embedding wire contract.
-
-    POST ``{"texts": [...]}`` to the endpoint; the reply must be
-    ``{"vectors": [[...], ...]}`` with one vector of the configured dimension
-    per input text.
-    """
-
-    def __init__(self, endpoint: str, dimension: int, timeout: float = 30.0, session=None):
-        self.endpoint = endpoint
-        self.dimension = dimension
-        self.timeout = timeout
-        self._session = session or requests.Session()
-
-    def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
-        if not texts:
-            return []
-        try:
-            reply = self._session.post(
-                self.endpoint, json={"texts": list(texts)}, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise EmbeddingServiceError(f"embedding request failed: {exc}") from exc
-        if reply.status_code != 200:
-            raise EmbeddingServiceError(
-                f"embedding service returned {reply.status_code}"
-            )
-        try:
-            vectors = reply.json()["vectors"]
-        except (ValueError, KeyError) as exc:
-            raise EmbeddingServiceError(f"malformed embedding reply: {exc}") from exc
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise EmbeddingServiceError(
-                f"expected {len(texts)} vectors, got {len(vectors) if isinstance(vectors, list) else type(vectors)}"
-            )
-        out = []
-        for row in vectors:
-            vec = embedding(row)
-            if vec.shape[0] != self.dimension:
-                raise DimensionMismatch(
-                    f"provider returned dimension {vec.shape[0]}, expected {self.dimension}"
-                )
-            out.append(vec)
         return out

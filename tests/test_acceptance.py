@@ -23,8 +23,7 @@ from leanforge.bootstrap import (
     save_obt_dataset,
     verify_bootstrap,
 )
-from leanforge.corpus import TheoremRecord, lex_lean
-from leanforge.informalize import InformalizationResult
+from leanforge.corpus import lex_lean
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
     AlignmentBatch,
@@ -387,24 +386,17 @@ WIRE_FIELDS = [
 
 class TestCriterion8:
     def test_obt_schema_and_worked_example(self, tmp_path, capsys):
-        theorem = TheoremRecord(
+        # what bootstrap drafts from the worked example's informal.jsonl line
+        draft = ObtRecord(
             name=listings.INTEGRAL_NAME,
             statement=listings.INTEGRAL_STATEMENT,
             proof=listings.INTEGRAL_PROOF,
             file_path=listings.INTEGRAL_FILE_PATH,
             commit=listings.INTEGRAL_COMMIT,
-            difficulty=1,
+            generated_informal_statement_and_proof=listings.INTEGRAL_INFORMAL,
+            commented_proof="",
         )
-        informal = InformalizationResult(
-            theorem_name=listings.INTEGRAL_NAME,
-            nl_statement_and_proof=listings.INTEGRAL_INFORMAL,
-            examples_used=(),
-            attempts=1,
-            verdict="pass",
-            reasons=(),
-        )
-        record = assemble_obt_record(
-            theorem, informal, listings.INTEGRAL_COMMENTED)
+        record = assemble_obt_record(draft, listings.INTEGRAL_COMMENTED)
         assert record.name == listings.INTEGRAL_NAME
         assert record.statement == listings.INTEGRAL_STATEMENT
         assert record.proof == listings.INTEGRAL_PROOF

@@ -1,5 +1,6 @@
 """Tests for comment-based NL-FL bootstrapping and OBT record assembly."""
 
+import dataclasses
 import json
 import random
 
@@ -25,9 +26,8 @@ from leanforge.bootstrap import (
     save_obt_dataset,
     verify_bootstrap,
 )
-from leanforge.corpus import LexError, TheoremRecord
+from leanforge.corpus import LexError
 from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
-from leanforge.informalize import InformalizationResult
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -62,30 +62,42 @@ SQINEQ_NL = (
 )
 
 
+def informal_entry(name, statement, proof, nl, verdict="pass",
+                   file_path="Toy.lean", commit="cafe"):
+    """One informal.jsonl line, as bootstrap reads it."""
+    return {
+        "Name": name,
+        "Statement": statement,
+        "Proof": proof,
+        "File_path": file_path,
+        "Commit": commit,
+        "Generated_informal_statement_and_proof": nl,
+        "verdict": verdict,
+        "reasons": [] if verdict == "pass" else ["OVERLENGTH"],
+    }
+
+
+def sq_entry():
+    return informal_entry(
+        "algebra_sqineq_unitcircatbpamblt1",
+        SQINEQ_PLAIN.split(" := by")[0] + " :=", SQINEQ_PLAIN, SQINEQ_NL,
+        file_path="MiniF2F/Valid.lean", commit="deadbeef")
+
+
 def sq_record():
-    return TheoremRecord(
+    """The OBT record for ``sq_entry``, still without its commented proof."""
+    return ObtRecord(
         name="algebra_sqineq_unitcircatbpamblt1",
         statement=SQINEQ_PLAIN.split(" := by")[0] + " :=",
         proof=SQINEQ_PLAIN,
         file_path="MiniF2F/Valid.lean",
         commit="deadbeef",
-        difficulty=3,
+        generated_informal_statement_and_proof=SQINEQ_NL,
+        commented_proof="",
     )
 
 
 SQ_TOKENS = corpus.lex_lean(SQINEQ_PLAIN)
-
-
-def passing_informal(name, nl):
-    return InformalizationResult(
-        theorem_name=name,
-        nl_statement_and_proof=nl,
-        examples_used=(),
-        attempts=1,
-        verdict="pass",
-        reasons=(),
-        attempt_reasons=((),),
-    )
 
 
 class TestSanitizeCommentBody:
@@ -191,12 +203,11 @@ class Counting:
 
 class TestBootstrapTheorem:
     def test_head_mode_needs_no_backend(self):
-        record = sq_record()
-        (obt,), _ = bootstrap_corpus([record], [passing_informal(record.name, SQINEQ_NL)],
-                                     backend=None, mode=BootstrapMode.HEAD)
-        out = obt.commented_proof
-        assert out.startswith("/- ")
-        assert verify_bootstrap(corpus.lex_lean(record.proof), out)[0]
+        (obt,), _ = bootstrap_corpus([sq_entry()], backend=None,
+                                     mode=BootstrapMode.HEAD)
+        assert obt == dataclasses.replace(
+            sq_record(), commented_proof=head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN))
+        assert verify_bootstrap(SQ_TOKENS, obt.commented_proof)[0]
 
     def test_prompt_layout(self):
         prompt = bootstrap_prompt(SQINEQ_NL, sq_record().proof)
@@ -267,21 +278,22 @@ class TestBootstrapTheorem:
                               max_attempts=0)
 
 
-def integral_record():
-    return TheoremRecord(
+def integral_record(commit=INTEGRAL_COMMIT):
+    """The worked example's OBT record, still without its commented proof."""
+    return ObtRecord(
         name=INTEGRAL_NAME,
         statement=INTEGRAL_STATEMENT,
         proof=INTEGRAL_PROOF,
         file_path=INTEGRAL_FILE_PATH,
-        commit=INTEGRAL_COMMIT,
-        difficulty=1,
+        commit=commit,
+        generated_informal_statement_and_proof=INTEGRAL_INFORMAL,
+        commented_proof="",
     )
 
 
 class TestAssembleObtRecord:
     def test_worked_example_field_for_field(self):
-        informal = passing_informal(INTEGRAL_NAME, INTEGRAL_INFORMAL)
-        record = assemble_obt_record(integral_record(), informal, INTEGRAL_COMMENTED)
+        record = assemble_obt_record(integral_record(), INTEGRAL_COMMENTED)
         assert record.name == INTEGRAL_NAME
         assert record.statement == INTEGRAL_STATEMENT
         assert record.proof == INTEGRAL_PROOF
@@ -290,43 +302,29 @@ class TestAssembleObtRecord:
         assert record.generated_informal_statement_and_proof == INTEGRAL_INFORMAL
         assert record.commented_proof == INTEGRAL_COMMENTED
 
-    def test_failed_informalization_rejected(self):
-        informal = InformalizationResult(
-            theorem_name=INTEGRAL_NAME, nl_statement_and_proof="x",
-            examples_used=(), attempts=3, verdict="fail",
-            reasons=("MISSING_SECTION",))
-        with pytest.raises(PreconditionViolated, match="informal"):
-            assemble_obt_record(integral_record(), informal, INTEGRAL_COMMENTED)
-
     def test_empty_field_rejected(self):
-        bare = TheoremRecord(
-            name=INTEGRAL_NAME, statement=INTEGRAL_STATEMENT,
-            proof=INTEGRAL_PROOF, file_path=INTEGRAL_FILE_PATH, commit="",
-            difficulty=1)
-        informal = passing_informal(INTEGRAL_NAME, INTEGRAL_INFORMAL)
         with pytest.raises(PreconditionViolated, match="commit"):
-            assemble_obt_record(bare, informal, INTEGRAL_COMMENTED)
+            assemble_obt_record(integral_record(commit=""), INTEGRAL_COMMENTED)
+        with pytest.raises(PreconditionViolated, match="commented_proof"):
+            assemble_obt_record(integral_record(), "")
 
 
 def small_corpus():
-    records, informals = [], []
+    entries = []
     for i in range(5):
         proof = (f"theorem toy{i} (n : ℕ) : n + {i} = {i} + n := by\n"
                  f"  simpa using Nat.add_comm n {i}\n")
-        records.append(TheoremRecord(
-            name=f"toy{i}", statement=proof.split(" := by")[0] + " :=",
-            proof=proof, file_path="Toy.lean", commit="cafe", difficulty=1))
-        informals.append(passing_informal(
-            f"toy{i}",
+        entries.append(informal_entry(
+            f"toy{i}", proof.split(" := by")[0] + " :=", proof,
             f"Statement: addition commutes with {i}. Proof: by commutativity."))
-    return records, informals
+    return entries
 
 
 class TestBootstrapCorpus:
     def test_head_mode_emits_everything(self):
-        records, informals = small_corpus()
-        out, stats = bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
-        assert [r.name for r in out] == [r.name for r in records]
+        entries = small_corpus()
+        out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
+        assert [r.name for r in out] == [e["Name"] for e in entries]
         assert all(r.commented_proof.startswith("/- ") for r in out)
         assert (stats.total, stats.emitted) == (5, 5)
         assert stats.informal_failures == 0
@@ -334,35 +332,34 @@ class TestBootstrapCorpus:
         assert stats.backend_fallbacks == 0
 
     def test_failed_informalizations_skipped(self):
-        records, informals = small_corpus()
-        informals[1] = InformalizationResult(
-            theorem_name="toy1", nl_statement_and_proof="", examples_used=(),
-            attempts=3, verdict="fail", reasons=("OVERLENGTH",))
-        out, stats = bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
+        entries = small_corpus()
+        entries[1].update(Generated_informal_statement_and_proof="",
+                          verdict="fail", reasons=["OVERLENGTH"])
+        out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
         assert [r.name for r in out] == ["toy0", "toy2", "toy3", "toy4"]
         assert stats.informal_failures == 1
         assert stats.emitted == 4
 
     def test_interleaved_with_good_backend(self):
-        records, informals = small_corpus()
+        entries = small_corpus()
         script = [
-            (f"toy{i}", record.proof + f"  -- note {i}\n")
-            for i, record in enumerate(records)
+            (f"toy{i}", entry["Proof"] + f"  -- note {i}\n")
+            for i, entry in enumerate(entries)
         ]
         backend = MockBackend(script=script)
         out, stats = bootstrap_corpus(
-            records, informals, backend, mode=BootstrapMode.INTERLEAVED)
+            entries, backend, mode=BootstrapMode.INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 0
         assert all("--" in r.commented_proof for r in out)
 
     def test_unverifiable_record_falls_back_to_head(self):
-        records, informals = small_corpus()
+        entries = small_corpus()
         script = [("toy2", "theorem rewritten : 1 = 1 := rfl")]
-        script += [(f"toy{i}", records[i].proof) for i in range(5) if i != 2]
+        script += [(f"toy{i}", entries[i]["Proof"]) for i in range(5) if i != 2]
         backend = MockBackend(script=script)
         out, stats = bootstrap_corpus(
-            records, informals, backend, mode=BootstrapMode.INTERLEAVED)
+            entries, backend, mode=BootstrapMode.INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 1
         by_name = {r.name: r for r in out}
@@ -370,7 +367,7 @@ class TestBootstrapCorpus:
         assert not by_name["toy0"].commented_proof.startswith("/- ")
 
     def test_dead_backend_falls_back_everywhere(self):
-        records, informals = small_corpus()
+        entries = small_corpus()
 
         class Down:
             name = "down"
@@ -380,8 +377,7 @@ class TestBootstrapCorpus:
 
         policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
         out, stats = bootstrap_corpus(
-            records, informals, Down(), mode=BootstrapMode.INTERLEAVED,
-            retry=policy)
+            entries, Down(), mode=BootstrapMode.INTERLEAVED, retry=policy)
         assert stats.emitted == 5
         assert stats.backend_fallbacks == 5
         assert all(r.commented_proof.startswith("/- ") for r in out)
@@ -392,28 +388,35 @@ class TestBootstrapCorpus:
         monkeypatch.setattr(
             bootstrap_module, "head_bootstrap",
             lambda nl, proof: "/- " + nl + " -/\n" + proof.replace("simpa", "simp"))
-        records, informals = small_corpus()
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
+            bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
         assert info.value.divergence.expected == "simpa"
         assert info.value.divergence.actual == "simp"
 
     def test_every_emitted_record_verifies(self):
-        records, informals = small_corpus()
-        out, _ = bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
+        out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
         for record in out:
             ok, _ = verify_bootstrap(corpus.lex_lean(record.proof), record.commented_proof)
             assert ok
 
-    def test_misaligned_inputs_rejected(self):
-        records, informals = small_corpus()
-        with pytest.raises(ValueError, match="paired"):
-            bootstrap_corpus(records, list(reversed(informals)),
-                             mode=BootstrapMode.HEAD)
-        with pytest.raises(ValueError, match="results"):
-            bootstrap_corpus(records, informals[:-1], mode=BootstrapMode.HEAD)
+    def test_interleaved_mode_needs_a_backend(self):
         with pytest.raises(ValueError, match="backend"):
-            bootstrap_corpus(records, informals, mode=BootstrapMode.INTERLEAVED)
+            bootstrap_corpus(small_corpus(), mode=BootstrapMode.INTERLEAVED)
+
+    def test_same_name_entries_keep_their_own_text(self):
+        # names repeat across namespaces; each entry carries its own proof
+        # and NL text, and nothing is looked up by name
+        nat, int_ = (informal_entry(
+            "foo", f"theorem foo : (1 : {t}) = 1 :=",
+            f"theorem foo : (1 : {t}) = 1 := by\n  rfl\n",
+            f"Statement: one equals one in {t}. Proof: reflexivity.")
+            for t in ("Nat", "Int"))
+        out, stats = bootstrap_corpus([nat, int_], mode=BootstrapMode.HEAD)
+        assert [(r.proof, r.generated_informal_statement_and_proof) for r in out] == [
+            (e["Proof"], e["Generated_informal_statement_and_proof"])
+            for e in (nat, int_)]
+        assert all(r.commented_proof.endswith(r.proof) for r in out)
+        assert stats.emitted == 2
 
 
 WIRE_NAMES = [
@@ -424,16 +427,14 @@ WIRE_NAMES = [
 
 class TestDatasetFiles:
     def worked_record(self):
-        informal = passing_informal(INTEGRAL_NAME, INTEGRAL_INFORMAL)
-        return assemble_obt_record(integral_record(), informal, INTEGRAL_COMMENTED)
+        return assemble_obt_record(integral_record(), INTEGRAL_COMMENTED)
 
     def test_wire_field_names_exact(self):
         entry = obt_to_entry(self.worked_record())
         assert list(entry) == WIRE_NAMES
 
     def test_round_trip_identity(self, tmp_path):
-        records, informals = small_corpus()
-        out, _ = bootstrap_corpus(records, informals, mode=BootstrapMode.HEAD)
+        out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
         out.append(self.worked_record())
         path = tmp_path / "obt.jsonl"
         save_obt_dataset(out, str(path))

@@ -15,7 +15,7 @@ import yaml
 import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
-from leanforge import cli, corpus, genclient, prover, retrieval, trainprep
+from leanforge import artifacts, cli, corpus, genclient, prover, retrieval, trainprep
 from leanforge.config import (
     ConfigError,
     fork_seed,
@@ -336,6 +336,28 @@ class TestTrainRetriever:
                 "expected retrieval.dimension 64") in capsys.readouterr().err
         assert not (tmp_path / "work" / "projection.json").exists()
 
+    @pytest.mark.parametrize("entries, line, message", [
+        ([{"nl": 5, "fl": "theorem a"}], 1, "nl is not a string"),
+        ([{"nl": "a + b", "fl": "theorem a"}, {"nl": "b + a", "fl": ["theorem b"]}],
+         2, "fl is not a string"),
+        ([{"nl_vector": 5, "fl_vector": [1.0] * 16}], 1,
+         "nl_vector is not a list of numbers"),
+        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
+          {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 15 + ["x"]}], 2,
+         "fl_vector is not a list of numbers"),
+        ([{"nl_vector": [1.0] * 16, "fl_vector": [[1.0]] * 16}], 1,
+         "fl_vector is not a list of numbers"),
+    ], ids=["text-number", "text-list", "vector-number", "vector-with-string",
+            "vector-of-lists"])
+    def test_value_of_the_wrong_type_names_line_and_key(
+            self, tmp_path, capsys, entries, line, message):
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert f"pairs.jsonl:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "projection.json").exists()
+
     def test_missing_pairs_file_exits_1_naming_it(self, tmp_path, capsys):
         config = retriever_config(tmp_path, tmp_path / "nope.jsonl")
         assert run(["train-retriever", "-c", config]) == 1
@@ -355,7 +377,7 @@ class TestMissingUpstream:
         )
         for argv, expected in [
             (["informalize", "-c", config], "theorems.jsonl"),
-            (["bootstrap", "-c", config], "theorems.jsonl"),
+            (["bootstrap", "-c", config], "informal.jsonl"),
             (["prep", "-c", config], "obt.jsonl"),
             (["prove", "-c", config], "problems.jsonl"),
             (["report", "-c", config], "problems.jsonl"),
@@ -375,6 +397,93 @@ class TestMissingUpstream:
         err = capsys.readouterr().err
         assert "informal.jsonl" in err
         assert "informalize" in err
+
+
+# --- bootstrap ---------------------------------------------------------------------
+
+
+# Two files declare a theorem with the same short name in different
+# namespaces; extraction names both ``foo``.
+SAME_NAME_FILES = {
+    "nat.lean": "namespace Nat\n\ntheorem foo : (1 : ℕ) + 1 = 2 := by\n"
+                "  norm_num\n\nend Nat\n",
+    "int.lean": "namespace Int\n\ntheorem foo : (1 : ℤ) + 1 = 2 := by\n"
+                "  norm_num\n\nend Int\n",
+}
+# The informalization reply for each proof, keyed on text only that proof holds.
+SAME_NAME_NL = {
+    "(1 : ℕ)": "Statement: One plus one is two among the naturals. "
+               "Proof: Evaluate the natural-number sum.",
+    "(1 : ℤ)": "Statement: One plus one is two among the integers. "
+               "Proof: Evaluate the integer sum.",
+}
+
+
+def scripted_nl(proof):
+    (nl,) = [text for key, text in SAME_NAME_NL.items() if key in proof]
+    return nl
+
+
+INFORMAL_ENTRY = {
+    "Name": "foo",
+    "Statement": "theorem foo : (1 : ℕ) + 1 = 2 :=",
+    "Proof": "theorem foo : (1 : ℕ) + 1 = 2 := by\n  norm_num\n",
+    "File_path": "nat.lean",
+    "Commit": "deadbeef",
+    "Generated_informal_statement_and_proof": SAME_NAME_NL["(1 : ℕ)"],
+    "verdict": "pass",
+    "reasons": [],
+}
+
+
+class TestBootstrapCommand:
+    def test_same_name_theorems_keep_their_own_nl(self, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for filename, text in SAME_NAME_FILES.items():
+            (corpus_dir / filename).write_text(text, encoding="utf-8")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            [{"pattern": key, "response": nl} for key, nl in SAME_NAME_NL.items()],
+            ensure_ascii=False), encoding="utf-8")
+        workdir = tmp_path / "work"
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "corpus": {"path": str(corpus_dir), "commit": "deadbeef"},
+            "backend": {"kind": "mock", "script": str(script)},
+            "bootstrap": {"mode": "head"},
+        })
+        for command in ("extract", "informalize", "bootstrap"):
+            assert run([command, "-c", config]) == 0, command
+
+        theorems = read_jsonl(workdir / "theorems.jsonl")
+        assert [t["name"] for t in theorems] == ["foo", "foo"]
+        informal = read_jsonl(workdir / "informal.jsonl")
+        obt = read_jsonl(workdir / "obt.jsonl")
+        assert [e["Proof"] for e in informal] == [t["proof"] for t in theorems]
+        assert [e["Proof"] for e in obt] == [t["proof"] for t in theorems]
+        for entry in informal + obt:
+            assert entry["Generated_informal_statement_and_proof"] == \
+                scripted_nl(entry["Proof"])
+        for entry in obt:
+            assert entry["Commented_proof"] == bootstrap_mod.head_bootstrap(
+                scripted_nl(entry["Proof"]), entry["Proof"])
+
+    @pytest.mark.parametrize("key", [k for k in INFORMAL_ENTRY if k != "reasons"])
+    def test_entry_without_a_key_bootstrap_reads_names_line_and_key(
+            self, tmp_path, capsys, key):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        broken = {k: v for k, v in INFORMAL_ENTRY.items() if k != key}
+        (workdir / "informal.jsonl").write_text(
+            json.dumps(INFORMAL_ENTRY) + "\n" + json.dumps(broken) + "\n",
+            encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir), "bootstrap": {"mode": "head"}})
+        assert run(["bootstrap", "-c", config]) == 1
+        assert f"informal.jsonl:2: entry has no {key!r} field" in \
+            capsys.readouterr().err
+        assert not (workdir / "obt.jsonl").exists()
 
 
 # --- prep ablation flags ----------------------------------------------------------
@@ -885,6 +994,45 @@ class TestPipelineEndToEnd:
         assert run(["prove", "-c", config, "--max-rounds", "1"]) == 0
         header = read_jsonl(workdir / "report.jsonl")[0]
         assert len(header["rounds"]) == 1
+
+
+class TestReadSet:
+    """Each command reads the files README's command table lists, and no
+    others. Every JSON read in leanforge goes through ``artifacts``."""
+
+    def test_each_command_reads_what_readme_lists(self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        read = set()
+        for name in ("read_jsonl", "read_json"):
+            def recording(path, _real=getattr(artifacts, name)):
+                read.add(str(path))
+                return _real(path)
+
+            monkeypatch.setattr(artifacts, name, recording)
+
+        def reads(argv):
+            read.clear()
+            assert run(argv) == 0, argv
+            return read.copy()
+
+        def work(*names):
+            return {str(workdir / name) for name in names}
+
+        def inputs(*keys):
+            return {str(fixture[key]) for key in keys}
+
+        assert reads(["extract", "-c", config]) == set()
+        assert reads(["train-retriever", "-c", config]) == inputs("pairs")
+        assert reads(["informalize", "-c", config]) == \
+            work("theorems.jsonl", "projection.json") | inputs("pool")
+        assert reads(["bootstrap", "-c", config]) == work("informal.jsonl")
+        assert reads(["prep", "-c", config]) == work("obt.jsonl")
+        assert reads(["prove", "-c", config]) == inputs("problems", "seeds")
+        assert reads(["report", "-c", config]) == \
+            work("report.jsonl") | inputs("problems")
+        assert reads(["sample", "-c", config, "-n", "3"]) == work("obt.jsonl")
 
 
 class TestProveConcurrency:

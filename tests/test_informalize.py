@@ -506,6 +506,31 @@ class TestDatasetFile:
             "Generated_informal_statement_and_proof", "verdict", "reasons",
         }
 
+    def test_same_name_records_keep_their_own_results(self, tmp_path):
+        # namespaces make names repeat; result i belongs to record i
+        records = [theorem("foo", proof=":= by norm_num [Nat.add]"),
+                   theorem("foo", proof=":= by norm_num [Int.add]")]
+        results = [
+            InformalizationResult(
+                theorem_name="foo", nl_statement_and_proof=f"Statement: {t}. Proof: {t}.",
+                examples_used=(), attempts=1, verdict=verdict, reasons=())
+            for t, verdict in (("Nat", "pass"), ("Int", "fail"))]
+        path = tmp_path / "informal.jsonl"
+        save_informal_dataset(records, results, str(path))
+        entries = [line.entry for line in read_jsonl(str(path))]
+        assert [(e["Proof"], e["Generated_informal_statement_and_proof"], e["verdict"])
+                for e in entries] == [
+            (":= by norm_num [Nat.add]", "Statement: Nat. Proof: Nat.", "pass"),
+            (":= by norm_num [Int.add]", "Statement: Int. Proof: Int.", "fail")]
+
+    def test_result_count_must_match_record_count(self, tmp_path):
+        records = corpus_records(3)
+        results = informalize_corpus(records, InformalizeConfig(backend=passing_backend()))
+        path = tmp_path / "informal.jsonl"
+        with pytest.raises(ValueError):
+            save_informal_dataset(records, results[:2], str(path))
+        assert not path.exists()
+
     def test_fail_records_retained(self, tmp_path):
         records = corpus_records(3)
         backend = MockBackend(script=[("thm01", "the " * 40)], default_text=GOOD_NL)

@@ -6,10 +6,8 @@ ranking is checked against brute-force sorts.
 """
 
 import hashlib
-import http.server
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -21,10 +19,8 @@ from leanforge.retrieval import (
     AlignmentBatch,
     DimensionMismatch,
     DivergedLoss,
-    EmbeddingServiceError,
     EmptyInput,
     HashEmbedder,
-    HttpEmbedder,
     ProjectionHead,
     RetrievalError,
     TrainConfig,
@@ -558,81 +554,3 @@ class TestHashEmbedder:
     def test_bad_dimension(self):
         with pytest.raises(DimensionMismatch):
             HashEmbedder(dimension=0)
-
-
-class _EmbeddingHandler(http.server.BaseHTTPRequestHandler):
-    """Scriptable embedding endpoint; the path selects the behavior."""
-
-    requests_seen = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).requests_seen.append((self.path, body))
-        if self.path == "/fail":
-            self.send_response(500)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
-        texts = body["texts"]
-        if self.path == "/short":
-            vectors = [[1.0, 0.0, 0.0]] * (len(texts) - 1)
-        elif self.path == "/baddim":
-            vectors = [[1.0, 0.0]] * len(texts)
-        else:
-            vectors = [[float(len(t)), 1.0, -1.0] for t in texts]
-        payload = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def embedding_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    _EmbeddingHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    thread.join()
-
-
-class TestHttpEmbedder:
-    def test_wire_contract(self, embedding_server):
-        emb = HttpEmbedder(embedding_server + "/ok", dimension=3)
-        vectors = emb.embed(["ab", "cdef"])
-        assert [v.shape for v in vectors] == [(3,), (3,)]
-        assert vectors[0][0] == 2.0
-        assert vectors[1][0] == 4.0
-        path, body = _EmbeddingHandler.requests_seen[-1]
-        assert body == {"texts": ["ab", "cdef"]}
-
-    def test_empty_input_no_request(self, embedding_server):
-        emb = HttpEmbedder(embedding_server + "/ok", dimension=3)
-        assert emb.embed([]) == []
-        assert _EmbeddingHandler.requests_seen == []
-
-    def test_wrong_count_rejected(self, embedding_server):
-        emb = HttpEmbedder(embedding_server + "/short", dimension=3)
-        with pytest.raises(EmbeddingServiceError, match="expected 2 vectors"):
-            emb.embed(["a", "b"])
-
-    def test_wrong_dimension_rejected(self, embedding_server):
-        emb = HttpEmbedder(embedding_server + "/baddim", dimension=3)
-        with pytest.raises(DimensionMismatch):
-            emb.embed(["a"])
-
-    def test_http_error_rejected(self, embedding_server):
-        emb = HttpEmbedder(embedding_server + "/fail", dimension=3)
-        with pytest.raises(EmbeddingServiceError, match="500"):
-            emb.embed(["a"])
-
-    def test_connection_refused(self):
-        emb = HttpEmbedder("http://127.0.0.1:9", dimension=3, timeout=0.5)
-        with pytest.raises(EmbeddingServiceError):
-            emb.embed(["a"])
