@@ -8,6 +8,7 @@ comment, no backend involved).  Either way the commented text must carry the
 exact code token stream of the original proof; anything else is rejected.
 """
 
+import contextlib
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -21,6 +22,7 @@ from .genclient import (
     GenerationRequest,
     RetryPolicy,
     complete,
+    in_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -227,42 +229,63 @@ def bootstrap_corpus(
     accepted informalization is dropped; the stats record why each fallback
     happened. Each proof is lexed once and each emitted pair is verified
     once: an interleaved reply by ``bootstrap_theorem``, a head text here.
+
+    Interleaved records go through ``genclient.in_order``: up to the
+    backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
+    each reserving ``max_attempts`` requests when there is a budget. The
+    fallback, the stats and record assembly run here, in entry order.
     """
     if mode is BootstrapMode.INTERLEAVED and backend is None:
         raise ValueError("interleaved mode needs a backend")
 
-    out: List[ObtRecord] = []
-    stats = BootstrapStats()
-    for entry in entries:
-        stats.total += 1
-        if entry["verdict"] != "pass":
-            stats.informal_failures += 1
-            continue
-        draft = ObtRecord(commented_proof="", **{
+    drafts = [
+        ObtRecord(commented_proof="", **{
             attr: entry[wire] for attr, wire in _INFORMAL_FIELDS})
-        nl_text = draft.generated_informal_statement_and_proof
-        original = corpus.lex_lean(draft.proof)
-        commented = None
-        if mode is BootstrapMode.INTERLEAVED:
-            try:
-                commented = bootstrap_theorem(
-                    draft, nl_text, backend, original,
-                    max_attempts=max_attempts, retry=retry, budget=budget,
-                    max_new_tokens=max_new_tokens, temperature=temperature,
-                )
-            except BootstrapVerificationFailed:
+        for entry in entries if entry["verdict"] == "pass"
+    ]
+    stats = BootstrapStats(total=len(entries),
+                           informal_failures=len(entries) - len(drafts))
+    lexed = ((draft, corpus.lex_lean(draft.proof)) for draft in drafts)
+
+    def worst_case(item):
+        draft, _ = item
+        prompt = prompts.bootstrap_prompt(
+            draft.generated_informal_statement_and_proof, draft.proof)
+        return max_attempts, GenerationRequest(prompt, max_new_tokens=max_new_tokens)
+
+    def work(item, charge):
+        draft, original = item
+        try:
+            return bootstrap_theorem(
+                draft, draft.generated_informal_statement_and_proof, backend,
+                original, max_attempts=max_attempts, retry=retry, budget=charge,
+                max_new_tokens=max_new_tokens, temperature=temperature,
+            )
+        except (BootstrapVerificationFailed, GenClientError) as exc:
+            return exc
+
+    if mode is BootstrapMode.INTERLEAVED:
+        replies = in_order(lexed, work, getattr(backend, "concurrency", 1),
+                           budget, worst_case)
+    else:
+        replies = ((item, None) for item in lexed)
+    out: List[ObtRecord] = []
+    with contextlib.closing(replies):
+        for (draft, original), commented in replies:
+            if isinstance(commented, BootstrapVerificationFailed):
                 stats.verification_fallbacks += 1
-            except GenClientError as exc:
+            elif isinstance(commented, GenClientError):
                 logger.warning("backend gave out on %s (%s), using head mode",
-                               draft.name, exc)
+                               draft.name, commented)
                 stats.backend_fallbacks += 1
-        if commented is None:
-            commented = head_bootstrap(nl_text, draft.proof)
-            ok, divergence = verify_bootstrap(original, commented)
-            if not ok:
-                raise BootstrapVerificationFailed(draft.name, divergence)
-        out.append(assemble_obt_record(draft, commented))
-        stats.emitted += 1
+            if not isinstance(commented, str):
+                commented = head_bootstrap(
+                    draft.generated_informal_statement_and_proof, draft.proof)
+                ok, divergence = verify_bootstrap(original, commented)
+                if not ok:
+                    raise BootstrapVerificationFailed(draft.name, divergence)
+            out.append(assemble_obt_record(draft, commented))
+            stats.emitted += 1
     return out, stats
 
 

@@ -62,6 +62,8 @@ def _load(path: str, cls) -> list:
 
 
 def _require_fields(path: str, line: artifacts.Line, keys) -> None:
+    if not isinstance(line.entry, dict):
+        raise ValueError(f"{path}:{line.lineno}: entry is not an object")
     for key in keys:
         if key not in line.entry:
             raise ValueError(f"{path}:{line.lineno}: entry has no {key!r} field")
@@ -133,7 +135,8 @@ def _load_pairs(path: str, dimension: int):
     vectors of ``dimension`` floats; the first entry sets the format for
     the whole file."""
     lines = artifacts.read_jsonl(path)
-    text = bool(lines) and "nl" in lines[0].entry
+    # A first line that is not an object is reported by _require_fields.
+    text = bool(lines) and isinstance(lines[0].entry, dict) and "nl" in lines[0].entry
     keys = ("nl", "fl") if text else ("nl_vector", "fl_vector")
     expected = "a string" if text else "a list of numbers"
 
@@ -310,12 +313,6 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         _require(v.seed_examples, "prove with a seed example file"),
         informalize.ExamplePair)]
     os.makedirs(config.workdir, exist_ok=True)
-    # A mock's scripted reply lists are served in call order, which only a
-    # serial caller keeps deterministic; a chat backend gets two problems
-    # per connection, so one can be checked while the other waits.
-    concurrency = 1
-    if config.backend.kind == "chat":
-        concurrency = 2 * config.backend.max_in_flight
     stage = prover.HarnessConfig(
         n_samples=(args.n_samples if args.n_samples is not None
                    else v.n_samples),
@@ -328,7 +325,6 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         tokenizer=make_tokenizer(config.prep),
         retry=make_retry(config.backend.retry, fork_seed(config.seed, "retry")),
         budget=make_budget(config.backend.budget),
-        concurrency=concurrency,
     )
     report = prover.run_iterative(
         problems, seed_pool, make_backend(config.backend),

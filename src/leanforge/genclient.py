@@ -6,19 +6,26 @@ prompt string; the prompts themselves are built in ``leanforge.prompts``.
 The chat system message, if any, is the backend's configured
 ``system_prompt``.
 
+Every paid stage runs its units (a theorem, a problem) through ``in_order``,
+which keeps up to ``backend.concurrency`` of them in flight and hands their
+results back in order. A backend without the attribute gets one at a time.
+
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
 import os
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import requests
 
@@ -171,6 +178,88 @@ def _cost(request: GenerationRequest) -> int:
     return estimate_tokens(request.prompt) + request.max_new_tokens * request.n_samples
 
 
+def in_order(
+    items: Iterable,
+    work: Callable[[Any, Any], Any],
+    concurrency: int,
+    budget: Optional[GenerationBudget] = None,
+    worst_case: Optional[Callable[[Any], Tuple[int, GenerationRequest]]] = None,
+) -> Iterator[Tuple[Any, Any]]:
+    """Run ``work(item, charge)`` over ``items``, up to ``concurrency`` at
+    once, and yield ``(item, result)`` in item order, each as soon as it and
+    every earlier result are in. Items are drawn from ``items`` only as they
+    are started.
+
+    ``charge`` is what the work hands to ``complete``: the budget, or None.
+    At concurrency 1 the items run one by one on the calling thread, each
+    charging the budget itself: this is the serial run. Above it they run
+    on a thread pool, and with a budget each item first reserves its worst
+    case in item order: ``worst_case(item)`` is ``(count, request)``, at
+    most ``count`` requests each charged like ``request``. ``charge`` is
+    then that reservation, released when the work returns or raises. An
+    item whose reservation does not fit waits for every earlier item and
+    then runs alone on the budget itself, so it sees what the serial run
+    sees and a run that hits a ceiling stops where the serial run stops.
+
+    When the work of item k raises, no item is started once that is seen,
+    and the exception propagates after the results before k are yielded.
+    """
+    if concurrency < 1:
+        raise ValueError("concurrency must be >= 1")
+    if concurrency == 1:
+        # No pool: with one unit in flight a worker thread only adds
+        # hand-offs, and a mock run's informalize and bootstrap ran about a
+        # third slower through one (2-core host, Python 3.11).
+        for item in items:
+            yield item, work(item, budget)
+        return
+    # Imported here: the CLI's start-up does not pay for the thread pool.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    def run(item, charge):
+        try:
+            return work(item, charge)
+        finally:
+            if isinstance(charge, Reservation):
+                charge.release()
+
+    queue: collections.deque = collections.deque()  # (item, future), unyielded
+
+    def finished():
+        while queue and queue[0][1].done():
+            item, future = queue.popleft()
+            yield item, future.result()
+
+    def failed() -> bool:
+        return any(f.done() and f.exception() is not None for _, f in queue)
+
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        for item in items:
+            running = [f for _, f in queue if not f.done()]
+            while len(running) >= concurrency:
+                wait(running, return_when=FIRST_COMPLETED)
+                yield from finished()
+                running = [f for _, f in queue if not f.done()]
+            if failed():
+                break
+            charge, alone = budget, False
+            if budget is not None:
+                count, request = worst_case(item)
+                charge = budget.reserve(count, count * _cost(request))
+                if charge is None:
+                    wait([f for _, f in queue])
+                    yield from finished()
+                    charge, alone = budget, True
+            future = pool.submit(run, item, charge)
+            queue.append((item, future))
+            if alone:
+                wait([future])
+            yield from finished()
+        while queue:
+            item, future = queue.popleft()
+            yield item, future.result()
+
+
 @dataclass
 class RetryPolicy:
     """Exponential backoff with deterministic jitter.
@@ -255,8 +344,11 @@ class MockBackend:
     lookup: the same prompt always yields the same text.  A list response is
     consumed one entry per sample in call order (the last entry repeats once
     exhausted), which lets fixtures script "fail twice, then succeed"
-    sequences.  Unmatched prompts get default_text.
+    sequences.  Unmatched prompts get default_text.  Because list responses
+    are served in call order, a mock serves one caller at a time.
     """
+
+    concurrency = 1
 
     def __init__(
         self,
@@ -300,7 +392,9 @@ class ChatCompletionBackend:
     All calls share one keep-alive session whose connection pool holds at
     most ``max_in_flight`` connections and blocks when they are all busy,
     so concurrent callers never open more; a call's latency includes the
-    wait for a free connection.
+    wait for a free connection. Stages keep two units in flight per
+    connection (``concurrency``), so one unit's reply can be checked while
+    another's request waits.
     """
 
     def __init__(
@@ -321,6 +415,7 @@ class ChatCompletionBackend:
         self.system_prompt = system_prompt
         self.timeout = timeout
         self.name = name or model
+        self.concurrency = 2 * max_in_flight
         self._session = requests.Session()
         adapter = requests.adapters.HTTPAdapter(
             pool_maxsize=max_in_flight, pool_block=True)

@@ -109,7 +109,9 @@ def build_example_index(
     head: retrieval.ProjectionHead,
     side: str = "nl",
 ) -> retrieval.SimilarityIndex:
-    """Index the pool for retrieval, keyed by example name.
+    """Index the pool for retrieval. An entry's id is its (name, position)
+    in the pool: similarity ties rank by name, and entries that share a
+    name stay apart.
 
     side="nl" indexes the pool's NL texts (queries cross the language gap
     through the trained head); side="fl" indexes the FL texts directly.
@@ -119,7 +121,7 @@ def build_example_index(
     texts = [p.nl if side == "nl" else p.fl for p in pool]
     vectors = embedder.embed(texts)
     return retrieval.build_index(
-        [(p.name, v) for p, v in zip(pool, vectors)], head
+        [((p.name, i), v) for i, (p, v) in enumerate(zip(pool, vectors))], head
     )
 
 
@@ -130,11 +132,11 @@ def select_examples(
     k: int,
     embedder,
 ) -> List[ExamplePair]:
-    """The k pool entries most similar to the record's FL statement."""
-    by_name = {p.name: p for p in pool}
+    """The k pool entries most similar to the record's FL statement;
+    ``index`` is ``build_example_index`` over the same pool."""
     query = embedder.embed([record.statement])[0]
     ranked = retrieval.top_k(index, query, k)
-    return [by_name[name] for name, _ in ranked]
+    return [pool[position] for (_, position), _ in ranked]
 
 
 # --- per-theorem generation -----------------------------------------------------
@@ -304,7 +306,15 @@ def _validate_resume(
 def informalize_corpus(
     records: Sequence[TheoremRecord], config: InformalizeConfig
 ) -> List[InformalizationResult]:
-    """One result per record, in input order, checkpointed after each."""
+    """One result per record, in input order, checkpointed after each.
+
+    Records go through ``genclient.in_order``: up to the backend's
+    ``concurrency`` are in flight, each a whole ``informalize_theorem``
+    call. With a budget, a record reserves ``max_attempts`` requests with
+    the prompt it sends, examples included. Results, and checkpoint lines,
+    come in record order, so a crash leaves a checkpoint that is a prefix
+    of the records.
+    """
     done: List[InformalizationResult] = []
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         if config.restart:
@@ -314,27 +324,43 @@ def informalize_corpus(
             _validate_resume(done, records, config)
             if done:
                 logger.info("resuming after %d checkpointed records", len(done))
-    results = list(done)
-    checkpoint = (artifacts.appending_jsonl(config.checkpoint_path)
-                  if config.checkpoint_path else contextlib.nullcontext())
-    with checkpoint as append:
+
+    def with_examples():
         for record in records[len(done):]:
             examples: Sequence[ExamplePair] = ()
             if config.index is not None and config.pool and config.embedder is not None:
                 examples = select_examples(
                     record, config.index, config.pool, config.k_examples, config.embedder
                 )
-            result = informalize_theorem(
-                record,
-                examples,
-                config.backend,
-                config.limits,
-                max_attempts=config.max_attempts,
-                retry=config.retry,
-                budget=config.budget,
-                max_new_tokens=config.max_new_tokens,
-                temperature=config.temperature,
-            )
+            yield record, examples
+
+    def worst_case(item):
+        record, examples = item
+        prompt = prompts.informalization_prompt(examples, record.statement, record.proof)
+        return config.max_attempts, GenerationRequest(
+            prompt, max_new_tokens=config.max_new_tokens)
+
+    def work(item, charge):
+        record, examples = item
+        return informalize_theorem(
+            record,
+            examples,
+            config.backend,
+            config.limits,
+            max_attempts=config.max_attempts,
+            retry=config.retry,
+            budget=charge,
+            max_new_tokens=config.max_new_tokens,
+            temperature=config.temperature,
+        )
+
+    results = list(done)
+    checkpoint = (artifacts.appending_jsonl(config.checkpoint_path)
+                  if config.checkpoint_path else contextlib.nullcontext())
+    with checkpoint as append, contextlib.closing(genclient.in_order(
+            with_examples(), work, getattr(config.backend, "concurrency", 1),
+            config.budget, worst_case)) as finished:
+        for _, result in finished:
             results.append(result)
             if append is not None:
                 append(_result_to_entry(result))

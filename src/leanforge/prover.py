@@ -24,10 +24,9 @@ from .genclient import (
     GenClientError,
     GenerationBudget,
     GenerationRequest,
-    Reservation,
     RetryPolicy,
     complete,
-    estimate_tokens,
+    in_order,
 )
 from .prompts import example_block, proof_prompt
 from .trainprep import fit_blocks
@@ -171,13 +170,10 @@ class HarnessConfig:
     temperature: float = 0.7
     retry: Optional[RetryPolicy] = None
     budget: Optional[GenerationBudget] = None
-    concurrency: int = 1  # problems in flight
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         lo, hi = self.k_range
@@ -462,41 +458,37 @@ def _prove_problem(
     """Sample ``problem`` until the first verified proof or ``n_samples``.
 
     ``budget`` is what ``complete`` charges: None, the shared budget, or a
-    reservation on it, released on return. Returns the samples drawn, their
-    attempt log lines and the verified attempt, if any.
+    reservation on it. Returns the samples drawn, their attempt log lines
+    and the verified attempt, if any.
     """
     log: List[dict] = []
-    try:
-        for sample_index in range(config.n_samples):
-            request = GenerationRequest(
-                prompt=prompt,
-                max_new_tokens=config.max_new_tokens,
-                temperature=config.temperature,
-                n_samples=1,
-                request_id=f"prove:{problem.name}:r{round_number}:s{sample_index}",
-            )
-            try:
-                response = complete(request, backend, retry=config.retry,
-                                    budget=budget)
-            except GenClientError as exc:
-                logger.warning("generation for %s stopped at sample %d: %s",
-                               problem.name, sample_index, exc)
-                return sample_index, log, None
-            attempt = evaluate_sample(
-                problem, sample_index, response.samples[0], verifier)
-            log.append({
-                "problem": problem.name,
-                "round": round_number,
-                "sample_index": sample_index,
-                "verdict": attempt.verdict,
-                "diagnostic": attempt.diagnostic[:DIAGNOSTIC_CHARS],
-            })
-            if attempt.verdict == "verified":
-                return sample_index + 1, log, attempt
-        return config.n_samples, log, None
-    finally:
-        if isinstance(budget, Reservation):
-            budget.release()
+    for sample_index in range(config.n_samples):
+        request = GenerationRequest(
+            prompt=prompt,
+            max_new_tokens=config.max_new_tokens,
+            temperature=config.temperature,
+            n_samples=1,
+            request_id=f"prove:{problem.name}:r{round_number}:s{sample_index}",
+        )
+        try:
+            response = complete(request, backend, retry=config.retry,
+                                budget=budget)
+        except GenClientError as exc:
+            logger.warning("generation for %s stopped at sample %d: %s",
+                           problem.name, sample_index, exc)
+            return sample_index, log, None
+        attempt = evaluate_sample(
+            problem, sample_index, response.samples[0], verifier)
+        log.append({
+            "problem": problem.name,
+            "round": round_number,
+            "sample_index": sample_index,
+            "verdict": attempt.verdict,
+            "diagnostic": attempt.diagnostic[:DIAGNOSTIC_CHARS],
+        })
+        if attempt.verdict == "verified":
+            return sample_index + 1, log, attempt
+    return config.n_samples, log, None
 
 
 def run_iteration(
@@ -512,19 +504,14 @@ def run_iteration(
     example pool visible to prompts is the one the round started with;
     newly verified proofs only join it in the returned state.
 
-    Up to ``config.concurrency`` problems are in flight at once, each with
-    the sample sequence a serial run gives it, and results are committed in
-    problem order. With a budget, each problem first reserves its worst case
-    in problem order; one whose reservation does not fit waits for every
-    earlier problem and runs alone against the shared budget, so a run that
-    hits a ceiling stops at the samples a serial run stops at.
+    Problems go through ``genclient.in_order``: up to the backend's
+    ``concurrency`` are in flight, each with the sample sequence a serial
+    run gives it, and results are committed in problem order. With a
+    budget, each problem reserves ``n_samples`` requests with its prompt,
+    so a run that hits a ceiling stops at the samples a serial run
+    stops at.
     """
-    # Imported here: the CLI's start-up does not pay for the thread pool.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    futures = []
-    pending = set()
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+    def prompted():
         for problem in problems:
             if problem.name not in state.unproved:
                 continue
@@ -535,39 +522,27 @@ def run_iteration(
             except PromptExceedsBudget as exc:
                 logger.warning("skipping %s this round: %s", problem.name, exc)
                 continue
-            while len(pending) >= config.concurrency:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()  # a failed problem stops the round
-            budget, alone = config.budget, False
-            if budget is not None:
-                reservation = budget.reserve(
-                    config.n_samples,
-                    config.n_samples * (estimate_tokens(prompt) + config.max_new_tokens))
-                alone = reservation is None
-                if alone:
-                    # Once every earlier problem is done, the budget is what
-                    # a serial run would see here.
-                    wait(pending)
-                    pending = set()
-                else:
-                    budget = reservation
-            future = pool.submit(_prove_problem, problem, prompt, state.round,
-                                 backend, verifier, config, budget)
-            futures.append((problem, future))
-            if alone:
-                future.result()  # later problems start after it
-            else:
-                pending.add(future)
-    results = [(problem, future.result()) for problem, future in futures]
+            yield problem, prompt
 
+    def worst_case(item):
+        _, prompt = item
+        return config.n_samples, GenerationRequest(
+            prompt, max_new_tokens=config.max_new_tokens)
+
+    def work(item, charge):
+        problem, prompt = item
+        return _prove_problem(problem, prompt, state.round, backend, verifier,
+                              config, charge)
+
+    results = in_order(prompted(), work, getattr(backend, "concurrency", 1),
+                       config.budget, worst_case)
     proved = dict(state.proved)
     first_success = dict(state.first_success)
     pool_examples = list(state.example_pool)
     attempts = list(state.attempts)
     budget_used = state.budget_used
     newly = set()
-    for problem, (drawn, log, verified) in results:
+    for (problem, _), (drawn, log, verified) in results:
         budget_used += drawn
         attempts.extend(log)
         if verified is None:

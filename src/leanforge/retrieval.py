@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,9 +255,10 @@ def train_projection(
 
 @dataclass
 class SimilarityIndex:
-    """Projected corpus vectors, frozen after construction."""
+    """Projected corpus vectors, frozen after construction. Ids are any
+    values that compare with each other (names, or name-position tuples)."""
 
-    ids: List[str]
+    ids: List[Any]
     vectors: np.ndarray  # (n, d_out), projected
     norms: np.ndarray
     head: ProjectionHead
@@ -271,7 +272,7 @@ class SimilarityIndex:
 
 
 def build_index(
-    corpus: Sequence[Tuple[str, np.ndarray]], head: ProjectionHead
+    corpus: Sequence[Tuple[Any, np.ndarray]], head: ProjectionHead
 ) -> SimilarityIndex:
     if not corpus:
         raise EmptyInput("cannot index an empty corpus")
@@ -292,7 +293,7 @@ def build_index(
     return SimilarityIndex(ids=ids, vectors=vectors, norms=norms, head=head)
 
 
-def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[str, float]]:
+def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[Any, float]]:
     """The k most similar entries, descending; ties broken by ascending id."""
     if k <= 0:
         return []
@@ -301,9 +302,11 @@ def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[str, 
     if qnorm == 0.0:
         raise ZeroNormQuery("projected query has zero norm")
     sims = index.vectors @ projected / (index.norms * qnorm)
-    # The last key sorts first. Object ids compare as Python strings, which a
-    # fixed-width unicode array would not (it drops trailing NULs).
-    order = np.lexsort((np.array(index.ids, dtype=object), -sims))
+    # The last key sorts first. Ids sit in a one-dimensional object array, so
+    # they compare as Python values: a fixed-width unicode array would drop
+    # trailing NULs, and np.array would split tuple ids into columns.
+    ids = np.fromiter(index.ids, dtype=object, count=len(index.ids))
+    order = np.lexsort((ids, -sims))
     return [(index.ids[i], float(sims[i])) for i in order[:k]]
 
 

@@ -10,7 +10,9 @@ implementation against it over the snippet corpus and randomized inputs.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
 the string form of ``count_tactic_steps`` did: strip the comments, lex again.
 ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
-``HashEmbedder.embed`` must match byte for byte.
+``HashEmbedder.embed`` must match byte for byte. ``KeyedBackend`` answers by
+request id after a jittered pause, so the paid stages can be run at several
+concurrencies and compared.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import hashlib
 import math
 import random
 import re
+import threading
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -506,3 +510,34 @@ def rotated_pair_corpus(seed: int, count: int, dim: int, rotate_dims: int, angle
         nl = rot @ fl
         pairs.append((retrieval.embedding(nl), retrieval.embedding(fl)))
     return pairs
+
+
+class KeyedBackend:
+    """A backend whose reply depends only on the request id, which names the
+    unit and its attempt, never on call order.
+
+    ``reply(request)`` returns the text or raises. Each reply comes after a
+    0-3 ms pause seeded by the request id, so units in flight together
+    finish in a shuffled order. ``concurrency`` is what a stage reads from
+    its backend. With ``fail_at`` set, that call (counted from 1 over all
+    threads) raises a RuntimeError, a fault no stage handles.
+    """
+
+    name = "keyed"
+
+    def __init__(self, reply, seed, concurrency=1, fail_at=None):
+        self.reply = reply
+        self.seed = seed
+        self.concurrency = concurrency
+        self.fail_at = fail_at
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.fail_at:
+            raise RuntimeError(f"injected fault at call {call}")
+        time.sleep(random.Random(f"{self.seed}:{request.request_id}").uniform(0.0, 0.003))
+        return [(self.reply(request), False)] * request.n_samples

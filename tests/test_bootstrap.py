@@ -27,7 +27,13 @@ from leanforge.bootstrap import (
     verify_bootstrap,
 )
 from leanforge.corpus import LexError
-from leanforge.genclient import BackendUnavailable, MockBackend, RetryPolicy
+from leanforge.genclient import (
+    BackendUnavailable,
+    GenerationBudget,
+    MalformedBackendReply,
+    MockBackend,
+    RetryPolicy,
+)
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -48,6 +54,7 @@ from fixtures.listings import (
     SQINEQ_COMMENTED,
 )
 from support import (
+    KeyedBackend,
     insert_comments_line_respecting,
     insert_comments_reckless,
     random_leanish_source,
@@ -417,6 +424,58 @@ class TestBootstrapCorpus:
             for e in (nat, int_)]
         assert all(r.commented_proof.endswith(r.proof) for r in out)
         assert stats.emitted == 2
+
+
+def keyed_replies(entries, seed):
+    """Per request id: a commented proof, one that lost code, or a
+    malformed reply."""
+    proofs = {e["Name"]: e["Proof"] for e in entries}
+
+    def reply(request):
+        _, name, attempt = request.request_id.split(":")
+        roll = random.Random(f"{seed}:reply:{request.request_id}").random()
+        if roll < 0.15:
+            raise MalformedBackendReply("scripted bad reply")
+        if roll < 0.5:
+            return proofs[name].replace("simpa", "simp")
+        return proofs[name] + f"  -- note {attempt}\n"
+    return reply
+
+
+class TestConcurrentCorpus:
+    """Four records in flight give what one at a time gives: the records,
+    the stats and the budget use, also under ceilings that bind mid-run."""
+
+    def run(self, entries, seed, concurrency, **ceilings):
+        budget = GenerationBudget(**ceilings)
+        out, stats = bootstrap_corpus(
+            entries, KeyedBackend(keyed_replies(entries, seed), seed, concurrency),
+            mode=BootstrapMode.INTERLEAVED, budget=budget, max_new_tokens=64)
+        return out, stats, budget.requests_used, budget.tokens_used
+
+    def test_records_stats_and_budget_match_serial(self):
+        rng = random.Random(53)
+        bound = 0
+        for trial in range(6):
+            entries = []
+            for i in range(rng.randint(3, 9)):
+                proof = (f"theorem toy{i} (n : ℕ) : n + {i} = {i} + n := by\n"
+                         f"  simpa using Nat.add_comm n {i}\n")
+                entries.append(informal_entry(
+                    f"toy{i}", proof.split(" := by")[0] + " :=", proof,
+                    "Statement: addition commutes. Proof: "
+                    + "by commutativity " * rng.randint(1, 30),
+                    verdict="fail" if rng.random() < 0.2 else "pass"))
+            serial = self.run(entries, trial, 1)
+            requests, tokens = serial[2], serial[3]
+            assert self.run(entries, trial, 4) == serial, trial
+            for ceilings in ({"max_requests": rng.randint(1, max(1, requests))},
+                             {"max_tokens": rng.randint(1, max(1, tokens))}):
+                serial = self.run(entries, trial, 1, **ceilings)
+                assert self.run(entries, trial, 4, **ceilings) == serial, (
+                    trial, ceilings)
+                bound += serial[2] < requests
+        assert bound >= 6  # most ceilings stop the run early
 
 
 WIRE_NAMES = [

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import sys
 import textwrap
 
@@ -484,6 +485,123 @@ class TestBootstrapCommand:
         assert f"informal.jsonl:2: entry has no {key!r} field" in \
             capsys.readouterr().err
         assert not (workdir / "obt.jsonl").exists()
+
+
+class TestNonObjectEntries:
+    """A line that is JSON but not an object names its file and line."""
+
+    NOT_OBJECTS = ["5", "[]", '"x"']
+
+    def expect_error(self, capsys, argv, where):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: entry is not an object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_informal_entry(self, tmp_path, capsys, line):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "informal.jsonl").write_text(
+            json.dumps(INFORMAL_ENTRY) + "\n" + line + "\n", encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir), "bootstrap": {"mode": "head"}})
+        self.expect_error(capsys, ["bootstrap", "-c", config], "informal.jsonl:2")
+        assert not (workdir / "obt.jsonl").exists()
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_theorem_entry(self, tmp_path, capsys, line):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        record = corpus.TheoremRecord(
+            "foo", "theorem foo : 1 = 1 :=", "theorem foo : 1 = 1 := rfl",
+            "A.lean", "c", 1)
+        (workdir / "theorems.jsonl").write_text(
+            json.dumps(dataclasses.asdict(record)) + "\n" + line + "\n",
+            encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir)})
+        self.expect_error(capsys, ["informalize", "-c", config], "theorems.jsonl:2")
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_problem_entry(self, tmp_path, capsys, line):
+        problems, seeds = tmp_path / "problems.jsonl", tmp_path / "seeds.jsonl"
+        problems.write_text(json.dumps(
+            {"name": "p", "fl_statement": "theorem p : 1 = 1 :="}) + "\n"
+            + line + "\n", encoding="utf-8")
+        seeds.write_text(json.dumps(
+            {"name": "s", "nl": "Statement: s. Proof: p.",
+             "fl": "theorem s : 2 = 2 := rfl"}) + "\n", encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(tmp_path / "work"),
+            "prover": {"problems": str(problems), "seed_examples": str(seeds)}})
+        self.expect_error(capsys, ["prove", "-c", config], "problems.jsonl:2")
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    @pytest.mark.parametrize("first", [True, False])
+    def test_pair_entry(self, tmp_path, capsys, line, first):
+        pair = json.dumps({"nl": "a + b", "fl": "theorem a"})
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(
+            "\n".join([line, pair] if first else [pair, line]) + "\n",
+            encoding="utf-8")
+        config = retriever_config(tmp_path, pairs_path)
+        self.expect_error(capsys, ["train-retriever", "-c", config],
+                          f"pairs.jsonl:{1 if first else 2}")
+
+
+class TestInformalizeResumeUnderConcurrency:
+    """A fault on any backend call, with four theorems in flight, leaves a
+    checkpoint that is a prefix in record order, and ``--resume`` finishes
+    the stage with the bytes of a run that never stopped."""
+
+    RECORDS = 8
+
+    @staticmethod
+    def reply(request):
+        _, name, attempt = request.request_id.split(":")
+        if random.Random(f"resume:{request.request_id}").random() < 0.4:
+            return "the " * 40
+        return f"Statement: {name} holds. Proof: attempt {attempt} computes it."
+
+    def informalize(self, monkeypatch, config, backend, *flags):
+        monkeypatch.setattr(cli, "make_backend", lambda settings: backend)
+        return run(["informalize", "-c", config, *flags])
+
+    def workdir(self, tmp_path, name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        artifacts.write_jsonl(str(workdir / "theorems.jsonl"), (
+            dataclasses.asdict(corpus.TheoremRecord(
+                f"thm{i}", f"theorem thm{i} : {i} = {i} :=",
+                f"theorem thm{i} : {i} = {i} := rfl", "A.lean", "c", 1))
+            for i in range(self.RECORDS)))
+        return workdir, write_yaml(tmp_path / f"{name}.yaml", {
+            "workdir": str(workdir), "backend": {"kind": "mock"}})
+
+    def test_fault_at_every_call_then_resume(self, tmp_path, monkeypatch):
+        full_dir, full_config = self.workdir(tmp_path, "full")
+        backend = support.KeyedBackend(self.reply, 0, concurrency=4)
+        assert self.informalize(monkeypatch, full_config, backend) == 0
+        calls = backend.calls
+        assert calls > self.RECORDS  # some theorems take several attempts
+        full_checkpoint = read_bytes(full_dir / "informalize.ckpt.jsonl")
+        full_lines = full_checkpoint.splitlines(True)
+        for fail_at in range(1, calls + 1):
+            workdir, config = self.workdir(tmp_path, f"fault{fail_at}")
+            faulty = support.KeyedBackend(self.reply, 0, 4, fail_at=fail_at)
+            assert self.informalize(monkeypatch, config, faulty) == 1
+            checkpoint = workdir / "informalize.ckpt.jsonl"
+            kept = read_bytes(checkpoint)
+            assert full_checkpoint.startswith(kept), fail_at
+            assert len(kept.splitlines()) < self.RECORDS
+            if fail_at % 2:  # the append of the next line was cut short
+                torn = full_lines[len(kept.splitlines())][:20]
+                checkpoint.write_bytes(kept + torn)
+            backend = support.KeyedBackend(self.reply, 0, concurrency=4)
+            assert self.informalize(monkeypatch, config, backend, "--resume") == 0
+            for name in ("informal.jsonl", "informalize.ckpt.jsonl"):
+                assert read_bytes(workdir / name) == read_bytes(full_dir / name), (
+                    fail_at, name)
 
 
 # --- prep ablation flags ----------------------------------------------------------
@@ -1036,33 +1154,53 @@ class TestReadSet:
 
 
 class TestProveConcurrency:
-    def problems_in_flight(self, monkeypatch, argv):
+    """Each paid stage keeps its backend's ``concurrency`` units in flight:
+    two per chat connection, one for a mock."""
+
+    def units_in_flight(self, monkeypatch, argv):
         seen = []
 
-        def recording(problems, seed_pool, backend, verifier, config):
-            seen.append(config.concurrency)
-            return prover.HarnessReport(problems_total=len(problems), rounds=(),
-                                        proved={}, first_success={})
+        def recording(items, work, concurrency, budget=None, worst_case=None):
+            seen.append(concurrency)
+            raise RuntimeError("stopped before any request")
 
-        monkeypatch.setattr(prover, "run_iterative", recording)
-        assert run(argv) == 0
+        for module in (genclient, prover, bootstrap_mod):
+            monkeypatch.setattr(module, "in_order", recording)
+        assert run(argv) == 1
         return seen
+
+    def chat_config(self, tmp_path, config):
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"] = {"kind": "chat", "endpoint": "http://127.0.0.1:9/v1",
+                               "model": "m", "max_in_flight": 3}
+        return write_yaml(tmp_path / "chat.yaml", settings)
 
     def test_mock_backend_runs_one_problem_at_a_time(self, tmp_path, monkeypatch):
         fixture = build_pipeline_fixture(tmp_path / "fixture")
         config = pipeline_config(tmp_path, fixture, tmp_path / "run")
-        assert self.problems_in_flight(monkeypatch, ["prove", "-c", config]) == [1]
+        assert self.units_in_flight(monkeypatch, ["prove", "-c", config]) == [1]
 
     def test_chat_backend_runs_two_problems_per_connection(
             self, tmp_path, monkeypatch):
         fixture = build_pipeline_fixture(tmp_path / "fixture")
         config = pipeline_config(tmp_path, fixture, tmp_path / "run")
-        with open(config, encoding="utf-8") as source:
-            settings = yaml.safe_load(source)
-        settings["backend"] = {"kind": "chat", "endpoint": "http://127.0.0.1:9/v1",
-                               "model": "m", "max_in_flight": 3}
-        chat = write_yaml(tmp_path / "chat.yaml", settings)
-        assert self.problems_in_flight(monkeypatch, ["prove", "-c", chat]) == [6]
+        chat = self.chat_config(tmp_path, config)
+        assert self.units_in_flight(monkeypatch, ["prove", "-c", chat]) == [6]
+
+    def test_informalize_and_bootstrap_follow_the_backend(
+            self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        config = pipeline_config(tmp_path, fixture, tmp_path / "run")
+        for stage in ("extract", "train-retriever", "informalize"):
+            assert run([stage, "-c", config]) == 0
+        chat = self.chat_config(tmp_path, config)
+        for path, expected in ((config, [1]), (chat, [6])):
+            assert self.units_in_flight(
+                monkeypatch, ["informalize", "-c", path]) == expected
+            assert self.units_in_flight(
+                monkeypatch,
+                ["bootstrap", "-c", path, "--mode", "interleaved"]) == expected
 
     def test_attempt_log_has_one_line_per_sample(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fixture")

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,9 +18,11 @@ from leanforge.genclient import (
     GenerationResponse,
     MalformedBackendReply,
     MockBackend,
+    Reservation,
     RetryPolicy,
     complete,
     estimate_tokens,
+    in_order,
 )
 from leanforge.prover import (
     HarnessConfig,
@@ -277,6 +280,174 @@ class TestReservations:
         assert taken == budget.requests_used == 50
 
 
+class TestInOrder:
+    def test_results_come_in_item_order_when_later_items_finish_first(self):
+        finished = []
+        lock = threading.Lock()
+
+        def work(item, charge):
+            time.sleep(0.004 * (6 - item))
+            with lock:
+                finished.append(item)
+            return item * 10
+
+        out = list(in_order(range(6), work, 4))
+        assert out == [(i, i * 10) for i in range(6)]
+        assert finished != sorted(finished)  # the items did overlap
+
+    def test_never_more_than_concurrency_in_flight(self):
+        active, peak = [0], [0]
+        lock = threading.Lock()
+
+        def work(item, charge):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.005)
+            with lock:
+                active[0] -= 1
+            return item
+
+        assert [r for _, r in in_order(range(12), work, 3)] == list(range(12))
+        assert peak[0] == 3
+
+    def test_failure_propagates_after_the_results_before_it(self):
+        def work(item, charge):
+            if item == 2:
+                raise RuntimeError("item 2 failed")
+            time.sleep(0.02 if item < 2 else 0.0)
+            return item
+
+        yielded = []
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            for item, _ in in_order(range(8), work, 4):
+                yielded.append(item)
+        assert yielded == [0, 1]
+
+    def test_items_are_drawn_only_as_they_start(self):
+        drawn = []
+
+        def items():
+            for i in range(10):
+                drawn.append(i)
+                yield i
+
+        def work(item, charge):
+            if item == 1:
+                raise RuntimeError("item 1 failed")
+            time.sleep(0.05 if item == 0 else 0.0)
+            return item
+
+        yielded = []
+        with pytest.raises(RuntimeError, match="item 1 failed"):
+            for item, _ in in_order(items(), work, 2):
+                yielded.append(item)
+        # item 1 fails while item 0 still runs: nothing after it starts
+        assert yielded == [0]
+        assert len(drawn) <= 3
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_reservations_are_returned(self, fail):
+        budget = GenerationBudget(max_requests=100, max_tokens=10_000)
+        request = GenerationRequest(prompt="p" * 8, max_new_tokens=8)
+        charges = []
+
+        def work(item, charge):
+            charges.append(charge)
+            complete(request, MockBackend(), budget=charge)
+            if fail and item == 3:
+                raise RuntimeError("after one charge")
+            return item
+
+        def drain():
+            return list(in_order(range(6), work, 3, budget, lambda item: (4, request)))
+
+        if fail:
+            with pytest.raises(RuntimeError, match="after one charge"):
+                drain()
+        else:
+            assert len(drain()) == 6
+        assert all(isinstance(c, Reservation) for c in charges)
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+        assert budget.requests_used == len(charges)
+        assert budget.tokens_used == 10 * len(charges)
+
+    def test_item_that_does_not_fit_runs_alone_on_the_budget(self):
+        budget = GenerationBudget(max_requests=5)
+        request = GenerationRequest(prompt="p", max_new_tokens=1)  # 2 tokens
+        active = [0]
+        seen = []
+        lock = threading.Lock()
+
+        def work(item, charge):
+            with lock:
+                active[0] += 1
+                seen.append((item, isinstance(charge, Reservation), active[0]))
+            time.sleep(0.005)
+            for _ in range(2):
+                try:
+                    complete(request, MockBackend(), budget=charge)
+                except BudgetExceeded:
+                    break
+            with lock:
+                active[0] -= 1
+            return item
+
+        out = list(in_order(range(4), work, 3, budget, lambda item: (2, request)))
+        assert [item for item, _ in out] == [0, 1, 2, 3]
+        by_item = {item: (reserved, peers) for item, reserved, peers in seen}
+        # items 0 and 1 reserve 4 of the 5 requests; item 2 cannot reserve
+        # its 2, so it waits for both and runs alone on the last request;
+        # item 3 then finds nothing left and runs alone as well
+        assert by_item[0][0] and by_item[1][0]
+        assert by_item[2] == (False, 1)
+        assert by_item[3] == (False, 1)
+        assert budget.requests_used == 5
+
+    def test_concurrency_validated(self):
+        with pytest.raises(ValueError, match="concurrency"):
+            list(in_order([1], lambda item, charge: item, 0))
+
+    def test_shared_budget_under_thread_switch_stress(self):
+        # eight threads on a tight ceiling, switching as often as they can:
+        # every item is charged what a serial run charges it
+        request = GenerationRequest(prompt="p", max_new_tokens=1)
+        budget = GenerationBudget(max_requests=150)
+
+        def wanted(item):
+            return item % 5 + 1
+
+        def work(item, charge):
+            taken = 0
+            for _ in range(wanted(item)):
+                try:
+                    complete(request, MockBackend(), budget=charge)
+                except BudgetExceeded:
+                    break
+                taken += 1
+            return taken
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = list(in_order(range(100), work, 8, budget,
+                                lambda item: (wanted(item), request)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected, left = [], 150
+        for item in range(100):
+            expected.append(min(wanted(item), left))
+            left -= expected[-1]
+        assert [taken for _, taken in out] == expected
+        assert budget.requests_used == 150
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+
+    def test_mock_serves_one_caller_and_chat_two_per_connection(self):
+        assert MockBackend().concurrency == 1
+        chat = ChatCompletionBackend("http://127.0.0.1:9/v1", "m", max_in_flight=3)
+        assert chat.concurrency == 6
+
+
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     """Chat-completion endpoint; the path picks the failure mode."""
 
@@ -480,8 +651,9 @@ class TestConnectionBound:
         problems = [Problem(name=f"p{i}", fl_statement=f"theorem p{i} : True :=")
                     for i in range(6)]
         seeds = [PoolExample("seed", "Statement: s.", "theorem seed : True := trivial")]
+        # 2 × max_in_flight problems in flight
         config = HarnessConfig(tokenizer=WhitespaceTokenizer(), n_samples=2,
-                               k_range=(1, 1), concurrency=4)
+                               k_range=(1, 1))
         try:
             started = time.perf_counter()
             state = run_iteration(initial_state(problems, seeds), problems,

@@ -16,6 +16,7 @@ from leanforge.corpus import TheoremRecord
 from leanforge.genclient import (
     BackendUnavailable,
     GenerationBudget,
+    MalformedBackendReply,
     MockBackend,
     RetryPolicy,
 )
@@ -43,6 +44,7 @@ from leanforge.prompts import (
     NL_SECTION,
     informalization_prompt,
 )
+from support import KeyedBackend
 
 
 GOOD_NL = (
@@ -224,6 +226,34 @@ class TestSelectExamples:
                          float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))))
         expected = [n for n, _ in sorted(sims, key=lambda t: (-t[1], t[0]))[:5]]
         assert got == expected
+
+    def test_same_name_entries_stay_apart(self):
+        # one example named ``ex`` per namespace
+        pool = [ExamplePair("ex", f"Statement: one is one in {t}. Proof: rfl.",
+                            f"theorem ex : (1 : {t}) = 1 := rfl")
+                for t in ("Nat", "Int")]
+        embedder = retrieval.HashEmbedder(dimension=32)
+        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        index = build_example_index(pool, embedder, head, side="fl")
+        for probe in pool:
+            out = select_examples(theorem("probe", statement=probe.fl), index,
+                                  pool, 2, embedder)
+            assert out[0] is probe
+            assert {id(p) for p in out} == {id(p) for p in pool}
+
+    def test_ties_rank_by_name_then_position(self):
+        class Flat:
+            """Every text embeds to the same unit vector: all ties, exactly."""
+
+            def embed(self, texts):
+                return [retrieval.embedding([1.0, 0.0, 0.0, 0.0]) for _ in texts]
+
+        pool = [ExamplePair(name, f"Statement: entry {i}. Proof: p.", "theorem x")
+                for i, name in enumerate(("b", "a", "b", "c", "a"))]
+        head = retrieval.ProjectionHead.initialize(4, 4, seed=0, init="identity")
+        index = build_example_index(pool, Flat(), head)
+        out = select_examples(theorem("probe"), index, pool, 5, Flat())
+        assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
 
     def test_k_clamped_to_pool(self):
         pool = example_pool(4)
@@ -489,6 +519,56 @@ class TestInformalizeCorpus:
             k_examples=2))
         assert all(len(r.examples_used) == 2 for r in results)
         assert all(FL_PROOF_SECTION in p for p in seen)
+
+
+def scenario_reply(seed):
+    """Per request id: a passing text, a repetitive one, or a malformed reply."""
+    def reply(request):
+        roll = random.Random(f"{seed}:reply:{request.request_id}").random()
+        if roll < 0.15:
+            raise MalformedBackendReply("scripted bad reply")
+        return "the " * 40 if roll < 0.45 else GOOD_NL
+    return reply
+
+
+class TestConcurrentCorpus:
+    """Four records in flight give what one at a time gives: the results,
+    the checkpoint and the budget use, also under ceilings that bind
+    mid-run."""
+
+    def run(self, tmp_path, records, seed, concurrency, **ceilings):
+        pool = example_pool(6)
+        embedder = retrieval.HashEmbedder(dimension=32)
+        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        budget = GenerationBudget(**ceilings)
+        checkpoint = tmp_path / f"c{concurrency}.jsonl"
+        results = informalize_corpus(records, InformalizeConfig(
+            backend=KeyedBackend(scenario_reply(seed), seed, concurrency),
+            pool=pool, index=build_example_index(pool, embedder, head, side="fl"),
+            embedder=embedder, k_examples=2, checkpoint_path=str(checkpoint),
+            restart=True, budget=budget, max_new_tokens=64))
+        return (results, checkpoint.read_bytes(), budget.requests_used,
+                budget.tokens_used)
+
+    def test_results_checkpoint_and_budget_match_serial(self, tmp_path):
+        rng = random.Random(31)
+        bound = 0
+        for trial in range(6):
+            records = [
+                theorem(f"thm{i:02d}",
+                        f"theorem thm{i:02d} : {'1 + ' * rng.randint(0, 40)}1 = 1 :=")
+                for i in range(rng.randint(3, 9))
+            ]
+            serial = self.run(tmp_path, records, trial, 1)
+            requests, tokens = serial[2], serial[3]
+            assert self.run(tmp_path, records, trial, 4) == serial, trial
+            for ceilings in ({"max_requests": rng.randint(1, requests)},
+                             {"max_tokens": rng.randint(1, tokens)}):
+                serial = self.run(tmp_path, records, trial, 1, **ceilings)
+                assert self.run(tmp_path, records, trial, 4, **ceilings) == serial, (
+                    trial, ceilings)
+                bound += serial[2] < requests
+        assert bound >= 6  # most ceilings stop the run early
 
 
 class TestDatasetFile:

@@ -110,10 +110,6 @@ class TestDomainTypes:
                            unproved=frozenset({"a"}), budget_used=0,
                            first_success={})
 
-    def test_concurrency_validated(self):
-        with pytest.raises(ValueError, match="concurrency"):
-            config(concurrency=0)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HarnessConfig(WhitespaceTokenizer(), n_samples=0)
@@ -804,9 +800,10 @@ class JitteredBackend:
 
     name = "jittered"
 
-    def __init__(self, inner, seed):
+    def __init__(self, inner, seed, concurrency=1):
         self.inner = inner
         self.seed = seed
+        self.concurrency = concurrency
 
     def generate(self, request):
         rng = random.Random(f"{self.seed}:{request.request_id}")
@@ -820,10 +817,10 @@ class TestConcurrentRounds:
         budget = GenerationBudget(**ceilings)
         report = run_iterative(
             problems, seed_examples(2),
-            JitteredBackend(ScenarioBackend(gates, proofs), seed),
+            JitteredBackend(ScenarioBackend(gates, proofs), seed, concurrency),
             MockVerifier(proofs),
             config(max_rounds=max_rounds, n_samples=n_samples,
-                   max_new_tokens=64, budget=budget, concurrency=concurrency))
+                   max_new_tokens=64, budget=budget))
         return report, report.attempts, budget.requests_used, budget.tokens_used
 
     def test_reports_budgets_and_attempt_logs_match_serial(self):
@@ -881,6 +878,7 @@ class TestConcurrentRounds:
     def test_failing_problem_fails_the_round(self):
         class Broken:
             name = "broken"
+            concurrency = 2
 
             def generate(self, request):
                 raise RuntimeError("backend bug")
@@ -888,16 +886,16 @@ class TestConcurrentRounds:
         problems = [make_problem(i) for i in range(3)]
         state = initial_state(problems, seed_examples(1))
         with pytest.raises(RuntimeError, match="backend bug"):
-            run_iteration(state, problems, Broken(), MockVerifier({}),
-                          config(concurrency=2))
+            run_iteration(state, problems, Broken(), MockVerifier({}), config())
 
     def test_reservations_are_returned(self):
         problems = [make_problem(i) for i in range(5)]
         state = initial_state(problems, seed_examples(1))
         budget = GenerationBudget(max_requests=11)
         backend = MockBackend(default_text=canonical_proof(0))
+        backend.concurrency = 3  # every prompt gets the same text
         new = run_iteration(state, problems, backend, MockVerifier({}),
-                            config(n_samples=4, budget=budget, concurrency=3))
+                            config(n_samples=4, budget=budget))
         # two problems reserve their 4 requests each; the third cannot and
         # runs alone on the 3 left, as a serial run would
         assert new.budget_used == budget.requests_used == 11
