@@ -2,25 +2,38 @@
 
 Every artifact is replaced atomically: the new content goes to a temp file
 beside the target, is flushed to disk and renamed over the target, so a
-crash leaves the old file or the new one, never part of either. Readers
-name the file and line of the first entry they cannot parse. Record layouts
-and load-time checks stay with the modules that own the records; this
-module only moves text and JSON between them and the files.
+crash leaves the old file or the new one, never part of either.
+
+A JSONL entry is a JSON value or a record: a dataclass instance, written as
+an object of its fields in declaration order. A field's JSON key is its name
+or the one given with ``wire``, and its type is its annotation; a field off
+the wire is not written, and a record read back gets its default. A line
+read as a record that is not an object, lacks a field without a default or
+holds a value of the wrong type is rejected as ``path:line``; other keys are
+ignored.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import os
-from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Union
+import typing
+from typing import (Any, Callable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple, Type, TypeVar, Union)
 
 logger = logging.getLogger(__name__)
 
+R = TypeVar("R")
+
+_WIRE = "wire"  # field metadata key holding the field's JSON key
+
 
 class ArtifactError(ValueError):
-    """A file holds text that does not parse as JSON."""
+    """A file holds text that is not JSON, or a line not the record it should."""
 
 
 class Line(NamedTuple):
@@ -54,11 +67,11 @@ def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
 
 
 def _json_line(entry: Any) -> str:
-    return json.dumps(entry, ensure_ascii=False) + "\n"
+    return json.dumps(entry, ensure_ascii=False, default=_to_entry) + "\n"
 
 
 def write_jsonl(path: str, entries: Iterable[Any]) -> None:
-    """Replace ``path`` with one JSON line per entry."""
+    """Replace ``path`` with one JSON line per entry, a record or a JSON value."""
     write_text(path, map(_json_line, entries))
 
 
@@ -95,6 +108,103 @@ def read_json(path: str) -> Any:
         raise ArtifactError(f"{path}:{exc.lineno}: unreadable JSON: {exc}") from exc
 
 
+# --- records ---------------------------------------------------------------------
+
+
+def wire(key: Optional[str], **field_args) -> Any:
+    """A dataclass field with JSON key ``key``; None keeps it off the wire."""
+    return dataclasses.field(metadata={_WIRE: key}, **field_args)
+
+
+class _Reject(Exception):
+    """A JSON value does not fit; with no message, because of its type."""
+
+
+_SCALARS = {str: (str,), int: (int,), float: (int, float)}  # a bool is none
+
+
+def _decode(value: Any, hint) -> Any:
+    """``value`` as a field of type ``hint``: str, int, float, a record,
+    ``Tuple[X, ...]`` (from a list) or ``Optional[X]``."""
+    if hint in _SCALARS:
+        if type(value) in _SCALARS[hint]:
+            return value
+    elif dataclasses.is_dataclass(hint):
+        return _from_entry(value, hint)
+    elif typing.get_origin(hint) is tuple:
+        if type(value) is list:
+            return tuple(_decode(item, typing.get_args(hint)[0]) for item in value)
+    else:  # Optional[X]
+        return None if value is None else _decode(value, typing.get_args(hint)[0])
+    raise _Reject()
+
+
+def _expected(hint) -> str:
+    """The JSON type that ``_decode`` takes for ``hint``, as "a string"."""
+    args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return "an object"
+    if typing.get_origin(hint) is tuple:
+        noun, _, rest = _expected(args[0]).split(" ", 1)[1].partition(" ")
+        return f"a list of {noun}s {rest}".rstrip()
+    if args:
+        return f"{_expected(args[0])} or null"
+    return {str: "a string", int: "an integer", float: "a number"}[hint]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(cls) -> Tuple[Tuple[str, str, bool, Any], ...]:
+    """(attribute, key, required, type) of each wire field of ``cls``."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get(_WIRE, f.name),
+         f.default is dataclasses.MISSING is f.default_factory, hints[f.name])
+        for f in dataclasses.fields(cls) if f.metadata.get(_WIRE, f.name) is not None)
+
+
+def _to_entry(record: Any) -> dict:
+    return {key: getattr(record, attr) for attr, key, *_ in _table(type(record))}
+
+
+def _from_entry(entry: Any, cls):
+    if type(entry) is not dict:
+        raise _Reject("entry is not an object")
+    values = {}
+    for attr, key, required, hint in _table(cls):
+        if key in entry:
+            try:
+                values[attr] = _decode(entry[key], hint)
+            except _Reject as exc:
+                raise _Reject(f"{key}: {exc}" if exc.args
+                              else f"{key} is not {_expected(hint)}") from None
+        elif required:
+            raise _Reject(f"entry has no {key!r} field")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # the record's own check of its values
+        raise _Reject(str(exc)) from None
+
+
+def wire_keys(cls) -> List[Tuple[str, str]]:
+    """(attribute, JSON key) of each wire field of record type ``cls``."""
+    return [(attr, key) for attr, key, *_ in _table(cls)]
+
+
+def as_record(path: str, line: Line, cls: Type[R]) -> R:
+    """The ``cls`` record on ``line``; ArtifactError names ``path:lineno``."""
+    try:
+        return _from_entry(line.entry, cls)
+    except _Reject as exc:
+        raise ArtifactError(f"{path}:{line.lineno}: {exc}") from None
+
+
+def read_records(path: str, cls: Type[R]) -> List[R]:
+    """One ``cls`` record per nonblank line of a JSONL file."""
+    return [as_record(path, line, cls) for line in read_jsonl(path)]
+
+
 # --- append-only logs ------------------------------------------------------------
 
 
@@ -118,7 +228,8 @@ def resume_jsonl(path: str) -> List[Line]:
 
 @contextlib.contextmanager
 def appending_jsonl(path: str) -> Iterator[Callable[[Any], None]]:
-    """Yield a function that appends one JSON line to ``path`` and flushes it."""
+    """Yield a function that appends one entry, a record or a JSON value, to
+    ``path`` as a JSON line and flushes it."""
     with open(path, "a", encoding="utf-8", newline="") as sink:
         def append(entry: Any) -> None:
             sink.write(_json_line(entry))

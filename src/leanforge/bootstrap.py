@@ -10,9 +10,9 @@ exact code token stream of the original proof; anything else is rejected.
 
 import contextlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
 from .corpus import LeanToken, LexError, TokenDivergence
@@ -54,40 +54,44 @@ class BootstrapMode(Enum):
 
 
 @dataclass(frozen=True)
-class ObtRecord:
-    """One NL-FL aligned record: a theorem, its NL rendition, and the
-    comment-bootstrapped proof."""
+class AlignedTheorem:
+    """A theorem and its NL rendition: the fields that open every
+    ``informal.jsonl`` and ``obt.jsonl`` line."""
 
-    name: str
-    statement: str
-    proof: str
-    file_path: str
-    commit: str
-    generated_informal_statement_and_proof: str
-    commented_proof: str
+    name: str = artifacts.wire("Name")
+    statement: str = artifacts.wire("Statement")
+    proof: str = artifacts.wire("Proof")
+    file_path: str = artifacts.wire("File_path")
+    commit: str = artifacts.wire("Commit")
+    generated_informal_statement_and_proof: str = artifacts.wire(
+        "Generated_informal_statement_and_proof")
+
+
+@dataclass(frozen=True)
+class InformalRecord(AlignedTheorem):
+    """One ``informal.jsonl`` line, with the quality screen's verdict."""
+
+    verdict: str
+    reasons: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class ObtRecord(AlignedTheorem):
+    """One NL-FL aligned record: a theorem, its NL rendition, and the
+    comment-bootstrapped proof. No field on the wire is empty."""
+
+    commented_proof: str = artifacts.wire("Commented_proof")
     # Tactic-step count of ``proof``. It is not on the wire;
     # ``load_obt_dataset`` counts it from the tokens it verifies with.
-    difficulty: int = field(default=0, compare=False)
+    difficulty: int = artifacts.wire(None, default=0, compare=False)
+
+    def __post_init__(self):
+        for attr, key in _OBT_KEYS:
+            if not getattr(self, attr):
+                raise PreconditionViolated(f"{key} is empty for {self.name}")
 
 
-# (attribute, wire key) per field, in serialized order.
-_WIRE_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("name", "Name"),
-    ("statement", "Statement"),
-    ("proof", "Proof"),
-    ("file_path", "File_path"),
-    ("commit", "Commit"),
-    (
-        "generated_informal_statement_and_proof",
-        "Generated_informal_statement_and_proof",
-    ),
-    ("commented_proof", "Commented_proof"),
-)
-
-# An informal.jsonl entry carries every wire field but the last, the
-# commented proof that bootstrap adds, plus the quality screen's verdict.
-_INFORMAL_FIELDS = _WIRE_FIELDS[:-1]
-INFORMAL_KEYS = tuple(wire for _, wire in _INFORMAL_FIELDS) + ("verdict",)
+_OBT_KEYS = artifacts.wire_keys(ObtRecord)
 
 
 # --- verification ---------------------------------------------------------------
@@ -138,7 +142,7 @@ def _unfence(text: str) -> str:
 
 
 def bootstrap_theorem(
-    record: ObtRecord,
+    record: AlignedTheorem,
     nl_text: str,
     backend,
     original: Sequence[LeanToken],
@@ -185,17 +189,15 @@ def bootstrap_theorem(
 # --- record assembly -------------------------------------------------------------
 
 
-def assemble_obt_record(draft: ObtRecord, commented_proof: str) -> ObtRecord:
-    """Fill a record's commented proof, already verified against its proof.
+def assemble_obt_record(draft: AlignedTheorem, commented_proof: str) -> ObtRecord:
+    """The OBT record of ``draft`` with ``commented_proof``, which is
+    already verified against its proof.
 
     ``bootstrap_corpus`` verifies each pair once before it gets here, so the
     pair is not checked a second time.
     """
-    record = replace(draft, commented_proof=commented_proof)
-    for attr, _ in _WIRE_FIELDS:
-        if not getattr(record, attr):
-            raise PreconditionViolated(f"{attr}: empty for {record.name}")
-    return record
+    return ObtRecord(commented_proof=commented_proof, **{
+        f.name: getattr(draft, f.name) for f in fields(AlignedTheorem)})
 
 
 # --- corpus driver ---------------------------------------------------------------
@@ -213,7 +215,7 @@ class BootstrapStats:
 
 
 def bootstrap_corpus(
-    entries: Sequence[Dict[str, str]],
+    entries: Sequence[InformalRecord],
     backend=None,
     mode: BootstrapMode = BootstrapMode.INTERLEAVED,
     max_attempts: int = 3,
@@ -222,7 +224,7 @@ def bootstrap_corpus(
     max_new_tokens: int = 1024,
     temperature: float = 0.7,
 ) -> Tuple[List[ObtRecord], BootstrapStats]:
-    """Bootstrap every ``informal.jsonl`` entry whose verdict is a pass.
+    """Bootstrap every ``informal.jsonl`` record whose verdict is a pass.
 
     Records come out in entry order. Interleaved records that cannot be
     verified (or whose backend gave out) fall back to head mode, so no
@@ -238,11 +240,7 @@ def bootstrap_corpus(
     if mode is BootstrapMode.INTERLEAVED and backend is None:
         raise ValueError("interleaved mode needs a backend")
 
-    drafts = [
-        ObtRecord(commented_proof="", **{
-            attr: entry[wire] for attr, wire in _INFORMAL_FIELDS})
-        for entry in entries if entry["verdict"] == "pass"
-    ]
+    drafts = [entry for entry in entries if entry.verdict == "pass"]
     stats = BootstrapStats(total=len(entries),
                            informal_failures=len(entries) - len(drafts))
     lexed = ((draft, corpus.lex_lean(draft.proof)) for draft in drafts)
@@ -292,23 +290,6 @@ def bootstrap_corpus(
 # --- dataset files ---------------------------------------------------------------
 
 
-def obt_to_entry(record: ObtRecord) -> Dict[str, str]:
-    return {wire: getattr(record, attr) for attr, wire in _WIRE_FIELDS}
-
-
-def obt_from_entry(entry: Dict[str, str]) -> ObtRecord:
-    values = {}
-    for attr, wire in _WIRE_FIELDS:
-        if wire not in entry:
-            raise PreconditionViolated(f"{wire}: missing from record entry")
-        values[attr] = entry[wire]
-    return ObtRecord(**values)
-
-
-def save_obt_dataset(records: Sequence[ObtRecord], path: str) -> None:
-    artifacts.write_jsonl(path, map(obt_to_entry, records))
-
-
 def load_obt_dataset(path: str) -> List[ObtRecord]:
     """Load an OBT dataset, re-verifying every record.
 
@@ -319,14 +300,11 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     """
     try:
         lines = artifacts.read_jsonl(path)
+        records = [artifacts.as_record(path, line, ObtRecord) for line in lines]
     except artifacts.ArtifactError as exc:
         raise PreconditionViolated(str(exc)) from exc
     out: List[ObtRecord] = []
-    for line in lines:
-        record = obt_from_entry(line.entry)
-        for attr, wire in _WIRE_FIELDS:
-            if not getattr(record, attr):
-                raise PreconditionViolated(f"{path}:{line.lineno}: {wire} is empty")
+    for line, record in zip(lines, records):
         original = corpus.lex_lean(record.proof)
         ok, divergence = verify_bootstrap(original, record.commented_proof)
         if not ok:

@@ -11,7 +11,7 @@ import dataclasses
 import os
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts
 from . import bootstrap as bootstrap_mod
@@ -42,31 +42,6 @@ def _require(path: str, producer: str) -> str:
     if not os.path.exists(path):
         raise MissingArtifact(path, producer)
     return path
-
-
-def _load(path: str, cls) -> list:
-    """One ``cls`` per JSONL entry, built from the keys that name its fields.
-
-    Other keys are ignored; a field without a default that the entry lacks
-    raises, naming the file, line and field.
-    """
-    names = [f.name for f in dataclasses.fields(cls)]
-    required = [f.name for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING]
-    out = []
-    for line in artifacts.read_jsonl(path):
-        _require_fields(path, line, required)
-        out.append(cls(**{key: line.entry[key] for key in names if key in line.entry}))
-    return out
-
-
-def _require_fields(path: str, line: artifacts.Line, keys) -> None:
-    if not isinstance(line.entry, dict):
-        raise ValueError(f"{path}:{line.lineno}: entry is not an object")
-    for key in keys:
-        if key not in line.entry:
-            raise ValueError(f"{path}:{line.lineno}: entry has no {key!r} field")
 
 
 # --- extract ---------------------------------------------------------------------
@@ -100,7 +75,7 @@ def _iter_corpus_sources(config: PipelineConfig):
                     yield source.read(), relative, config.corpus.commit
     else:
         _require(root, "extract with a corpus directory, or create the file")
-        for entry in _load(root, _SourceFile):
+        for entry in artifacts.read_records(root, _SourceFile):
             yield (entry.source, entry.file_path,
                    config.corpus.commit if entry.commit is None else entry.commit)
 
@@ -118,9 +93,7 @@ def cmd_extract(args, config: PipelineConfig) -> int:
             records.extend(corpus.extract_theorems(source, file_path, commit))
         except corpus.LexError as exc:
             skips.append({"file": file_path, "reason": str(exc)})
-    # theorems.jsonl carries the TheoremRecord fields in declaration order.
-    artifacts.write_jsonl(stage_path(config, "theorems"),
-                          map(dataclasses.asdict, records))
+    artifacts.write_jsonl(stage_path(config, "theorems"), records)
     artifacts.write_jsonl(stage_path(config, "extract_skips"), skips)
     print(f"extracted {len(records)} theorems from {files} files "
           f"({len(skips)} files skipped)")
@@ -130,41 +103,42 @@ def cmd_extract(args, config: PipelineConfig) -> int:
 # --- train-retriever -------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class _TextPair:
+    nl: str
+    fl: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _VectorPair:
+    nl_vector: Tuple[float, ...]
+    fl_vector: Tuple[float, ...]
+
+
 def _load_pairs(path: str, dimension: int):
     """Pair file entries hold either nl/fl texts or nl_vector/fl_vector
     vectors of ``dimension`` floats; the first entry sets the format for
     the whole file."""
     lines = artifacts.read_jsonl(path)
-    # A first line that is not an object is reported by _require_fields.
     text = bool(lines) and isinstance(lines[0].entry, dict) and "nl" in lines[0].entry
-    keys = ("nl", "fl") if text else ("nl_vector", "fl_vector")
-    expected = "a string" if text else "a list of numbers"
-
-    def well_typed(value) -> bool:
-        if text:
-            return isinstance(value, str)
-        return isinstance(value, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-
-    for line in lines:
-        _require_fields(path, line, keys)
-        for key in keys:
-            if not well_typed(line.entry[key]):
-                raise ValueError(f"{path}:{line.lineno}: {key} is not {expected}")
+    pairs = [artifacts.as_record(path, line, _TextPair if text else _VectorPair)
+             for line in lines]
     if text:
         embedder = retrieval.HashEmbedder(dimension)
-        nl_vectors = embedder.embed([line.entry["nl"] for line in lines])
-        fl_vectors = embedder.embed([line.entry["fl"] for line in lines])
+        nl_vectors = embedder.embed([pair.nl for pair in pairs])
+        fl_vectors = embedder.embed([pair.fl for pair in pairs])
         return list(zip(nl_vectors, fl_vectors))
 
-    def vector(line: artifacts.Line, key: str):
-        values = retrieval.embedding([float(x) for x in line.entry[key]])
+    def vector(lineno: int, key: str, values):
+        values = retrieval.embedding([float(x) for x in values])
         if values.shape[0] != dimension:
-            raise ValueError(f"{path}:{line.lineno}: {key} has {values.shape[0]} values, "
+            raise ValueError(f"{path}:{lineno}: {key} has {values.shape[0]} values, "
                              f"expected retrieval.dimension {dimension}")
         return values
 
-    return [(vector(line, "nl_vector"), vector(line, "fl_vector")) for line in lines]
+    return [(vector(line.lineno, "nl_vector", pair.nl_vector),
+             vector(line.lineno, "fl_vector", pair.fl_vector))
+            for line, pair in zip(lines, pairs)]
 
 
 def cmd_train_retriever(args, config: PipelineConfig) -> int:
@@ -199,14 +173,14 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
 
 
 def cmd_informalize(args, config: PipelineConfig) -> int:
-    records = _load(_require(stage_path(config, "theorems"), "extract"),
-                    corpus.TheoremRecord)
-    pool: Sequence[informalize.ExamplePair] = ()
+    records = artifacts.read_records(
+        _require(stage_path(config, "theorems"), "extract"), corpus.TheoremRecord)
+    pool: Sequence[prover.PoolExample] = ()
     index = None
     embedder = None
     if config.retrieval.examples:
         _require(config.retrieval.examples, "informalize with a pool file")
-        pool = _load(config.retrieval.examples, informalize.ExamplePair)
+        pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
         head = retrieval.load_head(
             _require(stage_path(config, "projection"), "train-retriever"))
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
@@ -247,17 +221,16 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
 
 
 def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    path = _require(stage_path(config, "informal"), "informalize")
-    lines = artifacts.read_jsonl(path)
-    for line in lines:
-        _require_fields(path, line, bootstrap_mod.INFORMAL_KEYS)
+    entries = artifacts.read_records(
+        _require(stage_path(config, "informal"), "informalize"),
+        bootstrap_mod.InformalRecord)
     mode_name = args.mode or config.bootstrap.mode
     mode = bootstrap_mod.BootstrapMode[mode_name.upper()]
     backend = None
     if mode is bootstrap_mod.BootstrapMode.INTERLEAVED:
         backend = make_backend(config.backend)
     obt_records, stats = bootstrap_mod.bootstrap_corpus(
-        [line.entry for line in lines],
+        entries,
         backend=backend,
         mode=mode,
         max_attempts=config.bootstrap.max_attempts,
@@ -266,7 +239,7 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
         max_new_tokens=config.backend.max_new_tokens,
         temperature=config.backend.temperature,
     )
-    bootstrap_mod.save_obt_dataset(obt_records, stage_path(config, "obt"))
+    artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
     print(f"bootstrapped {stats.emitted}/{stats.total} records "
           f"({stats.informal_failures} informal failures, "
           f"{stats.verification_fallbacks} verification fallbacks, "
@@ -292,8 +265,8 @@ def cmd_prep(args, config: PipelineConfig) -> int:
         examples_use_bootstrapped=p.examples_use_bootstrapped,
     )
     packed, skipped = trainprep.emit_training_set(obt_records, stage)
-    trainprep.save_training_set(packed, stage_path(config, "train"))
-    trainprep.save_skip_report(skipped, stage_path(config, "train_skips"))
+    artifacts.write_jsonl(stage_path(config, "train"), packed)
+    artifacts.write_jsonl(stage_path(config, "train_skips"), skipped)
     print(f"packed {len(packed)} training records ({len(skipped)} skipped)")
     return 0
 
@@ -307,11 +280,10 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         raise ConfigError(["prover.problems: required for prove"])
     if not v.seed_examples:
         raise ConfigError(["prover.seed_examples: required for prove"])
-    problems = _load(_require(v.problems, "prove with a problem file"), prover.Problem)
-    # Seed files share the example-pool layout; every entry is a seed.
-    seed_pool = [prover.PoolExample(e.name, e.nl, e.fl) for e in _load(
-        _require(v.seed_examples, "prove with a seed example file"),
-        informalize.ExamplePair)]
+    problems = artifacts.read_records(
+        _require(v.problems, "prove with a problem file"), prover.Problem)
+    seed_pool = artifacts.read_records(
+        _require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
     os.makedirs(config.workdir, exist_ok=True)
     stage = prover.HarnessConfig(
         n_samples=(args.n_samples if args.n_samples is not None
@@ -339,7 +311,8 @@ def cmd_report(args, config: PipelineConfig) -> int:
     v = config.prover
     if not v.problems:
         raise ConfigError(["prover.problems: required for report"])
-    problems = _load(_require(v.problems, "prove with a problem file"), prover.Problem)
+    problems = artifacts.read_records(
+        _require(v.problems, "prove with a problem file"), prover.Problem)
     report = prover.load_report(
         _require(stage_path(config, "report"), "prove"),
         problems,
@@ -382,6 +355,9 @@ def cmd_sample(args, config: PipelineConfig) -> int:
     indices = rng.sample(range(len(lines)), args.n)
     os.makedirs(config.workdir, exist_ok=True)
     if args.for_review:
+        for line in lines:
+            if not isinstance(line.entry, dict):
+                raise ValueError(f"{dataset}:{line.lineno}: entry is not an object")
         output = args.output or stage_path(config, "review")
         artifacts.write_text(output, (_review_block(lines[i].entry) for i in indices))
     else:

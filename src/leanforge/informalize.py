@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, genclient, prompts, retrieval
+from .bootstrap import InformalRecord
 from .corpus import TheoremRecord
 from .genclient import GenerationRequest
+from .prover import PoolExample
 from .trainprep import WhitespaceTokenizer
 
 logger = logging.getLogger(__name__)
@@ -62,16 +64,7 @@ class InformalizationResult:
     attempts: int
     verdict: str  # "pass" or "fail"
     reasons: Tuple[str, ...]  # final attempt's failure codes, empty on pass
-    attempt_reasons: Tuple[Tuple[str, ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class ExamplePair:
-    """An aligned example: NL text plus the full FL theorem text."""
-
-    name: str
-    nl: str
-    fl: str
+    attempt_reasons: Tuple[Tuple[str, ...], ...]
 
 
 def quality_check(nl_text: str, limits: QualityLimits) -> QualityVerdict:
@@ -104,7 +97,7 @@ def quality_check(nl_text: str, limits: QualityLimits) -> QualityVerdict:
 
 
 def build_example_index(
-    pool: Sequence[ExamplePair],
+    pool: Sequence[PoolExample],
     embedder,
     head: retrieval.ProjectionHead,
     side: str = "nl",
@@ -128,10 +121,10 @@ def build_example_index(
 def select_examples(
     record: TheoremRecord,
     index: retrieval.SimilarityIndex,
-    pool: Sequence[ExamplePair],
+    pool: Sequence[PoolExample],
     k: int,
     embedder,
-) -> List[ExamplePair]:
+) -> List[PoolExample]:
     """The k pool entries most similar to the record's FL statement;
     ``index`` is ``build_example_index`` over the same pool."""
     query = embedder.embed([record.statement])[0]
@@ -144,7 +137,7 @@ def select_examples(
 
 def informalize_theorem(
     record: TheoremRecord,
-    examples: Sequence[ExamplePair],
+    examples: Sequence[PoolExample],
     backend,
     limits: QualityLimits,
     max_attempts: int = 3,
@@ -219,7 +212,7 @@ class InformalizeConfig:
     limits: QualityLimits = field(default_factory=QualityLimits)
     max_attempts: int = 3
     k_examples: int = 3
-    pool: Sequence[ExamplePair] = ()
+    pool: Sequence[PoolExample] = ()
     index: Optional[retrieval.SimilarityIndex] = None
     embedder: object = None
     checkpoint_path: Optional[str] = None
@@ -230,30 +223,6 @@ class InformalizeConfig:
     temperature: float = 0.7
 
 
-def _result_to_entry(result: InformalizationResult) -> dict:
-    return {
-        "theorem_name": result.theorem_name,
-        "nl_statement_and_proof": result.nl_statement_and_proof,
-        "examples_used": list(result.examples_used),
-        "attempts": result.attempts,
-        "verdict": result.verdict,
-        "reasons": list(result.reasons),
-        "attempt_reasons": [list(r) for r in result.attempt_reasons],
-    }
-
-
-def _result_from_entry(raw: dict) -> InformalizationResult:
-    return InformalizationResult(
-        theorem_name=raw["theorem_name"],
-        nl_statement_and_proof=raw["nl_statement_and_proof"],
-        examples_used=tuple(raw["examples_used"]),
-        attempts=raw["attempts"],
-        verdict=raw["verdict"],
-        reasons=tuple(raw["reasons"]),
-        attempt_reasons=tuple(tuple(r) for r in raw["attempt_reasons"]),
-    )
-
-
 def load_checkpoint(path: str) -> List[InformalizationResult]:
     """The checkpointed results, after dropping a torn final line.
 
@@ -261,20 +230,11 @@ def load_checkpoint(path: str) -> List[InformalizationResult]:
     record and appends after the last whole entry.
     """
     try:
-        lines = artifacts.resume_jsonl(path)
+        return [artifacts.as_record(path, line, InformalizationResult)
+                for line in artifacts.resume_jsonl(path)]
     except artifacts.ArtifactError as exc:
         raise CheckpointCorrupt(
             f"{exc}; pass restart to discard the checkpoint") from exc
-    results = []
-    for line in lines:
-        try:
-            results.append(_result_from_entry(line.entry))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CheckpointCorrupt(
-                f"{path}:{line.lineno}: unreadable checkpoint entry ({exc}); "
-                "pass restart to discard the checkpoint"
-            ) from exc
-    return results
 
 
 def _validate_resume(
@@ -327,7 +287,7 @@ def informalize_corpus(
 
     def with_examples():
         for record in records[len(done):]:
-            examples: Sequence[ExamplePair] = ()
+            examples: Sequence[PoolExample] = ()
             if config.index is not None and config.pool and config.embedder is not None:
                 examples = select_examples(
                     record, config.index, config.pool, config.k_examples, config.embedder
@@ -363,7 +323,7 @@ def informalize_corpus(
         for _, result in finished:
             results.append(result)
             if append is not None:
-                append(_result_to_entry(result))
+                append(result)
     return results
 
 
@@ -379,15 +339,8 @@ def save_informal_dataset(
     the NL field carries whatever the last attempt produced.
     """
     artifacts.write_jsonl(path, (
-        {
-            "Name": record.name,
-            "Statement": record.statement,
-            "Proof": record.proof,
-            "File_path": record.file_path,
-            "Commit": record.commit,
-            "Generated_informal_statement_and_proof": result.nl_statement_and_proof,
-            "verdict": result.verdict,
-            "reasons": list(result.reasons),
-        }
+        InformalRecord(record.name, record.statement, record.proof, record.file_path,
+                       record.commit, result.nl_statement_and_proof, result.verdict,
+                       result.reasons)
         for record, result in zip(records, results, strict=True)
     ))

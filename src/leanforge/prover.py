@@ -113,7 +113,7 @@ class PoolExample:
     name: str
     nl: str
     fl: str
-    source: str = "seed"  # "seed" or "round <n>"
+    source: str = artifacts.wire(None, default="seed")  # or "round <n>"
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,25 @@ class RoundSummary:
     cumulative_proved: int
     cumulative_rate: float
     budget_used: int
+
+
+@dataclass(frozen=True)
+class ReportHeader:
+    """The first line of ``report.jsonl``."""
+
+    kind: str  # "harness-report"
+    problems_total: int
+    rounds: Tuple[RoundSummary, ...]
+
+
+@dataclass(frozen=True)
+class ReportProof:
+    """A line of ``report.jsonl`` after the header: one proved problem."""
+
+    name: str
+    round: int
+    sample_index: int
+    proof: str
 
 
 @dataclass(frozen=True)
@@ -183,15 +202,19 @@ class HarnessConfig:
             raise ValueError("token_budget must be >= 1")
 
 
-def initial_state(problems: Sequence[Problem], seed_pool: Sequence[PoolExample]) -> IterationState:
-    names = [p.name for p in problems]
-    if len(set(names)) != len(names):
+def _by_name(problems: Sequence[Problem]) -> Dict[str, Problem]:
+    by_name = {p.name: p for p in problems}
+    if len(by_name) != len(problems):
         raise ValueError("problem names must be unique")
+    return by_name
+
+
+def initial_state(problems: Sequence[Problem], seed_pool: Sequence[PoolExample]) -> IterationState:
     return IterationState(
         round=1,
         example_pool=tuple(seed_pool),
         proved={},
-        unproved=frozenset(names),
+        unproved=frozenset(_by_name(problems)),
         budget_used=0,
         first_success={},
     )
@@ -607,73 +630,47 @@ def run_iterative(
 
 def save_report(report: HarnessReport, path: str) -> None:
     """One header line, then one line per proved problem, name-sorted."""
-    header = {
-        "kind": "harness-report",
-        "problems_total": report.problems_total,
-        "rounds": [
-            {
-                "round": r.round,
-                "newly_proved": r.newly_proved,
-                "cumulative_proved": r.cumulative_proved,
-                "cumulative_rate": r.cumulative_rate,
-                "budget_used": r.budget_used,
-            }
-            for r in report.rounds
-        ],
-    }
-    artifacts.write_jsonl(path, [header, *(
-        {
-            "name": name,
-            "round": report.first_success[name][0],
-            "sample_index": report.first_success[name][1],
-            "proof": report.proved[name],
-        }
-        for name in sorted(report.proved)
-    )])
+    artifacts.write_jsonl(path, [
+        ReportHeader("harness-report", report.problems_total, report.rounds),
+        *(ReportProof(name, *report.first_success[name], report.proved[name])
+          for name in sorted(report.proved)),
+    ])
 
 
 def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessReport:
     """Load a report, re-verifying every stored proof. Stale verdicts raise."""
-    by_name = {p.name: p for p in problems}
+    by_name = _by_name(problems)
     lines = artifacts.read_jsonl(path)
     if not lines:
         raise ReportInvalid(f"{path}: empty report")
-    header = lines[0].entry
-    if header.get("kind") != "harness-report":
-        raise ReportInvalid(f"{path}: not a harness report")
+    header = artifacts.as_record(path, lines[0], ReportHeader)
+    if header.kind != "harness-report":
+        raise ReportInvalid(f"{path}:{lines[0].lineno}: not a harness report")
     proved: Dict[str, str] = {}
     first_success: Dict[str, Tuple[int, int]] = {}
-    for lineno, _, entry in lines[1:]:
-        name = entry["name"]
-        problem = by_name.get(name)
+    for line in lines[1:]:
+        entry = artifacts.as_record(path, line, ReportProof)
+        problem = by_name.get(entry.name)
         if problem is None:
-            raise ReportInvalid(f"{path}:{lineno}: unknown problem {name}")
-        tokens = _lex_or_none(entry["proof"])
-        diagnostic = screen_proof(problem, entry["proof"], tokens)
+            raise ReportInvalid(f"{path}:{line.lineno}: unknown problem {entry.name}")
+        if entry.name in proved:
+            raise ReportInvalid(f"{path}:{line.lineno}: {entry.name} is listed twice")
+        tokens = _lex_or_none(entry.proof)
+        diagnostic = screen_proof(problem, entry.proof, tokens)
         if diagnostic is None:
-            verdict, diagnostic = verifier.check(problem, entry["proof"], tokens)
+            verdict, diagnostic = verifier.check(problem, entry.proof, tokens)
         else:
             verdict = "rejected"
         if verdict != "verified":
             raise ReportInvalid(
-                f"{path}:{lineno}: stored proof for {name} no longer verifies"
+                f"{path}:{line.lineno}: stored proof for {entry.name} no longer verifies"
                 + (f": {diagnostic}" if diagnostic else "")
             )
-        proved[name] = entry["proof"]
-        first_success[name] = (entry["round"], entry["sample_index"])
-    rounds = tuple(
-        RoundSummary(
-            round=r["round"],
-            newly_proved=r["newly_proved"],
-            cumulative_proved=r["cumulative_proved"],
-            cumulative_rate=r["cumulative_rate"],
-            budget_used=r["budget_used"],
-        )
-        for r in header.get("rounds", [])
-    )
+        proved[entry.name] = entry.proof
+        first_success[entry.name] = (entry.round, entry.sample_index)
     return HarnessReport(
-        problems_total=header["problems_total"],
-        rounds=rounds,
+        problems_total=header.problems_total,
+        rounds=header.rounds,
         proved=proved,
         first_success=first_success,
     )

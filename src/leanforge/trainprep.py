@@ -130,8 +130,8 @@ class PackedRecord:
     instruction: str
     target: str
     example_count: int
-    token_count: int
-    source_name: str
+    token_count: int = artifacts.wire(None)
+    source_name: str = artifacts.wire(None)
     difficulty: int
 
 
@@ -285,19 +285,3 @@ def emit_training_set(
             continue
         packed.append(item)
     return packed, skipped
-
-
-def save_training_set(packed: Sequence[PackedRecord], path: str) -> None:
-    artifacts.write_jsonl(path, (
-        {
-            "instruction": record.instruction,
-            "target": record.target,
-            "example_count": record.example_count,
-            "difficulty": record.difficulty,
-        }
-        for record in packed
-    ))
-
-
-def save_skip_report(skipped: Sequence[dict], path: str) -> None:
-    artifacts.write_jsonl(path, skipped)

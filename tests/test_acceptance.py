@@ -2,6 +2,7 @@
 single verdict line. Quantitative checks reuse the independent oracles from
 the module tests rather than the implementation's own code paths."""
 
+import json
 import math
 import random
 import time
@@ -13,14 +14,13 @@ import support
 import test_cli
 import test_prover
 from fixtures import listings
-from leanforge import retrieval
+from leanforge import artifacts, retrieval
 from leanforge.bootstrap import (
+    InformalRecord,
     ObtRecord,
     assemble_obt_record,
     head_bootstrap,
     load_obt_dataset,
-    obt_to_entry,
-    save_obt_dataset,
     verify_bootstrap,
 )
 from leanforge.corpus import lex_lean
@@ -387,14 +387,14 @@ WIRE_FIELDS = [
 class TestCriterion8:
     def test_obt_schema_and_worked_example(self, tmp_path, capsys):
         # what bootstrap drafts from the worked example's informal.jsonl line
-        draft = ObtRecord(
+        draft = InformalRecord(
             name=listings.INTEGRAL_NAME,
             statement=listings.INTEGRAL_STATEMENT,
             proof=listings.INTEGRAL_PROOF,
             file_path=listings.INTEGRAL_FILE_PATH,
             commit=listings.INTEGRAL_COMMIT,
             generated_informal_statement_and_proof=listings.INTEGRAL_INFORMAL,
-            commented_proof="",
+            verdict="pass",
         )
         record = assemble_obt_record(draft, listings.INTEGRAL_COMMENTED)
         assert record.name == listings.INTEGRAL_NAME
@@ -406,11 +406,10 @@ class TestCriterion8:
             listings.INTEGRAL_INFORMAL
         assert record.commented_proof == listings.INTEGRAL_COMMENTED
 
-        entry = obt_to_entry(record)
-        assert list(entry.keys()) == WIRE_FIELDS
-
         path = str(tmp_path / "obt.jsonl")
-        save_obt_dataset([record], path)
+        artifacts.write_jsonl(path, [record])
+        with open(path, encoding="utf-8") as source:
+            assert list(json.loads(source.read())) == WIRE_FIELDS
         loaded = load_obt_dataset(path)
         assert loaded == [record]
         assert isinstance(loaded[0], ObtRecord)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leanforge import artifacts, corpus
 from leanforge import bootstrap as bootstrap_module
-from leanforge import corpus
 from leanforge.bootstrap import (
+    AlignedTheorem,
     BootstrapMode,
     BootstrapVerificationFailed,
+    InformalRecord,
     ObtRecord,
     PreconditionViolated,
     assemble_obt_record,
@@ -20,10 +22,7 @@ from leanforge.bootstrap import (
     bootstrap_theorem,
     head_bootstrap,
     load_obt_dataset,
-    obt_from_entry,
-    obt_to_entry,
     sanitize_comment_body,
-    save_obt_dataset,
     verify_bootstrap,
 )
 from leanforge.corpus import LexError
@@ -72,16 +71,16 @@ SQINEQ_NL = (
 def informal_entry(name, statement, proof, nl, verdict="pass",
                    file_path="Toy.lean", commit="cafe"):
     """One informal.jsonl line, as bootstrap reads it."""
-    return {
-        "Name": name,
-        "Statement": statement,
-        "Proof": proof,
-        "File_path": file_path,
-        "Commit": commit,
-        "Generated_informal_statement_and_proof": nl,
-        "verdict": verdict,
-        "reasons": [] if verdict == "pass" else ["OVERLENGTH"],
-    }
+    return InformalRecord(
+        name=name,
+        statement=statement,
+        proof=proof,
+        file_path=file_path,
+        commit=commit,
+        generated_informal_statement_and_proof=nl,
+        verdict=verdict,
+        reasons=() if verdict == "pass" else ("OVERLENGTH",),
+    )
 
 
 def sq_entry():
@@ -92,15 +91,14 @@ def sq_entry():
 
 
 def sq_record():
-    """The OBT record for ``sq_entry``, still without its commented proof."""
-    return ObtRecord(
+    """The aligned theorem of ``sq_entry``, which bootstrap comments."""
+    return AlignedTheorem(
         name="algebra_sqineq_unitcircatbpamblt1",
         statement=SQINEQ_PLAIN.split(" := by")[0] + " :=",
         proof=SQINEQ_PLAIN,
         file_path="MiniF2F/Valid.lean",
         commit="deadbeef",
         generated_informal_statement_and_proof=SQINEQ_NL,
-        commented_proof="",
     )
 
 
@@ -212,8 +210,9 @@ class TestBootstrapTheorem:
     def test_head_mode_needs_no_backend(self):
         (obt,), _ = bootstrap_corpus([sq_entry()], backend=None,
                                      mode=BootstrapMode.HEAD)
-        assert obt == dataclasses.replace(
-            sq_record(), commented_proof=head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN))
+        assert obt == ObtRecord(
+            **dataclasses.asdict(sq_record()),
+            commented_proof=head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN))
         assert verify_bootstrap(SQ_TOKENS, obt.commented_proof)[0]
 
     def test_prompt_layout(self):
@@ -286,15 +285,14 @@ class TestBootstrapTheorem:
 
 
 def integral_record(commit=INTEGRAL_COMMIT):
-    """The worked example's OBT record, still without its commented proof."""
-    return ObtRecord(
+    """The worked example's aligned theorem, still without its commented proof."""
+    return AlignedTheorem(
         name=INTEGRAL_NAME,
         statement=INTEGRAL_STATEMENT,
         proof=INTEGRAL_PROOF,
         file_path=INTEGRAL_FILE_PATH,
         commit=commit,
         generated_informal_statement_and_proof=INTEGRAL_INFORMAL,
-        commented_proof="",
     )
 
 
@@ -310,9 +308,9 @@ class TestAssembleObtRecord:
         assert record.commented_proof == INTEGRAL_COMMENTED
 
     def test_empty_field_rejected(self):
-        with pytest.raises(PreconditionViolated, match="commit"):
+        with pytest.raises(PreconditionViolated, match="Commit is empty"):
             assemble_obt_record(integral_record(commit=""), INTEGRAL_COMMENTED)
-        with pytest.raises(PreconditionViolated, match="commented_proof"):
+        with pytest.raises(PreconditionViolated, match="Commented_proof is empty"):
             assemble_obt_record(integral_record(), "")
 
 
@@ -331,7 +329,7 @@ class TestBootstrapCorpus:
     def test_head_mode_emits_everything(self):
         entries = small_corpus()
         out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
-        assert [r.name for r in out] == [e["Name"] for e in entries]
+        assert [r.name for r in out] == [e.name for e in entries]
         assert all(r.commented_proof.startswith("/- ") for r in out)
         assert (stats.total, stats.emitted) == (5, 5)
         assert stats.informal_failures == 0
@@ -340,8 +338,9 @@ class TestBootstrapCorpus:
 
     def test_failed_informalizations_skipped(self):
         entries = small_corpus()
-        entries[1].update(Generated_informal_statement_and_proof="",
-                          verdict="fail", reasons=["OVERLENGTH"])
+        entries[1] = dataclasses.replace(
+            entries[1], generated_informal_statement_and_proof="",
+            verdict="fail", reasons=("OVERLENGTH",))
         out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
         assert [r.name for r in out] == ["toy0", "toy2", "toy3", "toy4"]
         assert stats.informal_failures == 1
@@ -350,7 +349,7 @@ class TestBootstrapCorpus:
     def test_interleaved_with_good_backend(self):
         entries = small_corpus()
         script = [
-            (f"toy{i}", entry["Proof"] + f"  -- note {i}\n")
+            (f"toy{i}", entry.proof + f"  -- note {i}\n")
             for i, entry in enumerate(entries)
         ]
         backend = MockBackend(script=script)
@@ -363,7 +362,7 @@ class TestBootstrapCorpus:
     def test_unverifiable_record_falls_back_to_head(self):
         entries = small_corpus()
         script = [("toy2", "theorem rewritten : 1 = 1 := rfl")]
-        script += [(f"toy{i}", entries[i]["Proof"]) for i in range(5) if i != 2]
+        script += [(f"toy{i}", entries[i].proof) for i in range(5) if i != 2]
         backend = MockBackend(script=script)
         out, stats = bootstrap_corpus(
             entries, backend, mode=BootstrapMode.INTERLEAVED)
@@ -420,7 +419,7 @@ class TestBootstrapCorpus:
             for t in ("Nat", "Int"))
         out, stats = bootstrap_corpus([nat, int_], mode=BootstrapMode.HEAD)
         assert [(r.proof, r.generated_informal_statement_and_proof) for r in out] == [
-            (e["Proof"], e["Generated_informal_statement_and_proof"])
+            (e.proof, e.generated_informal_statement_and_proof)
             for e in (nat, int_)]
         assert all(r.commented_proof.endswith(r.proof) for r in out)
         assert stats.emitted == 2
@@ -429,7 +428,7 @@ class TestBootstrapCorpus:
 def keyed_replies(entries, seed):
     """Per request id: a commented proof, one that lost code, or a
     malformed reply."""
-    proofs = {e["Name"]: e["Proof"] for e in entries}
+    proofs = {e.name: e.proof for e in entries}
 
     def reply(request):
         _, name, attempt = request.request_id.split(":")
@@ -488,15 +487,16 @@ class TestDatasetFiles:
     def worked_record(self):
         return assemble_obt_record(integral_record(), INTEGRAL_COMMENTED)
 
-    def test_wire_field_names_exact(self):
-        entry = obt_to_entry(self.worked_record())
-        assert list(entry) == WIRE_NAMES
+    def test_wire_field_names_exact(self, tmp_path):
+        path = tmp_path / "obt.jsonl"
+        artifacts.write_jsonl(str(path), [self.worked_record()])
+        assert list(json.loads(path.read_text(encoding="utf-8"))) == WIRE_NAMES
 
     def test_round_trip_identity(self, tmp_path):
         out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
         out.append(self.worked_record())
         path = tmp_path / "obt.jsonl"
-        save_obt_dataset(out, str(path))
+        artifacts.write_jsonl(str(path), out)
         loaded = load_obt_dataset(str(path))
         assert loaded == out
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
@@ -511,13 +511,13 @@ class TestDatasetFiles:
         path = tmp_path / "obt.jsonl"
         path.write_text(json.dumps(mirror, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-        with pytest.raises(PreconditionViolated, match="Name: missing"):
+        with pytest.raises(PreconditionViolated, match="entry has no 'Name' field"):
             load_obt_dataset(str(path))
 
     def test_tampered_code_rejected_on_load(self, tmp_path):
         record = self.worked_record()
         path = tmp_path / "obt.jsonl"
-        save_obt_dataset([record], str(path))
+        artifacts.write_jsonl(str(path), [record])
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["Commented_proof"] = entry["Commented_proof"].replace(
             "hasDerivWithinAt", "hasDerivAt")
@@ -529,7 +529,7 @@ class TestDatasetFiles:
     def test_empty_field_rejected_on_load(self, tmp_path):
         record = self.worked_record()
         path = tmp_path / "obt.jsonl"
-        save_obt_dataset([record], str(path))
+        artifacts.write_jsonl(str(path), [record])
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["Commit"] = ""
         path.write_text(json.dumps(entry, ensure_ascii=False) + "\n",
@@ -537,15 +537,20 @@ class TestDatasetFiles:
         with pytest.raises(PreconditionViolated, match="Commit"):
             load_obt_dataset(str(path))
 
-    def test_missing_field_rejected(self):
-        entry = obt_to_entry(self.worked_record())
+    def test_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "obt.jsonl"
+        artifacts.write_jsonl(str(path), [self.worked_record()])
+        entry = json.loads(path.read_text(encoding="utf-8"))
         del entry["Proof"]
-        with pytest.raises(PreconditionViolated, match="Proof"):
-            obt_from_entry(entry)
+        path.write_text(json.dumps(entry, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(PreconditionViolated,
+                           match="obt.jsonl:1: entry has no 'Proof' field"):
+            load_obt_dataset(str(path))
 
     def test_unreadable_line_reports_position(self, tmp_path):
         path = tmp_path / "obt.jsonl"
-        save_obt_dataset([self.worked_record()], str(path))
+        artifacts.write_jsonl(str(path), [self.worked_record()])
         with open(path, "a", encoding="utf-8") as sink:
             sink.write("{broken\n")
         with pytest.raises(PreconditionViolated, match="obt.jsonl:2"):

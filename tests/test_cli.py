@@ -9,6 +9,7 @@ import os
 import random
 import sys
 import textwrap
+from typing import NamedTuple, Optional, Tuple
 
 import pytest
 import yaml
@@ -634,8 +635,7 @@ class TestPrepCommand:
     def make_workdir(self, tmp_path):
         workdir = tmp_path / "work"
         workdir.mkdir()
-        bootstrap_mod.save_obt_dataset(
-            seeded_obt_records(), str(workdir / "obt.jsonl"))
+        artifacts.write_jsonl(str(workdir / "obt.jsonl"), seeded_obt_records())
         return write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir)})
 
     def test_ablation_flags_keep_input_order_with_no_examples(
@@ -676,6 +676,133 @@ class TestPrepCommand:
             run(["prep", "-c", config])
         assert read_bytes(workdir / "train.jsonl") == before
         assert [n for n in os.listdir(workdir) if n.endswith(".tmp")] == []
+
+
+# --- every record reader ------------------------------------------------------------
+
+
+def jsonl(*entries):
+    return "".join(json.dumps(e, ensure_ascii=False) + "\n" for e in entries)
+
+
+def obt_entry():
+    record = seeded_obt_records()[0]
+    return {"Name": record.name, "Statement": record.statement, "Proof": record.proof,
+            "File_path": record.file_path, "Commit": record.commit,
+            "Generated_informal_statement_and_proof":
+                record.generated_informal_statement_and_proof,
+            "Commented_proof": record.commented_proof}
+
+
+THEOREM_ENTRY = {"name": "foo", "statement": "theorem foo : 1 = 1 :=",
+                 "proof": "theorem foo : 1 = 1 := rfl", "file_path": "A.lean",
+                 "commit": "c", "difficulty": 1}
+PROBLEM_ENTRY = {"name": "p", "fl_statement": "theorem p : 1 = 1 :="}
+SEED_ENTRY = {"name": "s", "nl": "Statement: s. Proof: p.", "fl": "theorem s : 2 = 2 := rfl"}
+HEADER_ENTRY = {"kind": "harness-report", "problems_total": 1, "rounds": []}
+
+
+class Reader(NamedTuple):
+    """A command and the workdir file it reads. The file holds ``before``,
+    then the bad line; ``others`` are the other files the command needs,
+    and ``settings`` the config, whose file names are in the workdir."""
+
+    file: str
+    argv: Tuple[str, ...]
+    good: dict  # the entry the missing-key and wrong-type lines break
+    missing: Optional[str]
+    wrong: Optional[Tuple[str, object]]
+    before: Tuple[dict, ...] = ()
+    others: Tuple[Tuple[str, dict], ...] = ()
+    settings: Tuple[Tuple[str, str, str], ...] = ()  # section, key, file
+
+
+THEOREMS = (("theorems.jsonl", THEOREM_ENTRY),)
+PROBLEMS = (("problems.jsonl", PROBLEM_ENTRY),)
+PROVER = (("prover", "problems", "problems.jsonl"),
+          ("prover", "seed_examples", "seeds.jsonl"))
+READERS = {
+    "corpus": Reader(
+        "corpus.jsonl", ("extract",),
+        {"source": "theorem a : 1 = 1 := rfl\n", "file_path": "A.lean"},
+        "source", ("commit", 5), settings=(("corpus", "path", "corpus.jsonl"),)),
+    "pairs": Reader(
+        "pairs.jsonl", ("train-retriever",), {"nl": "a + b", "fl": "theorem a"},
+        "fl", ("nl", 5), settings=(("retrieval", "pairs", "pairs.jsonl"),)),
+    "theorems": Reader(
+        "theorems.jsonl", ("informalize",), THEOREM_ENTRY, "proof", ("commit", 5)),
+    "pool": Reader(
+        "pool.jsonl", ("informalize",), SEED_ENTRY, "fl", ("nl", ["x"]),
+        others=THEOREMS, settings=(("retrieval", "examples", "pool.jsonl"),)),
+    "checkpoint": Reader(
+        "informalize.ckpt.jsonl", ("informalize", "--resume"),
+        {"theorem_name": "foo", "nl_statement_and_proof": "", "examples_used": [],
+         "attempts": 1, "verdict": "fail", "reasons": ["MISSING_SECTION"],
+         "attempt_reasons": [["MISSING_SECTION"]]},
+        "attempts", ("attempts", True), others=THEOREMS),
+    "informal": Reader(
+        "informal.jsonl", ("bootstrap", "--mode", "head"), INFORMAL_ENTRY,
+        "Proof", ("Commit", 5)),
+    "obt": Reader(
+        "obt.jsonl", ("prep",), obt_entry(), "Commented_proof", ("Commented_proof", 5)),
+    "problems": Reader(
+        "problems.jsonl", ("prove",), PROBLEM_ENTRY, "fl_statement", ("fl_statement", 5),
+        others=(("seeds.jsonl", SEED_ENTRY),), settings=PROVER),
+    "seeds": Reader(
+        "seeds.jsonl", ("prove",), SEED_ENTRY, "fl", ("fl", 5),
+        others=PROBLEMS, settings=PROVER),
+    "report-header": Reader(
+        "report.jsonl", ("report",), HEADER_ENTRY, "problems_total",
+        ("problems_total", True), others=PROBLEMS, settings=PROVER),
+    "report-proof": Reader(
+        "report.jsonl", ("report",),
+        {"name": "p", "round": 1, "sample_index": 0, "proof": "theorem p : 1 = 1 := rfl"},
+        "name", ("sample_index", 0.5), before=(HEADER_ENTRY,), others=PROBLEMS,
+        settings=PROVER),
+    "review": Reader(
+        "obt.jsonl", ("sample", "--for-review", "-n", "1"), obt_entry(), None, None),
+}
+
+
+def bad_line(reader: Reader, case: str):
+    """The line a case puts in the file, and the error it must give."""
+    if case == "missing":
+        entry = {k: v for k, v in reader.good.items() if k != reader.missing}
+        return json.dumps(entry), f"entry has no {reader.missing!r} field"
+    if case == "wrong":
+        key, value = reader.wrong
+        return json.dumps({**reader.good, key: value}), f"{key} is not "
+    return case, "entry is not an object"
+
+
+class TestRecordReaders:
+    """Every command that reads records rejects a line that is not an
+    object, lacks a field or holds a wrong-typed value: exit 1, an error
+    naming the file and line, and no traceback."""
+
+    @pytest.mark.parametrize("name, case", [
+        (name, case) for name, reader in READERS.items()
+        for case in ("5", "[]", '"x"', "missing", "wrong")
+        if case not in ("missing", "wrong") or reader.missing is not None
+    ])
+    def test_bad_line_exits_1_naming_path_and_line(self, tmp_path, capsys, name, case):
+        reader = READERS[name]
+        line, message = bad_line(reader, case)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / reader.file).write_text(
+            jsonl(*reader.before) + line + "\n", encoding="utf-8")
+        for other, entry in reader.others:
+            (workdir / other).write_text(jsonl(entry), encoding="utf-8")
+        settings = {}
+        for section, key, other in reader.settings:
+            settings.setdefault(section, {})[key] = str(workdir / other)
+        config = write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir), **settings})
+
+        assert run([*reader.argv, "-c", config]) == 1
+        err = capsys.readouterr().err
+        assert f"{reader.file}:{len(reader.before) + 1}: {message}" in err
+        assert "Traceback" not in err
 
 
 # --- sample -----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from leanforge.informalize import (
     OVERLENGTH,
     REPETITION,
     CheckpointCorrupt,
-    ExamplePair,
     InformalizationResult,
     InformalizeConfig,
     QualityLimits,
@@ -44,6 +43,7 @@ from leanforge.prompts import (
     NL_SECTION,
     informalization_prompt,
 )
+from leanforge.prover import PoolExample
 from support import KeyedBackend
 
 
@@ -173,7 +173,7 @@ def theorem(name, statement=None, proof=":= by norm_num"):
 
 def example_pool(count):
     return [
-        ExamplePair(
+        PoolExample(
             name=f"ex{i}",
             nl=f"Statement: fact number {i}. Proof: by arithmetic {i}.",
             fl=f"theorem ex{i} : {i} + 0 = {i} := by norm_num",
@@ -203,7 +203,7 @@ class TestSelectExamples:
     def test_matches_brute_force_ranking(self):
         rng = random.Random(5)
         pool = [
-            ExamplePair(
+            PoolExample(
                 name=f"p{i:02d}",
                 nl=" ".join(rng.choices(["sum", "prime", "ring", "group", "field"],
                                         k=rng.randint(4, 12))),
@@ -229,7 +229,7 @@ class TestSelectExamples:
 
     def test_same_name_entries_stay_apart(self):
         # one example named ``ex`` per namespace
-        pool = [ExamplePair("ex", f"Statement: one is one in {t}. Proof: rfl.",
+        pool = [PoolExample("ex", f"Statement: one is one in {t}. Proof: rfl.",
                             f"theorem ex : (1 : {t}) = 1 := rfl")
                 for t in ("Nat", "Int")]
         embedder = retrieval.HashEmbedder(dimension=32)
@@ -248,7 +248,7 @@ class TestSelectExamples:
             def embed(self, texts):
                 return [retrieval.embedding([1.0, 0.0, 0.0, 0.0]) for _ in texts]
 
-        pool = [ExamplePair(name, f"Statement: entry {i}. Proof: p.", "theorem x")
+        pool = [PoolExample(name, f"Statement: entry {i}. Proof: p.", "theorem x")
                 for i, name in enumerate(("b", "a", "b", "c", "a"))]
         head = retrieval.ProjectionHead.initialize(4, 4, seed=0, init="identity")
         index = build_example_index(pool, Flat(), head)
@@ -593,7 +593,8 @@ class TestDatasetFile:
         results = [
             InformalizationResult(
                 theorem_name="foo", nl_statement_and_proof=f"Statement: {t}. Proof: {t}.",
-                examples_used=(), attempts=1, verdict=verdict, reasons=())
+                examples_used=(), attempts=1, verdict=verdict, reasons=(),
+                attempt_reasons=((),))
             for t, verdict in (("Nat", "pass"), ("Int", "fail"))]
         path = tmp_path / "informal.jsonl"
         save_informal_dataset(records, results, str(path))

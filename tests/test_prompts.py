@@ -7,7 +7,6 @@ import os
 import pytest
 
 import leanforge
-from leanforge.informalize import ExamplePair
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -90,7 +89,7 @@ def test_bootstrap_prompt_keeps_texts_as_they_are():
 
 def test_informalization_prompt_has_statement_marker():
     out = informalization_prompt(
-        [ExamplePair("ex", "EXAMPLE NL", "theorem ex : True := trivial")],
+        [PoolExample("ex", "EXAMPLE NL", "theorem ex : True := trivial")],
         "theorem t : 1 = 1 :=",
         "theorem t : 1 = 1 := rfl",
     )

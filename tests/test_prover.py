@@ -955,9 +955,27 @@ class TestReports:
         with pytest.raises(ReportInvalid, match="unknown problem"):
             load_report(str(path), problems[:1], verifier)
 
+    def test_problem_listed_twice_rejected(self, tmp_path):
+        report, path, problems, verifier = self.round_trip(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        path.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        name = json.loads(lines[1])["name"]
+        with pytest.raises(ReportInvalid,
+                           match=f"report.jsonl:{len(lines) + 1}: {name} is listed twice"):
+            load_report(str(path), problems, verifier)
+
+    def test_repeated_problem_name_rejected_as_prove_does(self, tmp_path):
+        report, path, problems, verifier = self.round_trip(tmp_path)
+        with pytest.raises(ValueError, match="problem names must be unique") as loading:
+            load_report(str(path), problems + problems[:1], verifier)
+        with pytest.raises(ValueError, match="problem names must be unique") as proving:
+            initial_state(problems + problems[:1], [])
+        assert str(loading.value) == str(proving.value)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "report.jsonl"
-        path.write_text('{"kind": "something-else"}\n', encoding="utf-8")
+        path.write_text('{"kind": "something-else", "problems_total": 0, '
+                        '"rounds": []}\n', encoding="utf-8")
         with pytest.raises(ReportInvalid, match="not a harness report"):
             load_report(str(path), [], MockVerifier({}))
 

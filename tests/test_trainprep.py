@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leanforge import artifacts
 from leanforge.corpus import count_tactic_steps, lex_lean
 from leanforge.prompts import (
     FL_PROOF_SECTION,
@@ -31,8 +32,6 @@ from leanforge.trainprep import (
     curriculum_sort,
     emit_training_set,
     pack_block,
-    save_skip_report,
-    save_training_set,
 )
 from fixtures.listings import MATHD_ALGEBRA_270, SQINEQ_COMMENTED
 from support import strip_comments, text_divergence
@@ -546,7 +545,7 @@ class TestSaveOutputs:
         packed, skipped = emit_training_set(stub_corpus(), PrepConfig(
             context_budget=5000, tokenizer=WhitespaceTokenizer()))
         path = tmp_path / "train.jsonl"
-        save_training_set(packed, str(path))
+        artifacts.write_jsonl(str(path), packed)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(packed)
         first = json.loads(lines[0])
@@ -556,15 +555,15 @@ class TestSaveOutputs:
         packed, _ = emit_training_set(stub_corpus(), PrepConfig(
             context_budget=5000, tokenizer=WhitespaceTokenizer()))
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_training_set(packed, str(a))
-        save_training_set(packed, str(b))
+        artifacts.write_jsonl(str(a), packed)
+        artifacts.write_jsonl(str(b), packed)
         assert a.read_bytes() == b.read_bytes()
 
     def test_skip_sidecar(self, tmp_path):
         path = tmp_path / "skips.jsonl"
-        save_skip_report(
-            [{"name": "x", "reason": "record-exceeds-budget",
-              "token_count": 900, "budget": 100}], str(path))
+        artifacts.write_jsonl(str(path), [
+            {"name": "x", "reason": "record-exceeds-budget",
+             "token_count": 900, "budget": 100}])
         entry = json.loads(path.read_text().splitlines()[0])
         assert entry["name"] == "x"
         assert entry["reason"] == "record-exceeds-budget"
