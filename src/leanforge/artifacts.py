@@ -133,7 +133,8 @@ def _decode(value: Any, hint) -> Any:
         return _from_entry(value, hint)
     elif typing.get_origin(hint) is tuple:
         if type(value) is list:
-            return tuple(_decode(item, typing.get_args(hint)[0]) for item in value)
+            item_hint = typing.get_args(hint)[0]
+            return tuple(_decode(item, item_hint) for item in value)
     else:  # Optional[X]
         return None if value is None else _decode(value, typing.get_args(hint)[0])
     raise _Reject()
@@ -192,12 +193,18 @@ def wire_keys(cls) -> List[Tuple[str, str]]:
     return [(attr, key) for attr, key, *_ in _table(cls)]
 
 
+def decode(entry: Any, cls: Type[R], where: str) -> R:
+    """The ``cls`` record in the JSON value ``entry``; ArtifactError names
+    ``where``."""
+    try:
+        return _from_entry(entry, cls)
+    except _Reject as exc:
+        raise ArtifactError(f"{where}: {exc}") from None
+
+
 def as_record(path: str, line: Line, cls: Type[R]) -> R:
     """The ``cls`` record on ``line``; ArtifactError names ``path:lineno``."""
-    try:
-        return _from_entry(line.entry, cls)
-    except _Reject as exc:
-        raise ArtifactError(f"{path}:{line.lineno}: {exc}") from None
+    return decode(line.entry, cls, f"{path}:{line.lineno}")
 
 
 def read_records(path: str, cls: Type[R]) -> List[R]:

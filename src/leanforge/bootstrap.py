@@ -16,14 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
 from .corpus import LeanToken, LexError, TokenDivergence
-from .genclient import (
-    GenClientError,
-    GenerationBudget,
-    GenerationRequest,
-    RetryPolicy,
-    complete,
-    in_order,
-)
+from .genclient import Ask, GenClientError, Sampler, in_order
 
 logger = logging.getLogger(__name__)
 
@@ -143,35 +136,23 @@ def _unfence(text: str) -> str:
 
 def bootstrap_theorem(
     record: AlignedTheorem,
-    nl_text: str,
-    backend,
+    ask: Ask,
     original: Sequence[LeanToken],
     max_attempts: int = 3,
-    retry: Optional[RetryPolicy] = None,
-    budget: Optional[GenerationBudget] = None,
-    max_new_tokens: int = 1024,
-    temperature: float = 0.7,
 ) -> str:
     """Interleave comments into one theorem's proof through the backend.
 
-    Each reply is checked against ``original``, the proof's tokens; the
-    reply returned is verified. After ``max_attempts`` unverifiable replies
-    this raises with the last divergence. Backend failures propagate.
+    ``ask`` sends the record's ``prompts.bootstrap_prompt``. Each reply is
+    checked against ``original``, the proof's tokens; the reply returned is
+    verified. After ``max_attempts`` unverifiable replies this raises with
+    the last divergence. Backend failures propagate.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    prompt = prompts.bootstrap_prompt(nl_text, record.proof)
     divergence: Optional[TokenDivergence] = None
     detail = ""
     for attempt in range(1, max_attempts + 1):
-        request = GenerationRequest(
-            prompt=prompt,
-            max_new_tokens=max_new_tokens,
-            temperature=temperature,
-            n_samples=1,
-            request_id=f"bootstrap:{record.name}:{attempt}",
-        )
-        response = complete(request, backend, retry=retry, budget=budget)
+        response = ask(f"bootstrap:{record.name}:{attempt}")
         candidate = _unfence(response.samples[0])
         try:
             ok, divergence = verify_bootstrap(original, candidate)
@@ -216,13 +197,9 @@ class BootstrapStats:
 
 def bootstrap_corpus(
     entries: Sequence[InformalRecord],
-    backend=None,
+    sampler: Optional[Sampler] = None,
     mode: BootstrapMode = BootstrapMode.INTERLEAVED,
     max_attempts: int = 3,
-    retry: Optional[RetryPolicy] = None,
-    budget: Optional[GenerationBudget] = None,
-    max_new_tokens: int = 1024,
-    temperature: float = 0.7,
 ) -> Tuple[List[ObtRecord], BootstrapStats]:
     """Bootstrap every ``informal.jsonl`` record whose verdict is a pass.
 
@@ -234,10 +211,11 @@ def bootstrap_corpus(
 
     Interleaved records go through ``genclient.in_order``: up to the
     backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
-    each reserving ``max_attempts`` requests when there is a budget. The
-    fallback, the stats and record assembly run here, in entry order.
+    each reserving ``max_attempts`` requests of its prompt when there is a
+    budget. The fallback, the stats and record assembly run here, in entry
+    order.
     """
-    if mode is BootstrapMode.INTERLEAVED and backend is None:
+    if mode is BootstrapMode.INTERLEAVED and sampler is None:
         raise ValueError("interleaved mode needs a backend")
 
     drafts = [entry for entry in entries if entry.verdict == "pass"]
@@ -245,26 +223,18 @@ def bootstrap_corpus(
                            informal_failures=len(entries) - len(drafts))
     lexed = ((draft, corpus.lex_lean(draft.proof)) for draft in drafts)
 
-    def worst_case(item):
-        draft, _ = item
-        prompt = prompts.bootstrap_prompt(
-            draft.generated_informal_statement_and_proof, draft.proof)
-        return max_attempts, GenerationRequest(prompt, max_new_tokens=max_new_tokens)
-
-    def work(item, charge):
+    def work(item, ask):
         draft, original = item
         try:
-            return bootstrap_theorem(
-                draft, draft.generated_informal_statement_and_proof, backend,
-                original, max_attempts=max_attempts, retry=retry, budget=charge,
-                max_new_tokens=max_new_tokens, temperature=temperature,
-            )
+            return bootstrap_theorem(draft, ask, original, max_attempts)
         except (BootstrapVerificationFailed, GenClientError) as exc:
             return exc
 
     if mode is BootstrapMode.INTERLEAVED:
-        replies = in_order(lexed, work, getattr(backend, "concurrency", 1),
-                           budget, worst_case)
+        units = (((draft, original), prompts.bootstrap_prompt(
+            draft.generated_informal_statement_and_proof, draft.proof))
+            for draft, original in lexed)
+        replies = in_order(units, work, sampler, max_attempts)
     else:
         replies = ((item, None) for item in lexed)
     out: List[ObtRecord] = []

@@ -169,6 +169,18 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     return 0
 
 
+# --- the paid stages --------------------------------------------------------------
+
+
+def _sampler(config: PipelineConfig, max_new_tokens: int) -> genclient.Sampler:
+    """How a paid stage asks the model, with the ``backend`` section's
+    retry policy, budget and temperature."""
+    b = config.backend
+    return genclient.Sampler(
+        make_backend(b), make_retry(b.retry, fork_seed(config.seed, "retry")),
+        make_budget(b.budget), max_new_tokens, b.temperature)
+
+
 # --- informalize -----------------------------------------------------------------
 
 
@@ -188,8 +200,8 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
             pool, embedder, head, side=config.retrieval.side)
     os.makedirs(config.workdir, exist_ok=True)
     i = config.informalize
+    sampler = _sampler(config, config.backend.max_new_tokens)
     stage = informalize.InformalizeConfig(
-        backend=make_backend(config.backend),
         limits=informalize.QualityLimits(
             max_tokens=i.max_tokens,
             repetition_ngram=i.repetition_ngram,
@@ -203,12 +215,8 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
         embedder=embedder,
         checkpoint_path=stage_path(config, "informal_checkpoint"),
         restart=not args.resume,
-        retry=make_retry(config.backend.retry, fork_seed(config.seed, "retry")),
-        budget=make_budget(config.backend.budget),
-        max_new_tokens=config.backend.max_new_tokens,
-        temperature=config.backend.temperature,
     )
-    results = informalize.informalize_corpus(records, stage)
+    results = informalize.informalize_corpus(records, sampler, stage)
     informalize.save_informal_dataset(
         records, results, stage_path(config, "informal"))
     passed = sum(1 for r in results if r.verdict == "pass")
@@ -226,19 +234,11 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
         bootstrap_mod.InformalRecord)
     mode_name = args.mode or config.bootstrap.mode
     mode = bootstrap_mod.BootstrapMode[mode_name.upper()]
-    backend = None
+    sampler = None
     if mode is bootstrap_mod.BootstrapMode.INTERLEAVED:
-        backend = make_backend(config.backend)
+        sampler = _sampler(config, config.backend.max_new_tokens)
     obt_records, stats = bootstrap_mod.bootstrap_corpus(
-        entries,
-        backend=backend,
-        mode=mode,
-        max_attempts=config.bootstrap.max_attempts,
-        retry=make_retry(config.backend.retry, fork_seed(config.seed, "retry")),
-        budget=make_budget(config.backend.budget),
-        max_new_tokens=config.backend.max_new_tokens,
-        temperature=config.backend.temperature,
-    )
+        entries, sampler, mode, config.bootstrap.max_attempts)
     artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
     print(f"bootstrapped {stats.emitted}/{stats.total} records "
           f"({stats.informal_failures} informal failures, "
@@ -292,14 +292,10 @@ def cmd_prove(args, config: PipelineConfig) -> int:
                     else v.max_rounds),
         k_range=(v.k_min, v.k_max),
         token_budget=v.token_budget,
-        max_new_tokens=v.max_new_tokens,
-        temperature=config.backend.temperature,
         tokenizer=make_tokenizer(config.prep),
-        retry=make_retry(config.backend.retry, fork_seed(config.seed, "retry")),
-        budget=make_budget(config.backend.budget),
     )
     report = prover.run_iterative(
-        problems, seed_pool, make_backend(config.backend),
+        problems, seed_pool, _sampler(config, v.max_new_tokens),
         make_verifier(v), stage)
     prover.save_report(report, stage_path(config, "report"))
     artifacts.write_jsonl(stage_path(config, "attempts"), report.attempts)

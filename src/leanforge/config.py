@@ -8,7 +8,6 @@ every problem it can find before any stage runs.
 """
 
 import hashlib
-import json
 import os
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -16,6 +15,7 @@ from typing import List, Optional, Tuple
 
 import yaml
 
+from . import artifacts
 from .genclient import (
     ChatCompletionBackend,
     GenerationBudget,
@@ -360,6 +360,29 @@ def fork_seed(root: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@dataclass(frozen=True)
+class _ScriptRule:
+    """One mock script rule: a prompt that holds ``pattern`` is answered
+    with ``response``, or with ``responses`` one per sample in call order."""
+
+    pattern: str
+    response: Optional[str] = None
+    responses: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if (self.response is None) == (self.responses is None):
+            raise ValueError("needs one of 'response' and 'responses'")
+        if self.responses == ():
+            raise ValueError("responses is empty")
+
+
+def _read_json(path: str):
+    try:
+        return artifacts.read_json(path)
+    except artifacts.ArtifactError as exc:
+        raise ConfigError([str(exc)]) from None
+
+
 def make_backend(settings: BackendSettings):
     if settings.kind == "chat":
         return ChatCompletionBackend(
@@ -372,19 +395,16 @@ def make_backend(settings: BackendSettings):
         )
     script: List[Tuple[str, object]] = []
     if settings.script:
-        with open(settings.script, "r", encoding="utf-8") as source:
-            rules = json.load(source)
-        for index, rule in enumerate(rules):
-            if "pattern" not in rule:
-                raise ConfigError(
-                    [f"{settings.script}: rule {index} has no pattern"])
-            if "responses" in rule:
-                script.append((rule["pattern"], list(rule["responses"])))
-            elif "response" in rule:
-                script.append((rule["pattern"], rule["response"]))
-            else:
-                raise ConfigError(
-                    [f"{settings.script}: rule {index} has no response"])
+        rules = _read_json(settings.script)
+        if type(rules) is not list:
+            raise ConfigError([f"{settings.script}: rules are not a list"])
+        for index, entry in enumerate(rules):
+            try:
+                rule = artifacts.decode(
+                    entry, _ScriptRule, f"{settings.script}: rule {index}")
+            except artifacts.ArtifactError as exc:
+                raise ConfigError([str(exc)]) from None
+            script.append((rule.pattern, rule.responses or rule.response))
     return MockBackend(script=script, default_text=settings.default_text)
 
 
@@ -416,6 +436,12 @@ def make_verifier(settings: ProverSettings):
         return ExternalVerifier(settings.command, timeout_s=settings.timeout_s)
     key = {}
     if settings.answer_key:
-        with open(settings.answer_key, "r", encoding="utf-8") as source:
-            key = json.load(source)
+        key = _read_json(settings.answer_key)
+        if type(key) is not dict:
+            raise ConfigError(
+                [f"{settings.answer_key}: not an object of name -> proof"])
+        for name, proof in key.items():
+            if type(proof) is not str:
+                raise ConfigError(
+                    [f"{settings.answer_key}: proof of {name!r} is not a string"])
     return MockVerifier(key)

@@ -6,9 +6,14 @@ prompt string; the prompts themselves are built in ``leanforge.prompts``.
 The chat system message, if any, is the backend's configured
 ``system_prompt``.
 
-Every paid stage runs its units (a theorem, a problem) through ``in_order``,
-which keeps up to ``backend.concurrency`` of them in flight and hands their
-results back in order. A backend without the attribute gets one at a time.
+A stage asks the model in one way only. Its ``Sampler`` holds the backend,
+the retry policy, the budget and the settings of every request. It runs
+its units (a theorem, a problem: each an item and the prompt it sends)
+through ``in_order``, which keeps up to ``backend.concurrency`` of them in
+flight (one for a backend without the attribute), prices each unit's
+budget reservation from its prompt, and hands each unit's work an ``Ask``
+that sends that prompt. Results come back in unit order. No other module
+builds a request or calls ``complete``.
 
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
@@ -179,49 +184,47 @@ def _cost(request: GenerationRequest) -> int:
 
 
 def in_order(
-    items: Iterable,
-    work: Callable[[Any, Any], Any],
-    concurrency: int,
-    budget: Optional[GenerationBudget] = None,
-    worst_case: Optional[Callable[[Any], Tuple[int, GenerationRequest]]] = None,
+    units: Iterable[Tuple[Any, str]],
+    work: Callable[[Any, Ask], Any],
+    sampler: Sampler,
+    attempts: int,
 ) -> Iterator[Tuple[Any, Any]]:
-    """Run ``work(item, charge)`` over ``items``, up to ``concurrency`` at
-    once, and yield ``(item, result)`` in item order, each as soon as it and
-    every earlier result are in. Items are drawn from ``items`` only as they
-    are started.
+    """Run ``work(item, ask)`` over ``units``, ``(item, prompt)`` pairs, up to
+    the backend's ``concurrency`` at once, and yield ``(item, result)`` in
+    unit order, each as soon as it and every earlier result are in. Units
+    are drawn only as they are started; ``ask`` sends the unit's prompt.
 
-    ``charge`` is what the work hands to ``complete``: the budget, or None.
-    At concurrency 1 the items run one by one on the calling thread, each
+    At concurrency 1 the units run one by one on the calling thread, each
     charging the budget itself: this is the serial run. Above it they run
-    on a thread pool, and with a budget each item first reserves its worst
-    case in item order: ``worst_case(item)`` is ``(count, request)``, at
-    most ``count`` requests each charged like ``request``. ``charge`` is
-    then that reservation, released when the work returns or raises. An
-    item whose reservation does not fit waits for every earlier item and
-    then runs alone on the budget itself, so it sees what the serial run
-    sees and a run that hits a ceiling stops where the serial run stops.
+    on a thread pool, and with a budget each unit first reserves, in unit
+    order, ``attempts`` requests of its prompt; its ``ask`` charges that
+    reservation, which is released when the work returns or raises. A unit
+    whose reservation does not fit waits for every earlier unit and then
+    runs alone on the budget itself, so it sees what the serial run sees
+    and a run that hits a ceiling stops where the serial run stops.
 
-    When the work of item k raises, no item is started once that is seen,
+    When the work of unit k raises, no unit is started once that is seen,
     and the exception propagates after the results before k are yielded.
     """
+    concurrency = getattr(sampler.backend, "concurrency", 1)
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     if concurrency == 1:
         # No pool: with one unit in flight a worker thread only adds
         # hand-offs, and a mock run's informalize and bootstrap ran about a
         # third slower through one (2-core host, Python 3.11).
-        for item in items:
-            yield item, work(item, budget)
+        for item, prompt in units:
+            yield item, work(item, Ask(sampler, prompt))
         return
     # Imported here: the CLI's start-up does not pay for the thread pool.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    def run(item, charge):
+    def run(item, ask):
         try:
-            return work(item, charge)
+            return work(item, ask)
         finally:
-            if isinstance(charge, Reservation):
-                charge.release()
+            if ask.charge is not None:
+                ask.charge.release()
 
     queue: collections.deque = collections.deque()  # (item, future), unyielded
 
@@ -233,8 +236,9 @@ def in_order(
     def failed() -> bool:
         return any(f.done() and f.exception() is not None for _, f in queue)
 
+    budget = sampler.budget
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for item in items:
+        for item, prompt in units:
             running = [f for _, f in queue if not f.done()]
             while len(running) >= concurrency:
                 wait(running, return_when=FIRST_COMPLETED)
@@ -242,17 +246,16 @@ def in_order(
                 running = [f for _, f in queue if not f.done()]
             if failed():
                 break
-            charge, alone = budget, False
+            charge = None
             if budget is not None:
-                count, request = worst_case(item)
-                charge = budget.reserve(count, count * _cost(request))
+                cost = _cost(sampler.request(prompt))
+                charge = budget.reserve(attempts, attempts * cost)
                 if charge is None:
                     wait([f for _, f in queue])
                     yield from finished()
-                    charge, alone = budget, True
-            future = pool.submit(run, item, charge)
+            future = pool.submit(run, item, Ask(sampler, prompt, charge))
             queue.append((item, future))
-            if alone:
+            if budget is not None and charge is None:
                 wait([future])
             yield from finished()
         while queue:
@@ -331,6 +334,38 @@ def complete(
         truncated=tuple(flag for _, flag in pairs),
         attempts=attempt,
     )
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """How a stage asks the model: the backend, the retry policy, the
+    budget every request is charged to, and the settings of each request."""
+
+    backend: Any
+    retry: Optional[RetryPolicy] = None
+    budget: Optional[GenerationBudget] = None
+    max_new_tokens: int = 512
+    temperature: float = 0.7
+
+    def request(self, prompt: str, request_id: str = "") -> GenerationRequest:
+        return GenerationRequest(prompt, self.max_new_tokens, self.temperature,
+                                 request_id=request_id)
+
+
+@dataclass(frozen=True)
+class Ask:
+    """One unit's way to ask: ``ask(request_id)`` sends ``prompt`` through
+    ``complete`` with the sampler's settings. It charges ``charge``, the
+    unit's reservation, or the sampler's budget when that is None."""
+
+    sampler: Sampler
+    prompt: str
+    charge: Optional[Reservation] = None
+
+    def __call__(self, request_id: str) -> GenerationResponse:
+        s = self.sampler
+        return complete(s.request(self.prompt, request_id), s.backend, s.retry,
+                        s.budget if self.charge is None else self.charge)
 
 
 # --- backends -----------------------------------------------------------------

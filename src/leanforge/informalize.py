@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import artifacts, genclient, prompts, retrieval
 from .bootstrap import InformalRecord
 from .corpus import TheoremRecord
-from .genclient import GenerationRequest
 from .prover import PoolExample
 from .trainprep import WhitespaceTokenizer
 
@@ -138,38 +137,24 @@ def select_examples(
 def informalize_theorem(
     record: TheoremRecord,
     examples: Sequence[PoolExample],
-    backend,
+    ask: genclient.Ask,
     limits: QualityLimits,
     max_attempts: int = 3,
-    retry: Optional[genclient.RetryPolicy] = None,
-    budget: Optional[genclient.GenerationBudget] = None,
-    max_new_tokens: int = 2048,
-    temperature: float = 0.7,
 ) -> InformalizationResult:
     """Generate and screen the NL text, re-querying on quality failures.
 
-    Backend failures are recorded as BACKEND_ERROR attempts rather than
-    raised, so one dead record cannot stop a corpus run.
+    ``ask`` sends the record's prompt, built with ``examples``. Backend
+    failures are recorded as BACKEND_ERROR attempts rather than raised, so
+    one dead record cannot stop a corpus run.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    prompt = prompts.informalization_prompt(examples, record.statement, record.proof)
     example_names = tuple(p.name for p in examples)
     attempt_reasons: List[Tuple[str, ...]] = []
     text = ""
     for attempt in range(1, max_attempts + 1):
         try:
-            response = genclient.complete(
-                GenerationRequest(
-                    prompt=prompt,
-                    max_new_tokens=max_new_tokens,
-                    temperature=temperature,
-                    request_id=f"informalize:{record.name}:{attempt}",
-                ),
-                backend,
-                retry=retry,
-                budget=budget,
-            )
+            response = ask(f"informalize:{record.name}:{attempt}")
         except genclient.GenClientError as exc:
             logger.warning("informalize %s attempt %d: %s", record.name, attempt, exc)
             attempt_reasons.append((BACKEND_ERROR,))
@@ -208,7 +193,6 @@ def informalize_theorem(
 
 @dataclass
 class InformalizeConfig:
-    backend: object
     limits: QualityLimits = field(default_factory=QualityLimits)
     max_attempts: int = 3
     k_examples: int = 3
@@ -217,10 +201,6 @@ class InformalizeConfig:
     embedder: object = None
     checkpoint_path: Optional[str] = None
     restart: bool = False
-    retry: Optional[genclient.RetryPolicy] = None
-    budget: Optional[genclient.GenerationBudget] = None
-    max_new_tokens: int = 2048
-    temperature: float = 0.7
 
 
 def load_checkpoint(path: str) -> List[InformalizationResult]:
@@ -264,13 +244,15 @@ def _validate_resume(
 
 
 def informalize_corpus(
-    records: Sequence[TheoremRecord], config: InformalizeConfig
+    records: Sequence[TheoremRecord],
+    sampler: genclient.Sampler,
+    config: InformalizeConfig,
 ) -> List[InformalizationResult]:
     """One result per record, in input order, checkpointed after each.
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each a whole ``informalize_theorem``
-    call. With a budget, a record reserves ``max_attempts`` requests with
+    call. With a budget, a record reserves ``max_attempts`` requests of
     the prompt it sends, examples included. Results, and checkpoint lines,
     come in record order, so a crash leaves a checkpoint that is a prefix
     of the records.
@@ -285,41 +267,26 @@ def informalize_corpus(
             if done:
                 logger.info("resuming after %d checkpointed records", len(done))
 
-    def with_examples():
+    def units():
         for record in records[len(done):]:
             examples: Sequence[PoolExample] = ()
             if config.index is not None and config.pool and config.embedder is not None:
                 examples = select_examples(
                     record, config.index, config.pool, config.k_examples, config.embedder
                 )
-            yield record, examples
+            yield (record, examples), prompts.informalization_prompt(
+                examples, record.statement, record.proof)
 
-    def worst_case(item):
+    def work(item, ask):
         record, examples = item
-        prompt = prompts.informalization_prompt(examples, record.statement, record.proof)
-        return config.max_attempts, GenerationRequest(
-            prompt, max_new_tokens=config.max_new_tokens)
-
-    def work(item, charge):
-        record, examples = item
-        return informalize_theorem(
-            record,
-            examples,
-            config.backend,
-            config.limits,
-            max_attempts=config.max_attempts,
-            retry=config.retry,
-            budget=charge,
-            max_new_tokens=config.max_new_tokens,
-            temperature=config.temperature,
-        )
+        return informalize_theorem(record, examples, ask, config.limits,
+                                   max_attempts=config.max_attempts)
 
     results = list(done)
     checkpoint = (artifacts.appending_jsonl(config.checkpoint_path)
                   if config.checkpoint_path else contextlib.nullcontext())
     with checkpoint as append, contextlib.closing(genclient.in_order(
-            with_examples(), work, getattr(config.backend, "concurrency", 1),
-            config.budget, worst_case)) as finished:
+            units(), work, sampler, config.max_attempts)) as finished:
         for _, result in finished:
             results.append(result)
             if append is not None:

@@ -20,14 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
 from .corpus import LeanToken, LexError
-from .genclient import (
-    GenClientError,
-    GenerationBudget,
-    GenerationRequest,
-    RetryPolicy,
-    complete,
-    in_order,
-)
+from .genclient import Ask, GenClientError, Sampler, in_order
 from .prompts import example_block, proof_prompt
 from .trainprep import fit_blocks
 
@@ -185,10 +178,6 @@ class HarnessConfig:
     max_rounds: int = 2
     k_range: Tuple[int, int] = (10, 16)
     token_budget: int = 4096
-    max_new_tokens: int = 1024
-    temperature: float = 0.7
-    retry: Optional[RetryPolicy] = None
-    budget: Optional[GenerationBudget] = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -471,31 +460,20 @@ DIAGNOSTIC_CHARS = 200  # diagnostic length kept in the attempt log
 
 def _prove_problem(
     problem: Problem,
-    prompt: str,
     round_number: int,
-    backend,
+    ask: Ask,
     verifier,
-    config: HarnessConfig,
-    budget,
+    n_samples: int,
 ) -> Tuple[int, List[dict], Optional[ProofAttempt]]:
     """Sample ``problem`` until the first verified proof or ``n_samples``.
 
-    ``budget`` is what ``complete`` charges: None, the shared budget, or a
-    reservation on it. Returns the samples drawn, their attempt log lines
-    and the verified attempt, if any.
+    ``ask`` sends the problem's prompt. Returns the samples drawn, their
+    attempt log lines and the verified attempt, if any.
     """
     log: List[dict] = []
-    for sample_index in range(config.n_samples):
-        request = GenerationRequest(
-            prompt=prompt,
-            max_new_tokens=config.max_new_tokens,
-            temperature=config.temperature,
-            n_samples=1,
-            request_id=f"prove:{problem.name}:r{round_number}:s{sample_index}",
-        )
+    for sample_index in range(n_samples):
         try:
-            response = complete(request, backend, retry=config.retry,
-                                budget=budget)
+            response = ask(f"prove:{problem.name}:r{round_number}:s{sample_index}")
         except GenClientError as exc:
             logger.warning("generation for %s stopped at sample %d: %s",
                            problem.name, sample_index, exc)
@@ -511,13 +489,13 @@ def _prove_problem(
         })
         if attempt.verdict == "verified":
             return sample_index + 1, log, attempt
-    return config.n_samples, log, None
+    return n_samples, log, None
 
 
 def run_iteration(
     state: IterationState,
     problems: Sequence[Problem],
-    backend,
+    sampler: Sampler,
     verifier,
     config: HarnessConfig,
 ) -> IterationState:
@@ -530,11 +508,11 @@ def run_iteration(
     Problems go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each with the sample sequence a serial
     run gives it, and results are committed in problem order. With a
-    budget, each problem reserves ``n_samples`` requests with its prompt,
+    budget, each problem reserves ``n_samples`` requests of its prompt,
     so a run that hits a ceiling stops at the samples a serial run
     stops at.
     """
-    def prompted():
+    def units():
         for problem in problems:
             if problem.name not in state.unproved:
                 continue
@@ -547,25 +525,17 @@ def run_iteration(
                 continue
             yield problem, prompt
 
-    def worst_case(item):
-        _, prompt = item
-        return config.n_samples, GenerationRequest(
-            prompt, max_new_tokens=config.max_new_tokens)
+    def work(problem, ask):
+        return _prove_problem(problem, state.round, ask, verifier, config.n_samples)
 
-    def work(item, charge):
-        problem, prompt = item
-        return _prove_problem(problem, prompt, state.round, backend, verifier,
-                              config, charge)
-
-    results = in_order(prompted(), work, getattr(backend, "concurrency", 1),
-                       config.budget, worst_case)
+    results = in_order(units(), work, sampler, config.n_samples)
     proved = dict(state.proved)
     first_success = dict(state.first_success)
     pool_examples = list(state.example_pool)
     attempts = list(state.attempts)
     budget_used = state.budget_used
     newly = set()
-    for (problem, _), (drawn, log, verified) in results:
+    for problem, (drawn, log, verified) in results:
         budget_used += drawn
         attempts.extend(log)
         if verified is None:
@@ -593,7 +563,7 @@ def run_iteration(
 def run_iterative(
     problems: Sequence[Problem],
     seed_pool: Sequence[PoolExample],
-    backend,
+    sampler: Sampler,
     verifier,
     config: HarnessConfig,
 ) -> HarnessReport:
@@ -604,7 +574,7 @@ def run_iterative(
     rounds: List[RoundSummary] = []
     for round_number in range(1, config.max_rounds + 1):
         before = len(state.proved)
-        state = run_iteration(state, problems, backend, verifier, config)
+        state = run_iteration(state, problems, sampler, verifier, config)
         newly = len(state.proved) - before
         rate = len(state.proved) / len(problems) if problems else 0.0
         rounds.append(RoundSummary(

@@ -96,28 +96,37 @@ class ProjectionHead:
         return hashlib.sha256(self.weights.astype("<f8").tobytes()).hexdigest()
 
 
+@dataclass(frozen=True)
+class _HeadFile:
+    """``projection.json``: a head and the checksum of its weights."""
+
+    d_in: int
+    d_out: int
+    seed: int
+    init: str
+    checksum: str
+    weights: Tuple[Tuple[float, ...], ...]
+
+
 def save_head(head: ProjectionHead, path: str) -> None:
-    payload = {
-        "d_in": head.d_in,
-        "d_out": head.d_out,
-        "seed": head.seed,
-        "init": head.init,
-        "checksum": head.checksum(),
-        "weights": head.weights.tolist(),
-    }
-    artifacts.write_json(path, payload)
+    artifacts.write_json(path, _HeadFile(
+        head.d_in, head.d_out, head.seed, head.init, head.checksum(),
+        head.weights.tolist()))
 
 
 def load_head(path: str) -> ProjectionHead:
-    payload = artifacts.read_json(path)
+    stored = artifacts.decode(artifacts.read_json(path), _HeadFile, path)
+    if [len(row) for row in stored.weights] != [stored.d_in] * stored.d_out:
+        raise RetrievalError(
+            f"{path}: weights are not {stored.d_out} rows of {stored.d_in} values")
     head = ProjectionHead(
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        d_in=int(payload["d_in"]),
-        d_out=int(payload["d_out"]),
-        seed=int(payload["seed"]),
-        init=payload.get("init", "uniform"),
+        weights=np.asarray(stored.weights, dtype=np.float64),
+        d_in=stored.d_in,
+        d_out=stored.d_out,
+        seed=stored.seed,
+        init=stored.init,
     )
-    if head.checksum() != payload["checksum"]:
+    if head.checksum() != stored.checksum:
         raise RetrievalError(f"head checksum mismatch in {path}")
     return head
 

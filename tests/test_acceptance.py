@@ -24,6 +24,7 @@ from leanforge.bootstrap import (
     verify_bootstrap,
 )
 from leanforge.corpus import lex_lean
+from leanforge.genclient import Sampler
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
     AlignmentBatch,
@@ -303,7 +304,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_second_round_proves_more_and_invariants_hold(self, capsys):
         problems, seeds, backend, mock_verifier = test_prover.two_round_setup()
-        report = run_iterative(problems, seeds, backend, mock_verifier,
+        report = run_iterative(problems, seeds, Sampler(backend), mock_verifier,
                                test_prover.config())
         assert report.rounds[1].cumulative_proved > \
             report.rounds[0].cumulative_proved
@@ -317,7 +318,7 @@ class TestCriterion6:
             scenario = test_prover.ScenarioBackend(gates, proofs)
             checker = test_prover.MockVerifier(proofs)
             report = run_iterative(
-                problems, test_prover.seed_examples(2), scenario, checker,
+                problems, test_prover.seed_examples(2), Sampler(scenario), checker,
                 test_prover.config(max_rounds=max_rounds,
                                    n_samples=n_samples))
 

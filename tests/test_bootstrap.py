@@ -27,11 +27,13 @@ from leanforge.bootstrap import (
 )
 from leanforge.corpus import LexError
 from leanforge.genclient import (
+    Ask,
     BackendUnavailable,
     GenerationBudget,
     MalformedBackendReply,
     MockBackend,
     RetryPolicy,
+    Sampler,
 )
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
@@ -206,9 +208,16 @@ class Counting:
         return self.inner.generate(request)
 
 
+def sq_ask(backend, **settings):
+    """The ask ``bootstrap_corpus`` hands ``sq_record()``."""
+    record = sq_record()
+    return Ask(Sampler(backend, max_new_tokens=1024, **settings), bootstrap_prompt(
+        record.generated_informal_statement_and_proof, record.proof))
+
+
 class TestBootstrapTheorem:
     def test_head_mode_needs_no_backend(self):
-        (obt,), _ = bootstrap_corpus([sq_entry()], backend=None,
+        (obt,), _ = bootstrap_corpus([sq_entry()], sampler=None,
                                      mode=BootstrapMode.HEAD)
         assert obt == ObtRecord(
             **dataclasses.asdict(sq_record()),
@@ -228,16 +237,14 @@ class TestBootstrapTheorem:
 
     def test_interleaved_verified_first_try(self):
         backend = Counting(MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)]))
-        out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
     def test_fenced_reply_unwrapped(self):
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
         backend = MockBackend(script=[("algebra_sqineq", fenced)])
-        out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
         assert verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), out)[0]
         assert "```" not in out
 
@@ -245,7 +252,7 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(script=[("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
         assert backend.calls == 3
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
@@ -255,15 +262,14 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
-        out = bootstrap_theorem(
-            sq_record(), SQINEQ_NL, backend, SQ_TOKENS)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
     def test_non_lexing_reply_counts_as_failure(self):
         backend = MockBackend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, backend, SQ_TOKENS,
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS,
                               max_attempts=2)
 
     def test_backend_errors_propagate(self):
@@ -275,12 +281,11 @@ class TestBootstrapTheorem:
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, Down(), SQ_TOKENS,
-                              retry=policy)
+            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_TOKENS)
 
     def test_attempt_floor(self):
         with pytest.raises(ValueError):
-            bootstrap_theorem(sq_record(), SQINEQ_NL, MockBackend(), SQ_TOKENS,
+            bootstrap_theorem(sq_record(), sq_ask(MockBackend()), SQ_TOKENS,
                               max_attempts=0)
 
 
@@ -354,7 +359,7 @@ class TestBootstrapCorpus:
         ]
         backend = MockBackend(script=script)
         out, stats = bootstrap_corpus(
-            entries, backend, mode=BootstrapMode.INTERLEAVED)
+            entries, Sampler(backend), mode=BootstrapMode.INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 0
         assert all("--" in r.commented_proof for r in out)
@@ -365,7 +370,7 @@ class TestBootstrapCorpus:
         script += [(f"toy{i}", entries[i].proof) for i in range(5) if i != 2]
         backend = MockBackend(script=script)
         out, stats = bootstrap_corpus(
-            entries, backend, mode=BootstrapMode.INTERLEAVED)
+            entries, Sampler(backend), mode=BootstrapMode.INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 1
         by_name = {r.name: r for r in out}
@@ -383,7 +388,7 @@ class TestBootstrapCorpus:
 
         policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
         out, stats = bootstrap_corpus(
-            entries, Down(), mode=BootstrapMode.INTERLEAVED, retry=policy)
+            entries, Sampler(Down(), retry=policy), mode=BootstrapMode.INTERLEAVED)
         assert stats.emitted == 5
         assert stats.backend_fallbacks == 5
         assert all(r.commented_proof.startswith("/- ") for r in out)
@@ -447,9 +452,10 @@ class TestConcurrentCorpus:
 
     def run(self, entries, seed, concurrency, **ceilings):
         budget = GenerationBudget(**ceilings)
+        backend = KeyedBackend(keyed_replies(entries, seed), seed, concurrency)
         out, stats = bootstrap_corpus(
-            entries, KeyedBackend(keyed_replies(entries, seed), seed, concurrency),
-            mode=BootstrapMode.INTERLEAVED, budget=budget, max_new_tokens=64)
+            entries, Sampler(backend, budget=budget, max_new_tokens=64),
+            mode=BootstrapMode.INTERLEAVED)
         return out, stats, budget.requests_used, budget.tokens_used
 
     def test_records_stats_and_budget_match_serial(self):

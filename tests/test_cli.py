@@ -488,68 +488,6 @@ class TestBootstrapCommand:
         assert not (workdir / "obt.jsonl").exists()
 
 
-class TestNonObjectEntries:
-    """A line that is JSON but not an object names its file and line."""
-
-    NOT_OBJECTS = ["5", "[]", '"x"']
-
-    def expect_error(self, capsys, argv, where):
-        assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert f"{where}: entry is not an object" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("line", NOT_OBJECTS)
-    def test_informal_entry(self, tmp_path, capsys, line):
-        workdir = tmp_path / "work"
-        workdir.mkdir()
-        (workdir / "informal.jsonl").write_text(
-            json.dumps(INFORMAL_ENTRY) + "\n" + line + "\n", encoding="utf-8")
-        config = write_yaml(tmp_path / "c.yaml", {
-            "workdir": str(workdir), "bootstrap": {"mode": "head"}})
-        self.expect_error(capsys, ["bootstrap", "-c", config], "informal.jsonl:2")
-        assert not (workdir / "obt.jsonl").exists()
-
-    @pytest.mark.parametrize("line", NOT_OBJECTS)
-    def test_theorem_entry(self, tmp_path, capsys, line):
-        workdir = tmp_path / "work"
-        workdir.mkdir()
-        record = corpus.TheoremRecord(
-            "foo", "theorem foo : 1 = 1 :=", "theorem foo : 1 = 1 := rfl",
-            "A.lean", "c", 1)
-        (workdir / "theorems.jsonl").write_text(
-            json.dumps(dataclasses.asdict(record)) + "\n" + line + "\n",
-            encoding="utf-8")
-        config = write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir)})
-        self.expect_error(capsys, ["informalize", "-c", config], "theorems.jsonl:2")
-
-    @pytest.mark.parametrize("line", NOT_OBJECTS)
-    def test_problem_entry(self, tmp_path, capsys, line):
-        problems, seeds = tmp_path / "problems.jsonl", tmp_path / "seeds.jsonl"
-        problems.write_text(json.dumps(
-            {"name": "p", "fl_statement": "theorem p : 1 = 1 :="}) + "\n"
-            + line + "\n", encoding="utf-8")
-        seeds.write_text(json.dumps(
-            {"name": "s", "nl": "Statement: s. Proof: p.",
-             "fl": "theorem s : 2 = 2 := rfl"}) + "\n", encoding="utf-8")
-        config = write_yaml(tmp_path / "c.yaml", {
-            "workdir": str(tmp_path / "work"),
-            "prover": {"problems": str(problems), "seed_examples": str(seeds)}})
-        self.expect_error(capsys, ["prove", "-c", config], "problems.jsonl:2")
-
-    @pytest.mark.parametrize("line", NOT_OBJECTS)
-    @pytest.mark.parametrize("first", [True, False])
-    def test_pair_entry(self, tmp_path, capsys, line, first):
-        pair = json.dumps({"nl": "a + b", "fl": "theorem a"})
-        pairs_path = tmp_path / "pairs.jsonl"
-        pairs_path.write_text(
-            "\n".join([line, pair] if first else [pair, line]) + "\n",
-            encoding="utf-8")
-        config = retriever_config(tmp_path, pairs_path)
-        self.expect_error(capsys, ["train-retriever", "-c", config],
-                          f"pairs.jsonl:{1 if first else 2}")
-
-
 class TestInformalizeResumeUnderConcurrency:
     """A fault on any backend call, with four theorems in flight, leaves a
     checkpoint that is a prefix in record order, and ``--resume`` finishes
@@ -729,6 +667,10 @@ READERS = {
     "pairs": Reader(
         "pairs.jsonl", ("train-retriever",), {"nl": "a + b", "fl": "theorem a"},
         "fl", ("nl", 5), settings=(("retrieval", "pairs", "pairs.jsonl"),)),
+    "pairs-second": Reader(
+        "pairs.jsonl", ("train-retriever",), {"nl": "a + b", "fl": "theorem a"},
+        "fl", ("nl", 5), before=({"nl": "b + a", "fl": "theorem b"},),
+        settings=(("retrieval", "pairs", "pairs.jsonl"),)),
     "theorems": Reader(
         "theorems.jsonl", ("informalize",), THEOREM_ENTRY, "proof", ("commit", 5)),
     "pool": Reader(
@@ -803,6 +745,88 @@ class TestRecordReaders:
         err = capsys.readouterr().err
         assert f"{reader.file}:{len(reader.before) + 1}: {message}" in err
         assert "Traceback" not in err
+
+
+# --- files the config names ---------------------------------------------------------
+
+
+class TestConfiguredFiles:
+    """The mock script, the answer key and the projection head are checked
+    whole when a command reads them: a bad one is an error naming the file
+    (and the rule or key), with no traceback."""
+
+    def workdir(self, tmp_path, **files):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        for name, entries in files.items():
+            (workdir / f"{name}.jsonl").write_text(jsonl(*entries), encoding="utf-8")
+        return workdir
+
+    def expect(self, capsys, argv, code, message):
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rules, message", [
+        ([5], "rule 0: entry is not an object"),
+        ({"pattern": "x"}, "rules are not a list"),
+        ([{"pattern": "a", "response": "r"}, {"pattern": 5, "response": "r"}],
+         "rule 1: pattern is not a string"),
+        ([{"pattern": "x", "responses": "abc"}],
+         "rule 0: responses is not a list of strings"),
+        ([{"pattern": "x", "responses": []}], "rule 0: responses is empty"),
+        ([{"pattern": "x"}], "rule 0: needs one of 'response' and 'responses'"),
+    ], ids=["not-an-object", "not-a-list", "pattern-not-a-string",
+            "responses-a-string", "responses-empty", "no-response"])
+    def test_bad_mock_script_exits_2(self, tmp_path, capsys, rules, message):
+        workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(rules), encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir), "backend": {"script": str(script)}})
+        self.expect(capsys, ["informalize", "-c", config], 2,
+                    f"config error: {script}: {message}")
+        assert not (workdir / "informal.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["prove", "report"])
+    @pytest.mark.parametrize("key, message", [
+        ([1, 2], "not an object of name -> proof"),
+        ({"p": 5}, "proof of 'p' is not a string"),
+    ], ids=["not-an-object", "proof-not-a-string"])
+    def test_bad_answer_key_exits_2(self, tmp_path, capsys, command, key, message):
+        workdir = self.workdir(tmp_path, problems=[PROBLEM_ENTRY],
+                               seeds=[SEED_ENTRY], report=[HEADER_ENTRY])
+        answer_key = tmp_path / "key.json"
+        answer_key.write_text(json.dumps(key), encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "prover": {"problems": str(workdir / "problems.jsonl"),
+                       "seed_examples": str(workdir / "seeds.jsonl"),
+                       "answer_key": str(answer_key)}})
+        self.expect(capsys, [command, "-c", config], 2,
+                    f"config error: {answer_key}: {message}")
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda head: head.pop("d_in"), "entry has no 'd_in' field"),
+        (lambda head: head.update(weights=5), "weights is not a list of lists"),
+        (lambda head: head["weights"][1].pop(), "weights are not 64 rows of 64 values"),
+    ], ids=["no-d_in", "weights-not-a-list", "weights-ragged"])
+    def test_bad_projection_head_names_the_file(self, tmp_path, capsys, change,
+                                                 message):
+        workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY], pool=[SEED_ENTRY])
+        path = workdir / "projection.json"
+        retrieval.save_head(
+            retrieval.ProjectionHead.initialize(64, 64, seed=0, init="identity"),
+            str(path))
+        head = json.loads(path.read_text(encoding="utf-8"))
+        change(head)
+        path.write_text(json.dumps(head), encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "retrieval": {"examples": str(workdir / "pool.jsonl")}})
+        self.expect(capsys, ["informalize", "-c", config], 1,
+                    f"error: {path}: {message}")
 
 
 # --- sample -----------------------------------------------------------------------
@@ -1271,12 +1295,13 @@ class TestReadSet:
         assert reads(["extract", "-c", config]) == set()
         assert reads(["train-retriever", "-c", config]) == inputs("pairs")
         assert reads(["informalize", "-c", config]) == \
-            work("theorems.jsonl", "projection.json") | inputs("pool")
+            work("theorems.jsonl", "projection.json") | inputs("pool", "script")
         assert reads(["bootstrap", "-c", config]) == work("informal.jsonl")
         assert reads(["prep", "-c", config]) == work("obt.jsonl")
-        assert reads(["prove", "-c", config]) == inputs("problems", "seeds")
+        assert reads(["prove", "-c", config]) == \
+            inputs("problems", "seeds", "script", "answer_key")
         assert reads(["report", "-c", config]) == \
-            work("report.jsonl") | inputs("problems")
+            work("report.jsonl") | inputs("problems", "answer_key")
         assert reads(["sample", "-c", config, "-n", "3"]) == work("obt.jsonl")
 
 
@@ -1287,8 +1312,8 @@ class TestProveConcurrency:
     def units_in_flight(self, monkeypatch, argv):
         seen = []
 
-        def recording(items, work, concurrency, budget=None, worst_case=None):
-            seen.append(concurrency)
+        def recording(units, work, sampler, attempts):
+            seen.append(sampler.backend.concurrency)
             raise RuntimeError("stopped before any request")
 
         for module in (genclient, prover, bootstrap_mod):

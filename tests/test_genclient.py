@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import os
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from leanforge import genclient
 from leanforge.genclient import (
     BackendUnavailable,
     BudgetExceeded,
@@ -20,6 +22,7 @@ from leanforge.genclient import (
     MockBackend,
     Reservation,
     RetryPolicy,
+    Sampler,
     complete,
     estimate_tokens,
     in_order,
@@ -280,6 +283,18 @@ class TestReservations:
         assert taken == budget.requests_used == 50
 
 
+def units(items, prompt="p"):
+    """``(item, prompt)`` units, drawn from ``items`` as they are started."""
+    return ((item, prompt) for item in items)
+
+
+def concurrent(concurrency, **settings):
+    """A sampler whose mock backend keeps ``concurrency`` units in flight."""
+    backend = MockBackend()
+    backend.concurrency = concurrency
+    return Sampler(backend, **settings)
+
+
 class TestInOrder:
     def test_results_come_in_item_order_when_later_items_finish_first(self):
         finished = []
@@ -291,7 +306,7 @@ class TestInOrder:
                 finished.append(item)
             return item * 10
 
-        out = list(in_order(range(6), work, 4))
+        out = list(in_order(units(range(6)), work, concurrent(4), 1))
         assert out == [(i, i * 10) for i in range(6)]
         assert finished != sorted(finished)  # the items did overlap
 
@@ -308,7 +323,8 @@ class TestInOrder:
                 active[0] -= 1
             return item
 
-        assert [r for _, r in in_order(range(12), work, 3)] == list(range(12))
+        assert [r for _, r in in_order(units(range(12)), work, concurrent(3), 1)] == \
+            list(range(12))
         assert peak[0] == 3
 
     def test_failure_propagates_after_the_results_before_it(self):
@@ -320,7 +336,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 2 failed"):
-            for item, _ in in_order(range(8), work, 4):
+            for item, _ in in_order(units(range(8)), work, concurrent(4), 1):
                 yielded.append(item)
         assert yielded == [0, 1]
 
@@ -340,7 +356,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 1 failed"):
-            for item, _ in in_order(items(), work, 2):
+            for item, _ in in_order(units(items()), work, concurrent(2), 1):
                 yielded.append(item)
         # item 1 fails while item 0 still runs: nothing after it starts
         assert yielded == [0]
@@ -349,18 +365,18 @@ class TestInOrder:
     @pytest.mark.parametrize("fail", [False, True])
     def test_reservations_are_returned(self, fail):
         budget = GenerationBudget(max_requests=100, max_tokens=10_000)
-        request = GenerationRequest(prompt="p" * 8, max_new_tokens=8)
+        sampler = concurrent(3, budget=budget, max_new_tokens=8)
         charges = []
 
-        def work(item, charge):
-            charges.append(charge)
-            complete(request, MockBackend(), budget=charge)
+        def work(item, ask):
+            charges.append(ask.charge)
+            ask(f"r{item}")
             if fail and item == 3:
                 raise RuntimeError("after one charge")
             return item
 
         def drain():
-            return list(in_order(range(6), work, 3, budget, lambda item: (4, request)))
+            return list(in_order(units(range(6), "p" * 8), work, sampler, 4))
 
         if fail:
             with pytest.raises(RuntimeError, match="after one charge"):
@@ -374,26 +390,26 @@ class TestInOrder:
 
     def test_item_that_does_not_fit_runs_alone_on_the_budget(self):
         budget = GenerationBudget(max_requests=5)
-        request = GenerationRequest(prompt="p", max_new_tokens=1)  # 2 tokens
+        sampler = concurrent(3, budget=budget, max_new_tokens=1)  # 2 tokens
         active = [0]
         seen = []
         lock = threading.Lock()
 
-        def work(item, charge):
+        def work(item, ask):
             with lock:
                 active[0] += 1
-                seen.append((item, isinstance(charge, Reservation), active[0]))
+                seen.append((item, isinstance(ask.charge, Reservation), active[0]))
             time.sleep(0.005)
             for _ in range(2):
                 try:
-                    complete(request, MockBackend(), budget=charge)
+                    ask(f"r{item}")
                 except BudgetExceeded:
                     break
             with lock:
                 active[0] -= 1
             return item
 
-        out = list(in_order(range(4), work, 3, budget, lambda item: (2, request)))
+        out = list(in_order(units(range(4)), work, sampler, 2))
         assert [item for item, _ in out] == [0, 1, 2, 3]
         by_item = {item: (reserved, peers) for item, reserved, peers in seen}
         # items 0 and 1 reserve 4 of the 5 requests; item 2 cannot reserve
@@ -406,22 +422,22 @@ class TestInOrder:
 
     def test_concurrency_validated(self):
         with pytest.raises(ValueError, match="concurrency"):
-            list(in_order([1], lambda item, charge: item, 0))
+            list(in_order(units([1]), lambda item, ask: item, concurrent(0), 1))
 
     def test_shared_budget_under_thread_switch_stress(self):
         # eight threads on a tight ceiling, switching as often as they can:
         # every item is charged what a serial run charges it
-        request = GenerationRequest(prompt="p", max_new_tokens=1)
         budget = GenerationBudget(max_requests=150)
+        sampler = concurrent(8, budget=budget, max_new_tokens=1)
 
         def wanted(item):
             return item % 5 + 1
 
-        def work(item, charge):
+        def work(item, ask):
             taken = 0
             for _ in range(wanted(item)):
                 try:
-                    complete(request, MockBackend(), budget=charge)
+                    ask(f"r{item}")
                 except BudgetExceeded:
                     break
                 taken += 1
@@ -430,8 +446,7 @@ class TestInOrder:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = list(in_order(range(100), work, 8, budget,
-                                lambda item: (wanted(item), request)))
+            out = list(in_order(units(range(100)), work, sampler, 5))
         finally:
             sys.setswitchinterval(interval)
         expected, left = [], 150
@@ -446,6 +461,18 @@ class TestInOrder:
         assert MockBackend().concurrency == 1
         chat = ChatCompletionBackend("http://127.0.0.1:9/v1", "m", max_in_flight=3)
         assert chat.concurrency == 6
+
+
+def test_only_genclient_builds_requests():
+    # every paid stage asks through a Sampler; no other module spells out
+    # the request path
+    package = os.path.dirname(genclient.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "genclient.py":
+            with open(os.path.join(package, name), encoding="utf-8") as source:
+                text = source.read()
+            assert "GenerationRequest(" not in text, name
+            assert "complete(" not in text, name
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
@@ -657,7 +684,7 @@ class TestConnectionBound:
         try:
             started = time.perf_counter()
             state = run_iteration(initial_state(problems, seeds), problems,
-                                  backend, MockVerifier({}), config)
+                                  Sampler(backend), MockVerifier({}), config)
             elapsed = time.perf_counter() - started
         finally:
             backend._session.close()

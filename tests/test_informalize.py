@@ -14,11 +14,13 @@ from leanforge import retrieval
 from leanforge.artifacts import read_jsonl
 from leanforge.corpus import TheoremRecord
 from leanforge.genclient import (
+    Ask,
     BackendUnavailable,
     GenerationBudget,
     MalformedBackendReply,
     MockBackend,
     RetryPolicy,
+    Sampler,
 )
 from leanforge.informalize import (
     BACKEND_ERROR,
@@ -271,6 +273,12 @@ class TestSelectExamples:
             )
 
 
+def ask(record, backend, **settings):
+    """The ask ``informalize_corpus`` hands ``record`` with no examples."""
+    return Ask(Sampler(backend, max_new_tokens=2048, **settings),
+               informalization_prompt((), record.statement, record.proof))
+
+
 class TestInformalizeTheorem:
     def test_prompt_carries_sections_and_examples(self):
         # Extraction's layout: the proof repeats the statement as its header.
@@ -288,7 +296,8 @@ class TestInformalizeTheorem:
 
     def test_passing_text_first_try(self):
         backend = MockBackend(script=[("mythm", GOOD_NL)])
-        result = informalize_theorem(theorem("mythm"), [], backend, QualityLimits())
+        record = theorem("mythm")
+        result = informalize_theorem(record, [], ask(record, backend), QualityLimits())
         assert result.verdict == "pass"
         assert result.attempts == 1
         assert result.nl_statement_and_proof == GOOD_NL
@@ -297,7 +306,8 @@ class TestInformalizeTheorem:
     def test_retry_after_overlength(self):
         too_long = "Statement: Proof: " + " ".join(f"w{i}" for i in range(2100))
         backend = MockBackend(script=[("mythm", [too_long, GOOD_NL])])
-        result = informalize_theorem(theorem("mythm"), [], backend, QualityLimits())
+        record = theorem("mythm")
+        result = informalize_theorem(record, [], ask(record, backend), QualityLimits())
         assert result.verdict == "pass"
         assert result.attempts == 2
         assert result.attempt_reasons == ((OVERLENGTH,), ())
@@ -305,7 +315,7 @@ class TestInformalizeTheorem:
     def test_always_failing_records_all_attempts(self):
         backend = MockBackend(default_text="no sections at all here")
         result = informalize_theorem(
-            theorem("t"), [], backend, QualityLimits(), max_attempts=3
+            theorem("t"), [], ask(theorem("t"), backend), QualityLimits(), max_attempts=3
         )
         assert result.verdict == "fail"
         assert result.attempts == 3
@@ -323,7 +333,8 @@ class TestInformalizeTheorem:
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         result = informalize_theorem(
-            theorem("t"), [], Down(), QualityLimits(), max_attempts=2, retry=policy
+            theorem("t"), [], ask(theorem("t"), Down(), retry=policy), QualityLimits(),
+            max_attempts=2
         )
         assert result.verdict == "fail"
         assert result.attempt_reasons == ((BACKEND_ERROR,), (BACKEND_ERROR,))
@@ -332,7 +343,8 @@ class TestInformalizeTheorem:
         backend = MockBackend(default_text="no sections")
         budget = GenerationBudget(max_requests=1)
         result = informalize_theorem(
-            theorem("t"), [], backend, QualityLimits(), max_attempts=5, budget=budget
+            theorem("t"), [], ask(theorem("t"), backend, budget=budget), QualityLimits(),
+            max_attempts=5
         )
         assert result.verdict == "fail"
         assert result.attempts == 2
@@ -346,15 +358,16 @@ class TestInformalizeTheorem:
                 return [(GOOD_NL, True)] * request.n_samples
 
         result = informalize_theorem(
-            theorem("t"), [], Truncating(), QualityLimits(), max_attempts=1
+            theorem("t"), [], ask(theorem("t"), Truncating()), QualityLimits(),
+            max_attempts=1
         )
         assert result.verdict == "fail"
         assert OVERLENGTH in result.reasons
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
-            informalize_theorem(theorem("t"), [], MockBackend(), QualityLimits(),
-                                max_attempts=0)
+            informalize_theorem(theorem("t"), [], ask(theorem("t"), MockBackend()),
+                                QualityLimits(), max_attempts=0)
 
 
 def corpus_records(count):
@@ -365,14 +378,20 @@ def passing_backend():
     return MockBackend(default_text=GOOD_NL)
 
 
+def informalize(records, backend, budget=None, max_new_tokens=2048, **config):
+    """``informalize_corpus`` asking ``backend`` with ``budget``."""
+    return informalize_corpus(
+        records, Sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
+        InformalizeConfig(**config))
+
+
 class TestInformalizeCorpus:
     def test_empty_corpus(self):
-        config = InformalizeConfig(backend=passing_backend())
-        assert informalize_corpus([], config) == []
+        assert informalize([], passing_backend()) == []
 
     def test_all_pass(self):
         records = corpus_records(10)
-        results = informalize_corpus(records, InformalizeConfig(backend=passing_backend()))
+        results = informalize(records, passing_backend())
         assert len(results) == 10
         assert all(r.verdict == "pass" for r in results)
         assert [r.theorem_name for r in results] == [r.name for r in records]
@@ -382,7 +401,7 @@ class TestInformalizeCorpus:
         bad = "the " * 40
         script = [(name, bad) for name in ("thm02", "thm05", "thm06")]
         backend = MockBackend(script=script, default_text=GOOD_NL)
-        results = informalize_corpus(records, InformalizeConfig(backend=backend))
+        results = informalize(records, backend)
         failed = {r.theorem_name for r in results if r.verdict == "fail"}
         assert failed == {"thm02", "thm05", "thm06"}
         assert [r.theorem_name for r in results] == [r.name for r in records]
@@ -391,18 +410,13 @@ class TestInformalizeCorpus:
         records = corpus_records(10)
         checkpoint = tmp_path / "informal.ckpt.jsonl"
 
-        full = informalize_corpus(
-            records,
-            InformalizeConfig(backend=passing_backend(),
-                              checkpoint_path=str(tmp_path / "full.ckpt.jsonl")),
+        full = informalize(
+            records, passing_backend(),
+            checkpoint_path=str(tmp_path / "full.ckpt.jsonl"),
         )
 
         # simulate an interrupted run: keep only the first 4 checkpoint lines
-        informalize_corpus(
-            records,
-            InformalizeConfig(backend=passing_backend(),
-                              checkpoint_path=str(checkpoint)),
-        )
+        informalize(records, passing_backend(), checkpoint_path=str(checkpoint))
         lines = checkpoint.read_text(encoding="utf-8").splitlines(keepends=True)
         checkpoint.write_text("".join(lines[:4]), encoding="utf-8")
 
@@ -415,10 +429,7 @@ class TestInformalizeCorpus:
                 calls.append(request.prompt)
                 return [(GOOD_NL, False)] * request.n_samples
 
-        resumed = informalize_corpus(
-            records,
-            InformalizeConfig(backend=Counting(), checkpoint_path=str(checkpoint)),
-        )
+        resumed = informalize(records, Counting(), checkpoint_path=str(checkpoint))
         assert len(calls) == 6
         assert resumed == full
 
@@ -430,9 +441,8 @@ class TestInformalizeCorpus:
     def test_completed_checkpoint_makes_no_calls(self, tmp_path):
         records = corpus_records(5)
         checkpoint = tmp_path / "done.ckpt.jsonl"
-        first = informalize_corpus(
-            records, InformalizeConfig(backend=passing_backend(),
-                                       checkpoint_path=str(checkpoint)))
+        first = informalize(
+            records, passing_backend(), checkpoint_path=str(checkpoint))
 
         class Exploding:
             name = "exploding"
@@ -440,63 +450,61 @@ class TestInformalizeCorpus:
             def generate(self, request):
                 raise AssertionError("should not be called")
 
-        again = informalize_corpus(
-            records, InformalizeConfig(backend=Exploding(),
-                                       checkpoint_path=str(checkpoint)))
+        again = informalize(
+            records, Exploding(), checkpoint_path=str(checkpoint))
         assert again == first
 
     def test_mismatched_checkpoint_refused(self, tmp_path):
         records = corpus_records(5)
         checkpoint = tmp_path / "c.jsonl"
-        informalize_corpus(records, InformalizeConfig(
-            backend=passing_backend(), checkpoint_path=str(checkpoint)))
+        informalize(records, passing_backend(),
+            checkpoint_path=str(checkpoint))
         reordered = list(reversed(records))
         with pytest.raises(CheckpointCorrupt, match="restart"):
-            informalize_corpus(reordered, InformalizeConfig(
-                backend=passing_backend(), checkpoint_path=str(checkpoint)))
+            informalize(reordered, passing_backend(),
+                checkpoint_path=str(checkpoint))
 
     def test_unparseable_checkpoint_refused(self, tmp_path):
         checkpoint = tmp_path / "c.jsonl"
         checkpoint.write_text('{"theorem_name": "thm00"\n', encoding="utf-8")
         with pytest.raises(CheckpointCorrupt, match="restart"):
-            informalize_corpus(corpus_records(2), InformalizeConfig(
-                backend=passing_backend(), checkpoint_path=str(checkpoint)))
+            informalize(corpus_records(2), passing_backend(),
+                checkpoint_path=str(checkpoint))
 
     def test_torn_final_line_dropped_and_regenerated(self, tmp_path):
         records = corpus_records(3)
         checkpoint = tmp_path / "c.jsonl"
-        informalize_corpus(records, InformalizeConfig(
-            backend=passing_backend(), checkpoint_path=str(checkpoint)))
+        informalize(records, passing_backend(),
+            checkpoint_path=str(checkpoint))
         whole = checkpoint.read_bytes()
         lines = whole.splitlines(True)
         checkpoint.write_bytes(b"".join(lines[:2]) + lines[2][:10])
         assert len(load_checkpoint(str(checkpoint))) == 2
         assert checkpoint.read_bytes() == b"".join(lines[:2])
-        results = informalize_corpus(records, InformalizeConfig(
-            backend=passing_backend(), checkpoint_path=str(checkpoint)))
+        results = informalize(records, passing_backend(),
+            checkpoint_path=str(checkpoint))
         assert [r.theorem_name for r in results] == ["thm00", "thm01", "thm02"]
         assert checkpoint.read_bytes() == whole
 
     def test_tampered_pass_entry_refused(self, tmp_path):
         records = corpus_records(2)
         checkpoint = tmp_path / "c.jsonl"
-        informalize_corpus(records, InformalizeConfig(
-            backend=passing_backend(), checkpoint_path=str(checkpoint)))
+        informalize(records, passing_backend(),
+            checkpoint_path=str(checkpoint))
         entries = [json.loads(line) for line in checkpoint.read_text().splitlines()]
         entries[0]["nl_statement_and_proof"] = "the " * 50
         checkpoint.write_text(
             "\n".join(json.dumps(e) for e in entries) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointCorrupt, match="violates"):
-            informalize_corpus(records, InformalizeConfig(
-                backend=passing_backend(), checkpoint_path=str(checkpoint)))
+            informalize(records, passing_backend(),
+                checkpoint_path=str(checkpoint))
 
     def test_restart_discards_checkpoint(self, tmp_path):
         records = corpus_records(3)
         checkpoint = tmp_path / "c.jsonl"
         checkpoint.write_text("garbage that is not json\n", encoding="utf-8")
-        results = informalize_corpus(records, InformalizeConfig(
-            backend=passing_backend(), checkpoint_path=str(checkpoint),
-            restart=True))
+        results = informalize(records, passing_backend(),
+                              checkpoint_path=str(checkpoint), restart=True)
         assert len(results) == 3
         assert len(load_checkpoint(str(checkpoint))) == 3
 
@@ -514,9 +522,8 @@ class TestInformalizeCorpus:
                 seen.append(request.prompt)
                 return [(GOOD_NL, False)] * request.n_samples
 
-        results = informalize_corpus(corpus_records(2), InformalizeConfig(
-            backend=Recording(), pool=pool, index=index, embedder=embedder,
-            k_examples=2))
+        results = informalize(corpus_records(2), Recording(), pool=pool,
+                              index=index, embedder=embedder, k_examples=2)
         assert all(len(r.examples_used) == 2 for r in results)
         assert all(FL_PROOF_SECTION in p for p in seen)
 
@@ -542,11 +549,11 @@ class TestConcurrentCorpus:
         head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
         budget = GenerationBudget(**ceilings)
         checkpoint = tmp_path / f"c{concurrency}.jsonl"
-        results = informalize_corpus(records, InformalizeConfig(
-            backend=KeyedBackend(scenario_reply(seed), seed, concurrency),
+        results = informalize(
+            records, KeyedBackend(scenario_reply(seed), seed, concurrency),
             pool=pool, index=build_example_index(pool, embedder, head, side="fl"),
             embedder=embedder, k_examples=2, checkpoint_path=str(checkpoint),
-            restart=True, budget=budget, max_new_tokens=64))
+            restart=True, budget=budget, max_new_tokens=64)
         return (results, checkpoint.read_bytes(), budget.requests_used,
                 budget.tokens_used)
 
@@ -574,7 +581,7 @@ class TestConcurrentCorpus:
 class TestDatasetFile:
     def test_save_and_reload_rechecks(self, tmp_path):
         records = corpus_records(4)
-        results = informalize_corpus(records, InformalizeConfig(backend=passing_backend()))
+        results = informalize(records, passing_backend())
         path = tmp_path / "informal.jsonl"
         save_informal_dataset(records, results, str(path))
         entries = [line.entry for line in read_jsonl(str(path))]
@@ -606,7 +613,7 @@ class TestDatasetFile:
 
     def test_result_count_must_match_record_count(self, tmp_path):
         records = corpus_records(3)
-        results = informalize_corpus(records, InformalizeConfig(backend=passing_backend()))
+        results = informalize(records, passing_backend())
         path = tmp_path / "informal.jsonl"
         with pytest.raises(ValueError):
             save_informal_dataset(records, results[:2], str(path))
@@ -615,7 +622,7 @@ class TestDatasetFile:
     def test_fail_records_retained(self, tmp_path):
         records = corpus_records(3)
         backend = MockBackend(script=[("thm01", "the " * 40)], default_text=GOOD_NL)
-        results = informalize_corpus(records, InformalizeConfig(backend=backend))
+        results = informalize(records, backend)
         path = tmp_path / "informal.jsonl"
         save_informal_dataset(records, results, str(path))
         entries = [line.entry for line in read_jsonl(str(path))]

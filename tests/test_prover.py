@@ -17,6 +17,7 @@ from leanforge.genclient import (
     GenerationBudget,
     MockBackend,
     RetryPolicy,
+    Sampler,
 )
 from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
@@ -526,7 +527,7 @@ class TestRunIteration:
         problems = [make_problem(i) for i in range(3)]
         state = initial_state(problems, seed_examples(2))
         backend = MockBackend(default_text=canonical_proof(0))
-        new = run_iteration(state, problems, backend, MockVerifier({}),
+        new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
                             config())
         assert new.proved == {}
         assert new.example_pool == state.example_pool
@@ -539,7 +540,7 @@ class TestRunIteration:
         backend = CountingBackend(MockBackend(
             script=[("prob00", canonical_proof(0))]))
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        new = run_iteration(state, problems, backend, verifier,
+        new = run_iteration(state, problems, Sampler(backend), verifier,
                             config(n_samples=1))
         assert new.proved == {"prob00": canonical_proof(0)}
         assert backend.calls == 1
@@ -552,7 +553,7 @@ class TestRunIteration:
         backend = MockBackend(
             script=[("prob00", [bad, bad, canonical_proof(0)])])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        new = run_iteration(state, problems, backend, verifier,
+        new = run_iteration(state, problems, Sampler(backend), verifier,
                             config(n_samples=8))
         assert new.budget_used == 3
         assert new.first_success == {"prob00": (1, 2)}
@@ -568,10 +569,10 @@ class TestRunIteration:
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0),
                                  "prob01": canonical_proof(1)})
-        mid = run_iteration(state, problems, backend, verifier, config())
+        mid = run_iteration(state, problems, Sampler(backend), verifier, config())
         assert set(mid.proved) == {"prob00"}
         assert [e.name for e in mid.example_pool] == ["seed0", "prob00"]
-        after = run_iteration(mid, problems, backend, verifier, config())
+        after = run_iteration(mid, problems, Sampler(backend), verifier, config())
         assert set(after.proved) == {"prob00", "prob01"}
 
     def test_backend_failure_on_one_problem_isolated(self):
@@ -588,8 +589,8 @@ class TestRunIteration:
 
         verifier = MockVerifier({"prob01": canonical_proof(1)})
         policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
-        new = run_iteration(state, problems, Selective(), verifier,
-                            config(retry=policy))
+        new = run_iteration(state, problems, Sampler(Selective(), retry=policy),
+                            verifier, config())
         assert set(new.proved) == {"prob01"}
         assert new.budget_used == 1  # failed draws are not counted
 
@@ -597,7 +598,7 @@ class TestRunIteration:
         problems = [make_problem(0)]
         state = initial_state(problems, seed_examples(1))
         backend = CountingBackend(MockBackend())
-        new = run_iteration(state, problems, backend, MockVerifier({}),
+        new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
                             config(token_budget=3))
         assert backend.calls == 0
         assert new.unproved == frozenset({"prob00"})
@@ -635,7 +636,7 @@ def two_round_setup():
 class TestRunIterative:
     def test_two_round_fixture(self):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, backend, verifier, config())
+        report = run_iterative(problems, seeds, Sampler(backend), verifier, config())
         assert [r.newly_proved for r in report.rounds] == [1, 1]
         assert [r.cumulative_proved for r in report.rounds] == [1, 2]
         assert report.rounds[0].cumulative_rate == 0.5
@@ -648,7 +649,7 @@ class TestRunIterative:
 
     def test_max_rounds_one_stops_short(self):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, backend, verifier,
+        report = run_iterative(problems, seeds, Sampler(backend), verifier,
                                config(max_rounds=1))
         assert len(report.rounds) == 1
         assert set(report.proved) == {"easy_add"}
@@ -656,7 +657,7 @@ class TestRunIterative:
     def test_zero_progress_round_is_last(self):
         problems = [make_problem(i) for i in range(3)]
         backend = MockBackend()  # always "sorry", which extracts nothing
-        report = run_iterative(problems, seed_examples(1), backend,
+        report = run_iterative(problems, seed_examples(1), Sampler(backend),
                                MockVerifier({}), config(max_rounds=5))
         assert len(report.rounds) == 1
         assert report.rounds[0].newly_proved == 0
@@ -666,7 +667,7 @@ class TestRunIterative:
         problems = [make_problem(0)]
         backend = MockBackend(script=[("prob00", canonical_proof(0))])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        report = run_iterative(problems, seed_examples(1), backend, verifier,
+        report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
                                config(max_rounds=5))
         assert [r.newly_proved for r in report.rounds] == [1, 0]
         assert report.rounds[-1].budget_used == report.rounds[0].budget_used
@@ -674,7 +675,7 @@ class TestRunIterative:
     def test_rate_shape_on_244_problems(self):
         problems = [make_problem(i) for i in range(244)]
         backend = MockBackend()
-        report = run_iterative(problems, seed_examples(1), backend,
+        report = run_iterative(problems, seed_examples(1), Sampler(backend),
                                MockVerifier({}), config(n_samples=2))
         assert report.problems_total == 244
         assert report.cumulative_rate == 0.0
@@ -682,14 +683,14 @@ class TestRunIterative:
 
     def test_deterministic_reports(self):
         problems, seeds, backend, verifier = two_round_setup()
-        first = run_iterative(problems, seeds, backend, verifier, config())
+        first = run_iterative(problems, seeds, Sampler(backend), verifier, config())
         problems, seeds, backend, verifier = two_round_setup()
-        second = run_iterative(problems, seeds, backend, verifier, config())
+        second = run_iterative(problems, seeds, Sampler(backend), verifier, config())
         assert first == second
 
     def test_empty_seed_pool_rejected(self):
         with pytest.raises(ValueError, match="seed pool"):
-            run_iterative([make_problem(0)], [], MockBackend(),
+            run_iterative([make_problem(0)], [], Sampler(MockBackend()),
                           MockVerifier({}), config())
 
 
@@ -779,7 +780,7 @@ class TestRandomizedScenarios:
             backend = ScenarioBackend(gates, proofs)
             verifier = MockVerifier(proofs)
             report = run_iterative(
-                problems, seed_examples(2), backend, verifier,
+                problems, seed_examples(2), Sampler(backend), verifier,
                 config(max_rounds=max_rounds, n_samples=n_samples))
 
             expected, per_round = scenario_oracle(gates, max_rounds)
@@ -815,12 +816,12 @@ class TestConcurrentRounds:
     def run(self, scenario, concurrency, seed, **ceilings):
         problems, gates, proofs, max_rounds, n_samples = scenario
         budget = GenerationBudget(**ceilings)
+        backend = JitteredBackend(ScenarioBackend(gates, proofs), seed, concurrency)
         report = run_iterative(
             problems, seed_examples(2),
-            JitteredBackend(ScenarioBackend(gates, proofs), seed, concurrency),
+            Sampler(backend, budget=budget, max_new_tokens=64),
             MockVerifier(proofs),
-            config(max_rounds=max_rounds, n_samples=n_samples,
-                   max_new_tokens=64, budget=budget))
+            config(max_rounds=max_rounds, n_samples=n_samples))
         return report, report.attempts, budget.requests_used, budget.tokens_used
 
     def test_reports_budgets_and_attempt_logs_match_serial(self):
@@ -848,7 +849,7 @@ class TestConcurrentRounds:
             ("theorem prob00 : 0 + 0 = 0 :=\n", [bad, canonical_proof(0)]),
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        report = run_iterative(problems, seed_examples(1), backend, verifier,
+        report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
                                config(n_samples=2, max_rounds=1))
         assert report.attempts == (
             {"problem": "prob00", "round": 1, "sample_index": 0,
@@ -871,7 +872,7 @@ class TestConcurrentRounds:
 
         problems = [make_problem(0)]
         backend = MockBackend(default_text=canonical_proof(0))
-        report = run_iterative(problems, seed_examples(1), backend, Verbose(),
+        report = run_iterative(problems, seed_examples(1), Sampler(backend), Verbose(),
                                config(n_samples=1, max_rounds=1))
         assert [a["diagnostic"] for a in report.attempts] == ["x" * 200]
 
@@ -886,7 +887,8 @@ class TestConcurrentRounds:
         problems = [make_problem(i) for i in range(3)]
         state = initial_state(problems, seed_examples(1))
         with pytest.raises(RuntimeError, match="backend bug"):
-            run_iteration(state, problems, Broken(), MockVerifier({}), config())
+            run_iteration(state, problems, Sampler(Broken()), MockVerifier({}),
+                          config())
 
     def test_reservations_are_returned(self):
         problems = [make_problem(i) for i in range(5)]
@@ -894,8 +896,8 @@ class TestConcurrentRounds:
         budget = GenerationBudget(max_requests=11)
         backend = MockBackend(default_text=canonical_proof(0))
         backend.concurrency = 3  # every prompt gets the same text
-        new = run_iteration(state, problems, backend, MockVerifier({}),
-                            config(n_samples=4, budget=budget))
+        new = run_iteration(state, problems, Sampler(backend, budget=budget),
+                            MockVerifier({}), config(n_samples=4))
         # two problems reserve their 4 requests each; the third cannot and
         # runs alone on the 3 left, as a serial run would
         assert new.budget_used == budget.requests_used == 11
@@ -907,7 +909,7 @@ class TestConcurrentRounds:
 class TestReports:
     def round_trip(self, tmp_path):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, backend, verifier, config())
+        report = run_iterative(problems, seeds, Sampler(backend), verifier, config())
         path = tmp_path / "report.jsonl"
         save_report(report, str(path))
         return report, path, problems, verifier
