@@ -747,6 +747,69 @@ class TestRecordReaders:
         assert "Traceback" not in err
 
 
+class TestNonObjectEntries:
+    """A line that is JSON but not an object names its file and line."""
+
+    NOT_OBJECTS = ["5", "[]", '"x"']
+
+    def expect_error(self, capsys, argv, where):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: entry is not an object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_informal_entry(self, tmp_path, capsys, line):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "informal.jsonl").write_text(
+            json.dumps(INFORMAL_ENTRY) + "\n" + line + "\n", encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir), "bootstrap": {"mode": "head"}})
+        self.expect_error(capsys, ["bootstrap", "-c", config], "informal.jsonl:2")
+        assert not (workdir / "obt.jsonl").exists()
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_theorem_entry(self, tmp_path, capsys, line):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        record = corpus.TheoremRecord(
+            "foo", "theorem foo : 1 = 1 :=", "theorem foo : 1 = 1 := rfl",
+            "A.lean", "c", 1)
+        (workdir / "theorems.jsonl").write_text(
+            json.dumps(dataclasses.asdict(record)) + "\n" + line + "\n",
+            encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir)})
+        self.expect_error(capsys, ["informalize", "-c", config], "theorems.jsonl:2")
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    def test_problem_entry(self, tmp_path, capsys, line):
+        problems, seeds = tmp_path / "problems.jsonl", tmp_path / "seeds.jsonl"
+        problems.write_text(json.dumps(
+            {"name": "p", "fl_statement": "theorem p : 1 = 1 :="}) + "\n"
+            + line + "\n", encoding="utf-8")
+        seeds.write_text(json.dumps(
+            {"name": "s", "nl": "Statement: s. Proof: p.",
+             "fl": "theorem s : 2 = 2 := rfl"}) + "\n", encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(tmp_path / "work"),
+            "prover": {"problems": str(problems), "seed_examples": str(seeds)}})
+        self.expect_error(capsys, ["prove", "-c", config], "problems.jsonl:2")
+
+    @pytest.mark.parametrize("line", NOT_OBJECTS)
+    @pytest.mark.parametrize("first", [True, False])
+    def test_pair_entry(self, tmp_path, capsys, line, first):
+        pair = json.dumps({"nl": "a + b", "fl": "theorem a"})
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text(
+            "\n".join([line, pair] if first else [pair, line]) + "\n",
+            encoding="utf-8")
+        config = retriever_config(tmp_path, pairs_path)
+        self.expect_error(capsys, ["train-retriever", "-c", config],
+                          f"pairs.jsonl:{1 if first else 2}")
+
+
+
 # --- files the config names ---------------------------------------------------------
 
 
