@@ -147,8 +147,6 @@ def bootstrap_theorem(
     verified. After ``max_attempts`` unverifiable replies this raises with
     the last divergence. Backend failures propagate.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     divergence: Optional[TokenDivergence] = None
     detail = ""
     for attempt in range(1, max_attempts + 1):

@@ -3,29 +3,30 @@
 Each subcommand runs one stage against a shared config file and the fixed
 artifact names inside the working directory, so stages compose by pointing
 at the same workdir. Config validation happens before any output is
-touched; a validation failure exits 2, runtime failures exit 1.
+touched; a validation failure exits 2, runtime failures exit 1. A flag
+that overrides a setting is written into its key before validation, so it
+is checked by the same rule as the key.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import random
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import artifacts
 from . import bootstrap as bootstrap_mod
 from . import corpus, genclient, informalize, prover, retrieval, trainprep
 from .config import (
+    BackendSettings,
     ConfigError,
     PipelineConfig,
+    PrepSettings,
+    ProverSettings,
     fork_seed,
     load_config,
-    make_backend,
-    make_budget,
-    make_retry,
-    make_tokenizer,
-    make_verifier,
     stage_path,
 )
 
@@ -148,14 +149,8 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     _require(r.pairs, "extract, then build a pair file")
     os.makedirs(config.workdir, exist_ok=True)
     pairs = _load_pairs(r.pairs, r.dimension)
-    train_config = retrieval.TrainConfig(
-        lr=r.lr,
-        steps=args.steps if args.steps is not None else r.steps,
-        batch_size=r.batch_size,
-        seed=fork_seed(config.seed, "train-retriever"),
-        d_out=r.projection_dim,
-    )
-    head, trace = retrieval.train_projection(pairs, train_config)
+    head, trace = retrieval.train_projection(
+        pairs, r, fork_seed(config.seed, "train-retriever"))
     retrieval.save_head(head, stage_path(config, "projection"))
     artifacts.write_text(stage_path(config, "loss_trace"), "step,loss\n" + "".join(
         f"{step},{loss:.10f}\n" for step, loss in enumerate(trace, start=1)))
@@ -164,7 +159,7 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     edges, counts, _ = retrieval.similarity_histogram(nl_vectors, fl_vectors, head)
     retrieval.write_histogram_csv(stage_path(config, "histogram"), edges, counts)
     final = trace[-1] if trace else float("nan")
-    print(f"trained on {len(pairs)} pairs for {train_config.steps} steps, "
+    print(f"trained on {len(pairs)} pairs for {r.steps} steps, "
           f"final loss {final:.6f}")
     return 0
 
@@ -172,13 +167,71 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
 # --- the paid stages --------------------------------------------------------------
 
 
-def _sampler(config: PipelineConfig, max_new_tokens: int) -> genclient.Sampler:
+@dataclasses.dataclass(frozen=True)
+class _ScriptRule:
+    """One mock script rule: a prompt that holds ``pattern`` is answered
+    with ``response``, or with ``responses`` one per sample in call order."""
+
+    pattern: str
+    response: Optional[str] = None
+    responses: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if (self.response is None) == (self.responses is None):
+            raise ValueError("needs one of 'response' and 'responses'")
+        if self.responses == ():
+            raise ValueError("responses is empty")
+
+
+def _read_json(path: str):
+    """A configured JSON file; a bad one is a config error."""
+    try:
+        return artifacts.read_json(path)
+    except artifacts.ArtifactError as exc:
+        raise ConfigError([str(exc)]) from None
+
+
+def make_backend(settings: BackendSettings):
+    if settings.kind == "chat":
+        return genclient.ChatCompletionBackend(
+            endpoint=settings.endpoint,
+            model=settings.model,
+            api_key_env=settings.api_key_env or None,
+            system_prompt=settings.system_prompt,
+            timeout=settings.timeout,
+            max_in_flight=settings.max_in_flight,
+        )
+    script: List[Tuple[str, object]] = []
+    if settings.script:
+        rules = _read_json(settings.script)
+        if type(rules) is not list:
+            raise ConfigError([f"{settings.script}: rules are not a list"])
+        for index, entry in enumerate(rules):
+            try:
+                rule = artifacts.decode(
+                    entry, _ScriptRule, f"{settings.script}: rule {index}")
+            except artifacts.ArtifactError as exc:
+                raise ConfigError([str(exc)]) from None
+            script.append((rule.pattern, rule.responses or rule.response))
+    return genclient.MockBackend(script=script, default_text=settings.default_text)
+
+
+@contextlib.contextmanager
+def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.Sampler]:
     """How a paid stage asks the model, with the ``backend`` section's
-    retry policy, budget and temperature."""
+    retry policy, budget and temperature. The backend's connections are
+    closed when the stage is done."""
     b = config.backend
-    return genclient.Sampler(
-        make_backend(b), make_retry(b.retry, fork_seed(config.seed, "retry")),
-        make_budget(b.budget), max_new_tokens, b.temperature)
+    budget = None
+    if b.budget.max_requests is not None or b.budget.max_tokens is not None:
+        budget = genclient.GenerationBudget(**dataclasses.asdict(b.budget))
+    retry = genclient.RetryPolicy(**dataclasses.asdict(b.retry),
+                                  jitter_seed=fork_seed(config.seed, "retry"))
+    backend = make_backend(b)
+    try:
+        yield genclient.Sampler(backend, retry, budget, max_new_tokens, b.temperature)
+    finally:
+        getattr(backend, "close", lambda: None)()
 
 
 # --- informalize -----------------------------------------------------------------
@@ -199,24 +252,10 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
         index = informalize.build_example_index(
             pool, embedder, head, side=config.retrieval.side)
     os.makedirs(config.workdir, exist_ok=True)
-    i = config.informalize
-    sampler = _sampler(config, config.backend.max_new_tokens)
-    stage = informalize.InformalizeConfig(
-        limits=informalize.QualityLimits(
-            max_tokens=i.max_tokens,
-            repetition_ngram=i.repetition_ngram,
-            repetition_ratio_max=i.repetition_ratio_max,
-        ),
-        max_attempts=(args.max_attempts if args.max_attempts is not None
-                      else i.max_attempts),
-        k_examples=i.k_examples,
-        pool=pool,
-        index=index,
-        embedder=embedder,
-        checkpoint_path=stage_path(config, "informal_checkpoint"),
-        restart=not args.resume,
-    )
-    results = informalize.informalize_corpus(records, sampler, stage)
+    with _sampler(config, config.backend.max_new_tokens) as sampler:
+        results = informalize.informalize_corpus(
+            records, sampler, config.informalize, pool, index, embedder,
+            stage_path(config, "informal_checkpoint"), restart=not args.resume)
     informalize.save_informal_dataset(
         records, results, stage_path(config, "informal"))
     passed = sum(1 for r in results if r.verdict == "pass")
@@ -232,13 +271,13 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
     entries = artifacts.read_records(
         _require(stage_path(config, "informal"), "informalize"),
         bootstrap_mod.InformalRecord)
-    mode_name = args.mode or config.bootstrap.mode
-    mode = bootstrap_mod.BootstrapMode[mode_name.upper()]
-    sampler = None
-    if mode is bootstrap_mod.BootstrapMode.INTERLEAVED:
-        sampler = _sampler(config, config.backend.max_new_tokens)
-    obt_records, stats = bootstrap_mod.bootstrap_corpus(
-        entries, sampler, mode, config.bootstrap.max_attempts)
+    mode = bootstrap_mod.BootstrapMode(config.bootstrap.mode)
+    head = mode is bootstrap_mod.BootstrapMode.HEAD
+    # head mode asks no model, so it builds no backend
+    with (contextlib.nullcontext() if head
+          else _sampler(config, config.backend.max_new_tokens)) as sampler:
+        obt_records, stats = bootstrap_mod.bootstrap_corpus(
+            entries, sampler, mode, config.bootstrap.max_attempts)
     artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
     print(f"bootstrapped {stats.emitted}/{stats.total} records "
           f"({stats.informal_failures} informal failures, "
@@ -250,21 +289,17 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
 # --- prep ------------------------------------------------------------------------
 
 
+def make_tokenizer(settings: PrepSettings):
+    if settings.tokenizer == "vocab":
+        return trainprep.VocabTokenizer.from_file(settings.vocab)
+    return trainprep.WhitespaceTokenizer()
+
+
 def cmd_prep(args, config: PipelineConfig) -> int:
     obt_records = bootstrap_mod.load_obt_dataset(
         _require(stage_path(config, "obt"), "bootstrap"))
-    p = config.prep
-    stage = trainprep.PrepConfig(
-        context_budget=(args.token_budget if args.token_budget is not None
-                        else p.token_budget),
-        tokenizer=make_tokenizer(p),
-        use_nl=p.use_nl and not args.no_nl,
-        use_bootstrapped=p.use_bootstrapped and not args.no_bootstrapped,
-        use_block=p.use_block and not args.no_block,
-        use_curriculum=p.use_curriculum and not args.no_curriculum,
-        examples_use_bootstrapped=p.examples_use_bootstrapped,
-    )
-    packed, skipped = trainprep.emit_training_set(obt_records, stage)
+    packed, skipped = trainprep.emit_training_set(
+        obt_records, config.prep, make_tokenizer(config.prep))
     artifacts.write_jsonl(stage_path(config, "train"), packed)
     artifacts.write_jsonl(stage_path(config, "train_skips"), skipped)
     print(f"packed {len(packed)} training records ({len(skipped)} skipped)")
@@ -272,6 +307,22 @@ def cmd_prep(args, config: PipelineConfig) -> int:
 
 
 # --- prove / report --------------------------------------------------------------
+
+
+def make_verifier(settings: ProverSettings):
+    if settings.verifier == "external":
+        return prover.ExternalVerifier(settings.command, timeout_s=settings.timeout_s)
+    key = {}
+    if settings.answer_key:
+        key = _read_json(settings.answer_key)
+        if type(key) is not dict:
+            raise ConfigError(
+                [f"{settings.answer_key}: not an object of name -> proof"])
+        for name, proof in key.items():
+            if type(proof) is not str:
+                raise ConfigError(
+                    [f"{settings.answer_key}: proof of {name!r} is not a string"])
+    return prover.MockVerifier(key)
 
 
 def cmd_prove(args, config: PipelineConfig) -> int:
@@ -285,18 +336,10 @@ def cmd_prove(args, config: PipelineConfig) -> int:
     seed_pool = artifacts.read_records(
         _require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
     os.makedirs(config.workdir, exist_ok=True)
-    stage = prover.HarnessConfig(
-        n_samples=(args.n_samples if args.n_samples is not None
-                   else v.n_samples),
-        max_rounds=(args.max_rounds if args.max_rounds is not None
-                    else v.max_rounds),
-        k_range=(v.k_min, v.k_max),
-        token_budget=v.token_budget,
-        tokenizer=make_tokenizer(config.prep),
-    )
-    report = prover.run_iterative(
-        problems, seed_pool, _sampler(config, v.max_new_tokens),
-        make_verifier(v), stage)
+    with _sampler(config, v.max_new_tokens) as sampler:
+        report = prover.run_iterative(
+            problems, seed_pool, sampler, make_verifier(v), v,
+            make_tokenizer(config.prep))
     prover.save_report(report, stage_path(config, "report"))
     artifacts.write_jsonl(stage_path(config, "attempts"), report.attempts)
     print(prover.format_report_table(report))
@@ -382,40 +425,48 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
+    def setting(sub, flag, key, **kwargs):
+        # The flag's value is stored under its ``section.key``; ``main``
+        # writes it into that key before the config is checked.
+        sub.add_argument(flag, dest=key, default=None, **kwargs)
+
+    def switch_off(sub, flag, key, help_text):
+        setting(sub, flag, key, action="store_const", const=False, help=help_text)
+
     command("extract", cmd_extract,
             "pull theorem declarations out of a Lean4 corpus")
 
     train = command("train-retriever", cmd_train_retriever,
                     "train the NL-FL projection head")
-    train.add_argument("--steps", type=int, default=None,
-                       help="override training step count")
+    setting(train, "--steps", "retrieval.steps", type=int,
+            help="override training step count")
 
     inf = command("informalize", cmd_informalize,
                   "generate natural-language texts for extracted theorems")
     inf.add_argument("--resume", action="store_true",
                      help="continue from the stage checkpoint")
-    inf.add_argument("--max-attempts", type=int, default=None,
-                     help="override per-theorem attempt limit")
+    setting(inf, "--max-attempts", "informalize.max_attempts", type=int,
+            help="override per-theorem attempt limit")
 
     boot = command("bootstrap", cmd_bootstrap,
                    "comment proofs with their natural-language steps")
-    boot.add_argument("--mode", choices=["interleaved", "head"], default=None,
-                      help="override bootstrap mode")
+    setting(boot, "--mode", "bootstrap.mode",
+            help="override bootstrap mode: interleaved or head")
 
     prep = command("prep", cmd_prep, "pack the instruction-tuning dataset")
-    prep.add_argument("--token-budget", type=int, default=None)
-    prep.add_argument("--no-nl", action="store_true",
-                      help="drop natural-language guidance from instructions")
-    prep.add_argument("--no-bootstrapped", action="store_true",
-                      help="target plain proofs instead of commented ones")
-    prep.add_argument("--no-block", action="store_true",
-                      help="disable in-context example packing")
-    prep.add_argument("--no-curriculum", action="store_true",
-                      help="keep input order instead of difficulty order")
+    setting(prep, "--token-budget", "prep.token_budget", type=int)
+    switch_off(prep, "--no-nl", "prep.use_nl",
+               "drop natural-language guidance from instructions")
+    switch_off(prep, "--no-bootstrapped", "prep.use_bootstrapped",
+               "target plain proofs instead of commented ones")
+    switch_off(prep, "--no-block", "prep.use_block",
+               "disable in-context example packing")
+    switch_off(prep, "--no-curriculum", "prep.use_curriculum",
+               "keep input order instead of difficulty order")
 
     prove = command("prove", cmd_prove, "run the iterative proof harness")
-    prove.add_argument("--n-samples", type=int, default=None)
-    prove.add_argument("--max-rounds", type=int, default=None)
+    setting(prove, "--n-samples", "prover.n_samples", type=int)
+    setting(prove, "--max-rounds", "prover.max_rounds", type=int)
 
     sample = command("sample", cmd_sample, "draw a seeded dataset subset")
     sample.add_argument("--dataset", default=None,
@@ -433,8 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key and value is not None}
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, overrides)
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)

@@ -5,25 +5,19 @@ environment variables as ``${VAR}``; that is the only way secrets enter the
 tool, and the backend section deliberately has no field for a literal API
 key, only for the name of the variable holding one. Validation collects
 every problem it can find before any stage runs.
+
+Each setting is declared once, as a field of its section. Its type is
+checked as the file is read and its range in ``validate``; a stage takes
+its section as it is.
 """
 
 import hashlib
 import os
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Union, get_args, get_origin
 
 import yaml
-
-from . import artifacts
-from .genclient import (
-    ChatCompletionBackend,
-    GenerationBudget,
-    MockBackend,
-    RetryPolicy,
-)
-from .prover import ExternalVerifier, MockVerifier
-from .trainprep import VocabTokenizer, WhitespaceTokenizer
 
 
 class ConfigError(ValueError):
@@ -186,42 +180,59 @@ def _interpolate(value, errors: List[str], where: str):
     return value
 
 
-def _build(cls, data, errors: List[str], where: str):
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false", type(None): "null"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is of the field type ``kind``. A bool is not an
+    integer here, and an integer is a number."""
+    if get_origin(kind) is Union:
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return type(value) is list and all(_fits(v, get_args(kind)[0]) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _kind_name(kind) -> str:
+    if get_origin(kind) is Union:
+        return " or ".join(_kind_name(k) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return f"a list, each {_kind_name(get_args(kind)[0])}"
+    return _KINDS[kind]
+
+
+def _build(cls, data, errors: List[str], where: str = ""):
+    """``cls`` from the mapping ``data``; an unknown key or a value of the
+    wrong type is an error naming its key, and the field keeps its default."""
     if not isinstance(data, dict):
         errors.append(f"{where}: expected a mapping, got {type(data).__name__}")
         return cls()
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            errors.append(f"{where}.{key}: unknown key")
-            continue
-        field_info = known[key]
-        if is_dataclass(field_info.type):
-            kwargs[key] = _build(field_info.type, value, errors, f"{where}.{key}")
+        name = f"{where}.{key}" if where else key
+        field_info = known.get(key)
+        if field_info is None:
+            errors.append(f"{name}: unknown key")
+        elif is_dataclass(field_info.type):
+            kwargs[key] = _build(field_info.type, value, errors, name)
+        elif not _fits(value, field_info.type):
+            errors.append(f"{name}: must be {_kind_name(field_info.type)}, "
+                          f"got {value!r}")
         else:
             kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        errors.append(f"{where}: {exc}")
-        return cls()
+    return cls(**kwargs)
 
 
-_SECTIONS = {
-    "corpus": CorpusSettings,
-    "retrieval": RetrievalSettings,
-    "backend": BackendSettings,
-    "informalize": InformalizeSettings,
-    "bootstrap": BootstrapSettings,
-    "prep": PrepSettings,
-    "prover": ProverSettings,
-}
-
-
-def load_config(path: str) -> PipelineConfig:
+def load_config(path: str, overrides: Optional[Dict[str, object]] = None
+                ) -> PipelineConfig:
     """Parse, interpolate, and validate a config file. Raises ConfigError
-    with every problem found, not just the first."""
+    with every problem found, not just the first.
+
+    ``overrides`` maps ``section.key`` to a value that replaces the file's
+    before any check, so a command-line flag is checked by the same rules,
+    with the same messages, as the key it overrides."""
     errors: List[str] = []
     try:
         with open(path, "r", encoding="utf-8") as source:
@@ -234,123 +245,86 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError([f"{path}: top level must be a mapping"])
 
     raw = _interpolate(raw, errors, "config")
-    if "backend" in raw and isinstance(raw["backend"], dict):
-        if "api_key" in raw["backend"]:
-            errors.append(
-                "backend.api_key: secrets never live in config files; set "
-                "backend.api_key_env to the name of an environment variable")
-            raw["backend"].pop("api_key")
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        if isinstance(raw.setdefault(section, {}), dict):
+            raw[section][key] = value
+    if isinstance(raw.get("backend"), dict) and "api_key" in raw["backend"]:
+        errors.append(
+            "backend.api_key: secrets never live in config files; set "
+            "backend.api_key_env to the name of an environment variable")
+        raw["backend"].pop("api_key")
 
-    config = PipelineConfig()
-    for key, value in raw.items():
-        if key in ("seed", "workdir"):
-            setattr(config, key, value)
-        elif key in _SECTIONS:
-            setattr(config, key, _build(_SECTIONS[key], value, errors, key))
-        else:
-            errors.append(f"{key}: unknown section")
-    errors.extend(validate(config))
+    config = _build(PipelineConfig, raw, errors)
+    # a mistyped key keeps its default: its own error stands for it
+    named = {error.split(":")[0] for error in errors}
+    errors.extend(e for e in validate(config) if e.split(":")[0] not in named)
     if errors:
         raise ConfigError(errors)
     return config
 
 
 def validate(config: PipelineConfig) -> List[str]:
-    """Range and consistency checks. Returns problems, empty when clean."""
-    e: List[str] = []
-
-    def check(condition, message: str):
-        # Conditions are thunks so a wrong-typed value (string where a
-        # number belongs) reads as a failed check, not a crash.
-        try:
-            ok = condition()
-        except TypeError:
-            ok = False
-        if not ok:
-            e.append(message)
-
-    check(lambda: isinstance(config.seed, int)
-          and not isinstance(config.seed, bool),
-          "seed: must be an integer")
-    check(lambda: bool(config.workdir), "workdir: must be nonempty")
-
-    r = config.retrieval
-    check(lambda: r.dimension >= 1, "retrieval.dimension: must be >= 1")
-    check(lambda: r.projection_dim is None
-          or 1 <= r.projection_dim <= r.dimension,
-          "retrieval.projection_dim: must be in [1, dimension]")
-    check(lambda: r.lr > 0, "retrieval.lr: must be positive")
-    check(lambda: r.steps >= 0, "retrieval.steps: must be >= 0")
-    check(lambda: r.batch_size >= 2, "retrieval.batch_size: must be >= 2")
-    check(lambda: r.side in ("nl", "fl"),
-          "retrieval.side: must be 'nl' or 'fl'")
-
-    b = config.backend
-    check(lambda: b.kind in ("mock", "chat"),
-          "backend.kind: must be 'mock' or 'chat'")
-    if b.kind == "chat":
-        check(lambda: bool(b.endpoint),
-              "backend.endpoint: required for chat backends")
-        check(lambda: bool(b.model),
-              "backend.model: required for chat backends")
-    check(lambda: b.timeout > 0, "backend.timeout: must be positive")
-    check(lambda: isinstance(b.max_in_flight, int) and b.max_in_flight >= 1,
-          "backend.max_in_flight: must be an integer >= 1")
-    check(lambda: b.temperature >= 0, "backend.temperature: must be >= 0")
-    check(lambda: b.max_new_tokens >= 1,
-          "backend.max_new_tokens: must be >= 1")
-    check(lambda: b.retry.max_attempts >= 1,
-          "backend.retry.max_attempts: must be >= 1")
-    check(lambda: b.retry.base_delay > 0,
-          "backend.retry.base_delay: must be positive")
-    check(lambda: b.retry.max_delay >= b.retry.base_delay,
-          "backend.retry.max_delay: must be >= base_delay")
-    check(lambda: b.retry.wall_clock_ceiling > 0,
-          "backend.retry.wall_clock_ceiling: must be positive")
-    for cap_name in ("max_requests", "max_tokens"):
-        cap = getattr(b.budget, cap_name)
-        check(lambda cap=cap: cap is None or cap >= 1,
-              f"backend.budget.{cap_name}: must be >= 1 when set")
-
-    i = config.informalize
-    check(lambda: i.max_attempts >= 1, "informalize.max_attempts: must be >= 1")
-    check(lambda: i.k_examples >= 0, "informalize.k_examples: must be >= 0")
-    check(lambda: i.max_tokens >= 1, "informalize.max_tokens: must be >= 1")
-    check(lambda: i.repetition_ngram >= 1,
-          "informalize.repetition_ngram: must be >= 1")
-    check(lambda: 0 < i.repetition_ratio_max <= 1,
-          "informalize.repetition_ratio_max: must be in (0, 1]")
-
-    check(lambda: config.bootstrap.mode in ("interleaved", "head"),
-          "bootstrap.mode: must be 'interleaved' or 'head'")
-    check(lambda: config.bootstrap.max_attempts >= 1,
-          "bootstrap.max_attempts: must be >= 1")
-
-    p = config.prep
-    check(lambda: p.token_budget >= 1, "prep.token_budget: must be >= 1")
-    check(lambda: p.tokenizer in ("whitespace", "vocab"),
-          "prep.tokenizer: must be 'whitespace' or 'vocab'")
-    if p.tokenizer == "vocab":
-        check(lambda: bool(p.vocab),
-              "prep.vocab: required for the vocab tokenizer")
-
-    v = config.prover
-    check(lambda: v.n_samples >= 1, "prover.n_samples: must be >= 1")
-    check(lambda: v.max_rounds >= 1, "prover.max_rounds: must be >= 1")
-    check(lambda: 1 <= v.k_min <= v.k_max,
-          "prover.k_min/k_max: must satisfy 1 <= k_min <= k_max")
-    check(lambda: v.token_budget >= 1, "prover.token_budget: must be >= 1")
-    check(lambda: v.max_new_tokens >= 1, "prover.max_new_tokens: must be >= 1")
-    check(lambda: v.verifier in ("mock", "external"),
-          "prover.verifier: must be 'mock' or 'external'")
-    if v.verifier == "external":
-        check(lambda: bool(v.command),
-              "prover.command: required for external verifier")
-    check(lambda: v.timeout_s > 0, "prover.timeout_s: must be positive")
-    return e
-
-
-# --- derived objects -----------------------------------------------------------
+    """Range and consistency checks, the only ones on a setting. Returns
+    problems, empty when clean. Types are checked as the file is read."""
+    r, b, i, p, v = (config.retrieval, config.backend, config.informalize,
+                     config.prep, config.prover)
+    rules = [
+        (bool(config.workdir), "workdir: must be nonempty"),
+        (r.dimension >= 1, "retrieval.dimension: must be >= 1"),
+        (r.projection_dim is None or 1 <= r.projection_dim <= r.dimension,
+         "retrieval.projection_dim: must be in [1, dimension]"),
+        (r.lr > 0, "retrieval.lr: must be positive"),
+        (r.steps >= 0, "retrieval.steps: must be >= 0"),
+        (r.batch_size >= 2, "retrieval.batch_size: must be >= 2"),
+        (r.side in ("nl", "fl"), "retrieval.side: must be 'nl' or 'fl'"),
+        (b.kind in ("mock", "chat"), "backend.kind: must be 'mock' or 'chat'"),
+        (b.kind != "chat" or bool(b.endpoint),
+         "backend.endpoint: required for chat backends"),
+        (b.kind != "chat" or bool(b.model),
+         "backend.model: required for chat backends"),
+        (b.timeout > 0, "backend.timeout: must be positive"),
+        (b.max_in_flight >= 1, "backend.max_in_flight: must be >= 1"),
+        (b.temperature >= 0, "backend.temperature: must be >= 0"),
+        (b.max_new_tokens >= 1, "backend.max_new_tokens: must be >= 1"),
+        (b.retry.max_attempts >= 1, "backend.retry.max_attempts: must be >= 1"),
+        (b.retry.base_delay > 0, "backend.retry.base_delay: must be positive"),
+        (b.retry.max_delay >= b.retry.base_delay,
+         "backend.retry.max_delay: must be >= base_delay"),
+        (b.retry.wall_clock_ceiling > 0,
+         "backend.retry.wall_clock_ceiling: must be positive"),
+        (b.budget.max_requests is None or b.budget.max_requests >= 1,
+         "backend.budget.max_requests: must be >= 1 when set"),
+        (b.budget.max_tokens is None or b.budget.max_tokens >= 1,
+         "backend.budget.max_tokens: must be >= 1 when set"),
+        (i.max_attempts >= 1, "informalize.max_attempts: must be >= 1"),
+        (i.k_examples >= 0, "informalize.k_examples: must be >= 0"),
+        (i.max_tokens >= 1, "informalize.max_tokens: must be >= 1"),
+        (i.repetition_ngram >= 1, "informalize.repetition_ngram: must be >= 1"),
+        (0 < i.repetition_ratio_max <= 1,
+         "informalize.repetition_ratio_max: must be in (0, 1]"),
+        (config.bootstrap.mode in ("interleaved", "head"),
+         "bootstrap.mode: must be 'interleaved' or 'head'"),
+        (config.bootstrap.max_attempts >= 1,
+         "bootstrap.max_attempts: must be >= 1"),
+        (p.token_budget >= 1, "prep.token_budget: must be >= 1"),
+        (p.tokenizer in ("whitespace", "vocab"),
+         "prep.tokenizer: must be 'whitespace' or 'vocab'"),
+        (p.tokenizer != "vocab" or bool(p.vocab),
+         "prep.vocab: required for the vocab tokenizer"),
+        (v.n_samples >= 1, "prover.n_samples: must be >= 1"),
+        (v.max_rounds >= 1, "prover.max_rounds: must be >= 1"),
+        (1 <= v.k_min <= v.k_max,
+         "prover.k_min/k_max: must satisfy 1 <= k_min <= k_max"),
+        (v.token_budget >= 1, "prover.token_budget: must be >= 1"),
+        (v.max_new_tokens >= 1, "prover.max_new_tokens: must be >= 1"),
+        (v.verifier in ("mock", "external"),
+         "prover.verifier: must be 'mock' or 'external'"),
+        (v.verifier != "external" or bool(v.command),
+         "prover.command: required for external verifier"),
+        (v.timeout_s > 0, "prover.timeout_s: must be positive"),
+    ]
+    return [message for ok, message in rules if not ok]
 
 
 def fork_seed(root: int, label: str) -> int:
@@ -358,90 +332,3 @@ def fork_seed(root: int, label: str) -> int:
     while stages stay statistically independent."""
     digest = hashlib.sha256(f"{root}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class _ScriptRule:
-    """One mock script rule: a prompt that holds ``pattern`` is answered
-    with ``response``, or with ``responses`` one per sample in call order."""
-
-    pattern: str
-    response: Optional[str] = None
-    responses: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if (self.response is None) == (self.responses is None):
-            raise ValueError("needs one of 'response' and 'responses'")
-        if self.responses == ():
-            raise ValueError("responses is empty")
-
-
-def _read_json(path: str):
-    try:
-        return artifacts.read_json(path)
-    except artifacts.ArtifactError as exc:
-        raise ConfigError([str(exc)]) from None
-
-
-def make_backend(settings: BackendSettings):
-    if settings.kind == "chat":
-        return ChatCompletionBackend(
-            endpoint=settings.endpoint,
-            model=settings.model,
-            api_key_env=settings.api_key_env or None,
-            system_prompt=settings.system_prompt,
-            timeout=settings.timeout,
-            max_in_flight=settings.max_in_flight,
-        )
-    script: List[Tuple[str, object]] = []
-    if settings.script:
-        rules = _read_json(settings.script)
-        if type(rules) is not list:
-            raise ConfigError([f"{settings.script}: rules are not a list"])
-        for index, entry in enumerate(rules):
-            try:
-                rule = artifacts.decode(
-                    entry, _ScriptRule, f"{settings.script}: rule {index}")
-            except artifacts.ArtifactError as exc:
-                raise ConfigError([str(exc)]) from None
-            script.append((rule.pattern, rule.responses or rule.response))
-    return MockBackend(script=script, default_text=settings.default_text)
-
-
-def make_retry(settings: RetrySettings, jitter_seed: int = 0) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=settings.max_attempts,
-        base_delay=settings.base_delay,
-        max_delay=settings.max_delay,
-        wall_clock_ceiling=settings.wall_clock_ceiling,
-        jitter_seed=jitter_seed,
-    )
-
-
-def make_budget(settings: BudgetSettings) -> Optional[GenerationBudget]:
-    if settings.max_requests is None and settings.max_tokens is None:
-        return None
-    return GenerationBudget(max_requests=settings.max_requests,
-                            max_tokens=settings.max_tokens)
-
-
-def make_tokenizer(settings: PrepSettings):
-    if settings.tokenizer == "vocab":
-        return VocabTokenizer.from_file(settings.vocab)
-    return WhitespaceTokenizer()
-
-
-def make_verifier(settings: ProverSettings):
-    if settings.verifier == "external":
-        return ExternalVerifier(settings.command, timeout_s=settings.timeout_s)
-    key = {}
-    if settings.answer_key:
-        key = _read_json(settings.answer_key)
-        if type(key) is not dict:
-            raise ConfigError(
-                [f"{settings.answer_key}: not an object of name -> proof"])
-        for name, proof in key.items():
-            if type(proof) is not str:
-                raise ConfigError(
-                    [f"{settings.answer_key}: proof of {name!r} is not a string"])
-    return MockVerifier(key)

@@ -457,6 +457,10 @@ class ChatCompletionBackend:
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
 
+    def close(self) -> None:
+        """Close the session's connections."""
+        self._session.close()
+
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
         if self.api_key_env:

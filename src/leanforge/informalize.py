@@ -14,11 +14,12 @@ import contextlib
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, genclient, prompts, retrieval
 from .bootstrap import InformalRecord
+from .config import InformalizeSettings
 from .corpus import TheoremRecord
 from .prover import PoolExample
 from .trainprep import WhitespaceTokenizer
@@ -30,23 +31,11 @@ REPETITION = "REPETITION"
 MISSING_SECTION = "MISSING_SECTION"
 BACKEND_ERROR = "BACKEND_ERROR"
 
+REQUIRED_SECTIONS = ("Statement:", "Proof:")
+
 
 class CheckpointCorrupt(RuntimeError):
     """The checkpoint cannot be reconciled with the requested run."""
-
-
-@dataclass(frozen=True)
-class QualityLimits:
-    max_tokens: int = 2048
-    repetition_ngram: int = 4
-    repetition_ratio_max: float = 0.3
-    required_sections: Tuple[str, ...] = ("Statement:", "Proof:")
-
-    def __post_init__(self):
-        if self.max_tokens <= 0 or self.repetition_ngram <= 0:
-            raise ValueError("limits must be positive")
-        if not 0 < self.repetition_ratio_max <= 1:
-            raise ValueError("repetition_ratio_max must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,8 +55,10 @@ class InformalizationResult:
     attempt_reasons: Tuple[Tuple[str, ...], ...]
 
 
-def quality_check(nl_text: str, limits: QualityLimits) -> QualityVerdict:
-    """Screen a generated NL text against the configured limits.
+def quality_check(nl_text: str, settings: InformalizeSettings) -> QualityVerdict:
+    """Screen a generated NL text against the limits in ``settings``
+    (``max_tokens``, ``repetition_ngram``, ``repetition_ratio_max``) and
+    for ``REQUIRED_SECTIONS``.
 
     Length and repetition are measured in ``WhitespaceTokenizer`` tokens.
     Repetition fails only when some n-gram both repeats (count >= 2) and
@@ -76,16 +67,16 @@ def quality_check(nl_text: str, limits: QualityLimits) -> QualityVerdict:
     """
     tok = WhitespaceTokenizer()
     reasons = []
-    if tok.count(nl_text) > limits.max_tokens:
+    if tok.count(nl_text) > settings.max_tokens:
         reasons.append(OVERLENGTH)
     tokens = tok.tokens(nl_text)
-    n = limits.repetition_ngram
+    n = settings.repetition_ngram
     grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
     if grams:
         top = Counter(grams).most_common(1)[0][1]
-        if top >= 2 and top / len(grams) > limits.repetition_ratio_max:
+        if top >= 2 and top / len(grams) > settings.repetition_ratio_max:
             reasons.append(REPETITION)
-    for marker in limits.required_sections:
+    for marker in REQUIRED_SECTIONS:
         if marker not in nl_text:
             reasons.append(MISSING_SECTION)
             break
@@ -138,17 +129,16 @@ def informalize_theorem(
     record: TheoremRecord,
     examples: Sequence[PoolExample],
     ask: genclient.Ask,
-    limits: QualityLimits,
-    max_attempts: int = 3,
+    settings: InformalizeSettings,
 ) -> InformalizationResult:
-    """Generate and screen the NL text, re-querying on quality failures.
+    """Generate and screen the NL text, re-querying on quality failures up
+    to ``settings.max_attempts`` attempts.
 
     ``ask`` sends the record's prompt, built with ``examples``. Backend
     failures are recorded as BACKEND_ERROR attempts rather than raised, so
     one dead record cannot stop a corpus run.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    max_attempts = settings.max_attempts
     example_names = tuple(p.name for p in examples)
     attempt_reasons: List[Tuple[str, ...]] = []
     text = ""
@@ -162,7 +152,7 @@ def informalize_theorem(
                 break
             continue
         text = response.samples[0]
-        verdict = quality_check(text, limits)
+        verdict = quality_check(text, settings)
         reasons = verdict.reasons
         if response.truncated[0] and OVERLENGTH not in reasons:
             reasons = (OVERLENGTH,) + reasons
@@ -191,18 +181,6 @@ def informalize_theorem(
 # --- corpus orchestration --------------------------------------------------------
 
 
-@dataclass
-class InformalizeConfig:
-    limits: QualityLimits = field(default_factory=QualityLimits)
-    max_attempts: int = 3
-    k_examples: int = 3
-    pool: Sequence[PoolExample] = ()
-    index: Optional[retrieval.SimilarityIndex] = None
-    embedder: object = None
-    checkpoint_path: Optional[str] = None
-    restart: bool = False
-
-
 def load_checkpoint(path: str) -> List[InformalizationResult]:
     """The checkpointed results, after dropping a torn final line.
 
@@ -220,7 +198,7 @@ def load_checkpoint(path: str) -> List[InformalizationResult]:
 def _validate_resume(
     done: Sequence[InformalizationResult],
     records: Sequence[TheoremRecord],
-    config: InformalizeConfig,
+    settings: InformalizeSettings,
 ) -> None:
     if len(done) > len(records):
         raise CheckpointCorrupt(
@@ -234,7 +212,7 @@ def _validate_resume(
                 f"record {i} is {record.name!r}; pass restart to discard"
             )
         if result.verdict == "pass":
-            verdict = quality_check(result.nl_statement_and_proof, config.limits)
+            verdict = quality_check(result.nl_statement_and_proof, settings)
             if not verdict.passed:
                 raise CheckpointCorrupt(
                     f"checkpoint pass entry {result.theorem_name!r} violates "
@@ -246,9 +224,19 @@ def _validate_resume(
 def informalize_corpus(
     records: Sequence[TheoremRecord],
     sampler: genclient.Sampler,
-    config: InformalizeConfig,
+    settings: InformalizeSettings,
+    pool: Sequence[PoolExample] = (),
+    index: Optional[retrieval.SimilarityIndex] = None,
+    embedder=None,
+    checkpoint_path: Optional[str] = None,
+    restart: bool = False,
 ) -> List[InformalizationResult]:
     """One result per record, in input order, checkpointed after each.
+
+    With an ``index`` (``build_example_index`` over ``pool`` with
+    ``embedder``), each prompt shows the record's ``k_examples`` nearest
+    pool entries. A checkpoint at ``checkpoint_path`` is resumed, or
+    discarded with ``restart``.
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each a whole ``informalize_theorem``
@@ -258,35 +246,33 @@ def informalize_corpus(
     of the records.
     """
     done: List[InformalizationResult] = []
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        if config.restart:
-            os.remove(config.checkpoint_path)
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        if restart:
+            os.remove(checkpoint_path)
         else:
-            done = load_checkpoint(config.checkpoint_path)
-            _validate_resume(done, records, config)
+            done = load_checkpoint(checkpoint_path)
+            _validate_resume(done, records, settings)
             if done:
                 logger.info("resuming after %d checkpointed records", len(done))
 
     def units():
         for record in records[len(done):]:
             examples: Sequence[PoolExample] = ()
-            if config.index is not None and config.pool and config.embedder is not None:
+            if index is not None:
                 examples = select_examples(
-                    record, config.index, config.pool, config.k_examples, config.embedder
-                )
+                    record, index, pool, settings.k_examples, embedder)
             yield (record, examples), prompts.informalization_prompt(
                 examples, record.statement, record.proof)
 
     def work(item, ask):
         record, examples = item
-        return informalize_theorem(record, examples, ask, config.limits,
-                                   max_attempts=config.max_attempts)
+        return informalize_theorem(record, examples, ask, settings)
 
     results = list(done)
-    checkpoint = (artifacts.appending_jsonl(config.checkpoint_path)
-                  if config.checkpoint_path else contextlib.nullcontext())
+    checkpoint = (artifacts.appending_jsonl(checkpoint_path)
+                  if checkpoint_path else contextlib.nullcontext())
     with checkpoint as append, contextlib.closing(genclient.in_order(
-            units(), work, sampler, config.max_attempts)) as finished:
+            units(), work, sampler, settings.max_attempts)) as finished:
         for _, result in finished:
             results.append(result)
             if append is not None:

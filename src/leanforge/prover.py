@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
+from .config import ProverSettings
 from .corpus import LeanToken, LexError
 from .genclient import Ask, GenClientError, Sampler, in_order
 from .prompts import example_block, proof_prompt
@@ -169,26 +170,6 @@ class HarnessReport:
     @property
     def cumulative_rate(self) -> float:
         return self.rounds[-1].cumulative_rate if self.rounds else 0.0
-
-
-@dataclass
-class HarnessConfig:
-    tokenizer: object
-    n_samples: int = 128
-    max_rounds: int = 2
-    k_range: Tuple[int, int] = (10, 16)
-    token_budget: int = 4096
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        lo, hi = self.k_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"k_range must satisfy 1 <= lo <= hi, got {self.k_range}")
-        if self.token_budget < 1:
-            raise ValueError("token_budget must be >= 1")
 
 
 def _by_name(problems: Sequence[Problem]) -> Dict[str, Problem]:
@@ -429,27 +410,31 @@ class ExternalVerifier:
             os.unlink(handle.name)
 
 
+def judge_proof(problem: Problem, proof: str, verifier) -> Tuple[str, str]:
+    """The verdict and diagnostic for ``proof``, sampled or stored: it is
+    lexed once, screened, then checked. A verifier that times out or cannot
+    run gives an ``error`` verdict."""
+    tokens = _lex_or_none(proof)
+    screened = screen_proof(problem, proof, tokens)
+    if screened:
+        return "rejected", screened
+    try:
+        return verifier.check(problem, proof, tokens)
+    except (VerifierTimeout, VerifierCrashed) as exc:
+        return "error", str(exc)
+
+
 def evaluate_sample(
     problem: Problem, sample_index: int, generated_text: str, verifier
 ) -> ProofAttempt:
-    """Extract, screen, and verify one generated sample."""
+    """Extract one generated sample's proof and judge it."""
     try:
         proof = extract_proof(generated_text, problem)
     except NoProofFound as exc:
         return ProofAttempt(problem.name, sample_index, generated_text, "",
                             "rejected", str(exc))
-    tokens = _lex_or_none(proof)
-    screened = screen_proof(problem, proof, tokens)
-    if screened:
-        return ProofAttempt(problem.name, sample_index, generated_text, proof,
-                            "rejected", screened)
-    try:
-        verdict, diagnostic = verifier.check(problem, proof, tokens)
-    except (VerifierTimeout, VerifierCrashed) as exc:
-        return ProofAttempt(problem.name, sample_index, generated_text, proof,
-                            "error", str(exc))
     return ProofAttempt(problem.name, sample_index, generated_text, proof,
-                        verdict, diagnostic)
+                        *judge_proof(problem, proof, verifier))
 
 
 # --- the iteration loop --------------------------------------------------------
@@ -497,7 +482,8 @@ def run_iteration(
     problems: Sequence[Problem],
     sampler: Sampler,
     verifier,
-    config: HarnessConfig,
+    settings: ProverSettings,
+    tokenizer,
 ) -> IterationState:
     """Run one round over every unproved problem and commit the results.
 
@@ -518,17 +504,17 @@ def run_iteration(
                 continue
             try:
                 prompt = assemble_proof_prompt(
-                    problem, state.example_pool, config.k_range, config.tokenizer,
-                    config.token_budget)
+                    problem, state.example_pool, (settings.k_min, settings.k_max),
+                    tokenizer, settings.token_budget)
             except PromptExceedsBudget as exc:
                 logger.warning("skipping %s this round: %s", problem.name, exc)
                 continue
             yield problem, prompt
 
     def work(problem, ask):
-        return _prove_problem(problem, state.round, ask, verifier, config.n_samples)
+        return _prove_problem(problem, state.round, ask, verifier, settings.n_samples)
 
-    results = in_order(units(), work, sampler, config.n_samples)
+    results = in_order(units(), work, sampler, settings.n_samples)
     proved = dict(state.proved)
     first_success = dict(state.first_success)
     pool_examples = list(state.example_pool)
@@ -565,16 +551,18 @@ def run_iterative(
     seed_pool: Sequence[PoolExample],
     sampler: Sampler,
     verifier,
-    config: HarnessConfig,
+    settings: ProverSettings,
+    tokenizer,
 ) -> HarnessReport:
-    """Run rounds until max_rounds or a round proves nothing new."""
+    """Run rounds until ``settings.max_rounds`` or a round proves nothing
+    new. Prompts are counted with ``tokenizer``."""
     if not seed_pool:
         raise ValueError("seed pool must be nonempty")
     state = initial_state(problems, seed_pool)
     rounds: List[RoundSummary] = []
-    for round_number in range(1, config.max_rounds + 1):
+    for round_number in range(1, settings.max_rounds + 1):
         before = len(state.proved)
-        state = run_iteration(state, problems, sampler, verifier, config)
+        state = run_iteration(state, problems, sampler, verifier, settings, tokenizer)
         newly = len(state.proved) - before
         rate = len(state.proved) / len(problems) if problems else 0.0
         rounds.append(RoundSummary(
@@ -625,12 +613,7 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
             raise ReportInvalid(f"{path}:{line.lineno}: unknown problem {entry.name}")
         if entry.name in proved:
             raise ReportInvalid(f"{path}:{line.lineno}: {entry.name} is listed twice")
-        tokens = _lex_or_none(entry.proof)
-        diagnostic = screen_proof(problem, entry.proof, tokens)
-        if diagnostic is None:
-            verdict, diagnostic = verifier.check(problem, entry.proof, tokens)
-        else:
-            verdict = "rejected"
+        verdict, diagnostic = judge_proof(problem, entry.proof, verifier)
         if verdict != "verified":
             raise ReportInvalid(
                 f"{path}:{line.lineno}: stored proof for {entry.name} no longer verifies"

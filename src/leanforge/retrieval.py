@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
 from . import artifacts
+from .config import RetrievalSettings
 
 logger = logging.getLogger(__name__)
 
@@ -217,44 +218,35 @@ def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndar
     return d_a.T @ nl_raw + d_b.T @ fl_raw
 
 
-@dataclass
-class TrainConfig:
-    lr: float = 0.05
-    steps: int = 500
-    batch_size: int = 8
-    seed: int = 0
-    init: str = "uniform"
-    d_out: Optional[int] = None  # defaults to the input dimension
-
-
 def train_projection(
     pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
+    settings: RetrievalSettings,
+    seed: int,
 ) -> Tuple[ProjectionHead, List[float]]:
-    """Seeded gradient descent on the contrastive loss.
+    """Seeded gradient descent on the contrastive loss, with the ``lr``,
+    ``steps``, ``batch_size`` and ``projection_dim`` of ``settings``; the
+    head starts from the uniform initialization of ``seed``, and
+    ``projection_dim`` defaults to the input dimension.
 
     Returns the trained head and the per-step loss trace (length == steps).
-    Identical config and pairs give a bit-identical trace.
+    Identical settings, seed and pairs give a bit-identical trace.
     """
     if len(pairs) < 2:
         raise EmptyInput("need at least two pairs to train")
-    if config.lr <= 0 or config.steps < 0 or config.batch_size < 2:
-        raise ValueError("training config must have lr > 0, steps >= 0, batch_size >= 2")
     d_in = pairs[0][0].shape[0]
-    d_out = config.d_out or d_in
-    head = ProjectionHead.initialize(d_in, d_out, config.seed, config.init)
-    rng = np.random.default_rng(config.seed)
-    batch_size = max(2, min(config.batch_size, len(pairs)))
+    head = ProjectionHead.initialize(d_in, settings.projection_dim or d_in, seed)
+    rng = np.random.default_rng(seed)
+    batch_size = min(settings.batch_size, len(pairs))
 
     trace: List[float] = []
-    for step in range(config.steps):
+    for step in range(settings.steps):
         chosen = rng.choice(len(pairs), size=batch_size, replace=False)
         batch = AlignmentBatch(pairs=[pairs[k] for k in chosen])
         loss = contrastive_loss(batch, head)
         if not np.isfinite(loss):
             raise DivergedLoss(f"non-finite loss {loss!r} at step {step}")
         grad = contrastive_gradient(batch, head)
-        head.weights = head.weights - config.lr * grad
+        head.weights = head.weights - settings.lr * grad
         trace.append(loss)
     return head, trace
 

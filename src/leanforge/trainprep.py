@@ -14,9 +14,10 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import artifacts
+from .config import PrepSettings
 from .prompts import example_block, proof_prompt
 
 logger = logging.getLogger(__name__)
@@ -213,35 +214,22 @@ def pack_block(
     )
 
 
-@dataclass
-class PrepConfig:
-    """Switches cover the four ablation arms: NL guidance in instructions,
-    bootstrapped targets, block packing, curriculum order."""
-
-    context_budget: int
-    tokenizer: object
-    use_nl: bool = True
-    use_bootstrapped: bool = True
-    use_block: bool = True
-    use_curriculum: bool = True
-    # None: in-context examples show the same proof text as targets
-    examples_use_bootstrapped: Optional[bool] = None
-
-
-def pack_sources(records: Sequence, config: PrepConfig) -> List[PackSource]:
+def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
     """Project bootstrapped dataset records onto the packer's view.
 
     Each record's ``difficulty`` is its proof's tactic-step count, which
     ``bootstrap.load_obt_dataset`` takes from the tokens it verified.
+    In-context examples show the targets' proof text unless
+    ``examples_use_bootstrapped`` says otherwise.
     """
     example_boot = (
-        config.use_bootstrapped
-        if config.examples_use_bootstrapped is None
-        else config.examples_use_bootstrapped
+        settings.use_bootstrapped
+        if settings.examples_use_bootstrapped is None
+        else settings.examples_use_bootstrapped
     )
     sources = []
     for record in records:
-        target = record.commented_proof if config.use_bootstrapped else record.proof
+        target = record.commented_proof if settings.use_bootstrapped else record.proof
         example_fl = record.commented_proof if example_boot else record.proof
         sources.append(
             PackSource(
@@ -257,25 +245,28 @@ def pack_sources(records: Sequence, config: PrepConfig) -> List[PackSource]:
 
 
 def emit_training_set(
-    records: Sequence, config: PrepConfig
+    records: Sequence, settings: PrepSettings, tokenizer
 ) -> Tuple[List[PackedRecord], List[dict]]:
-    """Produce the packed dataset plus a skip report of oversized records."""
-    sources = pack_sources(records, config)
-    if config.use_curriculum:
+    """Produce the packed dataset plus a skip report of oversized records.
+
+    The ``use_*`` switches of ``settings`` cover the four ablation arms: NL
+    guidance in instructions, bootstrapped targets, block packing and
+    curriculum order. Every record fits ``token_budget`` tokens of
+    ``tokenizer``."""
+    sources = pack_sources(records, settings)
+    if settings.use_curriculum:
         sources = curriculum_sort(sources)
     # each record's block is counted once, whichever rings it serves in
-    blocks = (counted_blocks(sources, config.tokenizer, config.use_nl)
-              if config.use_block else [])
+    blocks = (counted_blocks(sources, tokenizer, settings.use_nl)
+              if settings.use_block else [])
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
         # without block packing each record is a ring of one: no examples
-        ring, at = (sources, i) if config.use_block else ([source], 0)
+        ring, at = (sources, i) if settings.use_block else ([source], 0)
         try:
             item = pack_block(
-                ring, at, config.context_budget, config.tokenizer, blocks,
-                config.use_nl,
-            )
+                ring, at, settings.token_budget, tokenizer, blocks, settings.use_nl)
         except RecordExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)
             skipped.append(

@@ -23,13 +23,13 @@ from leanforge.bootstrap import (
     load_obt_dataset,
     verify_bootstrap,
 )
+from leanforge.config import RetrievalSettings
 from leanforge.corpus import lex_lean
 from leanforge.genclient import Sampler
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
     AlignmentBatch,
     ProjectionHead,
-    TrainConfig,
     build_index,
     contrastive_gradient,
     contrastive_loss,
@@ -235,7 +235,7 @@ class TestCriterion4:
             seed=202, count=200, dim=64, rotate_dims=16, angle=math.pi / 2)
         started = time.perf_counter()
         head, trace = train_projection(
-            pairs, TrainConfig(lr=0.05, steps=500, batch_size=8, seed=0))
+            pairs, RetrievalSettings(lr=0.05, steps=500, batch_size=8), 0)
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"training took {elapsed:.2f}s"
 
@@ -305,7 +305,7 @@ class TestCriterion6:
     def test_second_round_proves_more_and_invariants_hold(self, capsys):
         problems, seeds, backend, mock_verifier = test_prover.two_round_setup()
         report = run_iterative(problems, seeds, Sampler(backend), mock_verifier,
-                               test_prover.config())
+                               test_prover.config(), test_prover.TOKENIZER)
         assert report.rounds[1].cumulative_proved > \
             report.rounds[0].cumulative_proved
         assert report.rounds[1].newly_proved >= 1
@@ -320,7 +320,7 @@ class TestCriterion6:
             report = run_iterative(
                 problems, test_prover.seed_examples(2), Sampler(scenario), checker,
                 test_prover.config(max_rounds=max_rounds,
-                                   n_samples=n_samples))
+                                   n_samples=n_samples), test_prover.TOKENIZER)
 
             expected, per_round = test_prover.scenario_oracle(gates, max_rounds)
             assert set(report.proved) == expected, (trial, gates)

@@ -283,11 +283,6 @@ class TestBootstrapTheorem:
         with pytest.raises(BackendUnavailable):
             bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_TOKENS)
 
-    def test_attempt_floor(self):
-        with pytest.raises(ValueError):
-            bootstrap_theorem(sq_record(), sq_ask(MockBackend()), SQ_TOKENS,
-                              max_attempts=0)
-
 
 def integral_record(commit=INTEGRAL_COMMIT):
     """The worked example's aligned theorem, still without its commented proof."""

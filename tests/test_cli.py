@@ -136,6 +136,135 @@ class TestConfig:
         assert 0 <= fork_seed(123, "anything") < 2 ** 64
 
 
+# --- one rule per setting ----------------------------------------------------------
+
+# (setting, value, the one error it gives); each rule is in ``config.validate``
+RANGE_RULES = [
+    ("prover.n_samples", 0, "prover.n_samples: must be >= 1"),
+    ("prover.max_rounds", 0, "prover.max_rounds: must be >= 1"),
+    ("prover.k_min", 0, "prover.k_min/k_max: must satisfy 1 <= k_min <= k_max"),
+    ("prover.k_min", 17, "prover.k_min/k_max: must satisfy 1 <= k_min <= k_max"),
+    ("prover.token_budget", 0, "prover.token_budget: must be >= 1"),
+    ("informalize.max_attempts", 0, "informalize.max_attempts: must be >= 1"),
+    ("informalize.max_tokens", 0, "informalize.max_tokens: must be >= 1"),
+    ("informalize.repetition_ngram", 0, "informalize.repetition_ngram: must be >= 1"),
+    ("informalize.repetition_ratio_max", 0.0,
+     "informalize.repetition_ratio_max: must be in (0, 1]"),
+    ("informalize.repetition_ratio_max", 1.5,
+     "informalize.repetition_ratio_max: must be in (0, 1]"),
+    ("bootstrap.max_attempts", 0, "bootstrap.max_attempts: must be >= 1"),
+    ("retrieval.lr", -0.1, "retrieval.lr: must be positive"),
+    ("retrieval.steps", -1, "retrieval.steps: must be >= 0"),
+    ("retrieval.batch_size", 1, "retrieval.batch_size: must be >= 2"),
+    ("prep.token_budget", 0, "prep.token_budget: must be >= 1"),
+]
+
+# (setting, value of the wrong type, the error naming it)
+TYPE_RULES = [
+    ("prover.n_samples", 2.5, "prover.n_samples: must be an integer, got 2.5"),
+    ("informalize.max_attempts", 1.5,
+     "informalize.max_attempts: must be an integer, got 1.5"),
+    ("retrieval.steps", 2.5, "retrieval.steps: must be an integer, got 2.5"),
+    ("retrieval.lr", True, "retrieval.lr: must be a number, got True"),
+    ("prep.use_nl", "false", "prep.use_nl: must be true or false, got 'false'"),
+    ("prep.examples_use_bootstrapped", "no",
+     "prep.examples_use_bootstrapped: must be true or false or null, got 'no'"),
+    ("prover.command", "true",
+     "prover.command: must be a list, each a string, got 'true'"),
+    ("backend.budget.max_tokens", "many",
+     "backend.budget.max_tokens: must be an integer or null, got 'many'"),
+]
+
+
+def setting_yaml(path, setting, value, **extra):
+    """A config file holding ``setting`` (``section.key`` or
+    ``section.sub.key``) set to ``value``, over the mapping ``extra``."""
+    data = dict(extra)
+    *sections, key = setting.split(".")
+    node = data
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return write_yaml(path, data)
+
+
+class TestSettingRules:
+    """A setting is declared once, as a field of its config section: its
+    type is checked as the file is read, its range in ``config.validate``.
+    No stage checks it again."""
+
+    @pytest.mark.parametrize("setting, value, message", RANGE_RULES,
+                             ids=[f"{s}={v}" for s, v, _ in RANGE_RULES])
+    def test_range_rule(self, tmp_path, setting, value, message):
+        path = setting_yaml(tmp_path / "c.yaml", setting, value)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert info.value.errors == [message]
+
+    @pytest.mark.parametrize("setting, value, message", TYPE_RULES,
+                             ids=[f"{s}={v!r}" for s, v, _ in TYPE_RULES])
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, setting,
+                                              value, message):
+        workdir = tmp_path / "work"
+        path = setting_yaml(tmp_path / "c.yaml", setting, value,
+                            workdir=str(workdir),
+                            prover={"verifier": "external", "command": ["true"]})
+        assert run(["prep", "-c", path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not workdir.exists()
+
+
+class TestSettingFlags:
+    """A flag that overrides a setting is written into its key before the
+    config is checked: an out-of-range value exits 2 with the key's own
+    error, before any output is touched."""
+
+    FLAGS = [
+        ("train-retriever", "--steps", "-1", "retrieval.steps: must be >= 0"),
+        ("informalize", "--max-attempts", "0", "informalize.max_attempts: must be >= 1"),
+        ("bootstrap", "--mode", "sideways",
+         "bootstrap.mode: must be 'interleaved' or 'head'"),
+        ("prep", "--token-budget", "0", "prep.token_budget: must be >= 1"),
+        ("prove", "--n-samples", "0", "prover.n_samples: must be >= 1"),
+        ("prove", "--max-rounds", "0", "prover.max_rounds: must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message", FLAGS,
+                             ids=[f"{f}={v}" for _, f, v, _ in FLAGS])
+    def test_out_of_range_flag_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, command, flag, value, message):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        run_pipeline(config)
+        before = {name: read_bytes(workdir / name) for name in os.listdir(workdir)}
+        capsys.readouterr()
+        assert run([command, "-c", config, flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert {name: read_bytes(workdir / name)
+                for name in os.listdir(workdir)} == before
+
+    @pytest.mark.parametrize("flag, key", [
+        ("--no-nl", "use_nl"), ("--no-bootstrapped", "use_bootstrapped"),
+        ("--no-block", "use_block"), ("--no-curriculum", "use_curriculum")])
+    def test_switch_is_its_key_set_false(self, tmp_path, flag, key):
+        trains = []
+        for name, prep, flags in (("flag", {}, [flag]), ("key", {key: False}, [])):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            artifacts.write_jsonl(str(workdir / "obt.jsonl"), seeded_obt_records())
+            config = write_yaml(tmp_path / f"{name}.yaml",
+                                {"workdir": str(workdir), "prep": prep})
+            assert run(["prep", "-c", config, *flags]) == 0
+            trains.append(read_bytes(workdir / "train.jsonl"))
+        default = tmp_path / "default"
+        default.mkdir()
+        artifacts.write_jsonl(str(default / "obt.jsonl"), seeded_obt_records())
+        assert run(["prep", "-c", write_yaml(tmp_path / "default.yaml",
+                                             {"workdir": str(default)})]) == 0
+        assert trains[0] == trains[1] != read_bytes(default / "train.jsonl")
+
+
 # --- extract --------------------------------------------------------------------
 
 
@@ -1295,6 +1424,23 @@ class TestPipelineEndToEnd:
         capsys.readouterr()
         assert run(["report", "-c", config]) == 1
         assert "report.jsonl:2: unreadable JSON" in capsys.readouterr().err
+
+    def test_report_verifier_timeout_names_file_and_line(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        assert run(["prove", "-c", config]) == 0
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["prover"].update(
+            verifier="external", timeout_s=0.2,
+            command=[sys.executable, "-c", "import time; time.sleep(5)"])
+        slow = write_yaml(tmp_path / "slow.yaml", settings)
+        capsys.readouterr()
+        assert run(["report", "-c", slow]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'report.jsonl'}:2: stored proof for demo_add_comm "
+            "no longer verifies: verifier exceeded 0.2s on demo_add_comm\n")
 
     def test_corrupt_projection_error_names_file_and_line(self, tmp_path, capsys):
         fixture = build_pipeline_fixture(tmp_path / "fixture")

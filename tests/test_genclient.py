@@ -1,5 +1,6 @@
 """Tests for the generation client: retry, budget, backends."""
 
+import contextlib
 import http.server
 import json
 import os
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from leanforge import genclient
+from leanforge.config import ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
     BudgetExceeded,
@@ -28,7 +30,6 @@ from leanforge.genclient import (
     in_order,
 )
 from leanforge.prover import (
-    HarnessConfig,
     MockVerifier,
     PoolExample,
     Problem,
@@ -530,16 +531,23 @@ def chat_server():
     _ChatHandler.flaky_failures = 0
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
+@pytest.fixture()
+def chat(chat_server):
+    """Builds backends on ``chat_server`` paths and closes them after the test."""
+    with contextlib.ExitStack() as built:
+        yield lambda path, **kwargs: built.enter_context(contextlib.closing(
+            ChatCompletionBackend(chat_server + path, **kwargs)))
+
+
 class TestChatCompletionBackend:
-    def test_wire_contract(self, chat_server, monkeypatch):
+    def test_wire_contract(self, chat, monkeypatch):
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test-123")
-        backend = ChatCompletionBackend(
-            chat_server + "/ok", model="prover-1", api_key_env="TEST_LLM_KEY",
-            system_prompt="You are a Lean4 expert.",
-        )
+        backend = chat("/ok", model="prover-1", api_key_env="TEST_LLM_KEY",
+                       system_prompt="You are a Lean4 expert.")
         request = GenerationRequest(
             prompt="prove it", n_samples=2, temperature=0.4,
             max_new_tokens=256,
@@ -559,53 +567,51 @@ class TestChatCompletionBackend:
         assert roles == ["system", "user"]
         assert sent["body"]["messages"][0]["content"] == "You are a Lean4 expert."
 
-    def test_no_key_env_sends_no_auth_header(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/ok", model="m")
+    def test_no_key_env_sends_no_auth_header(self, chat):
+        backend = chat("/ok", model="m")
         backend.generate(GenerationRequest(prompt="p"))
         assert _ChatHandler.seen[-1]["auth"] is None
 
-    def test_missing_key_is_unavailable(self, chat_server, monkeypatch):
+    def test_missing_key_is_unavailable(self, chat, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
-        backend = ChatCompletionBackend(
-            chat_server + "/ok", model="m", api_key_env="ABSENT_KEY_VAR"
-        )
+        backend = chat("/ok", model="m", api_key_env="ABSENT_KEY_VAR")
         with pytest.raises(BackendUnavailable, match="ABSENT_KEY_VAR"):
             backend.generate(GenerationRequest(prompt="p"))
         assert _ChatHandler.seen == []
 
-    def test_truncation_flag_from_finish_reason(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/truncate", model="m")
+    def test_truncation_flag_from_finish_reason(self, chat):
+        backend = chat("/truncate", model="m")
         (pair,) = backend.generate(GenerationRequest(prompt="p"))
         assert pair[1] is True
 
-    def test_server_error_is_transient(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/outage", model="m")
+    def test_server_error_is_transient(self, chat):
+        backend = chat("/outage", model="m")
         with pytest.raises(BackendUnavailable, match="503"):
             backend.generate(GenerationRequest(prompt="p"))
 
-    def test_complete_retries_flaky_server(self, chat_server):
+    def test_complete_retries_flaky_server(self, chat):
         _ChatHandler.flaky_failures = 1
-        backend = ChatCompletionBackend(chat_server + "/flaky", model="m")
+        backend = chat("/flaky", model="m")
         policy, sleeps = recording_policy()
         response = complete(GenerationRequest(prompt="p"), backend, retry=policy)
         assert response.attempts == 2
         assert len(sleeps) == 1
 
-    def test_auth_failure_not_retried(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/unauth", model="m")
+    def test_auth_failure_not_retried(self, chat):
+        backend = chat("/unauth", model="m")
         policy, sleeps = recording_policy()
         with pytest.raises(MalformedBackendReply, match="401"):
             complete(GenerationRequest(prompt="p"), backend, retry=policy)
         assert len(_ChatHandler.seen) == 1
         assert sleeps == []
 
-    def test_unparseable_body_rejected(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/badjson", model="m")
+    def test_unparseable_body_rejected(self, chat):
+        backend = chat("/badjson", model="m")
         with pytest.raises(MalformedBackendReply, match="unparseable"):
             backend.generate(GenerationRequest(prompt="p"))
 
-    def test_short_choice_list_rejected(self, chat_server):
-        backend = ChatCompletionBackend(chat_server + "/short", model="m")
+    def test_short_choice_list_rejected(self, chat):
+        backend = chat("/short", model="m")
         with pytest.raises(MalformedBackendReply, match="requested 2"):
             backend.generate(GenerationRequest(prompt="p", n_samples=2))
 
@@ -615,9 +621,10 @@ class TestChatCompletionBackend:
                                   max_in_flight=0)
 
     def test_connection_refused_is_unavailable(self):
-        backend = ChatCompletionBackend("http://127.0.0.1:9/ok", model="m", timeout=0.5)
-        with pytest.raises(BackendUnavailable):
-            backend.generate(GenerationRequest(prompt="p"))
+        with contextlib.closing(ChatCompletionBackend(
+                "http://127.0.0.1:9/ok", model="m", timeout=0.5)) as backend:
+            with pytest.raises(BackendUnavailable):
+                backend.generate(GenerationRequest(prompt="p"))
 
 
 class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
@@ -651,6 +658,7 @@ class _PooledServer(http.server.HTTPServer):
         handler = type("Handler", (_KeepAliveHandler,), {"timeout": idle_s})
         super().__init__(("127.0.0.1", 0), handler)
         self.accepted = 0
+        self.ended = threading.Event()  # set as a connection ends
         self.workers = ThreadPoolExecutor(max_workers=workers)
 
     def process_request(self, request, client_address):
@@ -662,37 +670,55 @@ class _PooledServer(http.server.HTTPServer):
             self.finish_request(request, client_address)
         finally:
             self.shutdown_request(request)
+            self.ended.set()
+
+
+@contextlib.contextmanager
+def pooled_server(workers, idle_s):
+    """A running ``_PooledServer`` and its chat endpoint. Close every
+    backend on it first: a connection left open holds a handler thread
+    until it idles out."""
+    server = _PooledServer(workers=workers, idle_s=idle_s)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    finally:
+        server.shutdown()
+        server.workers.shutdown()
+        server.server_close()
+        thread.join()
 
 
 class TestConnectionBound:
     IDLE_S = 3.0
 
     def test_round_never_opens_more_connections_than_max_in_flight(self):
-        server = _PooledServer(workers=2, idle_s=self.IDLE_S)
-        thread = threading.Thread(target=server.serve_forever,
-                                  kwargs={"poll_interval": 0.05}, daemon=True)
-        thread.start()
-        backend = ChatCompletionBackend(
-            f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
-            model="m", max_in_flight=2)
         problems = [Problem(name=f"p{i}", fl_statement=f"theorem p{i} : True :=")
                     for i in range(6)]
         seeds = [PoolExample("seed", "Statement: s.", "theorem seed : True := trivial")]
         # 2 × max_in_flight problems in flight
-        config = HarnessConfig(tokenizer=WhitespaceTokenizer(), n_samples=2,
-                               k_range=(1, 1))
-        try:
+        settings = ProverSettings(n_samples=2, k_min=1, k_max=1)
+        with pooled_server(2, self.IDLE_S) as (server, url), contextlib.closing(
+                ChatCompletionBackend(url, model="m", max_in_flight=2)) as backend:
             started = time.perf_counter()
             state = run_iteration(initial_state(problems, seeds), problems,
-                                  Sampler(backend), MockVerifier({}), config)
+                                  Sampler(backend), MockVerifier({}), settings,
+                                  WhitespaceTokenizer())
             elapsed = time.perf_counter() - started
-        finally:
-            backend._session.close()
-            server.shutdown()
-            server.workers.shutdown()
-            server.server_close()
-            thread.join()
         assert state.budget_used == 12
         assert server.accepted <= 2
         # a third connection would wait for an idle one to time out
         assert elapsed < self.IDLE_S / 3
+
+    def test_close_ends_the_keep_alive_connection(self):
+        with pooled_server(1, self.IDLE_S) as (server, url):
+            backend = ChatCompletionBackend(url, model="m")
+            try:
+                backend.generate(GenerationRequest(prompt="p"))
+                assert not server.ended.is_set()
+            finally:
+                backend.close()
+            # the server sees the connection end now, not when it idles out
+            assert server.ended.wait(self.IDLE_S / 3)

@@ -12,6 +12,7 @@ import pytest
 
 from leanforge import retrieval
 from leanforge.artifacts import read_jsonl
+from leanforge.config import InformalizeSettings
 from leanforge.corpus import TheoremRecord
 from leanforge.genclient import (
     Ask,
@@ -29,8 +30,6 @@ from leanforge.informalize import (
     REPETITION,
     CheckpointCorrupt,
     InformalizationResult,
-    InformalizeConfig,
-    QualityLimits,
     build_example_index,
     informalize_corpus,
     informalize_theorem,
@@ -116,15 +115,15 @@ BAD_TEXTS = [
 
 class TestQualityCheck:
     def test_calibration_goods(self):
-        limits = QualityLimits()
+        settings = InformalizeSettings()
         for text in GOOD_TEXTS:
-            verdict = quality_check(text, limits)
+            verdict = quality_check(text, settings)
             assert verdict.passed, (text[:60], verdict.reasons)
 
     def test_calibration_bads(self):
-        limits = QualityLimits()
+        settings = InformalizeSettings()
         for text, expected in BAD_TEXTS:
-            verdict = quality_check(text, limits)
+            verdict = quality_check(text, settings)
             assert not verdict.passed, text[:60]
             assert expected <= set(verdict.reasons), (text[:60], verdict.reasons)
 
@@ -132,34 +131,22 @@ class TestQualityCheck:
         assert len(GOOD_TEXTS) + len(BAD_TEXTS) == 20
 
     def test_overlength_threshold_exact(self):
-        limits = QualityLimits(max_tokens=5)
-        assert quality_check("Statement: Proof: ok", limits).passed  # 5 tokens
-        verdict = quality_check("Statement: Proof: ok ok", limits)
+        settings = InformalizeSettings(max_tokens=5)
+        assert quality_check("Statement: Proof: ok", settings).passed  # 5 tokens
+        verdict = quality_check("Statement: Proof: ok ok", settings)
         assert OVERLENGTH in verdict.reasons
 
     def test_unique_ngrams_never_repetition(self):
         # two total 4-grams, each seen once: ratio 0.5 > 0.3, but nothing
         # actually repeats
-        verdict = quality_check("Statement: Proof: x", QualityLimits())
+        verdict = quality_check("Statement: Proof: x", InformalizeSettings())
         assert verdict.passed
 
     def test_all_reasons_reported_together(self):
         text = "ring " * 2100
-        reasons = quality_check(text, QualityLimits()).reasons
+        reasons = quality_check(text, InformalizeSettings()).reasons
         assert reasons == (OVERLENGTH, REPETITION, MISSING_SECTION)
 
-    def test_custom_sections(self):
-        limits = QualityLimits(required_sections=("THEOREM:", "ARGUMENT:"))
-        assert not quality_check(GOOD_NL, limits).passed
-        assert quality_check("THEOREM: x ARGUMENT: y", limits).passed
-
-    def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            QualityLimits(max_tokens=0)
-        with pytest.raises(ValueError):
-            QualityLimits(repetition_ratio_max=0.0)
-        with pytest.raises(ValueError):
-            QualityLimits(repetition_ratio_max=1.5)
 
 
 def theorem(name, statement=None, proof=":= by norm_num"):
@@ -297,7 +284,8 @@ class TestInformalizeTheorem:
     def test_passing_text_first_try(self):
         backend = MockBackend(script=[("mythm", GOOD_NL)])
         record = theorem("mythm")
-        result = informalize_theorem(record, [], ask(record, backend), QualityLimits())
+        result = informalize_theorem(
+            record, [], ask(record, backend), InformalizeSettings())
         assert result.verdict == "pass"
         assert result.attempts == 1
         assert result.nl_statement_and_proof == GOOD_NL
@@ -307,7 +295,8 @@ class TestInformalizeTheorem:
         too_long = "Statement: Proof: " + " ".join(f"w{i}" for i in range(2100))
         backend = MockBackend(script=[("mythm", [too_long, GOOD_NL])])
         record = theorem("mythm")
-        result = informalize_theorem(record, [], ask(record, backend), QualityLimits())
+        result = informalize_theorem(
+            record, [], ask(record, backend), InformalizeSettings())
         assert result.verdict == "pass"
         assert result.attempts == 2
         assert result.attempt_reasons == ((OVERLENGTH,), ())
@@ -315,8 +304,8 @@ class TestInformalizeTheorem:
     def test_always_failing_records_all_attempts(self):
         backend = MockBackend(default_text="no sections at all here")
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), backend), QualityLimits(), max_attempts=3
-        )
+            theorem("t"), [], ask(theorem("t"), backend),
+            InformalizeSettings(max_attempts=3))
         assert result.verdict == "fail"
         assert result.attempts == 3
         assert result.attempt_reasons == ((MISSING_SECTION,),) * 3
@@ -333,9 +322,8 @@ class TestInformalizeTheorem:
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), Down(), retry=policy), QualityLimits(),
-            max_attempts=2
-        )
+            theorem("t"), [], ask(theorem("t"), Down(), retry=policy),
+            InformalizeSettings(max_attempts=2))
         assert result.verdict == "fail"
         assert result.attempt_reasons == ((BACKEND_ERROR,), (BACKEND_ERROR,))
 
@@ -343,9 +331,8 @@ class TestInformalizeTheorem:
         backend = MockBackend(default_text="no sections")
         budget = GenerationBudget(max_requests=1)
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), backend, budget=budget), QualityLimits(),
-            max_attempts=5
-        )
+            theorem("t"), [], ask(theorem("t"), backend, budget=budget),
+            InformalizeSettings(max_attempts=5))
         assert result.verdict == "fail"
         assert result.attempts == 2
         assert result.attempt_reasons == ((MISSING_SECTION,), (BACKEND_ERROR,))
@@ -358,16 +345,11 @@ class TestInformalizeTheorem:
                 return [(GOOD_NL, True)] * request.n_samples
 
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), Truncating()), QualityLimits(),
-            max_attempts=1
-        )
+            theorem("t"), [], ask(theorem("t"), Truncating()),
+            InformalizeSettings(max_attempts=1))
         assert result.verdict == "fail"
         assert OVERLENGTH in result.reasons
 
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            informalize_theorem(theorem("t"), [], ask(theorem("t"), MockBackend()),
-                                QualityLimits(), max_attempts=0)
 
 
 def corpus_records(count):
@@ -378,11 +360,12 @@ def passing_backend():
     return MockBackend(default_text=GOOD_NL)
 
 
-def informalize(records, backend, budget=None, max_new_tokens=2048, **config):
+def informalize(records, backend, budget=None, max_new_tokens=2048,
+                k_examples=3, **options):
     """``informalize_corpus`` asking ``backend`` with ``budget``."""
     return informalize_corpus(
         records, Sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
-        InformalizeConfig(**config))
+        InformalizeSettings(k_examples=k_examples), **options)
 
 
 class TestInformalizeCorpus:
@@ -586,7 +569,7 @@ class TestDatasetFile:
         save_informal_dataset(records, results, str(path))
         entries = [line.entry for line in read_jsonl(str(path))]
         assert all(quality_check(e["Generated_informal_statement_and_proof"],
-                                 QualityLimits()).passed for e in entries)
+                                 InformalizeSettings()).passed for e in entries)
         assert len(entries) == 4
         assert set(entries[0]) == {
             "Name", "Statement", "Proof", "File_path", "Commit",

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from leanforge import corpus
+from leanforge.config import ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
     GenerationBudget,
@@ -22,7 +23,6 @@ from leanforge.genclient import (
 from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
     ExternalVerifier,
-    HarnessConfig,
     HarnessReport,
     IterationState,
     MockVerifier,
@@ -110,16 +110,6 @@ class TestDomainTypes:
             IterationState(round=1, example_pool=(), proved={"a": "x"},
                            unproved=frozenset({"a"}), budget_used=0,
                            first_success={})
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HarnessConfig(WhitespaceTokenizer(), n_samples=0)
-        with pytest.raises(ValueError):
-            HarnessConfig(WhitespaceTokenizer(), max_rounds=0)
-        with pytest.raises(ValueError):
-            HarnessConfig(WhitespaceTokenizer(), k_range=(0, 16))
-        with pytest.raises(ValueError):
-            HarnessConfig(WhitespaceTokenizer(), k_range=(12, 4))
 
     def test_duplicate_problem_names(self):
         problems = [make_problem(1), make_problem(1)]
@@ -515,11 +505,13 @@ class CountingBackend:
         return self.inner.generate(request)
 
 
+TOKENIZER = WhitespaceTokenizer()
+
+
 def config(**kwargs):
-    kwargs.setdefault("tokenizer", WhitespaceTokenizer())
     kwargs.setdefault("n_samples", 4)
     kwargs.setdefault("token_budget", 100_000)
-    return HarnessConfig(**kwargs)
+    return ProverSettings(**kwargs)
 
 
 class TestRunIteration:
@@ -528,7 +520,7 @@ class TestRunIteration:
         state = initial_state(problems, seed_examples(2))
         backend = MockBackend(default_text=canonical_proof(0))
         new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
-                            config())
+                            config(), TOKENIZER)
         assert new.proved == {}
         assert new.example_pool == state.example_pool
         assert new.round == 2
@@ -541,7 +533,7 @@ class TestRunIteration:
             script=[("prob00", canonical_proof(0))]))
         verifier = MockVerifier({"prob00": canonical_proof(0)})
         new = run_iteration(state, problems, Sampler(backend), verifier,
-                            config(n_samples=1))
+                            config(n_samples=1), TOKENIZER)
         assert new.proved == {"prob00": canonical_proof(0)}
         assert backend.calls == 1
         assert new.budget_used == 1
@@ -554,7 +546,7 @@ class TestRunIteration:
             script=[("prob00", [bad, bad, canonical_proof(0)])])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
         new = run_iteration(state, problems, Sampler(backend), verifier,
-                            config(n_samples=8))
+                            config(n_samples=8), TOKENIZER)
         assert new.budget_used == 3
         assert new.first_success == {"prob00": (1, 2)}
 
@@ -569,10 +561,12 @@ class TestRunIteration:
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0),
                                  "prob01": canonical_proof(1)})
-        mid = run_iteration(state, problems, Sampler(backend), verifier, config())
+        mid = run_iteration(state, problems, Sampler(backend), verifier,
+                            config(), TOKENIZER)
         assert set(mid.proved) == {"prob00"}
         assert [e.name for e in mid.example_pool] == ["seed0", "prob00"]
-        after = run_iteration(mid, problems, Sampler(backend), verifier, config())
+        after = run_iteration(mid, problems, Sampler(backend), verifier,
+                              config(), TOKENIZER)
         assert set(after.proved) == {"prob00", "prob01"}
 
     def test_backend_failure_on_one_problem_isolated(self):
@@ -590,7 +584,7 @@ class TestRunIteration:
         verifier = MockVerifier({"prob01": canonical_proof(1)})
         policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
         new = run_iteration(state, problems, Sampler(Selective(), retry=policy),
-                            verifier, config())
+                            verifier, config(), TOKENIZER)
         assert set(new.proved) == {"prob01"}
         assert new.budget_used == 1  # failed draws are not counted
 
@@ -599,7 +593,7 @@ class TestRunIteration:
         state = initial_state(problems, seed_examples(1))
         backend = CountingBackend(MockBackend())
         new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
-                            config(token_budget=3))
+                            config(token_budget=3), TOKENIZER)
         assert backend.calls == 0
         assert new.unproved == frozenset({"prob00"})
 
@@ -636,7 +630,8 @@ def two_round_setup():
 class TestRunIterative:
     def test_two_round_fixture(self):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), verifier, config())
+        report = run_iterative(problems, seeds, Sampler(backend), verifier,
+                               config(), TOKENIZER)
         assert [r.newly_proved for r in report.rounds] == [1, 1]
         assert [r.cumulative_proved for r in report.rounds] == [1, 2]
         assert report.rounds[0].cumulative_rate == 0.5
@@ -650,7 +645,7 @@ class TestRunIterative:
     def test_max_rounds_one_stops_short(self):
         problems, seeds, backend, verifier = two_round_setup()
         report = run_iterative(problems, seeds, Sampler(backend), verifier,
-                               config(max_rounds=1))
+                               config(max_rounds=1), TOKENIZER)
         assert len(report.rounds) == 1
         assert set(report.proved) == {"easy_add"}
 
@@ -658,7 +653,7 @@ class TestRunIterative:
         problems = [make_problem(i) for i in range(3)]
         backend = MockBackend()  # always "sorry", which extracts nothing
         report = run_iterative(problems, seed_examples(1), Sampler(backend),
-                               MockVerifier({}), config(max_rounds=5))
+                               MockVerifier({}), config(max_rounds=5), TOKENIZER)
         assert len(report.rounds) == 1
         assert report.rounds[0].newly_proved == 0
         assert report.cumulative_rate == 0.0
@@ -668,7 +663,7 @@ class TestRunIterative:
         backend = MockBackend(script=[("prob00", canonical_proof(0))])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
         report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
-                               config(max_rounds=5))
+                               config(max_rounds=5), TOKENIZER)
         assert [r.newly_proved for r in report.rounds] == [1, 0]
         assert report.rounds[-1].budget_used == report.rounds[0].budget_used
 
@@ -676,22 +671,24 @@ class TestRunIterative:
         problems = [make_problem(i) for i in range(244)]
         backend = MockBackend()
         report = run_iterative(problems, seed_examples(1), Sampler(backend),
-                               MockVerifier({}), config(n_samples=2))
+                               MockVerifier({}), config(n_samples=2), TOKENIZER)
         assert report.problems_total == 244
         assert report.cumulative_rate == 0.0
         assert report.rounds[0].budget_used == 488
 
     def test_deterministic_reports(self):
         problems, seeds, backend, verifier = two_round_setup()
-        first = run_iterative(problems, seeds, Sampler(backend), verifier, config())
+        first = run_iterative(problems, seeds, Sampler(backend), verifier,
+                              config(), TOKENIZER)
         problems, seeds, backend, verifier = two_round_setup()
-        second = run_iterative(problems, seeds, Sampler(backend), verifier, config())
+        second = run_iterative(problems, seeds, Sampler(backend), verifier,
+                               config(), TOKENIZER)
         assert first == second
 
     def test_empty_seed_pool_rejected(self):
         with pytest.raises(ValueError, match="seed pool"):
             run_iterative([make_problem(0)], [], Sampler(MockBackend()),
-                          MockVerifier({}), config())
+                          MockVerifier({}), config(), TOKENIZER)
 
 
 class ScenarioBackend:
@@ -781,7 +778,7 @@ class TestRandomizedScenarios:
             verifier = MockVerifier(proofs)
             report = run_iterative(
                 problems, seed_examples(2), Sampler(backend), verifier,
-                config(max_rounds=max_rounds, n_samples=n_samples))
+                config(max_rounds=max_rounds, n_samples=n_samples), TOKENIZER)
 
             expected, per_round = scenario_oracle(gates, max_rounds)
             assert set(report.proved) == expected, (trial, gates)
@@ -821,7 +818,7 @@ class TestConcurrentRounds:
             problems, seed_examples(2),
             Sampler(backend, budget=budget, max_new_tokens=64),
             MockVerifier(proofs),
-            config(max_rounds=max_rounds, n_samples=n_samples))
+            config(max_rounds=max_rounds, n_samples=n_samples), TOKENIZER)
         return report, report.attempts, budget.requests_used, budget.tokens_used
 
     def test_reports_budgets_and_attempt_logs_match_serial(self):
@@ -850,7 +847,7 @@ class TestConcurrentRounds:
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
         report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
-                               config(n_samples=2, max_rounds=1))
+                               config(n_samples=2, max_rounds=1), TOKENIZER)
         assert report.attempts == (
             {"problem": "prob00", "round": 1, "sample_index": 0,
              "verdict": "rejected",
@@ -873,7 +870,7 @@ class TestConcurrentRounds:
         problems = [make_problem(0)]
         backend = MockBackend(default_text=canonical_proof(0))
         report = run_iterative(problems, seed_examples(1), Sampler(backend), Verbose(),
-                               config(n_samples=1, max_rounds=1))
+                               config(n_samples=1, max_rounds=1), TOKENIZER)
         assert [a["diagnostic"] for a in report.attempts] == ["x" * 200]
 
     def test_failing_problem_fails_the_round(self):
@@ -888,7 +885,7 @@ class TestConcurrentRounds:
         state = initial_state(problems, seed_examples(1))
         with pytest.raises(RuntimeError, match="backend bug"):
             run_iteration(state, problems, Sampler(Broken()), MockVerifier({}),
-                          config())
+                          config(), TOKENIZER)
 
     def test_reservations_are_returned(self):
         problems = [make_problem(i) for i in range(5)]
@@ -897,7 +894,7 @@ class TestConcurrentRounds:
         backend = MockBackend(default_text=canonical_proof(0))
         backend.concurrency = 3  # every prompt gets the same text
         new = run_iteration(state, problems, Sampler(backend, budget=budget),
-                            MockVerifier({}), config(n_samples=4))
+                            MockVerifier({}), config(n_samples=4), TOKENIZER)
         # two problems reserve their 4 requests each; the third cannot and
         # runs alone on the 3 left, as a serial run would
         assert new.budget_used == budget.requests_used == 11
@@ -909,7 +906,8 @@ class TestConcurrentRounds:
 class TestReports:
     def round_trip(self, tmp_path):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), verifier, config())
+        report = run_iterative(problems, seeds, Sampler(backend), verifier,
+                               config(), TOKENIZER)
         path = tmp_path / "report.jsonl"
         save_report(report, str(path))
         return report, path, problems, verifier
@@ -951,6 +949,20 @@ class TestReports:
         save_report(report, str(path))
         with pytest.raises(ReportInvalid, match="statement changed"):
             load_report(str(path), [problem], ExternalVerifier(["true"]))
+
+    def test_verifier_timeout_is_a_stored_proof_that_no_longer_verifies(
+            self, tmp_path):
+        _, path, problems, _ = self.round_trip(tmp_path)
+
+        class Slow:
+            def check(self, problem, proof_text, tokens):
+                raise VerifierTimeout(f"verifier exceeded 1s on {problem.name}")
+
+        with pytest.raises(ReportInvalid) as info:
+            load_report(str(path), problems, Slow())
+        assert str(info.value) == (
+            f"{path}:2: stored proof for dependent_mul no longer verifies: "
+            "verifier exceeded 1s on dependent_mul")
 
     def test_unknown_problem_rejected(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)

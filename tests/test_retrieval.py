@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge import retrieval
+from leanforge.config import RetrievalSettings
 from leanforge.retrieval import (
     AlignmentBatch,
     DimensionMismatch,
@@ -23,7 +24,6 @@ from leanforge.retrieval import (
     HashEmbedder,
     ProjectionHead,
     RetrievalError,
-    TrainConfig,
     ZeroNormQuery,
     ZeroNormVector,
     build_index,
@@ -209,7 +209,7 @@ class TestTrainProjection:
     def test_zero_steps_returns_initialization(self):
         rng = np.random.default_rng(53)
         pairs = random_pairs(rng, 4, 6)
-        head, trace = train_projection(pairs, TrainConfig(steps=0, seed=12))
+        head, trace = train_projection(pairs, RetrievalSettings(steps=0), 12)
         assert trace == []
         reference = ProjectionHead.initialize(6, 6, seed=12)
         assert np.array_equal(head.weights, reference.weights)
@@ -217,16 +217,16 @@ class TestTrainProjection:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(59)
         pairs = random_pairs(rng, 10, 8)
-        head_a, trace_a = train_projection(pairs, TrainConfig(steps=50, seed=4))
-        head_b, trace_b = train_projection(pairs, TrainConfig(steps=50, seed=4))
+        head_a, trace_a = train_projection(pairs, RetrievalSettings(steps=50), 4)
+        head_b, trace_b = train_projection(pairs, RetrievalSettings(steps=50), 4)
         assert trace_a == trace_b
         assert np.array_equal(head_a.weights, head_b.weights)
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(61)
         pairs = random_pairs(rng, 10, 8)
-        _, trace_a = train_projection(pairs, TrainConfig(steps=50, seed=4))
-        _, trace_b = train_projection(pairs, TrainConfig(steps=50, seed=5))
+        _, trace_a = train_projection(pairs, RetrievalSettings(steps=50), 4)
+        _, trace_b = train_projection(pairs, RetrievalSettings(steps=50), 5)
         assert trace_a != trace_b
 
     def test_rotated_corpus_converges(self):
@@ -235,7 +235,7 @@ class TestTrainProjection:
         pairs = rotated_pair_corpus(seed=101, count=64, dim=16, rotate_dims=2,
                                     angle=math.pi / 2)
         head, trace = train_projection(
-            pairs, TrainConfig(lr=0.05, steps=500, batch_size=8, seed=0)
+            pairs, RetrievalSettings(lr=0.05, steps=500, batch_size=8), 0
         )
         assert len(trace) == 500
         assert trace[-1] < 0.1
@@ -245,7 +245,7 @@ class TestTrainProjection:
         pairs = rotated_pair_corpus(seed=101, count=64, dim=16, rotate_dims=2,
                                     angle=math.pi / 2)
         head, _ = train_projection(
-            pairs, TrainConfig(lr=0.05, steps=500, batch_size=8, seed=0)
+            pairs, RetrievalSettings(lr=0.05, steps=500, batch_size=8), 0
         )
         index = build_index(
             [(f"thm{i:03d}", fl) for i, (_, fl) in enumerate(pairs)], head
@@ -262,17 +262,11 @@ class TestTrainProjection:
         rng = np.random.default_rng(67)
         pairs = random_pairs(rng, 4, 4)
         with pytest.raises(DivergedLoss, match="step"):
-            train_projection(pairs, TrainConfig(lr=1e160, steps=20, seed=0))
+            train_projection(pairs, RetrievalSettings(lr=1e160, steps=20), 0)
 
     def test_too_few_pairs(self):
         with pytest.raises(EmptyInput):
-            train_projection([(ev(1.0), ev(1.0))], TrainConfig())
-
-    def test_bad_config(self):
-        rng = np.random.default_rng(71)
-        pairs = random_pairs(rng, 4, 4)
-        with pytest.raises(ValueError):
-            train_projection(pairs, TrainConfig(lr=-0.1))
+            train_projection([(ev(1.0), ev(1.0))], RetrievalSettings(), 0)
 
 
 class TestProjectionHead:
@@ -463,7 +457,7 @@ class TestHistogram:
         pairs = rotated_pair_corpus(seed=101, count=64, dim=16, rotate_dims=2,
                                     angle=math.pi / 2)
         head, _ = train_projection(
-            pairs, TrainConfig(lr=0.05, steps=500, batch_size=8, seed=0)
+            pairs, RetrievalSettings(lr=0.05, steps=500, batch_size=8), 0
         )
         nl = [p[0] for p in pairs]
         fl = [p[1] for p in pairs]

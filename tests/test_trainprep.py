@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge import artifacts
+from leanforge.config import PrepSettings
 from leanforge.corpus import count_tactic_steps, lex_lean
 from leanforge.prompts import (
     FL_PROOF_SECTION,
@@ -24,7 +25,6 @@ from leanforge.prompts import (
 )
 from leanforge.trainprep import (
     PackSource,
-    PrepConfig,
     RecordExceedsBudget,
     VocabTokenizer,
     WhitespaceTokenizer,
@@ -387,17 +387,18 @@ def stub_corpus():
     ]
 
 
-class TestEmitTrainingSet:
-    def config(self, **overrides):
-        defaults = dict(context_budget=5000, tokenizer=WhitespaceTokenizer())
-        defaults.update(overrides)
-        return PrepConfig(**defaults)
+def emit(records, tokenizer=WhitespaceTokenizer(), token_budget=5000, **settings):
+    """``emit_training_set`` with ``PrepSettings(**settings)``."""
+    return emit_training_set(
+        records, PrepSettings(token_budget=token_budget, **settings), tokenizer)
 
+
+class TestEmitTrainingSet:
     def test_empty_input(self):
-        assert emit_training_set([], self.config()) == ([], [])
+        assert emit([]) == ([], [])
 
     def test_fixture_records_sorted_and_within_budget(self):
-        packed, skipped = emit_training_set(stub_corpus(), self.config())
+        packed, skipped = emit(stub_corpus())
         assert skipped == []
         assert len(packed) == 5
         difficulties = [p.difficulty for p in packed]
@@ -406,8 +407,8 @@ class TestEmitTrainingSet:
 
     def test_bootstrap_toggle_changes_targets_by_comments_only(self):
         records = stub_corpus()
-        with_boot, _ = emit_training_set(records, self.config(use_bootstrapped=True))
-        without, _ = emit_training_set(records, self.config(use_bootstrapped=False))
+        with_boot, _ = emit(records, use_bootstrapped=True)
+        without, _ = emit(records, use_bootstrapped=False)
         for a, b in zip(with_boot, without):
             assert a.source_name == b.source_name
             assert a.target != b.target
@@ -416,20 +417,20 @@ class TestEmitTrainingSet:
 
     def test_curriculum_flag_off_preserves_input_order(self):
         records = stub_corpus()
-        packed, _ = emit_training_set(records, self.config(use_curriculum=False))
+        packed, _ = emit(records, use_curriculum=False)
         assert [p.source_name for p in packed] == [r.name for r in records]
 
     def test_block_flag_off_packs_nothing(self):
-        packed, _ = emit_training_set(stub_corpus(), self.config(use_block=False))
+        packed, _ = emit(stub_corpus(), use_block=False)
         assert all(p.example_count == 0 for p in packed)
         assert all(FL_PROOF_SECTION in p.instruction for p in packed)
 
     def test_nl_flag_off_drops_nl_everywhere(self):
-        packed, _ = emit_training_set(stub_corpus(), self.config(use_nl=False))
+        packed, _ = emit(stub_corpus(), use_nl=False)
         assert all(NL_SECTION not in p.instruction for p in packed)
 
     def test_default_instruction_contains_own_nl(self):
-        packed, _ = emit_training_set(stub_corpus(), self.config())
+        packed, _ = emit(stub_corpus())
         for p in packed:
             assert NL_SECTION in p.instruction
             assert p.instruction.rstrip().endswith(FL_PROOF_SECTION)
@@ -438,13 +439,13 @@ class TestEmitTrainingSet:
         records = stub_corpus()
         records[2].proof = ":= by\n  " + "\n  ".join(["ring"] * 400)
         records[2].commented_proof = records[2].proof
-        packed, skipped = emit_training_set(records, self.config(context_budget=120))
+        packed, skipped = emit(records, token_budget=120)
         assert [s["name"] for s in skipped] == ["t_three"]
         assert all(p.source_name != "t_three" for p in packed)
         assert all(p.token_count <= 120 for p in packed)
 
     def test_examples_are_whole_records(self):
-        packed, _ = emit_training_set(stub_corpus(), self.config())
+        packed, _ = emit(stub_corpus())
         sources = {
             r.name: r.commented_proof for r in stub_corpus()
         }
@@ -457,8 +458,8 @@ class TestEmitTrainingSet:
 
     def test_example_bootstrap_override(self):
         records = stub_corpus()
-        config = self.config(use_bootstrapped=True, examples_use_bootstrapped=False)
-        packed, _ = emit_training_set(records, config)
+        packed, _ = emit(records, use_bootstrapped=True,
+                         examples_use_bootstrapped=False)
         full = next(p for p in packed if p.example_count >= 1)
         # targets keep comments, in-context examples show the raw proofs
         assert "--" in full.target
@@ -467,7 +468,7 @@ class TestEmitTrainingSet:
     def test_block_flag_off_instruction_is_the_record_alone(self):
         records = stub_corpus()
         tok = WhitespaceTokenizer()
-        packed, skipped = emit_training_set(records, self.config(use_block=False))
+        packed, skipped = emit(records, use_block=False)
         assert skipped == []
         by_name = {r.name: r for r in records}
         for p in packed:
@@ -478,8 +479,8 @@ class TestEmitTrainingSet:
             assert p.target == r.commented_proof
             assert p.example_count == 0
             assert p.token_count == tok.count(p.instruction) + tok.count(p.target)
-        _, skipped = emit_training_set(
-            records, self.config(use_block=False, context_budget=20))
+        _, skipped = emit(
+            records, use_block=False, token_budget=20)
         assert len(skipped) == len(records)
 
 
@@ -506,9 +507,8 @@ class TestEmitMatchesOracle:
         ]
         tok, count = ((WhitespaceTokenizer(), oracle_count)
                       if tokenizer == "whitespace" else (file_vocab, file_vocab.count))
-        config = PrepConfig(context_budget=budget, tokenizer=tok, use_nl=use_nl,
-                            use_curriculum=False)
-        packed, skipped = emit_training_set(records, config)
+        packed, skipped = emit(records, tok, token_budget=budget, use_nl=use_nl,
+                               use_curriculum=False)
         sources = [make_source(r.name, r.generated_informal_statement_and_proof,
                                r.statement, r.commented_proof) for r in records]
         by_name = {p.source_name: p for p in packed}
@@ -531,8 +531,7 @@ class TestEmitMatchesOracle:
             for j in range(40)
         ]
         tok = CountingTokenizer(WhitespaceTokenizer())
-        packed, skipped = emit_training_set(
-            records, PrepConfig(context_budget=100_000, tokenizer=tok, use_block=use_block))
+        packed, skipped = emit(records, tok, token_budget=100_000, use_block=use_block)
         assert skipped == []
         if use_block:
             assert all(p.example_count == len(records) - 1 for p in packed)
@@ -542,8 +541,7 @@ class TestEmitMatchesOracle:
 
 class TestSaveOutputs:
     def test_training_set_jsonl_shape(self, tmp_path):
-        packed, skipped = emit_training_set(stub_corpus(), PrepConfig(
-            context_budget=5000, tokenizer=WhitespaceTokenizer()))
+        packed, skipped = emit(stub_corpus())
         path = tmp_path / "train.jsonl"
         artifacts.write_jsonl(str(path), packed)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -552,8 +550,7 @@ class TestSaveOutputs:
         assert set(first) == {"instruction", "target", "example_count", "difficulty"}
 
     def test_deterministic_bytes(self, tmp_path):
-        packed, _ = emit_training_set(stub_corpus(), PrepConfig(
-            context_budget=5000, tokenizer=WhitespaceTokenizer()))
+        packed, _ = emit(stub_corpus())
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         artifacts.write_jsonl(str(a), packed)
         artifacts.write_jsonl(str(b), packed)
