@@ -80,14 +80,29 @@ def write_json(path: str, payload: Any) -> None:
     write_text(path, _json_line(payload))
 
 
+@contextlib.contextmanager
+def _utf8(path: str) -> Iterator[None]:
+    """Turn a decoding failure in the block into an ArtifactError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; ArtifactError names ``path`` if it is not UTF-8."""
+    with _utf8(path), open(path, "r", encoding="utf-8") as source:
+        return source.read()
+
+
 def read_jsonl(path: str) -> List[Line]:
     """The nonblank lines of a JSONL file, parsed.
 
-    Raises ArtifactError naming ``path:lineno`` for the first line that is
-    not JSON.
+    Raises ArtifactError naming ``path`` for text that is not UTF-8, and
+    ``path:lineno`` for the first line that is not JSON.
     """
     lines = []
-    with open(path, "r", encoding="utf-8") as source:
+    with _utf8(path), open(path, "r", encoding="utf-8") as source:
         for lineno, text in enumerate(source, start=1):
             if not text.strip():
                 continue
@@ -99,9 +114,9 @@ def read_jsonl(path: str) -> List[Line]:
 
 
 def read_json(path: str) -> Any:
-    """One JSON document; errors name ``path:lineno``."""
-    with open(path, "r", encoding="utf-8") as source:
-        text = source.read()
+    """One JSON document; errors name ``path``, and ``path:lineno`` for
+    text that is not JSON."""
+    text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -116,16 +131,28 @@ def wire(key: Optional[str], **field_args) -> Any:
     return dataclasses.field(metadata={_WIRE: key}, **field_args)
 
 
-class _Reject(Exception):
+class Mismatch(Exception):
     """A JSON value does not fit; with no message, because of its type."""
 
 
-_SCALARS = {str: (str,), int: (int,), float: (int, float)}  # a bool is none
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def fit(value: Any, hint) -> Any:
+    """``value`` as a value of type ``hint``, by the rule that reads every
+    record field: raises Mismatch when it is not one. The config file's
+    settings are checked here too.
+
+    Records are read through ``_decode``, the same rule under a private
+    name: ``perfbench``'s tracer wraps public functions, and a span per field
+    would swamp the reading it measures."""
+    return _decode(value, hint)
 
 
 def _decode(value: Any, hint) -> Any:
-    """``value`` as a field of type ``hint``: str, int, float, a record,
-    ``Tuple[X, ...]`` (from a list) or ``Optional[X]``."""
+    """``value`` as a field of type ``hint``: str, int (which a bool is
+    not), float (any number), bool, a record, ``Tuple[X, ...]`` (from a
+    list) or ``Optional[X]``."""
     if hint in _SCALARS:
         if type(value) in _SCALARS[hint]:
             return value
@@ -137,20 +164,21 @@ def _decode(value: Any, hint) -> Any:
             return tuple(_decode(item, item_hint) for item in value)
     else:  # Optional[X]
         return None if value is None else _decode(value, typing.get_args(hint)[0])
-    raise _Reject()
+    raise Mismatch()
 
 
-def _expected(hint) -> str:
-    """The JSON type that ``_decode`` takes for ``hint``, as "a string"."""
+def expected(hint) -> str:
+    """The JSON type that ``fit`` takes for ``hint``, as "a string"."""
     args = typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         return "an object"
     if typing.get_origin(hint) is tuple:
-        noun, _, rest = _expected(args[0]).split(" ", 1)[1].partition(" ")
+        noun, _, rest = expected(args[0]).split(" ", 1)[1].partition(" ")
         return f"a list of {noun}s {rest}".rstrip()
     if args:
-        return f"{_expected(args[0])} or null"
-    return {str: "a string", int: "an integer", float: "a number"}[hint]
+        return f"{expected(args[0])} or null"
+    return {str: "a string", int: "an integer", float: "a number",
+            bool: "true or false"}[hint]
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,21 +199,21 @@ def _to_entry(record: Any) -> dict:
 
 def _from_entry(entry: Any, cls):
     if type(entry) is not dict:
-        raise _Reject("entry is not an object")
+        raise Mismatch("entry is not an object")
     values = {}
     for attr, key, required, hint in _table(cls):
         if key in entry:
             try:
                 values[attr] = _decode(entry[key], hint)
-            except _Reject as exc:
-                raise _Reject(f"{key}: {exc}" if exc.args
-                              else f"{key} is not {_expected(hint)}") from None
+            except Mismatch as exc:
+                raise Mismatch(f"{key}: {exc}" if exc.args
+                               else f"{key} is not {expected(hint)}") from None
         elif required:
-            raise _Reject(f"entry has no {key!r} field")
+            raise Mismatch(f"entry has no {key!r} field")
     try:
         return cls(**values)
     except ValueError as exc:  # the record's own check of its values
-        raise _Reject(str(exc)) from None
+        raise Mismatch(str(exc)) from None
 
 
 def wire_keys(cls) -> List[Tuple[str, str]]:
@@ -198,7 +226,7 @@ def decode(entry: Any, cls: Type[R], where: str) -> R:
     ``where``."""
     try:
         return _from_entry(entry, cls)
-    except _Reject as exc:
+    except Mismatch as exc:
         raise ArtifactError(f"{where}: {exc}") from None
 
 

@@ -27,13 +27,8 @@ class BootstrapVerificationFailed(RuntimeError):
     def __init__(self, name: str, divergence: Optional[TokenDivergence], detail: str = ""):
         self.name = name
         self.divergence = divergence
-        if divergence is not None:
-            where = (
-                f"token {divergence.index}: expected {divergence.expected!r}, "
-                f"got {divergence.actual!r} at offset {divergence.offset}"
-            )
-        else:
-            where = detail or "output does not lex"
+        where = str(divergence) if divergence is not None else (
+            detail or "output does not lex")
         super().__init__(f"bootstrap verification failed for {name}: {where}")
 
 

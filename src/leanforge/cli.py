@@ -71,9 +71,8 @@ def _iter_corpus_sources(config: PipelineConfig):
                 if not filename.endswith(".lean"):
                     continue
                 full = os.path.join(dirpath, filename)
-                relative = os.path.relpath(full, root)
-                with open(full, "r", encoding="utf-8") as source:
-                    yield source.read(), relative, config.corpus.commit
+                yield (artifacts.read_text(full), os.path.relpath(full, root),
+                       config.corpus.commit)
     else:
         _require(root, "extract with a corpus directory, or create the file")
         for entry in artifacts.read_records(root, _SourceFile):
@@ -487,13 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {key: value for key, value in vars(args).items()
                  if "." in key and value is not None}
     try:
-        config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        for error in exc.errors:
-            print(f"config error: {error}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(args, config)
+        return args.handler(args, load_config(args.config, overrides))
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)

@@ -7,17 +7,20 @@ key, only for the name of the variable holding one. Validation collects
 every problem it can find before any stage runs.
 
 Each setting is declared once, as a field of its section. Its type is
-checked as the file is read and its range in ``validate``; a stage takes
-its section as it is.
+checked as the file is read, by the rule that reads every record field
+(``artifacts.fit``), and its range in ``validate``; a stage and the runtime
+objects built from its section take the values as they are.
 """
 
 import hashlib
 import os
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Dict, List, Optional, Union, get_args, get_origin
+from typing import Dict, List, Optional, Tuple
 
 import yaml
+
+from . import artifacts
 
 
 class ConfigError(ValueError):
@@ -135,7 +138,7 @@ class ProverSettings:
     max_new_tokens: int = 1024
     verifier: str = "mock"  # "mock" | "external"
     answer_key: str = ""    # mock: JSON of name -> canonical proof
-    command: List[str] = field(default_factory=list)
+    command: Tuple[str, ...] = ()
     timeout_s: float = 300.0
 
 
@@ -180,31 +183,10 @@ def _interpolate(value, errors: List[str], where: str):
     return value
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          bool: "true or false", type(None): "null"}
-
-
-def _fits(value, kind) -> bool:
-    """Whether ``value`` is of the field type ``kind``. A bool is not an
-    integer here, and an integer is a number."""
-    if get_origin(kind) is Union:
-        return any(_fits(value, k) for k in get_args(kind))
-    if get_origin(kind) is list:
-        return type(value) is list and all(_fits(v, get_args(kind)[0]) for v in value)
-    return type(value) is kind or (kind is float and type(value) is int)
-
-
-def _kind_name(kind) -> str:
-    if get_origin(kind) is Union:
-        return " or ".join(_kind_name(k) for k in get_args(kind))
-    if get_origin(kind) is list:
-        return f"a list, each {_kind_name(get_args(kind)[0])}"
-    return _KINDS[kind]
-
-
 def _build(cls, data, errors: List[str], where: str = ""):
     """``cls`` from the mapping ``data``; an unknown key or a value of the
-    wrong type is an error naming its key, and the field keeps its default."""
+    wrong type is an error naming its key, and the field keeps its default.
+    A value's type is judged by the rule that reads record fields."""
     if not isinstance(data, dict):
         errors.append(f"{where}: expected a mapping, got {type(data).__name__}")
         return cls()
@@ -217,11 +199,12 @@ def _build(cls, data, errors: List[str], where: str = ""):
             errors.append(f"{name}: unknown key")
         elif is_dataclass(field_info.type):
             kwargs[key] = _build(field_info.type, value, errors, name)
-        elif not _fits(value, field_info.type):
-            errors.append(f"{name}: must be {_kind_name(field_info.type)}, "
-                          f"got {value!r}")
         else:
-            kwargs[key] = value
+            try:
+                kwargs[key] = artifacts.fit(value, field_info.type)
+            except artifacts.Mismatch:
+                errors.append(f"{name}: must be "
+                              f"{artifacts.expected(field_info.type)}, got {value!r}")
     return cls(**kwargs)
 
 
@@ -237,8 +220,8 @@ def load_config(path: str, overrides: Optional[Dict[str, object]] = None
     try:
         with open(path, "r", encoding="utf-8") as source:
             raw = yaml.safe_load(source) or {}
-    except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: cannot read config: {exc}"])
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: cannot parse config: {exc}"])
     if not isinstance(raw, dict):

@@ -150,6 +150,10 @@ class TokenDivergence:
     actual: Optional[str]
     offset: int
 
+    def __str__(self) -> str:
+        return (f"token {self.index}: expected {self.expected!r}, "
+                f"got {self.actual!r} at offset {self.offset}")
+
 
 @dataclass(frozen=True)
 class TheoremRecord:

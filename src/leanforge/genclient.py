@@ -64,14 +64,6 @@ class GenerationRequest:
     n_samples: int = 1
     request_id: str = ""
 
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
 
 @dataclass(frozen=True)
 class GenerationResponse:
@@ -112,20 +104,24 @@ class GenerationBudget:
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   repr=False, compare=False)
 
+    def _ceiling_crossed(self, requests: int, tokens: int) -> Optional[str]:
+        """Which ceiling ``requests`` and ``tokens`` more would cross beside
+        what is used and reserved already, or None; the caller holds the lock."""
+        if self.max_requests is not None and (
+                self.requests_used + self.requests_reserved + requests > self.max_requests):
+            return f"request ceiling {self.max_requests} reached"
+        if self.max_tokens is not None and (
+                self.tokens_used + self.tokens_reserved + tokens > self.max_tokens):
+            return (f"token ceiling {self.max_tokens} would be exceeded "
+                    f"({self.tokens_used} used, next request needs ~{tokens})")
+        return None
+
     def charge(self, request: GenerationRequest) -> None:
         cost = _cost(request)
         with self._lock:
-            if self.max_requests is not None and (
-                    self.requests_used + self.requests_reserved + 1 > self.max_requests):
-                raise BudgetExceeded(
-                    f"request ceiling {self.max_requests} reached"
-                )
-            if self.max_tokens is not None and (
-                    self.tokens_used + self.tokens_reserved + cost > self.max_tokens):
-                raise BudgetExceeded(
-                    f"token ceiling {self.max_tokens} would be exceeded "
-                    f"({self.tokens_used} used, next request needs ~{cost})"
-                )
+            crossed = self._ceiling_crossed(1, cost)
+            if crossed:
+                raise BudgetExceeded(crossed)
             self.requests_used += 1
             self.tokens_used += cost
 
@@ -134,12 +130,7 @@ class GenerationBudget:
         None when they do not fit under the ceilings beside what is used
         and reserved already."""
         with self._lock:
-            if self.max_requests is not None and (
-                    self.requests_used + self.requests_reserved + requests
-                    > self.max_requests):
-                return None
-            if self.max_tokens is not None and (
-                    self.tokens_used + self.tokens_reserved + tokens > self.max_tokens):
+            if self._ceiling_crossed(requests, tokens):
                 return None
             self.requests_reserved += requests
             self.tokens_reserved += tokens
@@ -207,8 +198,6 @@ def in_order(
     and the exception propagates after the results before k are yielded.
     """
     concurrency = getattr(sampler.backend, "concurrency", 1)
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     if concurrency == 1:
         # No pool: with one unit in flight a worker thread only adds
         # hand-offs, and a mock run's informalize and bootstrap ran about a
@@ -442,8 +431,6 @@ class ChatCompletionBackend:
         max_in_flight: int = 2,
         name: Optional[str] = None,
     ):
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env

@@ -99,8 +99,6 @@ def build_example_index(
     side="nl" indexes the pool's NL texts (queries cross the language gap
     through the trained head); side="fl" indexes the FL texts directly.
     """
-    if side not in ("nl", "fl"):
-        raise ValueError(f"unknown index side {side!r}")
     texts = [p.nl if side == "nl" else p.fl for p in pool]
     vectors = embedder.embed(texts)
     return retrieval.build_index(

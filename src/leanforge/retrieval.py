@@ -358,8 +358,6 @@ class HashEmbedder:
     """
 
     def __init__(self, dimension: int = 64):
-        if dimension <= 0:
-            raise DimensionMismatch("dimension must be positive")
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:

@@ -137,6 +137,14 @@ class TestReadJsonl:
         with pytest.raises(ArtifactError, match=r"in\.json:3:"):
             artifacts.read_json(str(path))
 
+    @pytest.mark.parametrize("read", [artifacts.read_jsonl, artifacts.read_json,
+                                      artifacts.resume_jsonl, artifacts.read_text])
+    def test_text_not_utf8_names_the_file(self, tmp_path, read):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"a": "caf\xe9"}\n')
+        with pytest.raises(ArtifactError, match=re.escape(f"{path}: not UTF-8 text: ")):
+            read(str(path))
+
 
 class TestCheckpointLog:
     def test_append_then_resume(self, tmp_path):
@@ -177,6 +185,7 @@ class Sample:
     inners: Tuple[Inner, ...] = ()
     note: Optional[str] = None
     local: int = artifacts.wire(None, default=7)
+    flag: bool = False
 
 
 def read_one(tmp_path, line):
@@ -189,8 +198,9 @@ class TestRecordRules:
     def test_wire_key_types_and_extra_keys(self, tmp_path):
         record = read_one(tmp_path, json.dumps({
             "Text": "ℕ", "count": 3, "ratio": 2, "tags": ["a", "b"],
-            "inners": [{"n": 1}], "note": None, "text": "ignored", "local": 9}))
-        assert record == Sample("ℕ", 3, 2, ("a", "b"), (Inner(1),), None, 7)
+            "inners": [{"n": 1}], "note": None, "text": "ignored", "local": 9,
+            "flag": True}))
+        assert record == Sample("ℕ", 3, 2, ("a", "b"), (Inner(1),), None, 7, True)
 
     @pytest.mark.parametrize("entry, message", [
         ({}, "entry has no 'Text' field"),
@@ -203,6 +213,8 @@ class TestRecordRules:
         ({"Text": "t", "inners": [5]}, "inners: entry is not an object"),
         ({"Text": "t", "inners": [{"n": "1"}]}, "inners: n is not an integer"),
         ({"Text": "t", "note": 5}, "note is not a string or null"),
+        ({"Text": "t", "flag": 1}, "flag is not true or false"),
+        ({"Text": "t", "flag": None}, "flag is not true or false"),
     ])
     def test_rejected_lines_name_path_and_line(self, tmp_path, entry, message):
         with pytest.raises(ArtifactError, match=re.escape(f"in.jsonl:1: {message}")):
@@ -220,7 +232,7 @@ class TestRecordRules:
         artifacts.write_jsonl(str(path), [Sample("t", local=1), {"plain": 1}])
         assert path.read_text(encoding="utf-8") == (
             '{"Text": "t", "count": 0, "ratio": 0.0, "tags": [], "inners": [], '
-            '"note": null}\n{"plain": 1}\n')
+            '"note": null, "flag": false}\n{"plain": 1}\n')
 
 
 # One fixed record of each written type, and the line each produces. The

@@ -256,7 +256,9 @@ class TestBootstrapTheorem:
         assert backend.calls == 3
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
-        assert "linarith" in str(info.value)
+        assert str(info.value) == (
+            "bootstrap verification failed for algebra_sqineq_unitcircatbpamblt1: "
+            "token 39: expected 'linarith', got 'nlinarith' at offset 256")
 
     def test_bad_then_good_succeeds_second_attempt(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")

@@ -20,6 +20,7 @@ from leanforge import bootstrap as bootstrap_mod
 from leanforge import artifacts, cli, corpus, genclient, prover, retrieval, trainprep
 from leanforge.config import (
     ConfigError,
+    PipelineConfig,
     fork_seed,
     load_config,
     stage_path,
@@ -129,6 +130,18 @@ class TestConfig:
         assert "retrieval.steps" in err
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "c.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"workdir: w\xff\n")
+        assert run(["prep", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot read config: ")
+        assert err.count("\n") == 1
+
     def test_fork_seed_is_stable_and_label_separated(self):
         assert fork_seed(0, "sample") == fork_seed(0, "sample")
         assert fork_seed(0, "sample") != fork_seed(0, "retry")
@@ -157,6 +170,13 @@ RANGE_RULES = [
     ("retrieval.steps", -1, "retrieval.steps: must be >= 0"),
     ("retrieval.batch_size", 1, "retrieval.batch_size: must be >= 2"),
     ("prep.token_budget", 0, "prep.token_budget: must be >= 1"),
+    ("backend.max_new_tokens", 0, "backend.max_new_tokens: must be >= 1"),
+    ("backend.temperature", -0.1, "backend.temperature: must be >= 0"),
+    ("prover.max_new_tokens", 0, "prover.max_new_tokens: must be >= 1"),
+    ("prover.timeout_s", 0, "prover.timeout_s: must be positive"),
+    ("prover.command", [], "prover.command: required for external verifier"),
+    ("retrieval.dimension", 0, "retrieval.dimension: must be >= 1"),
+    ("retrieval.side", "xl", "retrieval.side: must be 'nl' or 'fl'"),
 ]
 
 # (setting, value of the wrong type, the error naming it)
@@ -170,7 +190,7 @@ TYPE_RULES = [
     ("prep.examples_use_bootstrapped", "no",
      "prep.examples_use_bootstrapped: must be true or false or null, got 'no'"),
     ("prover.command", "true",
-     "prover.command: must be a list, each a string, got 'true'"),
+     "prover.command: must be a list of strings, got 'true'"),
     ("backend.budget.max_tokens", "many",
      "backend.budget.max_tokens: must be an integer or null, got 'many'"),
 ]
@@ -196,10 +216,31 @@ class TestSettingRules:
     @pytest.mark.parametrize("setting, value, message", RANGE_RULES,
                              ids=[f"{s}={v}" for s, v, _ in RANGE_RULES])
     def test_range_rule(self, tmp_path, setting, value, message):
-        path = setting_yaml(tmp_path / "c.yaml", setting, value)
+        path = setting_yaml(tmp_path / "c.yaml", setting, value,
+                            prover={"verifier": "external", "command": ["true"]})
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert info.value.errors == [message]
+
+    def test_every_setting_type_is_read_by_the_record_rule(self):
+        # the config file's types are judged by the rule that reads record
+        # fields; a setting of a type it does not know fails here
+        def settings(cls, where):
+            for f in dataclasses.fields(cls):
+                name = f"{where}{f.name}"
+                if dataclasses.is_dataclass(f.type):
+                    yield from settings(f.type, name + ".")
+                else:
+                    yield name, f.type, getattr(cls(), f.name)
+
+        seen = list(settings(PipelineConfig, ""))
+        assert "backend.retry.max_attempts" in {name for name, *_ in seen}
+        for name, hint, default in seen:
+            written = list(default) if type(default) is tuple else default
+            assert artifacts.fit(written, hint) == default, name
+            with pytest.raises(artifacts.Mismatch):
+                artifacts.fit({}, hint)
+            assert artifacts.expected(hint).startswith(("a ", "an ", "true or false")), name
 
     @pytest.mark.parametrize("setting, value, message", TYPE_RULES,
                              ids=[f"{s}={v!r}" for s, v, _ in TYPE_RULES])
@@ -343,6 +384,15 @@ class TestExtract:
         assert [r["name"] for r in records] == ["tree_a1", "tree_b1"]
         assert records[0]["commit"] == "abc123"
         assert records[1]["commit"] == "deadbeef"  # falls back to config
+
+    def test_lean_file_not_utf8_is_named(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "good.lean").write_text(THEOREM_TEXTS[0])
+        (root / "latin1.lean").write_bytes(b"-- caf\xe9\n" + THEOREM_TEXTS[1].encode())
+        assert run(["extract", "-c", extract_config(tmp_path, root)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {root / 'latin1.lean'}: not UTF-8 text: ")
 
     def test_missing_corpus_path_is_config_error(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml",

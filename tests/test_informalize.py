@@ -252,13 +252,6 @@ class TestSelectExamples:
         out = select_examples(theorem("t"), index, pool, 10, embedder)
         assert len(out) == 4
 
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            build_example_index(
-                example_pool(1), retrieval.HashEmbedder(16),
-                retrieval.ProjectionHead.initialize(16, 16, seed=0), side="xl",
-            )
-
 
 def ask(record, backend, **settings):
     """The ask ``informalize_corpus`` hands ``record`` with no examples."""

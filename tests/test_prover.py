@@ -281,9 +281,8 @@ class TestMockVerifier:
     def test_tactic_difference_rejected(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
         wrong = canonical_proof(3).replace("norm_num", "simp")
-        verdict, diagnostic = check(verifier, make_problem(3), wrong)
-        assert verdict == "rejected"
-        assert "'norm_num'" in diagnostic and "'simp'" in diagnostic
+        assert check(verifier, make_problem(3), wrong) == (
+            "rejected", "token 10: expected 'norm_num', got 'simp' at offset 35")
 
     def test_unknown_problem_rejected(self):
         verifier = MockVerifier({})
@@ -368,12 +367,6 @@ class TestExternalVerifier:
         verifier = ExternalVerifier(["/nonexistent-lean-checker"], timeout_s=5)
         with pytest.raises(VerifierCrashed):
             check(verifier, make_problem(0), canonical_proof(0))
-
-    def test_command_validation(self):
-        with pytest.raises(ValueError):
-            ExternalVerifier([])
-        with pytest.raises(ValueError):
-            ExternalVerifier(["lean"], timeout_s=0)
 
 
 def process_running(pid):
