@@ -15,6 +15,7 @@ objects built from its section take the values as they are.
 import hashlib
 import os
 import re
+import urllib.parse
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -264,6 +265,8 @@ def validate(config: PipelineConfig) -> List[str]:
         (b.kind in ("mock", "chat"), "backend.kind: must be 'mock' or 'chat'"),
         (b.kind != "chat" or bool(b.endpoint),
          "backend.endpoint: required for chat backends"),
+        (b.kind != "chat" or not b.endpoint or _http_url(b.endpoint),
+         "backend.endpoint: must be an http:// or https:// URL with a host"),
         (b.kind != "chat" or bool(b.model),
          "backend.model: required for chat backends"),
         (b.timeout > 0, "backend.timeout: must be positive"),
@@ -308,6 +311,17 @@ def validate(config: PipelineConfig) -> List[str]:
         (v.timeout_s > 0, "prover.timeout_s: must be positive"),
     ]
     return [message for ok, message in rules if not ok]
+
+
+def _http_url(text: str) -> bool:
+    """Whether ``text`` is an http:// or https:// URL with a host, and a
+    port that reads as one if it names any."""
+    try:
+        url = urllib.parse.urlsplit(text)
+        url.port
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
 
 
 def fork_seed(root: int, label: str) -> int:

@@ -22,19 +22,24 @@ they never appear in config files or serialized state.
 from __future__ import annotations
 
 import collections
+import json
 import logging
 import os
 import random
+import select
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-import requests
+from . import __version__
 
 logger = logging.getLogger(__name__)
+
+_USER_AGENT = f"leanforge/{__version__}"
 
 
 class GenClientError(Exception):
@@ -413,12 +418,16 @@ class ChatCompletionBackend:
     The bearer token comes from the environment variable named by
     api_key_env; a missing key surfaces as BackendUnavailable at call time.
 
-    All calls share one keep-alive session whose connection pool holds at
-    most ``max_in_flight`` connections and blocks when they are all busy,
-    so concurrent callers never open more; a call's latency includes the
-    wait for a free connection. Stages keep two units in flight per
-    connection (``concurrency``), so one unit's reply can be checked while
-    another's request waits.
+    All calls share a pool of keep-alive connections. At most
+    ``max_in_flight`` requests are on the wire at once and a further call
+    blocks until one ends, so concurrent callers never open more
+    connections; a call's latency includes that wait. The most recently
+    used idle connection is taken first, unless the server has closed it
+    meanwhile: then a fresh one is opened. A request once written is never
+    sent again on another connection, since a POST is not idempotent;
+    whether to try again is ``complete``'s decision. Stages keep two units
+    in flight per connection (``concurrency``), so one unit's reply can be
+    checked while another's request waits.
     """
 
     def __init__(
@@ -431,6 +440,10 @@ class ChatCompletionBackend:
         max_in_flight: int = 2,
         name: Optional[str] = None,
     ):
+        # Imported here: a run on the mock backend does not pay for
+        # http.client and ssl at start-up (about 30 ms).
+        import http.client
+
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
@@ -438,18 +451,25 @@ class ChatCompletionBackend:
         self.timeout = timeout
         self.name = name or model
         self.concurrency = 2 * max_in_flight
-        self._session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(
-            pool_maxsize=max_in_flight, pool_block=True)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        url = urllib.parse.urlsplit(endpoint)
+        connection = (http.client.HTTPSConnection if url.scheme == "https"
+                      else http.client.HTTPConnection)
+        address = (url.hostname, url.port or connection.default_port)
+        self._connect = lambda: connection(*address, timeout=timeout)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._idle: list = []  # open connections, the most recently used last
+        self._idle_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the session's connections."""
-        self._session.close()
+        """Close the idle connections."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def _headers(self) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         if self.api_key_env:
             key = os.environ.get(self.api_key_env)
             if not key:
@@ -458,6 +478,38 @@ class ChatCompletionBackend:
                 )
             headers["Authorization"] = f"Bearer {key}"
         return headers
+
+    def _checkout(self):
+        """An idle connection the server has kept open, or a new one."""
+        with self._idle_lock:
+            while self._idle:
+                connection = self._idle.pop()
+                # with no request outstanding, a socket that reads as ready
+                # holds the server's close (or bytes nobody asked for)
+                if not select.select([connection.sock], [], [], 0)[0]:
+                    return connection
+                connection.close()
+        return self._connect()
+
+    def _post(self, body: bytes, headers: Dict[str, str]) -> Tuple[int, bytes]:
+        """The status and body of the reply to one POST of ``body``."""
+        import http.client
+
+        with self._slots:
+            connection = self._checkout()
+            try:
+                connection.request("POST", self._target, body, headers)
+                with connection.getresponse() as reply:
+                    data = reply.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                raise BackendUnavailable(f"request failed: {exc}") from exc
+            if reply.will_close:
+                connection.close()
+            else:
+                with self._idle_lock:
+                    self._idle.append(connection)
+        return reply.status, data
 
     def generate(self, request: GenerationRequest) -> List[Tuple[str, bool]]:
         messages = []
@@ -471,20 +523,14 @@ class ChatCompletionBackend:
             "n": request.n_samples,
             "max_tokens": request.max_new_tokens,
         }
+        status, data = self._post(json.dumps(body).encode(), self._headers())
+        if status == 429 or status >= 500:
+            raise BackendUnavailable(f"service returned {status}")
+        if status != 200:
+            text = data.decode("utf-8", errors="replace")
+            raise MalformedBackendReply(f"service returned {status}: {text[:200]}")
         try:
-            reply = self._session.post(
-                self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"request failed: {exc}") from exc
-        if reply.status_code == 429 or reply.status_code >= 500:
-            raise BackendUnavailable(f"service returned {reply.status_code}")
-        if reply.status_code != 200:
-            raise MalformedBackendReply(
-                f"service returned {reply.status_code}: {reply.text[:200]}"
-            )
-        try:
-            choices = reply.json()["choices"]
+            choices = json.loads(data)["choices"]
             out = [
                 (c["message"]["content"], c.get("finish_reason") == "length")
                 for c in choices

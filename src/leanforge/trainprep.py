@@ -74,14 +74,13 @@ class VocabTokenizer:
     def from_file(cls, path: str, name: str = "vocab") -> "VocabTokenizer":
         """One entry per line; blank lines are skipped."""
         entries = []
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                try:
-                    entries.append(_vocab_entry(line.rstrip("\n")))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for lineno, line in enumerate(artifacts.read_text(path).split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(_vocab_entry(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(entries, name=name)
 
     def count(self, text: str) -> int:

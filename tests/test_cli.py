@@ -152,6 +152,8 @@ class TestConfig:
 # --- one rule per setting ----------------------------------------------------------
 
 # (setting, value, the one error it gives); each rule is in ``config.validate``
+ENDPOINT_RULE = "backend.endpoint: must be an http:// or https:// URL with a host"
+
 RANGE_RULES = [
     ("prover.n_samples", 0, "prover.n_samples: must be >= 1"),
     ("prover.max_rounds", 0, "prover.max_rounds: must be >= 1"),
@@ -177,6 +179,10 @@ RANGE_RULES = [
     ("prover.command", [], "prover.command: required for external verifier"),
     ("retrieval.dimension", 0, "retrieval.dimension: must be >= 1"),
     ("retrieval.side", "xl", "retrieval.side: must be 'nl' or 'fl'"),
+    ("backend.endpoint", "ftp://x", ENDPOINT_RULE),
+    ("backend.endpoint", "http://", ENDPOINT_RULE),
+    ("backend.endpoint", "localhost:8000/v1", ENDPOINT_RULE),
+    ("backend.endpoint", "http://localhost:port/v1", ENDPOINT_RULE),
 ]
 
 # (setting, value of the wrong type, the error naming it)
@@ -216,7 +222,11 @@ class TestSettingRules:
     @pytest.mark.parametrize("setting, value, message", RANGE_RULES,
                              ids=[f"{s}={v}" for s, v, _ in RANGE_RULES])
     def test_range_rule(self, tmp_path, setting, value, message):
+        # a chat backend and an external verifier, so the rules that only
+        # bind them apply
         path = setting_yaml(tmp_path / "c.yaml", setting, value,
+                            backend={"kind": "chat", "model": "m",
+                                     "endpoint": "http://127.0.0.1:9/v1"},
                             prover={"verifier": "external", "command": ["true"]})
         with pytest.raises(ConfigError) as info:
             load_config(path)

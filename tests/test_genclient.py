@@ -1,16 +1,20 @@
 """Tests for the generation client: retry, budget, backends."""
 
 import contextlib
+import gc
 import http.server
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import leanforge
 from leanforge import genclient
 from leanforge.config import ProverSettings
 from leanforge.genclient import (
@@ -465,12 +469,18 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
     seen = []
     flaky_failures = 0
+    release = threading.Event()  # lets a ``/slow`` request end
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen.append(
-            {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
+            {"path": self.path, "body": body, "auth": self.headers.get("Authorization"),
+             "agent": self.headers.get("User-Agent")}
         )
+        if self.path == "/slow":
+            # no reply: the client has given up by now
+            type(self).release.wait(5)
+            return
         if self.path == "/unauth":
             self._send(401, b'{"error": "bad key"}')
             return
@@ -513,7 +523,9 @@ def chat_server():
     thread.start()
     _ChatHandler.seen = []
     _ChatHandler.flaky_failures = 0
+    _ChatHandler.release = threading.Event()
     yield f"http://127.0.0.1:{server.server_address[1]}"
+    _ChatHandler.release.set()
     server.shutdown()
     server.server_close()
     thread.join()
@@ -542,6 +554,7 @@ class TestChatCompletionBackend:
 
         sent = _ChatHandler.seen[-1]
         assert sent["auth"] == "Bearer sk-test-123"
+        assert sent["agent"] == f"leanforge/{leanforge.__version__}"
         assert sent["body"]["model"] == "prover-1"
         assert sent["body"]["temperature"] == 0.4
         assert sent["body"]["n"] == 2
@@ -605,6 +618,33 @@ class TestChatCompletionBackend:
             with pytest.raises(BackendUnavailable):
                 backend.generate(GenerationRequest(prompt="p"))
 
+    def test_timed_out_connection_is_closed(self, chat):
+        backend = chat("/slow", model="m", timeout=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BackendUnavailable, match="request failed: timed out"):
+                backend.generate(GenerationRequest(prompt="p"))
+            # a socket dropped unclosed warns as it is collected
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        assert len(_ChatHandler.seen) == 1
+
+
+def test_cli_start_up_loads_no_http_library():
+    # the chat backend speaks HTTP through http.client, imported only when
+    # one is built; modules the interpreter loaded before the import
+    # (a site hook, say) do not count
+    code = ("import sys; before = set(sys.modules); import leanforge.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = os.path.dirname(os.path.dirname(leanforge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "leanforge.genclient" in loaded
+    roots = {"requests", "urllib3", "charset_normalizer", "idna", "certifi", "http"}
+    assert [name for name in loaded if name.split(".")[0] in roots] == []
+
 
 class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
     """Chat endpoint that keeps each connection open until it idles out."""
@@ -613,6 +653,7 @@ class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts += 1
         time.sleep(0.005)
         body = json.dumps({"choices": [
             {"message": {"content": "no proof here"}, "finish_reason": "stop"}
@@ -637,6 +678,7 @@ class _PooledServer(http.server.HTTPServer):
         handler = type("Handler", (_KeepAliveHandler,), {"timeout": idle_s})
         super().__init__(("127.0.0.1", 0), handler)
         self.accepted = 0
+        self.posts = 0
         self.ended = threading.Event()  # set as a connection ends
         self.workers = ThreadPoolExecutor(max_workers=workers)
 
@@ -701,3 +743,17 @@ class TestConnectionBound:
                 backend.close()
             # the server sees the connection end now, not when it idles out
             assert server.ended.wait(self.IDLE_S / 3)
+
+    def test_connection_the_server_closed_is_reopened_not_resent(self):
+        # the server drops a connection idle for 0.05 s: the second request
+        # finds its pooled connection closed and opens a fresh one, before
+        # anything is written
+        with pooled_server(1, 0.05) as (server, url), contextlib.closing(
+                ChatCompletionBackend(url, model="m")) as backend:
+            policy, sleeps = recording_policy()
+            first = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            assert server.ended.wait(self.IDLE_S / 3)
+            time.sleep(0.3)
+            second = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+        assert (first.attempts, second.attempts, sleeps) == (1, 1, [])
+        assert (server.accepted, server.posts) == (2, 2)

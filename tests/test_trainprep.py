@@ -8,6 +8,7 @@ vocabulary tokenizer, that tokenizer's count of the whole text.
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 
 import pytest
@@ -210,6 +211,13 @@ class TestVocabTokenizer:
         path = tmp_path / "vocab.txt"
         path.write_text("ab\n\ncd\nx b\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path}:4: .*'x b'"):
+            VocabTokenizer.from_file(str(path))
+
+    def test_from_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("ab\ncaf\u00e9\n".encode("latin-1"))
+        with pytest.raises(artifacts.ArtifactError,
+                           match=f"^{re.escape(str(path))}: not UTF-8 text: "):
             VocabTokenizer.from_file(str(path))
 
 
