@@ -109,56 +109,26 @@ class _TextPair:
     fl: str
 
 
-@dataclasses.dataclass(frozen=True)
-class _VectorPair:
-    nl_vector: Tuple[float, ...]
-    fl_vector: Tuple[float, ...]
-
-
-def _load_pairs(path: str, dimension: int):
-    """Pair file entries hold either nl/fl texts or nl_vector/fl_vector
-    vectors of ``dimension`` floats; the first entry sets the format for
-    the whole file."""
-    lines = artifacts.read_jsonl(path)
-    text = bool(lines) and isinstance(lines[0].entry, dict) and "nl" in lines[0].entry
-    pairs = [artifacts.as_record(path, line, _TextPair if text else _VectorPair)
-             for line in lines]
-    if text:
-        embedder = retrieval.HashEmbedder(dimension)
-        nl_vectors = embedder.embed([pair.nl for pair in pairs])
-        fl_vectors = embedder.embed([pair.fl for pair in pairs])
-        return list(zip(nl_vectors, fl_vectors))
-
-    def vector(lineno: int, key: str, values):
-        values = retrieval.embedding([float(x) for x in values])
-        if values.shape[0] != dimension:
-            raise ValueError(f"{path}:{lineno}: {key} has {values.shape[0]} values, "
-                             f"expected retrieval.dimension {dimension}")
-        return values
-
-    return [(vector(line.lineno, "nl_vector", pair.nl_vector),
-             vector(line.lineno, "fl_vector", pair.fl_vector))
-            for line, pair in zip(lines, pairs)]
-
-
 def cmd_train_retriever(args, config: PipelineConfig) -> int:
     r = config.retrieval
     if not r.pairs:
         raise ConfigError(["retrieval.pairs: required for train-retriever"])
-    _require(r.pairs, "extract, then build a pair file")
+    texts = artifacts.read_records(
+        _require(r.pairs, "extract, then build a pair file"), _TextPair)
     os.makedirs(config.workdir, exist_ok=True)
-    pairs = _load_pairs(r.pairs, r.dimension)
+    # hashed by the embedder informalize applies the head to
+    embedder = retrieval.HashEmbedder(r.dimension)
+    nl_vectors = embedder.embed([pair.nl for pair in texts])
+    fl_vectors = embedder.embed([pair.fl for pair in texts])
     head, trace = retrieval.train_projection(
-        pairs, r, fork_seed(config.seed, "train-retriever"))
+        list(zip(nl_vectors, fl_vectors)), r, fork_seed(config.seed, "train-retriever"))
     retrieval.save_head(head, stage_path(config, "projection"))
     artifacts.write_text(stage_path(config, "loss_trace"), "step,loss\n" + "".join(
         f"{step},{loss:.10f}\n" for step, loss in enumerate(trace, start=1)))
-    nl_vectors = [p[0] for p in pairs]
-    fl_vectors = [p[1] for p in pairs]
     edges, counts, _ = retrieval.similarity_histogram(nl_vectors, fl_vectors, head)
     retrieval.write_histogram_csv(stage_path(config, "histogram"), edges, counts)
     final = trace[-1] if trace else float("nan")
-    print(f"trained on {len(pairs)} pairs for {r.steps} steps, "
+    print(f"trained on {len(texts)} pairs for {r.steps} steps, "
           f"final loss {final:.6f}")
     return 0
 
@@ -246,7 +216,8 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
         _require(config.retrieval.examples, "informalize with a pool file")
         pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
         head = retrieval.load_head(
-            _require(stage_path(config, "projection"), "train-retriever"))
+            _require(stage_path(config, "projection"), "train-retriever"),
+            config.retrieval.dimension)
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
         index = informalize.build_example_index(
             pool, embedder, head, side=config.retrieval.side)

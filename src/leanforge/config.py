@@ -64,7 +64,7 @@ class RetrievalSettings:
     lr: float = 0.05
     steps: int = 500
     batch_size: int = 8
-    pairs: str = ""     # training input: JSONL of nl/fl texts or vectors
+    pairs: str = ""     # training input: JSONL of nl/fl texts
     examples: str = ""  # example pool for informalization prompts
     side: str = "nl"    # which side of the pool the index ranks against
 
@@ -124,7 +124,6 @@ class PrepSettings:
     use_bootstrapped: bool = True
     use_block: bool = True
     use_curriculum: bool = True
-    examples_use_bootstrapped: Optional[bool] = None
 
 
 @dataclass

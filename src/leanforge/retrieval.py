@@ -32,10 +32,6 @@ class EmptyInput(RetrievalError):
     pass
 
 
-class DimensionMismatch(RetrievalError):
-    pass
-
-
 class ZeroNormVector(RetrievalError):
     pass
 
@@ -48,16 +44,6 @@ class DivergedLoss(RetrievalError):
     pass
 
 
-def embedding(values: Sequence[float]) -> np.ndarray:
-    """``values`` as a 1-d, non-empty float64 vector."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise EmptyInput("empty vector")
-    return arr
-
-
 # --- projection head ---------------------------------------------------------
 
 
@@ -67,30 +53,13 @@ class ProjectionHead:
     d_in: int
     d_out: int
     seed: int
-    init: str = "uniform"
 
     @classmethod
-    def initialize(cls, d_in: int, d_out: int, seed: int, init: str = "uniform") -> "ProjectionHead":
-        if d_in <= 0 or d_out <= 0:
-            raise DimensionMismatch("head dimensions must be positive")
-        if d_out > d_in:
-            raise DimensionMismatch("projection cannot expand: d_out must be <= d_in")
-        if init == "identity":
-            if d_out != d_in:
-                raise DimensionMismatch("identity init requires d_out == d_in")
-            weights = np.eye(d_out, dtype=np.float64)
-        elif init == "uniform":
-            rng = np.random.default_rng(seed)
-            weights = rng.uniform(-0.1, 0.1, size=(d_out, d_in))
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        return cls(weights=weights, d_in=d_in, d_out=d_out, seed=seed, init=init)
+    def initialize(cls, d_in: int, d_out: int, seed: int) -> "ProjectionHead":
+        weights = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(d_out, d_in))
+        return cls(weights=weights, d_in=d_in, d_out=d_out, seed=seed)
 
     def project(self, vector: np.ndarray) -> np.ndarray:
-        if vector.shape[0] != self.d_in:
-            raise DimensionMismatch(
-                f"vector dimension {vector.shape[0]} != head d_in {self.d_in}"
-            )
         return self.weights @ vector
 
     def checksum(self) -> str:
@@ -104,28 +73,34 @@ class _HeadFile:
     d_in: int
     d_out: int
     seed: int
-    init: str
+    init: str  # always "uniform", the one initialization
     checksum: str
     weights: Tuple[Tuple[float, ...], ...]
 
 
 def save_head(head: ProjectionHead, path: str) -> None:
     artifacts.write_json(path, _HeadFile(
-        head.d_in, head.d_out, head.seed, head.init, head.checksum(),
+        head.d_in, head.d_out, head.seed, "uniform", head.checksum(),
         head.weights.tolist()))
 
 
-def load_head(path: str) -> ProjectionHead:
+def load_head(path: str, dimension: int) -> ProjectionHead:
+    """The head in ``path``, which must take vectors of ``dimension`` values
+    (``retrieval.dimension``, the width of every embedding it projects)."""
     stored = artifacts.decode(artifacts.read_json(path), _HeadFile, path)
     if [len(row) for row in stored.weights] != [stored.d_in] * stored.d_out:
         raise RetrievalError(
             f"{path}: weights are not {stored.d_out} rows of {stored.d_in} values")
+    if stored.d_in != dimension:
+        raise RetrievalError(
+            f"{path}: head takes vectors of {stored.d_in} values, but "
+            f"retrieval.dimension is {dimension}; run `leanforge train-retriever` "
+            f"at this dimension")
     head = ProjectionHead(
         weights=np.asarray(stored.weights, dtype=np.float64),
         d_in=stored.d_in,
         d_out=stored.d_out,
         seed=stored.seed,
-        init=stored.init,
     )
     if head.checksum() != stored.checksum:
         raise RetrievalError(f"head checksum mismatch in {path}")
@@ -137,18 +112,11 @@ def load_head(path: str) -> ProjectionHead:
 
 @dataclass
 class AlignmentBatch:
-    """A batch of aligned (nl, fl) pairs. The negatives for pair i are the
-    vectors of the next pair around the ring, i + 1 mod the batch size."""
+    """A batch of two or more aligned (nl, fl) pairs. The negatives for
+    pair i are the vectors of the next pair around the ring, i + 1 mod the
+    batch size."""
 
     pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) < 2:
-            raise EmptyInput("alignment batch needs at least two pairs")
-        dim = self.pairs[0][0].shape[0]
-        for nl, fl in self.pairs:
-            if nl.shape[0] != dim or fl.shape[0] != dim:
-                raise DimensionMismatch("inconsistent dimensions in batch")
 
     def negatives(self) -> np.ndarray:
         size = len(self.pairs)
@@ -162,10 +130,6 @@ class AlignmentBatch:
 
 def _projected_rows(batch: AlignmentBatch, head: ProjectionHead) -> Tuple[np.ndarray, ...]:
     nl_raw, fl_raw = batch.matrices()
-    if nl_raw.shape[1] != head.d_in:
-        raise DimensionMismatch(
-            f"batch dimension {nl_raw.shape[1]} != head d_in {head.d_in}"
-        )
     a = nl_raw @ head.weights.T
     b = fl_raw @ head.weights.T
     na = np.linalg.norm(a, axis=1)
@@ -264,29 +228,14 @@ class SimilarityIndex:
     norms: np.ndarray
     head: ProjectionHead
 
-    @property
-    def dimension(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def build_index(
     corpus: Sequence[Tuple[Any, np.ndarray]], head: ProjectionHead
 ) -> SimilarityIndex:
     if not corpus:
         raise EmptyInput("cannot index an empty corpus")
-    ids = []
-    rows = []
-    for entry_id, vector in corpus:
-        if vector.shape[0] != head.d_in:
-            raise DimensionMismatch(
-                f"entry {entry_id!r} dimension {vector.shape[0]} != head d_in {head.d_in}"
-            )
-        ids.append(entry_id)
-        rows.append(head.weights @ vector)
-    vectors = np.stack(rows)
+    ids = [entry_id for entry_id, _ in corpus]
+    vectors = np.stack([head.project(vector) for _, vector in corpus])
     norms = np.linalg.norm(vectors, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:

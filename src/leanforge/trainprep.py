@@ -110,18 +110,14 @@ def _vocab_entry(entry: str) -> str:
 
 @dataclass(frozen=True)
 class PackSource:
-    """One theorem's texts as used by the packer.
-
-    target is the proof written into the target slot; example_fl is the
-    proof text shown when this record serves as an in-context example (the
-    two differ only when example bootstrapping is toggled separately).
-    """
+    """One theorem's texts as used by the packer. target is the proof
+    written into the target slot, and the proof shown when the record
+    serves as an in-context example."""
 
     name: str
     nl: str
     statement: str
     target: str
-    example_fl: str
     difficulty: int
 
 
@@ -170,7 +166,7 @@ def counted_blocks(
     """Each record's in-context example block with its token count."""
     out = []
     for record in records:
-        block = example_block(record.nl if use_nl else None, record.example_fl)
+        block = example_block(record.nl if use_nl else None, record.target)
         out.append((block, tokenizer.count(block)))
     return out
 
@@ -218,29 +214,19 @@ def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
 
     Each record's ``difficulty`` is its proof's tactic-step count, which
     ``bootstrap.load_obt_dataset`` takes from the tokens it verified.
-    In-context examples show the targets' proof text unless
-    ``examples_use_bootstrapped`` says otherwise.
+    The target, and so each in-context example, is the commented proof
+    under ``use_bootstrapped`` and the plain proof otherwise.
     """
-    example_boot = (
-        settings.use_bootstrapped
-        if settings.examples_use_bootstrapped is None
-        else settings.examples_use_bootstrapped
-    )
-    sources = []
-    for record in records:
-        target = record.commented_proof if settings.use_bootstrapped else record.proof
-        example_fl = record.commented_proof if example_boot else record.proof
-        sources.append(
-            PackSource(
-                name=record.name,
-                nl=record.generated_informal_statement_and_proof,
-                statement=record.statement,
-                target=target,
-                example_fl=example_fl,
-                difficulty=record.difficulty,
-            )
+    return [
+        PackSource(
+            name=record.name,
+            nl=record.generated_informal_statement_and_proof,
+            statement=record.statement,
+            target=record.commented_proof if settings.use_bootstrapped else record.proof,
+            difficulty=record.difficulty,
         )
-    return sources
+        for record in records
+    ]
 
 
 def emit_training_set(

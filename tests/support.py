@@ -499,8 +499,6 @@ def rotated_pair_corpus(seed: int, count: int, dim: int, rotate_dims: int, angle
     A head that screens out the rotated coordinates makes aligned pairs
     exactly parallel while leaving cross-pair geometry random.
     """
-    from leanforge import retrieval
-
     rng = np.random.default_rng(seed)
     rot = rotation_matrix(dim, rotate_dims, angle)
     pairs = []
@@ -508,7 +506,7 @@ def rotated_pair_corpus(seed: int, count: int, dim: int, rotate_dims: int, angle
         fl = rng.normal(size=dim)
         fl /= np.linalg.norm(fl)
         nl = rot @ fl
-        pairs.append((retrieval.embedding(nl), retrieval.embedding(fl)))
+        pairs.append((nl, fl))
     return pairs
 
 

@@ -336,7 +336,7 @@ READ_TYPES = [
     (TheoremRecord, False), (InformalRecord, False), (ObtRecord, True),
     (InformalizationResult, False), (PoolExample, False), (Problem, True),
     (ReportHeader, False), (ReportProof, False), (cli._SourceFile, False),
-    (cli._TextPair, False), (cli._VectorPair, False),
+    (cli._TextPair, False),
 ]
 
 

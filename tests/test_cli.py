@@ -7,10 +7,12 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import textwrap
 from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,6 +20,7 @@ import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
 from leanforge import artifacts, cli, corpus, genclient, prover, retrieval, trainprep
+from leanforge import config as config_mod
 from leanforge.config import (
     ConfigError,
     PipelineConfig,
@@ -51,6 +54,32 @@ def read_jsonl(path):
 
 
 class TestConfig:
+    def test_readme_example_config_is_complete(self):
+        # the README's example config sets every setting, and only those
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as f:
+            (block,) = re.findall(r"^```yaml\n(.*?)^```", f.read(), re.M | re.S)
+        raw = yaml.safe_load(block)
+
+        def keys(data, where=""):
+            for key, value in data.items():
+                if isinstance(value, dict):
+                    yield from keys(value, f"{where}{key}.")
+                else:
+                    yield where + key
+
+        def settings(cls, where=""):
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(f.type):
+                    yield from settings(f.type, f"{where}{f.name}.")
+                else:
+                    yield where + f.name
+
+        assert sorted(keys(raw)) == sorted(settings(PipelineConfig))
+        errors = []
+        config_mod._build(PipelineConfig, raw, errors)
+        assert errors == []
+
     def test_defaults_load(self, tmp_path):
         path = write_yaml(tmp_path / "c.yaml", {"workdir": str(tmp_path / "w")})
         config = load_config(path)
@@ -193,8 +222,6 @@ TYPE_RULES = [
     ("retrieval.steps", 2.5, "retrieval.steps: must be an integer, got 2.5"),
     ("retrieval.lr", True, "retrieval.lr: must be a number, got True"),
     ("prep.use_nl", "false", "prep.use_nl: must be true or false, got 'false'"),
-    ("prep.examples_use_bootstrapped", "no",
-     "prep.examples_use_bootstrapped: must be true or false or null, got 'no'"),
     ("prover.command", "true",
      "prover.command: must be a list of strings, got 'true'"),
     ("backend.budget.max_tokens", "many",
@@ -414,12 +441,11 @@ class TestExtract:
 # --- train-retriever ------------------------------------------------------------
 
 
-def write_vector_pairs(path, pairs):
+def write_text_pairs(path, count=8):
     with open(path, "w", encoding="utf-8") as f:
-        for nl, fl in pairs:
-            f.write(json.dumps(
-                {"nl_vector": [float(x) for x in nl],
-                 "fl_vector": [float(x) for x in fl]}) + "\n")
+        for i in range(count):
+            f.write(json.dumps({"nl": f"text number {i} about addition",
+                                "fl": f"theorem t{i} : {i} = {i}"}) + "\n")
     return str(path)
 
 
@@ -432,37 +458,35 @@ def retriever_config(tmp_path, pairs_path, workdir="work", **retrieval_keys):
 
 
 class TestTrainRetriever:
-    def test_rotated_corpus_reaches_low_loss(self, tmp_path, capsys):
+    def test_rotated_corpus_reaches_low_loss(self, tmp_path):
+        # The synthetic corpus is vectors, and a pair file holds texts, so
+        # this trains through the calls train-retriever makes.
         pairs = support.rotated_pair_corpus(101, 64, 16, 2, math.pi / 2)
-        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
-        config = retriever_config(tmp_path, pairs_path, steps=500)
-
-        assert run(["train-retriever", "-c", config]) == 0
-        trace = (tmp_path / "work" / "loss_trace.csv").read_text().splitlines()
-        assert trace[0] == "step,loss"
-        assert len(trace) == 501
-        final = float(trace[-1].split(",")[1])
-        assert final < 0.1
-        head = retrieval.load_head(str(tmp_path / "work" / "projection.json"))
-        assert head.d_in == 16
-        histogram = (tmp_path / "work" / "similarity_histogram.csv").read_text()
-        assert histogram.startswith("bin_left,bin_right,count")
-        assert "final loss" in capsys.readouterr().out
+        config = load_config(retriever_config(tmp_path, "pairs.jsonl", steps=500))
+        head, trace = retrieval.train_projection(
+            pairs, config.retrieval, fork_seed(config.seed, "train-retriever"))
+        assert len(trace) == 500
+        assert trace[-1] < 0.1
+        path = str(tmp_path / "projection.json")
+        retrieval.save_head(head, path)
+        loaded = retrieval.load_head(path, config.retrieval.dimension)
+        assert loaded.d_in == 16
+        assert loaded.weights.tobytes() == head.weights.tobytes()
 
     def test_zero_steps_persists_seeded_init(self, tmp_path):
-        pairs = support.rotated_pair_corpus(7, 12, 16, 2, 1.0)
-        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
-        config = retriever_config(tmp_path, pairs_path)
+        config = retriever_config(tmp_path, write_text_pairs(tmp_path / "pairs.jsonl"))
 
         assert run(["train-retriever", "-c", config, "--steps", "0"]) == 0
         trace = (tmp_path / "work" / "loss_trace.csv").read_text().splitlines()
         assert trace == ["step,loss"]
-        head = retrieval.load_head(str(tmp_path / "work" / "projection.json"))
+        head = retrieval.load_head(str(tmp_path / "work" / "projection.json"), 16)
         assert head.weights.shape == (16, 16)
+        seeded = retrieval.ProjectionHead.initialize(
+            16, 16, fork_seed(0, "train-retriever"))
+        assert head.weights.tobytes() == seeded.weights.tobytes()
 
     def test_rerun_same_seed_gives_identical_head(self, tmp_path):
-        pairs = support.rotated_pair_corpus(7, 12, 16, 2, 1.0)
-        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
+        pairs_path = write_text_pairs(tmp_path / "pairs.jsonl", 12)
         config_a = retriever_config(tmp_path, pairs_path, workdir="wa", steps=30)
         config_b = retriever_config(tmp_path, pairs_path, workdir="wb", steps=30)
 
@@ -471,27 +495,45 @@ class TestTrainRetriever:
         assert read_bytes(tmp_path / "wa" / "projection.json") == \
             read_bytes(tmp_path / "wb" / "projection.json")
 
-    def test_text_pairs_are_embedded(self, tmp_path):
+    def test_text_pairs_are_embedded(self, tmp_path, capsys):
+        # hashed at retrieval.dimension, by the embedder informalize uses
+        pairs_path = write_text_pairs(tmp_path / "pairs.jsonl")
+        config_path = retriever_config(tmp_path, pairs_path, steps=5, batch_size=4)
+        config = load_config(config_path)
+        assert run(["train-retriever", "-c", config_path]) == 0
+
+        embedder = retrieval.HashEmbedder(16)
+        texts = read_jsonl(pairs_path)
+        expected, trace = retrieval.train_projection(
+            list(zip(embedder.embed([t["nl"] for t in texts]),
+                     embedder.embed([t["fl"] for t in texts]))),
+            config.retrieval, fork_seed(0, "train-retriever"))
+        head = retrieval.load_head(str(tmp_path / "work" / "projection.json"), 16)
+        assert head.weights.tobytes() == expected.weights.tobytes()
+        assert (tmp_path / "work" / "loss_trace.csv").read_text().splitlines() == \
+            ["step,loss"] + [f"{step},{loss:.10f}" for step, loss in enumerate(trace, 1)]
+        histogram = (tmp_path / "work" / "similarity_histogram.csv").read_text()
+        assert histogram.startswith("bin_left,bin_right,count")
+        assert (f"trained on 8 pairs for 5 steps, final loss {trace[-1]:.6f}"
+                in capsys.readouterr().out)
+
+    def test_vector_pair_file_is_refused(self, tmp_path, capsys):
+        # A head trained on vectors from another embedding would be applied
+        # to hash vectors by informalize; the pair file holds texts only.
         pairs_path = tmp_path / "pairs.jsonl"
-        with open(pairs_path, "w", encoding="utf-8") as f:
-            for i in range(8):
-                f.write(json.dumps({"nl": f"text number {i} about addition",
-                                    "fl": f"theorem t{i} : {i} = {i}"}) + "\n")
-        config = retriever_config(tmp_path, pairs_path, steps=5, batch_size=4)
-        assert run(["train-retriever", "-c", config]) == 0
-        assert (tmp_path / "work" / "projection.json").exists()
+        pairs_path.write_text("".join(
+            json.dumps({"nl_vector": list(nl), "fl_vector": list(fl)}) + "\n"
+            for nl, fl in support.rotated_pair_corpus(7, 12, 16, 2, 1.0)))
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert "pairs.jsonl:1: entry has no 'nl' field" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "projection.json").exists()
 
     @pytest.mark.parametrize("entries, line, key", [
         ([{"nl": "a + b", "fl": "theorem a"},
           {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16}], 2, "nl"),
-        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
-          {"nl": "a + b", "fl": "theorem a"}], 2, "nl_vector"),
         ([{"nl": "a + b", "fl": "theorem a"}, {"nl": "b + a"}], 2, "fl"),
-        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
-          {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
-          {"fl_vector": [1.0] * 16}], 3, "nl_vector"),
-    ], ids=["vector-after-text", "text-after-vector", "text-without-fl",
-            "vector-without-nl"])
+    ], ids=["vector-after-text", "text-without-fl"])
     def test_entry_without_a_key_of_the_file_format_names_line_and_key(
             self, tmp_path, capsys, entries, line, key):
         pairs_path = tmp_path / "pairs.jsonl"
@@ -502,42 +544,16 @@ class TestTrainRetriever:
         assert f"pairs.jsonl:{line}: entry has no {key!r} field" in err
         assert not (tmp_path / "work" / "projection.json").exists()
 
-    @pytest.mark.parametrize("bad_side", ["nl_vector", "fl_vector"])
-    def test_vector_of_the_wrong_length_names_line_and_lengths(
-            self, tmp_path, capsys, bad_side):
-        pairs = support.rotated_pair_corpus(7, 12, 16, 2, 1.0)
-        nl, fl = pairs[4]
-        short = [1.0, 0.5, 0.25]
-        pairs[4] = (short, fl) if bad_side == "nl_vector" else (nl, short)
-        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
-        config = retriever_config(tmp_path, pairs_path, steps=5)
-        assert run(["train-retriever", "-c", config]) == 1
-        assert (f"pairs.jsonl:5: {bad_side} has 3 values, "
-                f"expected retrieval.dimension 16") in capsys.readouterr().err
-        assert not (tmp_path / "work" / "projection.json").exists()
-
-    def test_vectors_all_shorter_than_the_dimension_are_rejected(self, tmp_path, capsys):
-        # A head trained on them could never serve informalize, which embeds
-        # its pool at retrieval.dimension.
-        pairs = support.rotated_pair_corpus(7, 12, 3, 2, 1.0)
-        pairs_path = write_vector_pairs(tmp_path / "pairs.jsonl", pairs)
-        config = retriever_config(tmp_path, pairs_path, steps=5, dimension=64)
-        assert run(["train-retriever", "-c", config]) == 1
-        assert ("pairs.jsonl:1: nl_vector has 3 values, "
-                "expected retrieval.dimension 64") in capsys.readouterr().err
-        assert not (tmp_path / "work" / "projection.json").exists()
-
     @pytest.mark.parametrize("entries, line, message", [
         ([{"nl": 5, "fl": "theorem a"}], 1, "nl is not a string"),
         ([{"nl": "a + b", "fl": "theorem a"}, {"nl": "b + a", "fl": ["theorem b"]}],
          2, "fl is not a string"),
-        ([{"nl_vector": 5, "fl_vector": [1.0] * 16}], 1,
-         "nl_vector is not a list of numbers"),
-        ([{"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 16},
-          {"nl_vector": [1.0] * 16, "fl_vector": [1.0] * 15 + ["x"]}], 2,
-         "fl_vector is not a list of numbers"),
-        ([{"nl_vector": [1.0] * 16, "fl_vector": [[1.0]] * 16}], 1,
-         "fl_vector is not a list of numbers"),
+        # vectors, as the retired nl_vector/fl_vector layout held them,
+        # under the text keys
+        ([{"nl": [1.0] * 16, "fl": "theorem a"}], 1, "nl is not a string"),
+        ([{"nl": "a + b", "fl": "theorem a"},
+          {"nl": "b + a", "fl": [1.0] * 15 + ["x"]}], 2, "fl is not a string"),
+        ([{"nl": "a + b", "fl": [[1.0]] * 16}], 1, "fl is not a string"),
     ], ids=["text-number", "text-list", "vector-number", "vector-with-string",
             "vector-of-lists"])
     def test_value_of_the_wrong_type_names_line_and_key(
@@ -548,6 +564,37 @@ class TestTrainRetriever:
         assert run(["train-retriever", "-c", config]) == 1
         assert f"pairs.jsonl:{line}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "work" / "projection.json").exists()
+
+    @pytest.mark.parametrize("bad_side", ["nl_vector", "fl_vector"])
+    def test_vector_of_the_wrong_length_names_line_and_lengths(
+            self, tmp_path, capsys, bad_side):
+        # A pair file carries no widths: every vector is hashed at
+        # retrieval.dimension, so a short vector on either side is refused
+        # as a value that is not a text, naming its line and key.
+        side = bad_side.split("_")[0]
+        pairs_path = tmp_path / "pairs.jsonl"
+        entries = read_jsonl(write_text_pairs(pairs_path, 12))
+        entries[4][side] = [1.0, 0.5, 0.25]
+        pairs_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert f"pairs.jsonl:5: {side} is not a string" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "projection.json").exists()
+
+    def test_vectors_all_shorter_than_the_dimension_are_rejected(self, tmp_path):
+        # A head trained on them could never serve informalize, which embeds
+        # its pool at retrieval.dimension; load_head refuses it there.
+        pairs = support.rotated_pair_corpus(7, 12, 3, 2, 1.0)
+        config = load_config(retriever_config(
+            tmp_path, "pairs.jsonl", steps=5, dimension=64))
+        head, _ = retrieval.train_projection(
+            pairs, config.retrieval, fork_seed(config.seed, "train-retriever"))
+        path = str(tmp_path / "projection.json")
+        retrieval.save_head(head, path)
+        with pytest.raises(retrieval.RetrievalError) as raised:
+            retrieval.load_head(path, config.retrieval.dimension)
+        assert (f"{path}: head takes vectors of 3 values, "
+                f"but retrieval.dimension is 64") in str(raised.value)
 
     def test_missing_pairs_file_exits_1_naming_it(self, tmp_path, capsys):
         config = retriever_config(tmp_path, tmp_path / "nope.jsonl")
@@ -1069,7 +1116,7 @@ class TestConfiguredFiles:
         workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY], pool=[SEED_ENTRY])
         path = workdir / "projection.json"
         retrieval.save_head(
-            retrieval.ProjectionHead.initialize(64, 64, seed=0, init="identity"),
+            retrieval.ProjectionHead(np.eye(64), 64, 64, seed=0),
             str(path))
         head = json.loads(path.read_text(encoding="utf-8"))
         change(head)
@@ -1079,6 +1126,23 @@ class TestConfiguredFiles:
             "retrieval": {"examples": str(workdir / "pool.jsonl")}})
         self.expect(capsys, ["informalize", "-c", config], 1,
                     f"error: {path}: {message}")
+
+
+    def test_head_of_another_dimension_names_the_file_and_setting(
+            self, tmp_path, capsys):
+        workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY], pool=[SEED_ENTRY])
+        trained = write_yaml(tmp_path / "train.yaml", {
+            "workdir": str(workdir),
+            "retrieval": {"dimension": 16, "steps": 5,
+                          "pairs": write_text_pairs(tmp_path / "pairs.jsonl")}})
+        assert run(["train-retriever", "-c", trained]) == 0
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "retrieval": {"dimension": 32, "examples": str(workdir / "pool.jsonl")}})
+        self.expect(capsys, ["informalize", "-c", config], 1,
+                    f"error: {workdir / 'projection.json'}: head takes vectors of "
+                    f"16 values, but retrieval.dimension is 32")
+        assert not (workdir / "informal.jsonl").exists()
 
 
 # --- sample -----------------------------------------------------------------------

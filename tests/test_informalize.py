@@ -8,6 +8,7 @@ is what degenerate sampling actually produces.
 import json
 import random
 
+import numpy as np
 import pytest
 
 from leanforge import retrieval
@@ -175,7 +176,7 @@ class TestSelectExamples:
     def test_pool_of_one(self):
         pool = example_pool(1)
         embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
         out = select_examples(theorem("anything"), index, pool, 3, embedder)
         assert [p.name for p in out] == ["ex0"]
@@ -183,7 +184,7 @@ class TestSelectExamples:
     def test_identical_fl_text_ranks_first(self):
         pool = example_pool(10)
         embedder = retrieval.HashEmbedder(dimension=64)
-        head = retrieval.ProjectionHead.initialize(64, 64, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(64), 64, 64, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
         record = theorem("probe", statement=pool[7].fl)
         out = select_examples(record, index, pool, 3, embedder)
@@ -201,7 +202,7 @@ class TestSelectExamples:
             for i in range(50)
         ]
         embedder = retrieval.HashEmbedder(dimension=48)
-        head = retrieval.ProjectionHead.initialize(48, 48, seed=1, init="identity")
+        head = retrieval.ProjectionHead(np.eye(48), 48, 48, seed=0)
         index = build_example_index(pool, embedder, head, side="nl")
         record = theorem("q", statement="sum of a ring and a field")
         got = [p.name for p in select_examples(record, index, pool, 5, embedder)]
@@ -210,7 +211,6 @@ class TestSelectExamples:
         sims = []
         for pair, vec in zip(pool, embedder.embed([p.nl for p in pool])):
             a, b = head.project(query), head.project(vec)
-            import numpy as np
             sims.append((pair.name,
                          float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))))
         expected = [n for n, _ in sorted(sims, key=lambda t: (-t[1], t[0]))[:5]]
@@ -222,7 +222,7 @@ class TestSelectExamples:
                             f"theorem ex : (1 : {t}) = 1 := rfl")
                 for t in ("Nat", "Int")]
         embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
         for probe in pool:
             out = select_examples(theorem("probe", statement=probe.fl), index,
@@ -235,11 +235,11 @@ class TestSelectExamples:
             """Every text embeds to the same unit vector: all ties, exactly."""
 
             def embed(self, texts):
-                return [retrieval.embedding([1.0, 0.0, 0.0, 0.0]) for _ in texts]
+                return [np.asarray([1.0, 0.0, 0.0, 0.0], dtype=np.float64) for _ in texts]
 
         pool = [PoolExample(name, f"Statement: entry {i}. Proof: p.", "theorem x")
                 for i, name in enumerate(("b", "a", "b", "c", "a"))]
-        head = retrieval.ProjectionHead.initialize(4, 4, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(4), 4, 4, seed=0)
         index = build_example_index(pool, Flat(), head)
         out = select_examples(theorem("probe"), index, pool, 5, Flat())
         assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
@@ -247,7 +247,7 @@ class TestSelectExamples:
     def test_k_clamped_to_pool(self):
         pool = example_pool(4)
         embedder = retrieval.HashEmbedder(dimension=16)
-        head = retrieval.ProjectionHead.initialize(16, 16, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(16), 16, 16, seed=0)
         index = build_example_index(pool, embedder, head)
         out = select_examples(theorem("t"), index, pool, 10, embedder)
         assert len(out) == 4
@@ -487,7 +487,7 @@ class TestInformalizeCorpus:
     def test_examples_flow_into_prompts(self):
         pool = example_pool(3)
         embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
         seen = []
 
@@ -522,7 +522,7 @@ class TestConcurrentCorpus:
     def run(self, tmp_path, records, seed, concurrency, **ceilings):
         pool = example_pool(6)
         embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead.initialize(32, 32, seed=0, init="identity")
+        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         budget = GenerationBudget(**ceilings)
         checkpoint = tmp_path / f"c{concurrency}.jsonl"
         results = informalize(

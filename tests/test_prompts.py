@@ -55,9 +55,9 @@ SAME_LAYOUT_CASES = {
 def test_prep_instruction_equals_prove_prompt(case):
     examples, nl, statement = SAME_LAYOUT_CASES[case]
     tok = WhitespaceTokenizer()
-    sources = [PackSource(f"e{j}", ex_nl, "unused :=", fl, fl, 1)
+    sources = [PackSource(f"e{j}", ex_nl, "unused :=", fl, 1)
                for j, (ex_nl, fl) in enumerate(examples)]
-    sources.append(PackSource("goal", nl, statement, "by rfl", "by rfl", 1))
+    sources.append(PackSource("goal", nl, statement, "by rfl", 1))
     packed = pack_block(sources, len(sources) - 1, 10**6, tok,
                         counted_blocks(sources, tok))
     pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge import retrieval
-from leanforge.config import RetrievalSettings
+from leanforge.config import PipelineConfig, RetrievalSettings, validate
 from leanforge.retrieval import (
     AlignmentBatch,
-    DimensionMismatch,
     DivergedLoss,
     EmptyInput,
     HashEmbedder,
@@ -29,7 +28,6 @@ from leanforge.retrieval import (
     build_index,
     contrastive_gradient,
     contrastive_loss,
-    embedding,
     load_head,
     save_head,
     similarity_histogram,
@@ -47,33 +45,23 @@ from support import (
 
 
 def ev(*values):
-    return embedding(list(values))
+    return np.asarray(values, dtype=np.float64)
 
 
 def random_pairs(rng, count, dim):
-    return [
-        (embedding(rng.normal(size=dim)), embedding(rng.normal(size=dim)))
-        for _ in range(count)
-    ]
+    return [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(count)]
 
 
 class TestEmbeddingVector:
     def test_returns_1d_float64_array(self):
-        v = embedding([1, 2, 3])
-        assert isinstance(v, np.ndarray)
-        assert v.dtype == np.float64 and v.shape == (3,)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            embedding([])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(DimensionMismatch):
-            embedding([[1.0, 2.0], [3.0, 4.0]])
+        # every vector a head projects comes from the hash embedder
+        for v in HashEmbedder(dimension=3).embed(["n + 0 = n", ""]):
+            assert isinstance(v, np.ndarray)
+            assert v.dtype == np.float64 and v.shape == (3,)
 
 
 def identity_head(dim):
-    return ProjectionHead.initialize(dim, dim, seed=0, init="identity")
+    return ProjectionHead(np.eye(dim), dim, dim, seed=0)
 
 
 class TestContrastiveLoss:
@@ -94,7 +82,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(5)
         nl = [rng.normal(size=6) for _ in range(2)]
         fl = [rng.normal(size=6) for _ in range(2)]
-        batch = AlignmentBatch(pairs=[(embedding(u), embedding(v)) for u, v in zip(nl, fl)])
+        batch = AlignmentBatch(pairs=list(zip(nl, fl)))
         head = identity_head(6)
         expected = oracle_contrastive_loss(nl, fl, [1, 0], head.weights)
         assert contrastive_loss(batch, head) == pytest.approx(expected, rel=1e-9)
@@ -108,9 +96,7 @@ class TestContrastiveLoss:
             nl = [rng.normal(size=dim) for _ in range(size)]
             fl = [rng.normal(size=dim) for _ in range(size)]
             head = ProjectionHead.initialize(dim, d_out, seed=int(rng.integers(1000)))
-            batch = AlignmentBatch(
-                pairs=[(embedding(u), embedding(v)) for u, v in zip(nl, fl)]
-            )
+            batch = AlignmentBatch(pairs=list(zip(nl, fl)))
             negs = [(i + 1) % size for i in range(size)]
             expected = oracle_contrastive_loss(nl, fl, negs, head.weights)
             assert contrastive_loss(batch, head) == pytest.approx(expected, rel=1e-9)
@@ -133,10 +119,7 @@ class TestContrastiveLoss:
         pairs = random_pairs(rng, 3, 4)
         head = ProjectionHead.initialize(4, 3, seed=2)
         base = contrastive_loss(AlignmentBatch(pairs=pairs), head)
-        scaled_pairs = [
-            (embedding(u * 7.5), embedding(v * 0.003))
-            for u, v in pairs
-        ]
+        scaled_pairs = [(u * 7.5, v * 0.003) for u, v in pairs]
         scaled = contrastive_loss(AlignmentBatch(pairs=scaled_pairs), head)
         assert scaled == pytest.approx(base, abs=1e-9)
 
@@ -148,16 +131,19 @@ class TestContrastiveLoss:
         head = ProjectionHead.initialize(4, 4, seed=0)
         base = contrastive_loss(AlignmentBatch(pairs=pairs), head)
         scaled = contrastive_loss(
-            AlignmentBatch(
-                pairs=[(embedding(u * factor), v) for u, v in pairs]
-            ),
+            AlignmentBatch(pairs=[(u * factor, v) for u, v in pairs]),
             head,
         )
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_batch_of_one_rejected(self):
+        # a pair's negative is the next pair, so a batch holds two or more:
+        # training needs two pairs, and batch_size is at least 2
         with pytest.raises(EmptyInput):
-            AlignmentBatch(pairs=[(ev(1.0), ev(1.0))])
+            train_projection([(ev(1.0), ev(1.0))], RetrievalSettings(), 0)
+        config = PipelineConfig()
+        config.retrieval.batch_size = 1
+        assert validate(config) == ["retrieval.batch_size: must be >= 2"]
 
 
 class TestContrastiveGradient:
@@ -193,7 +179,7 @@ class TestContrastiveGradient:
         # ((u, u), (-u, -u)) sits at the exact per-pair floor of -1; the full
         # loss is stationary there
         u = ev(0.6, -0.8, 0.2, 0.1)
-        minus = embedding(-u)
+        minus = -u
         batch = AlignmentBatch(pairs=[(u, u), (minus, minus)])
         grad = contrastive_gradient(batch, identity_head(4))
         assert contrastive_loss(batch, identity_head(4)) == pytest.approx(-1.0, abs=1e-9)
@@ -277,25 +263,30 @@ class TestProjectionHead:
         assert np.all(np.abs(a.weights) <= 0.1)
         assert a.weights.shape == (4, 8)
 
-    def test_identity_init(self):
-        head = ProjectionHead.initialize(5, 5, seed=0, init="identity")
-        assert np.array_equal(head.weights, np.eye(5))
-
-    def test_identity_requires_square(self):
-        with pytest.raises(DimensionMismatch):
-            ProjectionHead.initialize(5, 3, seed=0, init="identity")
-
     def test_expanding_head_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            ProjectionHead.initialize(3, 5, seed=0)
+        # the head is built at retrieval.projection_dim, held to [1, dimension]
+        config = PipelineConfig()
+        config.retrieval.dimension, config.retrieval.projection_dim = 3, 5
+        assert validate(config) == [
+            "retrieval.projection_dim: must be in [1, dimension]"]
 
     def test_save_load_round_trip(self, tmp_path):
         head = ProjectionHead.initialize(6, 3, seed=13)
         path = str(tmp_path / "head.json")
         save_head(head, path)
-        loaded = load_head(path)
+        loaded = load_head(path, 6)
         assert np.array_equal(loaded.weights, head.weights)
         assert (loaded.d_in, loaded.d_out, loaded.seed) == (6, 3, 13)
+
+    def test_file_layout(self, tmp_path):
+        # every head is uniform-initialized; the file still says so
+        path = str(tmp_path / "head.json")
+        save_head(ProjectionHead(np.eye(2), 2, 2, seed=3), path)
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+        assert list(payload) == ["d_in", "d_out", "seed", "init", "checksum", "weights"]
+        assert payload["init"] == "uniform"
+        assert payload["weights"] == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_tampered_head_rejected(self, tmp_path):
         head = ProjectionHead.initialize(4, 2, seed=1)
@@ -307,38 +298,39 @@ class TestProjectionHead:
         with open(path, "w") as f:
             json.dump(payload, f)
         with pytest.raises(RetrievalError, match="checksum"):
-            load_head(path)
+            load_head(path, 4)
 
 
 class TestSimilarityIndex:
     def test_single_entry(self):
         index = build_index([("only", ev(1.0, 2.0))], identity_head(2))
-        assert len(index) == 1
+        assert index.vectors.shape == (1, 2)
         assert index.ids == ["only"]
 
     def test_duplicates_retained(self):
         v = ev(1.0, 0.0)
         index = build_index([("a", v), ("b", v)], identity_head(2))
-        assert len(index) == 2
+        assert index.ids == ["a", "b"]
 
     def test_projection_matches_matrix_vector_oracle(self):
         rng = np.random.default_rng(83)
         head = ProjectionHead.initialize(10, 6, seed=5)
-        corpus = [(f"r{i}", embedding(rng.normal(size=10))) for i in range(100)]
+        corpus = [(f"r{i}", rng.normal(size=10)) for i in range(100)]
         index = build_index(corpus, head)
-        assert len(index) == 100
+        assert len(index.ids) == 100
         for (entry_id, vector), row in zip(corpus, index.vectors):
             expected = head.weights @ vector
             assert np.allclose(row, expected, rtol=1e-12, atol=0)
 
     def test_order_preserving(self):
         rng = np.random.default_rng(89)
-        corpus = [(f"id{i}", embedding(rng.normal(size=4))) for i in range(10)]
+        corpus = [(f"id{i}", rng.normal(size=4)) for i in range(10)]
         index = build_index(corpus, identity_head(4))
         assert index.ids == [c[0] for c in corpus]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        # load_head keeps such a head out of the CLI; NumPy still refuses it
+        with pytest.raises(ValueError):
             build_index([("a", ev(1.0, 2.0, 3.0))], identity_head(2))
 
     def test_empty_corpus(self):
@@ -353,7 +345,7 @@ class TestSimilarityIndex:
 class TestTopK:
     def test_self_query_ranks_first_with_unit_similarity(self):
         rng = np.random.default_rng(97)
-        corpus = [(f"e{i}", embedding(rng.normal(size=5))) for i in range(8)]
+        corpus = [(f"e{i}", rng.normal(size=5)) for i in range(8)]
         index = build_index(corpus, identity_head(5))
         name, sim = top_k(index, corpus[3][1], 1)[0]
         assert name == "e3"
@@ -369,9 +361,9 @@ class TestTopK:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(103)
         head = ProjectionHead.initialize(6, 4, seed=3)
-        corpus = [(f"n{i:02d}", embedding(rng.normal(size=6))) for i in range(20)]
+        corpus = [(f"n{i:02d}", rng.normal(size=6)) for i in range(20)]
         index = build_index(corpus, head)
-        query = embedding(rng.normal(size=6))
+        query = rng.normal(size=6)
         got = top_k(index, query, 5)
 
         pq = head.weights @ query
@@ -389,9 +381,9 @@ class TestTopK:
 
     def test_full_ranking_equals_brute_force(self):
         rng = np.random.default_rng(107)
-        corpus = [(f"n{i:02d}", embedding(rng.normal(size=4))) for i in range(12)]
+        corpus = [(f"n{i:02d}", rng.normal(size=4)) for i in range(12)]
         index = build_index(corpus, identity_head(4))
-        query = embedding(rng.normal(size=4))
+        query = rng.normal(size=4)
         full = top_k(index, query, 12)
         assert len(full) == 12
         sims = [s for _, s in full]
@@ -425,8 +417,8 @@ class TestTopK:
 class TestHistogram:
     def test_counts_cover_all_combinations(self):
         rng = np.random.default_rng(113)
-        nl = [embedding(rng.normal(size=4)) for _ in range(6)]
-        fl = [embedding(rng.normal(size=4)) for _ in range(5)]
+        nl = [rng.normal(size=4) for _ in range(6)]
+        fl = [rng.normal(size=4) for _ in range(5)]
         edges, counts, matrix = similarity_histogram(nl, fl, identity_head(4))
         assert matrix.shape == (6, 5)
         assert counts.sum() == 30
@@ -442,7 +434,7 @@ class TestHistogram:
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(127)
-        nl = [embedding(rng.normal(size=4)) for _ in range(4)]
+        nl = [rng.normal(size=4) for _ in range(4)]
         edges, counts, _ = similarity_histogram(nl, nl, identity_head(4), bins=10)
         path = str(tmp_path / "hist.csv")
         write_histogram_csv(path, edges, counts)

@@ -69,7 +69,7 @@ def oracle_pack(records, i, budget, use_nl=True, count=oracle_count):
             r = records[(i - step) % n]
             if use_nl:
                 parts.append(f"{NL_SECTION}\n{r.nl.strip()}\n\n")
-            parts.append(f"{FL_PROOF_SECTION}\n{r.example_fl.strip()}\n\n")
+            parts.append(f"{FL_PROOF_SECTION}\n{r.target.strip()}\n\n")
         if use_nl:
             parts.append(f"{NL_SECTION}\n{record.nl}\n\n")
         parts.append(f"{FL_STATEMENT_SECTION}\n{record.statement}\n\n{FL_PROOF_SECTION}\n")
@@ -87,7 +87,7 @@ def oracle_pack(records, i, budget, use_nl=True, count=oracle_count):
 def make_source(name, nl, statement, proof, difficulty=1):
     return PackSource(
         name=name, nl=nl, statement=statement, target=proof,
-        example_fl=proof, difficulty=difficulty,
+        difficulty=difficulty,
     )
 
 
@@ -352,7 +352,7 @@ class TestPackBlock:
         records = synthetic_sources(random.Random(5), 7)
         for use_nl in (True, False):
             blocks = [(b, tok.count(b)) for b in (
-                example_block(r.nl if use_nl else None, r.example_fl) for r in records)]
+                example_block(r.nl if use_nl else None, r.target) for r in records)]
             assert counted_blocks(records, tok, use_nl) == blocks
 
 
@@ -423,6 +423,15 @@ class TestEmitTrainingSet:
             assert text_divergence(a.target, b.target) is None
             assert strip_comments(b.target) == b.target
 
+    def test_examples_show_the_proofs_the_targets_show(self):
+        records = stub_corpus()
+        with_boot, _ = emit(records, use_bootstrapped=True)
+        without, _ = emit(records, use_bootstrapped=False)
+        assert all(p.example_count == len(records) - 1 for p in with_boot + without)
+        assert all("-- rewrite with the hypothesis" in p.instruction
+                   for p in with_boot if p.source_name != "t_two")
+        assert all("--" not in p.instruction for p in without)
+
     def test_curriculum_flag_off_preserves_input_order(self):
         records = stub_corpus()
         packed, _ = emit(records, use_curriculum=False)
@@ -463,15 +472,6 @@ class TestEmitTrainingSet:
             present = [name for name, proof in sources.items()
                        if proof in p.instruction]
             assert len(present) >= p.example_count
-
-    def test_example_bootstrap_override(self):
-        records = stub_corpus()
-        packed, _ = emit(records, use_bootstrapped=True,
-                         examples_use_bootstrapped=False)
-        full = next(p for p in packed if p.example_count >= 1)
-        # targets keep comments, in-context examples show the raw proofs
-        assert "--" in full.target
-        assert "-- rewrite with the hypothesis" not in full.instruction
 
     def test_block_flag_off_instruction_is_the_record_alone(self):
         records = stub_corpus()
