@@ -15,7 +15,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
-from .corpus import LeanToken, LexError, TokenDivergence
+from .corpus import LexError, TokenDivergence
 from .genclient import Ask, GenClientError, Sampler, in_order
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ class ObtRecord(AlignedTheorem):
 
     commented_proof: str = artifacts.wire("Commented_proof")
     # Tactic-step count of ``proof``. It is not on the wire;
-    # ``load_obt_dataset`` counts it from the tokens it verifies with.
+    # ``load_obt_dataset`` counts it as it loads the record.
     difficulty: int = artifacts.wire(None, default=0, compare=False)
 
     def __post_init__(self):
@@ -100,19 +100,24 @@ def head_bootstrap(nl_text: str, proof: str) -> str:
 
 
 def verify_bootstrap(
-    original: Sequence[LeanToken], commented_proof: str
+    proof: str, commented_proof: str, code: Optional[List[str]] = None
 ) -> Tuple[bool, Optional[TokenDivergence]]:
     """Check that the commented proof preserves the original code exactly.
 
-    ``original`` is the original proof's ``lex_lean`` output, which callers
-    lex once and keep; only the commented text is lexed here, and a text
-    that does not lex raises ``LexError``. Comments and whitespace are free;
-    code and string-literal tokens must match in content and order. Returns
-    the first divergence when they do not, with the offset locating it in
-    the commented text.
+    ``code`` is ``corpus.code_texts(proof)``, which callers that check one
+    proof many times compute once and pass. Comments and whitespace are
+    free; code and string-literal tokens must match in content and order,
+    and a text that does not lex raises ``LexError``. Only when they do not
+    match are both texts lexed in full, to return the first divergence with
+    the offset locating it in the commented text.
     """
-    divergence = corpus.token_divergence(original, corpus.lex_lean(commented_proof))
-    return divergence is None, divergence
+    if code is None:
+        code = corpus.code_texts(proof)
+    if corpus.code_texts(commented_proof) == code:
+        return True, None
+    divergence = corpus.token_divergence(
+        corpus.lex_lean(proof), corpus.lex_lean(commented_proof))
+    return False, divergence
 
 
 # --- interleaved generation ------------------------------------------------------
@@ -132,15 +137,15 @@ def _unfence(text: str) -> str:
 def bootstrap_theorem(
     record: AlignedTheorem,
     ask: Ask,
-    original: Sequence[LeanToken],
+    code: List[str],
     max_attempts: int = 3,
 ) -> str:
     """Interleave comments into one theorem's proof through the backend.
 
     ``ask`` sends the record's ``prompts.bootstrap_prompt``. Each reply is
-    checked against ``original``, the proof's tokens; the reply returned is
-    verified. After ``max_attempts`` unverifiable replies this raises with
-    the last divergence. Backend failures propagate.
+    checked against ``code``, the proof's ``corpus.code_texts``; the reply
+    returned is verified. After ``max_attempts`` unverifiable replies this
+    raises with the last divergence. Backend failures propagate.
     """
     divergence: Optional[TokenDivergence] = None
     detail = ""
@@ -148,7 +153,7 @@ def bootstrap_theorem(
         response = ask(f"bootstrap:{record.name}:{attempt}")
         candidate = _unfence(response.samples[0])
         try:
-            ok, divergence = verify_bootstrap(original, candidate)
+            ok, divergence = verify_bootstrap(record.proof, candidate, code)
         except LexError as exc:
             ok, divergence, detail = False, None, f"output does not lex: {exc}"
         if ok:
@@ -199,8 +204,9 @@ def bootstrap_corpus(
     Records come out in entry order. Interleaved records that cannot be
     verified (or whose backend gave out) fall back to head mode, so no
     accepted informalization is dropped; the stats record why each fallback
-    happened. Each proof is lexed once and each emitted pair is verified
-    once: an interleaved reply by ``bootstrap_theorem``, a head text here.
+    happened. Each proof's code texts are taken once and each emitted pair
+    is verified once: an interleaved reply by ``bootstrap_theorem``, a head
+    text here.
 
     Interleaved records go through ``genclient.in_order``: up to the
     backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
@@ -214,25 +220,25 @@ def bootstrap_corpus(
     drafts = [entry for entry in entries if entry.verdict == "pass"]
     stats = BootstrapStats(total=len(entries),
                            informal_failures=len(entries) - len(drafts))
-    lexed = ((draft, corpus.lex_lean(draft.proof)) for draft in drafts)
+    scanned = ((draft, corpus.code_texts(draft.proof)) for draft in drafts)
 
     def work(item, ask):
-        draft, original = item
+        draft, code = item
         try:
-            return bootstrap_theorem(draft, ask, original, max_attempts)
+            return bootstrap_theorem(draft, ask, code, max_attempts)
         except (BootstrapVerificationFailed, GenClientError) as exc:
             return exc
 
     if mode is BootstrapMode.INTERLEAVED:
-        units = (((draft, original), prompts.bootstrap_prompt(
+        units = (((draft, code), prompts.bootstrap_prompt(
             draft.generated_informal_statement_and_proof, draft.proof))
-            for draft, original in lexed)
+            for draft, code in scanned)
         replies = in_order(units, work, sampler, max_attempts)
     else:
-        replies = ((item, None) for item in lexed)
+        replies = ((item, None) for item in scanned)
     out: List[ObtRecord] = []
     with contextlib.closing(replies):
-        for (draft, original), commented in replies:
+        for (draft, code), commented in replies:
             if isinstance(commented, BootstrapVerificationFailed):
                 stats.verification_fallbacks += 1
             elif isinstance(commented, GenClientError):
@@ -242,7 +248,7 @@ def bootstrap_corpus(
             if not isinstance(commented, str):
                 commented = head_bootstrap(
                     draft.generated_informal_statement_and_proof, draft.proof)
-                ok, divergence = verify_bootstrap(original, commented)
+                ok, divergence = verify_bootstrap(draft.proof, commented, code)
                 if not ok:
                     raise BootstrapVerificationFailed(draft.name, divergence)
             out.append(assemble_obt_record(draft, commented))
@@ -257,9 +263,8 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     """Load an OBT dataset, re-verifying every record.
 
     The code-preservation invariant is enforced here as well as at
-    creation, so a hand-edited file cannot smuggle in altered proofs. The
-    proof's tokens, lexed for that check, also give each record its
-    ``difficulty``.
+    creation, so a hand-edited file cannot smuggle in altered proofs. Each
+    record's ``difficulty`` is its proof's tactic-step count.
     """
     try:
         lines = artifacts.read_jsonl(path)
@@ -268,12 +273,11 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
         raise PreconditionViolated(str(exc)) from exc
     out: List[ObtRecord] = []
     for line, record in zip(lines, records):
-        original = corpus.lex_lean(record.proof)
-        ok, divergence = verify_bootstrap(original, record.commented_proof)
+        ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
         if not ok:
             raise BootstrapVerificationFailed(
                 f"{path}:{line.lineno}: {record.name}", divergence
             )
         out.append(replace(
-            record, difficulty=corpus.count_tactic_steps(original)))
+            record, difficulty=corpus.count_tactic_steps(record.proof)))
     return out

@@ -115,13 +115,18 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
         raise ConfigError(["retrieval.pairs: required for train-retriever"])
     texts = artifacts.read_records(
         _require(r.pairs, "extract, then build a pair file"), _TextPair)
-    os.makedirs(config.workdir, exist_ok=True)
     # hashed by the embedder informalize applies the head to
     embedder = retrieval.HashEmbedder(r.dimension)
     nl_vectors = embedder.embed([pair.nl for pair in texts])
     fl_vectors = embedder.embed([pair.fl for pair in texts])
-    head, trace = retrieval.train_projection(
-        list(zip(nl_vectors, fl_vectors)), r, fork_seed(config.seed, "train-retriever"))
+    try:
+        head, trace = retrieval.train_projection(
+            list(zip(nl_vectors, fl_vectors)), r,
+            fork_seed(config.seed, "train-retriever"))
+    except retrieval.EmptyInput as exc:
+        raise retrieval.EmptyInput(
+            f"{r.pairs} (retrieval.pairs) holds {len(texts)}: {exc}") from None
+    os.makedirs(config.workdir, exist_ok=True)
     retrieval.save_head(head, stage_path(config, "projection"))
     artifacts.write_text(stage_path(config, "loss_trace"), "step,loss\n" + "".join(
         f"{step},{loss:.10f}\n" for step, loss in enumerate(trace, start=1)))

@@ -3,10 +3,12 @@ and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
 sources are treated as token streams, never elaborated. ``lex_lean`` is a
-regex scanner that yields ``LeanToken`` named tuples, and every function that
-works on a lexed text takes those tokens rather than the text, so a caller
-that holds a text's tokens never lexes it again: step counts come from the
-tokens of the proof, divergences from the tokens of both texts.
+regex scanner that yields ``LeanToken`` named tuples, for callers that need
+each token's kind and offset: extraction, Lean3 detection, and the location
+of a divergence. ``code_texts`` gives only the texts of the code and string
+tokens, from one ``findall`` that builds no token, and raises what
+``lex_lean`` raises; verification compares those texts, and
+``count_tactic_steps`` counts from a proof text with the same scans.
 """
 
 from __future__ import annotations
@@ -171,23 +173,35 @@ class Lean3Finding:
     offset: int
 
 
+# The sub-patterns of a token, each declared once: ``_TOKEN`` and the scans of
+# ``code_texts`` and ``_strip_comments`` are built from them. A code run stops
+# at whitespace, a double quote or a comment opener; a char literal inside it
+# is taken whole (so `'"'` opens no string), except after an identifier
+# character, where `'` is a prime (h').
+_WHITESPACE = r"[ \t\r\n]+"
+_LINE_COMMENT = r"--[^\n]*"
+_STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
+_CODE_RUN = (r"(?:[^ \t\r\n\"'/-]+|(?<!" + _IDENT_TAIL + ")" + _CHAR_LITERAL
+             + r"|'|-(?!-)|/(?!-))+")
+
+
+def _block_comment(nesting: int) -> str:
+    """A block comment holding comments nested at most ``nesting`` deep."""
+    inner = r"/(?!-)|-(?!/)"
+    if nesting:
+        inner += "|" + _block_comment(nesting - 1)
+    return r"/-[^/-]*(?:(?:" + inner + r")[^/-]*)*-/"
+
+
 # One alternative per token kind, tried in this order at each position:
 # whitespace, line comment, block comment without a nested opener, string
-# literal, code run. A code run stops at whitespace, a double quote or a
-# comment opener; a char literal inside it is taken whole (so `'"'` opens no
-# string), except after an identifier character, where `'` is a prime (h').
-# The last two groups catch a block comment that nests or never closes and a
-# string that never closes; both leave the regex to ``lex_lean``. Some
-# alternative matches at every position, so the matches tile the text.
+# literal, code run. The last two groups catch a block comment that nests or
+# never closes and a string that never closes; both leave the regex to
+# ``lex_lean``. Some alternative matches at every position, so the matches
+# tile the text.
 _TOKEN = re.compile(
-    r"([ \t\r\n]+)"
-    r"|(--[^\n]*)"
-    r"|(/-[^/-]*(?:(?:/(?!-)|-(?!/))[^/-]*)*-/)"
-    r'|("[^"\\]*(?:\\[\s\S][^"\\]*)*")'
-    r"|((?:[^ \t\r\n\"'/-]+|(?<!" + _IDENT_TAIL + ")" + _CHAR_LITERAL
-    + r"|'|-(?!-)|/(?!-))+)"
-    r"|(/-)"
-    r'|(")'
+    f"({_WHITESPACE})|({_LINE_COMMENT})|({_block_comment(0)})|({_STRING})"
+    f'|({_CODE_RUN})|(/-)|(")'
 )
 _KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
                   TokenKind.BLOCK_COMMENT, TokenKind.STRING, TokenKind.CODE)
@@ -240,6 +254,58 @@ def _nested_comment_end(source: str, start: int) -> int:
         pos = m.end()
         if depth == 0:
             return pos
+
+
+# The scans of ``code_texts`` and ``_strip_comments`` match block comments
+# nested this deep inside a block comment. A deeper one, or a comment or
+# string that never closes, leaves a bare `/-` or `"` item, which no token or
+# run of tokens can be, and the text is then lexed in full. ``re`` compiles
+# each scan on first use and keeps it.
+_SCAN_NESTING = 2
+# One group per string literal or code run; whitespace and comments match
+# outside it, so ``findall`` gives them as empty items.
+_CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
+              f'|({_STRING}|{_CODE_RUN}|/-|")')
+# One group per run of tokens between two comments.
+_UNCOMMENTED_SCAN = (f"(?:{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
+                     f'|((?:{_WHITESPACE}|{_STRING}|{_CODE_RUN})+|/-|")')
+
+
+def code_texts(text: str) -> List[str]:
+    """The texts of the code and string-literal tokens of ``text``, in order.
+
+    Equal to ``[t.text for t in lex_lean(text) if t.kind in SEMANTIC_KINDS]``,
+    and raises the ``LexError`` that ``lex_lean`` raises, but one ``findall``
+    gives the texts without building a token for each.
+    """
+    texts = list(filter(None, re.findall(_CODE_SCAN, text)))
+    if "/-" in texts or '"' in texts:
+        return [t.text for t in lex_lean(text) if t.kind in SEMANTIC_KINDS]
+    return texts
+
+
+def _strip_comments(text: str) -> str:
+    """``text`` without its comment tokens; raises ``LexError`` as
+    ``lex_lean`` does."""
+    runs = re.findall(_UNCOMMENTED_SCAN, text)
+    if "/-" in runs or '"' in runs:
+        return "".join([t.text for t in lex_lean(text) if t.kind not in COMMENT_KINDS])
+    return "".join(runs)
+
+
+def _semantic_end(text: str, index: int) -> int:
+    """End offset of the ``index``-th code or string token of ``text``, a
+    text that lexes. Only the tokens up to that one are scanned."""
+    seen = 0
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group >= _NESTED_COMMENT:
+            break  # the regex alone cannot follow a nested comment
+        if _KIND_OF_GROUP[group] in SEMANTIC_KINDS:
+            if seen == index:
+                return m.end()
+            seen += 1
+    return [t for t in lex_lean(text) if t.kind in SEMANTIC_KINDS][index].end
 
 
 def token_divergence(
@@ -458,8 +524,7 @@ def _extract_one(
     statement = source[keyword.start : statement_end]
     proof = source[keyword.start : last_sem_end]
     try:
-        # the slice lexes exactly as the proof text does on its own
-        difficulty = count_tactic_steps(tokens[start_idx : last_sem + 1])
+        difficulty = count_tactic_steps(proof)
     except LexError as exc:
         # Removing the comments glued a new comment opener or quote together.
         logger.warning(
@@ -525,57 +590,44 @@ def _split_tactic_segments(line: str) -> int:
     return segments
 
 
-def count_tactic_steps(proof_tokens: Sequence[LeanToken]) -> int:
-    """Static count of top-level tactic invocations in a lexed proof.
+def count_tactic_steps(proof: str) -> int:
+    """Static count of top-level tactic invocations in a proof text.
 
     The proof is either a full declaration, a fragment starting at ``:=``, or
     a bare tactic block.  Steps are separated by newlines at the block's base
     indentation or by `;`; a term-mode proof counts as one step.  Comments
     are ignored entirely, so commenting a proof never changes its count.
 
-    The count is taken on the proof with its comments removed, and only that
-    text is lexed again: removing a comment can join its neighbours into new
-    tokens (``:=/- c -/by`` becomes ``:=by``), so the kept tokens alone would
-    not do.
+    The count is taken on the proof with its comments removed, which is
+    scanned again: removing a comment can join its neighbours into new
+    tokens (``:=/- c -/by`` becomes ``:=by``). Its tokens are walked only up
+    to the first ``:=`` at bracket depth zero and the token after it. A
+    proof that does not lex, or no longer lexes without its comments,
+    raises ``LexError``.
     """
-    stripped = "".join([t.text for t in proof_tokens if t.kind not in COMMENT_KINDS])
+    stripped = _strip_comments(proof)
     if not stripped.strip():
         return 0
-
-    tokens = [t for t in lex_lean(stripped) if t.kind in SEMANTIC_KINDS]
-    if not tokens:
+    texts = code_texts(stripped)
+    if not texts:
         return 0  # what is left is a comment: `-/- c -/-` strips to `--`
 
     # Locate the proof body relative to a depth-zero `:=`, if present.
     depth = 0
-    body_start = None
-    tactic_mode = False
-    for idx, t in enumerate(tokens):
-        if t.kind != TokenKind.CODE:
-            continue
-        if depth == 0 and t.text == ":=":
-            nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == TokenKind.CODE and nxt.text == "by":
-                tactic_mode = True
-                body_start = nxt.end
-            else:
-                body_start = t.end
-            break
-        depth += _bracket_delta(t.text)
+    for idx, text in enumerate(texts):
+        if text[0] == '"':
+            continue  # a string literal
+        if depth == 0 and text == ":=":
+            if texts[idx + 1 : idx + 2] != ["by"]:
+                return 1  # a term-mode proof
+            body_start = _semantic_end(stripped, idx + 1)
+            return max(1, _count_block_steps(stripped[body_start:]))
+        depth += _bracket_delta(text)
 
-    if body_start is None:
-        # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
-        # whole text as tactic lines (the fragment form used by callers).
-        first = tokens[0]
-        if first.kind == TokenKind.CODE and first.text == "by":
-            body = stripped[first.end :]
-        else:
-            body = stripped
-        return max(1, _count_block_steps(body))
-
-    if not tactic_mode:
-        return 1
-    return max(1, _count_block_steps(stripped[body_start:]))
+    # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
+    # whole text as tactic lines (the fragment form used by callers).
+    body = stripped[_semantic_end(stripped, 0) :] if texts[0] == "by" else stripped
+    return max(1, _count_block_steps(body))
 
 
 def _count_block_steps(body: str) -> int:

@@ -8,7 +8,7 @@ implementation against it over the snippet corpus and randomized inputs.
 ``corpus.lex_lean`` replaced; it emits ``LeanToken``s and raises the corpus
 ``LexError``s, so the two must agree token for token and error for error.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
-the string form of ``count_tactic_steps`` did: strip the comments, lex again.
+``count_tactic_steps`` did when it lexed the comment-stripped proof whole.
 ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
 ``HashEmbedder.embed`` must match byte for byte. ``KeyedBackend`` answers by
 request id after a jittered pause, so the paid stages can be run at several
@@ -202,8 +202,9 @@ def reference_lex_lean(source: str):
 
 
 def reference_count_tactic_steps(proof: str) -> int:
-    """Step count of a proof text as the string form of
-    ``count_tactic_steps`` took it: strip comments, lex the rest again."""
+    """Step count of a proof text as ``count_tactic_steps`` took it before it
+    scanned the stripped proof only to its first ``:=``: strip comments, lex
+    the rest again whole."""
     from leanforge import corpus
     from leanforge.corpus import COMMENT_KINDS, SEMANTIC_KINDS, TokenKind
 
@@ -243,6 +244,34 @@ def reference_count_tactic_steps(proof: str) -> int:
     return max(1, corpus._count_block_steps(stripped[body_start:]))
 
 
+# --- texts built from Lean's delimiters ----------------------------------------
+
+
+def lean_delimited_texts():
+    """A hypothesis strategy for texts built from Lean's comment, string,
+    char-literal and tactic delimiters, with block comments nested one level
+    deeper than ``corpus.code_texts``'s scan follows."""
+    from hypothesis import strategies as st
+
+    from leanforge import corpus
+
+    atoms = st.sampled_from([
+        "/-", "-/", "--", '"', "'", "\\", "'\"'", "h'", "x''", "\n", "\n  ",
+        ":=", "by", ";", "<;>", " ", "a", "rfl", "(", ")", "-", "/",
+    ])
+    filler = st.text(alphabet="ab '\"-/\n", max_size=4)
+
+    def nest(depth_and_fill):
+        depth, fill = depth_and_fill
+        return ("".join(f + "/-" for f in fill[:depth]) + fill[depth]
+                + "".join("-/" + f for f in fill[depth + 1:]))
+
+    nested = st.integers(1, corpus._SCAN_NESTING + 2).flatmap(
+        lambda depth: st.tuples(st.just(depth), st.lists(
+            filler, min_size=2 * depth + 1, max_size=2 * depth + 1))).map(nest)
+    return st.lists(st.one_of(atoms, nested), max_size=20).map("".join)
+
+
 # --- text-level helpers over the token API ------------------------------------
 
 
@@ -265,13 +294,6 @@ def text_divergence(reference: str, candidate: str):
     from leanforge.corpus import lex_lean, token_divergence
 
     return token_divergence(lex_lean(reference), lex_lean(candidate))
-
-
-def steps(proof: str) -> int:
-    """``count_tactic_steps`` of a proof text."""
-    from leanforge.corpus import count_tactic_steps, lex_lean
-
-    return count_tactic_steps(lex_lean(proof))
 
 
 def lex_or_none(text: str):

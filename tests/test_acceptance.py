@@ -159,7 +159,7 @@ class TestCriterion2:
         verified = 0
         for source in BOOTSTRAP_SOURCES:
             commented = head_bootstrap(informal, source)
-            ok, divergence = verify_bootstrap(lex_lean(source), commented)
+            ok, divergence = verify_bootstrap(source, commented)
             assert ok and divergence is None, source[:40]
             verified += 1
         assert verified == len(BOOTSTRAP_SOURCES)
@@ -170,7 +170,7 @@ class TestCriterion2:
             for index in range(0, token_count, 3):
                 mutated = mutate_token(source, index)
                 commented = head_bootstrap(informal, mutated)
-                ok, divergence = verify_bootstrap(lex_lean(source), commented)
+                ok, divergence = verify_bootstrap(source, commented)
                 assert not ok, (source[:40], index)
                 assert divergence.index == index
                 assert divergence.expected == support.semantic_tokens(source)[index].text

@@ -58,7 +58,9 @@ from support import (
     KeyedBackend,
     insert_comments_line_respecting,
     insert_comments_reckless,
+    lean_delimited_texts,
     random_leanish_source,
+    reference_lex_lean,
     strip_comments,
 )
 
@@ -104,7 +106,7 @@ def sq_record():
     )
 
 
-SQ_TOKENS = corpus.lex_lean(SQINEQ_PLAIN)
+SQ_CODE = corpus.code_texts(SQINEQ_PLAIN)
 
 
 class TestSanitizeCommentBody:
@@ -135,38 +137,38 @@ class TestHeadBootstrap:
 
     def test_always_verifies_on_fixture(self):
         out = head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN)
-        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), out)
+        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, out)
         assert ok and divergence is None
 
     def test_delimiters_in_nl_cannot_escape(self):
         nl = "uses /- a nested comment -/ and a stray -/ closer"
         out = head_bootstrap(nl, AMC12B_2002_P2)
-        ok, _ = verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), out)
+        ok, _ = verify_bootstrap(AMC12B_2002_P2, out)
         assert ok
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
     def test_verifies_for_arbitrary_nl(self, nl):
         out = head_bootstrap(nl, AMC12B_2002_P2)
-        ok, divergence = verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), out)
+        ok, divergence = verify_bootstrap(AMC12B_2002_P2, out)
         assert ok, divergence
 
 
 class TestVerifyBootstrap:
     def test_identity(self):
-        assert verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), AMC12B_2002_P2) == (True, None)
+        assert verify_bootstrap(AMC12B_2002_P2, AMC12B_2002_P2) == (True, None)
 
     def test_published_commented_listing(self):
-        ok, _ = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), SQINEQ_COMMENTED)
+        ok, _ = verify_bootstrap(SQINEQ_PLAIN, SQINEQ_COMMENTED)
         assert ok
 
     def test_worked_example_listing(self):
-        ok, _ = verify_bootstrap(corpus.lex_lean(INTEGRAL_PROOF), INTEGRAL_COMMENTED)
+        ok, _ = verify_bootstrap(INTEGRAL_PROOF, INTEGRAL_COMMENTED)
         assert ok
 
     def test_rewritten_tactic_caught_at_token(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
-        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), mutated)
+        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, mutated)
         assert not ok
         assert divergence.expected == "linarith"
         assert divergence.actual == "nlinarith"
@@ -175,7 +177,7 @@ class TestVerifyBootstrap:
     def test_dropped_tactic_caught(self):
         shorter = SQINEQ_PLAIN.replace(
             "  have h₁ : 0 ≤ (a - b - 1) ^ 2 := sq_nonneg _\n", "")
-        ok, divergence = verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), shorter)
+        ok, divergence = verify_bootstrap(SQINEQ_PLAIN, shorter)
         assert not ok
         assert divergence.expected == "have"
 
@@ -187,12 +189,46 @@ class TestVerifyBootstrap:
             insert = (insert_comments_reckless if trial % 2 == 0
                       else insert_comments_line_respecting)
             commented = insert(src, rng, count=rng.randint(1, 4))
-            ok, divergence = verify_bootstrap(corpus.lex_lean(src), commented)
+            ok, divergence = verify_bootstrap(src, commented)
             assert ok, (trial, divergence)
 
     def test_non_lexing_candidate_raises(self):
         with pytest.raises(LexError):
-            verify_bootstrap(corpus.lex_lean(AMC12B_2002_P2), "/- opened but never closed")
+            verify_bootstrap(AMC12B_2002_P2, "/- opened but never closed")
+
+
+def verify_outcome(verify, proof, commented):
+    try:
+        return verify(proof, commented)
+    except LexError as exc:
+        return type(exc), exc.offset
+
+
+def reference_verify(proof, commented):
+    divergence = corpus.token_divergence(
+        reference_lex_lean(proof), reference_lex_lean(commented))
+    return divergence is None, divergence
+
+
+@st.composite
+def proof_and_commented(draw):
+    """A proof and a text to check against it: another text, or the proof
+    with a comment or a delimited text put in at some offset."""
+    proof = draw(lean_delimited_texts())
+    inserted = draw(st.one_of(
+        st.none(), st.sampled_from([" /- c -/ ", "\n-- c\n", " /- a /- b -/ -/"]),
+        lean_delimited_texts()))
+    if inserted is None:
+        return proof, draw(lean_delimited_texts())
+    at = draw(st.integers(0, len(proof)))
+    return proof, proof[:at] + inserted + proof[at:]
+
+
+@given(proof_and_commented())
+@settings(max_examples=400, deadline=None)
+def test_property_verify_bootstrap_agrees_with_token_divergence(pair):
+    assert verify_outcome(verify_bootstrap, *pair) == verify_outcome(
+        reference_verify, *pair)
 
 
 class Counting:
@@ -222,7 +258,7 @@ class TestBootstrapTheorem:
         assert obt == ObtRecord(
             **dataclasses.asdict(sq_record()),
             commented_proof=head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN))
-        assert verify_bootstrap(SQ_TOKENS, obt.commented_proof)[0]
+        assert verify_bootstrap(SQINEQ_PLAIN, obt.commented_proof)[0]
 
     def test_prompt_layout(self):
         prompt = bootstrap_prompt(SQINEQ_NL, sq_record().proof)
@@ -237,22 +273,22 @@ class TestBootstrapTheorem:
 
     def test_interleaved_verified_first_try(self):
         backend = Counting(MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
     def test_fenced_reply_unwrapped(self):
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
         backend = MockBackend(script=[("algebra_sqineq", fenced)])
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
-        assert verify_bootstrap(corpus.lex_lean(SQINEQ_PLAIN), out)[0]
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
+        assert verify_bootstrap(SQINEQ_PLAIN, out)[0]
         assert "```" not in out
 
     def test_rewrite_retries_then_fails_with_divergence(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(script=[("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
         assert backend.calls == 3
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
@@ -264,14 +300,14 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(MockBackend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
     def test_non_lexing_reply_counts_as_failure(self):
         backend = MockBackend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_TOKENS,
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE,
                               max_attempts=2)
 
     def test_backend_errors_propagate(self):
@@ -283,7 +319,7 @@ class TestBootstrapTheorem:
 
         policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
-            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_TOKENS)
+            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_CODE)
 
 
 def integral_record(commit=INTEGRAL_COMMIT):
@@ -404,7 +440,7 @@ class TestBootstrapCorpus:
     def test_every_emitted_record_verifies(self):
         out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
         for record in out:
-            ok, _ = verify_bootstrap(corpus.lex_lean(record.proof), record.commented_proof)
+            ok, _ = verify_bootstrap(record.proof, record.commented_proof)
             assert ok
 
     def test_interleaved_mode_needs_a_backend(self):

@@ -596,6 +596,16 @@ class TestTrainRetriever:
         assert (f"{path}: head takes vectors of 3 values, "
                 f"but retrieval.dimension is 64") in str(raised.value)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_pairs_name_the_file_and_create_nothing(
+            self, tmp_path, capsys, count):
+        pairs_path = write_text_pairs(tmp_path / "pairs.jsonl", count)
+        config = retriever_config(tmp_path, pairs_path, steps=5)
+        assert run(["train-retriever", "-c", config]) == 1
+        assert (f"error: {pairs_path} (retrieval.pairs) holds {count}: "
+                "need at least two pairs to train") in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
     def test_missing_pairs_file_exits_1_naming_it(self, tmp_path, capsys):
         config = retriever_config(tmp_path, tmp_path / "nope.jsonl")
         assert run(["train-retriever", "-c", config]) == 1
@@ -1704,8 +1714,11 @@ class TestProveConcurrency:
 
 
 class TestLexBudget:
-    """Each stage lexes a Lean text at most once. Every binding of
-    ``corpus.lex_lean`` inside leanforge is wrapped, so no lex goes uncounted."""
+    """A stage lexes a Lean text into tokens only where it needs their
+    offsets: a file to extract from, and both texts of a rejected reply to
+    locate the divergence. Verification and step counts take code texts.
+    Every binding of ``corpus.lex_lean`` inside leanforge is wrapped, so no
+    lex goes uncounted."""
 
     def count_lexes(self, monkeypatch):
         lexed = []
@@ -1745,8 +1758,8 @@ class TestLexBudget:
             assert run(argv) == 0, argv
             return len(lexed)
 
-        # extract: each file once, plus each theorem's comment-stripped proof
-        assert lexes(["extract", "-c", config]) <= len(CORPUS_FILES) + len(CORPUS_NAMES)
+        # extract: each file once
+        assert lexes(["extract", "-c", config]) == len(CORPUS_FILES)
         assert run(["train-retriever", "-c", config]) == 0
         assert run(["informalize", "-c", config]) == 0
 
@@ -1772,8 +1785,8 @@ class TestLexBudget:
         assert len(obt) == len(theorems) == len(CORPUS_NAMES)
         assert all(e["Commented_proof"].endswith("-- checked") for e in obt)
         assert len(replies) == len(obt) + 1
-        assert bootstrap_lexes <= len(obt) + len(replies)
+        # no original proof is lexed; the rejected reply and its proof are
+        assert bootstrap_lexes == 2 * (len(replies) - len(obt))
 
-        # prep: each record's proof and commented proof once, plus the
-        # comment-stripped proof for its step count
-        assert lexes(["prep", "-c", config]) <= 3 * len(obt)
+        # prep: every record verifies, so nothing is lexed
+        assert lexes(["prep", "-c", config]) == 0

@@ -19,13 +19,13 @@ from support import (
     insert_comments_line_respecting,
     insert_comments_reckless,
     lean3_findings,
+    lean_delimited_texts,
     random_leanish_source,
     reference_count_tactic_steps,
     reference_lex_lean,
     reference_scan,
     reference_semantic_tokens,
     semantic_tokens,
-    steps,
     strip_comments,
     text_divergence,
 )
@@ -35,9 +35,11 @@ from leanforge.corpus import (
     Lean3Finding,
     LeanToken,
     LexError,
+    SEMANTIC_KINDS,
     TokenKind,
     UnterminatedComment,
     UnterminatedString,
+    code_texts,
     count_tactic_steps,
     extract_theorems,
     lex_lean,
@@ -288,7 +290,7 @@ class TestExtractTheorems:
 
     def test_difficulty_populated(self):
         records = extract_theorems(listings.MATHD_ALGEBRA_338, "x.lean", "c")
-        assert records[0].difficulty == steps(records[0].proof)
+        assert records[0].difficulty == count_tactic_steps(records[0].proof)
 
     def test_proof_unlexable_without_comments_skips_only_its_declaration(
             self, caplog):
@@ -311,38 +313,38 @@ class TestExtractTheorems:
 class TestCountTacticSteps:
     # Frozen expected counts; derived by hand-walking each listing.
     def test_single_tactic(self):
-        assert steps(":= by rfl") == 1
+        assert count_tactic_steps(":= by rfl") == 1
 
     def test_term_mode(self):
-        assert steps(":= rfl") == 1
+        assert count_tactic_steps(":= rfl") == 1
 
     def test_bare_tactic_block(self):
-        assert steps("subst x\nring") == 2
+        assert count_tactic_steps("subst x\nring") == 2
 
     def test_full_declaration_two_steps(self):
-        assert steps(listings.AMC12B_2002_P2) == 2
+        assert count_tactic_steps(listings.AMC12B_2002_P2) == 2
 
     def test_semicolon_chain_counts_individually(self):
-        assert steps(":= by constructor; rfl; rfl") == 3
+        assert count_tactic_steps(":= by constructor; rfl; rfl") == 3
 
     def test_alternation_combinator_not_split(self):
-        assert steps(":= by rw [h] <;> rfl") == 1
+        assert count_tactic_steps(":= by rw [h] <;> rfl") == 1
 
     def test_term_mode_listing(self):
-        assert steps(listings.INTEGRAL_PROOF) == 1
+        assert count_tactic_steps(listings.INTEGRAL_PROOF) == 1
 
     def test_commented_listing_same_count(self):
-        assert steps(listings.INTEGRAL_COMMENTED) == steps(
+        assert count_tactic_steps(listings.INTEGRAL_COMMENTED) == count_tactic_steps(
             listings.INTEGRAL_PROOF
         )
 
     def test_sqineq_counts_ignore_comments(self):
         # have + linarith, with three interleaved comment lines.
-        assert steps(listings.SQINEQ_COMMENTED) == 2
+        assert count_tactic_steps(listings.SQINEQ_COMMENTED) == 2
 
     def test_continuation_lines_not_counted(self):
         # calc continuation lines are deeper than the block base indent.
-        assert steps(listings.MATHD_ALGEBRA_270) == 2
+        assert count_tactic_steps(listings.MATHD_ALGEBRA_270) == 2
 
     def test_frozen_counts_for_listings(self):
         expected = {
@@ -352,11 +354,11 @@ class TestCountTacticSteps:
             "AMC12_2000_P5": 3,
         }
         for attr, count in expected.items():
-            assert steps(getattr(listings, attr)) == count, attr
+            assert count_tactic_steps(getattr(listings, attr)) == count, attr
 
     def test_empty_input(self):
-        assert steps("") == 0
-        assert steps("   \n ") == 0
+        assert count_tactic_steps("") == 0
+        assert count_tactic_steps("   \n ") == 0
 
     def test_invariant_under_line_respecting_comment_insertion(self):
         rng = random.Random(11)
@@ -370,18 +372,18 @@ class TestCountTacticSteps:
         ]
         for trial in range(150):
             src = sources[trial % len(sources)]
-            baseline = steps(src)
+            baseline = count_tactic_steps(src)
             mutated = insert_comments_line_respecting(src, rng, count=rng.randint(1, 3))
-            assert steps(mutated) == baseline, (trial, mutated)
+            assert count_tactic_steps(mutated) == baseline, (trial, mutated)
 
     def test_invariant_under_blank_line_insertion(self):
         rng = random.Random(13)
         src = listings.MATHD_ALGEBRA_338
-        baseline = steps(src)
+        baseline = count_tactic_steps(src)
         for _ in range(30):
             lines = src.split("\n")
             lines.insert(rng.randint(1, len(lines) - 1), "")
-            assert steps("\n".join(lines)) == baseline
+            assert count_tactic_steps("\n".join(lines)) == baseline
 
 
 class TestDetectLean3Artifacts:
@@ -506,6 +508,27 @@ def test_property_lexer_agrees_with_per_character_reference(source):
     assert lex_outcome(lex_lean, source) == lex_outcome(reference_lex_lean, source)
 
 
+# --- code texts from one scan against the per-character reference ------------------
+
+
+def reference_code_texts(source):
+    return [t.text for t in reference_lex_lean(source) if t.kind in SEMANTIC_KINDS]
+
+
+# a block comment nested one level deeper than the scans follow
+_TOO_DEEP = "/- 1 " * (corpus._SCAN_NESTING + 2) + "-/ " * (corpus._SCAN_NESTING + 2)
+
+
+@given(lean_delimited_texts())
+@example("a " + _TOO_DEEP + "b")
+@example("a /- 1 /- 2 -/ -/ b 'c' h' \"s /- t\" -- d")
+@example("a " + _TOO_DEEP[:-3] + "b")
+@example('a /- c -/ "open')
+@settings(max_examples=400, deadline=None)
+def test_property_code_texts_agree_with_per_character_reference(source):
+    assert lex_outcome(code_texts, source) == lex_outcome(reference_code_texts, source)
+
+
 # --- step counts from tokens against the text form --------------------------------
 
 
@@ -534,20 +557,29 @@ def step_outcome(count, source):
 @example("-/- c -/- rfl")
 @settings(max_examples=500, deadline=None)
 def test_property_token_step_count_matches_text_count(source):
-    assert step_outcome(steps, source) == step_outcome(
+    assert step_outcome(count_tactic_steps, source) == step_outcome(
+        reference_count_tactic_steps, source)
+
+
+@given(lean_delimited_texts())
+@example(":= by " + _TOO_DEEP + "simp\n  rfl")
+@example("theorem t : (a := b) := by\n  simp; rfl\n  done")
+@settings(max_examples=400, deadline=None)
+def test_property_step_count_of_delimited_texts_matches_reference(source):
+    assert step_outcome(count_tactic_steps, source) == step_outcome(
         reference_count_tactic_steps, source)
 
 
 def test_glued_comment_joins_assign_and_by():
     # `:=by` is one token once the comment is gone, so no `:=` opens a
     # tactic block and every line counts; with a space, `:=` and `by` do
-    assert count_tactic_steps(lex_lean(":=/- c -/by\n  simp\n  rfl")) == 3
-    assert count_tactic_steps(lex_lean(":= /- c -/by\n  simp\n  rfl")) == 2
+    assert count_tactic_steps(":=/- c -/by\n  simp\n  rfl") == 3
+    assert count_tactic_steps(":= /- c -/by\n  simp\n  rfl") == 2
 
 
 def test_comment_removal_that_leaves_only_a_comment_counts_zero():
     # stripping `/- c -/` out of `-/- c -/-` leaves `--`, a line comment
-    assert count_tactic_steps(lex_lean("-/- c -/-")) == 0
+    assert count_tactic_steps("-/- c -/-") == 0
 
 
 def test_extraction_counts_from_the_file_tokens():

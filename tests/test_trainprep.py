@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from leanforge import artifacts
 from leanforge.config import PrepSettings
-from leanforge.corpus import count_tactic_steps, lex_lean
+from leanforge.corpus import count_tactic_steps
 from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
@@ -363,11 +363,11 @@ class StubRecord:
     proof: str
     commented_proof: str
     generated_informal_statement_and_proof: str
-    # counted from the proof's tokens, as bootstrap.load_obt_dataset does
+    # counted from the proof, as bootstrap.load_obt_dataset does
     difficulty: int = field(init=False)
 
     def __post_init__(self):
-        self.difficulty = count_tactic_steps(lex_lean(self.proof))
+        self.difficulty = count_tactic_steps(self.proof)
 
 
 def stub_corpus():
