@@ -102,22 +102,14 @@ def head_bootstrap(nl_text: str, proof: str) -> str:
 def verify_bootstrap(
     proof: str, commented_proof: str, code: Optional[List[str]] = None
 ) -> Tuple[bool, Optional[TokenDivergence]]:
-    """Check that the commented proof preserves the original code exactly.
-
-    ``code`` is ``corpus.code_texts(proof)``, which callers that check one
-    proof many times compute once and pass. Comments and whitespace are
-    free; code and string-literal tokens must match in content and order,
-    and a text that does not lex raises ``LexError``. Only when they do not
-    match are both texts lexed in full, to return the first divergence with
-    the offset locating it in the commented text.
+    """Check that the commented proof preserves the original code exactly,
+    by ``corpus.code_divergence``: ``code`` is ``corpus.code_texts(proof)``
+    when the caller has it, and a text that does not lex raises
+    ``LexError``. A failed check returns the first divergence, located in
+    the commented text.
     """
-    if code is None:
-        code = corpus.code_texts(proof)
-    if corpus.code_texts(commented_proof) == code:
-        return True, None
-    divergence = corpus.token_divergence(
-        corpus.lex_lean(proof), corpus.lex_lean(commented_proof))
-    return False, divergence
+    divergence = corpus.code_divergence(proof, commented_proof, code)
+    return divergence is None, divergence
 
 
 # --- interleaved generation ------------------------------------------------------

@@ -297,7 +297,10 @@ def make_verifier(settings: ProverSettings):
             if type(proof) is not str:
                 raise ConfigError(
                     [f"{settings.answer_key}: proof of {name!r} is not a string"])
-    return prover.MockVerifier(key)
+    try:
+        return prover.MockVerifier(key)
+    except ValueError as exc:  # a proof that does not lex
+        raise ConfigError([f"{settings.answer_key}: {exc}"]) from None
 
 
 def cmd_prove(args, config: PipelineConfig) -> int:

@@ -4,11 +4,11 @@ and Lean3-artifact detection.
 Everything here is a pure text transformation. No Lean toolchain is invoked;
 sources are treated as token streams, never elaborated. ``lex_lean`` is a
 regex scanner that yields ``LeanToken`` named tuples, for callers that need
-each token's kind and offset: extraction, Lean3 detection, and the location
-of a divergence. ``code_texts`` gives only the texts of the code and string
-tokens, from one ``findall`` that builds no token, and raises what
-``lex_lean`` raises; verification compares those texts, and
-``count_tactic_steps`` counts from a proof text with the same scans.
+each token's kind and offset: extraction and the location of a divergence.
+``code_texts`` gives only the texts of the code and string tokens, from one
+``findall`` that builds no token, and raises what ``lex_lean`` raises;
+``code_divergence`` (the rule that two texts carry the same code), Lean3
+detection and ``count_tactic_steps`` work from those texts.
 """
 
 from __future__ import annotations
@@ -167,12 +167,6 @@ class TheoremRecord:
     difficulty: int
 
 
-@dataclass(frozen=True)
-class Lean3Finding:
-    pattern: str
-    offset: int
-
-
 # The sub-patterns of a token, each declared once: ``_TOKEN`` and the scans of
 # ``code_texts`` and ``_strip_comments`` are built from them. A code run stops
 # at whitespace, a double quote or a comment opener; a char literal inside it
@@ -328,6 +322,26 @@ def token_divergence(
                 offset = candidate[-1].end if candidate else 0
             return TokenDivergence(idx, expected, actual, offset)
     return None
+
+
+def code_divergence(
+    reference: str, candidate: str, code: Optional[List[str]] = None
+) -> Optional[TokenDivergence]:
+    """None when ``candidate`` carries the code of ``reference`` exactly,
+    else the first point where it does not.
+
+    ``code`` is ``code_texts(reference)``, which callers that check one
+    reference many times compute once and pass. Comments and whitespace are
+    free; code and string-literal tokens must match in content and order,
+    and a text that does not lex raises ``LexError``. Only when they do not
+    match are both texts lexed in full, to locate the divergence in
+    ``candidate``.
+    """
+    if code is None:
+        code = code_texts(reference)
+    if code_texts(candidate) == code:
+        return None
+    return token_divergence(lex_lean(reference), lex_lean(candidate))
 
 
 # --- theorem extraction -----------------------------------------------------
@@ -654,45 +668,39 @@ def _count_block_steps(body: str) -> int:
 _LEAN3_MODULE = re.compile(r"[a-z][A-Za-z0-9_']*(\.[A-Za-z0-9_']+)*$")
 
 
-def detect_lean3_artifacts(
-    text: str, tokens: Optional[Sequence[LeanToken]]
-) -> List[Lean3Finding]:
+def detect_lean3_artifacts(text: str, code: Optional[Sequence[str]]) -> List[str]:
     """Flag Lean3 leftovers: begin/end tactic blocks, Lean3-style imports,
-    and open_locale commands, each with its byte offset.
+    and open_locale commands. Returns the names of the patterns found, in
+    text order.
 
-    ``tokens`` is the text's ``lex_lean`` output, or None when the text does
-    not lex; unlexable text falls back to a regex scan.
+    ``code`` is the text's ``code_texts``, or None when the text does not
+    lex; unlexable text falls back to a regex scan.
     """
-    if tokens is None:
+    if code is None:
         return _detect_lean3_raw(text)
 
-    findings: List[Lean3Finding] = []
-    code = [t for t in tokens if t.kind == TokenKind.CODE]
-    for pos, tok in enumerate(code):
-        if tok.text == "begin":
-            findings.append(Lean3Finding("begin-end-block", tok.start))
-        elif tok.text == "open_locale":
-            findings.append(Lean3Finding("open-locale", tok.start))
-        elif tok.text == "import" and pos + 1 < len(code):
-            target = code[pos + 1].text
+    findings: List[str] = []
+    tokens = [t for t in code if t[0] != '"']  # a string literal starts with `"`
+    for pos, tok in enumerate(tokens):
+        if tok == "begin":
+            findings.append("begin-end-block")
+        elif tok == "open_locale":
+            findings.append("open-locale")
+        elif tok == "import" and pos + 1 < len(tokens):
+            target = tokens[pos + 1]
             root = target.split(".", 1)[0]
             lowercase = bool(re.match(r"[a-z]", target))
             if lowercase and _LEAN3_MODULE.match(target) and ("." in target or root in _LEAN3_IMPORT_ROOTS):
-                findings.append(Lean3Finding("lean3-import", tok.start))
-    findings.sort(key=lambda f: f.offset)
+                findings.append("lean3-import")
     return findings
 
 
-def _detect_lean3_raw(text: str) -> List[Lean3Finding]:
-    findings = []
-    for m in re.finditer(r"\bbegin\b", text):
-        findings.append(Lean3Finding("begin-end-block", m.start()))
-    for m in re.finditer(r"\bopen_locale\b", text):
-        findings.append(Lean3Finding("open-locale", m.start()))
+def _detect_lean3_raw(text: str) -> List[str]:
+    found = [(m.start(), "begin-end-block") for m in re.finditer(r"\bbegin\b", text)]
+    found += [(m.start(), "open-locale") for m in re.finditer(r"\bopen_locale\b", text)]
     for m in re.finditer(r"\bimport\s+([a-z][\w'.]*)", text):
         target = m.group(1)
         root = target.split(".", 1)[0]
         if "." in target or root in _LEAN3_IMPORT_ROOTS:
-            findings.append(Lean3Finding("lean3-import", m.start()))
-    findings.sort(key=lambda f: f.offset)
-    return findings
+            found.append((m.start(), "lean3-import"))
+    return [pattern for _, pattern in sorted(found)]

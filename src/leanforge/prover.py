@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
 from .config import ProverSettings
-from .corpus import LeanToken, LexError
+from .corpus import LexError
 from .genclient import Ask, GenClientError, Sampler, in_order
 from .prompts import example_block, proof_prompt
 from .trainprep import fit_blocks
@@ -78,12 +78,12 @@ class Problem:
 
     @cached_property
     def statement_texts(self) -> Optional[List[str]]:
-        """The statement's semantic token texts, lexed on first use; None
+        """The statement's ``corpus.code_texts``, scanned on first use; None
         when the statement does not lex."""
-        tokens = _lex_or_none(self.fl_statement)
-        if tokens is None:
+        try:
+            return corpus.code_texts(self.fl_statement)
+        except LexError:
             return None
-        return [t.text for t in tokens if t.kind in corpus.SEMANTIC_KINDS]
 
 
 @dataclass(frozen=True)
@@ -277,76 +277,65 @@ def extract_proof(generated_text: str, problem: Problem) -> str:
 _PLACEHOLDER = re.compile(r"(?<![\w'!?.])(?:sorry|admit)(?![\w'!?.])")
 
 
-def _lex_or_none(proof: str) -> Optional[List[LeanToken]]:
-    """The proof's tokens, or None when it does not lex. Each sample is
-    lexed once; the screen and the verifier share the result."""
-    try:
-        return corpus.lex_lean(proof)
-    except LexError:
-        return None
-
-
-def screen_proof(
-    problem: Problem, proof: str, tokens: Optional[Sequence[LeanToken]]
-) -> Optional[str]:
+def screen_proof(problem: Problem, proof: str) -> Optional[str]:
     """The diagnostic for a proof no checker should be asked about, else None.
 
-    ``tokens`` is ``_lex_or_none(proof)``. Rejects Lean3 leftovers, code
-    tokens that use ``sorry`` or ``admit``, and a proof whose semantic
-    tokens do not begin with those of the problem's statement (a checker
-    would accept a proof of an easier statement under the same name);
-    comments and string literals are not code. A proof that does not lex
-    gets only the regex Lean3 scan and is otherwise left to the verifier.
+    The proof's ``corpus.code_texts`` are scanned once. Rejects Lean3
+    leftovers, code tokens that use ``sorry`` or ``admit``, and a proof
+    whose code and string tokens do not begin with those of the problem's
+    statement (a checker would accept a proof of an easier statement under
+    the same name); comments and string literals are not code. A proof that
+    does not lex gets only the regex Lean3 scan and is otherwise left to the
+    verifier.
     """
-    patterns = [f.pattern for f in corpus.detect_lean3_artifacts(proof, tokens)]
-    if tokens is not None:
-        if any(t.kind is corpus.TokenKind.CODE and _PLACEHOLDER.search(t.text)
-               for t in tokens):
+    try:
+        code: Optional[List[str]] = corpus.code_texts(proof)
+    except LexError:
+        code = None
+    patterns = corpus.detect_lean3_artifacts(proof, code)
+    if code is not None:
+        # a string literal starts with `"`, a code token never does
+        if any(t[0] != '"' and _PLACEHOLDER.search(t) for t in code):
             patterns.append("sorry")
         statement = problem.statement_texts
-        if statement is not None:
-            head = [t.text for t in tokens if t.kind in corpus.SEMANTIC_KINDS]
-            if head[:len(statement)] != statement:
-                patterns.append("statement changed")
+        if statement is not None and code[:len(statement)] != statement:
+            patterns.append("statement changed")
     if not patterns:
         return None
     return "pre-verification screen: " + ", ".join(patterns)
 
 
 class MockVerifier:
-    """Answer-key verifier: a proof is correct when its code tokens match
-    the canonical proof exactly (comments and whitespace free). Each answer
-    key is lexed once, on its first check."""
+    """Answer-key verifier: a proof is correct when it carries the code of
+    the canonical proof exactly (``corpus.code_divergence``: comments and
+    whitespace are free). Each answer key is scanned once, here; a key that
+    does not lex raises ``ValueError`` naming its problem."""
 
     name = "mock"
 
     def __init__(self, answer_key: Dict[str, str]):
-        self.answer_key = dict(answer_key)
-        self._key_tokens: Dict[str, List[LeanToken]] = {}
-
-    def check(
-        self, problem: Problem, proof_text: str,
-        tokens: Optional[Sequence[LeanToken]],
-    ) -> Tuple[str, str]:
-        key = self.answer_key.get(problem.name)
-        if key is None:
-            return "rejected", f"no canonical proof known for {problem.name}"
-        if tokens is None:
-            return "rejected", "proof does not lex"
-        if problem.name not in self._key_tokens:
+        self._keys: Dict[str, Tuple[str, List[str]]] = {}  # name -> key, its code
+        for name, key in answer_key.items():
             try:
-                self._key_tokens[problem.name] = corpus.lex_lean(key)
+                self._keys[name] = key, corpus.code_texts(key)
             except LexError as exc:
-                return "rejected", f"canonical proof does not lex: {exc}"
-        divergence = corpus.token_divergence(self._key_tokens[problem.name], tokens)
+                raise ValueError(f"proof of {name!r} does not lex: {exc}") from None
+
+    def check(self, problem: Problem, proof_text: str) -> Tuple[str, str]:
+        if problem.name not in self._keys:
+            return "rejected", f"no canonical proof known for {problem.name}"
+        key, code = self._keys[problem.name]
+        try:
+            divergence = corpus.code_divergence(key, proof_text, code)
+        except LexError:
+            return "rejected", "proof does not lex"
         if divergence is None:
             return "verified", ""
         return "rejected", str(divergence)
 
 
 class ExternalVerifier:
-    """Runs a checker command on a temp .lean file holding imports + proof;
-    the proof's tokens are not needed.
+    """Runs a checker command on a temp .lean file holding imports + proof.
 
     Exit 0 means verified; anything else is a rejection with the captured
     stderr as diagnostic. The checker runs in its own session: a slow check
@@ -361,10 +350,7 @@ class ExternalVerifier:
         self.command = list(command)
         self.timeout_s = timeout_s
 
-    def check(
-        self, problem: Problem, proof_text: str,
-        tokens: Optional[Sequence[LeanToken]],
-    ) -> Tuple[str, str]:
+    def check(self, problem: Problem, proof_text: str) -> Tuple[str, str]:
         content = ""
         if problem.imports.strip():
             content = problem.imports.rstrip() + "\n\n"
@@ -405,14 +391,13 @@ class ExternalVerifier:
 
 def judge_proof(problem: Problem, proof: str, verifier) -> Tuple[str, str]:
     """The verdict and diagnostic for ``proof``, sampled or stored: it is
-    lexed once, screened, then checked. A verifier that times out or cannot
-    run gives an ``error`` verdict."""
-    tokens = _lex_or_none(proof)
-    screened = screen_proof(problem, proof, tokens)
+    screened, then checked. A verifier that times out or cannot run gives an
+    ``error`` verdict."""
+    screened = screen_proof(problem, proof)
     if screened:
         return "rejected", screened
     try:
-        return verifier.check(problem, proof, tokens)
+        return verifier.check(problem, proof)
     except (VerifierTimeout, VerifierCrashed) as exc:
         return "error", str(exc)
 

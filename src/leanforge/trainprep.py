@@ -213,7 +213,8 @@ def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
     """Project bootstrapped dataset records onto the packer's view.
 
     Each record's ``difficulty`` is its proof's tactic-step count, which
-    ``bootstrap.load_obt_dataset`` takes from the tokens it verified.
+    ``bootstrap.load_obt_dataset`` counts from the proof text with
+    ``corpus.count_tactic_steps``.
     The target, and so each in-context example, is the commented proof
     under ``use_bootstrapped`` and the plain proof otherwise.
     """

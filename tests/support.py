@@ -9,6 +9,8 @@ implementation against it over the snippet corpus and randomized inputs.
 ``LexError``s, so the two must agree token for token and error for error.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
 ``count_tactic_steps`` did when it lexed the comment-stripped proof whole.
+``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
+from its tokens, as the prover did before it compared code texts.
 ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
 ``HashEmbedder.embed`` must match byte for byte. ``KeyedBackend`` answers by
 request id after a jittered pause, so the paid stages can be run at several
@@ -297,20 +299,103 @@ def text_divergence(reference: str, candidate: str):
 
 
 def lex_or_none(text: str):
-    """The text's tokens, or None when it does not lex."""
-    from leanforge.corpus import LexError, lex_lean
+    """The text's tokens from the per-character lexer, or None when it does
+    not lex."""
+    from leanforge.corpus import LexError
 
     try:
-        return lex_lean(text)
+        return reference_lex_lean(text)
     except LexError:
         return None
 
 
 def lean3_findings(text: str):
-    """``detect_lean3_artifacts`` of a text, lexed here when it lexes."""
-    from leanforge.corpus import detect_lean3_artifacts
+    """``detect_lean3_artifacts`` of a text, scanned here when it lexes."""
+    from leanforge.corpus import LexError, code_texts, detect_lean3_artifacts
 
-    return detect_lean3_artifacts(text, lex_or_none(text))
+    try:
+        code = code_texts(text)
+    except LexError:
+        code = None
+    return detect_lean3_artifacts(text, code)
+
+
+# --- the token-based prover screen, kept as the reference ----------------------
+
+
+def reference_lean3_patterns(text: str, tokens) -> List[str]:
+    """Lean3 detection as it was when it took a text's tokens (None when the
+    text does not lex) and located each finding: the pattern names in the
+    order of their offsets."""
+    from leanforge.corpus import _LEAN3_IMPORT_ROOTS, _LEAN3_MODULE, TokenKind
+
+    found = []
+    if tokens is None:
+        for m in re.finditer(r"\bbegin\b", text):
+            found.append(("begin-end-block", m.start()))
+        for m in re.finditer(r"\bopen_locale\b", text):
+            found.append(("open-locale", m.start()))
+        for m in re.finditer(r"\bimport\s+([a-z][\w'.]*)", text):
+            target = m.group(1)
+            root = target.split(".", 1)[0]
+            if "." in target or root in _LEAN3_IMPORT_ROOTS:
+                found.append(("lean3-import", m.start()))
+    else:
+        code = [t for t in tokens if t.kind == TokenKind.CODE]
+        for pos, tok in enumerate(code):
+            if tok.text == "begin":
+                found.append(("begin-end-block", tok.start))
+            elif tok.text == "open_locale":
+                found.append(("open-locale", tok.start))
+            elif tok.text == "import" and pos + 1 < len(code):
+                target = code[pos + 1].text
+                root = target.split(".", 1)[0]
+                lowercase = bool(re.match(r"[a-z]", target))
+                if (lowercase and _LEAN3_MODULE.match(target)
+                        and ("." in target or root in _LEAN3_IMPORT_ROOTS)):
+                    found.append(("lean3-import", tok.start))
+    found.sort(key=lambda finding: finding[1])
+    return [pattern for pattern, _ in found]
+
+
+def reference_screen_proof(problem, proof: str) -> Optional[str]:
+    """``prover.screen_proof`` as it was when the prover lexed each sample
+    and its problem's statement into tokens."""
+    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
+    from leanforge.prover import _PLACEHOLDER
+
+    tokens = lex_or_none(proof)
+    patterns = reference_lean3_patterns(proof, tokens)
+    if tokens is not None:
+        if any(t.kind is TokenKind.CODE and _PLACEHOLDER.search(t.text)
+               for t in tokens):
+            patterns.append("sorry")
+        statement = lex_or_none(problem.fl_statement)
+        if statement is not None:
+            expected = [t.text for t in statement if t.kind in SEMANTIC_KINDS]
+            head = [t.text for t in tokens if t.kind in SEMANTIC_KINDS]
+            if head[:len(expected)] != expected:
+                patterns.append("statement changed")
+    if not patterns:
+        return None
+    return "pre-verification screen: " + ", ".join(patterns)
+
+
+def reference_mock_check(answer_key, problem, proof: str) -> Tuple[str, str]:
+    """``MockVerifier.check`` as it was when it compared the tokens of the
+    proof and of its answer key, for a key that lexes."""
+    from leanforge.corpus import token_divergence
+
+    key = answer_key.get(problem.name)
+    if key is None:
+        return "rejected", f"no canonical proof known for {problem.name}"
+    tokens = lex_or_none(proof)
+    if tokens is None:
+        return "rejected", "proof does not lex"
+    divergence = token_divergence(reference_lex_lean(key), tokens)
+    if divergence is None:
+        return "verified", ""
+    return "rejected", str(divergence)
 
 
 # --- randomized comment insertion --------------------------------------

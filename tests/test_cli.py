@@ -1102,7 +1102,9 @@ class TestConfiguredFiles:
     @pytest.mark.parametrize("key, message", [
         ([1, 2], "not an object of name -> proof"),
         ({"p": 5}, "proof of 'p' is not a string"),
-    ], ids=["not-an-object", "proof-not-a-string"])
+        ({"p": '"unterminated'},
+         "proof of 'p' does not lex: unterminated string literal (offset 0)"),
+    ], ids=["not-an-object", "proof-not-a-string", "proof-does-not-lex"])
     def test_bad_answer_key_exits_2(self, tmp_path, capsys, command, key, message):
         workdir = self.workdir(tmp_path, problems=[PROBLEM_ENTRY],
                                seeds=[SEED_ENTRY], report=[HEADER_ENTRY])
@@ -1715,8 +1717,9 @@ class TestProveConcurrency:
 
 class TestLexBudget:
     """A stage lexes a Lean text into tokens only where it needs their
-    offsets: a file to extract from, and both texts of a rejected reply to
-    locate the divergence. Verification and step counts take code texts.
+    offsets: a file to extract from, and both texts of a rejected reply or
+    sample to locate the divergence. Verification, the prover's screen and
+    step counts take code texts.
     Every binding of ``corpus.lex_lean`` inside leanforge is wrapped, so no
     lex goes uncounted."""
 
@@ -1790,3 +1793,38 @@ class TestLexBudget:
 
         # prep: every record verifies, so nothing is lexed
         assert lexes(["prep", "-c", config]) == 0
+
+    def test_prove_lexes_only_what_the_mock_verifier_rejects(
+            self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        placeholder = DEMO_PROBLEM_A.replace("simpa using Nat.add_comm n 37", "sorry")
+        wrong = DEMO_PROBLEM_A.replace("simpa", "simp")
+        with open(fixture["script"], encoding="utf-8") as source:
+            rules = json.load(source)
+        for rule in rules:
+            if rule["pattern"] == "demo_add_comm":
+                rule.pop("response")
+                rule["responses"] = [placeholder, wrong, DEMO_PROBLEM_A]
+        fixture["script"].write_text(json.dumps(rules, ensure_ascii=False),
+                                     encoding="utf-8")
+        config = pipeline_config(tmp_path, fixture, workdir)
+        lexed = self.count_lexes(monkeypatch)
+
+        # a sample that verifies or is screened out costs no lex; the one
+        # the mock verifier rejects costs its answer key and itself
+        assert run(["prove", "-c", config]) == 0
+        assert [(a["problem"], a["verdict"], a["diagnostic"])
+                for a in read_jsonl(workdir / "prove.attempts.jsonl")] == [
+            ("demo_add_comm", "rejected", "pre-verification screen: sorry"),
+            ("demo_add_comm", "rejected",
+             "token 15: expected 'simpa', got 'simp' at offset 56"),
+            ("demo_add_comm", "verified", ""),
+            ("demo_sub_self", "verified", ""),
+        ]
+        assert lexed == [len(DEMO_PROBLEM_A), len(wrong)]
+
+        # report: every stored proof verifies, so nothing is lexed
+        del lexed[:]
+        assert run(["report", "-c", config]) == 0
+        assert lexed == []

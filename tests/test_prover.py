@@ -10,6 +10,8 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leanforge import corpus
 from leanforge.config import ProverSettings
@@ -43,12 +45,19 @@ from leanforge.prover import (
     run_iteration,
     run_iterative,
     save_report,
+    screen_proof,
     selection_order,
 )
 from leanforge.trainprep import WhitespaceTokenizer
 
 from fixtures.listings import LEAN3_OUTPUT_A, SQINEQ_COMMENTED
-from support import lex_or_none
+from support import (
+    lean_delimited_texts,
+    lex_or_none,
+    reference_mock_check,
+    reference_screen_proof,
+    strip_comments,
+)
 
 
 def make_problem(i):
@@ -65,12 +74,6 @@ def make_problem(i):
 def prompt_for(problem, pool, k_range=(10, 16), token_budget=4096):
     return assemble_proof_prompt(
         problem, pool, k_range, WhitespaceTokenizer(), token_budget)
-
-
-def check(verifier, problem, text):
-    """``verifier.check`` given the text's tokens, as ``evaluate_sample``
-    passes them: None when the text does not lex."""
-    return verifier.check(problem, text, lex_or_none(text))
 
 
 def canonical_proof(i):
@@ -276,23 +279,23 @@ class TestMockVerifier:
         commented = ("theorem prob03 : 3 + 0 = 3 := by\n"
                      "  -- the simp-normal form closes this\n"
                      "  norm_num  -- done\n")
-        assert check(verifier, make_problem(3), commented) == ("verified", "")
+        assert verifier.check(make_problem(3), commented) == ("verified", "")
 
     def test_tactic_difference_rejected(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
         wrong = canonical_proof(3).replace("norm_num", "simp")
-        assert check(verifier, make_problem(3), wrong) == (
+        assert verifier.check(make_problem(3), wrong) == (
             "rejected", "token 10: expected 'norm_num', got 'simp' at offset 35")
 
     def test_unknown_problem_rejected(self):
         verifier = MockVerifier({})
-        verdict, diagnostic = check(verifier, make_problem(9), "x := y")
+        verdict, diagnostic = verifier.check(make_problem(9), "x := y")
         assert verdict == "rejected"
         assert "prob09" in diagnostic
 
     def test_unlexable_proof_rejected_not_raised(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
-        verdict, diagnostic = check(verifier, make_problem(3), '"unterminated')
+        verdict, diagnostic = verifier.check(make_problem(3), '"unterminated')
         assert verdict == "rejected"
         assert "lex" in diagnostic
 
@@ -319,13 +322,13 @@ def checker_script(tmp_path):
 class TestExternalVerifier:
     def test_accepting_run(self, checker_script):
         verifier = ExternalVerifier(checker_script, timeout_s=30)
-        verdict, diagnostic = check(verifier, make_problem(3), canonical_proof(3))
+        verdict, diagnostic = verifier.check(make_problem(3), canonical_proof(3))
         assert (verdict, diagnostic) == ("verified", "")
 
     def test_rejection_captures_stderr(self, checker_script):
         verifier = ExternalVerifier(checker_script, timeout_s=30)
         bad = canonical_proof(3).replace("norm_num", "sorry")
-        verdict, diagnostic = check(verifier, make_problem(3), bad)
+        verdict, diagnostic = verifier.check(make_problem(3), bad)
         assert verdict == "rejected"
         assert diagnostic == "proof incomplete"
 
@@ -333,7 +336,7 @@ class TestExternalVerifier:
         verifier = ExternalVerifier(checker_script, timeout_s=30)
         bare = Problem(name="prob03", fl_statement="theorem prob03 : True :=",
                        nl_statement_and_proof="x", imports="")
-        verdict, diagnostic = check(verifier, bare, canonical_proof(3))
+        verdict, diagnostic = verifier.check(bare, canonical_proof(3))
         assert (verdict, diagnostic) == ("rejected", "missing imports")
 
     def test_timeout_raises(self, tmp_path):
@@ -341,7 +344,7 @@ class TestExternalVerifier:
         slow.write_text("import time; time.sleep(30)\n", encoding="utf-8")
         verifier = ExternalVerifier([sys.executable, str(slow)], timeout_s=0.3)
         with pytest.raises(VerifierTimeout, match="0.3"):
-            check(verifier, make_problem(0), canonical_proof(0))
+            verifier.check(make_problem(0), canonical_proof(0))
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
     def test_timeout_kills_checker_children(self, tmp_path):
@@ -352,7 +355,7 @@ class TestExternalVerifier:
                           encoding="utf-8")
         verifier = ExternalVerifier(["sh", str(script)], timeout_s=0.5)
         with pytest.raises(VerifierTimeout):
-            check(verifier, make_problem(0), canonical_proof(0))
+            verifier.check(make_problem(0), canonical_proof(0))
         pid = int(pid_file.read_text(encoding="utf-8"))
         try:
             deadline = time.monotonic() + 5.0
@@ -366,7 +369,7 @@ class TestExternalVerifier:
     def test_missing_command_crashes(self):
         verifier = ExternalVerifier(["/nonexistent-lean-checker"], timeout_s=5)
         with pytest.raises(VerifierCrashed):
-            check(verifier, make_problem(0), canonical_proof(0))
+            verifier.check(make_problem(0), canonical_proof(0))
 
 
 def process_running(pid):
@@ -381,12 +384,12 @@ def process_running(pid):
 class ExplodingVerifier:
     name = "exploding"
 
-    def check(self, problem, proof_text, tokens):
+    def check(self, problem, proof_text):
         raise AssertionError("verifier must not be consulted")
 
 
 class TestEvaluateSample:
-    def test_each_sample_and_each_answer_key_lexed_once(self, monkeypatch):
+    def test_samples_and_answer_keys_are_not_lexed(self, monkeypatch):
         lexed = []
         lex_lean_unwrapped = corpus.lex_lean
 
@@ -402,9 +405,8 @@ class TestEvaluateSample:
         for index in range(3):
             attempt = evaluate_sample(problem, index, sample, verifier)
             assert attempt.verdict == "verified"
-        # the screen and the verifier share one lex of each sample; the
-        # statement is lexed once per problem, the answer key once
-        assert lexed == [sample, problem.fl_statement, key, sample, sample]
+        # the screen, the statement and the verifier compare code texts
+        assert lexed == []
 
     def test_verified_sample(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
@@ -479,12 +481,62 @@ class TestEvaluateSample:
 
     def test_verifier_timeout_becomes_error_verdict(self):
         class Slow:
-            def check(self, problem, proof_text, tokens):
+            def check(self, problem, proof_text):
                 raise VerifierTimeout("verifier exceeded 1s")
 
         attempt = evaluate_sample(make_problem(3), 1, canonical_proof(3), Slow())
         assert attempt.verdict == "error"
         assert "exceeded" in attempt.diagnostic
+
+
+# Pieces of a sample: Lean3 leftovers, placeholders as whole names, inside
+# longer names, in strings and in comments, and delimiters that leave the
+# text unlexable.
+SCREEN_PIECES = [
+    "begin", "end", "open_locale", "import data.nat", "import Mathlib",
+    "import", "data.nat", 'import "m" data.nat',
+    "sorry", "admit", "h_admit", "x.sorry", "sorry_free",
+    '"sorry"', '"', "-- sorry", "/- admit -/", "/- a /- begin -/ b -/",
+    "'\"'", ":=", "by", "norm_num", "(", ")",
+]
+SCREEN_STATEMENTS = [
+    "theorem p : True :=",
+    'theorem p (h : "s") : True := by',
+    "theorem p : begin sorry :=",
+    'theorem p : "x :=',  # does not lex
+    "theorem p /- : True :=",  # does not lex
+]
+
+
+@st.composite
+def judged_samples(draw):
+    """A problem, a sample proof and an answer key whose proofs lex."""
+    statement = draw(st.sampled_from(SCREEN_STATEMENTS))
+    pieces = st.one_of(st.sampled_from(SCREEN_PIECES), lean_delimited_texts())
+    seams = st.sampled_from(["", " ", "\n", "\n  "])
+    body = "".join(draw(st.lists(st.tuples(pieces, seams).map("".join),
+                                 max_size=12)))
+    # the statement as given, or with its string literal changed
+    head = draw(st.sampled_from(["", statement, statement.replace('"s"', '"t"')]))
+    proof = head + draw(seams) + body
+    choice = draw(st.sampled_from(["proof", "stripped", "other", "none"]))
+    key = None
+    if choice == "other":
+        key = "theorem p : True := by\n  norm_num\n"
+    elif choice != "none" and lex_or_none(proof) is not None:
+        key = proof if choice == "proof" else strip_comments(proof)
+    # an answer key that does not lex is refused when the verifier is built
+    answer_key = {"p": key} if key is not None and lex_or_none(key) is not None else {}
+    return Problem(name="p", fl_statement=statement), proof, answer_key
+
+
+@given(judged_samples())
+@settings(max_examples=300, deadline=None)
+def test_screen_and_mock_check_match_the_token_based_reference(sample):
+    problem, proof, answer_key = sample
+    assert screen_proof(problem, proof) == reference_screen_proof(problem, proof)
+    assert MockVerifier(answer_key).check(problem, proof) == reference_mock_check(
+        answer_key, problem, proof)
 
 
 class CountingBackend:
@@ -857,7 +909,7 @@ class TestConcurrentRounds:
 
     def test_long_diagnostics_are_cut(self):
         class Verbose:
-            def check(self, problem, proof_text, tokens):
+            def check(self, problem, proof_text):
                 return "rejected", "x" * 500
 
         problems = [make_problem(0)]
@@ -948,7 +1000,7 @@ class TestReports:
         _, path, problems, _ = self.round_trip(tmp_path)
 
         class Slow:
-            def check(self, problem, proof_text, tokens):
+            def check(self, problem, proof_text):
                 raise VerifierTimeout(f"verifier exceeded 1s on {problem.name}")
 
         with pytest.raises(ReportInvalid) as info:
