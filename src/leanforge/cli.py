@@ -220,6 +220,9 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
     if config.retrieval.examples:
         _require(config.retrieval.examples, "informalize with a pool file")
         pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
+        if not pool:
+            raise ValueError(f"{config.retrieval.examples} (retrieval.examples) "
+                             "holds 0: cannot index an empty corpus")
         head = retrieval.load_head(
             _require(stage_path(config, "projection"), "train-retriever"),
             config.retrieval.dimension)
@@ -284,6 +287,18 @@ def cmd_prep(args, config: PipelineConfig) -> int:
 # --- prove / report --------------------------------------------------------------
 
 
+def _read_problems(path: str) -> List[prover.Problem]:
+    """The problems of ``prover.problems``, whose names are unique."""
+    lines = artifacts.read_jsonl(_require(path, "prove with a problem file"))
+    problems = [artifacts.as_record(path, line, prover.Problem) for line in lines]
+    first = {}
+    for line, problem in zip(lines, problems):
+        if first.setdefault(problem.name, line.lineno) != line.lineno:
+            raise ValueError(f"{path}:{line.lineno} (prover.problems): problem "
+                             f"{problem.name!r} repeats line {first[problem.name]}")
+    return problems
+
+
 def make_verifier(settings: ProverSettings):
     if settings.verifier == "external":
         return prover.ExternalVerifier(settings.command, timeout_s=settings.timeout_s)
@@ -309,10 +324,12 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         raise ConfigError(["prover.problems: required for prove"])
     if not v.seed_examples:
         raise ConfigError(["prover.seed_examples: required for prove"])
-    problems = artifacts.read_records(
-        _require(v.problems, "prove with a problem file"), prover.Problem)
+    problems = _read_problems(v.problems)
     seed_pool = artifacts.read_records(
         _require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
+    if not seed_pool:
+        raise ValueError(f"{v.seed_examples} (prover.seed_examples) holds 0: "
+                         "seed pool must be nonempty")
     os.makedirs(config.workdir, exist_ok=True)
     with _sampler(config, v.max_new_tokens) as sampler:
         report = prover.run_iterative(
@@ -328,8 +345,7 @@ def cmd_report(args, config: PipelineConfig) -> int:
     v = config.prover
     if not v.problems:
         raise ConfigError(["prover.problems: required for report"])
-    problems = artifacts.read_records(
-        _require(v.problems, "prove with a problem file"), prover.Problem)
+    problems = _read_problems(v.problems)
     report = prover.load_report(
         _require(stage_path(config, "report"), "prove"),
         problems,

@@ -3,12 +3,13 @@ and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
 sources are treated as token streams, never elaborated. ``lex_lean`` is a
-regex scanner that yields ``LeanToken`` named tuples, for callers that need
-each token's kind and offset: extraction and the location of a divergence.
-``code_texts`` gives only the texts of the code and string tokens, from one
-``findall`` that builds no token, and raises what ``lex_lean`` raises;
-``code_divergence`` (the rule that two texts carry the same code), Lean3
-detection and ``count_tactic_steps`` work from those texts.
+regex scanner that yields ``LeanToken`` named tuples, for the one caller that
+needs each token's kind and offset: extraction. ``code_texts`` gives only the
+texts of the code and string tokens, from one ``findall`` that builds no
+token, and raises what ``lex_lean`` raises; ``code_divergence`` (the rule that
+two texts carry the same code), Lean3 detection and ``count_tactic_steps``
+work from those texts. Offsets are character offsets: ``str`` indices, not
+UTF-8 byte positions.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ _IDENT_TAIL = r"[A-Za-z0-9_'!?₀-₉-￿]"
 
 
 class LexError(ValueError):
-    """Lexer failure; ``offset`` is the byte position of the offending construct."""
+    """Lexer failure; ``offset`` is the character offset of the offending
+    construct."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -143,8 +145,8 @@ class TokenDivergence:
 
     ``expected`` is the token from the reference stream, ``actual`` the token
     from the candidate stream; either may be None when one stream ran out.
-    ``offset`` is the byte position of the diverging token in the candidate
-    text (or its end when the candidate ran out).
+    ``offset`` is the character offset of the diverging token in the
+    candidate text (or its length when the candidate ran out).
     """
 
     index: int
@@ -187,14 +189,20 @@ def _block_comment(nesting: int) -> str:
     return r"/-[^/-]*(?:(?:" + inner + r")[^/-]*)*-/"
 
 
+# Every scan below matches block comments nested this deep inside a block
+# comment. A deeper one, or a comment or string that never closes, leaves a
+# bare `/-` or `"` item, which no token or run of tokens can be: ``lex_lean``
+# follows such a comment with ``_nested_comment_end`` (or raises), and every
+# other scan hands the text to ``lex_lean``. ``re`` compiles the scans of
+# ``code_texts`` and ``_strip_comments`` on first use and keeps them.
+_SCAN_NESTING = 2
+
 # One alternative per token kind, tried in this order at each position:
-# whitespace, line comment, block comment without a nested opener, string
-# literal, code run. The last two groups catch a block comment that nests or
-# never closes and a string that never closes; both leave the regex to
-# ``lex_lean``. Some alternative matches at every position, so the matches
-# tile the text.
+# whitespace, line comment, block comment, string literal, code run. The last
+# two groups catch the bare `/-` and `"`. Some alternative matches at every
+# position, so the matches tile the text.
 _TOKEN = re.compile(
-    f"({_WHITESPACE})|({_LINE_COMMENT})|({_block_comment(0)})|({_STRING})"
+    f"({_WHITESPACE})|({_LINE_COMMENT})|({_block_comment(_SCAN_NESTING)})|({_STRING})"
     f'|({_CODE_RUN})|(/-)|(")'
 )
 _KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
@@ -250,12 +258,6 @@ def _nested_comment_end(source: str, start: int) -> int:
             return pos
 
 
-# The scans of ``code_texts`` and ``_strip_comments`` match block comments
-# nested this deep inside a block comment. A deeper one, or a comment or
-# string that never closes, leaves a bare `/-` or `"` item, which no token or
-# run of tokens can be, and the text is then lexed in full. ``re`` compiles
-# each scan on first use and keeps it.
-_SCAN_NESTING = 2
 # One group per string literal or code run; whitespace and comments match
 # outside it, so ``findall`` gives them as empty items.
 _CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
@@ -287,41 +289,20 @@ def _strip_comments(text: str) -> str:
     return "".join(runs)
 
 
-def _semantic_end(text: str, index: int) -> int:
-    """End offset of the ``index``-th code or string token of ``text``, a
-    text that lexes. Only the tokens up to that one are scanned."""
+def _semantic_span(text: str, index: int) -> Tuple[int, int]:
+    """Start and end offsets of the ``index``-th code or string token of
+    ``text``, a text that lexes. Only the tokens up to that one are scanned."""
     seen = 0
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group >= _NESTED_COMMENT:
-            break  # the regex alone cannot follow a nested comment
+            break  # a comment nested deeper than the regex follows
         if _KIND_OF_GROUP[group] in SEMANTIC_KINDS:
             if seen == index:
-                return m.end()
+                return m.span()
             seen += 1
-    return [t for t in lex_lean(text) if t.kind in SEMANTIC_KINDS][index].end
-
-
-def token_divergence(
-    reference: Sequence[LeanToken], candidate: Sequence[LeanToken]
-) -> Optional[TokenDivergence]:
-    """First semantic-token mismatch between two lexed texts, or None if equal.
-
-    Both arguments are whole ``lex_lean`` outputs; comments and whitespace
-    are skipped. Offsets refer to byte positions in the candidate text.
-    """
-    ref = [t for t in reference if t.kind in SEMANTIC_KINDS]
-    cand = [t for t in candidate if t.kind in SEMANTIC_KINDS]
-    for idx in range(max(len(ref), len(cand))):
-        expected = ref[idx].text if idx < len(ref) else None
-        actual = cand[idx].text if idx < len(cand) else None
-        if expected != actual:
-            if idx < len(cand):
-                offset = cand[idx].start
-            else:
-                offset = candidate[-1].end if candidate else 0
-            return TokenDivergence(idx, expected, actual, offset)
-    return None
+    token = [t for t in lex_lean(text) if t.kind in SEMANTIC_KINDS][index]
+    return token.start, token.end
 
 
 def code_divergence(
@@ -333,15 +314,21 @@ def code_divergence(
     ``code`` is ``code_texts(reference)``, which callers that check one
     reference many times compute once and pass. Comments and whitespace are
     free; code and string-literal tokens must match in content and order,
-    and a text that does not lex raises ``LexError``. Only when they do not
-    match are both texts lexed in full, to locate the divergence in
-    ``candidate``.
+    and a text that does not lex raises ``LexError``. A mismatch is located
+    by scanning ``candidate`` only up to its diverging token.
     """
     if code is None:
         code = code_texts(reference)
-    if code_texts(candidate) == code:
+    texts = code_texts(candidate)
+    if texts == code:
         return None
-    return token_divergence(lex_lean(reference), lex_lean(candidate))
+    index = next((i for i, (a, b) in enumerate(zip(code, texts)) if a != b),
+                 min(len(code), len(texts)))
+    if index == len(texts):  # the candidate ran out
+        return TokenDivergence(index, code[index], None, len(candidate))
+    expected = code[index] if index < len(code) else None
+    return TokenDivergence(index, expected, texts[index],
+                           _semantic_span(candidate, index)[0])
 
 
 # --- theorem extraction -----------------------------------------------------
@@ -634,13 +621,13 @@ def count_tactic_steps(proof: str) -> int:
         if depth == 0 and text == ":=":
             if texts[idx + 1 : idx + 2] != ["by"]:
                 return 1  # a term-mode proof
-            body_start = _semantic_end(stripped, idx + 1)
+            body_start = _semantic_span(stripped, idx + 1)[1]
             return max(1, _count_block_steps(stripped[body_start:]))
         depth += _bracket_delta(text)
 
     # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
     # whole text as tactic lines (the fragment form used by callers).
-    body = stripped[_semantic_end(stripped, 0) :] if texts[0] == "by" else stripped
+    body = stripped[_semantic_span(stripped, 0)[1] :] if texts[0] == "by" else stripped
     return max(1, _count_block_steps(body))
 
 

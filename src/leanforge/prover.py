@@ -172,19 +172,12 @@ class HarnessReport:
         return self.rounds[-1].cumulative_rate if self.rounds else 0.0
 
 
-def _by_name(problems: Sequence[Problem]) -> Dict[str, Problem]:
-    by_name = {p.name: p for p in problems}
-    if len(by_name) != len(problems):
-        raise ValueError("problem names must be unique")
-    return by_name
-
-
 def initial_state(problems: Sequence[Problem], seed_pool: Sequence[PoolExample]) -> IterationState:
     return IterationState(
         round=1,
         example_pool=tuple(seed_pool),
         proved={},
-        unproved=frozenset(_by_name(problems)),
+        unproved=frozenset(p.name for p in problems),
         budget_used=0,
         first_success={},
     )
@@ -533,9 +526,8 @@ def run_iterative(
     tokenizer,
 ) -> HarnessReport:
     """Run rounds until ``settings.max_rounds`` or a round proves nothing
-    new. Prompts are counted with ``tokenizer``."""
-    if not seed_pool:
-        raise ValueError("seed pool must be nonempty")
+    new. Prompts are counted with ``tokenizer``. Problem names are unique and
+    ``seed_pool`` is nonempty: the CLI checks both where it reads them."""
     state = initial_state(problems, seed_pool)
     rounds: List[RoundSummary] = []
     for round_number in range(1, settings.max_rounds + 1):
@@ -575,7 +567,7 @@ def save_report(report: HarnessReport, path: str) -> None:
 
 def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessReport:
     """Load a report, re-verifying every stored proof. Stale verdicts raise."""
-    by_name = _by_name(problems)
+    by_name = {p.name: p for p in problems}
     lines = artifacts.read_jsonl(path)
     if not lines:
         raise ReportInvalid(f"{path}: empty report")

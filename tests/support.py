@@ -7,6 +7,7 @@ implementation against it over the snippet corpus and randomized inputs.
 ``reference_lex_lean`` is the per-character lexer that the regex scanner in
 ``corpus.lex_lean`` replaced; it emits ``LeanToken``s and raises the corpus
 ``LexError``s, so the two must agree token for token and error for error.
+``reference_divergence`` compares two texts token by token over that lexer.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
 ``count_tactic_steps`` did when it lexed the comment-stripped proof whole.
 ``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
@@ -249,6 +250,11 @@ def reference_count_tactic_steps(proof: str) -> int:
 # --- texts built from Lean's delimiters ----------------------------------------
 
 
+def nested_comment(depth: int) -> str:
+    """A block comment holding comments nested ``depth`` deep, then a space."""
+    return "/- c " * (depth + 1) + "-/ " * (depth + 1)
+
+
 def lean_delimited_texts():
     """A hypothesis strategy for texts built from Lean's comment, string,
     char-literal and tactic delimiters, with block comments nested one level
@@ -274,6 +280,28 @@ def lean_delimited_texts():
     return st.lists(st.one_of(atoms, nested), max_size=20).map("".join)
 
 
+def reference_divergence(reference: str, candidate: str):
+    """The first code or string token where ``candidate`` departs from
+    ``reference``, or None: the token comparison ``code_divergence`` made
+    before it located a mismatch from code texts. Both texts are lexed whole
+    by the per-character lexer, the reference first."""
+    from leanforge.corpus import SEMANTIC_KINDS, TokenDivergence
+
+    expected = [t for t in reference_lex_lean(reference) if t.kind in SEMANTIC_KINDS]
+    tokens = reference_lex_lean(candidate)
+    actual = [t for t in tokens if t.kind in SEMANTIC_KINDS]
+    for idx in range(max(len(expected), len(actual))):
+        want = expected[idx].text if idx < len(expected) else None
+        got = actual[idx].text if idx < len(actual) else None
+        if want != got:
+            if idx < len(actual):
+                offset = actual[idx].start
+            else:
+                offset = tokens[-1].end if tokens else 0
+            return TokenDivergence(idx, want, got, offset)
+    return None
+
+
 # --- text-level helpers over the token API ------------------------------------
 
 
@@ -289,13 +317,6 @@ def semantic_tokens(source: str):
     from leanforge.corpus import SEMANTIC_KINDS, lex_lean
 
     return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
-
-
-def text_divergence(reference: str, candidate: str):
-    """``token_divergence`` between two texts, each lexed here."""
-    from leanforge.corpus import lex_lean, token_divergence
-
-    return token_divergence(lex_lean(reference), lex_lean(candidate))
 
 
 def lex_or_none(text: str):
@@ -384,15 +405,12 @@ def reference_screen_proof(problem, proof: str) -> Optional[str]:
 def reference_mock_check(answer_key, problem, proof: str) -> Tuple[str, str]:
     """``MockVerifier.check`` as it was when it compared the tokens of the
     proof and of its answer key, for a key that lexes."""
-    from leanforge.corpus import token_divergence
-
     key = answer_key.get(problem.name)
     if key is None:
         return "rejected", f"no canonical proof known for {problem.name}"
-    tokens = lex_or_none(proof)
-    if tokens is None:
+    if lex_or_none(proof) is None:
         return "rejected", "proof does not lex"
-    divergence = token_divergence(reference_lex_lean(key), tokens)
+    divergence = reference_divergence(key, proof)
     if divergence is None:
         return "verified", ""
     return "rejected", str(divergence)
@@ -430,7 +448,7 @@ def _pad_left(out: str, pos: int, comment: str) -> str:
 def insert_comments_reckless(src: str, rng: random.Random, count: int = 3) -> str:
     """Insert block or line comments at arbitrary token boundaries.
 
-    Preserves the semantic token stream (token_divergence finds nothing) but
+    Preserves the semantic token stream (code_divergence finds nothing) but
     may reshape lines, so tactic-step counts are not protected.
     """
     out = src

@@ -24,7 +24,7 @@ from leanforge.bootstrap import (
     verify_bootstrap,
 )
 from leanforge.config import RetrievalSettings
-from leanforge.corpus import lex_lean
+from leanforge.corpus import code_divergence, lex_lean
 from leanforge.genclient import Sampler
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
@@ -113,7 +113,7 @@ class TestCriterion1:
         for snippet in snippets:
             tokens = lex_lean(snippet)
             assert "".join(t.text for t in tokens) == snippet
-            assert support.text_divergence(
+            assert code_divergence(
                 snippet, support.strip_comments(snippet)) is None
 
         rng = random.Random(9001)
@@ -121,7 +121,7 @@ class TestCriterion1:
             source = snippets[trial % len(snippets)]
             mutated = support.insert_comments_reckless(
                 source, rng, count=rng.randint(1, 3))
-            assert support.text_divergence(source, mutated) is None, trial
+            assert code_divergence(source, mutated) is None, trial
 
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leanforge import artifacts, corpus
@@ -59,8 +59,9 @@ from support import (
     insert_comments_line_respecting,
     insert_comments_reckless,
     lean_delimited_texts,
+    nested_comment,
     random_leanish_source,
-    reference_lex_lean,
+    reference_divergence,
     strip_comments,
 )
 
@@ -205,26 +206,36 @@ def verify_outcome(verify, proof, commented):
 
 
 def reference_verify(proof, commented):
-    divergence = corpus.token_divergence(
-        reference_lex_lean(proof), reference_lex_lean(commented))
+    divergence = reference_divergence(proof, commented)
     return divergence is None, divergence
+
+
+# a comment nested one level deeper than the scans follow, which sends the
+# locator to the full lex
+_TOO_DEEP = " " + nested_comment(corpus._SCAN_NESTING + 1)
 
 
 @st.composite
 def proof_and_commented(draw):
     """A proof and a text to check against it: another text, or the proof
-    with a comment or a delimited text put in at some offset."""
-    proof = draw(lean_delimited_texts())
+    with a comment, a code atom or a delimited text put in at some offset.
+    Either text may open with `ℕ`, so that a character offset past it is
+    not a byte offset."""
+    lead = st.sampled_from(["", "ℕ ", "/- ℕ -/ "])
+    proof = draw(lead) + draw(lean_delimited_texts())
     inserted = draw(st.one_of(
-        st.none(), st.sampled_from([" /- c -/ ", "\n-- c\n", " /- a /- b -/ -/"]),
+        st.none(),
+        st.sampled_from([" /- c -/ ", "\n-- c\n", " /- a /- b -/ -/", _TOO_DEEP,
+                         " ℕ ", "ℕ"]),
         lean_delimited_texts()))
     if inserted is None:
-        return proof, draw(lean_delimited_texts())
+        return proof, draw(lead) + draw(lean_delimited_texts())
     at = draw(st.integers(0, len(proof)))
     return proof, proof[:at] + inserted + proof[at:]
 
 
 @given(proof_and_commented())
+@example(("ℕ a b", "ℕ a" + _TOO_DEEP + " c"))
 @settings(max_examples=400, deadline=None)
 def test_property_verify_bootstrap_agrees_with_token_divergence(pair):
     assert verify_outcome(verify_bootstrap, *pair) == verify_outcome(

@@ -1140,6 +1140,53 @@ class TestConfiguredFiles:
                     f"error: {path}: {message}")
 
 
+    def prover_config(self, tmp_path, problems, seeds):
+        """A config naming problem and seed files that hold these entries,
+        and a workdir not yet made."""
+        workdir = tmp_path / "work"
+        paths = {}
+        for name, entries in (("problems", problems), ("seeds", seeds)):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(jsonl(*entries), encoding="utf-8")
+        return workdir, paths, write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "prover": {"problems": str(paths["problems"]),
+                       "seed_examples": str(paths["seeds"])}})
+
+    @pytest.mark.parametrize("command", ["prove", "report"])
+    def test_repeated_problem_name_rejected_as_prove_does(
+            self, tmp_path, capsys, command):
+        other = {"name": "q", "fl_statement": "theorem q : 2 = 2 :="}
+        workdir, paths, config = self.prover_config(
+            tmp_path, [PROBLEM_ENTRY, other, PROBLEM_ENTRY], [SEED_ENTRY])
+        if command == "report":
+            self.workdir(tmp_path, report=[HEADER_ENTRY])
+        self.expect(capsys, [command, "-c", config], 1,
+                    f"error: {paths['problems']}:3 (prover.problems): problem 'p' "
+                    "repeats line 1")
+        if command == "prove":
+            assert not workdir.exists()
+
+    def test_empty_seed_pool_names_the_file_and_creates_no_workdir(
+            self, tmp_path, capsys):
+        workdir, paths, config = self.prover_config(tmp_path, [PROBLEM_ENTRY], [])
+        self.expect(capsys, ["prove", "-c", config], 1,
+                    f"error: {paths['seeds']} (prover.seed_examples) holds 0: "
+                    "seed pool must be nonempty")
+        assert not workdir.exists()
+
+    def test_empty_example_pool_names_the_file_and_setting(self, tmp_path, capsys):
+        workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY], pool=[])
+        retrieval.save_head(retrieval.ProjectionHead(np.eye(64), 64, 64, seed=0),
+                            str(workdir / "projection.json"))
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir),
+            "retrieval": {"examples": str(workdir / "pool.jsonl")}})
+        self.expect(capsys, ["informalize", "-c", config], 1,
+                    f"error: {workdir / 'pool.jsonl'} (retrieval.examples) holds 0: "
+                    "cannot index an empty corpus")
+        assert not (workdir / "informal.jsonl").exists()
+
     def test_head_of_another_dimension_names_the_file_and_setting(
             self, tmp_path, capsys):
         workdir = self.workdir(tmp_path, theorems=[THEOREM_ENTRY], pool=[SEED_ENTRY])
@@ -1717,9 +1764,8 @@ class TestProveConcurrency:
 
 class TestLexBudget:
     """A stage lexes a Lean text into tokens only where it needs their
-    offsets: a file to extract from, and both texts of a rejected reply or
-    sample to locate the divergence. Verification, the prover's screen and
-    step counts take code texts.
+    offsets: a file to extract from. Verification, the location of a
+    divergence, the prover's screen and step counts take code texts.
     Every binding of ``corpus.lex_lean`` inside leanforge is wrapped, so no
     lex goes uncounted."""
 
@@ -1767,10 +1813,12 @@ class TestLexBudget:
         assert run(["informalize", "-c", config]) == 0
 
         # bootstrap, interleaved: one reply per theorem plus one rejected
-        # reply that is asked again
+        # reply that is asked again; its divergence lies past a comment
+        # nested as deep as the scans follow
         theorems = read_jsonl(workdir / "theorems.jsonl")
         first = theorems[0]
-        rejected = first["proof"].replace(first["name"], first["name"] + "_x", 1)
+        rejected = support.nested_comment(corpus._SCAN_NESTING) + first["proof"].replace(
+            first["name"], first["name"] + "_x", 1)
         rules = [{"pattern": first["name"],
                   "responses": [rejected, first["proof"] + "\n  -- checked"]}]
         rules += [{"pattern": t["name"], "response": t["proof"] + "\n  -- checked"}
@@ -1788,8 +1836,8 @@ class TestLexBudget:
         assert len(obt) == len(theorems) == len(CORPUS_NAMES)
         assert all(e["Commented_proof"].endswith("-- checked") for e in obt)
         assert len(replies) == len(obt) + 1
-        # no original proof is lexed; the rejected reply and its proof are
-        assert bootstrap_lexes == 2 * (len(replies) - len(obt))
+        # neither a proof nor a reply is lexed, the rejected one included
+        assert bootstrap_lexes == 0
 
         # prep: every record verifies, so nothing is lexed
         assert lexes(["prep", "-c", config]) == 0
@@ -1811,8 +1859,9 @@ class TestLexBudget:
         config = pipeline_config(tmp_path, fixture, workdir)
         lexed = self.count_lexes(monkeypatch)
 
-        # a sample that verifies or is screened out costs no lex; the one
-        # the mock verifier rejects costs its answer key and itself
+        # no sample costs a lex: not one screened out, not one verified,
+        # and not the one the mock verifier rejects, whose divergence is
+        # located from code texts
         assert run(["prove", "-c", config]) == 0
         assert [(a["problem"], a["verdict"], a["diagnostic"])
                 for a in read_jsonl(workdir / "prove.attempts.jsonl")] == [
@@ -1822,7 +1871,7 @@ class TestLexBudget:
             ("demo_add_comm", "verified", ""),
             ("demo_sub_self", "verified", ""),
         ]
-        assert lexed == [len(DEMO_PROBLEM_A), len(wrong)]
+        assert lexed == []
 
         # report: every stored proof verifies, so nothing is lexed
         del lexed[:]

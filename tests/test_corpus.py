@@ -20,6 +20,7 @@ from support import (
     insert_comments_reckless,
     lean3_findings,
     lean_delimited_texts,
+    nested_comment,
     random_leanish_source,
     reference_count_tactic_steps,
     reference_lex_lean,
@@ -27,7 +28,6 @@ from support import (
     reference_semantic_tokens,
     semantic_tokens,
     strip_comments,
-    text_divergence,
 )
 
 from leanforge import corpus
@@ -38,6 +38,7 @@ from leanforge.corpus import (
     TokenKind,
     UnterminatedComment,
     UnterminatedString,
+    code_divergence,
     code_texts,
     count_tactic_steps,
     extract_theorems,
@@ -146,24 +147,24 @@ class TestTokenEqual:
     def test_comment_insertion_on_proof(self):
         a = "theorem t : 1 = 1 := by\n  rfl"
         b = "theorem t : 1 = 1 := by\n  -- nice\n  rfl"
-        assert text_divergence(a, b) is None
+        assert code_divergence(a, b) is None
 
     def test_different_code(self):
-        assert text_divergence("rfl", "simp") is not None
+        assert code_divergence("rfl", "simp") is not None
 
     def test_changed_tactic(self):
         a = "theorem t : a = a := by\n  linarith"
         b = "theorem t : a = a := by\n  nlinarith"
-        assert text_divergence(a, b) is not None
+        assert code_divergence(a, b) is not None
 
     def test_commented_listing_equals_plain(self):
-        assert text_divergence(
+        assert code_divergence(
             listings.INTEGRAL_PROOF, listings.INTEGRAL_COMMENTED) is None
 
     def test_reflexive_on_corpus(self):
         for name, src in SNIPPETS.items():
-            assert text_divergence(src, src) is None, name
-            assert text_divergence(src, strip_comments(src)) is None, name
+            assert code_divergence(src, src) is None, name
+            assert code_divergence(src, strip_comments(src)) is None, name
 
     def test_randomized_comment_insertion(self):
         rng = random.Random(7)
@@ -171,7 +172,7 @@ class TestTokenEqual:
         for trial in range(200):
             src = lean4_snippets[trial % len(lean4_snippets)]
             mutated = insert_comments_reckless(src, rng, count=rng.randint(1, 4))
-            assert text_divergence(src, mutated) is None, (trial, mutated)
+            assert code_divergence(src, mutated) is None, (trial, mutated)
 
     def test_semantic_tokens_match_reference(self):
         for name, src in SNIPPETS.items():
@@ -181,17 +182,17 @@ class TestTokenEqual:
     def test_divergence_reports_first_mismatch(self):
         a = "theorem t : a = a := by\n  linarith"
         b = "theorem t : a = a := by\n  -- c\n  nlinarith"
-        div = text_divergence(a, b)
+        div = code_divergence(a, b)
         assert div is not None
         assert div.expected == "linarith"
         assert div.actual == "nlinarith"
         assert b[div.offset :].startswith("nlinarith")
 
     def test_divergence_none_when_equal(self):
-        assert text_divergence("rfl", "rfl -- done") is None
+        assert code_divergence("rfl", "rfl -- done") is None
 
     def test_divergence_when_candidate_truncated(self):
-        div = text_divergence("rfl simp", "rfl")
+        div = code_divergence("rfl simp", "rfl")
         assert div is not None
         assert div.expected == "simp"
         assert div.actual is None
@@ -199,9 +200,9 @@ class TestTokenEqual:
 
     def test_divergence_offset_at_end_of_candidate_with_trailing_comment(self):
         # the candidate ran out: the offset is its length, comments included
-        div = text_divergence("rfl simp", "rfl -- c")
+        div = code_divergence("rfl simp", "rfl -- c")
         assert (div.index, div.offset) == (1, 8)
-        assert text_divergence("rfl", "").offset == 0
+        assert code_divergence("rfl", "").offset == 0
 
 
 class TestExtractTheorems:
@@ -421,7 +422,7 @@ def test_property_token_equal_under_insertion(seed):
     rng = random.Random(seed)
     src = random_leanish_source(rng)
     mutated = insert_comments_reckless(src, rng, count=rng.randint(1, 3))
-    assert text_divergence(src, mutated) is None
+    assert code_divergence(src, mutated) is None
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -488,7 +489,14 @@ LEAN_TEXT = st.one_of(
 )
 
 
+# block comments nested as deep as the scans follow, and one level deeper
+_DEEPEST_SCANNED = nested_comment(corpus._SCAN_NESTING)
+_TOO_DEEP = nested_comment(corpus._SCAN_NESTING + 1)
+
+
 @given(LEAN_TEXT)
+@example("a " + _DEEPEST_SCANNED + "b")
+@example("a " + _TOO_DEEP + "b")
 @settings(max_examples=500, deadline=None)
 def test_property_lexer_agrees_with_per_character_reference(source):
     assert lex_outcome(lex_lean, source) == lex_outcome(reference_lex_lean, source)
@@ -499,10 +507,6 @@ def test_property_lexer_agrees_with_per_character_reference(source):
 
 def reference_code_texts(source):
     return [t.text for t in reference_lex_lean(source) if t.kind in SEMANTIC_KINDS]
-
-
-# a block comment nested one level deeper than the scans follow
-_TOO_DEEP = "/- 1 " * (corpus._SCAN_NESTING + 2) + "-/ " * (corpus._SCAN_NESTING + 2)
 
 
 @given(lean_delimited_texts())

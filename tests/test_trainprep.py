@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from leanforge import artifacts
 from leanforge.config import PrepSettings
-from leanforge.corpus import count_tactic_steps
+from leanforge.corpus import code_divergence, count_tactic_steps
 from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
@@ -35,7 +35,7 @@ from leanforge.trainprep import (
     pack_block,
 )
 from fixtures.listings import MATHD_ALGEBRA_270, SQINEQ_COMMENTED
-from support import strip_comments, text_divergence
+from support import strip_comments
 
 
 def oracle_count(text):
@@ -420,7 +420,7 @@ class TestEmitTrainingSet:
         for a, b in zip(with_boot, without):
             assert a.source_name == b.source_name
             assert a.target != b.target
-            assert text_divergence(a.target, b.target) is None
+            assert code_divergence(a.target, b.target) is None
             assert strip_comments(b.target) == b.target
 
     def test_examples_show_the_proofs_the_targets_show(self):
