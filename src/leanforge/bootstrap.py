@@ -36,6 +36,14 @@ class PreconditionViolated(ValueError):
     """A record-assembly input does not satisfy its contract."""
 
 
+class UnlexableProof(PreconditionViolated):
+    """The proof of ``entries[index]`` does not lex."""
+
+    def __init__(self, index: int, name: str, error: LexError):
+        self.index = index
+        super().__init__(f"{name}: Proof does not lex: {error}")
+
+
 class BootstrapMode(Enum):
     INTERLEAVED = "interleaved"
     HEAD = "head"
@@ -196,9 +204,9 @@ def bootstrap_corpus(
     Records come out in entry order. Interleaved records that cannot be
     verified (or whose backend gave out) fall back to head mode, so no
     accepted informalization is dropped; the stats record why each fallback
-    happened. Each proof's code texts are taken once and each emitted pair
-    is verified once: an interleaved reply by ``bootstrap_theorem``, a head
-    text here.
+    happened. Each proof's code texts are taken once (a proof that does not
+    lex raises ``UnlexableProof``) and each emitted pair is verified once:
+    an interleaved reply by ``bootstrap_theorem``, a head text here.
 
     Interleaved records go through ``genclient.in_order``: up to the
     backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
@@ -209,10 +217,18 @@ def bootstrap_corpus(
     if mode is BootstrapMode.INTERLEAVED and sampler is None:
         raise ValueError("interleaved mode needs a backend")
 
-    drafts = [entry for entry in entries if entry.verdict == "pass"]
+    drafts = [(index, entry) for index, entry in enumerate(entries)
+              if entry.verdict == "pass"]
     stats = BootstrapStats(total=len(entries),
                            informal_failures=len(entries) - len(drafts))
-    scanned = ((draft, corpus.code_texts(draft.proof)) for draft in drafts)
+
+    def scan(index, draft):
+        try:
+            return draft, corpus.code_texts(draft.proof)
+        except LexError as exc:
+            raise UnlexableProof(index, draft.name, exc) from None
+
+    scanned = (scan(index, draft) for index, draft in drafts)
 
     def work(item, ask):
         draft, code = item
@@ -255,8 +271,9 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     """Load an OBT dataset, re-verifying every record.
 
     The code-preservation invariant is enforced here as well as at
-    creation, so a hand-edited file cannot smuggle in altered proofs. Each
-    record's ``difficulty`` is its proof's tactic-step count.
+    creation, so a hand-edited file cannot smuggle in altered proofs; an
+    error names the record's line and name. Each record's ``difficulty`` is
+    its proof's tactic-step count.
     """
     try:
         lines = artifacts.read_jsonl(path)
@@ -265,11 +282,14 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
         raise PreconditionViolated(str(exc)) from exc
     out: List[ObtRecord] = []
     for line, record in zip(lines, records):
-        ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
-        if not ok:
-            raise BootstrapVerificationFailed(
-                f"{path}:{line.lineno}: {record.name}", divergence
-            )
-        out.append(replace(
-            record, difficulty=corpus.count_tactic_steps(record.proof)))
+        where = f"{path}:{line.lineno}: {record.name}"
+        try:
+            ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
+            if not ok:
+                raise BootstrapVerificationFailed(where, divergence)
+            out.append(replace(
+                record, difficulty=corpus.count_tactic_steps(record.proof)))
+        except LexError as exc:
+            raise PreconditionViolated(
+                f"{where}: Proof or Commented_proof does not lex: {exc}") from None
     return out

@@ -246,16 +246,20 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
 
 
 def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    entries = artifacts.read_records(
-        _require(stage_path(config, "informal"), "informalize"),
-        bootstrap_mod.InformalRecord)
+    path = _require(stage_path(config, "informal"), "informalize")
+    lines = artifacts.read_jsonl(path)
+    entries = [artifacts.as_record(path, line, bootstrap_mod.InformalRecord)
+               for line in lines]
     mode = bootstrap_mod.BootstrapMode(config.bootstrap.mode)
     head = mode is bootstrap_mod.BootstrapMode.HEAD
     # head mode asks no model, so it builds no backend
     with (contextlib.nullcontext() if head
           else _sampler(config, config.backend.max_new_tokens)) as sampler:
-        obt_records, stats = bootstrap_mod.bootstrap_corpus(
-            entries, sampler, mode, config.bootstrap.max_attempts)
+        try:
+            obt_records, stats = bootstrap_mod.bootstrap_corpus(
+                entries, sampler, mode, config.bootstrap.max_attempts)
+        except bootstrap_mod.UnlexableProof as exc:
+            raise ValueError(f"{path}:{lines[exc.index].lineno}: {exc}") from None
     artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
     print(f"bootstrapped {stats.emitted}/{stats.total} records "
           f"({stats.informal_failures} informal failures, "
@@ -330,11 +334,13 @@ def cmd_prove(args, config: PipelineConfig) -> int:
     if not seed_pool:
         raise ValueError(f"{v.seed_examples} (prover.seed_examples) holds 0: "
                          "seed pool must be nonempty")
-    os.makedirs(config.workdir, exist_ok=True)
+    verifier, tokenizer = make_verifier(v), make_tokenizer(config.prep)
     with _sampler(config, v.max_new_tokens) as sampler:
+        # made only once every input is read and the backend built, so a
+        # config error leaves no workdir behind
+        os.makedirs(config.workdir, exist_ok=True)
         report = prover.run_iterative(
-            problems, seed_pool, sampler, make_verifier(v), v,
-            make_tokenizer(config.prep))
+            problems, seed_pool, sampler, verifier, v, tokenizer)
     prover.save_report(report, stage_path(config, "report"))
     artifacts.write_jsonl(stage_path(config, "attempts"), report.attempts)
     print(prover.format_report_table(report))

@@ -14,9 +14,10 @@ import re
 import signal
 import subprocess
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus
 from .config import ProverSettings
@@ -86,14 +87,20 @@ class Problem:
             return None
 
 
+DIAGNOSTIC_CHARS = 200  # diagnostic length kept in the attempt log
+
+
 @dataclass(frozen=True)
 class ProofAttempt:
-    problem_name: str
+    """One sample drawn for a problem: a line of ``prove.attempts.jsonl``.
+    The extracted proof (empty when none was found) is not written."""
+
+    problem: str
+    round: int
     sample_index: int
-    generated_text: str
-    extracted_proof: str
     verdict: str  # "verified" | "rejected" | "error"
-    diagnostic: str = ""
+    diagnostic: str = ""  # at most DIAGNOSTIC_CHARS long
+    proof: str = artifacts.wire(None, default="")
 
     def __post_init__(self):
         if self.verdict not in ("verified", "rejected", "error"):
@@ -108,26 +115,6 @@ class PoolExample:
     nl: str
     fl: str
     source: str = artifacts.wire(None, default="seed")  # or "round <n>"
-
-
-@dataclass(frozen=True)
-class IterationState:
-    """Harness state between rounds. ``round`` is the next round to run."""
-
-    round: int
-    example_pool: Tuple[PoolExample, ...]
-    proved: Dict[str, str]
-    unproved: FrozenSet[str]
-    budget_used: int
-    first_success: Dict[str, Tuple[int, int]]
-    attempts: Tuple[dict, ...] = ()  # attempt log lines of every round run
-
-    def __post_init__(self):
-        if self.round < 1:
-            raise ValueError("round must be >= 1")
-        overlap = set(self.proved) & self.unproved
-        if overlap:
-            raise ValueError(f"problems both proved and unproved: {sorted(overlap)}")
 
 
 @dataclass(frozen=True)
@@ -162,25 +149,13 @@ class ReportProof:
 class HarnessReport:
     problems_total: int
     rounds: Tuple[RoundSummary, ...]
-    proved: Dict[str, str]
-    first_success: Dict[str, Tuple[int, int]]
+    proved: Dict[str, ReportProof]
     # The attempt log; it is written to its own file, not to the report.
-    attempts: Tuple[dict, ...] = field(default=(), compare=False, repr=False)
+    attempts: Tuple[ProofAttempt, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def cumulative_rate(self) -> float:
         return self.rounds[-1].cumulative_rate if self.rounds else 0.0
-
-
-def initial_state(problems: Sequence[Problem], seed_pool: Sequence[PoolExample]) -> IterationState:
-    return IterationState(
-        round=1,
-        example_pool=tuple(seed_pool),
-        proved={},
-        unproved=frozenset(p.name for p in problems),
-        budget_used=0,
-        first_success={},
-    )
 
 
 # --- prompt assembly -----------------------------------------------------------
@@ -396,86 +371,66 @@ def judge_proof(problem: Problem, proof: str, verifier) -> Tuple[str, str]:
 
 
 def evaluate_sample(
-    problem: Problem, sample_index: int, generated_text: str, verifier
+    problem: Problem, round_number: int, sample_index: int, generated_text: str,
+    verifier,
 ) -> ProofAttempt:
     """Extract one generated sample's proof and judge it."""
     try:
         proof = extract_proof(generated_text, problem)
     except NoProofFound as exc:
-        return ProofAttempt(problem.name, sample_index, generated_text, "",
-                            "rejected", str(exc))
-    return ProofAttempt(problem.name, sample_index, generated_text, proof,
-                        *judge_proof(problem, proof, verifier))
+        proof, verdict, diagnostic = "", "rejected", str(exc)
+    else:
+        verdict, diagnostic = judge_proof(problem, proof, verifier)
+    return ProofAttempt(problem.name, round_number, sample_index, verdict,
+                        diagnostic[:DIAGNOSTIC_CHARS], proof)
 
 
 # --- the iteration loop --------------------------------------------------------
 
 
-DIAGNOSTIC_CHARS = 200  # diagnostic length kept in the attempt log
-
-
-def _prove_problem(
-    problem: Problem,
-    round_number: int,
-    ask: Ask,
-    verifier,
-    n_samples: int,
-) -> Tuple[int, List[dict], Optional[ProofAttempt]]:
-    """Sample ``problem`` until the first verified proof or ``n_samples``.
-
-    ``ask`` sends the problem's prompt. Returns the samples drawn, their
-    attempt log lines and the verified attempt, if any.
-    """
-    log: List[dict] = []
+def _prove_problem(problem: Problem, round_number: int, ask: Ask, verifier,
+                   n_samples: int) -> List[ProofAttempt]:
+    """Sample ``problem`` until the first verified proof or ``n_samples``;
+    ``ask`` sends the problem's prompt. A verified attempt is the last."""
+    attempts: List[ProofAttempt] = []
     for sample_index in range(n_samples):
         try:
             response = ask(f"prove:{problem.name}:r{round_number}:s{sample_index}")
         except GenClientError as exc:
             logger.warning("generation for %s stopped at sample %d: %s",
                            problem.name, sample_index, exc)
-            return sample_index, log, None
-        attempt = evaluate_sample(
-            problem, sample_index, response.samples[0], verifier)
-        log.append({
-            "problem": problem.name,
-            "round": round_number,
-            "sample_index": sample_index,
-            "verdict": attempt.verdict,
-            "diagnostic": attempt.diagnostic[:DIAGNOSTIC_CHARS],
-        })
-        if attempt.verdict == "verified":
-            return sample_index + 1, log, attempt
-    return n_samples, log, None
+            break
+        attempts.append(evaluate_sample(
+            problem, round_number, sample_index, response.samples[0], verifier))
+        if attempts[-1].verdict == "verified":
+            break
+    return attempts
 
 
 def run_iteration(
-    state: IterationState,
+    round_number: int,
     problems: Sequence[Problem],
+    pool: Tuple[PoolExample, ...],
     sampler: Sampler,
     verifier,
     settings: ProverSettings,
     tokenizer,
-) -> IterationState:
-    """Run one round over every unproved problem and commit the results.
-
-    Sampling stops early per problem on the first verified proof. The
-    example pool visible to prompts is the one the round started with;
-    newly verified proofs only join it in the returned state.
+) -> List[ProofAttempt]:
+    """Run one round over ``problems``, the open ones, prompting with
+    ``pool``, which the caller grows between rounds. Returns each problem's
+    attempts, in problem order.
 
     Problems go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each with the sample sequence a serial
-    run gives it, and results are committed in problem order. With a
-    budget, each problem reserves ``n_samples`` requests of its prompt,
-    so a run that hits a ceiling stops at the samples a serial run
-    stops at.
+    run gives it, and results are taken in problem order. With a budget,
+    each problem reserves ``n_samples`` requests of its prompt, so a run
+    that hits a ceiling stops at the samples a serial run stops at.
     """
     def units():
         for problem in problems:
-            if problem.name not in state.unproved:
-                continue
             try:
                 prompt = assemble_proof_prompt(
-                    problem, state.example_pool, (settings.k_min, settings.k_max),
+                    problem, pool, (settings.k_min, settings.k_max),
                     tokenizer, settings.token_budget)
             except PromptExceedsBudget as exc:
                 logger.warning("skipping %s this round: %s", problem.name, exc)
@@ -483,38 +438,10 @@ def run_iteration(
             yield problem, prompt
 
     def work(problem, ask):
-        return _prove_problem(problem, state.round, ask, verifier, settings.n_samples)
+        return _prove_problem(problem, round_number, ask, verifier, settings.n_samples)
 
-    results = in_order(units(), work, sampler, settings.n_samples)
-    proved = dict(state.proved)
-    first_success = dict(state.first_success)
-    pool_examples = list(state.example_pool)
-    attempts = list(state.attempts)
-    budget_used = state.budget_used
-    newly = set()
-    for problem, (drawn, log, verified) in results:
-        budget_used += drawn
-        attempts.extend(log)
-        if verified is None:
-            continue
-        newly.add(problem.name)
-        proved[problem.name] = verified.extracted_proof
-        first_success[problem.name] = (state.round, verified.sample_index)
-        pool_examples.append(PoolExample(
-            name=problem.name,
-            nl=problem.nl_statement_and_proof,
-            fl=verified.extracted_proof,
-            source=f"round {state.round}",
-        ))
-    return IterationState(
-        round=state.round + 1,
-        example_pool=tuple(pool_examples),
-        proved=proved,
-        unproved=state.unproved - newly,
-        budget_used=budget_used,
-        first_success=first_success,
-        attempts=tuple(attempts),
-    )
+    return [attempt for _, attempts in in_order(units(), work, sampler, settings.n_samples)
+            for attempt in attempts]
 
 
 def run_iterative(
@@ -527,30 +454,37 @@ def run_iterative(
 ) -> HarnessReport:
     """Run rounds until ``settings.max_rounds`` or a round proves nothing
     new. Prompts are counted with ``tokenizer``. Problem names are unique and
-    ``seed_pool`` is nonempty: the CLI checks both where it reads them."""
-    state = initial_state(problems, seed_pool)
+    ``seed_pool`` is nonempty: the CLI checks both where it reads them.
+    A round's verified proofs join the pool in problem order; every sample
+    drawn counts toward ``budget_used``."""
+    by_name = {p.name: p for p in problems}
+    pool = tuple(seed_pool)
+    proved: Dict[str, ReportProof] = {}
+    attempts: List[ProofAttempt] = []
     rounds: List[RoundSummary] = []
     for round_number in range(1, settings.max_rounds + 1):
-        before = len(state.proved)
-        state = run_iteration(state, problems, sampler, verifier, settings, tokenizer)
-        newly = len(state.proved) - before
-        rate = len(state.proved) / len(problems) if problems else 0.0
+        drawn = run_iteration(
+            round_number, [p for p in problems if p.name not in proved], pool,
+            sampler, verifier, settings, tokenizer)
+        attempts += drawn
+        verified = [a for a in drawn if a.verdict == "verified"]
+        for a in verified:
+            proved[a.problem] = ReportProof(
+                a.problem, round_number, a.sample_index, a.proof)
+        pool += tuple(
+            PoolExample(a.problem, by_name[a.problem].nl_statement_and_proof, a.proof,
+                        source=f"round {round_number}")
+            for a in verified)
         rounds.append(RoundSummary(
             round=round_number,
-            newly_proved=newly,
-            cumulative_proved=len(state.proved),
-            cumulative_rate=rate,
-            budget_used=state.budget_used,
+            newly_proved=len(verified),
+            cumulative_proved=len(proved),
+            cumulative_rate=len(proved) / len(problems) if problems else 0.0,
+            budget_used=len(attempts),
         ))
-        if newly == 0:
+        if not verified:
             break
-    return HarnessReport(
-        problems_total=len(problems),
-        rounds=tuple(rounds),
-        proved=dict(state.proved),
-        first_success=dict(state.first_success),
-        attempts=state.attempts,
-    )
+    return HarnessReport(len(problems), tuple(rounds), proved, tuple(attempts))
 
 
 # --- reports -------------------------------------------------------------------
@@ -560,13 +494,14 @@ def save_report(report: HarnessReport, path: str) -> None:
     """One header line, then one line per proved problem, name-sorted."""
     artifacts.write_jsonl(path, [
         ReportHeader("harness-report", report.problems_total, report.rounds),
-        *(ReportProof(name, *report.first_success[name], report.proved[name])
-          for name in sorted(report.proved)),
+        *(report.proved[name] for name in sorted(report.proved)),
     ])
 
 
 def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessReport:
-    """Load a report, re-verifying every stored proof. Stale verdicts raise."""
+    """Load a report, re-verifying every stored proof. Stale verdicts raise,
+    and so do proof lines that do not account for the header's rounds: each
+    round's ``newly_proved`` counts the proofs of that round."""
     by_name = {p.name: p for p in problems}
     lines = artifacts.read_jsonl(path)
     if not lines:
@@ -574,8 +509,7 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
     header = artifacts.as_record(path, lines[0], ReportHeader)
     if header.kind != "harness-report":
         raise ReportInvalid(f"{path}:{lines[0].lineno}: not a harness report")
-    proved: Dict[str, str] = {}
-    first_success: Dict[str, Tuple[int, int]] = {}
+    proved: Dict[str, ReportProof] = {}
     for line in lines[1:]:
         entry = artifacts.as_record(path, line, ReportProof)
         problem = by_name.get(entry.name)
@@ -589,14 +523,18 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
                 f"{path}:{line.lineno}: stored proof for {entry.name} no longer verifies"
                 + (f": {diagnostic}" if diagnostic else "")
             )
-        proved[entry.name] = entry.proof
-        first_success[entry.name] = (entry.round, entry.sample_index)
-    return HarnessReport(
-        problems_total=header.problems_total,
-        rounds=header.rounds,
-        proved=proved,
-        first_success=first_success,
-    )
+        proved[entry.name] = entry
+    counted = {r.round: r.newly_proved for r in header.rounds}
+    stray = [entry for entry in proved.values() if entry.round not in counted]
+    if stray:
+        raise ReportInvalid(f"{path}: {stray[0].name} is proved in round "
+                            f"{stray[0].round}, which the header does not list")
+    listed = Counter(entry.round for entry in proved.values())
+    for r, count in counted.items():
+        if listed[r] != count:
+            raise ReportInvalid(f"{path}: the header counts {count} proved in "
+                                f"round {r}, the proof lines {listed[r]}")
+    return HarnessReport(header.problems_total, header.rounds, proved)
 
 
 def format_report_table(report: HarnessReport) -> str:

@@ -25,6 +25,7 @@ from leanforge.prover import (
     HarnessReport,
     PoolExample,
     Problem,
+    ProofAttempt,
     ReportHeader,
     ReportProof,
     RoundSummary,
@@ -249,7 +250,9 @@ OBT = ObtRecord(NAME, STATEMENT, PROOF, "Mathlib/A.lean", "c0ffee",
                 "Statement: n + 0 = n.", "/- Statement: n + 0 = n. -/\n" + PROOF)
 REPORT = HarnessReport(
     3, (RoundSummary(1, 1, 1, 1 / 3, 7), RoundSummary(2, 0, 1, 1 / 3, 12)),
-    {NAME: PROOF}, {NAME: (1, 4)})
+    {NAME: ReportProof(NAME, 1, 4, PROOF)})
+ATTEMPT = ProofAttempt(NAME, 2, 3, "rejected",
+                       'token 8: expected "ℕ", got "ℤ" at offset 20', PROOF)
 PACKED = PackedRecord("### instruction ℕ\n", "target\n", 2, 40, NAME, 1)
 
 def append_one(path, entry):
@@ -292,6 +295,11 @@ GOLDEN = {
         '"cumulative_rate": 0.3333333333333333, "budget_used": 12}]}\n'
         '{"name": "Nat.add_zero\'", "round": 1, "sample_index": 4, "proof": '
         '"theorem add_zero\' (n : ℕ) : n + 0 = n := by\\n  simp\\n"}\n'),
+    "attempts": (
+        lambda path: artifacts.write_jsonl(path, [ATTEMPT]),
+        '{"problem": "Nat.add_zero\'", "round": 2, "sample_index": 3, "verdict": '
+        '"rejected", "diagnostic": "token 8: expected \\"ℕ\\", got \\"ℤ\\" at '
+        'offset 20"}\n'),
     "train": (
         lambda path: artifacts.write_jsonl(path, [PACKED]),
         '{"instruction": "### instruction ℕ\\n", "target": "target\\n", '

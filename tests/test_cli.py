@@ -734,6 +734,24 @@ class TestBootstrapCommand:
         assert not (workdir / "obt.jsonl").exists()
 
 
+    def test_proof_that_does_not_lex_names_file_line_and_record(
+            self, tmp_path, capsys):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        broken = dict(INFORMAL_ENTRY, Name="bar", Proof=INFORMAL_ENTRY["Proof"].replace(
+            "  norm_num", "  /- open\n  norm_num"))
+        path = workdir / "informal.jsonl"
+        path.write_text(json.dumps(INFORMAL_ENTRY) + "\n\n" + json.dumps(broken) + "\n",
+                        encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(workdir), "bootstrap": {"mode": "head"}})
+        assert run(["bootstrap", "-c", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: bar: Proof does not lex: "
+            "unterminated block comment (offset 38)\n")
+        assert not (workdir / "obt.jsonl").exists()
+
+
 class TestInformalizeResumeUnderConcurrency:
     """A fault on any backend call, with four theorems in flight, leaves a
     checkpoint that is a prefix in record order, and ``--resume`` finishes
@@ -842,6 +860,20 @@ class TestPrepCommand:
         assert run(["prep", "-c", config, "--no-bootstrapped"]) == 0
         rows = read_jsonl(tmp_path / "work" / "train.jsonl")
         assert all("/-" not in r["target"] for r in rows)
+
+    def test_record_that_does_not_lex_names_file_line_and_record(
+            self, tmp_path, capsys):
+        config = self.make_workdir(tmp_path)
+        path = tmp_path / "work" / "obt.jsonl"
+        entry = obt_entry()
+        broken = dict(entry, Commented_proof=entry["Commented_proof"] + "/- open\n")
+        with open(path, "a", encoding="utf-8") as sink:
+            sink.write(json.dumps(broken) + "\n")
+        assert run(["prep", "-c", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:4: {entry['Name']}: Proof or Commented_proof does not "
+            f"lex: unterminated block comment (offset {len(entry['Commented_proof'])})\n")
+        assert not (tmp_path / "work" / "train.jsonl").exists()
 
     def test_failed_write_keeps_previous_train_set(self, tmp_path, monkeypatch):
         config = self.make_workdir(tmp_path)
@@ -1140,18 +1172,20 @@ class TestConfiguredFiles:
                     f"error: {path}: {message}")
 
 
-    def prover_config(self, tmp_path, problems, seeds):
+    def prover_config(self, tmp_path, problems, seeds, **sections):
         """A config naming problem and seed files that hold these entries,
-        and a workdir not yet made."""
+        with the keys of ``sections`` added, and a workdir not yet made."""
         workdir = tmp_path / "work"
         paths = {}
         for name, entries in (("problems", problems), ("seeds", seeds)):
             paths[name] = tmp_path / f"{name}.jsonl"
             paths[name].write_text(jsonl(*entries), encoding="utf-8")
-        return workdir, paths, write_yaml(tmp_path / "c.yaml", {
-            "workdir": str(workdir),
-            "prover": {"problems": str(paths["problems"]),
-                       "seed_examples": str(paths["seeds"])}})
+        settings = {"workdir": str(workdir),
+                    "prover": {"problems": str(paths["problems"]),
+                               "seed_examples": str(paths["seeds"])}}
+        for section, keys in sections.items():
+            settings.setdefault(section, {}).update(keys)
+        return workdir, paths, write_yaml(tmp_path / "c.yaml", settings)
 
     @pytest.mark.parametrize("command", ["prove", "report"])
     def test_repeated_problem_name_rejected_as_prove_does(
@@ -1173,6 +1207,20 @@ class TestConfiguredFiles:
         self.expect(capsys, ["prove", "-c", config], 1,
                     f"error: {paths['seeds']} (prover.seed_examples) holds 0: "
                     "seed pool must be nonempty")
+        assert not workdir.exists()
+
+    @pytest.mark.parametrize("section, key, content, message", [
+        ("prover", "answer_key", [1, 2], "not an object of name -> proof"),
+        ("backend", "script", [5], "rule 0: entry is not an object"),
+    ], ids=["answer-key", "mock-script"])
+    def test_bad_configured_file_creates_no_workdir(
+            self, tmp_path, capsys, section, key, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        workdir, _, config = self.prover_config(
+            tmp_path, [PROBLEM_ENTRY], [SEED_ENTRY], **{section: {key: str(bad)}})
+        self.expect(capsys, ["prove", "-c", config], 2,
+                    f"config error: {bad}: {message}")
         assert not workdir.exists()
 
     def test_empty_example_pool_names_the_file_and_setting(self, tmp_path, capsys):

@@ -37,7 +37,6 @@ from leanforge.prover import (
     MockVerifier,
     PoolExample,
     Problem,
-    initial_state,
     run_iteration,
 )
 from leanforge.trainprep import WhitespaceTokenizer
@@ -724,11 +723,10 @@ class TestConnectionBound:
         with pooled_server(2, self.IDLE_S) as (server, url), contextlib.closing(
                 ChatCompletionBackend(url, model="m", max_in_flight=2)) as backend:
             started = time.perf_counter()
-            state = run_iteration(initial_state(problems, seeds), problems,
-                                  Sampler(backend), MockVerifier({}), settings,
-                                  WhitespaceTokenizer())
+            attempts = run_iteration(1, problems, tuple(seeds), Sampler(backend),
+                                     MockVerifier({}), settings, WhitespaceTokenizer())
             elapsed = time.perf_counter() - started
-        assert state.budget_used == 12
+        assert len(attempts) == 12
         assert server.accepted <= 2
         # a third connection would wait for an idle one to time out
         assert elapsed < self.IDLE_S / 3

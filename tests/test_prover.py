@@ -26,7 +26,6 @@ from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
 from leanforge.prover import (
     ExternalVerifier,
     HarnessReport,
-    IterationState,
     MockVerifier,
     NoProofFound,
     PoolExample,
@@ -34,13 +33,13 @@ from leanforge.prover import (
     PromptExceedsBudget,
     ProofAttempt,
     ReportInvalid,
+    ReportProof,
     VerifierCrashed,
     VerifierTimeout,
     assemble_proof_prompt,
     evaluate_sample,
     extract_proof,
     format_report_table,
-    initial_state,
     load_report,
     run_iteration,
     run_iterative,
@@ -102,17 +101,7 @@ class TestDomainTypes:
 
     def test_attempt_verdicts(self):
         with pytest.raises(ValueError, match="verdict"):
-            ProofAttempt("p", 0, "t", "", "maybe")
-
-    def test_state_invariants(self):
-        with pytest.raises(ValueError, match="round"):
-            IterationState(round=0, example_pool=(), proved={},
-                           unproved=frozenset(), budget_used=0,
-                           first_success={})
-        with pytest.raises(ValueError, match="proved and unproved"):
-            IterationState(round=1, example_pool=(), proved={"a": "x"},
-                           unproved=frozenset({"a"}), budget_used=0,
-                           first_success={})
+            ProofAttempt("p", 1, 0, "maybe")
 
 
 def count_examples(prompt):
@@ -398,32 +387,32 @@ class TestEvaluateSample:
         sample = key.replace("  norm_num", "  -- close it\n  norm_num")
         problem = make_problem(3)
         for index in range(3):
-            attempt = evaluate_sample(problem, index, sample, verifier)
+            attempt = evaluate_sample(problem, 1, index, sample, verifier)
             assert attempt.verdict == "verified"
         # the screen, the statement and the verifier compare code texts
         assert lexed == []
 
     def test_verified_sample(self):
         verifier = MockVerifier({"prob03": canonical_proof(3)})
-        attempt = evaluate_sample(make_problem(3), 0,
+        attempt = evaluate_sample(make_problem(3), 1, 0,
                                   "```lean\n" + canonical_proof(3) + "```",
                                   verifier)
         assert attempt.verdict == "verified"
-        assert attempt.extracted_proof == canonical_proof(3)
+        assert attempt.proof == canonical_proof(3)
 
     def test_no_proof_is_rejected(self):
-        attempt = evaluate_sample(make_problem(3), 2, "I am not sure.",
+        attempt = evaluate_sample(make_problem(3), 1, 2, "I am not sure.",
                                   ExplodingVerifier())
         assert attempt.verdict == "rejected"
         assert "prob03" in attempt.diagnostic
-        assert attempt.sample_index == 2
+        assert (attempt.round, attempt.sample_index, attempt.proof) == (1, 2, "")
 
     def test_lean3_output_rejected_before_verification(self):
         problem = Problem(
             name="amc12a_2019_p21",
             fl_statement="theorem amc12a_2019_p21 : True :=",
             nl_statement_and_proof="x")
-        attempt = evaluate_sample(problem, 0, LEAN3_OUTPUT_A,
+        attempt = evaluate_sample(problem, 1, 0, LEAN3_OUTPUT_A,
                                   ExplodingVerifier())
         assert attempt.verdict == "rejected"
         assert "begin-end-block" in attempt.diagnostic
@@ -437,7 +426,7 @@ class TestEvaluateSample:
     def test_sorry_rejected_before_verification(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 0, sample, ExternalVerifier(["true"]))
+        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"]))
         assert attempt.verdict == "rejected"
         assert attempt.diagnostic == "pre-verification screen: sorry"
 
@@ -451,7 +440,7 @@ class TestEvaluateSample:
     def test_names_strings_and_unlexable_proofs_pass_the_screen(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 0, sample, ExternalVerifier(["true"]))
+        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"]))
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     @pytest.mark.parametrize("statement", [
@@ -462,7 +451,7 @@ class TestEvaluateSample:
     ])
     def test_changed_statement_rejected_before_verification(self, statement):
         sample = f"{statement} by\n  norm_num\n"
-        attempt = evaluate_sample(make_problem(3), 0, sample,
+        attempt = evaluate_sample(make_problem(3), 1, 0, sample,
                                   ExternalVerifier(["true"]))
         assert (attempt.verdict, attempt.diagnostic) == (
             "rejected", "pre-verification screen: statement changed")
@@ -470,7 +459,7 @@ class TestEvaluateSample:
     def test_statement_layout_and_comments_are_free(self):
         sample = ("theorem prob03 :\n    3 + 0 -- the sum\n    = 3 :=\n"
                   "  /- by evaluation -/ by\n  norm_num\n")
-        attempt = evaluate_sample(make_problem(3), 0, sample,
+        attempt = evaluate_sample(make_problem(3), 1, 0, sample,
                                   ExternalVerifier(["true"]))
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
@@ -479,7 +468,7 @@ class TestEvaluateSample:
             def check(self, problem, proof_text):
                 raise VerifierTimeout("verifier exceeded 1s")
 
-        attempt = evaluate_sample(make_problem(3), 1, canonical_proof(3), Slow())
+        attempt = evaluate_sample(make_problem(3), 1, 1, canonical_proof(3), Slow())
         assert attempt.verdict == "error"
         assert "exceeded" in attempt.diagnostic
 
@@ -554,45 +543,50 @@ def config(**kwargs):
     return ProverSettings(**kwargs)
 
 
+def one_round(problems, pool, sampler, verifier, settings, round_number=1):
+    return run_iteration(round_number, problems, tuple(pool), sampler, verifier,
+                         settings, TOKENIZER)
+
+
+def verified(attempts):
+    return {a.problem: a.proof for a in attempts if a.verdict == "verified"}
+
+
 class TestRunIteration:
     def test_rejecting_verifier_changes_nothing(self):
         problems = [make_problem(i) for i in range(3)]
-        state = initial_state(problems, seed_examples(2))
         backend = MockBackend(default_text=canonical_proof(0))
-        new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
-                            config(), TOKENIZER)
-        assert new.proved == {}
-        assert new.example_pool == state.example_pool
-        assert new.round == 2
-        assert new.budget_used == 3 * 4
+        attempts = one_round(problems, seed_examples(2), Sampler(backend),
+                             MockVerifier({}), config())
+        assert verified(attempts) == {}
+        assert len(attempts) == 3 * 4
+        assert [a.problem for a in attempts] == (
+            ["prob00"] * 4 + ["prob01"] * 4 + ["prob02"] * 4)
 
     def test_first_sample_success_costs_one_generation(self):
         problems = [make_problem(0)]
-        state = initial_state(problems, seed_examples(1))
         backend = CountingBackend(MockBackend(
             script=[("prob00", canonical_proof(0))]))
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        new = run_iteration(state, problems, Sampler(backend), verifier,
-                            config(n_samples=1), TOKENIZER)
-        assert new.proved == {"prob00": canonical_proof(0)}
+        attempts = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+                             config(n_samples=1))
+        assert verified(attempts) == {"prob00": canonical_proof(0)}
         assert backend.calls == 1
-        assert new.budget_used == 1
+        assert len(attempts) == 1
 
     def test_early_stop_mid_samples(self):
         problems = [make_problem(0)]
-        state = initial_state(problems, seed_examples(1))
         bad = "theorem prob00 : 0 + 0 = 0 := by\n  sorry\n"
         backend = MockBackend(
             script=[("prob00", [bad, bad, canonical_proof(0)])])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        new = run_iteration(state, problems, Sampler(backend), verifier,
-                            config(n_samples=8), TOKENIZER)
-        assert new.budget_used == 3
-        assert new.first_success == {"prob00": (1, 2)}
+        attempts = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+                             config(n_samples=8), round_number=3)
+        assert [(a.round, a.sample_index, a.verdict) for a in attempts] == [
+            (3, 0, "rejected"), (3, 1, "rejected"), (3, 2, "verified")]
 
     def test_pool_frozen_within_round(self):
         problems = [make_problem(0), make_problem(1)]
-        state = initial_state(problems, seed_examples(1))
         # problem 1 is answerable only when problem 0's verified proof is
         # already in the prompt, which cannot happen in the same round
         backend = MockBackend(script=[
@@ -601,17 +595,18 @@ class TestRunIteration:
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0),
                                  "prob01": canonical_proof(1)})
-        mid = run_iteration(state, problems, Sampler(backend), verifier,
-                            config(), TOKENIZER)
-        assert set(mid.proved) == {"prob00"}
-        assert [e.name for e in mid.example_pool] == ["seed0", "prob00"]
-        after = run_iteration(mid, problems, Sampler(backend), verifier,
-                              config(), TOKENIZER)
-        assert set(after.proved) == {"prob00", "prob01"}
+        first = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+                          config())
+        assert verified(first) == {"prob00": canonical_proof(0)}
+        grown = seed_examples(1) + [PoolExample(
+            "prob00", problems[0].nl_statement_and_proof, canonical_proof(0),
+            "round 1")]
+        second = one_round(problems[1:], grown, Sampler(backend), verifier,
+                           config(), round_number=2)
+        assert verified(second) == {"prob01": canonical_proof(1)}
 
     def test_backend_failure_on_one_problem_isolated(self):
         problems = [make_problem(0), make_problem(1)]
-        state = initial_state(problems, seed_examples(1))
 
         class Selective:
             name = "selective"
@@ -623,19 +618,17 @@ class TestRunIteration:
 
         verifier = MockVerifier({"prob01": canonical_proof(1)})
         policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
-        new = run_iteration(state, problems, Sampler(Selective(), retry=policy),
-                            verifier, config(), TOKENIZER)
-        assert set(new.proved) == {"prob01"}
-        assert new.budget_used == 1  # failed draws are not counted
+        attempts = one_round(problems, seed_examples(1),
+                             Sampler(Selective(), retry=policy), verifier, config())
+        assert verified(attempts) == {"prob01": canonical_proof(1)}
+        assert len(attempts) == 1  # failed draws are not counted
 
     def test_oversized_prompt_skips_problem(self):
-        problems = [make_problem(0)]
-        state = initial_state(problems, seed_examples(1))
         backend = CountingBackend(MockBackend())
-        new = run_iteration(state, problems, Sampler(backend), MockVerifier({}),
-                            config(token_budget=3), TOKENIZER)
+        attempts = one_round([make_problem(0)], seed_examples(1), Sampler(backend),
+                             MockVerifier({}), config(token_budget=3))
         assert backend.calls == 0
-        assert new.unproved == frozenset({"prob00"})
+        assert attempts == []
 
 
 # The two-round fixture: EASY is provable from the start; DEP's proof is
@@ -676,8 +669,9 @@ class TestRunIterative:
         assert [r.cumulative_proved for r in report.rounds] == [1, 2]
         assert report.rounds[0].cumulative_rate == 0.5
         assert report.rounds[1].cumulative_rate == 1.0
-        assert report.first_success == {"easy_add": (1, 0),
-                                        "dependent_mul": (2, 0)}
+        assert report.proved == {
+            "easy_add": ReportProof("easy_add", 1, 0, EASY_PROOF),
+            "dependent_mul": ReportProof("dependent_mul", 2, 0, DEP_PROOF)}
         # round 1: easy stops at sample 1, dep burns all 4; round 2: dep
         # succeeds immediately
         assert report.rounds[1].budget_used == 1 + 4 + 1
@@ -883,18 +877,13 @@ class TestConcurrentRounds:
         verifier = MockVerifier({"prob00": canonical_proof(0)})
         report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
                                config(n_samples=2, max_rounds=1), TOKENIZER)
+        screened = "pre-verification screen: statement changed"
+        no_proof = "no fenced or theorem-headed region declaring prob01"
         assert report.attempts == (
-            {"problem": "prob00", "round": 1, "sample_index": 0,
-             "verdict": "rejected",
-             "diagnostic": "pre-verification screen: statement changed"},
-            {"problem": "prob00", "round": 1, "sample_index": 1,
-             "verdict": "verified", "diagnostic": ""},
-            {"problem": "prob01", "round": 1, "sample_index": 0,
-             "verdict": "rejected",
-             "diagnostic": "no fenced or theorem-headed region declaring prob01"},
-            {"problem": "prob01", "round": 1, "sample_index": 1,
-             "verdict": "rejected",
-             "diagnostic": "no fenced or theorem-headed region declaring prob01"},
+            ProofAttempt("prob00", 1, 0, "rejected", screened, bad),
+            ProofAttempt("prob00", 1, 1, "verified", "", canonical_proof(0)),
+            ProofAttempt("prob01", 1, 0, "rejected", no_proof),
+            ProofAttempt("prob01", 1, 1, "rejected", no_proof),
         )
 
     def test_long_diagnostics_are_cut(self):
@@ -906,7 +895,7 @@ class TestConcurrentRounds:
         backend = MockBackend(default_text=canonical_proof(0))
         report = run_iterative(problems, seed_examples(1), Sampler(backend), Verbose(),
                                config(n_samples=1, max_rounds=1), TOKENIZER)
-        assert [a["diagnostic"] for a in report.attempts] == ["x" * 200]
+        assert [a.diagnostic for a in report.attempts] == ["x" * 200]
 
     def test_failing_problem_fails_the_round(self):
         class Broken:
@@ -917,24 +906,22 @@ class TestConcurrentRounds:
                 raise RuntimeError("backend bug")
 
         problems = [make_problem(i) for i in range(3)]
-        state = initial_state(problems, seed_examples(1))
         with pytest.raises(RuntimeError, match="backend bug"):
-            run_iteration(state, problems, Sampler(Broken()), MockVerifier({}),
-                          config(), TOKENIZER)
+            one_round(problems, seed_examples(1), Sampler(Broken()),
+                      MockVerifier({}), config())
 
     def test_reservations_are_returned(self):
         problems = [make_problem(i) for i in range(5)]
-        state = initial_state(problems, seed_examples(1))
         budget = GenerationBudget(max_requests=11)
         backend = MockBackend(default_text=canonical_proof(0))
         backend.concurrency = 3  # every prompt gets the same text
-        new = run_iteration(state, problems, Sampler(backend, budget=budget),
-                            MockVerifier({}), config(n_samples=4), TOKENIZER)
+        attempts = one_round(problems, seed_examples(1), Sampler(backend, budget=budget),
+                             MockVerifier({}), config(n_samples=4))
         # two problems reserve their 4 requests each; the third cannot and
         # runs alone on the 3 left, as a serial run would
-        assert new.budget_used == budget.requests_used == 11
+        assert len(attempts) == budget.requests_used == 11
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
-        assert [a["problem"] for a in new.attempts] == (
+        assert [a.problem for a in attempts] == (
             ["prob00"] * 4 + ["prob01"] * 4 + ["prob02"] * 3)
 
 
@@ -965,10 +952,8 @@ class TestReports:
 
     def test_screened_proof_rejected_on_load(self, tmp_path):
         problem = make_problem(3)
-        report = HarnessReport(
-            problems_total=1, rounds=(), proved={
-                "prob03": f"{problem.fl_statement} by\n  admit\n"},
-            first_success={"prob03": (1, 0)})
+        report = HarnessReport(problems_total=1, rounds=(), proved={
+            "prob03": ReportProof("prob03", 1, 0, f"{problem.fl_statement} by\n  admit\n")})
         path = tmp_path / "report.jsonl"
         save_report(report, str(path))
         with pytest.raises(ReportInvalid, match="pre-verification screen: sorry"):
@@ -976,10 +961,8 @@ class TestReports:
 
     def test_changed_statement_rejected_on_load(self, tmp_path):
         problem = make_problem(3)
-        report = HarnessReport(
-            problems_total=1, rounds=(), proved={
-                "prob03": "theorem prob03 : True := by\n  trivial\n"},
-            first_success={"prob03": (1, 0)})
+        report = HarnessReport(problems_total=1, rounds=(), proved={
+            "prob03": ReportProof("prob03", 1, 0, "theorem prob03 : True := by\n  trivial\n")})
         path = tmp_path / "report.jsonl"
         save_report(report, str(path))
         with pytest.raises(ReportInvalid, match="statement changed"):
@@ -1012,6 +995,27 @@ class TestReports:
         with pytest.raises(ReportInvalid,
                            match=f"report.jsonl:{len(lines) + 1}: {name} is listed twice"):
             load_report(str(path), problems, verifier)
+
+    def test_dropped_proof_line_rejected(self, tmp_path):
+        _, path, problems, verifier = self.round_trip(tmp_path)
+        header, dependent, easy = path.read_text(encoding="utf-8").splitlines(True)
+        assert json.loads(dependent)["name"] == "dependent_mul"
+        path.write_text(header + easy, encoding="utf-8")
+        with pytest.raises(ReportInvalid) as info:
+            load_report(str(path), problems, verifier)
+        assert str(info.value) == (
+            f"{path}: the header counts 1 proved in round 2, the proof lines 0")
+
+    def test_proof_in_a_round_the_header_lacks_rejected(self, tmp_path):
+        _, path, problems, verifier = self.round_trip(tmp_path)
+        header, dependent, easy = path.read_text(encoding="utf-8").splitlines(True)
+        moved = dict(json.loads(easy), round=3)
+        path.write_text(header + dependent + json.dumps(moved) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ReportInvalid) as info:
+            load_report(str(path), problems, verifier)
+        assert str(info.value) == (
+            f"{path}: easy_add is proved in round 3, which the header does not list")
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "report.jsonl"
