@@ -36,6 +36,14 @@ class ArtifactError(ValueError):
     """A file holds text that is not JSON, or a line not the record it should."""
 
 
+def require(path: str, producer: str) -> str:
+    """``path``, which must exist; ``producer`` is the command that writes it."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"expected file {path} is missing; run `leanforge {producer}` first")
+    return path
+
+
 class Line(NamedTuple):
     """One nonblank line of a JSONL file."""
 

@@ -19,6 +19,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from . import artifacts
 from . import bootstrap as bootstrap_mod
 from . import corpus, genclient, informalize, prover, retrieval, trainprep
+from .artifacts import require
 from .config import (
     BackendSettings,
     ConfigError,
@@ -29,20 +30,6 @@ from .config import (
     load_config,
     stage_path,
 )
-
-
-class MissingArtifact(FileNotFoundError):
-    """An upstream stage output this command depends on does not exist."""
-
-    def __init__(self, path: str, producer: str):
-        super().__init__(
-            f"expected file {path} is missing; run `leanforge {producer}` first")
-
-
-def _require(path: str, producer: str) -> str:
-    if not os.path.exists(path):
-        raise MissingArtifact(path, producer)
-    return path
 
 
 # --- extract ---------------------------------------------------------------------
@@ -74,7 +61,7 @@ def _iter_corpus_sources(config: PipelineConfig):
                 yield (artifacts.read_text(full), os.path.relpath(full, root),
                        config.corpus.commit)
     else:
-        _require(root, "extract with a corpus directory, or create the file")
+        require(root, "extract with a corpus directory, or create the file")
         for entry in artifacts.read_records(root, _SourceFile):
             yield (entry.source, entry.file_path,
                    config.corpus.commit if entry.commit is None else entry.commit)
@@ -114,7 +101,7 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     if not r.pairs:
         raise ConfigError(["retrieval.pairs: required for train-retriever"])
     texts = artifacts.read_records(
-        _require(r.pairs, "extract, then build a pair file"), _TextPair)
+        require(r.pairs, "extract, then build a pair file"), _TextPair)
     # hashed by the embedder informalize applies the head to
     embedder = retrieval.HashEmbedder(r.dimension)
     nl_vectors = embedder.embed([pair.nl for pair in texts])
@@ -213,18 +200,18 @@ def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.
 
 def cmd_informalize(args, config: PipelineConfig) -> int:
     records = artifacts.read_records(
-        _require(stage_path(config, "theorems"), "extract"), corpus.TheoremRecord)
+        require(stage_path(config, "theorems"), "extract"), corpus.TheoremRecord)
     pool: Sequence[prover.PoolExample] = ()
     index = None
     embedder = None
     if config.retrieval.examples:
-        _require(config.retrieval.examples, "informalize with a pool file")
+        require(config.retrieval.examples, "informalize with a pool file")
         pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
         if not pool:
             raise ValueError(f"{config.retrieval.examples} (retrieval.examples) "
                              "holds 0: cannot index an empty corpus")
         head = retrieval.load_head(
-            _require(stage_path(config, "projection"), "train-retriever"),
+            require(stage_path(config, "projection"), "train-retriever"),
             config.retrieval.dimension)
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
         index = informalize.build_example_index(
@@ -246,7 +233,7 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
 
 
 def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    path = _require(stage_path(config, "informal"), "informalize")
+    path = require(stage_path(config, "informal"), "informalize")
     lines = artifacts.read_jsonl(path)
     entries = [artifacts.as_record(path, line, bootstrap_mod.InformalRecord)
                for line in lines]
@@ -279,7 +266,7 @@ def make_tokenizer(settings: PrepSettings):
 
 def cmd_prep(args, config: PipelineConfig) -> int:
     obt_records = bootstrap_mod.load_obt_dataset(
-        _require(stage_path(config, "obt"), "bootstrap"))
+        require(stage_path(config, "obt"), "bootstrap"))
     packed, skipped = trainprep.emit_training_set(
         obt_records, config.prep, make_tokenizer(config.prep))
     artifacts.write_jsonl(stage_path(config, "train"), packed)
@@ -293,7 +280,7 @@ def cmd_prep(args, config: PipelineConfig) -> int:
 
 def _read_problems(path: str) -> List[prover.Problem]:
     """The problems of ``prover.problems``, whose names are unique."""
-    lines = artifacts.read_jsonl(_require(path, "prove with a problem file"))
+    lines = artifacts.read_jsonl(require(path, "prove with a problem file"))
     problems = [artifacts.as_record(path, line, prover.Problem) for line in lines]
     first = {}
     for line, problem in zip(lines, problems):
@@ -330,7 +317,7 @@ def cmd_prove(args, config: PipelineConfig) -> int:
         raise ConfigError(["prover.seed_examples: required for prove"])
     problems = _read_problems(v.problems)
     seed_pool = artifacts.read_records(
-        _require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
+        require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
     if not seed_pool:
         raise ValueError(f"{v.seed_examples} (prover.seed_examples) holds 0: "
                          "seed pool must be nonempty")
@@ -353,10 +340,8 @@ def cmd_report(args, config: PipelineConfig) -> int:
         raise ConfigError(["prover.problems: required for report"])
     problems = _read_problems(v.problems)
     report = prover.load_report(
-        _require(stage_path(config, "report"), "prove"),
-        problems,
-        make_verifier(v),
-    )
+        require(stage_path(config, "report"), "prove"), stage_path(config, "attempts"),
+        problems, make_verifier(v))
     print(prover.format_report_table(report))
     return 0
 
@@ -384,7 +369,7 @@ def _review_block(entry: dict) -> str:
 
 def cmd_sample(args, config: PipelineConfig) -> int:
     dataset = args.dataset or stage_path(config, "obt")
-    _require(dataset, "bootstrap, or pass --dataset")
+    require(dataset, "bootstrap, or pass --dataset")
     lines = artifacts.read_jsonl(dataset)
     if args.n > len(lines):
         raise ValueError(
@@ -478,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit side-by-side NL/FL text instead of JSONL")
     sample.add_argument("--output", default=None)
 
-    command("report", cmd_report, "re-verify and print a harness report")
+    command("report", cmd_report, "check a harness report against its attempt log")
     return parser
 
 

@@ -14,7 +14,6 @@ import re
 import signal
 import subprocess
 import tempfile
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,7 +54,7 @@ class VerifierCrashed(RuntimeError):
 
 
 class ReportInvalid(RuntimeError):
-    """A saved report does not re-verify against the current verifier."""
+    """A saved report does not re-verify, or does not account for its attempt log."""
 
 
 # --- domain types --------------------------------------------------------------
@@ -90,6 +89,11 @@ class Problem:
 DIAGNOSTIC_CHARS = 200  # diagnostic length kept in the attempt log
 
 
+def _check_sample(record) -> None:
+    if record.round < 1 or record.sample_index < 0:
+        raise ValueError("round must be >= 1 and sample_index >= 0")
+
+
 @dataclass(frozen=True)
 class ProofAttempt:
     """One sample drawn for a problem: a line of ``prove.attempts.jsonl``.
@@ -105,6 +109,7 @@ class ProofAttempt:
     def __post_init__(self):
         if self.verdict not in ("verified", "rejected", "error"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
+        _check_sample(self)
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,8 @@ class ReportProof:
     round: int
     sample_index: int
     proof: str
+
+    __post_init__ = _check_sample
 
 
 @dataclass(frozen=True)
@@ -461,7 +468,6 @@ def run_iterative(
     pool = tuple(seed_pool)
     proved: Dict[str, ReportProof] = {}
     attempts: List[ProofAttempt] = []
-    rounds: List[RoundSummary] = []
     for round_number in range(1, settings.max_rounds + 1):
         drawn = run_iteration(
             round_number, [p for p in problems if p.name not in proved], pool,
@@ -475,16 +481,24 @@ def run_iterative(
             PoolExample(a.problem, by_name[a.problem].nl_statement_and_proof, a.proof,
                         source=f"round {round_number}")
             for a in verified)
-        rounds.append(RoundSummary(
-            round=round_number,
-            newly_proved=len(verified),
-            cumulative_proved=len(proved),
-            cumulative_rate=len(proved) / len(problems) if problems else 0.0,
-            budget_used=len(attempts),
-        ))
         if not verified:
             break
-    return HarnessReport(len(problems), tuple(rounds), proved, tuple(attempts))
+    rounds = round_summaries(attempts, len(problems), round_number)
+    return HarnessReport(len(problems), rounds, proved, tuple(attempts))
+
+
+def round_summaries(attempts: Sequence[ProofAttempt], problems_total: int,
+                    rounds: int) -> Tuple[RoundSummary, ...]:
+    """The report header's rounds 1 to ``rounds``, an account of the attempt
+    log: a round with no attempt line proves nothing and uses no budget."""
+    summaries, proved, used = [], 0, 0
+    for r in range(1, rounds + 1):
+        drawn = [a for a in attempts if a.round == r]
+        newly = sum(a.verdict == "verified" for a in drawn)
+        proved, used = proved + newly, used + len(drawn)
+        rate = proved / problems_total if problems_total else 0.0
+        summaries.append(RoundSummary(r, newly, proved, rate, used))
+    return tuple(summaries)
 
 
 # --- reports -------------------------------------------------------------------
@@ -498,10 +512,10 @@ def save_report(report: HarnessReport, path: str) -> None:
     ])
 
 
-def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessReport:
-    """Load a report, re-verifying every stored proof. Stale verdicts raise,
-    and so do proof lines that do not account for the header's rounds: each
-    round's ``newly_proved`` counts the proofs of that round."""
+def load_report(path: str, log_path: str, problems: Sequence[Problem],
+                verifier) -> HarnessReport:
+    """Load a report, re-verifying every stored proof, and check that it is an
+    account of the attempt log at ``log_path`` (see ``round_summaries``)."""
     by_name = {p.name: p for p in problems}
     lines = artifacts.read_jsonl(path)
     if not lines:
@@ -524,16 +538,31 @@ def load_report(path: str, problems: Sequence[Problem], verifier) -> HarnessRepo
                 + (f": {diagnostic}" if diagnostic else "")
             )
         proved[entry.name] = entry
-    counted = {r.round: r.newly_proved for r in header.rounds}
-    stray = [entry for entry in proved.values() if entry.round not in counted]
-    if stray:
-        raise ReportInvalid(f"{path}: {stray[0].name} is proved in round "
-                            f"{stray[0].round}, which the header does not list")
-    listed = Counter(entry.round for entry in proved.values())
-    for r, count in counted.items():
-        if listed[r] != count:
-            raise ReportInvalid(f"{path}: the header counts {count} proved in "
-                                f"round {r}, the proof lines {listed[r]}")
+    log = artifacts.read_records(artifacts.require(log_path, "prove"), ProofAttempt)
+    if header.problems_total != len(problems):
+        raise ReportInvalid(f"{path}: problems_total is {header.problems_total}, "
+                            f"but there are {len(problems)} problems")
+    for a in log:
+        if a.round > len(header.rounds):
+            raise ReportInvalid(f"{log_path}: {a.problem} has a sample in round "
+                                f"{a.round}, which the header of {path} does not list")
+    derived = round_summaries(log, len(problems), len(header.rounds))
+    for claimed, summary in zip(header.rounds, derived):
+        for key, stated in vars(claimed).items():
+            if stated != getattr(summary, key):
+                raise ReportInvalid(f"{path}: round {summary.round}: {key} is {stated}, "
+                                    f"but the attempt log gives {getattr(summary, key)}")
+        if summary.newly_proved == 0 and summary is not derived[-1]:
+            raise ReportInvalid(f"{path}: round {summary.round}: newly_proved is 0, "
+                                "so no round can follow it")
+    listed = {(e.name, e.round, e.sample_index) for e in proved.values()}
+    logged = {(a.problem, a.round, a.sample_index)
+              for a in log if a.verdict == "verified"}
+    if listed != logged:
+        name, r, index = min(listed - logged or logged - listed)
+        raise ReportInvalid(f"{path}: round {r}: sample_index {index} of {name} is " + (
+            f"not a verified sample in {log_path}" if (name, r, index) in listed
+            else f"verified in {log_path}, but has no proof line"))
     return HarnessReport(header.problems_total, header.rounds, proved)
 
 

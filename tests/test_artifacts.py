@@ -333,18 +333,30 @@ def values(hint, nonempty):
     return st.none() | values(args[0], nonempty)
 
 
+# The values a record takes for a field whose other values it refuses.
+IN_RANGE = {
+    (ReportProof, "round"): st.integers(min_value=1),
+    (ReportProof, "sample_index"): st.integers(min_value=0),
+    (ProofAttempt, "round"): st.integers(min_value=1),
+    (ProofAttempt, "sample_index"): st.integers(min_value=0),
+    (ProofAttempt, "verdict"): st.sampled_from(["verified", "rejected", "error"]),
+}
+
+
 def records(cls, nonempty=False):
     hints = typing.get_type_hints(cls)
-    return st.builds(cls, **{attr: values(hints[attr], nonempty)
-                             for attr, _ in artifacts.wire_keys(cls)})
+    return st.builds(cls, **{
+        attr: IN_RANGE[cls, attr] if (cls, attr) in IN_RANGE
+        else values(hints[attr], nonempty)
+        for attr, _ in artifacts.wire_keys(cls)})
 
 
 # Every record type read from a file; ObtRecord and Problem reject empty texts.
 READ_TYPES = [
     (TheoremRecord, False), (InformalRecord, False), (ObtRecord, True),
     (InformalizationResult, False), (PoolExample, False), (Problem, True),
-    (ReportHeader, False), (ReportProof, False), (cli._SourceFile, False),
-    (cli._TextPair, False),
+    (ReportHeader, False), (ReportProof, False), (ProofAttempt, False),
+    (cli._SourceFile, False), (cli._TextPair, False),
 ]
 
 

@@ -931,6 +931,7 @@ class Reader(NamedTuple):
     before: Tuple[dict, ...] = ()
     others: Tuple[Tuple[str, dict], ...] = ()
     settings: Tuple[Tuple[str, str, str], ...] = ()  # section, key, file
+    invalid: Optional[Tuple[str, object, str]] = None  # key, value the record refuses, why
 
 
 THEOREMS = (("theorems.jsonl", THEOREM_ENTRY),)
@@ -978,7 +979,15 @@ READERS = {
         "report.jsonl", ("report",),
         {"name": "p", "round": 1, "sample_index": 0, "proof": "theorem p : 1 = 1 := rfl"},
         "name", ("sample_index", 0.5), before=(HEADER_ENTRY,), others=PROBLEMS,
-        settings=PROVER),
+        settings=PROVER,
+        invalid=("round", 0, "round must be >= 1 and sample_index >= 0")),
+    "attempts": Reader(
+        "prove.attempts.jsonl", ("report",),
+        {"problem": "p", "round": 1, "sample_index": 0, "verdict": "rejected",
+         "diagnostic": "no proof"},
+        "verdict", ("round", "1"), others=(("report.jsonl", HEADER_ENTRY), *PROBLEMS),
+        settings=PROVER,
+        invalid=("sample_index", -1, "round must be >= 1 and sample_index >= 0")),
     "review": Reader(
         "obt.jsonl", ("sample", "--for-review", "-n", "1"), obt_entry(), None, None),
 }
@@ -992,18 +1001,22 @@ def bad_line(reader: Reader, case: str):
     if case == "wrong":
         key, value = reader.wrong
         return json.dumps({**reader.good, key: value}), f"{key} is not "
+    if case == "invalid":
+        key, value, message = reader.invalid
+        return json.dumps({**reader.good, key: value}), message
     return case, "entry is not an object"
 
 
 class TestRecordReaders:
     """Every command that reads records rejects a line that is not an
-    object, lacks a field or holds a wrong-typed value: exit 1, an error
-    naming the file and line, and no traceback."""
+    object, lacks a field, holds a wrong-typed value or one its record
+    refuses: exit 1, an error naming the file and line, and no traceback."""
 
     @pytest.mark.parametrize("name, case", [
         (name, case) for name, reader in READERS.items()
-        for case in ("5", "[]", '"x"', "missing", "wrong")
+        for case in ("5", "[]", '"x"', "missing", "wrong", "invalid")
         if case not in ("missing", "wrong") or reader.missing is not None
+        if case != "invalid" or reader.invalid is not None
     ])
     def test_bad_line_exits_1_naming_path_and_line(self, tmp_path, capsys, name, case):
         reader = READERS[name]
@@ -1705,6 +1718,100 @@ class TestPipelineEndToEnd:
         assert len(header["rounds"]) == 1
 
 
+def tamper_round(index, **values):
+    """A change to one round of the header, after the header and the log."""
+    return lambda header, log: header["rounds"][index].update(values)
+
+
+ACCOUNT_CASES = {
+    "problems_total": (lambda header, log: header.update(problems_total=3),
+                       "report.jsonl: problems_total is 3, but there are 2 problems"),
+    "round": (tamper_round(0, round=5),
+              "report.jsonl: round 1: round is 5, but the attempt log gives 1"),
+    "newly_proved": (tamper_round(0, newly_proved=1),
+                     "report.jsonl: round 1: newly_proved is 1, but the attempt log "
+                     "gives 2"),
+    "cumulative_proved": (tamper_round(1, cumulative_proved=3),
+                          "report.jsonl: round 2: cumulative_proved is 3, but the "
+                          "attempt log gives 2"),
+    "cumulative_rate": (tamper_round(0, cumulative_rate=0.5),
+                        "report.jsonl: round 1: cumulative_rate is 0.5, but the "
+                        "attempt log gives 1.0"),
+    "budget_used": (tamper_round(1, budget_used=999),
+                    "report.jsonl: round 2: budget_used is 999, but the attempt log "
+                    "gives 2"),
+    # a header claiming more than the run proved
+    "999-of-1000": (lambda header, log: (
+        header.update(problems_total=1000),
+        header["rounds"][-1].update(cumulative_proved=999, cumulative_rate=9.99)),
+        "report.jsonl: problems_total is 1000, but there are 2 problems"),
+    "idle-round-before-the-last": (
+        lambda header, log: header["rounds"].append(dict(header["rounds"][-1], round=3)),
+        "report.jsonl: round 2: newly_proved is 0, so no round can follow it"),
+    "dropped-attempt": (lambda header, log: log.pop(),
+                        "report.jsonl: round 1: newly_proved is 2, but the attempt log "
+                        "gives 1"),
+    "added-attempt": (
+        lambda header, log: log.append(dict(log[1], sample_index=1, verdict="rejected")),
+        "report.jsonl: round 1: budget_used is 2, but the attempt log gives 3"),
+    "altered-attempt": (lambda header, log: log[0].update(sample_index=1),
+                        "report.jsonl: round 1: sample_index 0 of demo_add_comm is not "
+                        "a verified sample in "),
+    "attempt-in-a-round-the-header-lacks": (
+        lambda header, log: log.append(dict(log[0], round=3, verdict="rejected")),
+        "prove.attempts.jsonl: demo_add_comm has a sample in round 3, which the "
+        "header of "),
+}
+
+
+class TestReportAccount:
+    """``report`` accepts a report only as an account of the attempt log.
+    The pipeline fixture's ``prove`` proves both problems in round 1; round
+    2 has no open problem, so it draws no sample and ends the run."""
+
+    def prove(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        assert run(["prove", "-c", config]) == 0
+        return workdir, config
+
+    def test_untampered_run_with_an_empty_last_round_passes(self, tmp_path, capsys):
+        workdir, config = self.prove(tmp_path)
+        header = read_jsonl(workdir / "report.jsonl")[0]
+        log = read_jsonl(workdir / "prove.attempts.jsonl")
+        assert len(header["rounds"]) == 2
+        assert {a["round"] for a in log} == {1}
+        capsys.readouterr()
+        assert run(["report", "-c", config]) == 0
+        assert "proved 2/2 (100.0%)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ACCOUNT_CASES)
+    def test_tampered_copy_exits_1_naming_the_field(self, tmp_path, capsys, case):
+        change, message = ACCOUNT_CASES[case]
+        workdir, config = self.prove(tmp_path)
+        report, attempts = workdir / "report.jsonl", workdir / "prove.attempts.jsonl"
+        first, *proofs = report.read_text(encoding="utf-8").splitlines(True)
+        header, log = json.loads(first), read_jsonl(attempts)
+        change(header, log)
+        report.write_text(json.dumps(header) + "\n" + "".join(proofs), encoding="utf-8")
+        attempts.write_text(jsonl(*log), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["report", "-c", config]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith(f"error: {workdir}")
+
+    def test_missing_attempt_log_names_prove(self, tmp_path, capsys):
+        workdir, config = self.prove(tmp_path)
+        os.remove(workdir / "prove.attempts.jsonl")
+        capsys.readouterr()
+        assert run(["report", "-c", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected file {workdir / 'prove.attempts.jsonl'} is missing; "
+            "run `leanforge prove` first\n")
+
+
 class TestReadSet:
     """Each command reads the files README's command table lists, and no
     others. Every JSON read in leanforge goes through ``artifacts``."""
@@ -1741,7 +1848,7 @@ class TestReadSet:
         assert reads(["prove", "-c", config]) == \
             inputs("problems", "seeds", "script", "answer_key")
         assert reads(["report", "-c", config]) == \
-            work("report.jsonl") | inputs("problems", "answer_key")
+            work("report.jsonl", "prove.attempts.jsonl") | inputs("problems", "answer_key")
         assert reads(["sample", "-c", config, "-n", "3"]) == work("obt.jsonl")
 
 

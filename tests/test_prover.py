@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge import corpus
+from leanforge.artifacts import write_jsonl
 from leanforge.config import ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
@@ -34,6 +35,7 @@ from leanforge.prover import (
     ProofAttempt,
     ReportInvalid,
     ReportProof,
+    RoundSummary,
     VerifierCrashed,
     VerifierTimeout,
     assemble_proof_prompt,
@@ -796,8 +798,22 @@ def random_scenario(rng):
     return problems, gates, proofs
 
 
+def save_run(report, tmp_path):
+    """Write ``report`` and its attempt log as ``prove`` does; the report's path."""
+    path = tmp_path / "report.jsonl"
+    save_report(report, str(path))
+    write_jsonl(str(tmp_path / "prove.attempts.jsonl"), report.attempts)
+    return path
+
+
+def load(path, problems, verifier):
+    """``load_report`` of ``path`` and the attempt log beside it."""
+    return load_report(str(path), str(path.parent / "prove.attempts.jsonl"),
+                       problems, verifier)
+
+
 class TestRandomizedScenarios:
-    def test_monotonicity_and_stopping(self):
+    def test_monotonicity_and_stopping(self, tmp_path):
         rng = random.Random(424242)
         for trial in range(30):
             problems, gates, proofs = random_scenario(rng)
@@ -819,6 +835,21 @@ class TestRandomizedScenarios:
                 assert report.rounds[-1].newly_proved == 0
             assert report.rounds[-1].budget_used <= (
                 len(problems) * n_samples * max_rounds)
+
+            saved = tmp_path / str(trial)
+            saved.mkdir()
+            assert load(save_run(report, saved), problems, verifier) == report
+
+    def test_budget_spent_before_the_last_round(self, tmp_path):
+        problems, seeds, backend, verifier = two_round_setup()
+        budget = GenerationBudget(max_requests=5)
+        report = run_iterative(problems, seeds, Sampler(backend, budget=budget),
+                               verifier, config(), TOKENIZER)
+        # round 1 spends all 5 requests; round 2 cannot draw a sample
+        assert [a.round for a in report.attempts] == [1] * 5
+        assert [(r.newly_proved, r.budget_used) for r in report.rounds] == [
+            (1, 5), (0, 5)]
+        assert load(save_run(report, tmp_path), problems, verifier) == report
 
 
 class JitteredBackend:
@@ -930,13 +961,18 @@ class TestReports:
         problems, seeds, backend, verifier = two_round_setup()
         report = run_iterative(problems, seeds, Sampler(backend), verifier,
                                config(), TOKENIZER)
-        path = tmp_path / "report.jsonl"
-        save_report(report, str(path))
-        return report, path, problems, verifier
+        return report, save_run(report, tmp_path), problems, verifier
+
+    def one_proof(self, tmp_path, proof):
+        """A report and log in which round 1 proves ``prob03`` with ``proof``."""
+        return save_run(HarnessReport(
+            problems_total=1, rounds=(RoundSummary(1, 1, 1, 1.0, 1),),
+            proved={"prob03": ReportProof("prob03", 1, 0, proof)},
+            attempts=(ProofAttempt("prob03", 1, 0, "verified"),)), tmp_path)
 
     def test_save_load_reverifies(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)
-        loaded = load_report(str(path), problems, verifier)
+        loaded = load(path, problems, verifier)
         assert loaded == report
 
     def test_tampered_proof_rejected(self, tmp_path):
@@ -948,25 +984,19 @@ class TestReports:
         lines[1] = json.dumps(entry, ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ReportInvalid, match="no longer verifies"):
-            load_report(str(path), problems, verifier)
+            load(path, problems, verifier)
 
     def test_screened_proof_rejected_on_load(self, tmp_path):
         problem = make_problem(3)
-        report = HarnessReport(problems_total=1, rounds=(), proved={
-            "prob03": ReportProof("prob03", 1, 0, f"{problem.fl_statement} by\n  admit\n")})
-        path = tmp_path / "report.jsonl"
-        save_report(report, str(path))
+        path = self.one_proof(tmp_path, f"{problem.fl_statement} by\n  admit\n")
         with pytest.raises(ReportInvalid, match="pre-verification screen: sorry"):
-            load_report(str(path), [problem], ExternalVerifier(["true"]))
+            load(path, [problem], ExternalVerifier(["true"]))
 
     def test_changed_statement_rejected_on_load(self, tmp_path):
         problem = make_problem(3)
-        report = HarnessReport(problems_total=1, rounds=(), proved={
-            "prob03": ReportProof("prob03", 1, 0, "theorem prob03 : True := by\n  trivial\n")})
-        path = tmp_path / "report.jsonl"
-        save_report(report, str(path))
+        path = self.one_proof(tmp_path, "theorem prob03 : True := by\n  trivial\n")
         with pytest.raises(ReportInvalid, match="statement changed"):
-            load_report(str(path), [problem], ExternalVerifier(["true"]))
+            load(path, [problem], ExternalVerifier(["true"]))
 
     def test_verifier_timeout_is_a_stored_proof_that_no_longer_verifies(
             self, tmp_path):
@@ -977,7 +1007,7 @@ class TestReports:
                 raise VerifierTimeout(f"verifier exceeded 1s on {problem.name}")
 
         with pytest.raises(ReportInvalid) as info:
-            load_report(str(path), problems, Slow())
+            load(path, problems, Slow())
         assert str(info.value) == (
             f"{path}:2: stored proof for dependent_mul no longer verifies: "
             "verifier exceeded 1s on dependent_mul")
@@ -985,7 +1015,7 @@ class TestReports:
     def test_unknown_problem_rejected(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)
         with pytest.raises(ReportInvalid, match="unknown problem"):
-            load_report(str(path), problems[:1], verifier)
+            load(path, problems[:1], verifier)
 
     def test_problem_listed_twice_rejected(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)
@@ -994,7 +1024,7 @@ class TestReports:
         name = json.loads(lines[1])["name"]
         with pytest.raises(ReportInvalid,
                            match=f"report.jsonl:{len(lines) + 1}: {name} is listed twice"):
-            load_report(str(path), problems, verifier)
+            load(path, problems, verifier)
 
     def test_dropped_proof_line_rejected(self, tmp_path):
         _, path, problems, verifier = self.round_trip(tmp_path)
@@ -1002,9 +1032,10 @@ class TestReports:
         assert json.loads(dependent)["name"] == "dependent_mul"
         path.write_text(header + easy, encoding="utf-8")
         with pytest.raises(ReportInvalid) as info:
-            load_report(str(path), problems, verifier)
+            load(path, problems, verifier)
         assert str(info.value) == (
-            f"{path}: the header counts 1 proved in round 2, the proof lines 0")
+            f"{path}: round 2: sample_index 0 of dependent_mul is verified in "
+            f"{tmp_path / 'prove.attempts.jsonl'}, but has no proof line")
 
     def test_proof_in_a_round_the_header_lacks_rejected(self, tmp_path):
         _, path, problems, verifier = self.round_trip(tmp_path)
@@ -1013,16 +1044,17 @@ class TestReports:
         path.write_text(header + dependent + json.dumps(moved) + "\n",
                         encoding="utf-8")
         with pytest.raises(ReportInvalid) as info:
-            load_report(str(path), problems, verifier)
+            load(path, problems, verifier)
         assert str(info.value) == (
-            f"{path}: easy_add is proved in round 3, which the header does not list")
+            f"{path}: round 3: sample_index 0 of easy_add is not a verified sample "
+            f"in {tmp_path / 'prove.attempts.jsonl'}")
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "report.jsonl"
         path.write_text('{"kind": "something-else", "problems_total": 0, '
                         '"rounds": []}\n', encoding="utf-8")
         with pytest.raises(ReportInvalid, match="not a harness report"):
-            load_report(str(path), [], MockVerifier({}))
+            load(path, [], MockVerifier({}))
 
     def test_table_format(self, tmp_path):
         report, _, _, _ = self.round_trip(tmp_path)
