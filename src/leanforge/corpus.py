@@ -3,13 +3,15 @@ and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
 sources are treated as token streams, never elaborated. ``lex_lean`` is a
-regex scanner that yields ``LeanToken`` named tuples, for the one caller that
-needs each token's kind and offset: extraction. ``code_texts`` gives only the
-texts of the code and string tokens, from one ``findall`` that builds no
-token, and raises what ``lex_lean`` raises; ``code_divergence`` (the rule that
-two texts carry the same code), Lean3 detection and ``count_tactic_steps``
-work from those texts. Offsets are character offsets: ``str`` indices, not
-UTF-8 byte positions.
+regex scanner that yields ``LeanToken`` named tuples; the scans below build
+no token and fall back to it only for a block comment nested deeper than
+``_SCAN_NESTING``. ``extract_theorems`` walks one ``_TOKEN`` scan of a file
+and keeps only what finds a declaration. ``code_texts`` gives only the
+texts of the code and string tokens, from one ``findall``, and raises what
+``lex_lean`` raises; ``code_divergence`` (the rule that two texts carry the
+same code), Lean3 detection and ``count_tactic_steps`` work from those
+texts. Offsets are character offsets: ``str`` indices, not UTF-8 byte
+positions.
 """
 
 from __future__ import annotations
@@ -349,30 +351,9 @@ def _bracket_delta(text: str) -> int:
     return delta
 
 
-def _at_line_start(source: str, pos: int) -> bool:
-    """True when ``pos`` sits at column zero.
-
-    Top-level declarations in Mathlib-style sources are unindented even inside
-    namespaces; indented declarations are treated as nested and out of scope.
-    """
-    return pos == 0 or source[pos - 1] == "\n"
-
-
 def _leading_word(text: str) -> str:
     m = re.match(r"[#\w]+", text)
     return m.group(0) if m else text[:1]
-
-
-def _is_decl_boundary(source: str, token: LeanToken) -> bool:
-    if not _at_line_start(source, token.start):
-        return False
-    if token.kind == TokenKind.BLOCK_COMMENT:
-        return token.text.startswith("/--")
-    if token.kind != TokenKind.CODE:
-        return False
-    if token.text.startswith("@["):
-        return True
-    return _leading_word(token.text) in _DECL_BOUNDARY_KEYWORDS
 
 
 _NAME_STOP = ":({[⦃⟨"
@@ -385,167 +366,141 @@ def _name_from_token(text: str) -> str:
     return text
 
 
+class _Declaration(NamedTuple):
+    """A ``theorem`` or ``lemma`` declaration of a file, as ``_declarations``
+    finds it. ``name`` is "" when the keyword has no name token before the
+    next declaration; ``statement_end`` is None when there is no ``:=`` at
+    bracket depth zero; the proof is empty when ``proof_end`` does not pass
+    ``statement_end``."""
+
+    start: int  # offset of the keyword
+    name: str
+    statement_end: Optional[int]
+    proof_end: int
+
+
 def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRecord]:
     """Pull top-level ``theorem``/``lemma`` declarations out of a Lean4 file.
 
     Declarations that appear inside comments or strings are ignored.  A header
     without a name or without a ``:=`` proof boundary, or a proof that no
     longer lexes once its comments are removed, is skipped with a log entry
-    rather than raised, so one malformed declaration cannot sink a file.
+    rather than raised, so one malformed declaration cannot sink a file. A
+    file that does not lex raises ``LexError``.
     """
-    tokens = lex_lean(source)
     records: List[TheoremRecord] = []
-    idx = 0
-    while idx < len(tokens):
-        tok = tokens[idx]
-        if (
-            tok.kind == TokenKind.CODE
-            and tok.text in ("theorem", "lemma")
-            and _starts_declaration(source, tokens, idx)
-        ):
-            record, next_idx = _extract_one(source, tokens, idx, file_path, commit)
-            if record is not None:
-                records.append(record)
-            idx = next_idx
-        else:
-            idx += 1
+    for start, name, statement_end, proof_end in _declarations(source):
+        if not name:
+            logger.warning("skipping malformed declaration at offset %d in %s: no name",
+                           start, file_path)
+            continue
+        if statement_end is None:
+            logger.warning("skipping malformed declaration %r at offset %d in %s: "
+                           "no proof boundary", name, start, file_path)
+            continue
+        if proof_end <= statement_end:
+            logger.warning("skipping malformed declaration %r at offset %d in %s: "
+                           "empty proof body", name, start, file_path)
+            continue
+        proof = source[start:proof_end]
+        try:
+            difficulty = count_tactic_steps(proof)
+        except LexError as exc:
+            # Removing the comments glued a new comment opener or quote together.
+            logger.warning("skipping declaration %r at offset %d in %s: its proof "
+                           "does not lex with comments removed: %s",
+                           name, start, file_path, exc)
+            continue
+        records.append(TheoremRecord(name, source[start:statement_end], proof,
+                                     file_path, commit, difficulty))
     return records
 
 
-def _starts_declaration(source: str, tokens: Sequence[LeanToken], idx: int) -> bool:
-    """The keyword must begin its line, modulo a few modifier keywords."""
-    tok = tokens[idx]
-    if _at_line_start(source, tok.start):
-        return True
-    # Walk back over same-line modifier tokens (e.g. `private theorem foo`).
-    j = idx - 1
-    while j >= 0:
-        prev = tokens[j]
-        if prev.kind == TokenKind.WHITESPACE:
-            if "\n" in prev.text:
-                return False
-            j -= 1
-            continue
-        if prev.kind in COMMENT_KINDS:
-            j -= 1
-            continue
-        if prev.kind == TokenKind.CODE and prev.text in _DECL_MODIFIERS:
-            if _at_line_start(source, prev.start):
-                return True
-            j -= 1
-            continue
-        return False
-    return False
+# What ``_declarations`` looks for next in an open declaration.
+_NAME, _ASSIGN, _BY, _BODY = range(4)
 
 
-def _extract_one(
-    source: str,
-    tokens: Sequence[LeanToken],
-    start_idx: int,
-    file_path: str,
-    commit: str,
-) -> Tuple[Optional[TheoremRecord], int]:
-    keyword = tokens[start_idx]
+def _declarations(source: str) -> List[_Declaration]:
+    """The declarations of ``source``, from one walk of its ``_TOKEN`` scan
+    that builds no token; raises the ``LexError`` that ``lex_lean`` raises.
 
-    # Name: the next semantic token after the keyword.
-    name = None
-    name_token = None
-    j = start_idx + 1
-    while j < len(tokens):
-        t = tokens[j]
-        if t.kind in SEMANTIC_KINDS:
-            if t.kind == TokenKind.CODE:
-                name = _name_from_token(t.text)
-                name_token = t
+    A declaration opens at a ``theorem`` or ``lemma`` token that begins its
+    line, or that follows a modifier that does with only modifiers,
+    comments and spaces between. It runs to the next boundary: a ``/--``
+    comment, an ``@[`` token or a declaration keyword at column zero.
+    Top-level declarations in Mathlib-style sources are unindented even
+    inside namespaces; indented ones are nested and out of scope. The name
+    is the next code token, up to a binder. The statement runs through the
+    first ``:=`` at bracket depth zero, and through a ``by`` right after it;
+    the proof ends at the last code or string token, so trailing comments
+    are not swallowed.
+    """
+    found: List[_Declaration] = []
+    start = None  # the keyword of the open declaration
+    lead = False  # a modifier began this line, then only modifiers and spacing
+    pos = 0
+    while pos < len(source):
+        for m in _TOKEN.finditer(source, pos):
+            group = m.lastindex
+            if group <= 2:  # whitespace or a line comment
+                if lead and group == 1 and "\n" in m.group():
+                    lead = False
+                continue
+            begin = m.start()
+            if group == 3 or group == _NESTED_COMMENT:
+                if group == _NESTED_COMMENT:
+                    pos = _nested_comment_end(source, begin)
+                if (start is not None and source[begin - 1] == "\n"
+                        and source.startswith("/--", begin)):
+                    found.append(_Declaration(start, name, statement_end, proof_end))
+                    start = None
+                if group == _NESTED_COMMENT:
+                    break
+                continue
+            if group == _OPEN_STRING:
+                raise UnterminatedString("unterminated string literal", begin)
+            # a string literal (4) or a code run (5); a code run's text is
+            # read only where it can matter
+            code = group == 5
+            text = ""
+            if code and (start is None or phase != _BODY or source[begin - 1] == "\n"):
+                text = m.group()
+            if start is not None:
+                if not (text and source[begin - 1] == "\n" and (
+                        text.startswith("@[")
+                        or _leading_word(text) in _DECL_BOUNDARY_KEYWORDS)):
+                    if phase == _NAME:
+                        name = _name_from_token(text) if code else ""
+                        depth = _bracket_delta(text[len(name):])
+                        phase = _ASSIGN if name else _BODY
+                    elif phase == _ASSIGN:
+                        if depth == 0 and text == ":=":
+                            statement_end = m.end()
+                            phase = _BY
+                        else:
+                            depth += _bracket_delta(text)
+                    elif phase == _BY:
+                        if text == "by":
+                            statement_end = m.end()
+                        phase = _BODY
+                    proof_end = m.end()
+                    continue
+                found.append(_Declaration(start, name, statement_end, proof_end))
+                start = None
+            if text == "theorem" or text == "lemma":
+                if lead or begin == 0 or source[begin - 1] == "\n":
+                    start, name, statement_end, proof_end = begin, "", None, begin
+                    phase = _NAME
+                lead = False
+            elif text in _DECL_MODIFIERS:
+                lead = lead or begin == 0 or source[begin - 1] == "\n"
+            else:
+                lead = False
+        else:
             break
-        j += 1
-
-    # Find where this declaration ends: the next top-level boundary token.
-    end_idx = len(tokens)
-    for k in range(start_idx + 1, len(tokens)):
-        if _is_decl_boundary(source, tokens[k]):
-            end_idx = k
-            break
-
-    if not name:
-        logger.warning(
-            "skipping malformed declaration at offset %d in %s: no name",
-            keyword.start,
-            file_path,
-        )
-        return None, max(end_idx, start_idx + 1)
-
-    # Proof boundary: first `:=` at bracket depth zero.  Anything glued to the
-    # name token after the name itself (rare unspaced binders) still counts
-    # toward the depth.
-    depth = _bracket_delta(name_token.text[len(name) :])
-    assign_idx = None
-    for k in range(j + 1, end_idx):
-        t = tokens[k]
-        if t.kind != TokenKind.CODE:
-            continue
-        if depth == 0 and t.text == ":=":
-            assign_idx = k
-            break
-        depth += _bracket_delta(t.text)
-    if assign_idx is None:
-        logger.warning(
-            "skipping malformed declaration %r at offset %d in %s: no proof boundary",
-            name,
-            keyword.start,
-            file_path,
-        )
-        return None, max(end_idx, start_idx + 1)
-
-    # Statement runs through `:=`, and through a directly following `by`.
-    statement_end = tokens[assign_idx].end
-    for k in range(assign_idx + 1, end_idx):
-        t = tokens[k]
-        if t.kind in SEMANTIC_KINDS:
-            if t.kind == TokenKind.CODE and t.text == "by":
-                statement_end = t.end
-            break
-
-    # The proof slice ends at the last semantic token before the boundary, so
-    # trailing comments between declarations are not swallowed.
-    last_sem_end = None
-    for last_sem in range(end_idx - 1, start_idx, -1):
-        if tokens[last_sem].kind in SEMANTIC_KINDS:
-            last_sem_end = tokens[last_sem].end
-            break
-    if last_sem_end is None or last_sem_end <= statement_end:
-        logger.warning(
-            "skipping malformed declaration %r at offset %d in %s: empty proof body",
-            name,
-            keyword.start,
-            file_path,
-        )
-        return None, max(end_idx, start_idx + 1)
-
-    statement = source[keyword.start : statement_end]
-    proof = source[keyword.start : last_sem_end]
-    try:
-        difficulty = count_tactic_steps(proof)
-    except LexError as exc:
-        # Removing the comments glued a new comment opener or quote together.
-        logger.warning(
-            "skipping declaration %r at offset %d in %s: its proof does not "
-            "lex with comments removed: %s",
-            name,
-            keyword.start,
-            file_path,
-            exc,
-        )
-        return None, end_idx
-    record = TheoremRecord(
-        name=name,
-        statement=statement,
-        proof=proof,
-        file_path=file_path,
-        commit=commit,
-        difficulty=difficulty,
-    )
-    return record, end_idx
+    if start is not None:
+        found.append(_Declaration(start, name, statement_end, proof_end))
+    return found
 
 
 # --- tactic-step counting ---------------------------------------------------

@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import artifacts, genclient, prompts, retrieval
 from .bootstrap import InformalRecord
 from .config import InformalizeSettings
@@ -107,15 +109,14 @@ def build_example_index(
 
 
 def select_examples(
-    record: TheoremRecord,
+    query: np.ndarray,
     index: retrieval.SimilarityIndex,
     pool: Sequence[PoolExample],
     k: int,
-    embedder,
 ) -> List[PoolExample]:
-    """The k pool entries most similar to the record's FL statement;
-    ``index`` is ``build_example_index`` over the same pool."""
-    query = embedder.embed([record.statement])[0]
+    """The k pool entries most similar to ``query``, the embedding of a
+    record's FL statement; ``index`` is ``build_example_index`` over the
+    same pool."""
     ranked = retrieval.top_k(index, query, k)
     return [pool[position] for (_, position), _ in ranked]
 
@@ -233,8 +234,9 @@ def informalize_corpus(
 
     With an ``index`` (``build_example_index`` over ``pool`` with
     ``embedder``), each prompt shows the record's ``k_examples`` nearest
-    pool entries. A checkpoint at ``checkpoint_path`` is resumed, or
-    discarded with ``restart``.
+    pool entries; the statements of the records still to run are embedded
+    in one ``embed`` call before any is sent. A checkpoint at
+    ``checkpoint_path`` is resumed, or discarded with ``restart``.
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each a whole ``informalize_theorem``
@@ -253,12 +255,15 @@ def informalize_corpus(
             if done:
                 logger.info("resuming after %d checkpointed records", len(done))
 
+    pending = records[len(done):]
+    queries = (embedder.embed([record.statement for record in pending])
+               if index is not None else [None] * len(pending))
+
     def units():
-        for record in records[len(done):]:
+        for record, query in zip(pending, queries):
             examples: Sequence[PoolExample] = ()
             if index is not None:
-                examples = select_examples(
-                    record, index, pool, settings.k_examples, embedder)
+                examples = select_examples(query, index, pool, settings.k_examples)
             yield (record, examples), prompts.informalization_prompt(
                 examples, record.statement, record.proof)
 

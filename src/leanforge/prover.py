@@ -563,7 +563,30 @@ def load_report(path: str, log_path: str, problems: Sequence[Problem],
         raise ReportInvalid(f"{path}: round {r}: sample_index {index} of {name} is " + (
             f"not a verified sample in {log_path}" if (name, r, index) in listed
             else f"verified in {log_path}, but has no proof line"))
+    _check_attempt_lines(log, by_name, log_path)
     return HarnessReport(header.problems_total, header.rounds, proved)
+
+
+def _check_attempt_lines(log: Sequence[ProofAttempt], by_name: Dict[str, Problem],
+                         log_path: str) -> None:
+    """Every line of the attempt log names a problem, and a problem's samples
+    in a round run 0, 1, ... in file order, with none after the one that
+    proved it: not in its round, and not in a later one. A problem has at
+    most one verified sample, which the checks before this one ensure."""
+    solved = {a.problem: (a.round, a.sample_index) for a in log if a.verdict == "verified"}
+    drawn: Dict[Tuple[str, int], int] = {}  # samples per problem and round
+    for a in log:
+        where = f"{log_path}: {a.problem}: round {a.round}: sample_index {a.sample_index}"
+        if a.problem not in by_name:
+            raise ReportInvalid(f"{where}: no such problem")
+        expected = drawn.get((a.problem, a.round), 0)
+        if a.sample_index != expected:
+            raise ReportInvalid(f"{where}: expected sample_index {expected}")
+        drawn[a.problem, a.round] = expected + 1
+        if (a.round, a.sample_index) > solved.get(a.problem, (a.round, a.sample_index)):
+            proved_round, proved_index = solved[a.problem]
+            raise ReportInvalid(f"{where}: drawn after sample_index {proved_index} "
+                                f"of round {proved_round} proved it")
 
 
 def format_report_table(report: HarnessReport) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -297,6 +297,11 @@ def write_histogram_csv(path: str, edges: np.ndarray, counts: np.ndarray) -> Non
 # --- base embedding ------------------------------------------------------------
 
 
+# ``HashEmbedder.embed`` takes its texts in chunks of about this many
+# characters, which bounds the arrays one call holds at a time.
+_CHUNK_CHARS = 1 << 14
+
+
 class HashEmbedder:
     """Deterministic char-n-gram feature-hash embedder.
 
@@ -310,25 +315,73 @@ class HashEmbedder:
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
-        # Texts share most of their n-grams, so one call hashes each distinct
-        # gram once, to the code 2 * bucket + (1 if its sign is -1 else 0).
-        # Bucket sums are exact integer counts, so the vectors match the
-        # per-gram sum bit for bit.
-        codes = {}
-        out = []
+        """One vector per text, in order; a text's vector does not depend on
+        the other texts of the call.
+
+        Texts share most of their n-grams, so one call hashes each distinct
+        gram once, to the code 2 * bucket + (1 if its sign is -1 else 0).
+        Bucket sums are exact integer counts, so the vectors match the
+        per-gram sum bit for bit.
+        """
+        codes: Dict[str, int] = {}
+        out: List[np.ndarray] = []
+        chunk: List[str] = []
+        chars = 0
         for text in texts:
-            padded = "\x02" + text + "\x03"
-            grams = [
-                padded[i : i + n]
-                for n in (2, 3, 4)
-                for i in range(len(padded) - n + 1)
-            ]
+            chunk.append(text)
+            chars += len(text)
+            if chars >= _CHUNK_CHARS:
+                out += self._embed_chunk(chunk, codes)
+                chunk, chars = [], 0
+        if chunk:
+            out += self._embed_chunk(chunk, codes)
+        return out
+
+    def _embed_chunk(self, texts: List[str], codes: Dict[str, int]) -> List[np.ndarray]:
+        """The vectors of ``texts``; ``codes`` holds the code of every gram
+        hashed so far in the call, and gains the grams first seen here.
+
+        The padded texts are scanned as one stream of code points. A gram's
+        key is its prefix's rank times ``alphabet`` (one more than the
+        largest code point) plus its last code point, where a 1-gram's rank
+        is its code point and a longer gram's rank is that of its key among
+        the keys of its length. Ranking the keys ranks the grams, and equal
+        keys are equal grams. A key stays below the larger of the stream
+        length and ``alphabet``, times ``alphabet``, so int64 holds it. Only
+        grams that lie inside their own text are counted.
+        """
+        padded = ["\x02" + text + "\x03" for text in texts]
+        stream = "".join(padded)
+        lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
+        owner = np.repeat(np.arange(len(padded)), lengths)
+        room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(stream))
+        chars = np.frombuffer(stream.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+        alphabet = int(chars.max()) + 1
+        width = 2 * self.dimension
+        counts = np.zeros(len(padded) * width, dtype=np.int64)
+        prefix = chars
+        for n in (2, 3, 4):
+            keys = prefix[:-1] * alphabet + chars[n - 1 :]
+            distinct, prefix = np.unique(keys, return_inverse=True)
+            # Any occurrence of a key spells its gram; which one the
+            # assignment keeps does not matter.
+            where = np.empty(len(distinct), dtype=np.int64)
+            where[prefix] = np.arange(len(prefix))
+            inside = np.flatnonzero(room[: len(prefix)] >= n)
+            ranks = prefix[inside]
+            used = np.zeros(len(distinct), dtype=bool)
+            used[ranks] = True
+            used = np.flatnonzero(used)
+            grams = [stream[start : start + n] for start in where[used].tolist()]
             for gram in grams:
                 if gram not in codes:
                     digest = hashlib.sha256(gram.encode("utf-8")).digest()
                     bucket = int.from_bytes(digest[:4], "big") % self.dimension
                     codes[gram] = 2 * bucket + digest[4] % 2
-            counts = np.bincount([codes[gram] for gram in grams],
-                                 minlength=2 * self.dimension)
-            out.append((counts[0::2] - counts[1::2]) / len(grams))
-        return out
+            code_of = np.zeros(len(distinct), dtype=np.int64)
+            code_of[used] = [codes[gram] for gram in grams]
+            counts += np.bincount(owner[inside] * width + code_of[ranks],
+                                  minlength=len(counts))
+        counts = counts.reshape(len(padded), width)
+        vectors = (counts[:, 0::2] - counts[:, 1::2]) / counts.sum(axis=1)[:, None]
+        return list(vectors)

@@ -10,6 +10,8 @@ implementation against it over the snippet corpus and randomized inputs.
 ``reference_divergence`` compares two texts token by token over that lexer.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
 ``count_tactic_steps`` did when it lexed the comment-stripped proof whole.
+``reference_extract_theorems`` walks a file's token list the way
+``extract_theorems`` did before it walked the token scan itself.
 ``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
 from its tokens, as the prover did before it compared code texts.
 ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
@@ -245,6 +247,159 @@ def reference_count_tactic_steps(proof: str) -> int:
     if not tactic_mode:
         return 1
     return max(1, corpus._count_block_steps(stripped[body_start:]))
+
+
+# --- the token walk, kept as the reference for extract_theorems ---------------
+
+
+def reference_extract_theorems(source: str, file_path: str, commit: str):
+    """Top-level ``theorem``/``lemma`` declarations of a Lean4 file, found as
+    ``extract_theorems`` found them before it walked one token scan without
+    building tokens: lex the file whole, then walk its token list. Raises
+    the file's ``LexError``; a malformed declaration is skipped, unlogged."""
+    from leanforge import corpus
+
+    tokens = corpus.lex_lean(source)
+    records = []
+    idx = 0
+    while idx < len(tokens):
+        tok = tokens[idx]
+        if (
+            tok.kind == corpus.TokenKind.CODE
+            and tok.text in ("theorem", "lemma")
+            and _starts_declaration(source, tokens, idx)
+        ):
+            record, next_idx = _extract_one(source, tokens, idx, file_path, commit)
+            if record is not None:
+                records.append(record)
+            idx = next_idx
+        else:
+            idx += 1
+    return records
+
+
+def _at_line_start(source: str, pos: int) -> bool:
+    return pos == 0 or source[pos - 1] == "\n"
+
+
+def _is_decl_boundary(source: str, token) -> bool:
+    from leanforge import corpus
+
+    if not _at_line_start(source, token.start):
+        return False
+    if token.kind == corpus.TokenKind.BLOCK_COMMENT:
+        return token.text.startswith("/--")
+    if token.kind != corpus.TokenKind.CODE:
+        return False
+    if token.text.startswith("@["):
+        return True
+    return corpus._leading_word(token.text) in corpus._DECL_BOUNDARY_KEYWORDS
+
+
+def _starts_declaration(source: str, tokens, idx: int) -> bool:
+    """The keyword must begin its line, modulo a few modifier keywords."""
+    from leanforge import corpus
+
+    tok = tokens[idx]
+    if _at_line_start(source, tok.start):
+        return True
+    # Walk back over same-line modifier tokens (e.g. `private theorem foo`).
+    j = idx - 1
+    while j >= 0:
+        prev = tokens[j]
+        if prev.kind == corpus.TokenKind.WHITESPACE:
+            if "\n" in prev.text:
+                return False
+            j -= 1
+            continue
+        if prev.kind in corpus.COMMENT_KINDS:
+            j -= 1
+            continue
+        if prev.kind == corpus.TokenKind.CODE and prev.text in corpus._DECL_MODIFIERS:
+            if _at_line_start(source, prev.start):
+                return True
+            j -= 1
+            continue
+        return False
+    return False
+
+
+def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: str):
+    """The record of the declaration whose keyword is ``tokens[start_idx]``
+    (None when it is skipped), and the index of the token after it."""
+    from leanforge import corpus
+    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
+
+    keyword = tokens[start_idx]
+
+    # Name: the next semantic token after the keyword.
+    name = None
+    name_token = None
+    j = start_idx + 1
+    while j < len(tokens):
+        t = tokens[j]
+        if t.kind in SEMANTIC_KINDS:
+            if t.kind == TokenKind.CODE:
+                name = corpus._name_from_token(t.text)
+                name_token = t
+            break
+        j += 1
+
+    # Find where this declaration ends: the next top-level boundary token.
+    end_idx = len(tokens)
+    for k in range(start_idx + 1, len(tokens)):
+        if _is_decl_boundary(source, tokens[k]):
+            end_idx = k
+            break
+
+    if not name:
+        return None, end_idx
+
+    # Proof boundary: first `:=` at bracket depth zero.
+    depth = corpus._bracket_delta(name_token.text[len(name) :])
+    assign_idx = None
+    for k in range(j + 1, end_idx):
+        t = tokens[k]
+        if t.kind != TokenKind.CODE:
+            continue
+        if depth == 0 and t.text == ":=":
+            assign_idx = k
+            break
+        depth += corpus._bracket_delta(t.text)
+    if assign_idx is None:
+        return None, end_idx
+
+    # Statement runs through `:=`, and through a directly following `by`.
+    statement_end = tokens[assign_idx].end
+    for k in range(assign_idx + 1, end_idx):
+        t = tokens[k]
+        if t.kind in SEMANTIC_KINDS:
+            if t.kind == TokenKind.CODE and t.text == "by":
+                statement_end = t.end
+            break
+
+    # The proof slice ends at the last semantic token before the boundary.
+    last_sem_end = None
+    for last_sem in range(end_idx - 1, start_idx, -1):
+        if tokens[last_sem].kind in SEMANTIC_KINDS:
+            last_sem_end = tokens[last_sem].end
+            break
+    if last_sem_end is None or last_sem_end <= statement_end:
+        return None, end_idx
+
+    proof = source[keyword.start : last_sem_end]
+    try:
+        difficulty = corpus.count_tactic_steps(proof)
+    except corpus.LexError:
+        return None, end_idx
+    return corpus.TheoremRecord(
+        name=name,
+        statement=source[keyword.start : statement_end],
+        proof=proof,
+        file_path=file_path,
+        commit=commit,
+        difficulty=difficulty,
+    ), end_idx
 
 
 # --- texts built from Lean's delimiters ----------------------------------------

@@ -23,6 +23,7 @@ from support import (
     nested_comment,
     random_leanish_source,
     reference_count_tactic_steps,
+    reference_extract_theorems,
     reference_lex_lean,
     reference_scan,
     reference_semantic_tokens,
@@ -578,3 +579,59 @@ def test_extraction_counts_from_the_file_tokens():
     records = extract_theorems(src, "x.lean", "c")
     assert [r.difficulty for r in records] == [
         reference_count_tactic_steps(r.proof) for r in records] == [2, 3]
+
+
+# --- extraction from the token scan against the token-list walk ------------------
+
+
+_DECLARATIONS = st.sampled_from([
+    "theorem t : a = b := by\n  simp\n  rfl\n",
+    "lemma l : 1 = 1 := rfl\n",
+    "/-- doc -/\ntheorem d : x := by\n  -- c\n  simp\n",
+    "@[simp]\ntheorem s : y := rfl\n",
+    "@[simp] theorem s2 : y := rfl\n",
+    "private theorem p : 1 = 1 := by norm_num\n",
+    "nonrec protected /- c -/ lemma n (h : (let k := 3; k) = 3) : z := by\n  exact h\n",
+    "theorem u{α}(x : α) : x = x := by\n  rfl\n",
+    "theorem bad : 1 = 1\n",
+    "theorem empty : 1 = 1 := by\n\n",
+    "theorem \"s\" : 1 = 1 := rfl\n",
+    "theorem g : 2 = 2 := by\n  simp [a //- half -/-b]\n",
+])
+_DECLARATION_ATOMS = st.sampled_from([
+    "theorem", "lemma", "theorem t", " t2", "private ", "protected ", "nonrec ",
+    "noncomputable ", "def d", "namespace N", "end N", "open Nat", "#check t",
+    "@[simp]", "/-- doc -/", "-- theorem ghost : 1 = 0 := sorry\n",
+    "/- theorem ghost : 1 = 0 := sorry -/", '"theorem ghost : 1 = 0 := sorry"',
+    " : a = b", ":=", " := ", "by", " by", "rfl", "\n  simp", "\n", "\n\n", "  ", " ",
+    "(", ")", "[", "]", "{", "}", "⦃", "⦄", "⟨", "⟩", "'\"'", "h'", ";", "<;>",
+])
+_NESTED = st.sampled_from([_DEEPEST_SCANNED, _TOO_DEEP, "/-- " + _TOO_DEEP + "-/"])
+_FILE_PARTS = st.lists(st.one_of(_DECLARATIONS, _DECLARATION_ATOMS, _NESTED),
+                       max_size=16).map("".join)
+LEAN_FILE = st.one_of(
+    _FILE_PARTS,
+    st.tuples(_FILE_PARTS, _UNTERMINATED, _FILE_PARTS).map("".join),
+    lean_delimited_texts(),
+)
+
+
+def extract_outcome(extract, source):
+    """The records, or the skip log's reason when the file does not lex."""
+    try:
+        return extract(source, "f.lean", "c")
+    except LexError as exc:
+        return type(exc), str(exc)
+
+
+@given(LEAN_FILE)
+@example("theorem t : a = b := by\n  " + _TOO_DEEP + "simp\n" + _TOO_DEEP + "\n"
+         "/-- " + _TOO_DEEP + "-/\ntheorem u : c := rfl")
+@example("theorem\ntheorem t : a := b\n")
+@example("private /- c -/ theorem p : a := b\n  private theorem q : a := b")
+@example("theorem t : a := by\n  simp\n" + '"open')
+@example("theorem t : a := by\n  simp\n/- open")
+@settings(max_examples=500, deadline=None)
+def test_property_extraction_matches_token_list_walk(source):
+    assert extract_outcome(extract_theorems, source) == extract_outcome(
+        reference_extract_theorems, source)

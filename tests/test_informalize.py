@@ -178,7 +178,7 @@ class TestSelectExamples:
         embedder = retrieval.HashEmbedder(dimension=32)
         head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
-        out = select_examples(theorem("anything"), index, pool, 3, embedder)
+        out = select_examples(embedder.embed(["anything"])[0], index, pool, 3)
         assert [p.name for p in out] == ["ex0"]
 
     def test_identical_fl_text_ranks_first(self):
@@ -186,8 +186,7 @@ class TestSelectExamples:
         embedder = retrieval.HashEmbedder(dimension=64)
         head = retrieval.ProjectionHead(np.eye(64), 64, 64, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
-        record = theorem("probe", statement=pool[7].fl)
-        out = select_examples(record, index, pool, 3, embedder)
+        out = select_examples(embedder.embed([pool[7].fl])[0], index, pool, 3)
         assert out[0].name == "ex7"
 
     def test_matches_brute_force_ranking(self):
@@ -204,10 +203,9 @@ class TestSelectExamples:
         embedder = retrieval.HashEmbedder(dimension=48)
         head = retrieval.ProjectionHead(np.eye(48), 48, 48, seed=0)
         index = build_example_index(pool, embedder, head, side="nl")
-        record = theorem("q", statement="sum of a ring and a field")
-        got = [p.name for p in select_examples(record, index, pool, 5, embedder)]
+        query = embedder.embed(["sum of a ring and a field"])[0]
+        got = [p.name for p in select_examples(query, index, pool, 5)]
 
-        query = embedder.embed([record.statement])[0]
         sims = []
         for pair, vec in zip(pool, embedder.embed([p.nl for p in pool])):
             a, b = head.project(query), head.project(vec)
@@ -225,8 +223,7 @@ class TestSelectExamples:
         head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
         index = build_example_index(pool, embedder, head, side="fl")
         for probe in pool:
-            out = select_examples(theorem("probe", statement=probe.fl), index,
-                                  pool, 2, embedder)
+            out = select_examples(embedder.embed([probe.fl])[0], index, pool, 2)
             assert out[0] is probe
             assert {id(p) for p in out} == {id(p) for p in pool}
 
@@ -241,7 +238,7 @@ class TestSelectExamples:
                 for i, name in enumerate(("b", "a", "b", "c", "a"))]
         head = retrieval.ProjectionHead(np.eye(4), 4, 4, seed=0)
         index = build_example_index(pool, Flat(), head)
-        out = select_examples(theorem("probe"), index, pool, 5, Flat())
+        out = select_examples(Flat().embed(["probe"])[0], index, pool, 5)
         assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
 
     def test_k_clamped_to_pool(self):
@@ -249,7 +246,7 @@ class TestSelectExamples:
         embedder = retrieval.HashEmbedder(dimension=16)
         head = retrieval.ProjectionHead(np.eye(16), 16, 16, seed=0)
         index = build_example_index(pool, embedder, head)
-        out = select_examples(theorem("t"), index, pool, 10, embedder)
+        out = select_examples(embedder.embed(["t"])[0], index, pool, 10)
         assert len(out) == 4
 
 
@@ -502,6 +499,48 @@ class TestInformalizeCorpus:
                               index=index, embedder=embedder, k_examples=2)
         assert all(len(r.examples_used) == 2 for r in results)
         assert all(FL_PROOF_SECTION in p for p in seen)
+
+    def test_queries_embedded_in_one_call_over_the_pending_records(self, tmp_path):
+        class Counting(retrieval.HashEmbedder):
+            calls = []
+
+            def embed(self, texts):
+                self.calls.append(list(texts))
+                return super().embed(texts)
+
+        pool = example_pool(6)
+        embedder = Counting(dimension=32)
+        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
+        index = build_example_index(pool, embedder, head, side="fl")
+        records = [theorem(f"thm{i:02d}", f"theorem thm{i:02d} : {i % 6} + 0 = {i % 6} :=")
+                   for i in range(7)]
+        prompts = []
+
+        class Recording:
+            name = "recording"
+
+            def generate(self, request):
+                prompts.append(request.prompt)
+                return [(GOOD_NL, False)] * request.n_samples
+
+        def run(count):
+            del embedder.calls[:], prompts[:]
+            informalize(records[:count], Recording(), pool=pool, index=index,
+                        embedder=embedder, k_examples=2,
+                        checkpoint_path=str(tmp_path / "c.jsonl"))
+
+        # one call per record, as before the queries were batched
+        one_by_one = [
+            informalization_prompt(
+                select_examples(embedder.embed([r.statement])[0], index, pool, 2),
+                r.statement, r.proof)
+            for r in records]
+        run(3)
+        assert embedder.calls == [[r.statement for r in records[:3]]]
+        assert prompts == one_by_one[:3]
+        run(7)  # resumes after the three checkpointed records
+        assert embedder.calls == [[r.statement for r in records[3:]]]
+        assert prompts == one_by_one[3:]
 
 
 def scenario_reply(seed):

@@ -1049,6 +1049,63 @@ class TestReports:
             f"{path}: round 3: sample_index 0 of easy_add is not a verified sample "
             f"in {tmp_path / 'prove.attempts.jsonl'}")
 
+    def tampered_log(self, tmp_path, change):
+        """A saved two-round run whose attempt log ``change`` edits in place;
+        round 1 draws easy_add 0 (verified) and dependent_mul 0-3, round 2
+        dependent_mul 0 (verified)."""
+        _, path, problems, verifier = self.round_trip(tmp_path)
+        log_path = tmp_path / "prove.attempts.jsonl"
+        log = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+        assert [(a["problem"], a["round"], a["sample_index"]) for a in log] == [
+            ("easy_add", 1, 0), *(("dependent_mul", 1, i) for i in range(4)),
+            ("dependent_mul", 2, 0)]
+        change(path, log)
+        write_jsonl(str(log_path), log)
+        with pytest.raises(ReportInvalid) as info:
+            load(path, problems, verifier)
+        return str(info.value).replace(str(log_path), "LOG")
+
+    def test_attempt_line_of_no_problem_rejected(self, tmp_path):
+        def rename(path, log):
+            log[4].update(problem="no_such_problem", diagnostic="made up")
+
+        assert self.tampered_log(tmp_path, rename) == (
+            "LOG: no_such_problem: round 1: sample_index 3: no such problem")
+
+    def test_sample_indices_out_of_order_rejected(self, tmp_path):
+        def skip(path, log):
+            log[2]["sample_index"] = 7
+
+        assert self.tampered_log(tmp_path, skip) == (
+            "LOG: dependent_mul: round 1: sample_index 7: expected sample_index 1")
+
+    def test_sample_after_the_verified_one_in_its_round_rejected(self, tmp_path):
+        # easy_add draws again after its proof; dependent_mul draws one
+        # sample less, so every round's budget_used still holds
+        def draw_on(path, log):
+            log.insert(1, dict(log[0], sample_index=1, verdict="rejected"))
+            log.pop(5)
+
+        assert self.tampered_log(tmp_path, draw_on) == (
+            "LOG: easy_add: round 1: sample_index 1: drawn after sample_index 0 "
+            "of round 1 proved it")
+
+    def test_sample_in_a_round_after_the_proof_rejected(self, tmp_path):
+        # dependent_mul's last round-1 sample moves to round 2 as easy_add's,
+        # and the header's round-1 budget follows it
+        def move(path, log):
+            log[4].update(problem="easy_add", round=2, sample_index=0)
+            log.insert(5, log.pop(4))
+            first, *proofs = path.read_text(encoding="utf-8").splitlines(True)
+            header = json.loads(first)
+            header["rounds"][0]["budget_used"] -= 1
+            path.write_text(json.dumps(header) + "\n" + "".join(proofs),
+                            encoding="utf-8")
+
+        assert self.tampered_log(tmp_path, move) == (
+            "LOG: easy_add: round 2: sample_index 0: drawn after sample_index 0 "
+            "of round 1 proved it")
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "report.jsonl"
         path.write_text('{"kind": "something-else", "problems_total": 0, '

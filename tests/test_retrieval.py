@@ -538,3 +538,57 @@ class TestHashEmbedder:
         }
         HashEmbedder(dimension=32).embed(texts)
         assert sorted(hashed) == sorted(g.encode("utf-8") for g in grams)
+
+    def chunks_of(self, monkeypatch):
+        """The number of texts in each chunk an ``embed`` call takes."""
+        sizes = []
+        embed_chunk = HashEmbedder._embed_chunk
+
+        def recording(embedder, texts, codes):
+            sizes.append(len(texts))
+            return embed_chunk(embedder, texts, codes)
+
+        monkeypatch.setattr(HashEmbedder, "_embed_chunk", recording)
+        return sizes
+
+    def test_texts_across_chunk_boundaries_match_the_reference(self, monkeypatch):
+        sizes = self.chunks_of(monkeypatch)
+        rng = np.random.default_rng(3)
+        # three of these fill a chunk, so chunks close within the list
+        texts = ["".join(rng.choice(list("ab +=ℕ∀"), retrieval._CHUNK_CHARS // 3 + 7))
+                 for _ in range(7)] + ["", "n + 0 = n"]
+        got = HashEmbedder(dimension=16).embed(texts)
+        assert sizes == [3, 3, 3]
+        for text, vec in zip(texts, got):
+            assert vec.tobytes() == reference_hash_embed(text, 16).tobytes()
+
+    def test_text_longer_than_a_chunk_matches_the_reference(self, monkeypatch):
+        sizes = self.chunks_of(monkeypatch)
+        long = "".join(str(i % 97) + " " for i in range(retrieval._CHUNK_CHARS // 2))
+        assert len(long) > retrieval._CHUNK_CHARS
+        texts = ["n + 0 = n", long, "0 + n = n"]
+        got = HashEmbedder(dimension=16).embed(texts)
+        assert sizes == [2, 1]
+        for text, vec in zip(texts, got):
+            assert vec.tobytes() == reference_hash_embed(text, 16).tobytes()
+
+    def test_gram_recurring_in_a_later_chunk_hashed_once_per_call(self, monkeypatch):
+        sizes = self.chunks_of(monkeypatch)
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data):
+            hashed.append(data)
+            return real_sha256(data)
+
+        monkeypatch.setattr(retrieval.hashlib, "sha256", counting_sha256)
+        texts = ["n + 0 = n " * (retrieval._CHUNK_CHARS // 10 + 1), "n + 0 = n", "abab"]
+        grams = {
+            padded[i : i + n]
+            for padded in ("\x02" + t + "\x03" for t in texts)
+            for n in (2, 3, 4)
+            for i in range(len(padded) - n + 1)
+        }
+        HashEmbedder(dimension=32).embed(texts)
+        assert sizes == [1, 2]
+        assert sorted(hashed) == sorted(g.encode("utf-8") for g in grams)
