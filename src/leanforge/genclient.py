@@ -10,10 +10,11 @@ A stage asks the model in one way only. Its ``Sampler`` holds the backend,
 the retry policy, the budget and the settings of every request. It runs
 its units (a theorem, a problem: each an item and the prompt it sends)
 through ``in_order``, which keeps up to ``backend.concurrency`` of them in
-flight (one for a backend without the attribute), prices each unit's
-budget reservation from its prompt, and hands each unit's work an ``Ask``
-that sends that prompt. Results come back in unit order. No other module
-builds a request or calls ``complete``.
+flight (one for a backend without the attribute), or as many as its
+caller asks above a concurrency of one. It prices each unit's budget
+reservation from its prompt, and hands each unit's work an ``Ask`` that
+sends that prompt. Results come back in unit order. No other
+module builds a request or calls ``complete``.
 
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
@@ -26,6 +27,7 @@ import json
 import logging
 import os
 import random
+import re
 import select
 import threading
 import time
@@ -184,6 +186,8 @@ def in_order(
     work: Callable[[Any, Ask], Any],
     sampler: Sampler,
     attempts: int,
+    *,
+    in_flight: Optional[int] = None,
 ) -> Iterator[Tuple[Any, Any]]:
     """Run ``work(item, ask)`` over ``units``, ``(item, prompt)`` pairs, up to
     the backend's ``concurrency`` at once, and yield ``(item, result)`` in
@@ -192,15 +196,25 @@ def in_order(
 
     At concurrency 1 the units run one by one on the calling thread, each
     charging the budget itself: this is the serial run. Above it they run
-    on a thread pool, and with a budget each unit first reserves, in unit
-    order, ``attempts`` requests of its prompt; its ``ask`` charges that
+    on a thread pool, ``in_flight`` of them at once when it is given: for
+    units that mostly wait on a backend and a verifier that each bound
+    their own work, so that a long unit does not start late, behind shorter
+    ones.
+
+    With a budget each pooled unit first reserves, in unit order,
+    ``attempts`` requests of its prompt; its ``ask`` charges that
     reservation, which is released when the work returns or raises. A unit
     whose reservation does not fit waits for every earlier unit and then
     runs alone on the budget itself, so it sees what the serial run sees
     and a run that hits a ceiling stops where the serial run stops.
 
     When the work of unit k raises, no unit is started once that is seen,
-    and the exception propagates after the results before k are yielded.
+    the ``ask`` of every running unit after k raises ``Halted`` at its next
+    request, and the exception propagates after the results before k are
+    yielded. Once the caller stops reading, or an exception such as
+    ``KeyboardInterrupt`` leaves this generator, every ``ask`` raises
+    ``Halted``, so the pool waits only for the requests and checks under
+    way.
     """
     concurrency = getattr(sampler.backend, "concurrency", 1)
     if concurrency == 1:
@@ -210,6 +224,8 @@ def in_order(
         for item, prompt in units:
             yield item, work(item, Ask(sampler, prompt))
         return
+    if in_flight is not None:
+        concurrency = in_flight
     # Imported here: the CLI's start-up does not pay for the thread pool.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
@@ -221,6 +237,7 @@ def in_order(
                 ask.charge.release()
 
     queue: collections.deque = collections.deque()  # (item, future), unyielded
+    halt = _Halt()
 
     def finished():
         while queue and queue[0][1].done():
@@ -230,31 +247,59 @@ def in_order(
     def failed() -> bool:
         return any(f.done() and f.exception() is not None for _, f in queue)
 
+    def on_done(index):
+        def stop_later_units(future):
+            if future.exception() is not None:
+                halt.after(index)
+        return stop_later_units
+
     budget = sampler.budget
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for item, prompt in units:
-            running = [f for _, f in queue if not f.done()]
-            while len(running) >= concurrency:
-                wait(running, return_when=FIRST_COMPLETED)
-                yield from finished()
+        try:
+            for index, (item, prompt) in enumerate(units):
                 running = [f for _, f in queue if not f.done()]
-            if failed():
-                break
-            charge = None
-            if budget is not None:
-                cost = _cost(sampler.request(prompt))
-                charge = budget.reserve(attempts, attempts * cost)
-                if charge is None:
-                    wait([f for _, f in queue])
+                while len(running) >= concurrency:
+                    wait(running, return_when=FIRST_COMPLETED)
                     yield from finished()
-            future = pool.submit(run, item, Ask(sampler, prompt, charge))
-            queue.append((item, future))
-            if budget is not None and charge is None:
-                wait([future])
-            yield from finished()
-        while queue:
-            item, future = queue.popleft()
-            yield item, future.result()
+                    running = [f for _, f in queue if not f.done()]
+                if failed():
+                    break
+                charge = None
+                if budget is not None:
+                    cost = _cost(sampler.request(prompt))
+                    charge = budget.reserve(attempts, attempts * cost)
+                    if charge is None:
+                        wait([f for _, f in queue])
+                        yield from finished()
+                future = pool.submit(run, item, Ask(sampler, prompt, charge, halt, index))
+                future.add_done_callback(on_done(index))
+                queue.append((item, future))
+                if budget is not None and charge is None:
+                    wait([future])
+                yield from finished()
+            while queue:
+                item, future = queue.popleft()
+                yield item, future.result()
+        finally:
+            halt.after(-1)
+
+
+class Halted(Exception):
+    """Raised by the ``ask`` of a unit whose result ``in_order`` will not
+    read. Not a GenClientError: a stage's work does not take it for a
+    failed request."""
+
+
+class _Halt:
+    """The position after which ``in_order``'s units send no request."""
+
+    def __init__(self):
+        self.last = float("inf")
+        self._lock = threading.Lock()
+
+    def after(self, index: int) -> None:
+        with self._lock:
+            self.last = min(self.last, index)
 
 
 @dataclass
@@ -278,6 +323,11 @@ class RetryPolicy:
         raw = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
         jitter = random.Random(f"{self.jitter_seed}:{attempt}").random()
         return raw * (0.5 + 0.5 * jitter)
+
+
+# A JSON reply may escape half of a UTF-16 pair (``\ud800``); the decoded
+# text then cannot be written as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def complete(
@@ -321,6 +371,13 @@ def complete(
             f"backend {backend.name} returned {len(pairs)} samples, "
             f"requested {request.n_samples}"
         )
+    for index, (text, _) in enumerate(pairs):
+        # an ASCII text, the common case, is known to be one without a scan
+        if not text.isascii() and _SURROGATE.search(text):
+            raise MalformedBackendReply(
+                f"backend {backend.name} sample {index} holds a lone surrogate, "
+                "which no file can hold as UTF-8"
+            )
     return GenerationResponse(
         samples=tuple(text for text, _ in pairs),
         backend_name=backend.name,
@@ -355,8 +412,12 @@ class Ask:
     sampler: Sampler
     prompt: str
     charge: Optional[Reservation] = None
+    halt: Optional[_Halt] = None  # set by in_order's pool, with the unit's index
+    index: int = 0
 
     def __call__(self, request_id: str) -> GenerationResponse:
+        if self.halt is not None and self.index > self.halt.last:
+            raise Halted(f"request {request_id} not sent: its result will not be read")
         s = self.sampler
         return complete(s.request(self.prompt, request_id), s.backend, s.retry,
                         s.budget if self.charge is None else self.charge)
@@ -425,9 +486,10 @@ class ChatCompletionBackend:
     used idle connection is taken first, unless the server has closed it
     meanwhile: then a fresh one is opened. A request once written is never
     sent again on another connection, since a POST is not idempotent;
-    whether to try again is ``complete``'s decision. Stages keep two units
-    in flight per connection (``concurrency``), so one unit's reply can be
-    checked while another's request waits.
+    whether to try again is ``complete``'s decision. ``informalize`` and
+    ``bootstrap`` keep two units in flight per connection
+    (``concurrency``), so one unit's reply can be checked while another's
+    request waits; ``prove`` keeps one problem more per verifier check.
     """
 
     def __init__(
@@ -541,4 +603,6 @@ class ChatCompletionBackend:
             raise MalformedBackendReply(
                 f"reply has {len(out)} choices, requested {request.n_samples}"
             )
+        if any(type(text) is not str for text, _ in out):
+            raise MalformedBackendReply("reply has a choice whose content is not a string")
         return out

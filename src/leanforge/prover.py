@@ -14,6 +14,7 @@ import re
 import signal
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -284,9 +285,13 @@ class MockVerifier:
     """Answer-key verifier: a proof is correct when it carries the code of
     the canonical proof exactly (``corpus.code_divergence``: comments and
     whitespace are free). Each answer key is scanned once, here; a key that
-    does not lex raises ``ValueError`` naming its problem."""
+    does not lex raises ``ValueError`` naming its problem. It checks
+    in-process; its ``concurrency`` of 1 only sets how many proofs
+    ``load_report`` re-checks at once, and does not serialise checks made
+    from other threads."""
 
     name = "mock"
+    concurrency = 1
 
     def __init__(self, answer_key: Dict[str, str]):
         self._keys: Dict[str, Tuple[str, List[str]]] = {}  # name -> key, its code
@@ -317,6 +322,10 @@ class ExternalVerifier:
     is killed with every process it started and raises VerifierTimeout. A
     command that cannot run raises VerifierCrashed; the harness maps both to
     an error verdict for that sample and moves on.
+
+    A Lean check is one core's work, so at most ``concurrency`` checkers run
+    at once, one per CPU this process may run on. A further ``check`` waits
+    for a free one, and its ``timeout_s`` counts from its checker's start.
     """
 
     name = "external"
@@ -324,6 +333,9 @@ class ExternalVerifier:
     def __init__(self, command: Sequence[str], timeout_s: float = 300.0):
         self.command = list(command)
         self.timeout_s = timeout_s
+        self.concurrency = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count() or 1)
+        self._slots = threading.BoundedSemaphore(self.concurrency)
 
     def check(self, problem: Problem, proof_text: str) -> Tuple[str, str]:
         content = ""
@@ -333,29 +345,30 @@ class ExternalVerifier:
         handle = tempfile.NamedTemporaryFile(
             mode="w", suffix=".lean", encoding="utf-8", delete=False)
         try:
-            handle.write(content)
-            handle.close()
-            try:
-                process = subprocess.Popen(
-                    self.command + [handle.name],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                    start_new_session=True,
-                )
-            except OSError as exc:
-                raise VerifierCrashed(
-                    f"verifier command {self.command[0]!r} failed to run: {exc}"
-                ) from exc
-            with process:
+            with handle:
+                handle.write(content)
+            with self._slots:
                 try:
-                    stdout, stderr = process.communicate(timeout=self.timeout_s)
-                except subprocess.TimeoutExpired as exc:
-                    os.killpg(process.pid, signal.SIGKILL)
-                    process.communicate()
-                    raise VerifierTimeout(
-                        f"verifier exceeded {self.timeout_s}s on {problem.name}"
+                    process = subprocess.Popen(
+                        self.command + [handle.name],
+                        stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE,
+                        text=True,
+                        start_new_session=True,
+                    )
+                except OSError as exc:
+                    raise VerifierCrashed(
+                        f"verifier command {self.command[0]!r} failed to run: {exc}"
                     ) from exc
+                with process:
+                    try:
+                        stdout, stderr = process.communicate(timeout=self.timeout_s)
+                    except subprocess.TimeoutExpired as exc:
+                        os.killpg(process.pid, signal.SIGKILL)
+                        process.communicate()
+                        raise VerifierTimeout(
+                            f"verifier exceeded {self.timeout_s}s on {problem.name}"
+                        ) from exc
             if process.returncode == 0:
                 return "verified", ""
             diagnostic = stderr.strip() or stdout.strip()
@@ -427,11 +440,17 @@ def run_iteration(
     ``pool``, which the caller grows between rounds. Returns each problem's
     attempts, in problem order.
 
-    Problems go through ``genclient.in_order``: up to the backend's
-    ``concurrency`` are in flight, each with the sample sequence a serial
-    run gives it, and results are taken in problem order. With a budget,
-    each problem reserves ``n_samples`` requests of its prompt, so a run
-    that hits a ceiling stops at the samples a serial run stops at.
+    Problems go through ``genclient.in_order``. Above a backend
+    ``concurrency`` of 1, ``backend.concurrency + verifier.concurrency``
+    of them are in flight (a verifier without the attribute counts 1): a
+    problem alternates between a request and a check, so beside the units
+    that keep the backend's connections busy, one per checker can be out
+    checking. The backend bounds the requests on the wire and the verifier
+    its checks, and the threads do not grow with the problems. Each problem
+    draws the sample sequence a serial run gives it, and results are taken
+    in problem order. With a budget, each problem reserves ``n_samples``
+    requests of its prompt, in problem order, so a run that hits a ceiling
+    stops at the samples a serial run stops at.
     """
     def units():
         for problem in problems:
@@ -447,8 +466,10 @@ def run_iteration(
     def work(problem, ask):
         return _prove_problem(problem, round_number, ask, verifier, settings.n_samples)
 
-    return [attempt for _, attempts in in_order(units(), work, sampler, settings.n_samples)
-            for attempt in attempts]
+    in_flight = (getattr(sampler.backend, "concurrency", 1)
+                 + getattr(verifier, "concurrency", 1))
+    results = in_order(units(), work, sampler, settings.n_samples, in_flight=in_flight)
+    return [attempt for _, attempts in results for attempt in attempts]
 
 
 def run_iterative(
@@ -515,7 +536,13 @@ def save_report(report: HarnessReport, path: str) -> None:
 def load_report(path: str, log_path: str, problems: Sequence[Problem],
                 verifier) -> HarnessReport:
     """Load a report, re-verifying every stored proof, and check that it is an
-    account of the attempt log at ``log_path`` (see ``round_summaries``)."""
+    account of the attempt log at ``log_path`` (see ``round_summaries``).
+
+    The stored proofs are judged on up to ``verifier.concurrency`` threads
+    (one for a verifier without the attribute). The error raised is the one
+    a serial pass raises: that of the first failing proof line in file
+    order, whether the line is malformed (it does not parse, names an
+    unknown problem, or names one listed before) or its proof fails."""
     by_name = {p.name: p for p in problems}
     lines = artifacts.read_jsonl(path)
     if not lines:
@@ -524,20 +551,29 @@ def load_report(path: str, log_path: str, problems: Sequence[Problem],
     if header.kind != "harness-report":
         raise ReportInvalid(f"{path}:{lines[0].lineno}: not a harness report")
     proved: Dict[str, ReportProof] = {}
+    linenos: List[int] = []
+    malformed: Optional[Exception] = None  # the first malformed line's error
     for line in lines[1:]:
-        entry = artifacts.as_record(path, line, ReportProof)
-        problem = by_name.get(entry.name)
-        if problem is None:
-            raise ReportInvalid(f"{path}:{line.lineno}: unknown problem {entry.name}")
-        if entry.name in proved:
-            raise ReportInvalid(f"{path}:{line.lineno}: {entry.name} is listed twice")
-        verdict, diagnostic = judge_proof(problem, entry.proof, verifier)
-        if verdict != "verified":
-            raise ReportInvalid(
-                f"{path}:{line.lineno}: stored proof for {entry.name} no longer verifies"
-                + (f": {diagnostic}" if diagnostic else "")
-            )
+        try:
+            entry = artifacts.as_record(path, line, ReportProof)
+            if entry.name not in by_name:
+                raise ReportInvalid(f"{path}:{line.lineno}: unknown problem {entry.name}")
+            if entry.name in proved:
+                raise ReportInvalid(f"{path}:{line.lineno}: {entry.name} is listed twice")
+        except (artifacts.ArtifactError, ReportInvalid) as exc:
+            malformed = exc
+            break
         proved[entry.name] = entry
+        linenos.append(line.lineno)
+    failed = _first_unverified(
+        [(by_name[e.name], e.proof) for e in proved.values()], verifier)
+    if failed is not None:
+        index, diagnostic = failed
+        raise ReportInvalid(
+            f"{path}:{linenos[index]}: stored proof for {list(proved)[index]} "
+            "no longer verifies" + (f": {diagnostic}" if diagnostic else ""))
+    if malformed is not None:
+        raise malformed
     log = artifacts.read_records(artifacts.require(log_path, "prove"), ProofAttempt)
     if header.problems_total != len(problems):
         raise ReportInvalid(f"{path}: problems_total is {header.problems_total}, "
@@ -565,6 +601,26 @@ def load_report(path: str, log_path: str, problems: Sequence[Problem],
             else f"verified in {log_path}, but has no proof line"))
     _check_attempt_lines(log, by_name, log_path)
     return HarnessReport(header.problems_total, header.rounds, proved)
+
+
+def _first_unverified(proofs: Sequence[Tuple[Problem, str]],
+                      verifier) -> Optional[Tuple[int, str]]:
+    """The position and diagnostic of the first of ``proofs``, ``(problem,
+    proof)`` pairs, that ``judge_proof`` does not verify, or None. Up to
+    ``verifier.concurrency`` are judged at once; once the first failure is
+    known, the proofs not yet started are not judged."""
+    def judge(pair):
+        return judge_proof(*pair, verifier)
+
+    # Imported here: the CLI's start-up does not pay for the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(
+        max_workers=max(1, min(getattr(verifier, "concurrency", 1), len(proofs))))
+    try:
+        return next(((i, diagnostic) for i, (verdict, diagnostic)
+                     in enumerate(pool.map(judge, proofs)) if verdict != "verified"), None)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_attempt_lines(log: Sequence[ProofAttempt], by_name: Dict[str, Problem],

@@ -10,6 +10,8 @@ import random
 import re
 import sys
 import textwrap
+import threading
+import time
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -1812,6 +1814,29 @@ class TestReportAccount:
             "run `leanforge prove` first\n")
 
 
+def test_prove_drops_a_reply_no_file_can_hold(tmp_path, caplog):
+    # The script's JSON escapes half of a UTF-16 pair in a comment of an
+    # otherwise correct proof. The decoded text cannot be written as UTF-8,
+    # so the reply is refused as malformed, and the problem is asked again
+    # in round 2.
+    fixture = build_pipeline_fixture(tmp_path / "fixture")
+    broken = DEMO_PROBLEM_A.replace(":= by\n", ":= by\n  -- half a pair: \ud800\n")
+    rules = json.loads(fixture["script"].read_text(encoding="utf-8"))
+    for rule in rules:
+        if rule["pattern"] == "demo_add_comm":
+            rule["responses"] = [broken, DEMO_PROBLEM_A]
+            del rule["response"]
+    fixture["script"].write_text(json.dumps(rules), encoding="utf-8")
+    workdir = tmp_path / "run"
+    config = pipeline_config(tmp_path, fixture, workdir)
+    assert run(["prove", "-c", config]) == 0
+    assert "sample 0 holds a lone surrogate" in caplog.text
+    assert [(a["problem"], a["round"], a["sample_index"], a["verdict"])
+            for a in read_jsonl(workdir / "prove.attempts.jsonl")] == [
+        ("demo_sub_self", 1, 0, "verified"), ("demo_add_comm", 2, 0, "verified")]
+    assert run(["report", "-c", config]) == 0
+
+
 class TestReadSet:
     """Each command reads the files README's command table lists, and no
     others. Every JSON read in leanforge goes through ``artifacts``."""
@@ -1853,39 +1878,72 @@ class TestReadSet:
 
 
 class TestProveConcurrency:
-    """Each paid stage keeps its backend's ``concurrency`` units in flight:
-    two per chat connection, one for a mock."""
+    """``informalize`` and ``bootstrap`` keep their backend's ``concurrency``
+    units in flight: two per chat connection, one for a mock. Against a chat
+    backend ``prove`` keeps one more problem in flight per checker the
+    verifier runs at once, each on its own thread; against a mock it runs
+    one problem at a time."""
 
     def units_in_flight(self, monkeypatch, argv):
         seen = []
 
-        def recording(units, work, sampler, attempts):
-            seen.append(sampler.backend.concurrency)
+        def recording(units, work, sampler, attempts, **options):
+            seen.append((sampler.backend.concurrency, options))
             raise RuntimeError("stopped before any request")
 
-        for module in (genclient, prover, bootstrap_mod):
+        for module in (genclient, bootstrap_mod):
             monkeypatch.setattr(module, "in_order", recording)
         assert run(argv) == 1
         return seen
 
-    def chat_config(self, tmp_path, config):
+    def chat_config(self, tmp_path, config, max_in_flight=3):
         with open(config, encoding="utf-8") as source:
             settings = yaml.safe_load(source)
         settings["backend"] = {"kind": "chat", "endpoint": "http://127.0.0.1:9/v1",
-                               "model": "m", "max_in_flight": 3}
+                               "model": "m", "max_in_flight": max_in_flight}
         return write_yaml(tmp_path / "chat.yaml", settings)
 
-    def test_mock_backend_runs_one_problem_at_a_time(self, tmp_path, monkeypatch):
-        fixture = build_pipeline_fixture(tmp_path / "fixture")
-        config = pipeline_config(tmp_path, fixture, tmp_path / "run")
-        assert self.units_in_flight(monkeypatch, ["prove", "-c", config]) == [1]
+    def problems_in_flight(self, monkeypatch, config):
+        """The most problems ``prove`` had in flight at once, and the threads
+        they ran on. No problem asks the backend or proves anything."""
+        lock = threading.Lock()
+        running, peak, threads = [0], [0], set()
 
-    def test_chat_backend_runs_two_problems_per_connection(
-            self, tmp_path, monkeypatch):
+        def drawing(problem, round_number, ask, verifier, n_samples):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.1)
+            with lock:
+                running[0] -= 1
+            return []
+
+        monkeypatch.setattr(prover, "_prove_problem", drawing)
+        assert run(["prove", "-c", config]) == 0
+        return peak[0], threads
+
+    def five_problem_config(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fixture")
-        config = pipeline_config(tmp_path, fixture, tmp_path / "run")
-        chat = self.chat_config(tmp_path, config)
-        assert self.units_in_flight(monkeypatch, ["prove", "-c", chat]) == [6]
+        with open(fixture["problems"], "a", encoding="utf-8") as problems:
+            for i in range(3):
+                problems.write(json.dumps({
+                    "name": f"demo_true_{i}",
+                    "fl_statement": f"theorem demo_true_{i} : True :="}) + "\n")
+        return pipeline_config(tmp_path, fixture, tmp_path / "run")
+
+    def test_mock_backend_runs_one_problem_at_a_time(self, tmp_path, monkeypatch):
+        config = self.five_problem_config(tmp_path)
+        peak, threads = self.problems_in_flight(monkeypatch, config)
+        assert (peak, threads) == (1, {threading.get_ident()})
+
+    def test_chat_prove_keeps_a_problem_more_per_checker(self, tmp_path, monkeypatch):
+        config = self.five_problem_config(tmp_path)
+        # one connection keeps two units in flight and the mock verifier
+        # counts as one checker; the round has five problems
+        chat = self.chat_config(tmp_path, config, max_in_flight=1)
+        peak, threads = self.problems_in_flight(monkeypatch, chat)
+        assert peak == len(threads) == 3
 
     def test_informalize_and_bootstrap_follow_the_backend(
             self, tmp_path, monkeypatch):
@@ -1894,7 +1952,7 @@ class TestProveConcurrency:
         for stage in ("extract", "train-retriever", "informalize"):
             assert run([stage, "-c", config]) == 0
         chat = self.chat_config(tmp_path, config)
-        for path, expected in ((config, [1]), (chat, [6])):
+        for path, expected in ((config, [(1, {})]), (chat, [(6, {})])):
             assert self.units_in_flight(
                 monkeypatch, ["informalize", "-c", path]) == expected
             assert self.units_in_flight(

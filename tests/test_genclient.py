@@ -1,5 +1,6 @@
 """Tests for the generation client: retry, budget, backends."""
 
+import collections
 import contextlib
 import gc
 import http.server
@@ -196,6 +197,17 @@ class TestComplete:
         with pytest.raises(MalformedBackendReply, match="requested 2"):
             complete(GenerationRequest(prompt="p", n_samples=2), Overeager())
 
+    def test_sample_with_a_lone_surrogate_rejected(self):
+        # JSON may escape half of a UTF-16 pair; such a text cannot be written
+        # as UTF-8, so it never reaches a stage
+        texts = ["plain", "∀ n, 𝔽 n", "half a pair \ud800 here"]
+        backend = MockBackend(script=[("p", texts)])
+        with pytest.raises(MalformedBackendReply, match="sample 2 holds a lone surrogate"):
+            complete(GenerationRequest(prompt="p", n_samples=3), backend)
+        good = complete(GenerationRequest(prompt="q", n_samples=1),
+                        MockBackend(default_text=texts[1]))
+        assert good.samples == (texts[1],)
+
     def test_request_budget_enforced(self):
         budget = GenerationBudget(max_requests=2)
         backend = MockBackend()
@@ -354,15 +366,65 @@ class TestInOrder:
         assert yielded == [0]
         assert len(drawn) <= 3
 
+    def test_units_after_a_failure_stop_asking(self):
+        # four units in flight at a backend concurrency of 2; unit 2 fails
+        # after its first request
+        drawn, asked = [], collections.Counter()
+        lock = threading.Lock()
+
+        def items():
+            for i in range(10):
+                drawn.append(i)
+                yield i
+
+        def work(item, ask):
+            for i in range(20):
+                if item == 2 and i == 1:
+                    raise RuntimeError("item 2 failed")
+                ask(f"r{item}:{i}")
+                with lock:
+                    asked[item] += 1
+                time.sleep(0.005)
+            return item
+
+        yielded = []
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            for item, _ in in_order(units(items()), work, concurrent(2), 1, in_flight=4):
+                yielded.append(item)
+        # the units before it run to their end; the one after it stops at its
+        # next request, and nothing after that starts
+        assert yielded == [0, 1]
+        assert asked[0] == asked[1] == 20
+        assert asked[3] < 20
+        assert len(drawn) <= 5
+
+    def test_units_stop_asking_once_the_reader_stops(self):
+        asked = collections.Counter()
+        lock = threading.Lock()
+
+        def work(item, ask):
+            for i in range(0 if item == 0 else 50):
+                ask(f"r{item}:{i}")
+                with lock:
+                    asked[item] += 1
+                time.sleep(0.01)
+            return item
+
+        results = in_order(units(range(4)), work, concurrent(2), 1, in_flight=4)
+        assert next(results) == (0, 0)
+        results.close()  # as when a KeyboardInterrupt leaves the reader's loop
+        assert all(asked[item] < 50 for item in (1, 2, 3))
+
     @pytest.mark.parametrize("fail", [False, True])
     def test_reservations_are_returned(self, fail):
         budget = GenerationBudget(max_requests=100, max_tokens=10_000)
         sampler = concurrent(3, budget=budget, max_new_tokens=8)
-        charges = []
+        charges, sent = [], []
 
         def work(item, ask):
             charges.append(ask.charge)
-            ask(f"r{item}")
+            ask(f"r{item}")  # after item 3 fails, a later item's ask may refuse
+            sent.append(item)
             if fail and item == 3:
                 raise RuntimeError("after one charge")
             return item
@@ -377,8 +439,9 @@ class TestInOrder:
             assert len(drain()) == 6
         assert all(isinstance(c, Reservation) for c in charges)
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
-        assert budget.requests_used == len(charges)
-        assert budget.tokens_used == 10 * len(charges)
+        assert set(range(4)) <= set(sent)
+        assert budget.requests_used == len(sent)
+        assert budget.tokens_used == 10 * len(sent)
 
     def test_item_that_does_not_fit_runs_alone_on_the_budget(self):
         budget = GenerationBudget(max_requests=5)
@@ -493,6 +556,9 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         if self.path == "/badjson":
             self._send(200, b"this is not json")
             return
+        if self.path == "/nullcontent":
+            self._send(200, b'{"choices": [{"message": {"content": null}}]}')
+            return
         n = body["n"]
         if self.path == "/short":
             n -= 1
@@ -604,6 +670,11 @@ class TestChatCompletionBackend:
     def test_unparseable_body_rejected(self, chat):
         backend = chat("/badjson", model="m")
         with pytest.raises(MalformedBackendReply, match="unparseable"):
+            backend.generate(GenerationRequest(prompt="p"))
+
+    def test_content_that_is_not_text_rejected(self, chat):
+        backend = chat("/nullcontent", model="m")
+        with pytest.raises(MalformedBackendReply, match="not a string"):
             backend.generate(GenerationRequest(prompt="p"))
 
     def test_short_choice_list_rejected(self, chat):

@@ -7,7 +7,9 @@ import random
 import signal
 import sys
 import textwrap
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,48 @@ class TestExternalVerifier:
         verifier = ExternalVerifier(["/nonexistent-lean-checker"], timeout_s=5)
         with pytest.raises(VerifierCrashed):
             verifier.check(make_problem(0), canonical_proof(0))
+
+    @staticmethod
+    def usable_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    def check_six_at_once(self, verifier):
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            return list(pool.map(
+                lambda i: verifier.check(make_problem(i), canonical_proof(i)), range(6)))
+
+    def test_no_more_checks_at_once_than_cpus(self, tmp_path, monkeypatch):
+        # each checker marks itself running and logs how many are running
+        running, log = tmp_path / "running", tmp_path / "overlaps"
+        running.mkdir()
+        script = tmp_path / "checker.py"
+        script.write_text(textwrap.dedent(f"""\
+            import os, time
+            mine = os.path.join({str(running)!r}, str(os.getpid()))
+            open(mine, "w").close()
+            with open({str(log)!r}, "a") as log:
+                log.write(f"{{len(os.listdir({str(running)!r}))}}\\n")
+            time.sleep(0.2)
+            os.remove(mine)
+            """), encoding="utf-8")
+        self.usable_cpus(monkeypatch, 2)
+        verifier = ExternalVerifier([sys.executable, str(script)], timeout_s=30)
+        assert verifier.concurrency == 2
+        assert self.check_six_at_once(verifier) == [("verified", "")] * 6
+        overlaps = [int(n) for n in log.read_text(encoding="utf-8").split()]
+        assert len(overlaps) == 6 and max(overlaps) == 2
+
+    def test_waiting_for_a_checker_does_not_count_toward_the_timeout(
+            self, tmp_path, monkeypatch):
+        # one checker at a time, each 0.3 s: the last of six starts after 1.5 s
+        script = tmp_path / "checker.py"
+        script.write_text("import time; time.sleep(0.3)\n", encoding="utf-8")
+        self.usable_cpus(monkeypatch, 1)
+        verifier = ExternalVerifier([sys.executable, str(script)], timeout_s=1.0)
+        assert self.check_six_at_once(verifier) == [("verified", "")] * 6
+
 
 
 def process_running(pid):
@@ -854,7 +898,8 @@ class TestRandomizedScenarios:
 
 class JitteredBackend:
     """``ScenarioBackend`` answering after a seeded 0-3 ms pause per request,
-    so concurrent problems finish in a shuffled order."""
+    so concurrent problems finish in a shuffled order. ``peak`` is the most
+    requests it had in flight at once."""
 
     name = "jittered"
 
@@ -862,15 +907,22 @@ class JitteredBackend:
         self.inner = inner
         self.seed = seed
         self.concurrency = concurrency
+        self.peak = self._active = 0
+        self._lock = threading.Lock()
 
     def generate(self, request):
+        with self._lock:
+            self._active += 1
+            self.peak = max(self.peak, self._active)
         rng = random.Random(f"{self.seed}:{request.request_id}")
         time.sleep(rng.uniform(0.0, 0.003))
+        with self._lock:
+            self._active -= 1
         return self.inner.generate(request)
 
 
 class TestConcurrentRounds:
-    def run(self, scenario, concurrency, seed, **ceilings):
+    def run(self, scenario, concurrency, seed, peaks=None, **ceilings):
         problems, gates, proofs, max_rounds, n_samples = scenario
         budget = GenerationBudget(**ceilings)
         backend = JitteredBackend(ScenarioBackend(gates, proofs), seed, concurrency)
@@ -879,25 +931,69 @@ class TestConcurrentRounds:
             Sampler(backend, budget=budget, max_new_tokens=64),
             MockVerifier(proofs),
             config(max_rounds=max_rounds, n_samples=n_samples), TOKENIZER)
+        if peaks is not None:
+            peaks.append(backend.peak)
         return report, report.attempts, budget.requests_used, budget.tokens_used
 
     def test_reports_budgets_and_attempt_logs_match_serial(self):
+        # A round keeps one problem more in flight, for the mock verifier,
+        # than the backend's concurrency of 2 keeps elsewhere.
         rng = random.Random(97)
         bound = 0
+        peaks = []
         for trial in range(8):
             problems, gates, proofs = random_scenario(rng)
             scenario = (problems, gates, proofs, rng.randint(1, 3),
                         rng.randint(1, 3))
             serial = self.run(scenario, 1, trial)
             requests, tokens = serial[2], serial[3]
-            assert self.run(scenario, 4, trial) == serial, trial
+            assert self.run(scenario, 2, trial, peaks) == serial, trial
             for ceilings in ({"max_requests": rng.randint(1, requests)},
                              {"max_tokens": rng.randint(1, tokens)}):
                 serial = self.run(scenario, 1, trial, **ceilings)
-                assert self.run(scenario, 4, trial, **ceilings) == serial, (
+                assert self.run(scenario, 2, trial, peaks, **ceilings) == serial, (
                     trial, ceilings)
                 bound += serial[2] < requests
         assert bound >= 8  # most ceilings stop the run early
+        assert max(peaks) == 3  # the prover's bound ran, not the backend's
+
+    @pytest.mark.parametrize("checkers, problems, in_flight", [(6, 8, 8), (1, 9, 3)])
+    def test_problems_in_flight_are_the_backends_and_one_per_checker(
+            self, checkers, problems, in_flight):
+        # a backend that keeps two units in flight elsewhere; requests meet in
+        # groups of ``in_flight``, so a larger group would show in the peak
+        gate = threading.Barrier(in_flight, timeout=5)
+
+        class Meeting:
+            name = "meeting"
+            concurrency = 2
+            peak = active = 0
+            lock = threading.Lock()
+
+            def generate(self, request):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                gate.wait()
+                with self.lock:
+                    self.active -= 1
+                return [("sorry", False)]
+
+        class Checkers(MockVerifier):
+            concurrency = checkers
+
+        backend = Meeting()
+        names = [make_problem(i).name for i in range(problems)]
+        attempts = one_round([make_problem(i) for i in range(problems)], seed_examples(1),
+                             Sampler(backend), Checkers({}), config(n_samples=1))
+        assert [a.problem for a in attempts] == names
+        assert backend.peak == in_flight
+
+    def test_empty_round(self):
+        backend = MockBackend()
+        backend.concurrency = 2
+        assert one_round([], seed_examples(1), Sampler(backend), MockVerifier({}),
+                         config()) == []
 
     def test_attempt_log_lines(self):
         problems = [make_problem(0), make_problem(1)]
@@ -1011,6 +1107,58 @@ class TestReports:
         assert str(info.value) == (
             f"{path}:2: stored proof for dependent_mul no longer verifies: "
             "verifier exceeded 1s on dependent_mul")
+
+    def three_proofs(self, tmp_path):
+        """A report whose lines 2, 3 and 4 prove prob00, prob01 and prob02."""
+        names = [f"prob{i:02d}" for i in range(3)]
+        return save_run(HarnessReport(
+            problems_total=3, rounds=(RoundSummary(1, 3, 3, 1.0, 3),),
+            proved={n: ReportProof(n, 1, 0, canonical_proof(i))
+                    for i, n in enumerate(names)},
+            attempts=tuple(ProofAttempt(n, 1, 0, "verified") for n in names)),
+            tmp_path)
+
+    class Failing:
+        """Checks two proofs at once; rejects the problems in ``failing``,
+        those in ``slow`` after a pause."""
+
+        concurrency = 2
+
+        def __init__(self, failing, slow=()):
+            self.failing, self.slow = failing, slow
+            self.peak = self.active = 0
+            self.lock = threading.Lock()
+
+        def check(self, problem, proof_text):
+            with self.lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            time.sleep(0.2 if problem.name in self.slow else 0.02)
+            with self.lock:
+                self.active -= 1
+            if problem.name in self.failing:
+                return "rejected", f"{problem.name} fails"
+            return "verified", ""
+
+    def test_slow_failing_line_beats_a_fast_one_after_it(self, tmp_path):
+        path = self.three_proofs(tmp_path)
+        verifier = self.Failing({"prob00", "prob01"}, slow={"prob00"})
+        with pytest.raises(ReportInvalid) as info:
+            load(path, [make_problem(i) for i in range(3)], verifier)
+        assert str(info.value) == (
+            f"{path}:2: stored proof for prob00 no longer verifies: prob00 fails")
+        assert verifier.peak == 2
+
+    @pytest.mark.parametrize("failing, line", [("prob00", 2), ("prob02", 3)])
+    def test_first_failing_line_wins_over_an_unknown_problem(
+            self, tmp_path, failing, line):
+        # line 3 names a problem not given; a proof failing before it wins,
+        # one failing after it is never reached
+        path = self.three_proofs(tmp_path)
+        with pytest.raises(ReportInvalid) as info:
+            load(path, [make_problem(0), make_problem(2)], self.Failing({failing}))
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert ("unknown problem prob01" in str(info.value)) == (line == 3)
 
     def test_unknown_problem_rejected(self, tmp_path):
         report, path, problems, verifier = self.round_trip(tmp_path)
