@@ -16,11 +16,12 @@ positions.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -291,20 +292,21 @@ def _strip_comments(text: str) -> str:
     return "".join(runs)
 
 
-def _semantic_span(text: str, index: int) -> Tuple[int, int]:
-    """Start and end offsets of the ``index``-th code or string token of
-    ``text``, a text that lexes. Only the tokens up to that one are scanned."""
-    seen = 0
+def _semantic_tokens(text: str) -> Iterator[Tuple[str, int]]:
+    """The text and end offset of each code or string token of ``text``, a
+    text that lexes, in order. The text is scanned only as far as the
+    tokens are taken."""
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group >= _NESTED_COMMENT:
             break  # a comment nested deeper than the regex follows
-        if _KIND_OF_GROUP[group] in SEMANTIC_KINDS:
-            if seen == index:
-                return m.span()
-            seen += 1
-    token = [t for t in lex_lean(text) if t.kind in SEMANTIC_KINDS][index]
-    return token.start, token.end
+        if group >= 4:  # a string literal or a code run
+            yield m.group(), m.end()
+    else:
+        return
+    rest = m.start()
+    yield from ((t.text, t.end) for t in lex_lean(text)
+                if t.kind in SEMANTIC_KINDS and t.start >= rest)
 
 
 def code_divergence(
@@ -329,8 +331,8 @@ def code_divergence(
     if index == len(texts):  # the candidate ran out
         return TokenDivergence(index, code[index], None, len(candidate))
     expected = code[index] if index < len(code) else None
-    return TokenDivergence(index, expected, texts[index],
-                           _semantic_span(candidate, index)[0])
+    actual, end = next(itertools.islice(_semantic_tokens(candidate), index, None))
+    return TokenDivergence(index, expected, actual, end - len(actual))
 
 
 # --- theorem extraction -----------------------------------------------------
@@ -509,8 +511,9 @@ def _declarations(source: str) -> List[_Declaration]:
 def _split_tactic_segments(line: str) -> int:
     """Number of `;`-separated tactic segments on one line.
 
-    `<;>` is a combinator, not a separator, and `;` inside a string literal
-    does not split.
+    `<;>` is a combinator, not a separator, and `;` inside a string or char
+    literal does not split. As in the lexer, a `'` after an identifier
+    character is a prime (h'), not the start of a char literal.
     """
     if ";" not in line:
         return 1 if line.strip() else 0
@@ -532,6 +535,12 @@ def _split_tactic_segments(line: str) -> int:
                 i += 1
             current_nonblank = True
             continue
+        if ch == "'" and not (i > 0 and re.match(_IDENT_TAIL, line[i - 1])):
+            m = re.compile(_CHAR_LITERAL).match(line, i)
+            if m:
+                i = m.end()
+                current_nonblank = True
+                continue
         if ch == ";" and not (i > 0 and line[i - 1] == "<" and i + 1 < n and line[i + 1] == ">"):
             if current_nonblank:
                 segments += 1
@@ -556,33 +565,41 @@ def count_tactic_steps(proof: str) -> int:
 
     The count is taken on the proof with its comments removed, which is
     scanned again: removing a comment can join its neighbours into new
-    tokens (``:=/- c -/by`` becomes ``:=by``). Its tokens are walked only up
-    to the first ``:=`` at bracket depth zero and the token after it. A
-    proof that does not lex, or no longer lexes without its comments,
-    raises ``LexError``.
+    tokens (``:=/- c -/by`` becomes ``:=by``). Its tokens are scanned and
+    walked only up to the first ``:=`` at bracket depth zero and the token
+    after it. A proof that does not lex, or no longer lexes without its
+    comments, raises ``LexError``; only when a comment was removed is the
+    rest checked, with the cheaper scan that removed them.
     """
     stripped = _strip_comments(proof)
     if not stripped.strip():
         return 0
-    texts = code_texts(stripped)
-    if not texts:
-        return 0  # what is left is a comment: `-/- c -/-` strips to `--`
+    if len(stripped) < len(proof):
+        # A comment was removed, and the rest may no longer lex: scanning it
+        # again raises the LexError that lexing it would.
+        _strip_comments(stripped)
 
     # Locate the proof body relative to a depth-zero `:=`, if present.
+    tokens = _semantic_tokens(stripped)
+    first = None
     depth = 0
-    for idx, text in enumerate(texts):
+    for text, end in tokens:
+        if first is None:
+            first = text, end
         if text[0] == '"':
             continue  # a string literal
         if depth == 0 and text == ":=":
-            if texts[idx + 1 : idx + 2] != ["by"]:
+            after = next(tokens, None)
+            if after is None or after[0] != "by":
                 return 1  # a term-mode proof
-            body_start = _semantic_span(stripped, idx + 1)[1]
-            return max(1, _count_block_steps(stripped[body_start:]))
+            return max(1, _count_block_steps(stripped[after[1]:]))
         depth += _bracket_delta(text)
+    if first is None:
+        return 0  # what is left is a comment: `-/- c -/-` strips to `--`
 
     # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
     # whole text as tactic lines (the fragment form used by callers).
-    body = stripped[_semantic_span(stripped, 0)[1] :] if texts[0] == "by" else stripped
+    body = stripped[first[1]:] if first[0] == "by" else stripped
     return max(1, _count_block_steps(body))
 
 

@@ -23,20 +23,26 @@ COMMENT_INSTRUCTION = (
 )
 
 
+def shows_nl(nl: Optional[str]) -> bool:
+    """Whether a prompt holds an NL section for ``nl``: not for None
+    (``prep.use_nl: false``) and not for a blank text."""
+    return bool(nl) and not nl.isspace()
+
+
 def example_block(nl: Optional[str], fl: str) -> str:
-    """One in-context example: its NL section (none when ``nl`` is None),
-    then its Lean4 proof. Both texts are stripped, so an example reads the
-    same whatever whitespace its source carried."""
-    head = "" if nl is None else f"{NL_SECTION}\n{nl.strip()}\n\n"
+    """One in-context example: its NL section (none when ``shows_nl`` says
+    so), then its Lean4 proof. Both texts are stripped, so an example reads
+    the same whatever whitespace its source carried."""
+    head = f"{NL_SECTION}\n{nl.strip()}\n\n" if shows_nl(nl) else ""
     return f"{head}{FL_PROOF_SECTION}\n{fl.strip()}\n\n"
 
 
 def proof_prompt(blocks: Iterable[str], nl: Optional[str], statement: str) -> str:
     """The proving prompt, which is also the training instruction: the
-    example blocks in order, then the open record's NL (none when ``nl`` is
-    None), statement and an empty proof section. The record's own texts are
-    kept as they are."""
-    head = "" if nl is None else f"{NL_SECTION}\n{nl}\n\n"
+    example blocks in order, then the open record's NL (none when
+    ``shows_nl`` says so), statement and an empty proof section. The
+    record's own texts are kept as they are."""
+    head = f"{NL_SECTION}\n{nl}\n\n" if shows_nl(nl) else ""
     return (
         f"{''.join(blocks)}{head}"
         f"{FL_STATEMENT_SECTION}\n{statement}\n\n{FL_PROOF_SECTION}\n"

@@ -23,8 +23,8 @@ from . import artifacts, corpus
 from .config import ProverSettings
 from .corpus import LexError
 from .genclient import Ask, GenClientError, Sampler, in_order
-from .prompts import example_block, proof_prompt
-from .trainprep import fit_blocks
+from .prompts import proof_prompt
+from .trainprep import PromptCounter, fit_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -177,38 +177,41 @@ def selection_order(pool: Sequence[PoolExample]) -> List[PoolExample]:
     return list(reversed(verified)) + seeds
 
 
+def pool_blocks(
+    pool: Sequence[PoolExample], k_max: int, counter: PromptCounter
+) -> List[Tuple[str, int]]:
+    """The example blocks a round's prompts choose from, each with its
+    count: the first ``k_max`` examples of ``selection_order(pool)``."""
+    return [counter.block(e.nl, e.fl) for e in selection_order(pool)[:k_max]]
+
+
 def assemble_proof_prompt(
     problem: Problem,
-    example_pool: Sequence[PoolExample],
-    k_range: Tuple[int, int],
-    tokenizer,
+    blocks: Sequence[Tuple[str, int]],
+    k_min: int,
+    counter: PromptCounter,
     token_budget: int,
 ) -> str:
     """Build the proving prompt with as many whole examples as fit.
 
-    Examples are added in selection order until the next one would push the
-    prompt past ``token_budget`` or the upper end of ``k_range`` is reached.
-    The zero-example prompt and each example block are counted once and
-    summed (``trainprep.fit_blocks``): counts add at the whitespace that
-    ends every block, so the sum is the count of the assembled prompt. A
-    prompt with fewer examples than the lower end of ``k_range`` is still
-    returned, with a warning.
+    ``blocks`` is ``pool_blocks`` of the round's pool, at most ``k_max``
+    of them. They are added in order until the next one would push the
+    prompt past ``token_budget``. The zero-example prompt's count
+    (``PromptCounter.prompt``) and the blocks' counts are summed
+    (``trainprep.fit_blocks``): counts add at the whitespace that ends every
+    block, so the sum is the count of the assembled prompt. A prompt with
+    fewer than ``k_min`` examples is still returned, with a warning.
     """
-    if not example_pool:
+    if not blocks:
         raise ValueError("example pool is empty")
     nl, statement = problem.nl_statement_and_proof, problem.fl_statement
-    base = tokenizer.count(proof_prompt((), nl, statement))
+    base = counter.prompt(nl, statement)
     if base > token_budget:
         raise PromptExceedsBudget(problem.name, base, token_budget)
-    blocks = (
-        example_block(e.nl, e.fl)
-        for e in selection_order(example_pool)[: k_range[1]]
-    )
-    taken, _ = fit_blocks(
-        base, ((b, tokenizer.count(b)) for b in blocks), token_budget)
-    if len(taken) < k_range[0]:
+    taken, _ = fit_blocks(base, blocks, token_budget)
+    if len(taken) < k_min:
         logger.warning("prompt for %s fits only %d examples, k_min is %d",
-                       problem.name, len(taken), k_range[0])
+                       problem.name, len(taken), k_min)
     return proof_prompt(taken, nl, statement)
 
 
@@ -450,14 +453,17 @@ def run_iteration(
     draws the sample sequence a serial run gives it, and results are taken
     in problem order. With a budget, each problem reserves ``n_samples``
     requests of its prompt, in problem order, so a run that hits a ceiling
-    stops at the samples a serial run stops at.
+    stops at the samples a serial run stops at. The pool's example blocks
+    are counted once for the round's prompts.
     """
+    counter = PromptCounter(tokenizer)
+    blocks = pool_blocks(pool, settings.k_max, counter)
+
     def units():
         for problem in problems:
             try:
                 prompt = assemble_proof_prompt(
-                    problem, pool, (settings.k_min, settings.k_max),
-                    tokenizer, settings.token_budget)
+                    problem, blocks, settings.k_min, counter, settings.token_budget)
             except PromptExceedsBudget as exc:
                 logger.warning("skipping %s this round: %s", problem.name, exc)
                 continue

@@ -110,6 +110,11 @@ def load_head(path: str, dimension: int) -> ProjectionHead:
 # --- contrastive loss and gradient -------------------------------------------
 
 
+def _ring(size: int) -> np.ndarray:
+    """The negative of each pair of a batch: the next pair around the ring."""
+    return (np.arange(size) + 1) % size
+
+
 @dataclass
 class AlignmentBatch:
     """A batch of two or more aligned (nl, fl) pairs. The negatives for
@@ -119,8 +124,7 @@ class AlignmentBatch:
     pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
 
     def negatives(self) -> np.ndarray:
-        size = len(self.pairs)
-        return (np.arange(size) + 1) % size
+        return _ring(len(self.pairs))
 
     def matrices(self) -> Tuple[np.ndarray, np.ndarray]:
         nl = np.stack([pair[0] for pair in self.pairs])
@@ -128,8 +132,10 @@ class AlignmentBatch:
         return nl, fl
 
 
-def _projected_rows(batch: AlignmentBatch, head: ProjectionHead) -> Tuple[np.ndarray, ...]:
-    nl_raw, fl_raw = batch.matrices()
+def _projected_rows(
+    nl_raw: np.ndarray, fl_raw: np.ndarray, head: ProjectionHead
+) -> Tuple[np.ndarray, ...]:
+    """The batch's input rows, their projections and the projections' norms."""
     a = nl_raw @ head.weights.T
     b = fl_raw @ head.weights.T
     na = np.linalg.norm(a, axis=1)
@@ -146,8 +152,16 @@ def _row_cos(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np
 
 
 def contrastive_loss(batch: AlignmentBatch, head: ProjectionHead) -> float:
-    _, _, a, b, na, nb = _projected_rows(batch, head)
-    j = batch.negatives()
+    return _loss(_projected_rows(*batch.matrices(), head), batch.negatives())
+
+
+def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndarray:
+    """Analytic dLoss/dW, same shape as the head weights."""
+    return _gradient(_projected_rows(*batch.matrices(), head), batch.negatives())
+
+
+def _loss(rows: Tuple[np.ndarray, ...], j: np.ndarray) -> float:
+    _, _, a, b, na, nb = rows
     pos = _row_cos(a, b, na, nb)
     neg_nl = _row_cos(a[j], b, na[j], nb)
     neg_fl = _row_cos(a, b[j], na, nb[j])
@@ -155,11 +169,11 @@ def contrastive_loss(batch: AlignmentBatch, head: ProjectionHead) -> float:
     return float(per_pair.mean())
 
 
-def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndarray:
-    """Analytic dLoss/dW, same shape as the head weights."""
-    nl_raw, fl_raw, a, b, na, nb = _projected_rows(batch, head)
-    size = len(batch.pairs)
-    j = batch.negatives()
+def _gradient(rows: Tuple[np.ndarray, ...], j: np.ndarray) -> np.ndarray:
+    """dLoss/dW of ``_loss``. Each term's rows are a permutation of the
+    batch, so indexed ``+=`` adds each row once."""
+    nl_raw, fl_raw, a, b, na, nb = rows
+    size = len(a)
 
     d_a = np.zeros_like(a)
     d_b = np.zeros_like(b)
@@ -171,13 +185,13 @@ def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndar
         c = np.einsum("ij,ij->i", av, bv) * inv
         g_a = bv * inv[:, None] - (c / nav**2)[:, None] * av
         g_b = av * inv[:, None] - (c / nbv**2)[:, None] * bv
-        np.add.at(d_a, rows_a, coeff * g_a)
-        np.add.at(d_b, rows_b, coeff * g_b)
+        d_a[rows_a] += coeff * g_a
+        d_b[rows_b] += coeff * g_b
 
-    rows = np.arange(size)
-    accumulate(rows, rows, -1.0 / size)
-    accumulate(j, rows, 0.5 / size)
-    accumulate(rows, j, 0.5 / size)
+    same = slice(None)  # each pair with itself
+    accumulate(same, same, -1.0 / size)
+    accumulate(j, same, 0.5 / size)
+    accumulate(same, j, 0.5 / size)
 
     return d_a.T @ nl_raw + d_b.T @ fl_raw
 
@@ -192,6 +206,10 @@ def train_projection(
     head starts from the uniform initialization of ``seed``, and
     ``projection_dim`` defaults to the input dimension.
 
+    The pairs are stacked once, and each step projects its batch once for
+    both the loss and the gradient, which ``contrastive_loss`` and
+    ``contrastive_gradient`` of the same batch give.
+
     Returns the trained head and the per-step loss trace (length == steps).
     Identical settings, seed and pairs give a bit-identical trace.
     """
@@ -201,15 +219,17 @@ def train_projection(
     head = ProjectionHead.initialize(d_in, settings.projection_dim or d_in, seed)
     rng = np.random.default_rng(seed)
     batch_size = min(settings.batch_size, len(pairs))
+    nl_all, fl_all = AlignmentBatch(pairs).matrices()
+    j = _ring(batch_size)
 
     trace: List[float] = []
     for step in range(settings.steps):
         chosen = rng.choice(len(pairs), size=batch_size, replace=False)
-        batch = AlignmentBatch(pairs=[pairs[k] for k in chosen])
-        loss = contrastive_loss(batch, head)
+        rows = _projected_rows(nl_all[chosen], fl_all[chosen], head)
+        loss = _loss(rows, j)
         if not np.isfinite(loss):
             raise DivergedLoss(f"non-finite loss {loss!r} at step {step}")
-        grad = contrastive_gradient(batch, head)
+        grad = _gradient(rows, j)
         head.weights = head.weights - settings.lr * grad
         trace.append(loss)
     return head, trace

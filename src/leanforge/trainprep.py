@@ -14,11 +14,18 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import artifacts
 from .config import PrepSettings
-from .prompts import example_block, proof_prompt
+from .prompts import (
+    FL_PROOF_SECTION,
+    FL_STATEMENT_SECTION,
+    NL_SECTION,
+    example_block,
+    proof_prompt,
+    shows_nl,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -160,22 +167,56 @@ def fit_blocks(
     return taken, used
 
 
+class PromptCounter:
+    """Token counts of the texts that ``prompts.example_block`` and
+    ``prompts.proof_prompt`` build, summed from the counts of their parts.
+
+    Every seam in those texts, between a section header and its text or
+    between two sections, is whitespace, and counts add at a whitespace
+    seam for both tokenizers; stripping a text removes only whitespace,
+    which no token holds. So a prompt's count is the sum of its section
+    headers' counts, each counted here once, and the counts of its texts,
+    and no assembled text is counted.
+    """
+
+    def __init__(self, tokenizer):
+        self.count = tokenizer.count
+        self._nl, self._statement, self._proof = (
+            tokenizer.count(header)
+            for header in (NL_SECTION, FL_STATEMENT_SECTION, FL_PROOF_SECTION))
+
+    def _nl_section(self, nl: Optional[str]) -> int:
+        """The count of ``nl``'s section; 0 when the prompt holds none."""
+        return self._nl + self.count(nl) if shows_nl(nl) else 0
+
+    def block(self, nl: Optional[str], fl: str) -> Tuple[str, int]:
+        """``example_block(nl, fl)`` and its count."""
+        return example_block(nl, fl), self._nl_section(nl) + self._proof + self.count(fl)
+
+    def statement(self, statement: str) -> int:
+        """The count of ``statement``'s section. A zero-example
+        ``proof_prompt`` followed by its proof holds the sections of that
+        proof's example block and this one."""
+        return self._statement + self.count(statement)
+
+    def prompt(self, nl: Optional[str], statement: str) -> int:
+        """The count of ``proof_prompt((), nl, statement)``."""
+        return self._nl_section(nl) + self.statement(statement) + self._proof
+
+
 def counted_blocks(
-    records: Sequence[PackSource], tokenizer, use_nl: bool = True
+    records: Sequence[PackSource], counter: PromptCounter, use_nl: bool = True
 ) -> List[Tuple[str, int]]:
     """Each record's in-context example block with its token count."""
-    out = []
-    for record in records:
-        block = example_block(record.nl if use_nl else None, record.target)
-        out.append((block, tokenizer.count(block)))
-    return out
+    return [counter.block(record.nl if use_nl else None, record.target)
+            for record in records]
 
 
 def pack_block(
     records: Sequence[PackSource],
     i: int,
     budget: int,
-    tokenizer,
+    counter: PromptCounter,
     blocks: Sequence[Tuple[str, int]],
     use_nl: bool = True,
 ) -> PackedRecord:
@@ -183,18 +224,18 @@ def pack_block(
 
     Predecessors are taken nearest-first (i-1, i-2, ... wrapping to the end
     of the dataset) while they fit, and prepended, so the final instruction
-    reads oldest example first and ends with record i's own sections. The
-    record's zero-example instruction and its target are counted once; each
-    predecessor adds its block's count (``fit_blocks``), so the total is
-    exact without recounting the assembled text. ``blocks[j]`` is record
-    j's block and count from ``counted_blocks``; only predecessors' entries
-    are read.
+    reads oldest example first and ends with record i's own sections.
+    ``blocks[j]`` is record j's block and count from ``counted_blocks`` at
+    the same ``use_nl``. The record's zero-example instruction and its
+    target hold the sections of its own block and its statement section
+    (``PromptCounter.statement``), and each predecessor adds its block's
+    count (``fit_blocks``), so the total is exact without counting the
+    assembled text, or any of the record's texts but its statement.
     """
     n = len(records)
     record = records[i]
     nl = record.nl if use_nl else None
-    base = (tokenizer.count(proof_prompt((), nl, record.statement))
-            + tokenizer.count(record.target))
+    base = blocks[i][1] + counter.statement(record.statement)
     if base > budget:
         raise RecordExceedsBudget(record.name, base, budget)
     nearest_first = (blocks[(i - step) % n] for step in range(1, n))
@@ -242,17 +283,20 @@ def emit_training_set(
     sources = pack_sources(records, settings)
     if settings.use_curriculum:
         sources = curriculum_sort(sources)
-    # each record's block is counted once, whichever rings it serves in
-    blocks = (counted_blocks(sources, tokenizer, settings.use_nl)
-              if settings.use_block else [])
+    counter = PromptCounter(tokenizer)
+    # each record's block is counted once, whichever rings it serves in, and
+    # gives the count of its own instruction too
+    blocks = counted_blocks(sources, counter, settings.use_nl)
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
-        # without block packing each record is a ring of one: no examples
-        ring, at = (sources, i) if settings.use_block else ([source], 0)
+        if settings.use_block:
+            ring, ring_blocks, at = sources, blocks, i
+        else:  # each record is a ring of one: no examples
+            ring, ring_blocks, at = [source], blocks[i : i + 1], 0
         try:
-            item = pack_block(
-                ring, at, settings.token_budget, tokenizer, blocks, settings.use_nl)
+            item = pack_block(ring, at, settings.token_budget, counter, ring_blocks,
+                              settings.use_nl)
         except RecordExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)
             skipped.append(

@@ -14,7 +14,8 @@ implementation against it over the snippet corpus and randomized inputs.
 ``extract_theorems`` did before it walked the token scan itself.
 ``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
 from its tokens, as the prover did before it compared code texts.
-``reference_hash_embed`` is the per-n-gram form of the hash embedder that
+``reference_train_projection`` is the training loop that projected each
+batch twice per step. ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
 ``HashEmbedder.embed`` must match byte for byte. ``KeyedBackend`` answers by
 request id after a jittered pause, so the paid stages can be run at several
 concurrencies and compared.
@@ -209,7 +210,9 @@ def reference_lex_lean(source: str):
 def reference_count_tactic_steps(proof: str) -> int:
     """Step count of a proof text as ``count_tactic_steps`` took it before it
     scanned the stripped proof only to its first ``:=``: strip comments, lex
-    the rest again whole."""
+    the rest again whole. The body's lines are split into steps by
+    ``corpus._count_block_steps``, as there, so a `;` in a char literal
+    splits a step in neither."""
     from leanforge import corpus
     from leanforge.corpus import COMMENT_KINDS, SEMANTIC_KINDS, TokenKind
 
@@ -730,6 +733,56 @@ def fd_contrastive_gradient(batch, head, eps: float = 1e-5):
                 - retrieval.contrastive_loss(batch, head_minus)
             ) / (2.0 * eps)
     return grad
+
+
+def reference_train_projection(pairs, settings, seed: int):
+    """``train_projection`` as it ran before it stacked the pairs once and
+    projected each batch once: each step stacks its batch and projects it
+    for the loss and again for the gradient, which adds rows with
+    ``np.add.at``."""
+    from leanforge import retrieval
+
+    def gradient(batch, head):
+        nl_raw, fl_raw = batch.matrices()
+        a = nl_raw @ head.weights.T
+        b = fl_raw @ head.weights.T
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        size = len(batch.pairs)
+        j = batch.negatives()
+        d_a = np.zeros_like(a)
+        d_b = np.zeros_like(b)
+
+        def accumulate(rows_a, rows_b, coeff):
+            av, bv = a[rows_a], b[rows_b]
+            nav, nbv = na[rows_a], nb[rows_b]
+            inv = 1.0 / (nav * nbv)
+            c = np.einsum("ij,ij->i", av, bv) * inv
+            g_a = bv * inv[:, None] - (c / nav**2)[:, None] * av
+            g_b = av * inv[:, None] - (c / nbv**2)[:, None] * bv
+            np.add.at(d_a, rows_a, coeff * g_a)
+            np.add.at(d_b, rows_b, coeff * g_b)
+
+        rows = np.arange(size)
+        accumulate(rows, rows, -1.0 / size)
+        accumulate(j, rows, 0.5 / size)
+        accumulate(rows, j, 0.5 / size)
+        return d_a.T @ nl_raw + d_b.T @ fl_raw
+
+    d_in = pairs[0][0].shape[0]
+    head = retrieval.ProjectionHead.initialize(
+        d_in, settings.projection_dim or d_in, seed)
+    rng = np.random.default_rng(seed)
+    batch_size = min(settings.batch_size, len(pairs))
+    trace = []
+    for _ in range(settings.steps):
+        chosen = rng.choice(len(pairs), size=batch_size, replace=False)
+        batch = retrieval.AlignmentBatch(pairs=[pairs[k] for k in chosen])
+        loss = retrieval.contrastive_loss(batch, head)
+        grad = gradient(batch, head)
+        head.weights = head.weights - settings.lr * grad
+        trace.append(loss)
+    return head, trace
 
 
 def cosine_pair_gradient(u, v, head):

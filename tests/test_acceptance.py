@@ -38,6 +38,7 @@ from leanforge.retrieval import (
     train_projection,
 )
 from leanforge.trainprep import (
+    PromptCounter,
     RecordExceedsBudget,
     WhitespaceTokenizer,
     counted_blocks,
@@ -269,14 +270,14 @@ class TestCriterion5:
         difficulties = [s.difficulty for s in ordered]
         assert difficulties == sorted(difficulties)
 
-        tokenizer = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         budget = 400
-        blocks = counted_blocks(ordered, tokenizer)
+        blocks = counted_blocks(ordered, counter)
         agreements = 0
         for i in range(len(ordered)):
             expected = oracle_pack(ordered, i, budget)
             try:
-                packed = pack_block(ordered, i, budget, tokenizer, blocks)
+                packed = pack_block(ordered, i, budget, counter, blocks)
             except RecordExceedsBudget:
                 assert expected is None, i
                 agreements += 1

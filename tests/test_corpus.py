@@ -331,6 +331,14 @@ class TestCountTacticSteps:
     def test_alternation_combinator_not_split(self):
         assert count_tactic_steps(":= by rw [h] <;> rfl") == 1
 
+    def test_semicolon_in_char_literal_not_split(self):
+        assert count_tactic_steps(":= by exact ';'") == 1
+        assert count_tactic_steps(":= by\n  exact ';'\n  exact '\\''; rfl") == 3
+        assert count_tactic_steps(":= by exact 'a'; simp") == 2
+        # after an identifier character `'` is a prime, so `;` splits
+        assert count_tactic_steps(":= by exact h'; simp") == 2
+        assert count_tactic_steps(":= by exact h''; simp") == 2
+
     def test_term_mode_listing(self):
         assert count_tactic_steps(listings.INTEGRAL_PROOF) == 1
 
@@ -566,6 +574,15 @@ def test_glued_comment_joins_assign_and_by():
     # tactic block and every line counts; with a space, `:=` and `by` do
     assert count_tactic_steps(":=/- c -/by\n  simp\n  rfl") == 3
     assert count_tactic_steps(":= /- c -/by\n  simp\n  rfl") == 2
+
+
+def test_comment_removal_that_breaks_the_body_raises():
+    # the tokens are walked only to `by`, but removing the comment glues
+    # `a /` and `-b` into an opener that never closes, further on
+    proof = "theorem t : a = b := by\n  simp [a //- half -/-b]\n  rfl"
+    with pytest.raises(UnterminatedComment):
+        count_tactic_steps(proof)
+    assert step_outcome(reference_count_tactic_steps, proof) is UnterminatedComment
 
 
 def test_comment_removal_that_leaves_only_a_comment_counts_zero():

@@ -3,8 +3,11 @@ prompt's section layout, and a guard that section markers live in one module."""
 
 import ast
 import os
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leanforge
 from leanforge.prompts import (
@@ -18,11 +21,20 @@ from leanforge.prompts import (
     informalization_prompt,
     proof_prompt,
 )
-from leanforge.prover import PoolExample, Problem, assemble_proof_prompt
+from leanforge.config import PrepSettings
+from leanforge.prover import (
+    PoolExample,
+    Problem,
+    assemble_proof_prompt,
+    pool_blocks,
+)
 from leanforge.trainprep import (
     PackSource,
+    PromptCounter,
+    VocabTokenizer,
     WhitespaceTokenizer,
     counted_blocks,
+    emit_training_set,
     pack_block,
 )
 
@@ -48,35 +60,96 @@ SAME_LAYOUT_CASES = {
         "Statement: ${nl} and " + NL_SECTION,
         "theorem goal : ${fl_statement} :=",
     ),
+    "blank-nl": (
+        [("", "theorem e0 : True := by\n  trivial"),
+         (" \n\t", "theorem e1 : 1 = 1 := by\n  simp"),
+         ("Statement: q.", "theorem e2 : 2 = 2 := by\n  rfl")],
+        "\n ",
+        "theorem goal : 3 = 3 :=",
+    ),
 }
+
+
+def prove_prompt(tokenizer, examples, nl, statement, budget):
+    """``prove``'s prompt for a problem over a pool of (nl, fl) examples, at
+    k_min 1 and k_max 16."""
+    counter = PromptCounter(tokenizer)
+    pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]
+    return assemble_proof_prompt(
+        Problem("goal", statement, nl), pool_blocks(pool, 16, counter), 1, counter,
+        budget)
 
 
 @pytest.mark.parametrize("case", list(SAME_LAYOUT_CASES))
 def test_prep_instruction_equals_prove_prompt(case):
     examples, nl, statement = SAME_LAYOUT_CASES[case]
-    tok = WhitespaceTokenizer()
+    counter = PromptCounter(WhitespaceTokenizer())
     sources = [PackSource(f"e{j}", ex_nl, "unused :=", fl, 1)
                for j, (ex_nl, fl) in enumerate(examples)]
     sources.append(PackSource("goal", nl, statement, "by rfl", 1))
-    packed = pack_block(sources, len(sources) - 1, 10**6, tok,
-                        counted_blocks(sources, tok))
-    pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]
-    prompt = assemble_proof_prompt(
-        Problem("goal", statement, nl), pool, (1, 16), tok, 10**6)
+    packed = pack_block(sources, len(sources) - 1, 10**6, counter,
+                        counted_blocks(sources, counter))
+    prompt = prove_prompt(WhitespaceTokenizer(), examples, nl, statement, 10**6)
     assert packed.example_count == len(examples)
     assert packed.instruction == prompt
     # every bound text arrives literally, slot syntax and markers included
     for ex_nl, fl in examples:
         assert ex_nl.strip() in prompt and fl.strip() in prompt
+    # a blank NL text gets no section, in an example or for the problem
+    own = f"{NL_SECTION}\n{nl}\n\n" if nl.strip() else ""
+    if case == "blank-nl":
+        assert prompt.count(NL_SECTION) == 1
     assert prompt.endswith(
-        f"{NL_SECTION}\n{nl}\n\n{FL_STATEMENT_SECTION}\n{statement}\n\n"
-        f"{FL_PROOF_SECTION}\n")
+        f"{own}{FL_STATEMENT_SECTION}\n{statement}\n\n{FL_PROOF_SECTION}\n")
+
+
+# texts with words, punctuation, unicode and several kinds of whitespace;
+# an NL text may be blank
+TEXT = st.text(alphabet="ab cd.,()∑_7\n\t\u00a0", max_size=30)
+NL_TEXT = st.one_of(TEXT, st.sampled_from(["", " ", "\n\t"]))
+TOKENIZERS = {"whitespace": WhitespaceTokenizer(),
+              "vocab": VocabTokenizer(["ab", "cd", "abc", "a", "b.c", "∑_", "(a", "7)"])}
+
+
+class BootstrappedRecord(NamedTuple):
+    name: str
+    generated_informal_statement_and_proof: str
+    statement: str
+    proof: str
+    commented_proof: str
+    difficulty: int
+
+
+@given(st.lists(st.tuples(NL_TEXT, TEXT, TEXT), min_size=2, max_size=6),
+       st.integers(min_value=0, max_value=200), st.booleans(),
+       st.sampled_from(sorted(TOKENIZERS)))
+@settings(max_examples=150, deadline=None)
+def test_counts_equal_a_recount_of_the_assembled_text(texts, budget, use_nl, name):
+    tok = TOKENIZERS[name]
+    records = [BootstrappedRecord(f"r{j}", nl, f"theorem r{j} :{statement}",
+                                  proof, proof, 1)
+               for j, (nl, statement, proof) in enumerate(texts)]
+    packed, _ = emit_training_set(
+        records, PrepSettings(token_budget=budget, use_nl=use_nl), tok)
+    for item in packed:
+        assert item.token_count == tok.count(item.instruction) + tok.count(item.target)
+
+    # prove's prompt fits a budget of its own recount, and not one token less
+    (nl, statement, _), examples = texts[-1], [(e[0], e[2]) for e in texts[:-1]]
+    statement = f"theorem goal :{statement}"
+    whole = prove_prompt(tok, examples, nl, statement, 10**6)
+    fitted = whole.count(FL_PROOF_SECTION) - 1
+    assert fitted == len(examples)
+    assert prove_prompt(tok, examples, nl, statement, tok.count(whole)) == whole
+    tighter = prove_prompt(tok, examples, nl, statement, tok.count(whole) - 1)
+    assert tighter.count(FL_PROOF_SECTION) - 1 < fitted
 
 
 def test_example_block_strips_texts_and_can_drop_nl():
     assert example_block("\n nl text \n", "\nfl text\n\n") == (
         f"{NL_SECTION}\nnl text\n\n{FL_PROOF_SECTION}\nfl text\n\n")
-    assert example_block(None, "fl text\n") == f"{FL_PROOF_SECTION}\nfl text\n\n"
+    for nl in (None, "", " \n"):
+        assert example_block(nl, "fl text\n") == f"{FL_PROOF_SECTION}\nfl text\n\n"
 
 
 def test_bootstrap_prompt_keeps_texts_as_they_are():

@@ -45,13 +45,14 @@ from leanforge.prover import (
     extract_proof,
     format_report_table,
     load_report,
+    pool_blocks,
     run_iteration,
     run_iterative,
     save_report,
     screen_proof,
     selection_order,
 )
-from leanforge.trainprep import WhitespaceTokenizer
+from leanforge.trainprep import PromptCounter, WhitespaceTokenizer
 
 from fixtures.listings import LEAN3_OUTPUT_A, SQINEQ_COMMENTED
 from support import (
@@ -75,8 +76,10 @@ def make_problem(i):
 
 
 def prompt_for(problem, pool, k_range=(10, 16), token_budget=4096):
+    counter = PromptCounter(WhitespaceTokenizer())
     return assemble_proof_prompt(
-        problem, pool, k_range, WhitespaceTokenizer(), token_budget)
+        problem, pool_blocks(pool, k_range[1], counter), k_range[0], counter,
+        token_budget)
 
 
 def canonical_proof(i):
@@ -153,9 +156,8 @@ class TestAssemblePrompt:
         tok = WhitespaceTokenizer()
         pool = seed_examples(30)
         problem = make_problem(0)
-        base = assemble_proof_prompt(problem, pool, (10, 16), tok, 100_000)
-        base_tokens = tok.count(assemble_proof_prompt(
-            problem, pool, (1, 1), tok, 100_000)) - tok.count(
+        base_tokens = tok.count(prompt_for(
+            problem, pool, (1, 1), 100_000)) - tok.count(
                 oracle_block(selection_order(pool)[0]))
 
         ordered = selection_order(pool)[:16]
@@ -166,7 +168,7 @@ class TestAssemblePrompt:
                    and total + piece_tokens[expected_k] <= budget):
                 total += piece_tokens[expected_k]
                 expected_k += 1
-            prompt = assemble_proof_prompt(problem, pool, (10, 16), tok, budget)
+            prompt = prompt_for(problem, pool, (10, 16), budget)
             assert count_examples(prompt) == expected_k, budget
             assert tok.count(prompt) <= budget
 

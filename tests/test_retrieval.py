@@ -40,6 +40,7 @@ from support import (
     fd_contrastive_gradient,
     oracle_contrastive_loss,
     reference_hash_embed,
+    reference_train_projection,
     rotated_pair_corpus,
 )
 
@@ -253,6 +254,21 @@ class TestTrainProjection:
     def test_too_few_pairs(self):
         with pytest.raises(EmptyInput):
             train_projection([(ev(1.0), ev(1.0))], RetrievalSettings(), 0)
+
+    # batch sizes: the smallest, an odd one, the whole set, more than the set
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 77])
+    @pytest.mark.parametrize("projection_dim", [None, 4])
+    def test_matches_the_loop_that_projects_each_batch_twice(
+            self, batch_size, seed, projection_dim):
+        pairs = random_pairs(np.random.default_rng(seed + 100), 7, 9)
+        settings = RetrievalSettings(lr=0.05, steps=30, batch_size=batch_size,
+                                     projection_dim=projection_dim)
+        head, trace = train_projection(pairs, settings, seed)
+        expected_head, expected_trace = reference_train_projection(pairs, settings, seed)
+        assert trace == expected_trace
+        assert head.checksum() == expected_head.checksum()
+        assert head.weights.shape == (projection_dim or 9, 9)
 
 
 class TestProjectionHead:

@@ -26,6 +26,7 @@ from leanforge.prompts import (
 )
 from leanforge.trainprep import (
     PackSource,
+    PromptCounter,
     RecordExceedsBudget,
     VocabTokenizer,
     WhitespaceTokenizer,
@@ -59,7 +60,8 @@ def oracle_count(text):
 
 def oracle_pack(records, i, budget, use_nl=True, count=oracle_count):
     """Independent greedy simulation returning (k, total_tokens); every
-    candidate instruction is assembled and recounted whole with ``count``."""
+    candidate instruction is assembled and recounted whole with ``count``.
+    A blank NL text gets no section."""
     n = len(records)
     record = records[i]
 
@@ -67,10 +69,10 @@ def oracle_pack(records, i, budget, use_nl=True, count=oracle_count):
         parts = []
         for step in range(k, 0, -1):
             r = records[(i - step) % n]
-            if use_nl:
+            if use_nl and r.nl.strip():
                 parts.append(f"{NL_SECTION}\n{r.nl.strip()}\n\n")
             parts.append(f"{FL_PROOF_SECTION}\n{r.target.strip()}\n\n")
-        if use_nl:
+        if use_nl and record.nl.strip():
             parts.append(f"{NL_SECTION}\n{record.nl}\n\n")
         parts.append(f"{FL_STATEMENT_SECTION}\n{record.statement}\n\n{FL_PROOF_SECTION}\n")
         text = "".join(parts)
@@ -251,22 +253,23 @@ class TestCurriculumSort:
 class TestPackBlock:
     def test_exact_fit_packs_nothing(self):
         tok = WhitespaceTokenizer()
+        counter = PromptCounter(tok)
         records = [make_source("a", "one two", "t : x :=", "by ring"),
                    make_source("b", "three", "u : y :=", "by simp")]
         cap = (f"{NL_SECTION}\none two\n\n{FL_STATEMENT_SECTION}\nt : x :=\n\n"
                f"{FL_PROOF_SECTION}\n")
         budget = tok.count(cap) + tok.count(records[0].target)
-        packed = pack_block(records, 0, budget, tok, counted_blocks(records, tok))
+        packed = pack_block(records, 0, budget, counter, counted_blocks(records, counter))
         assert packed.example_count == 0
         assert packed.instruction == cap
         assert packed.token_count == budget
 
     def test_huge_budget_packs_all_others_without_self(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         records = [make_source(f"r{i}", f"story number{i}", f"s{i} : p :=", f"by tac{i}")
                    for i in range(3)]
-        packed = pack_block(records, 1, budget=10_000, tokenizer=tok,
-                            blocks=counted_blocks(records, tok))
+        packed = pack_block(records, 1, budget=10_000, counter=counter,
+                            blocks=counted_blocks(records, counter))
         assert packed.example_count == 2
         # each other record appears once as an example; the record's own nl
         # appears once, in the cap
@@ -276,11 +279,11 @@ class TestPackBlock:
         assert packed.instruction.count(FL_STATEMENT_SECTION) == 1
 
     def test_ring_wraps_for_first_record(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         records = [make_source(f"r{i}", f"uniquemark{i}", f"s{i} : p :=", "by ring")
                    for i in range(3)]
-        packed = pack_block(records, 0, budget=10_000, tokenizer=tok,
-                            blocks=counted_blocks(records, tok))
+        packed = pack_block(records, 0, budget=10_000, counter=counter,
+                            blocks=counted_blocks(records, counter))
         assert packed.example_count == 2
         # predecessors of 0 on the ring are 2 (nearest) and 1; rendered
         # oldest-first the instruction shows 1 before 2, then the cap
@@ -290,25 +293,25 @@ class TestPackBlock:
         assert pos1 < pos2 < pos0
 
     def test_matches_greedy_oracle_on_known_counts(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         rng = random.Random(31)
         records = synthetic_sources(rng, 10)
         for i in range(10):
-            packed = pack_block(records, i, budget=500, tokenizer=tok,
-                                blocks=counted_blocks(records, tok))
+            packed = pack_block(records, i, budget=500, counter=counter,
+                                blocks=counted_blocks(records, counter))
             expected = oracle_pack(records, i, budget=500)
             assert expected is not None
             assert (packed.example_count, packed.token_count) == expected
 
     def test_maximality_randomized(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         rng = random.Random(57)
         for _ in range(30):
             records = synthetic_sources(rng, rng.randint(2, 8))
             i = rng.randrange(len(records))
             budget = rng.randint(40, 400)
             try:
-                packed = pack_block(records, i, budget, tok, counted_blocks(records, tok))
+                packed = pack_block(records, i, budget, counter, counted_blocks(records, counter))
             except RecordExceedsBudget:
                 assert oracle_pack(records, i, budget) is None
                 continue
@@ -321,27 +324,28 @@ class TestPackBlock:
                 assert bigger[0] > k or bigger[1] > budget
 
     def test_oversized_record_raises_with_name(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         records = [make_source("tiny", "n", "s :=", "by ring"),
                    make_source("huge", "word " * 300, "s :=", "by ring")]
         with pytest.raises(RecordExceedsBudget, match="huge"):
-            pack_block(records, 1, budget=50, tokenizer=tok,
-                       blocks=counted_blocks(records, tok))
+            pack_block(records, 1, budget=50, counter=counter,
+                       blocks=counted_blocks(records, counter))
 
     def test_token_count_is_exact_recount(self):
         tok = WhitespaceTokenizer()
+        counter = PromptCounter(tok)
         rng = random.Random(77)
         records = synthetic_sources(rng, 6)
-        packed = pack_block(records, 3, budget=300, tokenizer=tok,
-                            blocks=counted_blocks(records, tok))
+        packed = pack_block(records, 3, budget=300, counter=counter,
+                            blocks=counted_blocks(records, counter))
         assert packed.token_count == tok.count(packed.instruction) + tok.count(packed.target)
 
     def test_use_nl_false_strips_nl_sections(self):
-        tok = WhitespaceTokenizer()
+        counter = PromptCounter(WhitespaceTokenizer())
         records = [make_source("a", "NLTEXT", "s :=", "by ring"),
                    make_source("b", "OTHERNL", "u :=", "by simp")]
-        packed = pack_block(records, 0, budget=10_000, tokenizer=tok,
-                            blocks=counted_blocks(records, tok, use_nl=False),
+        packed = pack_block(records, 0, budget=10_000, counter=counter,
+                            blocks=counted_blocks(records, counter, use_nl=False),
                             use_nl=False)
         assert NL_SECTION not in packed.instruction
         assert "NLTEXT" not in packed.instruction
@@ -349,11 +353,12 @@ class TestPackBlock:
 
     def test_blocks_counted_once_match_lazy_counting(self):
         tok = WhitespaceTokenizer()
+        counter = PromptCounter(tok)
         records = synthetic_sources(random.Random(5), 7)
         for use_nl in (True, False):
             blocks = [(b, tok.count(b)) for b in (
                 example_block(r.nl if use_nl else None, r.target) for r in records)]
-            assert counted_blocks(records, tok, use_nl) == blocks
+            assert counted_blocks(records, counter, use_nl) == blocks
 
 
 @dataclass
@@ -543,8 +548,9 @@ class TestEmitMatchesOracle:
         assert skipped == []
         if use_block:
             assert all(p.example_count == len(records) - 1 for p in packed)
-        # one count per example block, zero-example instruction and target
-        assert tok.calls <= 3 * len(records)
+        # one count per section header, and per record one for each of its
+        # NL, statement and target
+        assert tok.calls == 3 + 3 * len(records)
 
 
 class TestSaveOutputs:
