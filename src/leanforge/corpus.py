@@ -100,7 +100,9 @@ _LEAN3_IMPORT_ROOTS = frozenset(
 )
 
 _CHAR_LITERAL = r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^'\\\n])'"
-_IDENT_TAIL = r"[A-Za-z0-9_'!?₀-₉-￿]"
+# An ASCII letter, digit or _'!?, or any other character of the BMP; the
+# negated class compiles fast, where a \x80-\uffff range takes milliseconds.
+_IDENT_TAIL = r"(?:[A-Za-z0-9_'!?]|[^\x00-\x7f\U00010000-\U0010ffff])"
 
 
 class LexError(ValueError):
@@ -180,8 +182,8 @@ class TheoremRecord:
 _WHITESPACE = r"[ \t\r\n]+"
 _LINE_COMMENT = r"--[^\n]*"
 _STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
-_CODE_RUN = (r"(?:[^ \t\r\n\"'/-]+|(?<!" + _IDENT_TAIL + ")" + _CHAR_LITERAL
-             + r"|'|-(?!-)|/(?!-))+")
+_CHAR_TOKEN = f"(?<!{_IDENT_TAIL}){_CHAR_LITERAL}"  # a char literal, not a prime
+_CODE_RUN = r"(?:[^ \t\r\n\"'/-]+|" + _CHAR_TOKEN + r"|'|-(?!-)|/(?!-))+"
 
 
 def _block_comment(nesting: int) -> str:
@@ -212,7 +214,6 @@ _KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
                   TokenKind.BLOCK_COMMENT, TokenKind.STRING, TokenKind.CODE)
 _NESTED_COMMENT, _OPEN_STRING = 6, 7
 _COMMENT_DELIMITER = re.compile(r"/-|-/")
-_new_token = tuple.__new__  # skips LeanToken's Python-level __new__
 
 
 def lex_lean(source: str) -> List[LeanToken]:
@@ -225,22 +226,18 @@ def lex_lean(source: str) -> List[LeanToken]:
     a token kind of their own.
     """
     tokens: List[LeanToken] = []
-    append = tokens.append
-    kinds = _KIND_OF_GROUP
     pos = 0
     while pos < len(source):
         for m in _TOKEN.finditer(source, pos):
             group = m.lastindex
             if group < _NESTED_COMMENT:
-                start, end = m.span()
-                append(_new_token(LeanToken, (kinds[group], m.group(), start, end)))
+                tokens.append(LeanToken(_KIND_OF_GROUP[group], m.group(), *m.span()))
                 continue
             start = m.start()
             if group == _OPEN_STRING:
                 raise UnterminatedString("unterminated string literal", start)
             pos = _nested_comment_end(source, start)
-            append(_new_token(
-                LeanToken, (TokenKind.BLOCK_COMMENT, source[start:pos], start, pos)))
+            tokens.append(LeanToken(TokenKind.BLOCK_COMMENT, source[start:pos], start, pos))
             break
         else:
             break
@@ -339,11 +336,14 @@ def code_divergence(
 
 _OPEN_BRACKETS = "([{⦃"  # ( [ { ⦃
 _CLOSE_BRACKETS = ")]}⦄"
+_CHAR_TOKEN_RE = re.compile(_CHAR_TOKEN)
 
 
 def _bracket_delta(text: str) -> int:
-    # Brackets inside char literals would miscount here; theorem statements
-    # containing bracket char literals are vanishingly rare.
+    """Open minus close brackets in ``text``, a code token; as in the lexer,
+    a char literal is one atom, so a bracket in one counts for nothing."""
+    if "'" in text:
+        text = _CHAR_TOKEN_RE.sub("", text)
     delta = 0
     for ch in text:
         if ch in _OPEN_BRACKETS:
@@ -508,51 +508,23 @@ def _declarations(source: str) -> List[_Declaration]:
 # --- tactic-step counting ---------------------------------------------------
 
 
+# The spans of a tactic line that a `;` cannot split: a string literal, a
+# string left open to the end of the line, a char literal, and `<;>`.
+_UNSPLIT = re.compile(f'{_STRING}|".*|{_CHAR_TOKEN}|<;>')
+
+
 def _split_tactic_segments(line: str) -> int:
     """Number of `;`-separated tactic segments on one line.
 
     `<;>` is a combinator, not a separator, and `;` inside a string or char
-    literal does not split. As in the lexer, a `'` after an identifier
-    character is a prime (h'), not the start of a char literal.
+    literal does not split; the literals are the lexer's patterns, so a `'`
+    after an identifier character is a prime (h'), not a char literal. Each
+    span a `;` cannot split becomes one placeholder character before the
+    line is split.
     """
     if ";" not in line:
         return 1 if line.strip() else 0
-    segments = 0
-    current_nonblank = False
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == '"':
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            current_nonblank = True
-            continue
-        if ch == "'" and not (i > 0 and re.match(_IDENT_TAIL, line[i - 1])):
-            m = re.compile(_CHAR_LITERAL).match(line, i)
-            if m:
-                i = m.end()
-                current_nonblank = True
-                continue
-        if ch == ";" and not (i > 0 and line[i - 1] == "<" and i + 1 < n and line[i + 1] == ">"):
-            if current_nonblank:
-                segments += 1
-            current_nonblank = False
-            i += 1
-            continue
-        if not ch.isspace():
-            current_nonblank = True
-        i += 1
-    if current_nonblank:
-        segments += 1
-    return segments
+    return sum(1 for part in _UNSPLIT.sub("_", line).split(";") if part.strip())
 
 
 def count_tactic_steps(proof: str) -> int:
@@ -648,8 +620,7 @@ def detect_lean3_artifacts(text: str, code: Optional[Sequence[str]]) -> List[str
         elif tok == "import" and pos + 1 < len(tokens):
             target = tokens[pos + 1]
             root = target.split(".", 1)[0]
-            lowercase = bool(re.match(r"[a-z]", target))
-            if lowercase and _LEAN3_MODULE.match(target) and ("." in target or root in _LEAN3_IMPORT_ROOTS):
+            if _LEAN3_MODULE.match(target) and ("." in target or root in _LEAN3_IMPORT_ROOTS):
                 findings.append("lean3-import")
     return findings
 

@@ -157,22 +157,15 @@ def informalize_theorem(
             reasons = (OVERLENGTH,) + reasons
         attempt_reasons.append(reasons)
         if not reasons:
-            return InformalizationResult(
-                theorem_name=record.name,
-                nl_statement_and_proof=text,
-                examples_used=example_names,
-                attempts=attempt,
-                verdict="pass",
-                reasons=(),
-                attempt_reasons=tuple(attempt_reasons),
-            )
+            break
+    reasons = attempt_reasons[-1]
     return InformalizationResult(
         theorem_name=record.name,
         nl_statement_and_proof=text,
         examples_used=example_names,
         attempts=len(attempt_reasons),
-        verdict="fail",
-        reasons=attempt_reasons[-1] if attempt_reasons else (),
+        verdict="fail" if reasons else "pass",
+        reasons=reasons,
         attempt_reasons=tuple(attempt_reasons),
     )
 

@@ -9,9 +9,12 @@ implementation against it over the snippet corpus and randomized inputs.
 ``LexError``s, so the two must agree token for token and error for error.
 ``reference_divergence`` compares two texts token by token over that lexer.
 ``reference_count_tactic_steps`` counts steps from a proof's text the way
-``count_tactic_steps`` did when it lexed the comment-stripped proof whole.
+``count_tactic_steps`` did when it lexed the comment-stripped proof whole,
+splitting lines with ``reference_split_tactic_segments``, the character loop
+that ``_split_tactic_segments`` replaced.
 ``reference_extract_theorems`` walks a file's token list the way
-``extract_theorems`` did before it walked the token scan itself.
+``extract_theorems`` did before it walked the token scan itself. Both count
+bracket depth per character, skipping char literals.
 ``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
 from its tokens, as the prover did before it compared code texts.
 ``reference_train_projection`` is the training loop that projected each
@@ -207,13 +210,99 @@ def reference_lex_lean(source: str):
     return tokens
 
 
+def _reference_bracket_delta(text: str) -> int:
+    """Open minus close brackets of a code token, read per character; a
+    char literal is skipped whole, except after an identifier character,
+    where `'` is a prime (h')."""
+    delta = 0
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "'" and (i == 0 or not _IDENT_CH.match(text[i - 1])):
+            m = _CHAR_LIT.match(text, i)
+            if m:
+                i = m.end()
+                continue
+        if c in "([{⦃":
+            delta += 1
+        elif c in ")]}⦄":
+            delta -= 1
+        i += 1
+    return delta
+
+
+def reference_split_tactic_segments(line: str) -> int:
+    """Number of `;`-separated tactic segments on one line, found by the
+    character loop that ``corpus._split_tactic_segments`` replaced.
+
+    `<;>` is a combinator, not a separator, and `;` inside a string or char
+    literal does not split. As in the lexer, a `'` after an identifier
+    character is a prime (h'), not the start of a char literal.
+    """
+    if ";" not in line:
+        return 1 if line.strip() else 0
+    segments = 0
+    current_nonblank = False
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch == '"':
+            i += 1
+            while i < n:
+                if line[i] == "\\":
+                    i += 2
+                    continue
+                if line[i] == '"':
+                    i += 1
+                    break
+                i += 1
+            current_nonblank = True
+            continue
+        if ch == "'" and not (i > 0 and _IDENT_CH.match(line[i - 1])):
+            m = _CHAR_LIT.match(line, i)
+            if m:
+                i = m.end()
+                current_nonblank = True
+                continue
+        if ch == ";" and not (i > 0 and line[i - 1] == "<" and i + 1 < n and line[i + 1] == ">"):
+            if current_nonblank:
+                segments += 1
+            current_nonblank = False
+            i += 1
+            continue
+        if not ch.isspace():
+            current_nonblank = True
+        i += 1
+    if current_nonblank:
+        segments += 1
+    return segments
+
+
+def _reference_block_steps(body: str) -> int:
+    """Steps of a tactic block: the segments of its first line and of each
+    line at the base indentation of the lines after it."""
+    lines = body.split("\n")
+    steps = 0
+    head = lines[0].strip()
+    if head:
+        steps += reference_split_tactic_segments(head)
+    base = None
+    for raw in lines[1:]:
+        if not raw.strip():
+            continue
+        indent = len(raw) - len(raw.lstrip())
+        if base is None:
+            base = indent
+        if indent <= base:
+            steps += reference_split_tactic_segments(raw.strip())
+    return steps
+
+
 def reference_count_tactic_steps(proof: str) -> int:
     """Step count of a proof text as ``count_tactic_steps`` took it before it
     scanned the stripped proof only to its first ``:=``: strip comments, lex
-    the rest again whole. The body's lines are split into steps by
-    ``corpus._count_block_steps``, as there, so a `;` in a char literal
-    splits a step in neither."""
-    from leanforge import corpus
+    the rest again whole."""
     from leanforge.corpus import COMMENT_KINDS, SEMANTIC_KINDS, TokenKind
 
     stripped = "".join(
@@ -239,17 +328,17 @@ def reference_count_tactic_steps(proof: str) -> int:
             else:
                 body_start = t.end
             break
-        depth += corpus._bracket_delta(t.text)
+        depth += _reference_bracket_delta(t.text)
     if body_start is None:
         first = tokens[0]
         if first.kind == TokenKind.CODE and first.text == "by":
             body = stripped[first.end:]
         else:
             body = stripped
-        return max(1, corpus._count_block_steps(body))
+        return max(1, _reference_block_steps(body))
     if not tactic_mode:
         return 1
-    return max(1, corpus._count_block_steps(stripped[body_start:]))
+    return max(1, _reference_block_steps(stripped[body_start:]))
 
 
 # --- the token walk, kept as the reference for extract_theorems ---------------
@@ -359,7 +448,7 @@ def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: st
         return None, end_idx
 
     # Proof boundary: first `:=` at bracket depth zero.
-    depth = corpus._bracket_delta(name_token.text[len(name) :])
+    depth = _reference_bracket_delta(name_token.text[len(name) :])
     assign_idx = None
     for k in range(j + 1, end_idx):
         t = tokens[k]
@@ -368,7 +457,7 @@ def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: st
         if depth == 0 and t.text == ":=":
             assign_idx = k
             break
-        depth += corpus._bracket_delta(t.text)
+        depth += _reference_bracket_delta(t.text)
     if assign_idx is None:
         return None, end_idx
 
@@ -424,6 +513,7 @@ def lean_delimited_texts():
     atoms = st.sampled_from([
         "/-", "-/", "--", '"', "'", "\\", "'\"'", "h'", "x''", "\n", "\n  ",
         ":=", "by", ";", "<;>", " ", "a", "rfl", "(", ")", "-", "/",
+        "'('", "')'", "'['",
     ])
     filler = st.text(alphabet="ab '\"-/\n", max_size=4)
 

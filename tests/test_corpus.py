@@ -27,6 +27,7 @@ from support import (
     reference_lex_lean,
     reference_scan,
     reference_semantic_tokens,
+    reference_split_tactic_segments,
     semantic_tokens,
     strip_comments,
 )
@@ -310,6 +311,13 @@ class TestExtractTheorems:
         assert records[0].proof == "theorem t : 1 = 1 := rfl"
         assert [r.name for r in records] == ["t", "u"]
 
+    def test_bracket_in_char_literal_does_not_hide_the_proof_boundary(self):
+        src = "theorem paren_char (c : Char) (h : c = '(') : c = '(' := by\n  exact h"
+        (record,) = extract_theorems(src, "x.lean", "c")
+        assert record.name == "paren_char"
+        assert record.statement.endswith(":= by")
+        assert record.difficulty == 1
+
 
 class TestCountTacticSteps:
     # Frozen expected counts; derived by hand-walking each listing.
@@ -338,6 +346,14 @@ class TestCountTacticSteps:
         # after an identifier character `'` is a prime, so `;` splits
         assert count_tactic_steps(":= by exact h'; simp") == 2
         assert count_tactic_steps(":= by exact h''; simp") == 2
+
+    def test_bracket_in_char_literal_counts_for_nothing(self):
+        proof = ("theorem t (h : c = '[') : a + b = b + a := by\n"
+                 "  simp [Nat.add_comm]\n  rfl")
+        assert count_tactic_steps(proof) == 2
+        # after an identifier character `'` is a prime, so `(` opens a bracket
+        assert corpus._bracket_delta("x'('") == 1
+        assert corpus._bracket_delta("'('") == corpus._bracket_delta("')'") == 0
 
     def test_term_mode_listing(self):
         assert count_tactic_steps(listings.INTEGRAL_PROOF) == 1
@@ -534,7 +550,7 @@ def test_property_code_texts_agree_with_per_character_reference(source):
 _STEP_ATOMS = st.sampled_from([
     "theorem t : a = b", " := ", ":=", " by", "by", "\n  ", "\n    ", "\n", " ",
     "rfl", "simp", "norm_num", "; ", ";", " <;> ", "(", ")", "[h]", "⟨", "⟩",
-    '"s;t"', "h'", "'a'", "-", "/", "calc", "_ = 1 := by ring", "·",
+    '"s;t"', "h'", "'a'", "-", "/", "calc", "_ = 1 := by ring", "·", "'['", "'('",
 ])
 _GLUED = st.sampled_from([
     "/- c -/", "/-c-/", "/- /- n -/ -/", "/-- doc -/", "-- c\n", "--c", "\n  -- c\n",
@@ -567,6 +583,25 @@ def test_property_token_step_count_matches_text_count(source):
 def test_property_step_count_of_delimited_texts_matches_reference(source):
     assert step_outcome(count_tactic_steps, source) == step_outcome(
         reference_count_tactic_steps, source)
+
+
+# Lines built from the delimiters a `;` must not split inside: quotes,
+# backslashes, `<;>`, primes, char literals and their escapes, and
+# characters on each side of the identifier class's edges (`𝔸` is outside).
+TACTIC_LINE = st.lists(st.sampled_from([
+    '"', "'", "\\", ";", "<", ">", "<;>", "h'", "'a'", "';'", "'\\''", '"a;b"',
+    "\\x41", "u{41}", "₀", "é", "𝔸", "\x7f", " ", "a",
+]), max_size=14).map("".join)
+
+
+@given(TACTIC_LINE)
+@example("exact '\\''; rfl")
+@example('simp "a\\"; b; c')
+@example("x'';'<;>'")
+@example("𝔸';';é';'")
+@settings(max_examples=1000, deadline=None)
+def test_property_split_matches_character_loop(line):
+    assert corpus._split_tactic_segments(line) == reference_split_tactic_segments(line)
 
 
 def test_glued_comment_joins_assign_and_by():
@@ -622,6 +657,7 @@ _DECLARATION_ATOMS = st.sampled_from([
     "/- theorem ghost : 1 = 0 := sorry -/", '"theorem ghost : 1 = 0 := sorry"',
     " : a = b", ":=", " := ", "by", " by", "rfl", "\n  simp", "\n", "\n\n", "  ", " ",
     "(", ")", "[", "]", "{", "}", "⦃", "⦄", "⟨", "⟩", "'\"'", "h'", ";", "<;>",
+    "'('", "')'", "'['",
 ])
 _NESTED = st.sampled_from([_DEEPEST_SCANNED, _TOO_DEEP, "/-- " + _TOO_DEEP + "-/"])
 _FILE_PARTS = st.lists(st.one_of(_DECLARATIONS, _DECLARATION_ATOMS, _NESTED),
@@ -648,6 +684,7 @@ def extract_outcome(extract, source):
 @example("private /- c -/ theorem p : a := b\n  private theorem q : a := b")
 @example("theorem t : a := by\n  simp\n" + '"open')
 @example("theorem t : a := by\n  simp\n/- open")
+@example("theorem p (h : c = '(') : c = '(' := by\n  exact h\ntheorem q (h : '[' = c) := rfl")
 @settings(max_examples=500, deadline=None)
 def test_property_extraction_matches_token_list_walk(source):
     assert extract_outcome(extract_theorems, source) == extract_outcome(
