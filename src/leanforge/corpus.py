@@ -9,8 +9,10 @@ no token and fall back to it only for a block comment nested deeper than
 and keeps only what finds a declaration. ``code_texts`` gives only the
 texts of the code and string tokens, from one ``findall``, and raises what
 ``lex_lean`` raises; ``code_divergence`` (the rule that two texts carry the
-same code), Lean3 detection and ``count_tactic_steps`` work from those
-texts. Offsets are character offsets: ``str`` indices, not UTF-8 byte
+same code) and Lean3 detection work from those texts. ``count_tactic_steps``
+walks a proof's own tokens to its body and reads the body with one scan.
+Everywhere, as in Lean, a comment separates tokens and is otherwise
+ignored. Offsets are character offsets: ``str`` indices, not UTF-8 byte
 positions.
 """
 
@@ -175,15 +177,16 @@ class TheoremRecord:
 
 
 # The sub-patterns of a token, each declared once: ``_TOKEN`` and the scans of
-# ``code_texts`` and ``_strip_comments`` are built from them. A code run stops
-# at whitespace, a double quote or a comment opener; a char literal inside it
-# is taken whole (so `'"'` opens no string), except after an identifier
+# ``code_texts`` and ``_tactic_text`` are built from them. A code run stops at
+# whitespace, a double quote or a comment opener; a char literal inside it is
+# taken whole (so `'"'` opens no string), except after an identifier
 # character, where `'` is a prime (h').
 _WHITESPACE = r"[ \t\r\n]+"
 _LINE_COMMENT = r"--[^\n]*"
 _STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
 _CHAR_TOKEN = f"(?<!{_IDENT_TAIL}){_CHAR_LITERAL}"  # a char literal, not a prime
-_CODE_RUN = r"(?:[^ \t\r\n\"'/-]+|" + _CHAR_TOKEN + r"|'|-(?!-)|/(?!-))+"
+_CODE_CHARS = r"[^ \t\r\n\"'/-]+|-(?!-)|/(?!-)"  # code other than a quote
+_CODE_RUN = f"(?:{_CODE_CHARS}|{_CHAR_TOKEN}|')+"
 
 
 def _block_comment(nesting: int) -> str:
@@ -199,7 +202,7 @@ def _block_comment(nesting: int) -> str:
 # bare `/-` or `"` item, which no token or run of tokens can be: ``lex_lean``
 # follows such a comment with ``_nested_comment_end`` (or raises), and every
 # other scan hands the text to ``lex_lean``. ``re`` compiles the scans of
-# ``code_texts`` and ``_strip_comments`` on first use and keeps them.
+# ``code_texts`` and ``_tactic_text`` on first use and keeps them.
 _SCAN_NESTING = 2
 
 # One alternative per token kind, tried in this order at each position:
@@ -262,9 +265,6 @@ def _nested_comment_end(source: str, start: int) -> int:
 # outside it, so ``findall`` gives them as empty items.
 _CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
               f'|({_STRING}|{_CODE_RUN}|/-|")')
-# One group per run of tokens between two comments.
-_UNCOMMENTED_SCAN = (f"(?:{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
-                     f'|((?:{_WHITESPACE}|{_STRING}|{_CODE_RUN})+|/-|")')
 
 
 def code_texts(text: str) -> List[str]:
@@ -280,19 +280,11 @@ def code_texts(text: str) -> List[str]:
     return texts
 
 
-def _strip_comments(text: str) -> str:
-    """``text`` without its comment tokens; raises ``LexError`` as
-    ``lex_lean`` does."""
-    runs = re.findall(_UNCOMMENTED_SCAN, text)
-    if "/-" in runs or '"' in runs:
-        return "".join([t.text for t in lex_lean(text) if t.kind not in COMMENT_KINDS])
-    return "".join(runs)
-
-
 def _semantic_tokens(text: str) -> Iterator[Tuple[str, int]]:
-    """The text and end offset of each code or string token of ``text``, a
-    text that lexes, in order. The text is scanned only as far as the
-    tokens are taken."""
+    """The text and end offset of each code or string token of ``text``, in
+    order. The text is scanned only as far as the tokens are taken; a bare
+    ``/-`` or ``"`` on the way hands it whole to ``lex_lean``, which raises
+    what it raises."""
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group >= _NESTED_COMMENT:
@@ -385,10 +377,9 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
     """Pull top-level ``theorem``/``lemma`` declarations out of a Lean4 file.
 
     Declarations that appear inside comments or strings are ignored.  A header
-    without a name or without a ``:=`` proof boundary, or a proof that no
-    longer lexes once its comments are removed, is skipped with a log entry
-    rather than raised, so one malformed declaration cannot sink a file. A
-    file that does not lex raises ``LexError``.
+    without a name, without a ``:=`` proof boundary or with an empty proof is
+    skipped with a log entry rather than raised, so one malformed declaration
+    cannot sink a file. A file that does not lex raises ``LexError``.
     """
     records: List[TheoremRecord] = []
     for start, name, statement_end, proof_end in _declarations(source):
@@ -405,16 +396,8 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
                            "empty proof body", name, start, file_path)
             continue
         proof = source[start:proof_end]
-        try:
-            difficulty = count_tactic_steps(proof)
-        except LexError as exc:
-            # Removing the comments glued a new comment opener or quote together.
-            logger.warning("skipping declaration %r at offset %d in %s: its proof "
-                           "does not lex with comments removed: %s",
-                           name, start, file_path, exc)
-            continue
         records.append(TheoremRecord(name, source[start:statement_end], proof,
-                                     file_path, commit, difficulty))
+                                     file_path, commit, count_tactic_steps(proof)))
     return records
 
 
@@ -508,23 +491,34 @@ def _declarations(source: str) -> List[_Declaration]:
 # --- tactic-step counting ---------------------------------------------------
 
 
-# The spans of a tactic line that a `;` cannot split: a string literal, a
-# string left open to the end of the line, a char literal, and `<;>`.
-_UNSPLIT = re.compile(f'{_STRING}|".*|{_CHAR_TOKEN}|<;>')
+# One item per match: a comment gives ("", ""); a run of whitespace and code
+# outside literals (run, ""); a string or char literal ("", its text); the
+# bare `/-` or `"` of a deeper comment or an open string ("", "/-" or '"').
+_TACTIC_SCAN = (f"(?:{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
+                f"|((?:{_WHITESPACE}|{_CODE_CHARS}|(?!{_CHAR_TOKEN})')+)"
+                f'|({_STRING}|{_CHAR_TOKEN}|/-|")')
+
+
+def _tactic_text(body: str) -> str:
+    """``body``, a text from a token boundary on, without its comments and
+    with each string or char literal cut to its opening quote; raises the
+    ``LexError`` that ``lex_lean`` raises. A newline inside a comment or a
+    literal is gone, so it starts no line, and no `;` is left in a literal."""
+    items = re.findall(_TACTIC_SCAN, body)
+    if ("", "/-") in items or ("", '"') in items:
+        return "".join([_CHAR_TOKEN_RE.sub("'", t.text) if t.kind is TokenKind.CODE
+                        else t.text[:1] if t.kind is TokenKind.STRING
+                        else t.text if t.kind is TokenKind.WHITESPACE else ""
+                        for t in lex_lean(body)])
+    return "".join([run or literal[:1] for run, literal in items])
 
 
 def _split_tactic_segments(line: str) -> int:
-    """Number of `;`-separated tactic segments on one line.
-
-    `<;>` is a combinator, not a separator, and `;` inside a string or char
-    literal does not split; the literals are the lexer's patterns, so a `'`
-    after an identifier character is a prime (h'), not a char literal. Each
-    span a `;` cannot split becomes one placeholder character before the
-    line is split.
-    """
+    """Number of `;`-separated tactic segments on one line of a tactic text,
+    which holds no literal; `<;>` is a combinator, not a separator."""
     if ";" not in line:
         return 1 if line.strip() else 0
-    return sum(1 for part in _UNSPLIT.sub("_", line).split(";") if part.strip())
+    return sum(1 for part in line.replace("<;>", "_").split(";") if part.strip())
 
 
 def count_tactic_steps(proof: str) -> int:
@@ -532,27 +526,16 @@ def count_tactic_steps(proof: str) -> int:
 
     The proof is either a full declaration, a fragment starting at ``:=``, or
     a bare tactic block.  Steps are separated by newlines at the block's base
-    indentation or by `;`; a term-mode proof counts as one step.  Comments
-    are ignored entirely, so commenting a proof never changes its count.
+    indentation or by `;`; a term-mode proof counts as one step. As in Lean,
+    a comment separates tokens and is otherwise ignored, so commenting a
+    proof between its tokens never changes its count.
 
-    The count is taken on the proof with its comments removed, which is
-    scanned again: removing a comment can join its neighbours into new
-    tokens (``:=/- c -/by`` becomes ``:=by``). Its tokens are scanned and
-    walked only up to the first ``:=`` at bracket depth zero and the token
-    after it. A proof that does not lex, or no longer lexes without its
-    comments, raises ``LexError``; only when a comment was removed is the
-    rest checked, with the cheaper scan that removed them.
+    One pass reads the proof: its code tokens are walked only to the first
+    ``:=`` at bracket depth zero and the token after it, and the rest is
+    scanned once by ``_tactic_text``, also in term mode, where the scan only
+    checks that it lexes. A proof that does not lex raises ``LexError``.
     """
-    stripped = _strip_comments(proof)
-    if not stripped.strip():
-        return 0
-    if len(stripped) < len(proof):
-        # A comment was removed, and the rest may no longer lex: scanning it
-        # again raises the LexError that lexing it would.
-        _strip_comments(stripped)
-
-    # Locate the proof body relative to a depth-zero `:=`, if present.
-    tokens = _semantic_tokens(stripped)
+    tokens = _semantic_tokens(proof)
     first = None
     depth = 0
     for text, end in tokens:
@@ -563,16 +546,17 @@ def count_tactic_steps(proof: str) -> int:
         if depth == 0 and text == ":=":
             after = next(tokens, None)
             if after is None or after[0] != "by":
+                _tactic_text(proof[end:])  # raises if the rest does not lex
                 return 1  # a term-mode proof
-            return max(1, _count_block_steps(stripped[after[1]:]))
+            return max(1, _count_block_steps(_tactic_text(proof[after[1]:])))
         depth += _bracket_delta(text)
     if first is None:
-        return 0  # what is left is a comment: `-/- c -/-` strips to `--`
+        return 0  # only comments and whitespace
 
     # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
     # whole text as tactic lines (the fragment form used by callers).
-    body = stripped[first[1]:] if first[0] == "by" else stripped
-    return max(1, _count_block_steps(body))
+    body = proof[first[1]:] if first[0] == "by" else proof
+    return max(1, _count_block_steps(_tactic_text(body)))
 
 
 def _count_block_steps(body: str) -> int:

@@ -451,7 +451,7 @@ class MockBackend:
         self.name = name
         self._cursor: Dict[int, int] = {}
 
-    def _lookup(self, prompt: str, rule_index: int) -> str:
+    def _lookup(self, rule_index: int) -> str:
         response = self.script[rule_index][1] if rule_index >= 0 else self.default_text
         if isinstance(response, str):
             return response
@@ -466,7 +466,7 @@ class MockBackend:
                 matched = i
                 break
         return [
-            (self._lookup(request.prompt, matched), False)
+            (self._lookup(matched), False)
             for _ in range(request.n_samples)
         ]
 

@@ -222,7 +222,7 @@ _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 def _declaration_pattern(name: str) -> re.Pattern:
     return re.compile(
-        r"^[ \t]*(?:theorem|lemma)\s+" + re.escape(name) + r"(?![\w'])",
+        r"^[ \t]*(?:theorem|lemma)\s+" + re.escape(name) + r"(?![\w'!?.])",
         re.MULTILINE,
     )
 

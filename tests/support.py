@@ -8,9 +8,11 @@ implementation against it over the snippet corpus and randomized inputs.
 ``corpus.lex_lean`` replaced; it emits ``LeanToken``s and raises the corpus
 ``LexError``s, so the two must agree token for token and error for error.
 ``reference_divergence`` compares two texts token by token over that lexer.
-``reference_count_tactic_steps`` counts steps from a proof's text the way
-``count_tactic_steps`` did when it lexed the comment-stripped proof whole,
-splitting lines with ``reference_split_tactic_segments``, the character loop
+``reference_count_tactic_steps`` counts steps from the per-character
+lexer's tokens of the whole proof, under Lean's rule that a comment
+separates tokens: the body is its non-comment tokens, with each literal
+and each other quote but a prime made one `#`, split into lines and then
+into segments by ``reference_split_tactic_segments``, the character loop
 that ``_split_tactic_segments`` replaced.
 ``reference_extract_theorems`` walks a file's token list the way
 ``extract_theorems`` did before it walked the token scan itself. Both count
@@ -299,46 +301,57 @@ def _reference_block_steps(body: str) -> int:
     return steps
 
 
-def reference_count_tactic_steps(proof: str) -> int:
-    """Step count of a proof text as ``count_tactic_steps`` took it before it
-    scanned the stripped proof only to its first ``:=``: strip comments, lex
-    the rest again whole."""
-    from leanforge.corpus import COMMENT_KINDS, SEMANTIC_KINDS, TokenKind
+def _reference_unquoted(code: str) -> str:
+    """A code token's text with each `'` that is not a prime replaced by
+    `#`, a char literal whole: after an identifier character `'` is a prime
+    (h'); elsewhere it opens a char literal or stands alone."""
+    out = []
+    i = 0
+    while i < len(code):
+        if code[i] == "'" and (i == 0 or not _IDENT_CH.match(code[i - 1])):
+            m = _CHAR_LIT.match(code, i)
+            out.append("#")
+            i = m.end() if m else i + 1
+        else:
+            out.append(code[i])
+            i += 1
+    return "".join(out)
 
-    stripped = "".join(
-        t.text for t in reference_lex_lean(proof) if t.kind not in COMMENT_KINDS)
-    if not stripped.strip():
-        return 0
-    tokens = [t for t in reference_lex_lean(stripped) if t.kind in SEMANTIC_KINDS]
-    if not tokens:
-        # Removing comments left only a comment (`-/- c -/-` becomes `--`).
-        # The string form raised IndexError here; both forms now count 0.
-        return 0
+
+def reference_count_tactic_steps(proof: str) -> int:
+    """Step count of a proof text under Lean's rule that a comment separates
+    tokens: lex the proof whole, walk its code and string tokens to the first
+    ``:=`` at bracket depth zero and the token after it, and split the
+    body's non-comment tokens into lines and segments. Each string becomes
+    `#`, and so does each quote of a code token that is not a prime (a char
+    literal whole), so no literal is read again across a dropped comment."""
+    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
+
+    tokens = reference_lex_lean(proof)
+    code = [t for t in tokens if t.kind in SEMANTIC_KINDS]
+    if not code:
+        return 0  # only comments and whitespace
     depth = 0
     body_start = None
-    tactic_mode = False
-    for idx, t in enumerate(tokens):
+    for idx, t in enumerate(code):
         if t.kind != TokenKind.CODE:
             continue
         if depth == 0 and t.text == ":=":
-            nxt = tokens[idx + 1] if idx + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == TokenKind.CODE and nxt.text == "by":
-                tactic_mode = True
-                body_start = nxt.end
-            else:
-                body_start = t.end
+            nxt = code[idx + 1] if idx + 1 < len(code) else None
+            if nxt is None or nxt.kind != TokenKind.CODE or nxt.text != "by":
+                return 1  # a term-mode proof
+            body_start = nxt.end
             break
         depth += _reference_bracket_delta(t.text)
     if body_start is None:
-        first = tokens[0]
-        if first.kind == TokenKind.CODE and first.text == "by":
-            body = stripped[first.end:]
-        else:
-            body = stripped
-        return max(1, _reference_block_steps(body))
-    if not tactic_mode:
-        return 1
-    return max(1, _reference_block_steps(stripped[body_start:]))
+        first = code[0]
+        body_start = first.end if first.kind == TokenKind.CODE and first.text == "by" else 0
+    body = "".join(
+        "#" if t.kind == TokenKind.STRING
+        else _reference_unquoted(t.text) if t.kind == TokenKind.CODE else t.text
+        for t in tokens
+        if t.start >= body_start and t.kind in SEMANTIC_KINDS + (TokenKind.WHITESPACE,))
+    return max(1, _reference_block_steps(body))
 
 
 # --- the token walk, kept as the reference for extract_theorems ---------------
@@ -480,17 +493,13 @@ def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: st
         return None, end_idx
 
     proof = source[keyword.start : last_sem_end]
-    try:
-        difficulty = corpus.count_tactic_steps(proof)
-    except corpus.LexError:
-        return None, end_idx
     return corpus.TheoremRecord(
         name=name,
         statement=source[keyword.start : statement_end],
         proof=proof,
         file_path=file_path,
         commit=commit,
-        difficulty=difficulty,
+        difficulty=corpus.count_tactic_steps(proof),
     ), end_idx
 
 

@@ -9,7 +9,7 @@ and frozen here.
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import listings
@@ -20,6 +20,7 @@ from support import (
     insert_comments_reckless,
     lean3_findings,
     lean_delimited_texts,
+    lex_or_none,
     nested_comment,
     random_leanish_source,
     reference_count_tactic_steps,
@@ -27,7 +28,6 @@ from support import (
     reference_lex_lean,
     reference_scan,
     reference_semantic_tokens,
-    reference_split_tactic_segments,
     semantic_tokens,
     strip_comments,
 )
@@ -294,16 +294,15 @@ class TestExtractTheorems:
         records = extract_theorems(listings.MATHD_ALGEBRA_338, "x.lean", "c")
         assert records[0].difficulty == count_tactic_steps(records[0].proof)
 
-    def test_proof_unlexable_without_comments_skips_only_its_declaration(
-            self, caplog):
-        # removing `/- half -/` glues `/` and `-b` into an unclosed `/-`
+    def test_comment_that_would_glue_an_opener_is_extracted(self, caplog):
+        # `/- half -/` separates `/` from `-b`, as in Lean, so nothing glues
+        # them into an unclosed `/-` and the declaration is kept
         src = ("theorem ok : 1 = 1 := rfl\n\n"
-               "theorem t : 2 = 2 := by\n  simp [a //- half -/-b]\n")
+               "theorem t : 2 = 2 := by\n  simp [a //- half -/-b]\n  rfl\n")
         with caplog.at_level("WARNING", logger="leanforge.corpus"):
             records = extract_theorems(src, "x.lean", "c")
-        assert [r.name for r in records] == ["ok"]
-        (message,) = caplog.messages
-        assert "'t' at offset 27 in x.lean" in message
+        assert [(r.name, r.difficulty) for r in records] == [("ok", 1), ("t", 2)]
+        assert caplog.messages == []
 
     def test_attribute_line_bounds_declaration(self):
         src = "theorem t : 1 = 1 := rfl\n\n@[simp]\ntheorem u : 2 = 2 := rfl\n"
@@ -380,6 +379,10 @@ class TestCountTacticSteps:
         }
         for attr, count in expected.items():
             assert count_tactic_steps(getattr(listings, attr)) == count, attr
+
+    def test_newline_inside_a_string_starts_no_line(self):
+        assert count_tactic_steps(':= by\n  exact "a\nb; c"\n  rfl') == 2
+        assert count_tactic_steps(':= by\n  exact "a\n  b"\n  rfl') == 2
 
     def test_empty_input(self):
         assert count_tactic_steps("") == 0
@@ -551,9 +554,11 @@ _STEP_ATOMS = st.sampled_from([
     "theorem t : a = b", " := ", ":=", " by", "by", "\n  ", "\n    ", "\n", " ",
     "rfl", "simp", "norm_num", "; ", ";", " <;> ", "(", ")", "[h]", "⟨", "⟩",
     '"s;t"', "h'", "'a'", "-", "/", "calc", "_ = 1 := by ring", "·", "'['", "'('",
+    '"s\n  t;"',
 ])
 _GLUED = st.sampled_from([
     "/- c -/", "/-c-/", "/- /- n -/ -/", "/-- doc -/", "-- c\n", "--c", "\n  -- c\n",
+    "/- c\n  d -/",
 ])
 PROOF_TEXT = st.lists(st.one_of(_STEP_ATOMS, _GLUED), max_size=16).map("".join)
 
@@ -601,28 +606,29 @@ TACTIC_LINE = st.lists(st.sampled_from([
 @example("𝔸';';é';'")
 @settings(max_examples=1000, deadline=None)
 def test_property_split_matches_character_loop(line):
-    assert corpus._split_tactic_segments(line) == reference_split_tactic_segments(line)
+    proof = ":= by\n  " + line
+    assert step_outcome(count_tactic_steps, proof) == step_outcome(
+        reference_count_tactic_steps, proof)
 
 
-def test_glued_comment_joins_assign_and_by():
-    # `:=by` is one token once the comment is gone, so no `:=` opens a
-    # tactic block and every line counts; with a space, `:=` and `by` do
-    assert count_tactic_steps(":=/- c -/by\n  simp\n  rfl") == 3
+def test_comment_between_assign_and_by_separates_them():
+    # a comment separates tokens, as in Lean: `:=` and `by` stay two tokens
+    # and open a tactic block, with or without a space beside the comment
+    assert count_tactic_steps(":=/- c -/by\n  simp\n  rfl") == 2
     assert count_tactic_steps(":= /- c -/by\n  simp\n  rfl") == 2
 
 
-def test_comment_removal_that_breaks_the_body_raises():
-    # the tokens are walked only to `by`, but removing the comment glues
-    # `a /` and `-b` into an opener that never closes, further on
+def test_comment_that_would_glue_an_opener_separates_tokens():
+    # `/- half -/` stands between `/` and `-b`, so no `/-` opens there
     proof = "theorem t : a = b := by\n  simp [a //- half -/-b]\n  rfl"
+    assert count_tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
     with pytest.raises(UnterminatedComment):
-        count_tactic_steps(proof)
-    assert step_outcome(reference_count_tactic_steps, proof) is UnterminatedComment
+        count_tactic_steps(proof.replace("-/-b", "b"))
 
 
-def test_comment_removal_that_leaves_only_a_comment_counts_zero():
-    # stripping `/- c -/` out of `-/- c -/-` leaves `--`, a line comment
-    assert count_tactic_steps("-/- c -/-") == 0
+def test_comment_between_dashes_leaves_two_tokens():
+    # `-/- c -/-` is `-`, a comment and `-`: one line of code
+    assert count_tactic_steps("-/- c -/-") == reference_count_tactic_steps("-/- c -/-") == 1
 
 
 def test_extraction_counts_from_the_file_tokens():
@@ -630,7 +636,37 @@ def test_extraction_counts_from_the_file_tokens():
            "/- between -/\ntheorem a2 : 2 = 2 :=/- glued -/by\n  simp\n  rfl\n")
     records = extract_theorems(src, "x.lean", "c")
     assert [r.difficulty for r in records] == [
-        reference_count_tactic_steps(r.proof) for r in records] == [2, 3]
+        reference_count_tactic_steps(r.proof) for r in records] == [2, 2]
+
+
+def _spacing_between_code(source):
+    """The whitespace tokens of ``source`` without a newline that stand
+    between two code or string tokens; None when it does not lex. A run
+    beside a comment is left out: after a comment that opens a line, it is
+    the indentation of the code that follows."""
+    tokens = lex_or_none(source)
+    if tokens is None:
+        return None
+    return [t for left, t, right in zip(tokens, tokens[1:], tokens[2:])
+            if t.kind is TokenKind.WHITESPACE and "\n" not in t.text
+            and left.kind in SEMANTIC_KINDS and right.kind in SEMANTIC_KINDS]
+
+
+# Proof texts whose atoms are often set apart by spaces.
+SPACED_PROOF = st.lists(
+    st.tuples(st.one_of(_STEP_ATOMS, _GLUED), st.sampled_from(["", " ", "  "])),
+    min_size=2, max_size=12).map(lambda parts: "".join(a + s for a, s in parts))
+
+
+@given(SPACED_PROOF, st.integers(min_value=0))
+@example(":= by\n  simp\n  rfl", 0)
+@settings(max_examples=400, deadline=None)
+def test_property_comment_in_place_of_spacing_keeps_the_count(source, pick):
+    gaps = _spacing_between_code(source)
+    assume(gaps)
+    gap = gaps[pick % len(gaps)]
+    commented = source[:gap.start] + "/- c -/" + source[gap.end:]
+    assert count_tactic_steps(commented) == count_tactic_steps(source)
 
 
 # --- extraction from the token scan against the token-list walk ------------------

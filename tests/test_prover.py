@@ -244,6 +244,15 @@ class TestExtractProof:
         with pytest.raises(NoProofFound):
             extract_proof("theorem p10 : True := by\n  trivial\n", problem)
 
+    def test_longer_name_with_the_problem_name_as_prefix_skipped(self):
+        # `foo.aux` and `foo!` are other names: the slice starts at `foo`
+        problem = Problem(name="foo", fl_statement="theorem foo : True :=",
+                          nl_statement_and_proof="x")
+        proof = "theorem foo : True := by\n  trivial\n"
+        for other in ("foo.aux", "foo!"):
+            text = f"theorem {other} : True := by\n  trivial\n\n" + proof
+            assert extract_proof(text, problem) == proof, other
+
     def test_empty_text(self):
         with pytest.raises(NoProofFound):
             extract_proof("", make_problem(0))
