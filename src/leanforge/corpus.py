@@ -503,22 +503,25 @@ def _tactic_text(body: str) -> str:
     """``body``, a text from a token boundary on, without its comments and
     with each string or char literal cut to its opening quote; raises the
     ``LexError`` that ``lex_lean`` raises. A newline inside a comment or a
-    literal is gone, so it starts no line, and no `;` is left in a literal."""
+    literal is gone, so it starts no line, and no `;` is left in a literal.
+    The combinator `<;>` becomes `_` where it stands in one run of code, so
+    a `<` and a `;>` that a comment separates stay a `<` and a `;`."""
     items = re.findall(_TACTIC_SCAN, body)
     if ("", "/-") in items or ("", '"') in items:
-        return "".join([_CHAR_TOKEN_RE.sub("'", t.text) if t.kind is TokenKind.CODE
+        return "".join([_CHAR_TOKEN_RE.sub("'", t.text).replace("<;>", "_")
+                        if t.kind is TokenKind.CODE
                         else t.text[:1] if t.kind is TokenKind.STRING
                         else t.text if t.kind is TokenKind.WHITESPACE else ""
                         for t in lex_lean(body)])
-    return "".join([run or literal[:1] for run, literal in items])
+    return "".join([run.replace("<;>", "_") or literal[:1] for run, literal in items])
 
 
 def _split_tactic_segments(line: str) -> int:
     """Number of `;`-separated tactic segments on one line of a tactic text,
-    which holds no literal; `<;>` is a combinator, not a separator."""
+    which holds no literal and no `<;>` combinator (``_tactic_text``)."""
     if ";" not in line:
         return 1 if line.strip() else 0
-    return sum(1 for part in line.replace("<;>", "_").split(";") if part.strip())
+    return sum(1 for part in line.split(";") if part.strip())
 
 
 def count_tactic_steps(proof: str) -> int:

@@ -67,11 +67,10 @@ def quality_check(nl_text: str, settings: InformalizeSettings) -> QualityVerdict
     dominates (share of all n-grams above the ratio); short texts whose
     n-grams are all distinct never trip it.
     """
-    tok = WhitespaceTokenizer()
+    tokens = WhitespaceTokenizer().tokens(nl_text)
     reasons = []
-    if tok.count(nl_text) > settings.max_tokens:
+    if len(tokens) > settings.max_tokens:
         reasons.append(OVERLENGTH)
-    tokens = tok.tokens(nl_text)
     n = settings.repetition_ngram
     grams = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
     if grams:

@@ -23,23 +23,9 @@ from . import artifacts, corpus
 from .config import ProverSettings
 from .corpus import LexError
 from .genclient import Ask, GenClientError, Sampler, in_order
-from .prompts import proof_prompt
-from .trainprep import PromptCounter, fit_blocks
+from .prompts import PromptCounter, PromptExceedsBudget, fit_blocks, proof_prompt
 
 logger = logging.getLogger(__name__)
-
-
-class PromptExceedsBudget(RuntimeError):
-    """Even the zero-example prompt is larger than the token budget."""
-
-    def __init__(self, name: str, needed: int, budget: int):
-        self.name = name
-        self.needed = needed
-        self.budget = budget
-        super().__init__(
-            f"prompt for {name} needs {needed} tokens with no examples, "
-            f"budget is {budget}"
-        )
 
 
 class NoProofFound(RuntimeError):
@@ -198,17 +184,16 @@ def assemble_proof_prompt(
     of them. They are added in order until the next one would push the
     prompt past ``token_budget``. The zero-example prompt's count
     (``PromptCounter.prompt``) and the blocks' counts are summed
-    (``trainprep.fit_blocks``): counts add at the whitespace that ends every
+    (``prompts.fit_blocks``): counts add at the whitespace that ends every
     block, so the sum is the count of the assembled prompt. A prompt with
-    fewer than ``k_min`` examples is still returned, with a warning.
+    fewer than ``k_min`` examples is still returned, with a warning; one
+    over ``token_budget`` with no examples raises ``PromptExceedsBudget``.
     """
     if not blocks:
         raise ValueError("example pool is empty")
     nl, statement = problem.nl_statement_and_proof, problem.fl_statement
-    base = counter.prompt(nl, statement)
-    if base > token_budget:
-        raise PromptExceedsBudget(problem.name, base, token_budget)
-    taken, _ = fit_blocks(base, blocks, token_budget)
+    taken, _ = fit_blocks(problem.name, counter.prompt(nl, statement), blocks,
+                          token_budget)
     if len(taken) < k_min:
         logger.warning("prompt for %s fits only %d examples, k_min is %d",
                        problem.name, len(taken), k_min)

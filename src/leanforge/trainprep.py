@@ -4,9 +4,9 @@ Takes the bootstrapped corpus and emits instruction/target records, sorted
 easy-to-hard by tactic count and block-packed: each record's instruction is
 prefixed with as many whole predecessor records as fit the context budget,
 treating the sorted dataset as a ring; with block packing off a record is
-a ring of one and gets no examples.  Instructions are built by
-``leanforge.prompts``, the same functions that build the prover's prompts,
-so the model sees one layout in training and testing.
+a ring of one and gets no examples.  Instructions are built, counted and
+filled by ``leanforge.prompts``, the same functions that build the prover's
+prompts, so the model sees one layout in training and testing.
 """
 
 from __future__ import annotations
@@ -18,26 +18,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import artifacts
 from .config import PrepSettings
-from .prompts import (
-    FL_PROOF_SECTION,
-    FL_STATEMENT_SECTION,
-    NL_SECTION,
-    example_block,
-    proof_prompt,
-    shows_nl,
-)
+from .prompts import PromptCounter, PromptExceedsBudget, fit_blocks, proof_prompt
 
 logger = logging.getLogger(__name__)
-
-
-class RecordExceedsBudget(ValueError):
-    def __init__(self, name: str, needed: int, budget: int):
-        super().__init__(
-            f"record {name!r} needs {needed} tokens on its own, budget is {budget}"
-        )
-        self.name = name
-        self.needed = needed
-        self.budget = budget
 
 
 # --- tokenizers ---------------------------------------------------------------
@@ -122,7 +105,7 @@ class PackSource:
     serves as an in-context example."""
 
     name: str
-    nl: str
+    nl: Optional[str]
     statement: str
     target: str
     difficulty: int
@@ -146,70 +129,11 @@ def curriculum_sort(records: Sequence) -> List:
     return sorted(records, key=lambda r: r.difficulty)
 
 
-def fit_blocks(
-    base: int, blocks: Iterable[Tuple[str, int]], budget: int
-) -> Tuple[List[str], int]:
-    """Take (block, token count) pairs in order while the running total,
-    starting at ``base``, stays within ``budget``; stop at the first that
-    does not fit. Returns the blocks taken and the total.
-
-    The total is the exact count of the blocks joined and followed by the
-    prompt that ``base`` counts: every example block ends in whitespace, and
-    counts add at a whitespace seam for both tokenizers.
-    """
-    taken: List[str] = []
-    used = base
-    for block, count in blocks:
-        if used + count > budget:
-            break
-        used += count
-        taken.append(block)
-    return taken, used
-
-
-class PromptCounter:
-    """Token counts of the texts that ``prompts.example_block`` and
-    ``prompts.proof_prompt`` build, summed from the counts of their parts.
-
-    Every seam in those texts, between a section header and its text or
-    between two sections, is whitespace, and counts add at a whitespace
-    seam for both tokenizers; stripping a text removes only whitespace,
-    which no token holds. So a prompt's count is the sum of its section
-    headers' counts, each counted here once, and the counts of its texts,
-    and no assembled text is counted.
-    """
-
-    def __init__(self, tokenizer):
-        self.count = tokenizer.count
-        self._nl, self._statement, self._proof = (
-            tokenizer.count(header)
-            for header in (NL_SECTION, FL_STATEMENT_SECTION, FL_PROOF_SECTION))
-
-    def _nl_section(self, nl: Optional[str]) -> int:
-        """The count of ``nl``'s section; 0 when the prompt holds none."""
-        return self._nl + self.count(nl) if shows_nl(nl) else 0
-
-    def block(self, nl: Optional[str], fl: str) -> Tuple[str, int]:
-        """``example_block(nl, fl)`` and its count."""
-        return example_block(nl, fl), self._nl_section(nl) + self._proof + self.count(fl)
-
-    def statement(self, statement: str) -> int:
-        """The count of ``statement``'s section. A zero-example
-        ``proof_prompt`` followed by its proof holds the sections of that
-        proof's example block and this one."""
-        return self._statement + self.count(statement)
-
-    def prompt(self, nl: Optional[str], statement: str) -> int:
-        """The count of ``proof_prompt((), nl, statement)``."""
-        return self._nl_section(nl) + self.statement(statement) + self._proof
-
-
 def counted_blocks(
-    records: Sequence[PackSource], counter: PromptCounter, use_nl: bool = True
+    records: Sequence[PackSource], counter: PromptCounter
 ) -> List[Tuple[str, int]]:
     """Each record's in-context example block with its token count."""
-    return [counter.block(record.nl if use_nl else None, record.target)
-            for record in records]
+    return [counter.block(record.nl, record.target) for record in records]
 
 
 def pack_block(
@@ -218,30 +142,27 @@ def pack_block(
     budget: int,
     counter: PromptCounter,
     blocks: Sequence[Tuple[str, int]],
-    use_nl: bool = True,
 ) -> PackedRecord:
     """Fill record i's instruction with whole ring predecessors.
 
     Predecessors are taken nearest-first (i-1, i-2, ... wrapping to the end
     of the dataset) while they fit, and prepended, so the final instruction
     reads oldest example first and ends with record i's own sections.
-    ``blocks[j]`` is record j's block and count from ``counted_blocks`` at
-    the same ``use_nl``. The record's zero-example instruction and its
-    target hold the sections of its own block and its statement section
-    (``PromptCounter.statement``), and each predecessor adds its block's
-    count (``fit_blocks``), so the total is exact without counting the
-    assembled text, or any of the record's texts but its statement.
+    ``blocks[j]`` is record j's block and count from ``counted_blocks``.
+    The record's zero-example instruction and its target hold the sections
+    of its own block and its statement section (``PromptCounter.statement``),
+    and each predecessor adds its block's count (``fit_blocks``), so the
+    total is exact without counting the assembled text, or any of the
+    record's texts but its statement. Raises ``PromptExceedsBudget`` when
+    the record alone is over ``budget``.
     """
     n = len(records)
     record = records[i]
-    nl = record.nl if use_nl else None
     base = blocks[i][1] + counter.statement(record.statement)
-    if base > budget:
-        raise RecordExceedsBudget(record.name, base, budget)
     nearest_first = (blocks[(i - step) % n] for step in range(1, n))
-    taken, used = fit_blocks(base, nearest_first, budget)
+    taken, used = fit_blocks(record.name, base, nearest_first, budget)
     return PackedRecord(
-        instruction=proof_prompt(reversed(taken), nl, record.statement),
+        instruction=proof_prompt(reversed(taken), record.nl, record.statement),
         target=record.target,
         example_count=len(taken),
         token_count=used,
@@ -257,12 +178,13 @@ def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
     ``bootstrap.load_obt_dataset`` counts from the proof text with
     ``corpus.count_tactic_steps``.
     The target, and so each in-context example, is the commented proof
-    under ``use_bootstrapped`` and the plain proof otherwise.
+    under ``use_bootstrapped`` and the plain proof otherwise; the NL text
+    is None, so no prompt shows it, under ``use_nl: false``.
     """
     return [
         PackSource(
             name=record.name,
-            nl=record.generated_informal_statement_and_proof,
+            nl=record.generated_informal_statement_and_proof if settings.use_nl else None,
             statement=record.statement,
             target=record.commented_proof if settings.use_bootstrapped else record.proof,
             difficulty=record.difficulty,
@@ -286,7 +208,7 @@ def emit_training_set(
     counter = PromptCounter(tokenizer)
     # each record's block is counted once, whichever rings it serves in, and
     # gives the count of its own instruction too
-    blocks = counted_blocks(sources, counter, settings.use_nl)
+    blocks = counted_blocks(sources, counter)
     packed: List[PackedRecord] = []
     skipped: List[dict] = []
     for i, source in enumerate(sources):
@@ -295,9 +217,8 @@ def emit_training_set(
         else:  # each record is a ring of one: no examples
             ring, ring_blocks, at = [source], blocks[i : i + 1], 0
         try:
-            item = pack_block(ring, at, settings.token_budget, counter, ring_blocks,
-                              settings.use_nl)
-        except RecordExceedsBudget as exc:
+            item = pack_block(ring, at, settings.token_budget, counter, ring_blocks)
+        except PromptExceedsBudget as exc:
             logger.warning("skipping %s: %s", source.name, exc)
             skipped.append(
                 {"name": exc.name, "reason": "record-exceeds-budget",

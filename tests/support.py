@@ -11,9 +11,10 @@ implementation against it over the snippet corpus and randomized inputs.
 ``reference_count_tactic_steps`` counts steps from the per-character
 lexer's tokens of the whole proof, under Lean's rule that a comment
 separates tokens: the body is its non-comment tokens, with each literal
-and each other quote but a prime made one `#`, split into lines and then
-into segments by ``reference_split_tactic_segments``, the character loop
-that ``_split_tactic_segments`` replaced.
+and each other quote but a prime made one `#` and each `<;>` in one code
+token made `_`, split into lines and then into segments by
+``reference_split_tactic_segments``, the character loop that
+``_split_tactic_segments`` replaced.
 ``reference_extract_theorems`` walks a file's token list the way
 ``extract_theorems`` did before it walked the token scan itself. Both count
 bracket depth per character, skipping char literals.
@@ -237,9 +238,11 @@ def reference_split_tactic_segments(line: str) -> int:
     """Number of `;`-separated tactic segments on one line, found by the
     character loop that ``corpus._split_tactic_segments`` replaced.
 
-    `<;>` is a combinator, not a separator, and `;` inside a string or char
-    literal does not split. As in the lexer, a `'` after an identifier
-    character is a prime (h'), not the start of a char literal.
+    A `;` inside a string or char literal does not split. As in the lexer, a
+    `'` after an identifier character is a prime (h'), not the start of a
+    char literal. The combinator `<;>` is no longer on the line: it is read
+    in one code token, before the tokens are joined
+    (``reference_count_tactic_steps``).
     """
     if ";" not in line:
         return 1 if line.strip() else 0
@@ -267,7 +270,7 @@ def reference_split_tactic_segments(line: str) -> int:
                 i = m.end()
                 current_nonblank = True
                 continue
-        if ch == ";" and not (i > 0 and line[i - 1] == "<" and i + 1 < n and line[i + 1] == ">"):
+        if ch == ";":
             if current_nonblank:
                 segments += 1
             current_nonblank = False
@@ -324,7 +327,9 @@ def reference_count_tactic_steps(proof: str) -> int:
     ``:=`` at bracket depth zero and the token after it, and split the
     body's non-comment tokens into lines and segments. Each string becomes
     `#`, and so does each quote of a code token that is not a prime (a char
-    literal whole), so no literal is read again across a dropped comment."""
+    literal whole), so no literal is read again across a dropped comment.
+    Each `<;>` inside one code token becomes `_`, so a `<` and a `;>` that a
+    dropped comment separated do not join into the combinator."""
     from leanforge.corpus import SEMANTIC_KINDS, TokenKind
 
     tokens = reference_lex_lean(proof)
@@ -348,7 +353,8 @@ def reference_count_tactic_steps(proof: str) -> int:
         body_start = first.end if first.kind == TokenKind.CODE and first.text == "by" else 0
     body = "".join(
         "#" if t.kind == TokenKind.STRING
-        else _reference_unquoted(t.text) if t.kind == TokenKind.CODE else t.text
+        else _reference_unquoted(t.text).replace("<;>", "_") if t.kind == TokenKind.CODE
+        else t.text
         for t in tokens
         if t.start >= body_start and t.kind in SEMANTIC_KINDS + (TokenKind.WHITESPACE,))
     return max(1, _reference_block_steps(body))

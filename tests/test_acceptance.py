@@ -26,6 +26,7 @@ from leanforge.bootstrap import (
 from leanforge.config import RetrievalSettings
 from leanforge.corpus import code_divergence, lex_lean
 from leanforge.genclient import Sampler
+from leanforge.prompts import PromptCounter, PromptExceedsBudget
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
     AlignmentBatch,
@@ -38,8 +39,6 @@ from leanforge.retrieval import (
     train_projection,
 )
 from leanforge.trainprep import (
-    PromptCounter,
-    RecordExceedsBudget,
     WhitespaceTokenizer,
     counted_blocks,
     curriculum_sort,
@@ -278,7 +277,7 @@ class TestCriterion5:
             expected = oracle_pack(ordered, i, budget)
             try:
                 packed = pack_block(ordered, i, budget, counter, blocks)
-            except RecordExceedsBudget:
+            except PromptExceedsBudget:
                 assert expected is None, i
                 agreements += 1
                 continue

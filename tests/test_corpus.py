@@ -554,7 +554,7 @@ _STEP_ATOMS = st.sampled_from([
     "theorem t : a = b", " := ", ":=", " by", "by", "\n  ", "\n    ", "\n", " ",
     "rfl", "simp", "norm_num", "; ", ";", " <;> ", "(", ")", "[h]", "⟨", "⟩",
     '"s;t"', "h'", "'a'", "-", "/", "calc", "_ = 1 := by ring", "·", "'['", "'('",
-    '"s\n  t;"',
+    '"s\n  t;"', "<", ">",
 ])
 _GLUED = st.sampled_from([
     "/- c -/", "/-c-/", "/- /- n -/ -/", "/-- doc -/", "-- c\n", "--c", "\n  -- c\n",
@@ -626,6 +626,17 @@ def test_comment_that_would_glue_an_opener_separates_tokens():
         count_tactic_steps(proof.replace("-/-b", "b"))
 
 
+def test_comment_between_angle_and_semicolon_is_no_combinator():
+    # `<;>` is one token; `<`, a comment and `;>` are `<` and a `;` that splits
+    for proof in (":= by simp </- c -/;> rfl", ":= by simp <;/- c -/> rfl"):
+        assert count_tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
+    assert count_tactic_steps(":= by simp < ;> rfl") == 2
+    assert count_tactic_steps(":= by simp <;> rfl") == 1
+    # the same rule in the fallback for a comment nested too deep to scan
+    assert count_tactic_steps(":= by simp </- c -/;> rfl " + _TOO_DEEP) == 2
+    assert count_tactic_steps(":= by simp <;> rfl " + _TOO_DEEP) == 1
+
+
 def test_comment_between_dashes_leaves_two_tokens():
     # `-/- c -/-` is `-`, a comment and `-`: one line of code
     assert count_tactic_steps("-/- c -/-") == reference_count_tactic_steps("-/- c -/-") == 1
@@ -660,6 +671,7 @@ SPACED_PROOF = st.lists(
 
 @given(SPACED_PROOF, st.integers(min_value=0))
 @example(":= by\n  simp\n  rfl", 0)
+@example(":= by simp < ;> rfl", 3)
 @settings(max_examples=400, deadline=None)
 def test_property_comment_in_place_of_spacing_keeps_the_count(source, pick):
     gaps = _spacing_between_code(source)

@@ -1,8 +1,12 @@
 """The prompt layer: training instructions equal proving prompts, every
-prompt's section layout, and a guard that section markers live in one module."""
+prompt's section layout, one over-budget rule for both, and guards that
+section markers live in one module and that the prover needs no
+training-set module."""
 
 import ast
 import os
+import subprocess
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -16,6 +20,8 @@ from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
     NL_SECTION,
+    PromptCounter,
+    PromptExceedsBudget,
     bootstrap_prompt,
     example_block,
     informalization_prompt,
@@ -30,7 +36,6 @@ from leanforge.prover import (
 )
 from leanforge.trainprep import (
     PackSource,
-    PromptCounter,
     VocabTokenizer,
     WhitespaceTokenizer,
     counted_blocks,
@@ -101,6 +106,34 @@ def test_prep_instruction_equals_prove_prompt(case):
         assert prompt.count(NL_SECTION) == 1
     assert prompt.endswith(
         f"{own}{FL_STATEMENT_SECTION}\n{statement}\n\n{FL_PROOF_SECTION}\n")
+
+
+def test_prep_and_prove_raise_one_over_budget_error():
+    # the zero-example prompt, and for prep its target too, is over budget
+    tok = WhitespaceTokenizer()
+    counter = PromptCounter(tok)
+    examples, nl, statement = SAME_LAYOUT_CASES["plain"]
+    needed = counter.prompt(nl, statement)
+    with pytest.raises(PromptExceedsBudget) as proving:
+        prove_prompt(tok, examples, nl, statement, needed - 1)
+    sources = [PackSource("goal", nl, statement, "by rfl", 1)]
+    with pytest.raises(PromptExceedsBudget) as packing:
+        pack_block(sources, 0, needed, counter, counted_blocks(sources, counter))
+    assert isinstance(proving.value, ValueError)
+    assert (proving.value.name, proving.value.needed, proving.value.budget) == (
+        "goal", needed, needed - 1)
+    assert (packing.value.name, packing.value.needed, packing.value.budget) == (
+        "goal", needed + tok.count("by rfl"), needed)
+
+
+def test_prover_does_not_import_the_training_set_module():
+    code = "import sys, leanforge.prover; print('leanforge.trainprep' in sys.modules)"
+    src = os.path.dirname(SOURCE_DIR)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == ["False"]
 
 
 # texts with words, punctuation, unicode and several kinds of whitespace;

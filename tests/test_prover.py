@@ -25,7 +25,13 @@ from leanforge.genclient import (
     RetryPolicy,
     Sampler,
 )
-from leanforge.prompts import FL_PROOF_SECTION, FL_STATEMENT_SECTION, NL_SECTION
+from leanforge.prompts import (
+    FL_PROOF_SECTION,
+    FL_STATEMENT_SECTION,
+    NL_SECTION,
+    PromptCounter,
+    PromptExceedsBudget,
+)
 from leanforge.prover import (
     ExternalVerifier,
     HarnessReport,
@@ -33,7 +39,6 @@ from leanforge.prover import (
     NoProofFound,
     PoolExample,
     Problem,
-    PromptExceedsBudget,
     ProofAttempt,
     ReportInvalid,
     ReportProof,
@@ -52,7 +57,7 @@ from leanforge.prover import (
     screen_proof,
     selection_order,
 )
-from leanforge.trainprep import PromptCounter, WhitespaceTokenizer
+from leanforge.trainprep import WhitespaceTokenizer
 
 from fixtures.listings import LEAN3_OUTPUT_A, SQINEQ_COMMENTED
 from support import (

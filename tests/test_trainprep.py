@@ -9,7 +9,7 @@ vocabulary tokenizer, that tokenizer's count of the whole text.
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,18 +22,19 @@ from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
     NL_SECTION,
+    PromptCounter,
+    PromptExceedsBudget,
     example_block,
 )
 from leanforge.trainprep import (
     PackSource,
-    PromptCounter,
-    RecordExceedsBudget,
     VocabTokenizer,
     WhitespaceTokenizer,
     counted_blocks,
     curriculum_sort,
     emit_training_set,
     pack_block,
+    pack_sources,
 )
 from fixtures.listings import MATHD_ALGEBRA_270, SQINEQ_COMMENTED
 from support import strip_comments
@@ -312,7 +313,7 @@ class TestPackBlock:
             budget = rng.randint(40, 400)
             try:
                 packed = pack_block(records, i, budget, counter, counted_blocks(records, counter))
-            except RecordExceedsBudget:
+            except PromptExceedsBudget:
                 assert oracle_pack(records, i, budget) is None
                 continue
             k, total = oracle_pack(records, i, budget)
@@ -327,7 +328,7 @@ class TestPackBlock:
         counter = PromptCounter(WhitespaceTokenizer())
         records = [make_source("tiny", "n", "s :=", "by ring"),
                    make_source("huge", "word " * 300, "s :=", "by ring")]
-        with pytest.raises(RecordExceedsBudget, match="huge"):
+        with pytest.raises(PromptExceedsBudget, match="huge"):
             pack_block(records, 1, budget=50, counter=counter,
                        blocks=counted_blocks(records, counter))
 
@@ -342,11 +343,12 @@ class TestPackBlock:
 
     def test_use_nl_false_strips_nl_sections(self):
         counter = PromptCounter(WhitespaceTokenizer())
-        records = [make_source("a", "NLTEXT", "s :=", "by ring"),
-                   make_source("b", "OTHERNL", "u :=", "by simp")]
+        records = pack_sources([StubRecord("a", "s :=", "by ring", "by ring", "NLTEXT"),
+                                StubRecord("b", "u :=", "by simp", "by simp", "OTHERNL")],
+                               PrepSettings(use_nl=False))
+        assert [r.nl for r in records] == [None, None]
         packed = pack_block(records, 0, budget=10_000, counter=counter,
-                            blocks=counted_blocks(records, counter, use_nl=False),
-                            use_nl=False)
+                            blocks=counted_blocks(records, counter))
         assert NL_SECTION not in packed.instruction
         assert "NLTEXT" not in packed.instruction
 
@@ -356,9 +358,10 @@ class TestPackBlock:
         counter = PromptCounter(tok)
         records = synthetic_sources(random.Random(5), 7)
         for use_nl in (True, False):
+            sources = records if use_nl else [replace(r, nl=None) for r in records]
             blocks = [(b, tok.count(b)) for b in (
                 example_block(r.nl if use_nl else None, r.target) for r in records)]
-            assert counted_blocks(records, counter, use_nl) == blocks
+            assert counted_blocks(sources, counter) == blocks
 
 
 @dataclass
