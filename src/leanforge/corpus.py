@@ -2,15 +2,17 @@
 and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
-sources are treated as token streams, never elaborated. ``lex_lean`` is a
-regex scanner that yields ``LeanToken`` named tuples; the scans below build
-no token and fall back to it only for a block comment nested deeper than
-``_SCAN_NESTING``. ``extract_theorems`` walks one ``_TOKEN`` scan of a file
-and keeps only what finds a declaration. ``code_texts`` gives only the
-texts of the code and string tokens, from one ``findall``, and raises what
-``lex_lean`` raises; ``code_divergence`` (the rule that two texts carry the
-same code) and Lean3 detection work from those texts. ``count_tactic_steps``
-walks a proof's own tokens to its body and reads the body with one scan.
+sources are treated as token streams, never elaborated. ``_walk`` is the
+one token walk: the matches of the ``_TOKEN`` regex, with a block comment
+nested deeper than ``_SCAN_NESTING`` followed in place. ``lex_lean`` is that
+walk as a list of ``LeanToken`` named tuples; nothing else builds a token.
+``extract_theorems`` walks a file once and keeps only what finds a
+declaration. ``code_texts`` gives only the texts of the code and string
+tokens, from one ``findall`` or, past a deeper comment, from the walk, and
+raises what ``lex_lean`` raises; ``code_divergence`` (the rule that two
+texts carry the same code) and Lean3 detection work from those texts.
+``count_tactic_steps`` walks a proof's own tokens to its body and reads the
+body with one scan.
 Everywhere, as in Lean, a comment separates tokens and is otherwise
 ignored. Offsets are character offsets: ``str`` indices, not UTF-8 byte
 positions.
@@ -199,9 +201,9 @@ def _block_comment(nesting: int) -> str:
 
 # Every scan below matches block comments nested this deep inside a block
 # comment. A deeper one, or a comment or string that never closes, leaves a
-# bare `/-` or `"` item, which no token or run of tokens can be: ``lex_lean``
-# follows such a comment with ``_nested_comment_end`` (or raises), and every
-# other scan hands the text to ``lex_lean``. ``re`` compiles the scans of
+# bare `/-` or `"` item, which no token or run of tokens can be: ``_walk``
+# follows such a comment in place with ``_nested_comment_end`` (or raises),
+# and every other scan falls back to ``_walk``. ``re`` compiles the scans of
 # ``code_texts`` and ``_tactic_text`` on first use and keeps them.
 _SCAN_NESTING = 2
 
@@ -217,6 +219,30 @@ _KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
                   TokenKind.BLOCK_COMMENT, TokenKind.STRING, TokenKind.CODE)
 _NESTED_COMMENT, _OPEN_STRING = 6, 7
 _COMMENT_DELIMITER = re.compile(r"/-|-/")
+# Matched over the span of a comment that ``_walk`` follows, it gives that
+# comment as ``_TOKEN`` gives a block comment: with lastindex 3.
+_DEEP_COMMENT = re.compile(r"()()([\s\S]*)")
+
+
+def _walk(source: str) -> Iterator[re.Match]:
+    """The ``_TOKEN`` matches that tile ``source``, in order, a comment
+    nested deeper than ``_SCAN_NESTING`` followed in place and given as one
+    block-comment match. Raises ``UnterminatedString`` or
+    ``UnterminatedComment`` where a literal or a comment never closes."""
+    pos = 0
+    while True:
+        for m in _TOKEN.finditer(source, pos):
+            if m.lastindex < _NESTED_COMMENT:
+                yield m
+                continue
+            start = m.start()
+            if m.lastindex == _OPEN_STRING:
+                raise UnterminatedString("unterminated string literal", start)
+            pos = _nested_comment_end(source, start)
+            yield _DEEP_COMMENT.match(source, start, pos)
+            break
+        else:
+            return
 
 
 def lex_lean(source: str) -> List[LeanToken]:
@@ -228,23 +254,8 @@ def lex_lean(source: str) -> List[LeanToken]:
     quote character inside one cannot open a bogus string, but they do not get
     a token kind of their own.
     """
-    tokens: List[LeanToken] = []
-    pos = 0
-    while pos < len(source):
-        for m in _TOKEN.finditer(source, pos):
-            group = m.lastindex
-            if group < _NESTED_COMMENT:
-                tokens.append(LeanToken(_KIND_OF_GROUP[group], m.group(), *m.span()))
-                continue
-            start = m.start()
-            if group == _OPEN_STRING:
-                raise UnterminatedString("unterminated string literal", start)
-            pos = _nested_comment_end(source, start)
-            tokens.append(LeanToken(TokenKind.BLOCK_COMMENT, source[start:pos], start, pos))
-            break
-        else:
-            break
-    return tokens
+    return [LeanToken(_KIND_OF_GROUP[m.lastindex], m.group(), *m.span())
+            for m in _walk(source)]
 
 
 def _nested_comment_end(source: str, start: int) -> int:
@@ -276,26 +287,16 @@ def code_texts(text: str) -> List[str]:
     """
     texts = list(filter(None, re.findall(_CODE_SCAN, text)))
     if "/-" in texts or '"' in texts:
-        return [t.text for t in lex_lean(text) if t.kind in SEMANTIC_KINDS]
+        return [t for t, _ in _semantic_tokens(text)]
     return texts
 
 
 def _semantic_tokens(text: str) -> Iterator[Tuple[str, int]]:
     """The text and end offset of each code or string token of ``text``, in
-    order. The text is scanned only as far as the tokens are taken; a bare
-    ``/-`` or ``"`` on the way hands it whole to ``lex_lean``, which raises
-    what it raises."""
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group >= _NESTED_COMMENT:
-            break  # a comment nested deeper than the regex follows
-        if group >= 4:  # a string literal or a code run
-            yield m.group(), m.end()
-    else:
-        return
-    rest = m.start()
-    yield from ((t.text, t.end) for t in lex_lean(text)
-                if t.kind in SEMANTIC_KINDS and t.start >= rest)
+    order. The text is walked only as far as the tokens are taken, and
+    raises what ``lex_lean`` raises."""
+    return ((m.group(), m.end()) for m in _walk(text)
+            if m.lastindex >= 4)  # a string literal or a code run
 
 
 def code_divergence(
@@ -406,8 +407,8 @@ _NAME, _ASSIGN, _BY, _BODY = range(4)
 
 
 def _declarations(source: str) -> List[_Declaration]:
-    """The declarations of ``source``, from one walk of its ``_TOKEN`` scan
-    that builds no token; raises the ``LexError`` that ``lex_lean`` raises.
+    """The declarations of ``source``, from one ``_walk`` that builds no
+    token; raises the ``LexError`` that ``lex_lean`` raises.
 
     A declaration opens at a ``theorem`` or ``lemma`` token that begins its
     line, or that follows a modifier that does with only modifiers,
@@ -423,66 +424,56 @@ def _declarations(source: str) -> List[_Declaration]:
     found: List[_Declaration] = []
     start = None  # the keyword of the open declaration
     lead = False  # a modifier began this line, then only modifiers and spacing
-    pos = 0
-    while pos < len(source):
-        for m in _TOKEN.finditer(source, pos):
-            group = m.lastindex
-            if group <= 2:  # whitespace or a line comment
-                if lead and group == 1 and "\n" in m.group():
-                    lead = False
-                continue
-            begin = m.start()
-            if group == 3 or group == _NESTED_COMMENT:
-                if group == _NESTED_COMMENT:
-                    pos = _nested_comment_end(source, begin)
-                if (start is not None and source[begin - 1] == "\n"
-                        and source.startswith("/--", begin)):
-                    found.append(_Declaration(start, name, statement_end, proof_end))
-                    start = None
-                if group == _NESTED_COMMENT:
-                    break
-                continue
-            if group == _OPEN_STRING:
-                raise UnterminatedString("unterminated string literal", begin)
-            # a string literal (4) or a code run (5); a code run's text is
-            # read only where it can matter
-            code = group == 5
-            text = ""
-            if code and (start is None or phase != _BODY or source[begin - 1] == "\n"):
-                text = m.group()
-            if start is not None:
-                if not (text and source[begin - 1] == "\n" and (
-                        text.startswith("@[")
-                        or _leading_word(text) in _DECL_BOUNDARY_KEYWORDS)):
-                    if phase == _NAME:
-                        name = _name_from_token(text) if code else ""
-                        depth = _bracket_delta(text[len(name):])
-                        phase = _ASSIGN if name else _BODY
-                    elif phase == _ASSIGN:
-                        if depth == 0 and text == ":=":
-                            statement_end = m.end()
-                            phase = _BY
-                        else:
-                            depth += _bracket_delta(text)
-                    elif phase == _BY:
-                        if text == "by":
-                            statement_end = m.end()
-                        phase = _BODY
-                    proof_end = m.end()
-                    continue
+    for m in _walk(source):
+        group = m.lastindex
+        if group <= 2:  # whitespace or a line comment
+            if lead and group == 1 and "\n" in m.group():
+                lead = False
+            continue
+        begin = m.start()
+        if group == 3:  # a block comment
+            if (start is not None and source[begin - 1] == "\n"
+                    and source.startswith("/--", begin)):
                 found.append(_Declaration(start, name, statement_end, proof_end))
                 start = None
-            if text == "theorem" or text == "lemma":
-                if lead or begin == 0 or source[begin - 1] == "\n":
-                    start, name, statement_end, proof_end = begin, "", None, begin
-                    phase = _NAME
-                lead = False
-            elif text in _DECL_MODIFIERS:
-                lead = lead or begin == 0 or source[begin - 1] == "\n"
-            else:
-                lead = False
+            continue
+        # a string literal (4) or a code run (5); a code run's text is
+        # read only where it can matter
+        code = group == 5
+        text = ""
+        if code and (start is None or phase != _BODY or source[begin - 1] == "\n"):
+            text = m.group()
+        if start is not None:
+            if not (text and source[begin - 1] == "\n" and (
+                    text.startswith("@[")
+                    or _leading_word(text) in _DECL_BOUNDARY_KEYWORDS)):
+                if phase == _NAME:
+                    name = _name_from_token(text) if code else ""
+                    depth = _bracket_delta(text[len(name):])
+                    phase = _ASSIGN if name else _BODY
+                elif phase == _ASSIGN:
+                    if depth == 0 and text == ":=":
+                        statement_end = m.end()
+                        phase = _BY
+                    else:
+                        depth += _bracket_delta(text)
+                elif phase == _BY:
+                    if text == "by":
+                        statement_end = m.end()
+                    phase = _BODY
+                proof_end = m.end()
+                continue
+            found.append(_Declaration(start, name, statement_end, proof_end))
+            start = None
+        if text == "theorem" or text == "lemma":
+            if lead or begin == 0 or source[begin - 1] == "\n":
+                start, name, statement_end, proof_end = begin, "", None, begin
+                phase = _NAME
+            lead = False
+        elif text in _DECL_MODIFIERS:
+            lead = lead or begin == 0 or source[begin - 1] == "\n"
         else:
-            break
+            lead = False
     if start is not None:
         found.append(_Declaration(start, name, statement_end, proof_end))
     return found
@@ -508,11 +499,9 @@ def _tactic_text(body: str) -> str:
     a `<` and a `;>` that a comment separates stay a `<` and a `;`."""
     items = re.findall(_TACTIC_SCAN, body)
     if ("", "/-") in items or ("", '"') in items:
-        return "".join([_CHAR_TOKEN_RE.sub("'", t.text).replace("<;>", "_")
-                        if t.kind is TokenKind.CODE
-                        else t.text[:1] if t.kind is TokenKind.STRING
-                        else t.text if t.kind is TokenKind.WHITESPACE else ""
-                        for t in lex_lean(body)])
+        # a comment nested deeper: the same scan, over each token but comments
+        items = [item for m in _walk(body) if m.lastindex not in (2, 3)
+                 for item in re.findall(_TACTIC_SCAN, m.group())]
     return "".join([run.replace("<;>", "_") or literal[:1] for run, literal in items])
 
 

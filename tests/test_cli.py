@@ -1976,12 +1976,12 @@ class TestProveConcurrency:
 
 
 class TestLexBudget:
-    """No stage lexes a Lean text into tokens unless a block comment nests
-    deeper than the scans follow. Extraction walks its file's token scan
-    without building tokens; verification, the location of a divergence,
-    the prover's screen and step counts take code texts. Every binding of
-    ``corpus.lex_lean`` inside leanforge is wrapped, so no lex goes
-    uncounted."""
+    """No stage calls ``lex_lean``, not even for a block comment nested
+    deeper than the scans follow: the one token walk follows it in place.
+    Extraction walks its file's tokens without building any; verification,
+    the location of a divergence, the prover's screen and step counts take
+    code texts. Every binding of ``corpus.lex_lean`` inside leanforge is
+    wrapped, so no lex goes uncounted."""
 
     def count_lexes(self, monkeypatch):
         lexed = []
@@ -2090,4 +2090,42 @@ class TestLexBudget:
         # report: every stored proof verifies, so nothing is lexed
         del lexed[:]
         assert run(["report", "-c", config]) == 0
+        assert lexed == []
+
+    def test_a_comment_nested_deeper_than_the_scans_costs_no_lex(
+            self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        for stage in ("extract", "train-retriever", "informalize"):
+            assert run([stage, "-c", config]) == 0
+
+        # every bootstrap reply and every prove sample holds a comment
+        # nested one level deeper than the scans follow
+        deep = support.nested_comment(corpus._SCAN_NESTING + 1)
+        theorems = read_jsonl(workdir / "theorems.jsonl")
+        rules = [{"pattern": t["name"], "response": deep + t["proof"]}
+                 for t in theorems]
+        rules += [{"pattern": name,
+                   "response": sample.replace("by\n  ", "by\n  " + deep)}
+                  for name, sample in (("demo_add_comm", DEMO_PROBLEM_A),
+                                       ("demo_sub_self", DEMO_PROBLEM_B))]
+        script = tmp_path / "deep-script.json"
+        script.write_text(json.dumps(rules, ensure_ascii=False), encoding="utf-8")
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"]["script"] = str(script)
+        settings["bootstrap"]["mode"] = "interleaved"
+        deep_config = write_yaml(tmp_path / "deep.yaml", settings)
+        lexed = self.count_lexes(monkeypatch)
+
+        assert run(["bootstrap", "-c", deep_config]) == 0
+        obt = read_jsonl(workdir / "obt.jsonl")
+        assert [e["Commented_proof"] for e in obt] == [
+            deep + t["proof"] for t in theorems]
+        assert run(["prep", "-c", deep_config]) == 0
+        assert run(["prove", "-c", deep_config]) == 0
+        assert [(a["problem"], a["verdict"])
+                for a in read_jsonl(workdir / "prove.attempts.jsonl")] == [
+            ("demo_add_comm", "verified"), ("demo_sub_self", "verified")]
         assert lexed == []

@@ -669,15 +669,17 @@ SPACED_PROOF = st.lists(
     min_size=2, max_size=12).map(lambda parts: "".join(a + s for a, s in parts))
 
 
-@given(SPACED_PROOF, st.integers(min_value=0))
-@example(":= by\n  simp\n  rfl", 0)
-@example(":= by simp < ;> rfl", 3)
+@given(SPACED_PROOF, st.integers(min_value=0),
+       st.sampled_from(["/- c -/", _TOO_DEEP.strip()]))
+@example(":= by\n  simp\n  rfl", 0, "/- c -/")
+@example(":= by simp < ;> rfl", 3, "/- c -/")
+@example(":= by simp < ;> rfl", 3, _TOO_DEEP.strip())
 @settings(max_examples=400, deadline=None)
-def test_property_comment_in_place_of_spacing_keeps_the_count(source, pick):
+def test_property_comment_in_place_of_spacing_keeps_the_count(source, pick, comment):
     gaps = _spacing_between_code(source)
     assume(gaps)
     gap = gaps[pick % len(gaps)]
-    commented = source[:gap.start] + "/- c -/" + source[gap.end:]
+    commented = source[:gap.start] + comment + source[gap.end:]
     assert count_tactic_steps(commented) == count_tactic_steps(source)
 
 
