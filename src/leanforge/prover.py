@@ -1,11 +1,13 @@
 """Iterative whole-proof writing against a verifier.
 
 Each round prompts the backend with in-context examples, samples whole
-proofs per unproved problem, and checks every sample. Proofs the verifier
-accepts join the example pool for the next round, so later rounds prompt
-with solved problems from the same dataset. The pool is frozen while a
-round runs; all growth is committed between rounds, which keeps a round's
-problems independent, so several of them can be in flight at once.
+proofs per unproved problem, and judges every sample; a proof text the
+verifier already rejected for that problem is not checked again. Proofs
+the verifier accepts join the example pool for the next round, so later
+rounds prompt with solved problems from the same dataset. The pool is
+frozen while a round runs; all growth is committed between rounds, which
+keeps a round's problems independent, so several of them can be in flight
+at once.
 """
 
 import logging
@@ -365,30 +367,44 @@ class ExternalVerifier:
             os.unlink(handle.name)
 
 
-def judge_proof(problem: Problem, proof: str, verifier) -> Tuple[str, str]:
+def judge_proof(problem: Problem, proof: str, verifier,
+                rejected: Optional[Dict[str, str]] = None) -> Tuple[str, str]:
     """The verdict and diagnostic for ``proof``, sampled or stored: it is
     screened, then checked. A verifier that times out or cannot run gives an
-    ``error`` verdict."""
-    screened = screen_proof(problem, proof)
-    if screened:
-        return "rejected", screened
-    try:
-        return verifier.check(problem, proof)
-    except (VerifierTimeout, VerifierCrashed) as exc:
-        return "error", str(exc)
+    ``error`` verdict.
+
+    ``rejected`` is ``problem``'s map from a proof text to the diagnostic of
+    its rejection. A proof found there is answered from it, neither screened
+    nor checked again; a new rejection joins it. The key is the exact text,
+    since Lean 4 reads whitespace and a comment can move a token's column.
+    An ``error`` is never remembered: its repeat is checked again.
+    ``load_report`` passes no map, so the audit checks every stored proof."""
+    if rejected is not None and proof in rejected:
+        return "rejected", rejected[proof]
+    verdict = "rejected"
+    diagnostic = screen_proof(problem, proof)
+    if not diagnostic:
+        try:
+            verdict, diagnostic = verifier.check(problem, proof)
+        except (VerifierTimeout, VerifierCrashed) as exc:
+            return "error", str(exc)
+    if verdict == "rejected" and rejected is not None:
+        rejected[proof] = diagnostic
+    return verdict, diagnostic
 
 
 def evaluate_sample(
     problem: Problem, round_number: int, sample_index: int, generated_text: str,
-    verifier,
+    verifier, rejected: Optional[Dict[str, str]] = None,
 ) -> ProofAttempt:
-    """Extract one generated sample's proof and judge it."""
+    """Extract one generated sample's proof and judge it (``judge_proof``,
+    with ``problem``'s map of rejected proofs when one is given)."""
     try:
         proof = extract_proof(generated_text, problem)
     except NoProofFound as exc:
         proof, verdict, diagnostic = "", "rejected", str(exc)
     else:
-        verdict, diagnostic = judge_proof(problem, proof, verifier)
+        verdict, diagnostic = judge_proof(problem, proof, verifier, rejected)
     return ProofAttempt(problem.name, round_number, sample_index, verdict,
                         diagnostic[:DIAGNOSTIC_CHARS], proof)
 
@@ -397,9 +413,10 @@ def evaluate_sample(
 
 
 def _prove_problem(problem: Problem, round_number: int, ask: Ask, verifier,
-                   n_samples: int) -> List[ProofAttempt]:
+                   n_samples: int, rejected: Dict[str, str]) -> List[ProofAttempt]:
     """Sample ``problem`` until the first verified proof or ``n_samples``;
-    ``ask`` sends the problem's prompt. A verified attempt is the last."""
+    ``ask`` sends the problem's prompt and ``rejected`` is its map of
+    rejected proofs. A verified attempt is the last."""
     attempts: List[ProofAttempt] = []
     for sample_index in range(n_samples):
         try:
@@ -409,7 +426,8 @@ def _prove_problem(problem: Problem, round_number: int, ask: Ask, verifier,
                            problem.name, sample_index, exc)
             break
         attempts.append(evaluate_sample(
-            problem, round_number, sample_index, response.samples[0], verifier))
+            problem, round_number, sample_index, response.samples[0], verifier,
+            rejected))
         if attempts[-1].verdict == "verified":
             break
     return attempts
@@ -423,10 +441,13 @@ def run_iteration(
     verifier,
     settings: ProverSettings,
     tokenizer,
+    rejected: Dict[str, Dict[str, str]],
 ) -> List[ProofAttempt]:
     """Run one round over ``problems``, the open ones, prompting with
     ``pool``, which the caller grows between rounds. Returns each problem's
-    attempts, in problem order.
+    attempts, in problem order. ``rejected`` maps each problem's name to its
+    map of rejected proofs (``judge_proof``), which the round's unit for that
+    problem consults and grows.
 
     Problems go through ``genclient.in_order``. Above a backend
     ``concurrency`` of 1, ``backend.concurrency + verifier.concurrency``
@@ -455,7 +476,8 @@ def run_iteration(
             yield problem, prompt
 
     def work(problem, ask):
-        return _prove_problem(problem, round_number, ask, verifier, settings.n_samples)
+        return _prove_problem(problem, round_number, ask, verifier, settings.n_samples,
+                              rejected[problem.name])
 
     in_flight = (getattr(sampler.backend, "concurrency", 1)
                  + getattr(verifier, "concurrency", 1))
@@ -475,15 +497,22 @@ def run_iterative(
     new. Prompts are counted with ``tokenizer``. Problem names are unique and
     ``seed_pool`` is nonempty: the CLI checks both where it reads them.
     A round's verified proofs join the pool in problem order; every sample
-    drawn counts toward ``budget_used``."""
+    drawn counts toward ``budget_used``.
+
+    Each problem keeps one map of its rejected proofs for the whole run, so
+    the verifier sees each distinct proof text of a problem once, unless it
+    timed out or crashed on it (``judge_proof``). A repeat is logged with the
+    verdict and diagnostic its check gave. A problem's samples, and the
+    rounds, run one after another, so no map needs a lock."""
     by_name = {p.name: p for p in problems}
+    rejected: Dict[str, Dict[str, str]] = {p.name: {} for p in problems}
     pool = tuple(seed_pool)
     proved: Dict[str, ReportProof] = {}
     attempts: List[ProofAttempt] = []
     for round_number in range(1, settings.max_rounds + 1):
         drawn = run_iteration(
             round_number, [p for p in problems if p.name not in proved], pool,
-            sampler, verifier, settings, tokenizer)
+            sampler, verifier, settings, tokenizer, rejected)
         attempts += drawn
         verified = [a for a in drawn if a.verdict == "verified"]
         for a in verified:

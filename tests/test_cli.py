@@ -1909,7 +1909,7 @@ class TestProveConcurrency:
         lock = threading.Lock()
         running, peak, threads = [0], [0], set()
 
-        def drawing(problem, round_number, ask, verifier, n_samples):
+        def drawing(problem, round_number, ask, verifier, n_samples, rejected):
             with lock:
                 running[0] += 1
                 peak[0] = max(peak[0], running[0])

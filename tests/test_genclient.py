@@ -795,7 +795,8 @@ class TestConnectionBound:
                 ChatCompletionBackend(url, model="m", max_in_flight=2)) as backend:
             started = time.perf_counter()
             attempts = run_iteration(1, problems, tuple(seeds), Sampler(backend),
-                                     MockVerifier({}), settings, WhitespaceTokenizer())
+                                     MockVerifier({}), settings, WhitespaceTokenizer(),
+                                     {p.name: {} for p in problems})
             elapsed = time.perf_counter() - started
         assert len(attempts) == 12
         assert server.accepted <= 2

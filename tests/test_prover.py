@@ -1,5 +1,6 @@
 """Tests for the iterative proof-writing harness."""
 
+import functools
 import json
 import logging
 import os
@@ -607,7 +608,7 @@ def config(**kwargs):
 
 def one_round(problems, pool, sampler, verifier, settings, round_number=1):
     return run_iteration(round_number, problems, tuple(pool), sampler, verifier,
-                         settings, TOKENIZER)
+                         settings, TOKENIZER, {p.name: {} for p in problems})
 
 
 def verified(attempts):
@@ -1066,6 +1067,264 @@ class TestConcurrentRounds:
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
         assert [a.problem for a in attempts] == (
             ["prob00"] * 4 + ["prob01"] * 4 + ["prob02"] * 3)
+
+
+# --- each distinct proof is checked once per problem ---------------------------
+
+
+class RequestScript:
+    """Answers the request ``prove:<name>:r<round>:s<index>`` with
+    ``reply(name, round, index)``, whatever the prompt."""
+
+    name = "request-script"
+
+    def __init__(self, reply, concurrency=1):
+        self.reply = reply
+        self.concurrency = concurrency
+
+    def generate(self, request):
+        _, name, round_number, index = request.request_id.split(":")
+        text = self.reply(name, int(round_number[1:]), int(index[1:]))
+        return [(text, False)] * request.n_samples
+
+
+class CountingVerifier(MockVerifier):
+    """``MockVerifier`` that records every ``(problem name, proof)`` it is
+    asked about, in ``checked``. ``fails(name, proof, k)``, where k counts
+    the earlier checks of that pair, returns an exception to raise instead
+    of checking, or None."""
+
+    def __init__(self, answer_key, fails=lambda name, proof, k: None):
+        super().__init__(answer_key)
+        self.fails = fails
+        self.checked = []
+        self.lock = threading.Lock()
+
+    def check(self, problem, proof_text):
+        with self.lock:
+            k = self.checked.count((problem.name, proof_text))
+            self.checked.append((problem.name, proof_text))
+        failure = self.fails(problem.name, proof_text, k)
+        if failure is not None:
+            raise failure
+        return super().check(problem, proof_text)
+
+
+def wrong_proof(i, tactic="simp"):
+    """A proof of ``make_problem(i)`` that passes the screen and that the
+    answer key rejects."""
+    return f"theorem prob{i:02d} : {i} + 0 = {i} := by\n  {tactic}\n"
+
+
+def lean3_proof(i):
+    return f"theorem prob{i:02d} : {i} + 0 = {i} :=\nbegin\n  norm_num\nend\n"
+
+
+NO_HEADER = "I could not find a proof."
+
+
+def answer_key(count):
+    return {f"prob{i:02d}": canonical_proof(i) for i in range(count)}
+
+
+class TestDistinctChecks:
+    def test_a_rejected_proof_is_checked_once_in_every_round(self):
+        # prob00 is proved at once, so round 2 runs; prob01 repeats its two
+        # round-1 proofs in round 2 and adds a third
+        w1, w2, w3 = (wrong_proof(1, t) for t in ("simp", "rfl", "omega"))
+        replies = {("prob01", 1): [w1, w1, w2, w1], ("prob01", 2): [w2, w1, w3, w3]}
+
+        def reply(name, round_number, index):
+            if name == "prob00":
+                return canonical_proof(0)
+            return replies[name, round_number][index]
+
+        verifier = CountingVerifier(answer_key(2))
+        report = run_iterative([make_problem(0), make_problem(1)], seed_examples(1),
+                               Sampler(RequestScript(reply)), verifier,
+                               config(n_samples=4, max_rounds=3), TOKENIZER)
+        assert [(r.newly_proved, r.budget_used) for r in report.rounds] == [(1, 5), (0, 9)]
+        assert verifier.checked == [("prob00", canonical_proof(0)), ("prob01", w1),
+                                    ("prob01", w2), ("prob01", w3)]
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_two_problems_given_the_same_reply_are_each_checked_once(
+            self, concurrency):
+        # one reply declares both problems: each extracts its own proof from it
+        both = wrong_proof(0) + "\n" + wrong_proof(1)
+        verifier = CountingVerifier(answer_key(2))
+        attempts = one_round([make_problem(0), make_problem(1)], seed_examples(1),
+                             Sampler(RequestScript(lambda *_: both, concurrency)),
+                             verifier, config(n_samples=3))
+        assert [a.verdict for a in attempts] == ["rejected"] * 6
+        assert sorted(verifier.checked) == [("prob00", both), ("prob01", wrong_proof(1))]
+
+    @pytest.mark.parametrize("failure", [VerifierTimeout("slow"), VerifierCrashed("gone")])
+    def test_a_check_that_failed_is_made_again(self, failure):
+        verifier = CountingVerifier(
+            answer_key(1), fails=lambda name, proof, k: failure if k == 0 else None)
+        attempts = one_round([make_problem(0)], seed_examples(1),
+                             Sampler(RequestScript(lambda *_: wrong_proof(0))),
+                             verifier, config(n_samples=4))
+        assert [a.verdict for a in attempts] == ["error"] + ["rejected"] * 3
+        assert attempts[0].diagnostic == str(failure)
+        assert len({a.diagnostic for a in attempts[1:]}) == 1
+        assert verifier.checked == [("prob00", wrong_proof(0))] * 2
+
+    def test_the_map_holds_each_rejected_proof_once(self):
+        # a wrong proof, a screened one, one the verifier first times out on,
+        # and a reply with no proof, each drawn again
+        screened = lean3_proof(0)
+        flaky = wrong_proof(0, "rfl")
+        sequence = [wrong_proof(0), screened, flaky, NO_HEADER] * 2
+        verifier = CountingVerifier(
+            answer_key(1),
+            fails=lambda name, proof, k: VerifierTimeout("slow") if (
+                proof == flaky and k == 0) else None)
+        backend = RequestScript(lambda name, r, index: sequence[index])
+        rejected = {"prob00": {}}
+        attempts = run_iteration(1, [make_problem(0)], tuple(seed_examples(1)),
+                                 Sampler(backend), verifier, config(n_samples=8),
+                                 TOKENIZER, rejected)
+        assert [a.verdict for a in attempts] == [
+            "rejected", "rejected", "error", "rejected"] + ["rejected"] * 4
+        assert rejected == {"prob00": {
+            wrong_proof(0): attempts[0].diagnostic,
+            screened: "pre-verification screen: begin-end-block",
+            flaky: attempts[6].diagnostic}}
+        assert verifier.checked == [("prob00", wrong_proof(0)), ("prob00", flaky),
+                                    ("prob00", flaky)]
+
+    def test_attempt_log_is_the_one_of_judging_each_sample_alone(self, tmp_path):
+        problems = [make_problem(i) for i in range(3)]
+        kinds = ["wrong", "lean3", "wrong", NO_HEADER, "verbose", "wrong", "canonical"]
+
+        def reply(name, round_number, index):
+            i = int(name[4:])
+            kind = kinds[(index + i + round_number) % len(kinds)]
+            return {"wrong": wrong_proof(i), "lean3": lean3_proof(i),
+                    "verbose": wrong_proof(i, "simp -- " + "x" * 300),
+                    "canonical": canonical_proof(i)}.get(kind, kind)
+
+        class Verbose(CountingVerifier):
+            """Rejects with a diagnostic longer than the log keeps."""
+
+            def check(self, problem, proof_text):
+                verdict, diagnostic = super().check(problem, proof_text)
+                return verdict, diagnostic and diagnostic + " " + "y" * 300
+
+        verifier = Verbose(answer_key(3))
+        report = run_iterative(problems, seed_examples(1),
+                               Sampler(RequestScript(reply)), verifier,
+                               config(n_samples=4, max_rounds=3), TOKENIZER)
+        alone = [evaluate_sample(problems[int(a.problem[4:])], a.round, a.sample_index,
+                                 reply(a.problem, a.round, a.sample_index),
+                                 Verbose(answer_key(3)))
+                 for a in report.attempts]
+        write_jsonl(str(tmp_path / "mapped.jsonl"), report.attempts)
+        write_jsonl(str(tmp_path / "alone.jsonl"), alone)
+        assert ((tmp_path / "mapped.jsonl").read_bytes()
+                == (tmp_path / "alone.jsonl").read_bytes())
+        assert {a.verdict for a in alone} == {"verified", "rejected"}
+        assert len(set(verifier.checked)) == len(verifier.checked) < len(alone)
+
+    def test_report_checks_every_stored_proof_again(self, tmp_path):
+        problems = [make_problem(0), make_problem(1)]
+
+        def reply(name, round_number, index):
+            i = int(name[4:])
+            return canonical_proof(i) if index == 2 else wrong_proof(i)
+
+        verifier = CountingVerifier(answer_key(2))
+        report = run_iterative(problems, seed_examples(1),
+                               Sampler(RequestScript(reply)), verifier,
+                               config(n_samples=3, max_rounds=1), TOKENIZER)
+        assert len(verifier.checked) == 4  # per problem: the wrong proof, then its own
+        path = save_run(report, tmp_path)
+        audit = CountingVerifier(answer_key(2))
+        assert load(path, problems, audit) == report
+        assert sorted(audit.checked) == [(name, proof.proof)
+                                         for name, proof in sorted(report.proved.items())]
+
+
+REPLY_KINDS = ("wrong", "canonical", "no header", "lean3")
+
+
+def drawn_reply(seed, name, round_number, index):
+    """The seeded reply to a problem's sample: mostly its one wrong proof."""
+    rng = random.Random(f"{seed}:{name}:{round_number}:{index}")
+    kind = rng.choices(REPLY_KINDS, weights=(5, 1, 1, 1))[0]
+    i = int(name[4:])
+    return {"wrong": wrong_proof(i), "canonical": canonical_proof(i),
+            "no header": NO_HEADER, "lean3": lean3_proof(i)}[kind]
+
+
+def seeded_failure(seed, name, proof, k):
+    """A timeout or crash on about a third of the checks, by a seeded roll
+    of the pair and of how often it was checked before."""
+    roll = random.Random(f"{seed}:{name}:{proof}:{k}").random()
+    if roll < 0.15:
+        return VerifierTimeout(f"timeout {k}")
+    if roll < 0.3:
+        return VerifierCrashed(f"crash {k}")
+    return None
+
+
+def predicted_checks(seed, names, n_samples, max_rounds):
+    """The checks a run makes, in serial order: each sample whose proof
+    passes the screen and was not rejected for its problem before; a
+    failed check is made again on the proof's next draw."""
+    checks, rejected, proved = [], set(), set()
+    for round_number in range(1, max_rounds + 1):
+        newly = set()
+        for name in (n for n in names if n not in proved):
+            for index in range(n_samples):
+                text = drawn_reply(seed, name, round_number, index)
+                if text == NO_HEADER or "begin" in text or (name, text) in rejected:
+                    continue
+                failure = seeded_failure(seed, name, text, checks.count((name, text)))
+                checks.append((name, text))
+                if failure is not None:
+                    continue
+                if text == canonical_proof(int(name[4:])):
+                    newly.add(name)
+                    break
+                rejected.add((name, text))
+        proved |= newly
+        if not newly:
+            break
+    return checks, proved
+
+
+def test_seeded_replies_and_failures_check_each_distinct_proof_once():
+    rng = random.Random(2907)
+    saved = failed = 0
+    for trial in range(25):
+        names = [f"prob{i:02d}" for i in range(rng.randint(1, 6))]
+        n_samples, max_rounds = rng.randint(1, 6), rng.randint(1, 3)
+        runs = []
+        for concurrency in (1, 2):
+            budget = GenerationBudget()
+            backend = RequestScript(functools.partial(drawn_reply, trial), concurrency)
+            verifier = CountingVerifier(answer_key(len(names)),
+                                        functools.partial(seeded_failure, trial))
+            report = run_iterative(
+                [make_problem(i) for i in range(len(names))], seed_examples(2),
+                Sampler(backend, budget=budget),
+                verifier, config(n_samples=n_samples, max_rounds=max_rounds), TOKENIZER)
+            runs.append((report, report.attempts, budget.requests_used,
+                         budget.tokens_used))
+            checks, proved = predicted_checks(trial, names, n_samples, max_rounds)
+            # a problem's checks run one after another; problems interleave
+            assert (sorted(verifier.checked, key=lambda c: c[0])
+                    == sorted(checks, key=lambda c: c[0])), (trial, concurrency)
+            assert set(report.proved) == proved
+        assert runs[0] == runs[1], trial
+        unscreened = sum(1 for a in runs[0][1]
+                         if a.proof and not a.diagnostic.startswith("pre-verification"))
+        saved += unscreened - len(checks)
+        failed += sum(a.verdict == "error" for a in runs[0][1])
+    assert saved > 25 and failed > 5  # repeats were answered; checks failed
 
 
 class TestReports:
