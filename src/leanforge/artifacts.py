@@ -1,8 +1,8 @@
 """Reading and writing the files of a pipeline workdir.
 
 Every artifact is replaced atomically: the new content goes to a temp file
-beside the target, is flushed to disk and renamed over the target, so a
-crash leaves the old file or the new one, never part of either.
+beside the target as UTF-8 bytes, is flushed to disk and renamed over the
+target, so a crash leaves the old file or the new one, never part of either.
 
 A JSONL entry is a JSON value or a record: a dataclass instance, written as
 an object of its fields in declaration order. A field's JSON key is its name
@@ -10,7 +10,8 @@ or the one given with ``wire``, and its type is its annotation; a field off
 the wire is not written, and a record read back gets its default. A line
 read as a record that is not an object, lacks a field without a default or
 holds a value of the wrong type is rejected as ``path:line``; other keys are
-ignored.
+ignored. A record field that holds a ``Joined`` text is written part by
+part, each distinct part escaped once per file.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import json
 import logging
 import os
 import typing
-from typing import (Any, Callable, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple, Type, TypeVar, Union)
+from json.encoder import encode_basestring as _escape
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Type, TypeVar, Union)
 
 logger = logging.getLogger(__name__)
 
@@ -52,19 +54,42 @@ class Line(NamedTuple):
     entry: Any
 
 
-def write_text(path: str, text: Union[str, Iterable[str]]) -> None:
-    """Replace ``path`` with ``text``: one string, or pieces written in order.
+class Joined(str):
+    """A text joined from ``parts``, which it keeps, in order.
 
-    The temp file sits in the target's directory so that ``os.replace`` is a
-    rename within one file system. It is removed if anything fails, an
-    exception raised by the pieces' producer included.
+    It is the join itself, a ``str`` like any other. ``write_jsonl`` writes
+    a record field holding one from the escapes of its parts, so a part that
+    many lines share, such as an example block of packed instructions, is
+    escaped once per file and not once per line. The JSON escaper maps each
+    character on its own, so the escape of the join is the join of the
+    parts' escapes, and the line is the one ``json.dumps`` writes.
+    """
+
+    parts: Tuple[str, ...]
+
+    def __new__(cls, parts: Iterable[str]) -> "Joined":
+        parts = tuple(parts)
+        text = super().__new__(cls, "".join(parts))
+        text.parts = parts
+        return text
+
+
+def write_text(path: str, text: Union[str, Iterable[Union[str, bytes]]]) -> None:
+    """Replace ``path`` with ``text``: one string, or pieces written in order,
+    each a string or its UTF-8 bytes.
+
+    Strings are written as UTF-8 bytes; one that cannot be, such as a lone
+    surrogate, raises ``UnicodeEncodeError``. The temp file sits in the
+    target's directory so that ``os.replace`` is a rename within one file
+    system. It is removed if anything fails, an exception raised by the
+    pieces' producer included.
     """
     temp = f"{path}.{os.urandom(4).hex()}.tmp"
-    sink = open(temp, "x", encoding="utf-8", newline="")
+    sink = open(temp, "xb")
     try:
         with sink:
             for piece in (text,) if isinstance(text, str) else text:
-                sink.write(piece)
+                sink.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
             sink.flush()
             os.fsync(sink.fileno())
         os.replace(temp, path)
@@ -78,9 +103,38 @@ def _json_line(entry: Any) -> str:
     return json.dumps(entry, ensure_ascii=False, default=_to_entry) + "\n"
 
 
+def _jsonl_line(entry: Any, escapes: Dict[str, bytes]) -> Union[str, bytes]:
+    """``entry``'s JSON line. A record with a ``Joined`` field is built
+    field by field, as bytes, taking each part's escape from ``escapes``
+    and adding the parts it lacks; any other entry is one ``_json_line``.
+    Private, as ``_decode`` is: a traced run would add a span per line."""
+    if not dataclasses.is_dataclass(entry):
+        return _json_line(entry)
+    fields = _to_entry(entry)
+    if not any(type(value) is Joined for value in fields.values()):
+        return _json_line(fields)
+    items = []
+    for key, value in fields.items():
+        if type(value) is Joined:
+            for part in value.parts:
+                if part not in escapes:
+                    escapes[part] = _escape(part)[1:-1].encode("utf-8")
+            text = b'"%s"' % b"".join([escapes[part] for part in value.parts])
+        else:
+            text = json.dumps(value, ensure_ascii=False, default=_to_entry).encode("utf-8")
+        items.append(b"%s: %s" % (json.dumps(key, ensure_ascii=False).encode("utf-8"), text))
+    return b"{%s}\n" % b", ".join(items)
+
+
 def write_jsonl(path: str, entries: Iterable[Any]) -> None:
-    """Replace ``path`` with one JSON line per entry, a record or a JSON value."""
-    write_text(path, map(_json_line, entries))
+    """Replace ``path`` with one JSON line per entry, a record or a JSON value.
+
+    Each line is the one ``json.dumps(entry, ensure_ascii=False)`` gives, a
+    record written as the object of its wire fields. A distinct part of the
+    ``Joined`` fields of the file's records is escaped once, however many
+    lines hold it."""
+    escapes: Dict[str, bytes] = {}
+    write_text(path, (_jsonl_line(entry, escapes) for entry in entries))
 
 
 def write_json(path: str, payload: Any) -> None:

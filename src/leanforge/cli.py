@@ -11,6 +11,7 @@ is checked by the same rule as the key.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import random
 import sys
@@ -467,8 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first, not at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items()
                  if "." in key and value is not None}
     try:

@@ -14,6 +14,8 @@ reinterpreted.
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .artifacts import Joined
+
 NL_SECTION = "### Natural language version of theorem and proof:"
 FL_STATEMENT_SECTION = "### Lean4 version of theorem statement:"
 FL_PROOF_SECTION = "### Lean4 version of theorem and proof:"
@@ -40,16 +42,20 @@ def example_block(nl: Optional[str], fl: str) -> str:
     return f"{head}{FL_PROOF_SECTION}\n{fl.strip()}\n\n"
 
 
-def proof_prompt(blocks: Iterable[str], nl: Optional[str], statement: str) -> str:
+def proof_prompt(blocks: Iterable[str], nl: Optional[str], statement: str) -> Joined:
     """The proving prompt, which is also the training instruction: the
     example blocks in order, then the open record's NL (none when
     ``_shows_nl`` says so), statement and an empty proof section. The
-    record's own texts are kept as they are."""
+    record's own texts are kept as they are.
+
+    The text is ``Joined`` from the block objects and the record's own
+    sections, so ``write_jsonl`` escapes a block that many instructions
+    share once."""
     head = f"{NL_SECTION}\n{nl}\n\n" if _shows_nl(nl) else ""
-    return (
-        f"{''.join(blocks)}{head}"
-        f"{FL_STATEMENT_SECTION}\n{statement}\n\n{FL_PROOF_SECTION}\n"
-    )
+    return Joined((
+        *blocks,
+        f"{head}{FL_STATEMENT_SECTION}\n{statement}\n\n{FL_PROOF_SECTION}\n",
+    ))
 
 
 class PromptExceedsBudget(ValueError):

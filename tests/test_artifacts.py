@@ -254,6 +254,8 @@ REPORT = HarnessReport(
 ATTEMPT = ProofAttempt(NAME, 2, 3, "rejected",
                        'token 8: expected "ℕ", got "ℤ" at offset 20', PROOF)
 PACKED = PackedRecord("### instruction ℕ\n", "target\n", 2, 40, NAME, 1)
+JOINED = PackedRecord(artifacts.Joined(['### block "ℕ"\n\t', "", "\\ own 𝔽\x1f\n"]),
+                      "target\n", 1, 40, NAME, 1)
 
 def append_one(path, entry):
     with artifacts.appending_jsonl(path) as append:
@@ -304,6 +306,10 @@ GOLDEN = {
         lambda path: artifacts.write_jsonl(path, [PACKED]),
         '{"instruction": "### instruction ℕ\\n", "target": "target\\n", '
         '"example_count": 2, "difficulty": 1}\n'),
+    "train-joined": (
+        lambda path: artifacts.write_jsonl(path, [JOINED]),
+        '{"instruction": "### block \\"ℕ\\"\\n\\t\\\\ own 𝔽\\u001f\\n", '
+        '"target": "target\\n", "example_count": 1, "difficulty": 1}\n'),
 }
 
 
@@ -314,6 +320,80 @@ def test_written_lines_keep_their_bytes(tmp_path, name):
     write(path)
     with open(path, "rb") as source:
         assert source.read() == expected.encode("utf-8")
+
+
+# --- joined texts -------------------------------------------------------------------
+
+
+# Parts hold what the JSON escaper rewrites (quote, backslash, every control
+# character) and what it keeps as it is (U+2028, non-BMP and other text).
+PART = st.text(st.sampled_from('"\\\n\u2028𝔽ℕa ') | st.characters(max_codepoint=0x1F)
+               | st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def dumped(records):
+    """The file ``json.dumps`` writes for ``records``, each the dict of its
+    wire fields with every text a plain str."""
+    lines = []
+    for record in records:
+        fields = {key: getattr(record, attr)
+                  for attr, key in artifacts.wire_keys(type(record))}
+        entry = {key: str(value) if isinstance(value, str) else value
+                 for key, value in fields.items()}
+        lines.append(json.dumps(entry, ensure_ascii=False) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_joined_lines_are_the_lines_json_dumps_writes(data):
+    shared = data.draw(st.lists(PART, min_size=1, max_size=4))
+    written = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        parts = data.draw(st.lists(st.sampled_from(shared) | PART, max_size=6))
+        instruction = artifacts.Joined(parts)
+        assert instruction == "".join(parts)
+        written.append(PackedRecord(instruction, data.draw(PART), len(parts), 0, NAME, 1))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "train.jsonl")
+        artifacts.write_jsonl(path, written)
+        with open(path, "rb") as source:
+            assert source.read() == dumped(written)
+
+
+def test_each_distinct_part_is_escaped_once_per_file(tmp_path, monkeypatch):
+    escaped = []
+
+    def escape(text):
+        escaped.append(text)
+        return json.encoder.encode_basestring(text)
+
+    monkeypatch.setattr(artifacts, "_escape", escape)
+    blocks = [f'block {i} "ℕ"\n\n' for i in range(3)]
+    owns = [f"own {i}\n" for i in range(4)]
+    written = [PackedRecord(artifacts.Joined((*blocks[:i], own)), "target\n", i, 0, NAME, 1)
+               for i, own in enumerate(owns)]
+    for name in ("first.jsonl", "second.jsonl"):
+        escaped.clear()
+        artifacts.write_jsonl(str(tmp_path / name), written)
+        assert sorted(escaped) == sorted(blocks + owns)
+        assert (tmp_path / name).read_bytes() == dumped(written)
+
+
+@pytest.mark.parametrize("entry", [
+    {"text": "lone \ud800"},
+    PackedRecord("lone \ud800", "target\n", 0, 0, NAME, 1),
+    PackedRecord(artifacts.Joined(["block\n"]), "lone \udfff", 1, 0, NAME, 1),
+    PackedRecord(artifacts.Joined(["block\n", "lone \udfff"]), "target\n", 1, 0, NAME, 1),
+], ids=["value", "record-field", "field-beside-joined", "joined-part"])
+def test_lone_surrogate_keeps_the_old_file(tmp_path, entry):
+    path = tmp_path / "train.jsonl"
+    artifacts.write_jsonl(str(path), [JOINED])
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        artifacts.write_jsonl(str(path), [JOINED, entry])
+    assert path.read_bytes() == before
+    assert leftovers(tmp_path) == []
 
 
 def values(hint, nonempty):

@@ -21,7 +21,8 @@ import yaml
 import support
 from fixtures import listings
 from leanforge import bootstrap as bootstrap_mod
-from leanforge import artifacts, cli, corpus, genclient, prover, retrieval, trainprep
+from leanforge import (artifacts, cli, corpus, genclient, prompts, prover, retrieval,
+                       trainprep)
 from leanforge import config as config_mod
 from leanforge.config import (
     ConfigError,
@@ -876,6 +877,27 @@ class TestPrepCommand:
             f"error: {path}:4: {entry['Name']}: Proof or Commented_proof does not "
             f"lex: unterminated block comment (offset {len(entry['Commented_proof'])})\n")
         assert not (tmp_path / "work" / "train.jsonl").exists()
+
+    def test_one_parser_per_process_parses_each_call_on_its_own(
+            self, tmp_path, monkeypatch):
+        built = []
+
+        def build_parser():
+            built.append(1)
+            return parser()
+
+        parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cli._parser.cache_clear()
+        config = self.make_workdir(tmp_path)
+        train = tmp_path / "work" / "train.jsonl"
+        assert run(["prep", "-c", config, "--no-nl"]) == 0
+        without_nl = read_jsonl(train)
+        assert run(["prep", "-c", config]) == 0
+        with_nl = read_jsonl(train)
+        assert built == [1]
+        assert not any(prompts.NL_SECTION in r["instruction"] for r in without_nl)
+        assert all(prompts.NL_SECTION in r["instruction"] for r in with_nl)
 
     def test_failed_write_keeps_previous_train_set(self, tmp_path, monkeypatch):
         config = self.make_workdir(tmp_path)
