@@ -100,7 +100,7 @@ def write_text(path: str, text: Union[str, Iterable[Union[str, bytes]]]) -> None
 
 
 def _json_line(entry: Any) -> str:
-    return json.dumps(entry, ensure_ascii=False, default=_to_entry) + "\n"
+    return _encode(entry) + "\n"
 
 
 def _jsonl_line(entry: Any, escapes: Dict[str, bytes]) -> Union[str, bytes]:
@@ -121,8 +121,8 @@ def _jsonl_line(entry: Any, escapes: Dict[str, bytes]) -> Union[str, bytes]:
                     escapes[part] = _escape(part)[1:-1].encode("utf-8")
             text = b'"%s"' % b"".join([escapes[part] for part in value.parts])
         else:
-            text = json.dumps(value, ensure_ascii=False, default=_to_entry).encode("utf-8")
-        items.append(b"%s: %s" % (json.dumps(key, ensure_ascii=False).encode("utf-8"), text))
+            text = _encode(value).encode("utf-8")
+        items.append(b"%s: %s" % (_encode(key).encode("utf-8"), text))
     return b"{%s}\n" % b", ".join(items)
 
 
@@ -257,6 +257,11 @@ def _table(cls) -> Tuple[Tuple[str, str, bool, Any], ...]:
 
 def _to_entry(record: Any) -> dict:
     return {key: getattr(record, attr) for attr, key, *_ in _table(type(record))}
+
+
+# ``json.dumps(value, ensure_ascii=False, default=_to_entry)``: the same bytes,
+# from one encoder kept for every line rather than one built per call.
+_encode = json.JSONEncoder(ensure_ascii=False, default=_to_entry).encode
 
 
 def _from_entry(entry: Any, cls):

@@ -11,10 +11,10 @@ exact code token stream of the original proof; anything else is rejected.
 import contextlib
 import logging
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, corpus, prompts
+from .config import BootstrapSettings
 from .corpus import LexError, TokenDivergence
 from .genclient import Ask, GenClientError, Sampler, in_order
 
@@ -42,11 +42,6 @@ class UnlexableProof(PreconditionViolated):
     def __init__(self, index: int, name: str, error: LexError):
         self.index = index
         super().__init__(f"{name}: Proof does not lex: {error}")
-
-
-class BootstrapMode(Enum):
-    INTERLEAVED = "interleaved"
-    HEAD = "head"
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,7 @@ def bootstrap_theorem(
     record: AlignedTheorem,
     ask: Ask,
     code: List[str],
-    max_attempts: int = 3,
+    max_attempts: int,
 ) -> str:
     """Interleave comments into one theorem's proof through the backend.
 
@@ -195,11 +190,12 @@ class BootstrapStats:
 
 def bootstrap_corpus(
     entries: Sequence[InformalRecord],
-    sampler: Optional[Sampler] = None,
-    mode: BootstrapMode = BootstrapMode.INTERLEAVED,
-    max_attempts: int = 3,
+    sampler: Optional[Sampler],
+    settings: BootstrapSettings,
 ) -> Tuple[List[ObtRecord], BootstrapStats]:
-    """Bootstrap every ``informal.jsonl`` record whose verdict is a pass.
+    """Bootstrap every ``informal.jsonl`` record whose verdict is a pass, in
+    the ``mode`` of ``settings``; head mode asks no model, and takes None
+    for ``sampler``.
 
     Records come out in entry order. Interleaved records that cannot be
     verified (or whose backend gave out) fall back to head mode, so no
@@ -210,11 +206,12 @@ def bootstrap_corpus(
 
     Interleaved records go through ``genclient.in_order``: up to the
     backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
-    each reserving ``max_attempts`` requests of its prompt when there is a
-    budget. The fallback, the stats and record assembly run here, in entry
-    order.
+    each making up to ``settings.max_attempts`` requests and reserving that
+    many of its prompt when there is a budget. The fallback, the stats and
+    record assembly run here, in entry order.
     """
-    if mode is BootstrapMode.INTERLEAVED and sampler is None:
+    interleaved = settings.mode == "interleaved"
+    if interleaved and sampler is None:
         raise ValueError("interleaved mode needs a backend")
 
     drafts = [(index, entry) for index, entry in enumerate(entries)
@@ -233,15 +230,15 @@ def bootstrap_corpus(
     def work(item, ask):
         draft, code = item
         try:
-            return bootstrap_theorem(draft, ask, code, max_attempts)
+            return bootstrap_theorem(draft, ask, code, settings.max_attempts)
         except (BootstrapVerificationFailed, GenClientError) as exc:
             return exc
 
-    if mode is BootstrapMode.INTERLEAVED:
+    if interleaved:
         units = (((draft, code), prompts.bootstrap_prompt(
             draft.generated_informal_statement_and_proof, draft.proof))
             for draft, code in scanned)
-        replies = in_order(units, work, sampler, max_attempts)
+        replies = in_order(units, work, sampler, settings.max_attempts)
     else:
         replies = ((item, None) for item in scanned)
     out: List[ObtRecord] = []

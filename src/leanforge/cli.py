@@ -155,14 +155,7 @@ def _read_json(path: str):
 
 def make_backend(settings: BackendSettings):
     if settings.kind == "chat":
-        return genclient.ChatCompletionBackend(
-            endpoint=settings.endpoint,
-            model=settings.model,
-            api_key_env=settings.api_key_env or None,
-            system_prompt=settings.system_prompt,
-            timeout=settings.timeout,
-            max_in_flight=settings.max_in_flight,
-        )
+        return genclient.ChatCompletionBackend(settings)
     script: List[Tuple[str, object]] = []
     if settings.script:
         rules = _read_json(settings.script)
@@ -175,7 +168,7 @@ def make_backend(settings: BackendSettings):
             except artifacts.ArtifactError as exc:
                 raise ConfigError([str(exc)]) from None
             script.append((rule.pattern, rule.responses or rule.response))
-    return genclient.MockBackend(script=script, default_text=settings.default_text)
+    return genclient.MockBackend(script, settings.default_text)
 
 
 @contextlib.contextmanager
@@ -186,9 +179,8 @@ def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.
     b = config.backend
     budget = None
     if b.budget.max_requests is not None or b.budget.max_tokens is not None:
-        budget = genclient.GenerationBudget(**dataclasses.asdict(b.budget))
-    retry = genclient.RetryPolicy(**dataclasses.asdict(b.retry),
-                                  jitter_seed=fork_seed(config.seed, "retry"))
+        budget = genclient.GenerationBudget(b.budget)
+    retry = genclient.RetryPolicy(b.retry, fork_seed(config.seed, "retry"))
     backend = make_backend(b)
     try:
         yield genclient.Sampler(backend, retry, budget, max_new_tokens, b.temperature)
@@ -216,12 +208,12 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
             config.retrieval.dimension)
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
         index = informalize.build_example_index(
-            pool, embedder, head, side=config.retrieval.side)
+            pool, embedder, head, config.retrieval.side)
     os.makedirs(config.workdir, exist_ok=True)
     with _sampler(config, config.backend.max_new_tokens) as sampler:
         results = informalize.informalize_corpus(
             records, sampler, config.informalize, pool, index, embedder,
-            stage_path(config, "informal_checkpoint"), restart=not args.resume)
+            stage_path(config, "informal_checkpoint"), not args.resume)
     informalize.save_informal_dataset(
         records, results, stage_path(config, "informal"))
     passed = sum(1 for r in results if r.verdict == "pass")
@@ -238,14 +230,12 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
     lines = artifacts.read_jsonl(path)
     entries = [artifacts.as_record(path, line, bootstrap_mod.InformalRecord)
                for line in lines]
-    mode = bootstrap_mod.BootstrapMode(config.bootstrap.mode)
-    head = mode is bootstrap_mod.BootstrapMode.HEAD
     # head mode asks no model, so it builds no backend
-    with (contextlib.nullcontext() if head
+    with (contextlib.nullcontext() if config.bootstrap.mode == "head"
           else _sampler(config, config.backend.max_new_tokens)) as sampler:
         try:
             obt_records, stats = bootstrap_mod.bootstrap_corpus(
-                entries, sampler, mode, config.bootstrap.max_attempts)
+                entries, sampler, config.bootstrap)
         except bootstrap_mod.UnlexableProof as exc:
             raise ValueError(f"{path}:{lines[exc.index].lineno}: {exc}") from None
     artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
@@ -293,7 +283,7 @@ def _read_problems(path: str) -> List[prover.Problem]:
 
 def make_verifier(settings: ProverSettings):
     if settings.verifier == "external":
-        return prover.ExternalVerifier(settings.command, timeout_s=settings.timeout_s)
+        return prover.ExternalVerifier(settings.command, settings.timeout_s)
     key = {}
     if settings.answer_key:
         key = _read_json(settings.answer_key)

@@ -38,6 +38,7 @@ from typing import (
 )
 
 from . import __version__
+from .config import BackendSettings, BudgetSettings, RetrySettings
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +67,8 @@ class BudgetExceeded(GenClientError):
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
-    max_new_tokens: int = 512
-    temperature: float = 0.7
+    max_new_tokens: int
+    temperature: float
     n_samples: int = 1
     request_id: str = ""
 
@@ -75,7 +76,6 @@ class GenerationRequest:
 @dataclass(frozen=True)
 class GenerationResponse:
     samples: Tuple[str, ...]
-    backend_name: str
     latency_ms: float
     truncated: Tuple[bool, ...]
     attempts: int = 1
@@ -94,7 +94,8 @@ def estimate_tokens(text: str) -> int:
 
 @dataclass
 class GenerationBudget:
-    """Approximate request/token ceiling shared across a pipeline stage.
+    """The request/token ceilings of ``settings``, shared across a pipeline
+    stage.
 
     Charged once per logical request, up front: prompt estimate plus the
     worst-case completion (max_new_tokens per sample).  Retries of a failed
@@ -102,10 +103,9 @@ class GenerationBudget:
     concurrent callers see the ceilings exactly.
     """
 
-    max_requests: Optional[int] = None
-    max_tokens: Optional[int] = None
-    requests_used: int = 0
-    tokens_used: int = 0
+    settings: BudgetSettings
+    requests_used: int = field(default=0, init=False)
+    tokens_used: int = field(default=0, init=False)
     requests_reserved: int = field(default=0, init=False)
     tokens_reserved: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
@@ -114,12 +114,13 @@ class GenerationBudget:
     def _ceiling_crossed(self, requests: int, tokens: int) -> Optional[str]:
         """Which ceiling ``requests`` and ``tokens`` more would cross beside
         what is used and reserved already, or None; the caller holds the lock."""
-        if self.max_requests is not None and (
-                self.requests_used + self.requests_reserved + requests > self.max_requests):
-            return f"request ceiling {self.max_requests} reached"
-        if self.max_tokens is not None and (
-                self.tokens_used + self.tokens_reserved + tokens > self.max_tokens):
-            return (f"token ceiling {self.max_tokens} would be exceeded "
+        max_requests, max_tokens = self.settings.max_requests, self.settings.max_tokens
+        if max_requests is not None and (
+                self.requests_used + self.requests_reserved + requests > max_requests):
+            return f"request ceiling {max_requests} reached"
+        if max_tokens is not None and (
+                self.tokens_used + self.tokens_reserved + tokens > max_tokens):
+            return (f"token ceiling {max_tokens} would be exceeded "
                     f"({self.tokens_used} used, next request needs ~{tokens})")
         return None
 
@@ -304,23 +305,22 @@ class _Halt:
 
 @dataclass
 class RetryPolicy:
-    """Exponential backoff with deterministic jitter.
+    """Exponential backoff with deterministic jitter, by ``settings``.
 
     The delay before retry k is base_delay * 2^(k-1), capped at max_delay,
     scaled into [0.5, 1.0) by a jitter value derived only from (jitter_seed,
-    attempt), so schedules are reproducible.  complete() stops retrying once
-    the next sleep would push cumulative backoff past wall_clock_ceiling.
+    attempt), so schedules are reproducible.  complete() makes at most
+    max_attempts attempts, and stops retrying once the next sleep would push
+    cumulative backoff past wall_clock_ceiling.
     """
 
-    max_attempts: int = 5
-    base_delay: float = 1.0
-    max_delay: float = 60.0
-    wall_clock_ceiling: float = 300.0
-    jitter_seed: int = 0
+    settings: RetrySettings
+    jitter_seed: int
     sleep: Callable[[float], None] = time.sleep
 
     def delay(self, attempt: int) -> float:
-        raw = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
+        s = self.settings
+        raw = min(s.max_delay, s.base_delay * 2 ** (attempt - 1))
         jitter = random.Random(f"{self.jitter_seed}:{attempt}").random()
         return raw * (0.5 + 0.5 * jitter)
 
@@ -333,11 +333,11 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 def complete(
     request: GenerationRequest,
     backend,
-    retry: Optional[RetryPolicy] = None,
+    retry: RetryPolicy,
     budget: Optional[GenerationBudget] = None,
 ) -> GenerationResponse:
     """Run one generation request with retry, budget, and contract checks."""
-    policy = retry or RetryPolicy()
+    limits = retry.settings
     if budget is not None:
         budget.charge(request)
     started = time.perf_counter()
@@ -348,21 +348,21 @@ def complete(
             pairs = backend.generate(request)
             break
         except BackendUnavailable as exc:
-            if attempt >= policy.max_attempts:
+            if attempt >= limits.max_attempts:
                 raise BackendUnavailable(
                     f"backend {backend.name} failed after {attempt} attempts: {exc}"
                 ) from exc
-            pause = policy.delay(attempt)
-            if slept + pause > policy.wall_clock_ceiling:
+            pause = retry.delay(attempt)
+            if slept + pause > limits.wall_clock_ceiling:
                 raise BackendUnavailable(
-                    f"retry ceiling {policy.wall_clock_ceiling}s reached "
+                    f"retry ceiling {limits.wall_clock_ceiling}s reached "
                     f"after {attempt} attempts: {exc}"
                 ) from exc
             logger.warning(
                 "backend %s attempt %d failed (%s), retrying in %.1fs",
                 backend.name, attempt, exc, pause,
             )
-            policy.sleep(pause)
+            retry.sleep(pause)
             slept += pause
             attempt += 1
     latency_ms = (time.perf_counter() - started) * 1000.0
@@ -380,7 +380,6 @@ def complete(
             )
     return GenerationResponse(
         samples=tuple(text for text, _ in pairs),
-        backend_name=backend.name,
         latency_ms=latency_ms,
         truncated=tuple(flag for _, flag in pairs),
         attempts=attempt,
@@ -393,10 +392,10 @@ class Sampler:
     budget every request is charged to, and the settings of each request."""
 
     backend: Any
-    retry: Optional[RetryPolicy] = None
-    budget: Optional[GenerationBudget] = None
-    max_new_tokens: int = 512
-    temperature: float = 0.7
+    retry: RetryPolicy
+    budget: Optional[GenerationBudget]
+    max_new_tokens: int
+    temperature: float
 
     def request(self, prompt: str, request_id: str = "") -> GenerationRequest:
         return GenerationRequest(prompt, self.max_new_tokens, self.temperature,
@@ -438,17 +437,16 @@ class MockBackend:
     are served in call order, a mock serves one caller at a time.
     """
 
+    name = "mock"
     concurrency = 1
 
     def __init__(
         self,
-        script: Optional[Sequence[Tuple[str, Union[str, Sequence[str]]]]] = None,
-        default_text: str = "sorry",
-        name: str = "mock",
+        script: Sequence[Tuple[str, Union[str, Sequence[str]]]],
+        default_text: str,
     ):
-        self.script = list(script or [])
+        self.script = list(script)
         self.default_text = default_text
-        self.name = name
         self._cursor: Dict[int, int] = {}
 
     def _lookup(self, rule_index: int) -> str:
@@ -472,12 +470,14 @@ class MockBackend:
 
 
 class ChatCompletionBackend:
-    """Adapter for chat-completion HTTP services.
+    """Adapter for chat-completion HTTP services, configured by ``settings``
+    and named by its model.
 
     Wire format: POST {model, messages, temperature, n, max_tokens} to the
-    endpoint; reply {choices: [{message: {content}, finish_reason}]}.
-    The bearer token comes from the environment variable named by
-    api_key_env; a missing key surfaces as BackendUnavailable at call time.
+    endpoint; reply {choices: [{message: {content}, finish_reason}]}, with
+    the ``system_prompt`` as a system message when it is set. The bearer
+    token comes from the environment variable named by api_key_env; a
+    missing key surfaces as BackendUnavailable at call time.
 
     All calls share a pool of keep-alive connections. At most
     ``max_in_flight`` requests are on the wire at once and a further call
@@ -492,34 +492,21 @@ class ChatCompletionBackend:
     request waits; ``prove`` keeps one problem more per verifier check.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: Optional[str] = None,
-        system_prompt: str = "",
-        timeout: float = 120.0,
-        max_in_flight: int = 2,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, settings: BackendSettings):
         # Imported here: a run on the mock backend does not pay for
         # http.client and ssl at start-up (about 30 ms).
         import http.client
 
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key_env = api_key_env
-        self.system_prompt = system_prompt
-        self.timeout = timeout
-        self.name = name or model
-        self.concurrency = 2 * max_in_flight
-        url = urllib.parse.urlsplit(endpoint)
+        self.settings = settings
+        self.name = settings.model
+        self.concurrency = 2 * settings.max_in_flight
+        url = urllib.parse.urlsplit(settings.endpoint)
         connection = (http.client.HTTPSConnection if url.scheme == "https"
                       else http.client.HTTPConnection)
         address = (url.hostname, url.port or connection.default_port)
-        self._connect = lambda: connection(*address, timeout=timeout)
+        self._connect = lambda: connection(*address, timeout=settings.timeout)
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._slots = threading.BoundedSemaphore(settings.max_in_flight)
         self._idle: list = []  # open connections, the most recently used last
         self._idle_lock = threading.Lock()
 
@@ -532,12 +519,11 @@ class ChatCompletionBackend:
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        if self.api_key_env:
-            key = os.environ.get(self.api_key_env)
+        key_env = self.settings.api_key_env
+        if key_env:
+            key = os.environ.get(key_env)
             if not key:
-                raise BackendUnavailable(
-                    f"environment variable {self.api_key_env} is not set"
-                )
+                raise BackendUnavailable(f"environment variable {key_env} is not set")
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
@@ -575,11 +561,11 @@ class ChatCompletionBackend:
 
     def generate(self, request: GenerationRequest) -> List[Tuple[str, bool]]:
         messages = []
-        if self.system_prompt:
-            messages.append({"role": "system", "content": self.system_prompt})
+        if self.settings.system_prompt:
+            messages.append({"role": "system", "content": self.settings.system_prompt})
         messages.append({"role": "user", "content": request.prompt})
         body = {
-            "model": self.model,
+            "model": self.settings.model,
             "messages": messages,
             "temperature": request.temperature,
             "n": request.n_samples,

@@ -91,14 +91,15 @@ def build_example_index(
     pool: Sequence[PoolExample],
     embedder,
     head: retrieval.ProjectionHead,
-    side: str = "nl",
+    side: str,
 ) -> retrieval.SimilarityIndex:
     """Index the pool for retrieval. An entry's id is its (name, position)
     in the pool: similarity ties rank by name, and entries that share a
     name stay apart.
 
-    side="nl" indexes the pool's NL texts (queries cross the language gap
-    through the trained head); side="fl" indexes the FL texts directly.
+    ``side`` is ``retrieval.side``: "nl" indexes the pool's NL texts
+    (queries cross the language gap through the trained head); "fl"
+    indexes the FL texts directly.
     """
     texts = [p.nl if side == "nl" else p.fl for p in pool]
     vectors = embedder.embed(texts)
@@ -216,19 +217,20 @@ def informalize_corpus(
     records: Sequence[TheoremRecord],
     sampler: genclient.Sampler,
     settings: InformalizeSettings,
-    pool: Sequence[PoolExample] = (),
-    index: Optional[retrieval.SimilarityIndex] = None,
-    embedder=None,
-    checkpoint_path: Optional[str] = None,
-    restart: bool = False,
+    pool: Sequence[PoolExample],
+    index: Optional[retrieval.SimilarityIndex],
+    embedder,
+    checkpoint_path: str,
+    restart: bool,
 ) -> List[InformalizationResult]:
     """One result per record, in input order, checkpointed after each.
 
     With an ``index`` (``build_example_index`` over ``pool`` with
     ``embedder``), each prompt shows the record's ``k_examples`` nearest
     pool entries; the statements of the records still to run are embedded
-    in one ``embed`` call before any is sent. A checkpoint at
-    ``checkpoint_path`` is resumed, or discarded with ``restart``.
+    in one ``embed`` call before any is sent. With None for ``index`` no
+    prompt shows an example. A checkpoint at ``checkpoint_path`` is
+    resumed, or discarded with ``restart``.
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each a whole ``informalize_theorem``
@@ -238,7 +240,7 @@ def informalize_corpus(
     of the records.
     """
     done: List[InformalizationResult] = []
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    if os.path.exists(checkpoint_path):
         if restart:
             os.remove(checkpoint_path)
         else:
@@ -264,14 +266,11 @@ def informalize_corpus(
         return informalize_theorem(record, examples, ask, settings)
 
     results = list(done)
-    checkpoint = (artifacts.appending_jsonl(checkpoint_path)
-                  if checkpoint_path else contextlib.nullcontext())
-    with checkpoint as append, contextlib.closing(genclient.in_order(
-            units(), work, sampler, settings.max_attempts)) as finished:
+    with artifacts.appending_jsonl(checkpoint_path) as append, contextlib.closing(
+            genclient.in_order(units(), work, sampler, settings.max_attempts)) as finished:
         for _, result in finished:
             results.append(result)
-            if append is not None:
-                append(result)
+            append(result)
     return results
 
 

@@ -280,7 +280,6 @@ class MockVerifier:
     ``load_report`` re-checks at once, and does not serialise checks made
     from other threads."""
 
-    name = "mock"
     concurrency = 1
 
     def __init__(self, answer_key: Dict[str, str]):
@@ -318,9 +317,7 @@ class ExternalVerifier:
     for a free one, and its ``timeout_s`` counts from its checker's start.
     """
 
-    name = "external"
-
-    def __init__(self, command: Sequence[str], timeout_s: float = 300.0):
+    def __init__(self, command: Sequence[str], timeout_s: float):
         self.command = list(command)
         self.timeout_s = timeout_s
         self.concurrency = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

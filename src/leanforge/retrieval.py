@@ -111,25 +111,9 @@ def load_head(path: str, dimension: int) -> ProjectionHead:
 
 
 def _ring(size: int) -> np.ndarray:
-    """The negative of each pair of a batch: the next pair around the ring."""
+    """The negative of each pair of a batch: the next pair around the ring,
+    i + 1 mod the batch size."""
     return (np.arange(size) + 1) % size
-
-
-@dataclass
-class AlignmentBatch:
-    """A batch of two or more aligned (nl, fl) pairs. The negatives for
-    pair i are the vectors of the next pair around the ring, i + 1 mod the
-    batch size."""
-
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
-
-    def negatives(self) -> np.ndarray:
-        return _ring(len(self.pairs))
-
-    def matrices(self) -> Tuple[np.ndarray, np.ndarray]:
-        nl = np.stack([pair[0] for pair in self.pairs])
-        fl = np.stack([pair[1] for pair in self.pairs])
-        return nl, fl
 
 
 def _projected_rows(
@@ -151,16 +135,9 @@ def _row_cos(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np
     return np.einsum("ij,ij->i", a, b) / (na * nb)
 
 
-def contrastive_loss(batch: AlignmentBatch, head: ProjectionHead) -> float:
-    return _loss(_projected_rows(*batch.matrices(), head), batch.negatives())
-
-
-def contrastive_gradient(batch: AlignmentBatch, head: ProjectionHead) -> np.ndarray:
-    """Analytic dLoss/dW, same shape as the head weights."""
-    return _gradient(_projected_rows(*batch.matrices(), head), batch.negatives())
-
-
 def _loss(rows: Tuple[np.ndarray, ...], j: np.ndarray) -> float:
+    """The contrastive loss of a batch's ``_projected_rows``, pair i's
+    negative being pair ``j[i]``."""
     _, _, a, b, na, nb = rows
     pos = _row_cos(a, b, na, nb)
     neg_nl = _row_cos(a[j], b, na[j], nb)
@@ -170,8 +147,9 @@ def _loss(rows: Tuple[np.ndarray, ...], j: np.ndarray) -> float:
 
 
 def _gradient(rows: Tuple[np.ndarray, ...], j: np.ndarray) -> np.ndarray:
-    """dLoss/dW of ``_loss``. Each term's rows are a permutation of the
-    batch, so indexed ``+=`` adds each row once."""
+    """Analytic dLoss/dW of ``_loss``, the shape of the head weights. Each
+    term's rows are a permutation of the batch, so indexed ``+=`` adds each
+    row once."""
     nl_raw, fl_raw, a, b, na, nb = rows
     size = len(a)
 
@@ -207,8 +185,8 @@ def train_projection(
     ``projection_dim`` defaults to the input dimension.
 
     The pairs are stacked once, and each step projects its batch once for
-    both the loss and the gradient, which ``contrastive_loss`` and
-    ``contrastive_gradient`` of the same batch give.
+    both the loss (``_loss``) and the gradient (``_gradient``), with the
+    ring negatives of ``_ring``.
 
     Returns the trained head and the per-step loss trace (length == steps).
     Identical settings, seed and pairs give a bit-identical trace.
@@ -219,7 +197,8 @@ def train_projection(
     head = ProjectionHead.initialize(d_in, settings.projection_dim or d_in, seed)
     rng = np.random.default_rng(seed)
     batch_size = min(settings.batch_size, len(pairs))
-    nl_all, fl_all = AlignmentBatch(pairs).matrices()
+    nl_all = np.stack([nl for nl, _ in pairs])
+    fl_all = np.stack([fl for _, fl in pairs])
     j = _ring(batch_size)
 
     trace: List[float] = []
@@ -331,7 +310,7 @@ class HashEmbedder:
     platforms.
     """
 
-    def __init__(self, dimension: int = 64):
+    def __init__(self, dimension: int):
         self.dimension = dimension
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:

@@ -35,7 +35,6 @@ class WhitespaceTokenizer:
     J=0: count(a+b) <= count(a) + count(b)).
     """
 
-    name = "whitespace"
     _TOKEN = re.compile(r"\w+|[^\w\s]")
 
     def tokens(self, text: str) -> List[str]:
@@ -55,13 +54,12 @@ class VocabTokenizer:
     can split (join constant J=1).
     """
 
-    def __init__(self, vocabulary: Iterable[str], name: str = "vocab"):
-        self.name = name
+    def __init__(self, vocabulary: Iterable[str]):
         self._vocab = {_vocab_entry(v) for v in vocabulary if v}
         self._max_len = max((len(v) for v in self._vocab), default=1)
 
     @classmethod
-    def from_file(cls, path: str, name: str = "vocab") -> "VocabTokenizer":
+    def from_file(cls, path: str) -> "VocabTokenizer":
         """One entry per line; blank lines are skipped."""
         entries = []
         for lineno, line in enumerate(artifacts.read_text(path).split("\n"), 1):
@@ -71,7 +69,7 @@ class VocabTokenizer:
                 entries.append(_vocab_entry(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls(entries, name=name)
+        return cls(entries)
 
     def count(self, text: str) -> int:
         total = 0

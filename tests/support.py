@@ -24,7 +24,11 @@ from its tokens, as the prover did before it compared code texts.
 batch twice per step. ``reference_hash_embed`` is the per-n-gram form of the hash embedder that
 ``HashEmbedder.embed`` must match byte for byte. ``KeyedBackend`` answers by
 request id after a jittered pause, so the paid stages can be run at several
-concurrencies and compared.
+concurrencies and compared. ``make_sampler``, ``make_request``,
+``mock_backend``, ``chat_backend``, ``retry_policy`` and ``make_budget``
+build the generation objects with the config's default settings, and
+``contrastive_loss`` and ``contrastive_gradient`` give the loss and
+gradient that ``retrieval.train_projection`` uses, for a batch of pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ import time
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+from leanforge import genclient, retrieval
+from leanforge.config import BackendSettings, BudgetSettings, RetrySettings
 
 _WS_RUN = re.compile(r"[ \t\r\n]+")
 _CHAR_LIT = re.compile(r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^'\\\n])'")
@@ -815,10 +822,8 @@ def oracle_contrastive_loss(nl_rows, fl_rows, negatives, weights) -> float:
     return total / len(nl_rows)
 
 
-def fd_contrastive_gradient(batch, head, eps: float = 1e-5):
-    """Central finite differences of contrastive_loss over every weight."""
-    from leanforge import retrieval
-
+def fd_contrastive_gradient(pairs, head, eps: float = 1e-5):
+    """Central finite differences of ``contrastive_loss`` over every weight."""
     base = head.weights
     grad = np.zeros_like(base)
     for r in range(base.shape[0]):
@@ -834,8 +839,8 @@ def fd_contrastive_gradient(batch, head, eps: float = 1e-5):
                 weights=minus, d_in=head.d_in, d_out=head.d_out, seed=head.seed
             )
             grad[r, c] = (
-                retrieval.contrastive_loss(batch, head_plus)
-                - retrieval.contrastive_loss(batch, head_minus)
+                contrastive_loss(pairs, head_plus)
+                - contrastive_loss(pairs, head_minus)
             ) / (2.0 * eps)
     return grad
 
@@ -845,16 +850,15 @@ def reference_train_projection(pairs, settings, seed: int):
     projected each batch once: each step stacks its batch and projects it
     for the loss and again for the gradient, which adds rows with
     ``np.add.at``."""
-    from leanforge import retrieval
-
     def gradient(batch, head):
-        nl_raw, fl_raw = batch.matrices()
+        nl_raw = np.stack([nl for nl, _ in batch])
+        fl_raw = np.stack([fl for _, fl in batch])
         a = nl_raw @ head.weights.T
         b = fl_raw @ head.weights.T
         na = np.linalg.norm(a, axis=1)
         nb = np.linalg.norm(b, axis=1)
-        size = len(batch.pairs)
-        j = batch.negatives()
+        size = len(batch)
+        j = (np.arange(size) + 1) % size
         d_a = np.zeros_like(a)
         d_b = np.zeros_like(b)
 
@@ -882,8 +886,8 @@ def reference_train_projection(pairs, settings, seed: int):
     trace = []
     for _ in range(settings.steps):
         chosen = rng.choice(len(pairs), size=batch_size, replace=False)
-        batch = retrieval.AlignmentBatch(pairs=[pairs[k] for k in chosen])
-        loss = retrieval.contrastive_loss(batch, head)
+        batch = [pairs[k] for k in chosen]
+        loss = contrastive_loss(batch, head)
         grad = gradient(batch, head)
         head.weights = head.weights - settings.lr * grad
         trace.append(loss)
@@ -977,3 +981,60 @@ class KeyedBackend:
             raise RuntimeError(f"injected fault at call {call}")
         time.sleep(random.Random(f"{self.seed}:{request.request_id}").uniform(0.0, 0.003))
         return [(self.reply(request), False)] * request.n_samples
+
+
+# --- runtime objects with the config's defaults ---------------------------------
+#
+# The library takes every setting from its config section or as a required
+# argument; these build its objects with the values of ``BackendSettings()``,
+# ``RetrySettings()`` and ``BudgetSettings()``, so no test restates a default.
+
+BACKEND = BackendSettings()
+
+
+def make_request(prompt, n_samples=1, max_new_tokens=BACKEND.max_new_tokens):
+    """A request as a ``Sampler`` with the backend section's defaults sends it."""
+    return genclient.GenerationRequest(prompt, max_new_tokens, BACKEND.temperature,
+                                       n_samples)
+
+
+def mock_backend(script=(), default_text=BACKEND.default_text):
+    return genclient.MockBackend(script, default_text)
+
+
+def chat_backend(endpoint, model, **settings):
+    """A chat backend on ``endpoint``; ``settings`` are other backend keys."""
+    return genclient.ChatCompletionBackend(
+        BackendSettings(kind="chat", endpoint=endpoint, model=model, **settings))
+
+
+def retry_policy(jitter_seed=0, sleep=time.sleep, **settings):
+    """A retry policy; ``settings`` are ``backend.retry`` keys."""
+    return genclient.RetryPolicy(RetrySettings(**settings), jitter_seed, sleep)
+
+
+def make_budget(**settings):
+    """A budget; ``settings`` are ``backend.budget`` keys."""
+    return genclient.GenerationBudget(BudgetSettings(**settings))
+
+
+def make_sampler(backend, retry=None, budget=None, max_new_tokens=BACKEND.max_new_tokens):
+    """A sampler with the backend section's retry policy and temperature."""
+    return genclient.Sampler(backend, retry or retry_policy(), budget, max_new_tokens,
+                             BACKEND.temperature)
+
+
+def contrastive_loss(pairs, head):
+    """The contrastive loss of a batch of ``(nl, fl)`` pairs, by the rule
+    ``retrieval.train_projection`` descends."""
+    return retrieval._loss(_batch_rows(pairs, head), retrieval._ring(len(pairs)))
+
+
+def contrastive_gradient(pairs, head):
+    """The analytic gradient ``retrieval.train_projection`` steps along."""
+    return retrieval._gradient(_batch_rows(pairs, head), retrieval._ring(len(pairs)))
+
+
+def _batch_rows(pairs, head):
+    return retrieval._projected_rows(np.stack([nl for nl, _ in pairs]),
+                                     np.stack([fl for _, fl in pairs]), head)

@@ -25,15 +25,11 @@ from leanforge.bootstrap import (
 )
 from leanforge.config import RetrievalSettings
 from leanforge.corpus import code_divergence, lex_lean
-from leanforge.genclient import Sampler
 from leanforge.prompts import PromptCounter, PromptExceedsBudget
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (
-    AlignmentBatch,
     ProjectionHead,
     build_index,
-    contrastive_gradient,
-    contrastive_loss,
     similarity_histogram,
     top_k,
     train_projection,
@@ -196,23 +192,22 @@ class TestCriterion3:
             d_out = int(rng.integers(1, dim + 1))
             pairs = [(rng.normal(size=dim), rng.normal(size=dim))
                      for _ in range(size)]
-            batch = AlignmentBatch(pairs=pairs)
             head = ProjectionHead.initialize(
                 dim, d_out, seed=int(rng.integers(10_000)))
-            analytic = contrastive_gradient(batch, head)
-            fd = support.fd_contrastive_gradient(batch, head)
+            analytic = support.contrastive_gradient(pairs, head)
+            fd = support.fd_contrastive_gradient(pairs, head)
             scale = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-8)
             assert np.linalg.norm(analytic - fd) / scale < 1e-4, trial
 
         identity = ProjectionHead(np.eye(4), 4, 4, seed=0)
         e1, e2 = np.eye(4)[:2]
-        orthogonal = AlignmentBatch(pairs=[(e1, e1), (e2, e2)])
-        assert contrastive_loss(orthogonal, identity) == \
+        orthogonal = [(e1, e1), (e2, e2)]
+        assert support.contrastive_loss(orthogonal, identity) == \
             pytest.approx(0.0, abs=1e-9)
 
         same = np.asarray([0.3, -0.7, 2.0, 0.4], dtype=np.float64)
-        identical = AlignmentBatch(pairs=[(same, same), (same, same)])
-        assert contrastive_loss(identical, identity) == \
+        identical = [(same, same), (same, same)]
+        assert support.contrastive_loss(identical, identity) == \
             pytest.approx(1.0, abs=1e-9)
 
         verdict(capsys, 3,
@@ -298,7 +293,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_second_round_proves_more_and_invariants_hold(self, capsys):
         problems, seeds, backend, mock_verifier = test_prover.two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), mock_verifier,
+        report = run_iterative(problems, seeds, support.make_sampler(backend), mock_verifier,
                                test_prover.config(), test_prover.TOKENIZER)
         assert report.rounds[1].cumulative_proved > \
             report.rounds[0].cumulative_proved
@@ -312,7 +307,7 @@ class TestCriterion6:
             scenario = test_prover.ScenarioBackend(gates, proofs)
             checker = test_prover.MockVerifier(proofs)
             report = run_iterative(
-                problems, test_prover.seed_examples(2), Sampler(scenario), checker,
+                problems, test_prover.seed_examples(2), support.make_sampler(scenario), checker,
                 test_prover.config(max_rounds=max_rounds,
                                    n_samples=n_samples), test_prover.TOKENIZER)
 

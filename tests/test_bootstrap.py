@@ -12,7 +12,6 @@ from leanforge import artifacts, corpus
 from leanforge import bootstrap as bootstrap_module
 from leanforge.bootstrap import (
     AlignedTheorem,
-    BootstrapMode,
     BootstrapVerificationFailed,
     InformalRecord,
     ObtRecord,
@@ -25,16 +24,9 @@ from leanforge.bootstrap import (
     sanitize_comment_body,
     verify_bootstrap,
 )
+from leanforge.config import BootstrapSettings
 from leanforge.corpus import LexError
-from leanforge.genclient import (
-    Ask,
-    BackendUnavailable,
-    GenerationBudget,
-    MalformedBackendReply,
-    MockBackend,
-    RetryPolicy,
-    Sampler,
-)
+from leanforge.genclient import Ask, BackendUnavailable, MalformedBackendReply
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -59,9 +51,13 @@ from support import (
     insert_comments_line_respecting,
     insert_comments_reckless,
     lean_delimited_texts,
+    make_budget,
+    make_sampler,
+    mock_backend,
     nested_comment,
     random_leanish_source,
     reference_divergence,
+    retry_policy,
     strip_comments,
 )
 
@@ -108,6 +104,10 @@ def sq_record():
 
 
 SQ_CODE = corpus.code_texts(SQINEQ_PLAIN)
+
+HEAD = BootstrapSettings(mode="head")
+INTERLEAVED = BootstrapSettings(mode="interleaved")
+ATTEMPTS = INTERLEAVED.max_attempts  # replies bootstrap_theorem checks at most
 
 
 class TestSanitizeCommentBody:
@@ -258,14 +258,13 @@ class Counting:
 def sq_ask(backend, **settings):
     """The ask ``bootstrap_corpus`` hands ``sq_record()``."""
     record = sq_record()
-    return Ask(Sampler(backend, max_new_tokens=1024, **settings), bootstrap_prompt(
+    return Ask(make_sampler(backend, max_new_tokens=1024, **settings), bootstrap_prompt(
         record.generated_informal_statement_and_proof, record.proof))
 
 
 class TestBootstrapTheorem:
     def test_head_mode_needs_no_backend(self):
-        (obt,), _ = bootstrap_corpus([sq_entry()], sampler=None,
-                                     mode=BootstrapMode.HEAD)
+        (obt,), _ = bootstrap_corpus([sq_entry()], None, HEAD)
         assert obt == ObtRecord(
             **dataclasses.asdict(sq_record()),
             commented_proof=head_bootstrap(SQINEQ_NL, SQINEQ_PLAIN))
@@ -283,24 +282,24 @@ class TestBootstrapTheorem:
         assert prompt.endswith(COMMENTED_SECTION + "\n")
 
     def test_interleaved_verified_first_try(self):
-        backend = Counting(MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
+        backend = Counting(mock_backend([("algebra_sqineq", SQINEQ_COMMENTED)]))
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
     def test_fenced_reply_unwrapped(self):
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
-        backend = MockBackend(script=[("algebra_sqineq", fenced)])
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
+        backend = mock_backend([("algebra_sqineq", fenced)])
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert verify_bootstrap(SQINEQ_PLAIN, out)[0]
         assert "```" not in out
 
     def test_rewrite_retries_then_fails_with_divergence(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
-        backend = Counting(MockBackend(script=[("algebra_sqineq", mutated)]))
+        backend = Counting(mock_backend([("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
-        assert backend.calls == 3
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
+        assert backend.calls == ATTEMPTS
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
         assert str(info.value) == (
@@ -309,17 +308,16 @@ class TestBootstrapTheorem:
 
     def test_bad_then_good_succeeds_second_attempt(self):
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
-        backend = Counting(MockBackend(
+        backend = Counting(mock_backend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE)
+        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
     def test_non_lexing_reply_counts_as_failure(self):
-        backend = MockBackend(default_text="/- never closed")
+        backend = mock_backend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE,
-                              max_attempts=2)
+            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, 2)
 
     def test_backend_errors_propagate(self):
         class Down:
@@ -328,9 +326,10 @@ class TestBootstrapTheorem:
             def generate(self, request):
                 raise BackendUnavailable("offline")
 
-        policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
+        policy = retry_policy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
-            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_CODE)
+            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_CODE,
+                              ATTEMPTS)
 
 
 def integral_record(commit=INTEGRAL_COMMIT):
@@ -377,7 +376,7 @@ def small_corpus():
 class TestBootstrapCorpus:
     def test_head_mode_emits_everything(self):
         entries = small_corpus()
-        out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
+        out, stats = bootstrap_corpus(entries, None, HEAD)
         assert [r.name for r in out] == [e.name for e in entries]
         assert all(r.commented_proof.startswith("/- ") for r in out)
         assert (stats.total, stats.emitted) == (5, 5)
@@ -390,7 +389,7 @@ class TestBootstrapCorpus:
         entries[1] = dataclasses.replace(
             entries[1], generated_informal_statement_and_proof="",
             verdict="fail", reasons=("OVERLENGTH",))
-        out, stats = bootstrap_corpus(entries, mode=BootstrapMode.HEAD)
+        out, stats = bootstrap_corpus(entries, None, HEAD)
         assert [r.name for r in out] == ["toy0", "toy2", "toy3", "toy4"]
         assert stats.informal_failures == 1
         assert stats.emitted == 4
@@ -401,9 +400,9 @@ class TestBootstrapCorpus:
             (f"toy{i}", entry.proof + f"  -- note {i}\n")
             for i, entry in enumerate(entries)
         ]
-        backend = MockBackend(script=script)
+        backend = mock_backend(script)
         out, stats = bootstrap_corpus(
-            entries, Sampler(backend), mode=BootstrapMode.INTERLEAVED)
+            entries, make_sampler(backend), INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 0
         assert all("--" in r.commented_proof for r in out)
@@ -412,9 +411,9 @@ class TestBootstrapCorpus:
         entries = small_corpus()
         script = [("toy2", "theorem rewritten : 1 = 1 := rfl")]
         script += [(f"toy{i}", entries[i].proof) for i in range(5) if i != 2]
-        backend = MockBackend(script=script)
+        backend = mock_backend(script)
         out, stats = bootstrap_corpus(
-            entries, Sampler(backend), mode=BootstrapMode.INTERLEAVED)
+            entries, make_sampler(backend), INTERLEAVED)
         assert stats.emitted == 5
         assert stats.verification_fallbacks == 1
         by_name = {r.name: r for r in out}
@@ -430,9 +429,9 @@ class TestBootstrapCorpus:
             def generate(self, request):
                 raise BackendUnavailable("offline")
 
-        policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
+        policy = retry_policy(max_attempts=1, sleep=lambda s: None)
         out, stats = bootstrap_corpus(
-            entries, Sampler(Down(), retry=policy), mode=BootstrapMode.INTERLEAVED)
+            entries, make_sampler(Down(), retry=policy), INTERLEAVED)
         assert stats.emitted == 5
         assert stats.backend_fallbacks == 5
         assert all(r.commented_proof.startswith("/- ") for r in out)
@@ -444,19 +443,19 @@ class TestBootstrapCorpus:
             bootstrap_module, "head_bootstrap",
             lambda nl, proof: "/- " + nl + " -/\n" + proof.replace("simpa", "simp"))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
+            bootstrap_corpus(small_corpus(), None, HEAD)
         assert info.value.divergence.expected == "simpa"
         assert info.value.divergence.actual == "simp"
 
     def test_every_emitted_record_verifies(self):
-        out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
+        out, _ = bootstrap_corpus(small_corpus(), None, HEAD)
         for record in out:
             ok, _ = verify_bootstrap(record.proof, record.commented_proof)
             assert ok
 
     def test_interleaved_mode_needs_a_backend(self):
         with pytest.raises(ValueError, match="backend"):
-            bootstrap_corpus(small_corpus(), mode=BootstrapMode.INTERLEAVED)
+            bootstrap_corpus(small_corpus(), None, INTERLEAVED)
 
     def test_same_name_entries_keep_their_own_text(self):
         # names repeat across namespaces; each entry carries its own proof
@@ -466,7 +465,7 @@ class TestBootstrapCorpus:
             f"theorem foo : (1 : {t}) = 1 := by\n  rfl\n",
             f"Statement: one equals one in {t}. Proof: reflexivity.")
             for t in ("Nat", "Int"))
-        out, stats = bootstrap_corpus([nat, int_], mode=BootstrapMode.HEAD)
+        out, stats = bootstrap_corpus([nat, int_], None, HEAD)
         assert [(r.proof, r.generated_informal_statement_and_proof) for r in out] == [
             (e.proof, e.generated_informal_statement_and_proof)
             for e in (nat, int_)]
@@ -495,11 +494,10 @@ class TestConcurrentCorpus:
     the stats and the budget use, also under ceilings that bind mid-run."""
 
     def run(self, entries, seed, concurrency, **ceilings):
-        budget = GenerationBudget(**ceilings)
+        budget = make_budget(**ceilings)
         backend = KeyedBackend(keyed_replies(entries, seed), seed, concurrency)
         out, stats = bootstrap_corpus(
-            entries, Sampler(backend, budget=budget, max_new_tokens=64),
-            mode=BootstrapMode.INTERLEAVED)
+            entries, make_sampler(backend, budget=budget, max_new_tokens=64), INTERLEAVED)
         return out, stats, budget.requests_used, budget.tokens_used
 
     def test_records_stats_and_budget_match_serial(self):
@@ -543,7 +541,7 @@ class TestDatasetFiles:
         assert list(json.loads(path.read_text(encoding="utf-8"))) == WIRE_NAMES
 
     def test_round_trip_identity(self, tmp_path):
-        out, _ = bootstrap_corpus(small_corpus(), mode=BootstrapMode.HEAD)
+        out, _ = bootstrap_corpus(small_corpus(), None, HEAD)
         out.append(self.worked_record())
         path = tmp_path / "obt.jsonl"
         artifacts.write_jsonl(str(path), out)

@@ -755,6 +755,100 @@ class TestBootstrapCommand:
         assert not (workdir / "obt.jsonl").exists()
 
 
+def _backend_kind(sampler, section):
+    return {genclient.MockBackend: "mock",
+            genclient.ChatCompletionBackend: "chat"}[type(sampler.backend)]
+
+
+# (key, a value other than its default, whether it binds only a chat backend,
+# what carries it: a reader of the sampler ``cli._sampler`` builds and the
+# section ``cmd_bootstrap`` hands ``bootstrap_corpus``, and the value read)
+WIRED_SETTINGS = [
+    ("backend.kind", "chat", False, _backend_kind, "chat"),
+    ("backend.script", "script.json", False,
+     lambda sampler, _: sampler.backend.script, [("needle", "found")]),
+    ("backend.default_text", "no idea", False,
+     lambda sampler, _: sampler.backend.default_text, "no idea"),
+    ("backend.endpoint", "http://127.0.0.1:9/other", True,
+     lambda sampler, _: sampler.backend.settings.endpoint, "http://127.0.0.1:9/other"),
+    ("backend.model", "other-model", True,
+     lambda sampler, _: sampler.backend.name, "other-model"),
+    ("backend.api_key_env", "LEANFORGE_TEST_KEY", True,
+     lambda sampler, _: sampler.backend.settings.api_key_env, "LEANFORGE_TEST_KEY"),
+    ("backend.system_prompt", "Be terse.", True,
+     lambda sampler, _: sampler.backend.settings.system_prompt, "Be terse."),
+    ("backend.timeout", 9.5, True,
+     lambda sampler, _: sampler.backend.settings.timeout, 9.5),
+    ("backend.max_in_flight", 3, True,
+     lambda sampler, _: sampler.backend.concurrency, 6),
+    ("backend.temperature", 0.2, False, lambda sampler, _: sampler.temperature, 0.2),
+    ("backend.max_new_tokens", 333, False,
+     lambda sampler, _: sampler.max_new_tokens, 333),
+    ("backend.retry.max_attempts", 2, False,
+     lambda sampler, _: sampler.retry.settings.max_attempts, 2),
+    ("backend.retry.base_delay", 2.5, False,
+     lambda sampler, _: sampler.retry.settings.base_delay, 2.5),
+    ("backend.retry.max_delay", 30.0, False,
+     lambda sampler, _: sampler.retry.settings.max_delay, 30.0),
+    ("backend.retry.wall_clock_ceiling", 10.0, False,
+     lambda sampler, _: sampler.retry.settings.wall_clock_ceiling, 10.0),
+    ("backend.budget.max_requests", 7, False,
+     lambda sampler, _: sampler.budget.settings.max_requests, 7),
+    ("backend.budget.max_tokens", 5000, False,
+     lambda sampler, _: sampler.budget.settings.max_tokens, 5000),
+    ("bootstrap.mode", "head", False,
+     lambda sampler, section: (sampler, section.mode), (None, "head")),
+    ("bootstrap.max_attempts", 5, False,
+     lambda _, section: section.max_attempts, 5),
+]
+
+
+class TestSettingsReachTheirObjects:
+    """Each ``backend`` and ``bootstrap`` setting, set alone to a value other
+    than its default, is carried by the objects ``cmd_bootstrap`` builds:
+    the sampler of ``cli._sampler`` (with its backend, retry policy and
+    budget) and the section ``bootstrap_corpus`` takes. A chat-only setting
+    is set on a chat backend."""
+
+    def test_every_key_has_a_case(self):
+        def settings(cls, where):
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(f.type):
+                    yield from settings(f.type, f"{where}{f.name}.")
+                else:
+                    yield where + f.name
+
+        assert sorted(key for key, *_ in WIRED_SETTINGS) == sorted([
+            *settings(config_mod.BackendSettings, "backend."),
+            *settings(config_mod.BootstrapSettings, "bootstrap.")])
+
+    @pytest.mark.parametrize("key, value, chat, read, carried", WIRED_SETTINGS,
+                             ids=[case[0] for case in WIRED_SETTINGS])
+    def test_setting_reaches_the_objects_built_from_it(
+            self, tmp_path, monkeypatch, key, value, chat, read, carried):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        (workdir / "informal.jsonl").write_text("", encoding="utf-8")
+        if key == "backend.script":
+            (tmp_path / value).write_text(
+                json.dumps([{"pattern": "needle", "response": "found"}]), encoding="utf-8")
+            value = str(tmp_path / value)
+        backend = {"endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+        if chat:
+            backend["kind"] = "chat"
+        config = setting_yaml(tmp_path / "c.yaml", key, value, workdir=str(workdir),
+                              backend=backend)
+        built = []
+
+        def recording(entries, sampler, section):
+            built.append(read(sampler, section))
+            return [], bootstrap_mod.BootstrapStats()
+
+        monkeypatch.setattr(bootstrap_mod, "bootstrap_corpus", recording)
+        assert run(["bootstrap", "-c", config]) == 0
+        assert built == [carried]
+
+
 class TestInformalizeResumeUnderConcurrency:
     """A fault on any backend call, with four theorems in flight, leaves a
     checkpoint that is a prefix in record order, and ``--resume`` finishes

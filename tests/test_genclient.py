@@ -21,15 +21,10 @@ from leanforge.config import ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
     BudgetExceeded,
-    ChatCompletionBackend,
-    GenerationBudget,
     GenerationRequest,
     GenerationResponse,
     MalformedBackendReply,
-    MockBackend,
     Reservation,
-    RetryPolicy,
-    Sampler,
     complete,
     estimate_tokens,
     in_order,
@@ -42,13 +37,21 @@ from leanforge.prover import (
 )
 from leanforge.trainprep import WhitespaceTokenizer
 from fixtures.listings import SQINEQ_COMMENTED
+from support import (
+    chat_backend,
+    make_budget,
+    make_request,
+    make_sampler,
+    mock_backend,
+    retry_policy,
+)
 
 
 class TestRequestValidation:
     def test_response_requires_flag_per_sample(self):
         with pytest.raises(ValueError):
             GenerationResponse(
-                samples=("a", "b"), backend_name="m", latency_ms=0.0,
+                samples=("a", "b"), latency_ms=0.0,
                 truncated=(False,),
             )
 
@@ -65,33 +68,33 @@ class TestEstimateTokens:
 
 class TestMockBackend:
     def test_empty_script_serves_default(self):
-        backend = MockBackend(default_text="fallback")
-        out = backend.generate(GenerationRequest(prompt="anything", n_samples=2))
+        backend = mock_backend(default_text="fallback")
+        out = backend.generate(make_request("anything", n_samples=2))
         assert out == [("fallback", False), ("fallback", False)]
 
     def test_pattern_serves_proof_listing(self):
-        backend = MockBackend(script=[("algebra_sqineq", SQINEQ_COMMENTED)])
+        backend = mock_backend([("algebra_sqineq", SQINEQ_COMMENTED)])
         prompt = "prove algebra_sqineq_2unitcircatblt1 please"
-        ((sample, _),) = backend.generate(GenerationRequest(prompt=prompt))
+        ((sample, _),) = backend.generate(make_request(prompt))
         assert sample == SQINEQ_COMMENTED
 
     def test_first_declared_pattern_wins(self):
-        backend = MockBackend(script=[("needle", "first"), ("need", "second")])
-        ((sample, _),) = backend.generate(GenerationRequest(prompt="a needle here"))
+        backend = mock_backend([("needle", "first"), ("need", "second")])
+        ((sample, _),) = backend.generate(make_request("a needle here"))
         assert sample == "first"
 
     def test_sequence_response_consumed_per_sample(self):
-        backend = MockBackend(script=[("p", ["one", "two"])])
-        req = GenerationRequest(prompt="p")
+        backend = mock_backend([("p", ["one", "two"])])
+        req = make_request("p")
         assert backend.generate(req)[0][0] == "one"
         assert backend.generate(req)[0][0] == "two"
         # exhausted sequences repeat their last entry
         assert backend.generate(req)[0][0] == "two"
 
     def test_string_script_is_pure_lookup(self):
-        a = MockBackend(script=[("p", "stable")])
-        b = MockBackend(script=[("p", "stable")])
-        req = GenerationRequest(prompt="p", n_samples=3)
+        a = mock_backend([("p", "stable")])
+        b = mock_backend([("p", "stable")])
+        req = make_request("p", n_samples=3)
         assert a.generate(req) == b.generate(req) == [("stable", False)] * 3
 
 
@@ -114,58 +117,58 @@ class _Flaky:
 
 def recording_policy(**kwargs):
     sleeps = []
-    policy = RetryPolicy(sleep=sleeps.append, **kwargs)
+    policy = retry_policy(sleep=sleeps.append, **kwargs)
     return policy, sleeps
 
 
 class TestComplete:
     def test_mock_returns_requested_samples(self):
         response = complete(
-            GenerationRequest(prompt="p", n_samples=3),
-            MockBackend(script=[("p", "ok")]),
+            make_request("p", n_samples=3),
+            mock_backend([("p", "ok")]),
+            retry_policy(),
         )
         assert response.samples == ("ok", "ok", "ok")
         assert response.truncated == (False, False, False)
         assert response.attempts == 1
-        assert response.backend_name == "mock"
         assert response.latency_ms >= 0.0
 
     def test_two_failures_then_success_counts_attempts(self):
-        backend = _Flaky(2, MockBackend(script=[("p", "recovered")]))
+        backend = _Flaky(2, mock_backend([("p", "recovered")]))
         policy, sleeps = recording_policy(jitter_seed=7)
-        response = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+        response = complete(make_request("p"), backend, retry=policy)
         assert response.samples == ("recovered",)
         assert response.attempts == 3
         assert sleeps == [policy.delay(1), policy.delay(2)]
 
     def test_exhausted_attempts_raise(self):
-        backend = _Flaky(99, MockBackend())
+        backend = _Flaky(99, mock_backend())
         policy, sleeps = recording_policy(max_attempts=4)
         with pytest.raises(BackendUnavailable, match="after 4 attempts"):
-            complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            complete(make_request("p"), backend, retry=policy)
         assert backend.calls == 4
         assert len(sleeps) == 3
 
     def test_wall_clock_ceiling_stops_retries(self):
-        backend = _Flaky(99, MockBackend())
+        backend = _Flaky(99, mock_backend())
         policy, sleeps = recording_policy(base_delay=10.0, wall_clock_ceiling=5.0)
         with pytest.raises(BackendUnavailable, match="retry ceiling"):
-            complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            complete(make_request("p"), backend, retry=policy)
         assert sleeps == []
 
     def test_total_backoff_never_exceeds_ceiling(self):
         for seed in range(5):
-            backend = _Flaky(99, MockBackend())
+            backend = _Flaky(99, mock_backend())
             policy, sleeps = recording_policy(
                 max_attempts=5, base_delay=1.5, wall_clock_ceiling=4.0,
                 jitter_seed=seed,
             )
             with pytest.raises(BackendUnavailable):
-                complete(GenerationRequest(prompt="p"), backend, retry=policy)
+                complete(make_request("p"), backend, retry=policy)
             assert sum(sleeps) <= 4.0
 
     def test_delay_schedule_deterministic_and_capped(self):
-        policy = RetryPolicy(base_delay=1.0, max_delay=60.0, jitter_seed=3)
+        policy = retry_policy(base_delay=1.0, max_delay=60.0, jitter_seed=3)
         first = [policy.delay(k) for k in range(1, 8)]
         second = [policy.delay(k) for k in range(1, 8)]
         assert first == second
@@ -184,7 +187,7 @@ class TestComplete:
 
         backend = Broken()
         with pytest.raises(MalformedBackendReply):
-            complete(GenerationRequest(prompt="p"), backend)
+            complete(make_request("p"), backend, retry_policy())
         assert backend.calls == 1
 
     def test_wrong_sample_count_rejected(self):
@@ -195,64 +198,64 @@ class TestComplete:
                 return [("a", False)] * (request.n_samples + 1)
 
         with pytest.raises(MalformedBackendReply, match="requested 2"):
-            complete(GenerationRequest(prompt="p", n_samples=2), Overeager())
+            complete(make_request("p", n_samples=2), Overeager(), retry_policy())
 
     def test_sample_with_a_lone_surrogate_rejected(self):
         # JSON may escape half of a UTF-16 pair; such a text cannot be written
         # as UTF-8, so it never reaches a stage
         texts = ["plain", "∀ n, 𝔽 n", "half a pair \ud800 here"]
-        backend = MockBackend(script=[("p", texts)])
+        backend = mock_backend([("p", texts)])
         with pytest.raises(MalformedBackendReply, match="sample 2 holds a lone surrogate"):
-            complete(GenerationRequest(prompt="p", n_samples=3), backend)
-        good = complete(GenerationRequest(prompt="q", n_samples=1),
-                        MockBackend(default_text=texts[1]))
+            complete(make_request("p", n_samples=3), backend, retry_policy())
+        good = complete(make_request("q"), mock_backend(default_text=texts[1]),
+                        retry_policy())
         assert good.samples == (texts[1],)
 
     def test_request_budget_enforced(self):
-        budget = GenerationBudget(max_requests=2)
-        backend = MockBackend()
+        budget = make_budget(max_requests=2)
+        backend = mock_backend()
         for _ in range(2):
-            complete(GenerationRequest(prompt="p"), backend, budget=budget)
+            complete(make_request("p"), backend, retry_policy(), budget=budget)
         with pytest.raises(BudgetExceeded, match="request ceiling"):
-            complete(GenerationRequest(prompt="p"), backend, budget=budget)
+            complete(make_request("p"), backend, retry_policy(), budget=budget)
         assert budget.requests_used == 2
 
     def test_token_budget_enforced(self):
-        budget = GenerationBudget(max_tokens=100)
-        request = GenerationRequest(prompt="x" * 40, max_new_tokens=95)
+        budget = make_budget(max_tokens=100)
+        request = make_request("x" * 40, max_new_tokens=95)
         with pytest.raises(BudgetExceeded, match="token ceiling"):
-            complete(request, MockBackend(), budget=budget)
+            complete(request, mock_backend(), retry_policy(), budget=budget)
         assert budget.tokens_used == 0
 
     def test_token_budget_accumulates(self):
-        budget = GenerationBudget(max_tokens=1000)
-        request = GenerationRequest(prompt="x" * 40, max_new_tokens=90)
-        complete(request, MockBackend(), budget=budget)
+        budget = make_budget(max_tokens=1000)
+        request = make_request("x" * 40, max_new_tokens=90)
+        complete(request, mock_backend(), retry_policy(), budget=budget)
         assert budget.tokens_used == 100
         assert budget.requests_used == 1
 
 
 class TestReservations:
     def test_reservation_counts_against_the_ceilings(self):
-        budget = GenerationBudget(max_requests=5, max_tokens=1000)
+        budget = make_budget(max_requests=5, max_tokens=1000)
         first = budget.reserve(3, 300)
         assert first is not None
         assert budget.reserve(3, 300) is None  # 6 requests > 5
         assert budget.reserve(2, 701) is None  # 1001 tokens > 1000
         second = budget.reserve(2, 700)
         with pytest.raises(BudgetExceeded):
-            complete(GenerationRequest(prompt="p", max_new_tokens=1),
-                     MockBackend(), budget=budget)
+            complete(make_request("p", max_new_tokens=1), mock_backend(),
+                     retry_policy(), budget=budget)
         assert (budget.requests_used, budget.requests_reserved) == (0, 5)
         second.release()
         first.release()
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
 
     def test_charges_move_from_reserved_to_used(self):
-        budget = GenerationBudget(max_requests=4, max_tokens=1000)
-        request = GenerationRequest(prompt="x" * 40, max_new_tokens=90)
+        budget = make_budget(max_requests=4, max_tokens=1000)
+        request = make_request("x" * 40, max_new_tokens=90)
         reservation = budget.reserve(2, 200)
-        complete(request, MockBackend(), budget=reservation)
+        complete(request, mock_backend(), retry_policy(), budget=reservation)
         assert (budget.requests_used, budget.tokens_used) == (1, 100)
         assert (budget.requests_reserved, budget.tokens_reserved) == (1, 100)
         reservation.release()
@@ -260,17 +263,17 @@ class TestReservations:
         assert (budget.requests_used, budget.tokens_used) == (1, 100)
 
     def test_charge_past_the_reservation_refused(self):
-        budget = GenerationBudget()
+        budget = make_budget()
         reservation = budget.reserve(1, 100)
-        request = GenerationRequest(prompt="x" * 40, max_new_tokens=90)
-        complete(request, MockBackend(), budget=reservation)
+        request = make_request("x" * 40, max_new_tokens=90)
+        complete(request, mock_backend(), retry_policy(), budget=reservation)
         with pytest.raises(BudgetExceeded, match="reservation"):
-            complete(request, MockBackend(), budget=reservation)
+            complete(request, mock_backend(), retry_policy(), budget=reservation)
         assert budget.requests_used == 1
 
     def test_concurrent_charges_respect_the_ceiling(self):
-        budget = GenerationBudget(max_requests=50)
-        request = GenerationRequest(prompt="p")
+        budget = make_budget(max_requests=50)
+        request = make_request("p")
 
         def charge_all(_):
             taken = 0
@@ -294,9 +297,9 @@ def units(items, prompt="p"):
 
 def concurrent(concurrency, **settings):
     """A sampler whose mock backend keeps ``concurrency`` units in flight."""
-    backend = MockBackend()
+    backend = mock_backend()
     backend.concurrency = concurrency
-    return Sampler(backend, **settings)
+    return make_sampler(backend, **settings)
 
 
 class TestInOrder:
@@ -417,7 +420,7 @@ class TestInOrder:
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_reservations_are_returned(self, fail):
-        budget = GenerationBudget(max_requests=100, max_tokens=10_000)
+        budget = make_budget(max_requests=100, max_tokens=10_000)
         sampler = concurrent(3, budget=budget, max_new_tokens=8)
         charges, sent = [], []
 
@@ -444,7 +447,7 @@ class TestInOrder:
         assert budget.tokens_used == 10 * len(sent)
 
     def test_item_that_does_not_fit_runs_alone_on_the_budget(self):
-        budget = GenerationBudget(max_requests=5)
+        budget = make_budget(max_requests=5)
         sampler = concurrent(3, budget=budget, max_new_tokens=1)  # 2 tokens
         active = [0]
         seen = []
@@ -478,7 +481,7 @@ class TestInOrder:
     def test_shared_budget_under_thread_switch_stress(self):
         # eight threads on a tight ceiling, switching as often as they can:
         # every item is charged what a serial run charges it
-        budget = GenerationBudget(max_requests=150)
+        budget = make_budget(max_requests=150)
         sampler = concurrent(8, budget=budget, max_new_tokens=1)
 
         def wanted(item):
@@ -509,8 +512,8 @@ class TestInOrder:
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
 
     def test_mock_serves_one_caller_and_chat_two_per_connection(self):
-        assert MockBackend().concurrency == 1
-        chat = ChatCompletionBackend("http://127.0.0.1:9/v1", "m", max_in_flight=3)
+        assert mock_backend().concurrency == 1
+        chat = chat_backend("http://127.0.0.1:9/v1", "m", max_in_flight=3)
         assert chat.concurrency == 6
 
 
@@ -601,7 +604,7 @@ def chat(chat_server):
     """Builds backends on ``chat_server`` paths and closes them after the test."""
     with contextlib.ExitStack() as built:
         yield lambda path, **kwargs: built.enter_context(contextlib.closing(
-            ChatCompletionBackend(chat_server + path, **kwargs)))
+            chat_backend(chat_server + path, **kwargs)))
 
 
 class TestChatCompletionBackend:
@@ -609,10 +612,7 @@ class TestChatCompletionBackend:
         monkeypatch.setenv("TEST_LLM_KEY", "sk-test-123")
         backend = chat("/ok", model="prover-1", api_key_env="TEST_LLM_KEY",
                        system_prompt="You are a Lean4 expert.")
-        request = GenerationRequest(
-            prompt="prove it", n_samples=2, temperature=0.4,
-            max_new_tokens=256,
-        )
+        request = GenerationRequest("prove it", 256, 0.4, n_samples=2)
         out = backend.generate(request)
         assert len(out) == 2
         assert out[0] == ("reply 0 to prove it", False)
@@ -631,31 +631,31 @@ class TestChatCompletionBackend:
 
     def test_no_key_env_sends_no_auth_header(self, chat):
         backend = chat("/ok", model="m")
-        backend.generate(GenerationRequest(prompt="p"))
+        backend.generate(make_request("p"))
         assert _ChatHandler.seen[-1]["auth"] is None
 
     def test_missing_key_is_unavailable(self, chat, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
         backend = chat("/ok", model="m", api_key_env="ABSENT_KEY_VAR")
         with pytest.raises(BackendUnavailable, match="ABSENT_KEY_VAR"):
-            backend.generate(GenerationRequest(prompt="p"))
+            backend.generate(make_request("p"))
         assert _ChatHandler.seen == []
 
     def test_truncation_flag_from_finish_reason(self, chat):
         backend = chat("/truncate", model="m")
-        (pair,) = backend.generate(GenerationRequest(prompt="p"))
+        (pair,) = backend.generate(make_request("p"))
         assert pair[1] is True
 
     def test_server_error_is_transient(self, chat):
         backend = chat("/outage", model="m")
         with pytest.raises(BackendUnavailable, match="503"):
-            backend.generate(GenerationRequest(prompt="p"))
+            backend.generate(make_request("p"))
 
     def test_complete_retries_flaky_server(self, chat):
         _ChatHandler.flaky_failures = 1
         backend = chat("/flaky", model="m")
         policy, sleeps = recording_policy()
-        response = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+        response = complete(make_request("p"), backend, retry=policy)
         assert response.attempts == 2
         assert len(sleeps) == 1
 
@@ -663,37 +663,37 @@ class TestChatCompletionBackend:
         backend = chat("/unauth", model="m")
         policy, sleeps = recording_policy()
         with pytest.raises(MalformedBackendReply, match="401"):
-            complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            complete(make_request("p"), backend, retry=policy)
         assert len(_ChatHandler.seen) == 1
         assert sleeps == []
 
     def test_unparseable_body_rejected(self, chat):
         backend = chat("/badjson", model="m")
         with pytest.raises(MalformedBackendReply, match="unparseable"):
-            backend.generate(GenerationRequest(prompt="p"))
+            backend.generate(make_request("p"))
 
     def test_content_that_is_not_text_rejected(self, chat):
         backend = chat("/nullcontent", model="m")
         with pytest.raises(MalformedBackendReply, match="not a string"):
-            backend.generate(GenerationRequest(prompt="p"))
+            backend.generate(make_request("p"))
 
     def test_short_choice_list_rejected(self, chat):
         backend = chat("/short", model="m")
         with pytest.raises(MalformedBackendReply, match="requested 2"):
-            backend.generate(GenerationRequest(prompt="p", n_samples=2))
+            backend.generate(make_request("p", n_samples=2))
 
     def test_connection_refused_is_unavailable(self):
-        with contextlib.closing(ChatCompletionBackend(
+        with contextlib.closing(chat_backend(
                 "http://127.0.0.1:9/ok", model="m", timeout=0.5)) as backend:
             with pytest.raises(BackendUnavailable):
-                backend.generate(GenerationRequest(prompt="p"))
+                backend.generate(make_request("p"))
 
     def test_timed_out_connection_is_closed(self, chat):
         backend = chat("/slow", model="m", timeout=0.2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             with pytest.raises(BackendUnavailable, match="request failed: timed out"):
-                backend.generate(GenerationRequest(prompt="p"))
+                backend.generate(make_request("p"))
             # a socket dropped unclosed warns as it is collected
             gc.collect()
         assert [w for w in caught if w.category is ResourceWarning] == []
@@ -792,9 +792,9 @@ class TestConnectionBound:
         # 2 × max_in_flight problems in flight
         settings = ProverSettings(n_samples=2, k_min=1, k_max=1)
         with pooled_server(2, self.IDLE_S) as (server, url), contextlib.closing(
-                ChatCompletionBackend(url, model="m", max_in_flight=2)) as backend:
+                chat_backend(url, model="m", max_in_flight=2)) as backend:
             started = time.perf_counter()
-            attempts = run_iteration(1, problems, tuple(seeds), Sampler(backend),
+            attempts = run_iteration(1, problems, tuple(seeds), make_sampler(backend),
                                      MockVerifier({}), settings, WhitespaceTokenizer(),
                                      {p.name: {} for p in problems})
             elapsed = time.perf_counter() - started
@@ -805,9 +805,9 @@ class TestConnectionBound:
 
     def test_close_ends_the_keep_alive_connection(self):
         with pooled_server(1, self.IDLE_S) as (server, url):
-            backend = ChatCompletionBackend(url, model="m")
+            backend = chat_backend(url, model="m")
             try:
-                backend.generate(GenerationRequest(prompt="p"))
+                backend.generate(make_request("p"))
                 assert not server.ended.is_set()
             finally:
                 backend.close()
@@ -819,11 +819,11 @@ class TestConnectionBound:
         # finds its pooled connection closed and opens a fresh one, before
         # anything is written
         with pooled_server(1, 0.05) as (server, url), contextlib.closing(
-                ChatCompletionBackend(url, model="m")) as backend:
+                chat_backend(url, model="m")) as backend:
             policy, sleeps = recording_policy()
-            first = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            first = complete(make_request("p"), backend, retry=policy)
             assert server.ended.wait(self.IDLE_S / 3)
             time.sleep(0.3)
-            second = complete(GenerationRequest(prompt="p"), backend, retry=policy)
+            second = complete(make_request("p"), backend, retry=policy)
         assert (first.attempts, second.attempts, sleeps) == (1, 1, [])
         assert (server.accepted, server.posts) == (2, 2)

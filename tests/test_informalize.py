@@ -6,7 +6,9 @@ is what degenerate sampling actually produces.
 """
 
 import json
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,15 +17,7 @@ from leanforge import retrieval
 from leanforge.artifacts import read_jsonl
 from leanforge.config import InformalizeSettings
 from leanforge.corpus import TheoremRecord
-from leanforge.genclient import (
-    Ask,
-    BackendUnavailable,
-    GenerationBudget,
-    MalformedBackendReply,
-    MockBackend,
-    RetryPolicy,
-    Sampler,
-)
+from leanforge.genclient import Ask, BackendUnavailable, MalformedBackendReply
 from leanforge.informalize import (
     BACKEND_ERROR,
     MISSING_SECTION,
@@ -46,7 +40,14 @@ from leanforge.prompts import (
     informalization_prompt,
 )
 from leanforge.prover import PoolExample
-from support import KeyedBackend
+from support import (
+    BACKEND,
+    KeyedBackend,
+    make_budget,
+    make_sampler,
+    mock_backend,
+    retry_policy,
+)
 
 
 GOOD_NL = (
@@ -237,7 +238,7 @@ class TestSelectExamples:
         pool = [PoolExample(name, f"Statement: entry {i}. Proof: p.", "theorem x")
                 for i, name in enumerate(("b", "a", "b", "c", "a"))]
         head = retrieval.ProjectionHead(np.eye(4), 4, 4, seed=0)
-        index = build_example_index(pool, Flat(), head)
+        index = build_example_index(pool, Flat(), head, side="nl")
         out = select_examples(Flat().embed(["probe"])[0], index, pool, 5)
         assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
 
@@ -245,14 +246,14 @@ class TestSelectExamples:
         pool = example_pool(4)
         embedder = retrieval.HashEmbedder(dimension=16)
         head = retrieval.ProjectionHead(np.eye(16), 16, 16, seed=0)
-        index = build_example_index(pool, embedder, head)
+        index = build_example_index(pool, embedder, head, side="nl")
         out = select_examples(embedder.embed(["t"])[0], index, pool, 10)
         assert len(out) == 4
 
 
 def ask(record, backend, **settings):
     """The ask ``informalize_corpus`` hands ``record`` with no examples."""
-    return Ask(Sampler(backend, max_new_tokens=2048, **settings),
+    return Ask(make_sampler(backend, **settings),
                informalization_prompt((), record.statement, record.proof))
 
 
@@ -272,7 +273,7 @@ class TestInformalizeTheorem:
         assert record.statement + record.proof not in prompt
 
     def test_passing_text_first_try(self):
-        backend = MockBackend(script=[("mythm", GOOD_NL)])
+        backend = mock_backend([("mythm", GOOD_NL)])
         record = theorem("mythm")
         result = informalize_theorem(
             record, [], ask(record, backend), InformalizeSettings())
@@ -283,7 +284,7 @@ class TestInformalizeTheorem:
 
     def test_retry_after_overlength(self):
         too_long = "Statement: Proof: " + " ".join(f"w{i}" for i in range(2100))
-        backend = MockBackend(script=[("mythm", [too_long, GOOD_NL])])
+        backend = mock_backend([("mythm", [too_long, GOOD_NL])])
         record = theorem("mythm")
         result = informalize_theorem(
             record, [], ask(record, backend), InformalizeSettings())
@@ -292,7 +293,7 @@ class TestInformalizeTheorem:
         assert result.attempt_reasons == ((OVERLENGTH,), ())
 
     def test_always_failing_records_all_attempts(self):
-        backend = MockBackend(default_text="no sections at all here")
+        backend = mock_backend(default_text="no sections at all here")
         result = informalize_theorem(
             theorem("t"), [], ask(theorem("t"), backend),
             InformalizeSettings(max_attempts=3))
@@ -310,7 +311,7 @@ class TestInformalizeTheorem:
             def generate(self, request):
                 raise BackendUnavailable("offline")
 
-        policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
+        policy = retry_policy(max_attempts=2, sleep=lambda s: None)
         result = informalize_theorem(
             theorem("t"), [], ask(theorem("t"), Down(), retry=policy),
             InformalizeSettings(max_attempts=2))
@@ -318,8 +319,8 @@ class TestInformalizeTheorem:
         assert result.attempt_reasons == ((BACKEND_ERROR,), (BACKEND_ERROR,))
 
     def test_budget_exhaustion_stops_attempts(self):
-        backend = MockBackend(default_text="no sections")
-        budget = GenerationBudget(max_requests=1)
+        backend = mock_backend(default_text="no sections")
+        budget = make_budget(max_requests=1)
         result = informalize_theorem(
             theorem("t"), [], ask(theorem("t"), backend, budget=budget),
             InformalizeSettings(max_attempts=5))
@@ -347,15 +348,19 @@ def corpus_records(count):
 
 
 def passing_backend():
-    return MockBackend(default_text=GOOD_NL)
+    return mock_backend(default_text=GOOD_NL)
 
 
-def informalize(records, backend, budget=None, max_new_tokens=2048,
-                k_examples=3, **options):
-    """``informalize_corpus`` asking ``backend`` with ``budget``."""
-    return informalize_corpus(
-        records, Sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
-        InformalizeSettings(k_examples=k_examples), **options)
+def informalize(records, backend, budget=None, max_new_tokens=BACKEND.max_new_tokens,
+                k_examples=InformalizeSettings.k_examples, pool=(), index=None,
+                embedder=None, checkpoint_path=None, restart=False):
+    """``informalize_corpus`` asking ``backend`` with ``budget``. With no
+    ``checkpoint_path`` the checkpoint goes to a directory removed after."""
+    with tempfile.TemporaryDirectory() as scratch:
+        return informalize_corpus(
+            records, make_sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
+            InformalizeSettings(k_examples=k_examples), pool, index, embedder,
+            checkpoint_path or os.path.join(scratch, "informalize.ckpt.jsonl"), restart)
 
 
 class TestInformalizeCorpus:
@@ -373,7 +378,7 @@ class TestInformalizeCorpus:
         records = corpus_records(10)
         bad = "the " * 40
         script = [(name, bad) for name in ("thm02", "thm05", "thm06")]
-        backend = MockBackend(script=script, default_text=GOOD_NL)
+        backend = mock_backend(script, default_text=GOOD_NL)
         results = informalize(records, backend)
         failed = {r.theorem_name for r in results if r.verdict == "fail"}
         assert failed == {"thm02", "thm05", "thm06"}
@@ -562,7 +567,7 @@ class TestConcurrentCorpus:
         pool = example_pool(6)
         embedder = retrieval.HashEmbedder(dimension=32)
         head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
-        budget = GenerationBudget(**ceilings)
+        budget = make_budget(**ceilings)
         checkpoint = tmp_path / f"c{concurrency}.jsonl"
         results = informalize(
             records, KeyedBackend(scenario_reply(seed), seed, concurrency),
@@ -636,7 +641,7 @@ class TestDatasetFile:
 
     def test_fail_records_retained(self, tmp_path):
         records = corpus_records(3)
-        backend = MockBackend(script=[("thm01", "the " * 40)], default_text=GOOD_NL)
+        backend = mock_backend([("thm01", "the " * 40)], default_text=GOOD_NL)
         results = informalize(records, backend)
         path = tmp_path / "informal.jsonl"
         save_informal_dataset(records, results, str(path))

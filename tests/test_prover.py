@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 from leanforge import corpus
 from leanforge.artifacts import write_jsonl
 from leanforge.config import ProverSettings
-from leanforge.genclient import (
-    BackendUnavailable,
-    GenerationBudget,
-    MockBackend,
-    RetryPolicy,
-    Sampler,
-)
+from leanforge.genclient import BackendUnavailable
 from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
@@ -64,8 +58,12 @@ from fixtures.listings import LEAN3_OUTPUT_A, SQINEQ_COMMENTED
 from support import (
     lean_delimited_texts,
     lex_or_none,
+    make_budget,
+    make_sampler,
+    mock_backend,
     reference_mock_check,
     reference_screen_proof,
+    retry_policy,
     strip_comments,
 )
 
@@ -489,7 +487,7 @@ class TestEvaluateSample:
     def test_sorry_rejected_before_verification(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"]))
+        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"], ProverSettings.timeout_s))
         assert attempt.verdict == "rejected"
         assert attempt.diagnostic == "pre-verification screen: sorry"
 
@@ -503,7 +501,7 @@ class TestEvaluateSample:
     def test_names_strings_and_unlexable_proofs_pass_the_screen(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"]))
+        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"], ProverSettings.timeout_s))
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     @pytest.mark.parametrize("statement", [
@@ -515,7 +513,7 @@ class TestEvaluateSample:
     def test_changed_statement_rejected_before_verification(self, statement):
         sample = f"{statement} by\n  norm_num\n"
         attempt = evaluate_sample(make_problem(3), 1, 0, sample,
-                                  ExternalVerifier(["true"]))
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s))
         assert (attempt.verdict, attempt.diagnostic) == (
             "rejected", "pre-verification screen: statement changed")
 
@@ -523,7 +521,7 @@ class TestEvaluateSample:
         sample = ("theorem prob03 :\n    3 + 0 -- the sum\n    = 3 :=\n"
                   "  /- by evaluation -/ by\n  norm_num\n")
         attempt = evaluate_sample(make_problem(3), 1, 0, sample,
-                                  ExternalVerifier(["true"]))
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s))
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     def test_verifier_timeout_becomes_error_verdict(self):
@@ -618,8 +616,8 @@ def verified(attempts):
 class TestRunIteration:
     def test_rejecting_verifier_changes_nothing(self):
         problems = [make_problem(i) for i in range(3)]
-        backend = MockBackend(default_text=canonical_proof(0))
-        attempts = one_round(problems, seed_examples(2), Sampler(backend),
+        backend = mock_backend(default_text=canonical_proof(0))
+        attempts = one_round(problems, seed_examples(2), make_sampler(backend),
                              MockVerifier({}), config())
         assert verified(attempts) == {}
         assert len(attempts) == 3 * 4
@@ -628,10 +626,10 @@ class TestRunIteration:
 
     def test_first_sample_success_costs_one_generation(self):
         problems = [make_problem(0)]
-        backend = CountingBackend(MockBackend(
+        backend = CountingBackend(mock_backend(
             script=[("prob00", canonical_proof(0))]))
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        attempts = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+        attempts = one_round(problems, seed_examples(1), make_sampler(backend), verifier,
                              config(n_samples=1))
         assert verified(attempts) == {"prob00": canonical_proof(0)}
         assert backend.calls == 1
@@ -640,10 +638,10 @@ class TestRunIteration:
     def test_early_stop_mid_samples(self):
         problems = [make_problem(0)]
         bad = "theorem prob00 : 0 + 0 = 0 := by\n  sorry\n"
-        backend = MockBackend(
+        backend = mock_backend(
             script=[("prob00", [bad, bad, canonical_proof(0)])])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        attempts = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+        attempts = one_round(problems, seed_examples(1), make_sampler(backend), verifier,
                              config(n_samples=8), round_number=3)
         assert [(a.round, a.sample_index, a.verdict) for a in attempts] == [
             (3, 0, "rejected"), (3, 1, "rejected"), (3, 2, "verified")]
@@ -652,19 +650,19 @@ class TestRunIteration:
         problems = [make_problem(0), make_problem(1)]
         # problem 1 is answerable only when problem 0's verified proof is
         # already in the prompt, which cannot happen in the same round
-        backend = MockBackend(script=[
+        backend = mock_backend([
             ("theorem prob00 : 0 + 0 = 0 := by", canonical_proof(1)),
             ("prob00", canonical_proof(0)),
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0),
                                  "prob01": canonical_proof(1)})
-        first = one_round(problems, seed_examples(1), Sampler(backend), verifier,
+        first = one_round(problems, seed_examples(1), make_sampler(backend), verifier,
                           config())
         assert verified(first) == {"prob00": canonical_proof(0)}
         grown = seed_examples(1) + [PoolExample(
             "prob00", problems[0].nl_statement_and_proof, canonical_proof(0),
             "round 1")]
-        second = one_round(problems[1:], grown, Sampler(backend), verifier,
+        second = one_round(problems[1:], grown, make_sampler(backend), verifier,
                            config(), round_number=2)
         assert verified(second) == {"prob01": canonical_proof(1)}
 
@@ -680,15 +678,15 @@ class TestRunIteration:
                 return [(canonical_proof(1), False)]
 
         verifier = MockVerifier({"prob01": canonical_proof(1)})
-        policy = RetryPolicy(max_attempts=1, sleep=lambda s: None)
+        policy = retry_policy(max_attempts=1, sleep=lambda s: None)
         attempts = one_round(problems, seed_examples(1),
-                             Sampler(Selective(), retry=policy), verifier, config())
+                             make_sampler(Selective(), retry=policy), verifier, config())
         assert verified(attempts) == {"prob01": canonical_proof(1)}
         assert len(attempts) == 1  # failed draws are not counted
 
     def test_oversized_prompt_skips_problem(self):
-        backend = CountingBackend(MockBackend())
-        attempts = one_round([make_problem(0)], seed_examples(1), Sampler(backend),
+        backend = CountingBackend(mock_backend())
+        attempts = one_round([make_problem(0)], seed_examples(1), make_sampler(backend),
                              MockVerifier({}), config(token_budget=3))
         assert backend.calls == 0
         assert attempts == []
@@ -714,7 +712,7 @@ DEP_PROOF = ("theorem dependent_mul : 3 * 3 = 9 := by\n"
 
 
 def two_round_setup():
-    backend = MockBackend(script=[
+    backend = mock_backend([
         ("add_two_two_marker", DEP_PROOF),
         ("theorem easy_add", EASY_PROOF),
     ])
@@ -726,7 +724,7 @@ def two_round_setup():
 class TestRunIterative:
     def test_two_round_fixture(self):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), verifier,
+        report = run_iterative(problems, seeds, make_sampler(backend), verifier,
                                config(), TOKENIZER)
         assert [r.newly_proved for r in report.rounds] == [1, 1]
         assert [r.cumulative_proved for r in report.rounds] == [1, 2]
@@ -741,15 +739,15 @@ class TestRunIterative:
 
     def test_max_rounds_one_stops_short(self):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), verifier,
+        report = run_iterative(problems, seeds, make_sampler(backend), verifier,
                                config(max_rounds=1), TOKENIZER)
         assert len(report.rounds) == 1
         assert set(report.proved) == {"easy_add"}
 
     def test_zero_progress_round_is_last(self):
         problems = [make_problem(i) for i in range(3)]
-        backend = MockBackend()  # always "sorry", which extracts nothing
-        report = run_iterative(problems, seed_examples(1), Sampler(backend),
+        backend = mock_backend()  # always "sorry", which extracts nothing
+        report = run_iterative(problems, seed_examples(1), make_sampler(backend),
                                MockVerifier({}), config(max_rounds=5), TOKENIZER)
         assert len(report.rounds) == 1
         assert report.rounds[0].newly_proved == 0
@@ -757,17 +755,17 @@ class TestRunIterative:
 
     def test_everything_proved_then_one_idle_round(self):
         problems = [make_problem(0)]
-        backend = MockBackend(script=[("prob00", canonical_proof(0))])
+        backend = mock_backend([("prob00", canonical_proof(0))])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
+        report = run_iterative(problems, seed_examples(1), make_sampler(backend), verifier,
                                config(max_rounds=5), TOKENIZER)
         assert [r.newly_proved for r in report.rounds] == [1, 0]
         assert report.rounds[-1].budget_used == report.rounds[0].budget_used
 
     def test_rate_shape_on_244_problems(self):
         problems = [make_problem(i) for i in range(244)]
-        backend = MockBackend()
-        report = run_iterative(problems, seed_examples(1), Sampler(backend),
+        backend = mock_backend()
+        report = run_iterative(problems, seed_examples(1), make_sampler(backend),
                                MockVerifier({}), config(n_samples=2), TOKENIZER)
         assert report.problems_total == 244
         assert report.cumulative_rate == 0.0
@@ -775,10 +773,10 @@ class TestRunIterative:
 
     def test_deterministic_reports(self):
         problems, seeds, backend, verifier = two_round_setup()
-        first = run_iterative(problems, seeds, Sampler(backend), verifier,
+        first = run_iterative(problems, seeds, make_sampler(backend), verifier,
                               config(), TOKENIZER)
         problems, seeds, backend, verifier = two_round_setup()
-        second = run_iterative(problems, seeds, Sampler(backend), verifier,
+        second = run_iterative(problems, seeds, make_sampler(backend), verifier,
                                config(), TOKENIZER)
         assert first == second
 
@@ -883,7 +881,7 @@ class TestRandomizedScenarios:
             backend = ScenarioBackend(gates, proofs)
             verifier = MockVerifier(proofs)
             report = run_iterative(
-                problems, seed_examples(2), Sampler(backend), verifier,
+                problems, seed_examples(2), make_sampler(backend), verifier,
                 config(max_rounds=max_rounds, n_samples=n_samples), TOKENIZER)
 
             expected, per_round = scenario_oracle(gates, max_rounds)
@@ -903,8 +901,8 @@ class TestRandomizedScenarios:
 
     def test_budget_spent_before_the_last_round(self, tmp_path):
         problems, seeds, backend, verifier = two_round_setup()
-        budget = GenerationBudget(max_requests=5)
-        report = run_iterative(problems, seeds, Sampler(backend, budget=budget),
+        budget = make_budget(max_requests=5)
+        report = run_iterative(problems, seeds, make_sampler(backend, budget=budget),
                                verifier, config(), TOKENIZER)
         # round 1 spends all 5 requests; round 2 cannot draw a sample
         assert [a.round for a in report.attempts] == [1] * 5
@@ -941,11 +939,11 @@ class JitteredBackend:
 class TestConcurrentRounds:
     def run(self, scenario, concurrency, seed, peaks=None, **ceilings):
         problems, gates, proofs, max_rounds, n_samples = scenario
-        budget = GenerationBudget(**ceilings)
+        budget = make_budget(**ceilings)
         backend = JitteredBackend(ScenarioBackend(gates, proofs), seed, concurrency)
         report = run_iterative(
             problems, seed_examples(2),
-            Sampler(backend, budget=budget, max_new_tokens=64),
+            make_sampler(backend, budget=budget, max_new_tokens=64),
             MockVerifier(proofs),
             config(max_rounds=max_rounds, n_samples=n_samples), TOKENIZER)
         if peaks is not None:
@@ -1002,24 +1000,24 @@ class TestConcurrentRounds:
         backend = Meeting()
         names = [make_problem(i).name for i in range(problems)]
         attempts = one_round([make_problem(i) for i in range(problems)], seed_examples(1),
-                             Sampler(backend), Checkers({}), config(n_samples=1))
+                             make_sampler(backend), Checkers({}), config(n_samples=1))
         assert [a.problem for a in attempts] == names
         assert backend.peak == in_flight
 
     def test_empty_round(self):
-        backend = MockBackend()
+        backend = mock_backend()
         backend.concurrency = 2
-        assert one_round([], seed_examples(1), Sampler(backend), MockVerifier({}),
+        assert one_round([], seed_examples(1), make_sampler(backend), MockVerifier({}),
                          config()) == []
 
     def test_attempt_log_lines(self):
         problems = [make_problem(0), make_problem(1)]
         bad = "theorem prob00 : True := by\n  trivial\n"
-        backend = MockBackend(script=[
+        backend = mock_backend([
             ("theorem prob00 : 0 + 0 = 0 :=\n", [bad, canonical_proof(0)]),
         ])
         verifier = MockVerifier({"prob00": canonical_proof(0)})
-        report = run_iterative(problems, seed_examples(1), Sampler(backend), verifier,
+        report = run_iterative(problems, seed_examples(1), make_sampler(backend), verifier,
                                config(n_samples=2, max_rounds=1), TOKENIZER)
         screened = "pre-verification screen: statement changed"
         no_proof = "no fenced or theorem-headed region declaring prob01"
@@ -1036,8 +1034,8 @@ class TestConcurrentRounds:
                 return "rejected", "x" * 500
 
         problems = [make_problem(0)]
-        backend = MockBackend(default_text=canonical_proof(0))
-        report = run_iterative(problems, seed_examples(1), Sampler(backend), Verbose(),
+        backend = mock_backend(default_text=canonical_proof(0))
+        report = run_iterative(problems, seed_examples(1), make_sampler(backend), Verbose(),
                                config(n_samples=1, max_rounds=1), TOKENIZER)
         assert [a.diagnostic for a in report.attempts] == ["x" * 200]
 
@@ -1051,15 +1049,15 @@ class TestConcurrentRounds:
 
         problems = [make_problem(i) for i in range(3)]
         with pytest.raises(RuntimeError, match="backend bug"):
-            one_round(problems, seed_examples(1), Sampler(Broken()),
+            one_round(problems, seed_examples(1), make_sampler(Broken()),
                       MockVerifier({}), config())
 
     def test_reservations_are_returned(self):
         problems = [make_problem(i) for i in range(5)]
-        budget = GenerationBudget(max_requests=11)
-        backend = MockBackend(default_text=canonical_proof(0))
+        budget = make_budget(max_requests=11)
+        backend = mock_backend(default_text=canonical_proof(0))
         backend.concurrency = 3  # every prompt gets the same text
-        attempts = one_round(problems, seed_examples(1), Sampler(backend, budget=budget),
+        attempts = one_round(problems, seed_examples(1), make_sampler(backend, budget=budget),
                              MockVerifier({}), config(n_samples=4))
         # two problems reserve their 4 requests each; the third cannot and
         # runs alone on the 3 left, as a serial run would
@@ -1141,7 +1139,7 @@ class TestDistinctChecks:
 
         verifier = CountingVerifier(answer_key(2))
         report = run_iterative([make_problem(0), make_problem(1)], seed_examples(1),
-                               Sampler(RequestScript(reply)), verifier,
+                               make_sampler(RequestScript(reply)), verifier,
                                config(n_samples=4, max_rounds=3), TOKENIZER)
         assert [(r.newly_proved, r.budget_used) for r in report.rounds] == [(1, 5), (0, 9)]
         assert verifier.checked == [("prob00", canonical_proof(0)), ("prob01", w1),
@@ -1154,7 +1152,7 @@ class TestDistinctChecks:
         both = wrong_proof(0) + "\n" + wrong_proof(1)
         verifier = CountingVerifier(answer_key(2))
         attempts = one_round([make_problem(0), make_problem(1)], seed_examples(1),
-                             Sampler(RequestScript(lambda *_: both, concurrency)),
+                             make_sampler(RequestScript(lambda *_: both, concurrency)),
                              verifier, config(n_samples=3))
         assert [a.verdict for a in attempts] == ["rejected"] * 6
         assert sorted(verifier.checked) == [("prob00", both), ("prob01", wrong_proof(1))]
@@ -1164,7 +1162,7 @@ class TestDistinctChecks:
         verifier = CountingVerifier(
             answer_key(1), fails=lambda name, proof, k: failure if k == 0 else None)
         attempts = one_round([make_problem(0)], seed_examples(1),
-                             Sampler(RequestScript(lambda *_: wrong_proof(0))),
+                             make_sampler(RequestScript(lambda *_: wrong_proof(0))),
                              verifier, config(n_samples=4))
         assert [a.verdict for a in attempts] == ["error"] + ["rejected"] * 3
         assert attempts[0].diagnostic == str(failure)
@@ -1184,7 +1182,7 @@ class TestDistinctChecks:
         backend = RequestScript(lambda name, r, index: sequence[index])
         rejected = {"prob00": {}}
         attempts = run_iteration(1, [make_problem(0)], tuple(seed_examples(1)),
-                                 Sampler(backend), verifier, config(n_samples=8),
+                                 make_sampler(backend), verifier, config(n_samples=8),
                                  TOKENIZER, rejected)
         assert [a.verdict for a in attempts] == [
             "rejected", "rejected", "error", "rejected"] + ["rejected"] * 4
@@ -1215,7 +1213,7 @@ class TestDistinctChecks:
 
         verifier = Verbose(answer_key(3))
         report = run_iterative(problems, seed_examples(1),
-                               Sampler(RequestScript(reply)), verifier,
+                               make_sampler(RequestScript(reply)), verifier,
                                config(n_samples=4, max_rounds=3), TOKENIZER)
         alone = [evaluate_sample(problems[int(a.problem[4:])], a.round, a.sample_index,
                                  reply(a.problem, a.round, a.sample_index),
@@ -1237,7 +1235,7 @@ class TestDistinctChecks:
 
         verifier = CountingVerifier(answer_key(2))
         report = run_iterative(problems, seed_examples(1),
-                               Sampler(RequestScript(reply)), verifier,
+                               make_sampler(RequestScript(reply)), verifier,
                                config(n_samples=3, max_rounds=1), TOKENIZER)
         assert len(verifier.checked) == 4  # per problem: the wrong proof, then its own
         path = save_run(report, tmp_path)
@@ -1304,13 +1302,13 @@ def test_seeded_replies_and_failures_check_each_distinct_proof_once():
         n_samples, max_rounds = rng.randint(1, 6), rng.randint(1, 3)
         runs = []
         for concurrency in (1, 2):
-            budget = GenerationBudget()
+            budget = make_budget()
             backend = RequestScript(functools.partial(drawn_reply, trial), concurrency)
             verifier = CountingVerifier(answer_key(len(names)),
                                         functools.partial(seeded_failure, trial))
             report = run_iterative(
                 [make_problem(i) for i in range(len(names))], seed_examples(2),
-                Sampler(backend, budget=budget),
+                make_sampler(backend, budget=budget),
                 verifier, config(n_samples=n_samples, max_rounds=max_rounds), TOKENIZER)
             runs.append((report, report.attempts, budget.requests_used,
                          budget.tokens_used))
@@ -1330,7 +1328,7 @@ def test_seeded_replies_and_failures_check_each_distinct_proof_once():
 class TestReports:
     def round_trip(self, tmp_path):
         problems, seeds, backend, verifier = two_round_setup()
-        report = run_iterative(problems, seeds, Sampler(backend), verifier,
+        report = run_iterative(problems, seeds, make_sampler(backend), verifier,
                                config(), TOKENIZER)
         return report, save_run(report, tmp_path), problems, verifier
 
@@ -1361,13 +1359,13 @@ class TestReports:
         problem = make_problem(3)
         path = self.one_proof(tmp_path, f"{problem.fl_statement} by\n  admit\n")
         with pytest.raises(ReportInvalid, match="pre-verification screen: sorry"):
-            load(path, [problem], ExternalVerifier(["true"]))
+            load(path, [problem], ExternalVerifier(["true"], ProverSettings.timeout_s))
 
     def test_changed_statement_rejected_on_load(self, tmp_path):
         problem = make_problem(3)
         path = self.one_proof(tmp_path, "theorem prob03 : True := by\n  trivial\n")
         with pytest.raises(ReportInvalid, match="statement changed"):
-            load(path, [problem], ExternalVerifier(["true"]))
+            load(path, [problem], ExternalVerifier(["true"], ProverSettings.timeout_s))
 
     def test_verifier_timeout_is_a_stored_proof_that_no_longer_verifies(
             self, tmp_path):

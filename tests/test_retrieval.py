@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from leanforge import retrieval
 from leanforge.config import PipelineConfig, RetrievalSettings, validate
 from leanforge.retrieval import (
-    AlignmentBatch,
     DivergedLoss,
     EmptyInput,
     HashEmbedder,
@@ -26,8 +25,6 @@ from leanforge.retrieval import (
     ZeroNormQuery,
     ZeroNormVector,
     build_index,
-    contrastive_gradient,
-    contrastive_loss,
     load_head,
     save_head,
     similarity_histogram,
@@ -36,6 +33,8 @@ from leanforge.retrieval import (
     write_histogram_csv,
 )
 from support import (
+    contrastive_gradient,
+    contrastive_loss,
     cosine_pair_gradient,
     fd_contrastive_gradient,
     oracle_contrastive_loss,
@@ -71,19 +70,19 @@ class TestContrastiveLoss:
         # positive term with inert negatives
         pairs = [(ev(1.0, 0.0, 0.0, 0.0), ev(1.0, 0.0, 0.0, 0.0)),
                  (ev(0.0, 1.0, 0.0, 0.0), ev(0.0, 1.0, 0.0, 0.0))]
-        loss = contrastive_loss(AlignmentBatch(pairs=pairs), identity_head(4))
+        loss = contrastive_loss(pairs, identity_head(4))
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_all_identical_is_one(self):
         v = ev(0.3, -0.7, 2.0)
-        loss = contrastive_loss(AlignmentBatch(pairs=[(v, v), (v, v)]), identity_head(3))
+        loss = contrastive_loss([(v, v), (v, v)], identity_head(3))
         assert loss == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_direct_formula_oracle(self):
         rng = np.random.default_rng(5)
         nl = [rng.normal(size=6) for _ in range(2)]
         fl = [rng.normal(size=6) for _ in range(2)]
-        batch = AlignmentBatch(pairs=list(zip(nl, fl)))
+        batch = list(zip(nl, fl))
         head = identity_head(6)
         expected = oracle_contrastive_loss(nl, fl, [1, 0], head.weights)
         assert contrastive_loss(batch, head) == pytest.approx(expected, rel=1e-9)
@@ -97,7 +96,7 @@ class TestContrastiveLoss:
             nl = [rng.normal(size=dim) for _ in range(size)]
             fl = [rng.normal(size=dim) for _ in range(size)]
             head = ProjectionHead.initialize(dim, d_out, seed=int(rng.integers(1000)))
-            batch = AlignmentBatch(pairs=list(zip(nl, fl)))
+            batch = list(zip(nl, fl))
             negs = [(i + 1) % size for i in range(size)]
             expected = oracle_contrastive_loss(nl, fl, negs, head.weights)
             assert contrastive_loss(batch, head) == pytest.approx(expected, rel=1e-9)
@@ -106,22 +105,22 @@ class TestContrastiveLoss:
         # each pair contributes 1 - cos + (cos + cos)/2, so [-1, 3]
         rng = np.random.default_rng(23)
         for _ in range(50):
-            batch = AlignmentBatch(pairs=random_pairs(rng, 2, 5))
+            batch = random_pairs(rng, 2, 5)
             loss = contrastive_loss(batch, identity_head(5))
             assert -1.0 - 1e-9 <= loss <= 3.0 + 1e-9
 
     def test_zero_norm_names_pair(self):
         pairs = [(ev(1.0, 0.0), ev(1.0, 0.0)), (ev(0.0, 0.0), ev(0.0, 1.0))]
         with pytest.raises(ZeroNormVector, match="pair 1"):
-            contrastive_loss(AlignmentBatch(pairs=pairs), identity_head(2))
+            contrastive_loss(pairs, identity_head(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         pairs = random_pairs(rng, 3, 4)
         head = ProjectionHead.initialize(4, 3, seed=2)
-        base = contrastive_loss(AlignmentBatch(pairs=pairs), head)
+        base = contrastive_loss(pairs, head)
         scaled_pairs = [(u * 7.5, v * 0.003) for u, v in pairs]
-        scaled = contrastive_loss(AlignmentBatch(pairs=scaled_pairs), head)
+        scaled = contrastive_loss(scaled_pairs, head)
         assert scaled == pytest.approx(base, abs=1e-9)
 
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(0, 2**31 - 1))
@@ -130,9 +129,9 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(seed)
         pairs = random_pairs(rng, 2, 4)
         head = ProjectionHead.initialize(4, 4, seed=0)
-        base = contrastive_loss(AlignmentBatch(pairs=pairs), head)
+        base = contrastive_loss(pairs, head)
         scaled = contrastive_loss(
-            AlignmentBatch(pairs=[(u * factor, v) for u, v in pairs]),
+            [(u * factor, v) for u, v in pairs],
             head,
         )
         assert scaled == pytest.approx(base, abs=1e-9)
@@ -154,7 +153,7 @@ class TestContrastiveGradient:
             size = int(rng.integers(2, 9))
             dim = int(rng.integers(2, 17))
             d_out = int(rng.integers(1, dim + 1))
-            batch = AlignmentBatch(pairs=random_pairs(rng, size, dim))
+            batch = random_pairs(rng, size, dim)
             head = ProjectionHead.initialize(dim, d_out, seed=int(rng.integers(1000)))
             analytic = contrastive_gradient(batch, head)
             fd = fd_contrastive_gradient(batch, head)
@@ -163,7 +162,7 @@ class TestContrastiveGradient:
 
     def test_gradient_finite(self):
         rng = np.random.default_rng(43)
-        batch = AlignmentBatch(pairs=random_pairs(rng, 4, 6))
+        batch = random_pairs(rng, 4, 6)
         grad = contrastive_gradient(batch, ProjectionHead.initialize(6, 4, seed=9))
         assert np.all(np.isfinite(grad))
 
@@ -181,7 +180,7 @@ class TestContrastiveGradient:
         # loss is stationary there
         u = ev(0.6, -0.8, 0.2, 0.1)
         minus = -u
-        batch = AlignmentBatch(pairs=[(u, u), (minus, minus)])
+        batch = [(u, u), (minus, minus)]
         grad = contrastive_gradient(batch, identity_head(4))
         assert contrastive_loss(batch, identity_head(4)) == pytest.approx(-1.0, abs=1e-9)
         assert np.linalg.norm(grad) < 1e-8
@@ -189,7 +188,7 @@ class TestContrastiveGradient:
     def test_gradient_zero_norm_raises(self):
         pairs = [(ev(0.0, 0.0), ev(1.0, 0.0)), (ev(0.0, 1.0), ev(1.0, 1.0))]
         with pytest.raises(ZeroNormVector):
-            contrastive_gradient(AlignmentBatch(pairs=pairs), identity_head(2))
+            contrastive_gradient(pairs, identity_head(2))
 
 
 class TestTrainProjection:
