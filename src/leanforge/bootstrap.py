@@ -73,7 +73,8 @@ class ObtRecord(AlignedTheorem):
 
     commented_proof: str = artifacts.wire("Commented_proof")
     # Tactic-step count of ``proof``. It is not on the wire;
-    # ``load_obt_dataset`` counts it as it loads the record.
+    # ``load_obt_dataset`` counts it from the scan of ``proof`` that also
+    # gives the code the record is re-verified against.
     difficulty: int = artifacts.wire(None, default=0, compare=False)
 
     def __post_init__(self):
@@ -269,8 +270,11 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
 
     The code-preservation invariant is enforced here as well as at
     creation, so a hand-edited file cannot smuggle in altered proofs; an
-    error names the record's line and name. Each record's ``difficulty`` is
-    its proof's tactic-step count.
+    error names the record's line and name, and the field that does not
+    lex. Each record takes two scans: ``corpus.code_and_steps`` of its
+    proof gives the code that ``verify_bootstrap`` checks the commented
+    proof against and the tactic-step count that becomes its
+    ``difficulty``, and ``verify_bootstrap`` scans the commented proof.
     """
     try:
         lines = artifacts.read_jsonl(path)
@@ -281,12 +285,15 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     for line, record in zip(lines, records):
         where = f"{path}:{line.lineno}: {record.name}"
         try:
-            ok, divergence = verify_bootstrap(record.proof, record.commented_proof)
-            if not ok:
-                raise BootstrapVerificationFailed(where, divergence)
-            out.append(replace(
-                record, difficulty=corpus.count_tactic_steps(record.proof)))
+            code, steps = corpus.code_and_steps(record.proof)
+        except LexError as exc:
+            raise PreconditionViolated(f"{where}: Proof does not lex: {exc}") from None
+        try:
+            ok, divergence = verify_bootstrap(record.proof, record.commented_proof, code)
         except LexError as exc:
             raise PreconditionViolated(
-                f"{where}: Proof or Commented_proof does not lex: {exc}") from None
+                f"{where}: Commented_proof does not lex: {exc}") from None
+        if not ok:
+            raise BootstrapVerificationFailed(where, divergence)
+        out.append(replace(record, difficulty=steps))
     return out

@@ -219,7 +219,10 @@ def load_config(path: str, overrides: Optional[Dict[str, object]] = None
     errors: List[str] = []
     try:
         with open(path, "r", encoding="utf-8") as source:
-            raw = yaml.safe_load(source) or {}
+            # libyaml's loader where PyYAML has it: the same SafeConstructor,
+            # so the same values, parsed in C
+            raw = yaml.load(
+                source, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) or {}
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: cannot read config: {exc}"])
     except yaml.YAMLError as exc:

@@ -6,13 +6,16 @@ sources are treated as token streams, never elaborated. ``_walk`` is the
 one token walk: the matches of the ``_TOKEN`` regex, with a block comment
 nested deeper than ``_SCAN_NESTING`` followed in place. ``lex_lean`` is that
 walk as a list of ``LeanToken`` named tuples; nothing else builds a token.
-``extract_theorems`` walks a file once and keeps only what finds a
-declaration. ``code_texts`` gives only the texts of the code and string
-tokens, from one ``findall`` or, past a deeper comment, from the walk, and
-raises what ``lex_lean`` raises; ``code_divergence`` (the rule that two
-texts carry the same code) and Lean3 detection work from those texts.
-``count_tactic_steps`` walks a proof's own tokens to its body and reads the
-body with one scan.
+``extract_theorems`` walks a file once, keeps only what finds a
+declaration, and counts a theorem's steps from the body that walk found.
+``code_texts`` gives only the texts of the code and string tokens, from one
+``findall`` or, past a deeper comment, from the walk, and raises what
+``lex_lean`` raises; ``code_divergence`` (the rule that two texts carry the
+same code) and Lean3 detection work from those texts. ``code_and_steps``
+gives a proof's code texts and its tactic-step count from one ``findall``
+of ``_PROOF_SCAN``, whose items keep whitespace apart from code and string
+tokens: the code texts are one column, and the tactic text of the body is
+built from the same items.
 Everywhere, as in Lean, a comment separates tokens and is otherwise
 ignored. Offsets are character offsets: ``str`` indices, not UTF-8 byte
 positions.
@@ -179,7 +182,7 @@ class TheoremRecord:
 
 
 # The sub-patterns of a token, each declared once: ``_TOKEN`` and the scans of
-# ``code_texts`` and ``_tactic_text`` are built from them. A code run stops at
+# ``code_texts`` and ``code_and_steps`` are built from them. A code run stops at
 # whitespace, a double quote or a comment opener; a char literal inside it is
 # taken whole (so `'"'` opens no string), except after an identifier
 # character, where `'` is a prime (h').
@@ -204,7 +207,7 @@ def _block_comment(nesting: int) -> str:
 # bare `/-` or `"` item, which no token or run of tokens can be: ``_walk``
 # follows such a comment in place with ``_nested_comment_end`` (or raises),
 # and every other scan falls back to ``_walk``. ``re`` compiles the scans of
-# ``code_texts`` and ``_tactic_text`` on first use and keeps them.
+# ``code_texts`` and ``code_and_steps`` on first use and keeps them.
 _SCAN_NESTING = 2
 
 # One alternative per token kind, tried in this order at each position:
@@ -366,12 +369,15 @@ class _Declaration(NamedTuple):
     finds it. ``name`` is "" when the keyword has no name token before the
     next declaration; ``statement_end`` is None when there is no ``:=`` at
     bracket depth zero; the proof is empty when ``proof_end`` does not pass
-    ``statement_end``."""
+    ``statement_end``. ``steps`` is the tactic-step count of the proof,
+    ``source[start:proof_end]``, as ``code_and_steps`` gives it
+    (``_declared_steps``)."""
 
     start: int  # offset of the keyword
     name: str
     statement_end: Optional[int]
     proof_end: int
+    steps: int
 
 
 def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRecord]:
@@ -381,9 +387,14 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
     without a name, without a ``:=`` proof boundary or with an empty proof is
     skipped with a log entry rather than raised, so one malformed declaration
     cannot sink a file. A file that does not lex raises ``LexError``.
+
+    A record's ``difficulty`` is its proof's step count, as
+    ``code_and_steps`` counts it, read from the file's walk: the tactic
+    block after a ``by`` that closed the statement, and 1 for a term-mode
+    proof (``_declared_steps``).
     """
     records: List[TheoremRecord] = []
-    for start, name, statement_end, proof_end in _declarations(source):
+    for start, name, statement_end, proof_end, steps in _declarations(source):
         if not name:
             logger.warning("skipping malformed declaration at offset %d in %s: no name",
                            start, file_path)
@@ -396,9 +407,8 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
             logger.warning("skipping malformed declaration %r at offset %d in %s: "
                            "empty proof body", name, start, file_path)
             continue
-        proof = source[start:proof_end]
-        records.append(TheoremRecord(name, source[start:statement_end], proof,
-                                     file_path, commit, count_tactic_steps(proof)))
+        records.append(TheoremRecord(name, source[start:statement_end],
+                                     source[start:proof_end], file_path, commit, steps))
     return records
 
 
@@ -408,7 +418,8 @@ _NAME, _ASSIGN, _BY, _BODY = range(4)
 
 def _declarations(source: str) -> List[_Declaration]:
     """The declarations of ``source``, from one ``_walk`` that builds no
-    token; raises the ``LexError`` that ``lex_lean`` raises.
+    token, only the pieces of each tactic block's tactic text; raises the
+    ``LexError`` that ``lex_lean`` raises.
 
     A declaration opens at a ``theorem`` or ``lemma`` token that begins its
     line, or that follows a modifier that does with only modifiers,
@@ -423,33 +434,44 @@ def _declarations(source: str) -> List[_Declaration]:
     """
     found: List[_Declaration] = []
     start = None  # the keyword of the open declaration
+    body = None  # its tactic text's pieces, once a `by` closed the statement
     lead = False  # a modifier began this line, then only modifiers and spacing
     for m in _walk(source):
         group = m.lastindex
         if group <= 2:  # whitespace or a line comment
-            if lead and group == 1 and "\n" in m.group():
+            if group == 1 and body is not None:
+                body.append(m.group())
+            elif lead and group == 1 and "\n" in m.group():
                 lead = False
             continue
         begin = m.start()
         if group == 3:  # a block comment
             if (start is not None and source[begin - 1] == "\n"
                     and source.startswith("/--", begin)):
-                found.append(_Declaration(start, name, statement_end, proof_end))
-                start = None
+                found.append(_Declaration(start, name, statement_end, proof_end,
+                                          _declared_steps(source, start, proof_end,
+                                                          skew, body)))
+                start = body = None
             continue
         # a string literal (4) or a code run (5); a code run's text is
         # read only where it can matter
         code = group == 5
         text = ""
-        if code and (start is None or phase != _BODY or source[begin - 1] == "\n"):
+        if code and (start is None or phase != _BODY or body is not None
+                     or source[begin - 1] == "\n"):
             text = m.group()
         if start is not None:
             if not (text and source[begin - 1] == "\n" and (
                     text.startswith("@[")
                     or _leading_word(text) in _DECL_BOUNDARY_KEYWORDS)):
-                if phase == _NAME:
+                if phase == _BODY:
+                    if body is not None:
+                        body.append(_tactic_token(text) if "'" in text or "<;>" in text
+                                    else text if code else '"')
+                elif phase == _NAME:
                     name = _name_from_token(text) if code else ""
                     depth = _bracket_delta(text[len(name):])
+                    skew = _bracket_delta(text) - depth
                     phase = _ASSIGN if name else _BODY
                 elif phase == _ASSIGN:
                     if depth == 0 and text == ":=":
@@ -457,17 +479,20 @@ def _declarations(source: str) -> List[_Declaration]:
                         phase = _BY
                     else:
                         depth += _bracket_delta(text)
-                elif phase == _BY:
+                else:  # _BY
                     if text == "by":
                         statement_end = m.end()
+                        body = []
                     phase = _BODY
                 proof_end = m.end()
                 continue
-            found.append(_Declaration(start, name, statement_end, proof_end))
-            start = None
+            found.append(_Declaration(start, name, statement_end, proof_end,
+                                      _declared_steps(source, start, proof_end,
+                                                      skew, body)))
+            start = body = None
         if text == "theorem" or text == "lemma":
             if lead or begin == 0 or source[begin - 1] == "\n":
-                start, name, statement_end, proof_end = begin, "", None, begin
+                start, name, statement_end, proof_end, skew = begin, "", None, begin, 0
                 phase = _NAME
             lead = False
         elif text in _DECL_MODIFIERS:
@@ -475,46 +500,56 @@ def _declarations(source: str) -> List[_Declaration]:
         else:
             lead = False
     if start is not None:
-        found.append(_Declaration(start, name, statement_end, proof_end))
+        found.append(_Declaration(start, name, statement_end, proof_end,
+                                  _declared_steps(source, start, proof_end, skew, body)))
     return found
+
+
+def _declared_steps(source: str, start: int, proof_end: int, skew: int,
+                    body: Optional[List[str]]) -> int:
+    """The step count of the proof ``source[start:proof_end]`` from what
+    ``_declarations`` kept of it: ``body``, the pieces of the tactic text
+    after a ``by`` that closed the statement, each whitespace or a token as
+    ``_tactic_token`` gives it, or None for a term-mode proof, which is one
+    step. ``skew`` is the name token's bracket delta read whole, as
+    ``_steps`` reads it, less the delta after the name, where the
+    statement's depth starts. Where it is not 0, ``_steps`` ends the
+    statement at another ``:=``, so the proof is scanned and counted whole.
+    """
+    if skew:
+        return _steps(*_proof_items(source[start:proof_end]))
+    if body is None:
+        return 1  # a term-mode proof
+    return _block_steps("".join(body))
 
 
 # --- tactic-step counting ---------------------------------------------------
 
 
-# One item per match: a comment gives ("", ""); a run of whitespace and code
-# outside literals (run, ""); a string or char literal ("", its text); the
-# bare `/-` or `"` of a deeper comment or an open string ("", "/-" or '"').
-_TACTIC_SCAN = (f"(?:{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
-                f"|((?:{_WHITESPACE}|{_CODE_CHARS}|(?!{_CHAR_TOKEN})')+)"
-                f'|({_STRING}|{_CHAR_TOKEN}|/-|")')
+# One item per token: whitespace gives (its text, ""); a string literal or a
+# code run ("", its text); a comment ("", ""); the bare `/-` or `"` of a
+# deeper comment or an open string ("", "/-" or '"').
+_PROOF_SCAN = (f"({_WHITESPACE})|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)}"
+               f'|({_STRING}|{_CODE_RUN}|/-|")')
 
 
-def _tactic_text(body: str) -> str:
-    """``body``, a text from a token boundary on, without its comments and
-    with each string or char literal cut to its opening quote; raises the
-    ``LexError`` that ``lex_lean`` raises. A newline inside a comment or a
-    literal is gone, so it starts no line, and no `;` is left in a literal.
-    The combinator `<;>` becomes `_` where it stands in one run of code, so
-    a `<` and a `;>` that a comment separates stay a `<` and a `;`."""
-    items = re.findall(_TACTIC_SCAN, body)
-    if ("", "/-") in items or ("", '"') in items:
-        # a comment nested deeper: the same scan, over each token but comments
-        items = [item for m in _walk(body) if m.lastindex not in (2, 3)
-                 for item in re.findall(_TACTIC_SCAN, m.group())]
-    return "".join([run.replace("<;>", "_") or literal[:1] for run, literal in items])
+def _proof_items(text: str) -> Tuple[List[Tuple[str, str]], List[str]]:
+    """The ``_PROOF_SCAN`` items of ``text`` and their code column, from one
+    ``findall`` or, past a deeper comment, from ``_walk``; raises what
+    ``code_texts`` raises."""
+    items = re.findall(_PROOF_SCAN, text)
+    code = [token for _, token in items if token]
+    if "/-" in code or '"' in code:
+        items = [(m.group(), "") if m.lastindex == 1
+                 else ("", m.group() if m.lastindex >= 4 else "")
+                 for m in _walk(text)]
+        code = [token for _, token in items if token]
+    return items, code
 
 
-def _split_tactic_segments(line: str) -> int:
-    """Number of `;`-separated tactic segments on one line of a tactic text,
-    which holds no literal and no `<;>` combinator (``_tactic_text``)."""
-    if ";" not in line:
-        return 1 if line.strip() else 0
-    return sum(1 for part in line.split(";") if part.strip())
-
-
-def count_tactic_steps(proof: str) -> int:
-    """Static count of top-level tactic invocations in a proof text.
+def code_and_steps(proof: str) -> Tuple[List[str], int]:
+    """The ``code_texts`` of ``proof`` and its tactic-step count, from one
+    scan of ``proof``; raises what ``code_texts`` raises.
 
     The proof is either a full declaration, a fragment starting at ``:=``, or
     a bare tactic block.  Steps are separated by newlines at the block's base
@@ -522,37 +557,76 @@ def count_tactic_steps(proof: str) -> int:
     a comment separates tokens and is otherwise ignored, so commenting a
     proof between its tokens never changes its count.
 
-    One pass reads the proof: its code tokens are walked only to the first
-    ``:=`` at bracket depth zero and the token after it, and the rest is
-    scanned once by ``_tactic_text``, also in term mode, where the scan only
-    checks that it lexes. A proof that does not lex raises ``LexError``.
+    The code texts are the scan's code column. The count finds the first
+    ``:=`` at bracket depth zero and the token after it in that column, and
+    reads the block after a ``by`` from the same items (``_tactic_text``).
     """
-    tokens = _semantic_tokens(proof)
-    first = None
-    depth = 0
-    for text, end in tokens:
-        if first is None:
-            first = text, end
-        if text[0] == '"':
-            continue  # a string literal
-        if depth == 0 and text == ":=":
-            after = next(tokens, None)
-            if after is None or after[0] != "by":
-                _tactic_text(proof[end:])  # raises if the rest does not lex
-                return 1  # a term-mode proof
-            return max(1, _count_block_steps(_tactic_text(proof[after[1]:])))
-        depth += _bracket_delta(text)
-    if first is None:
+    items, code = _proof_items(proof)
+    return code, _steps(items, code)
+
+
+def _steps(items: List[Tuple[str, str]], code: List[str]) -> int:
+    """The tactic-step count of a proof from its ``_proof_items``."""
+    if not code:
         return 0  # only comments and whitespace
+    depth = 0
+    at = item = -1  # the last `:=` passed, in ``code`` and in ``items``
+    for _ in range(code.count(":=")):
+        passed = at + 1
+        at = code.index(":=", passed)
+        item = items.index(("", ":="), item + 1)
+        # a newline ends any char literal, so the tokens count as one text
+        depth += _bracket_delta("\n".join(
+            [token for token in code[passed:at] if token[0] != '"']))
+        if depth == 0:
+            if code[at + 1:at + 2] != ["by"]:
+                return 1  # a term-mode proof
+            body = items.index(("", "by"), item) + 1
+            return _block_steps(_tactic_text(items[body:]))
 
     # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
     # whole text as tactic lines (the fragment form used by callers).
-    body = proof[first[1]:] if first[0] == "by" else proof
-    return max(1, _count_block_steps(_tactic_text(body)))
+    if code[0] == "by":
+        return _block_steps(_tactic_text(items[items.index(("", "by")) + 1:]))
+    return _block_steps(_tactic_text(items))
 
 
-def _count_block_steps(body: str) -> int:
-    lines = body.split("\n")
+def _tactic_text(items: List[Tuple[str, str]]) -> str:
+    """The tactic text of a block from its ``_proof_items``: its whitespace
+    and tokens, each as ``_tactic_token`` gives it, without comments. Each
+    token is read on its own, so a `<` and a `;>` that a comment separates
+    stay a `<` and a `;`."""
+    return "".join([
+        space or (token if "'" not in token and "<;>" not in token
+                  and token[:1] != '"' else _tactic_token(token))
+        for space, token in items])
+
+
+def _tactic_token(token: str) -> str:
+    """A code or string token as a tactic text holds it: each string or
+    char literal cut to its opening quote, so a newline inside one starts no
+    line and no `;` is left in one, and each `<;>` made `_`. Callers pass a
+    token with no quote and no `<;>` on as it is."""
+    if token[0] == '"':
+        return '"'
+    if "'" in token:
+        token = _CHAR_TOKEN_RE.sub("'", token)
+    return token.replace("<;>", "_")
+
+
+def _split_tactic_segments(line: str) -> int:
+    """Number of `;`-separated tactic segments on one line of a tactic text,
+    which holds no literal and no `<;>` combinator (``_tactic_token``)."""
+    if ";" not in line:
+        return 1 if line.strip() else 0
+    return sum(1 for part in line.split(";") if part.strip())
+
+
+def _block_steps(tactic_text: str) -> int:
+    """The step count of a tactic block from its tactic text: the segments
+    of its first line and of each line at the base indentation of the lines
+    after it, and at least 1."""
+    lines = tactic_text.split("\n")
     steps = 0
     head = lines[0].strip()
     if head:
@@ -566,7 +640,7 @@ def _count_block_steps(body: str) -> int:
             base = indent
         if indent <= base:
             steps += _split_tactic_segments(raw.strip())
-    return steps
+    return max(1, steps)
 
 
 # --- Lean3 artifact detection -------------------------------------------

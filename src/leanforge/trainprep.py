@@ -173,8 +173,8 @@ def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
     """Project bootstrapped dataset records onto the packer's view.
 
     Each record's ``difficulty`` is its proof's tactic-step count, which
-    ``bootstrap.load_obt_dataset`` counts from the proof text with
-    ``corpus.count_tactic_steps``.
+    ``bootstrap.load_obt_dataset`` takes from ``corpus.code_and_steps``, the
+    one scan of the proof that also gives the code it re-verifies.
     The target, and so each in-context example, is the commented proof
     under ``use_bootstrapped`` and the plain proof otherwise; the NL text
     is None, so no prompt shows it, under ``use_nl: false``.

@@ -15,6 +15,7 @@ and each other quote but a prime made one `#` and each `<;>` in one code
 token made `_`, split into lines and then into segments by
 ``reference_split_tactic_segments``, the character loop that
 ``_split_tactic_segments`` replaced.
+``tactic_steps`` is the step half of ``corpus.code_and_steps``.
 ``reference_extract_theorems`` walks a file's token list the way
 ``extract_theorems`` did before it walked the token scan itself. Both count
 bracket depth per character, skipping char literals.
@@ -367,6 +368,14 @@ def reference_count_tactic_steps(proof: str) -> int:
     return max(1, _reference_block_steps(body))
 
 
+def tactic_steps(proof: str) -> int:
+    """The tactic-step count of ``proof``, as ``corpus.code_and_steps``
+    gives it."""
+    from leanforge import corpus
+
+    return corpus.code_and_steps(proof)[1]
+
+
 # --- the token walk, kept as the reference for extract_theorems ---------------
 
 
@@ -512,7 +521,7 @@ def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: st
         proof=proof,
         file_path=file_path,
         commit=commit,
-        difficulty=corpus.count_tactic_steps(proof),
+        difficulty=tactic_steps(proof),
     ), end_idx
 
 

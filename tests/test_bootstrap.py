@@ -550,6 +550,31 @@ class TestDatasetFiles:
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert list(first) == WIRE_NAMES
 
+    def test_each_record_is_scanned_twice_on_load(self, tmp_path, monkeypatch):
+        # one scan of the proof gives its code and its steps, one of the
+        # commented proof its code; every record is still re-verified
+        out, _ = bootstrap_corpus(small_corpus(), None, HEAD)
+        out.append(self.worked_record())
+        path = tmp_path / "obt.jsonl"
+        artifacts.write_jsonl(str(path), out)
+        scanned = []
+
+        def counted(scan):
+            def wrapper(text, *args):
+                scanned.append((scan.__name__, text))
+                return scan(text, *args)
+            return wrapper
+
+        for name in ("code_and_steps", "code_texts"):
+            monkeypatch.setattr(corpus, name, counted(getattr(corpus, name)))
+        loaded = load_obt_dataset(str(path))
+        assert loaded == out
+        assert sorted(scanned) == sorted(
+            [("code_and_steps", r.proof) for r in out]
+            + [("code_texts", r.commented_proof) for r in out])
+        assert [r.difficulty for r in loaded] == [
+            corpus.code_and_steps(r.proof)[1] for r in out]
+
     def test_snake_case_mirror_rejected(self, tmp_path):
         # only the wire names are read; attribute names are not a second schema
         record = self.worked_record()

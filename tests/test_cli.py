@@ -91,6 +91,32 @@ class TestConfig:
         assert config.prover.n_samples == 128
         assert config.retrieval.dimension == 64
 
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_malformed_file_is_a_parse_error_under_either_loader(
+            self, tmp_path, monkeypatch, loader):
+        # libyaml's loader when PyYAML has it, the pure one otherwise
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        used = []
+
+        class Recording(getattr(yaml, loader)):
+            def __init__(self, stream):
+                used.append(loader)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, loader, Recording)
+        good = write_yaml(tmp_path / "good.yaml", {"seed": 7, "retrieval": {"lr": 0.5}})
+        config = load_config(good)
+        assert (config.seed, config.retrieval.lr) == (7, 0.5)
+        path = tmp_path / "c.yaml"
+        path.write_text("seed: [1, 2\nretrieval: {lr: 0.1}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.errors[0].startswith(f"{path}: cannot parse config: ")
+        assert used == [loader, loader]
+
     def test_validation_collects_every_error(self, tmp_path):
         path = write_yaml(
             tmp_path / "c.yaml",
@@ -958,19 +984,28 @@ class TestPrepCommand:
         rows = read_jsonl(tmp_path / "work" / "train.jsonl")
         assert all("/-" not in r["target"] for r in rows)
 
-    def test_record_that_does_not_lex_names_file_line_and_record(
-            self, tmp_path, capsys):
+    def prep_with_unlexable(self, tmp_path, capsys, field):
+        """Run prep over a dataset whose last record's ``field`` holds an
+        open comment, and check the error names the file, line, record and
+        field."""
         config = self.make_workdir(tmp_path)
         path = tmp_path / "work" / "obt.jsonl"
         entry = obt_entry()
-        broken = dict(entry, Commented_proof=entry["Commented_proof"] + "/- open\n")
+        broken = dict(entry, **{field: entry[field] + "/- open\n"})
         with open(path, "a", encoding="utf-8") as sink:
             sink.write(json.dumps(broken) + "\n")
         assert run(["prep", "-c", config]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}:4: {entry['Name']}: Proof or Commented_proof does not "
-            f"lex: unterminated block comment (offset {len(entry['Commented_proof'])})\n")
+            f"error: {path}:4: {entry['Name']}: {field} does not "
+            f"lex: unterminated block comment (offset {len(entry[field])})\n")
         assert not (tmp_path / "work" / "train.jsonl").exists()
+
+    def test_record_that_does_not_lex_names_file_line_and_record(
+            self, tmp_path, capsys):
+        self.prep_with_unlexable(tmp_path, capsys, "Commented_proof")
+
+    def test_record_whose_proof_does_not_lex_names_the_field(self, tmp_path, capsys):
+        self.prep_with_unlexable(tmp_path, capsys, "Proof")
 
     def test_one_parser_per_process_parses_each_call_on_its_own(
             self, tmp_path, monkeypatch):

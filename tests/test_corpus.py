@@ -30,6 +30,7 @@ from support import (
     reference_semantic_tokens,
     semantic_tokens,
     strip_comments,
+    tactic_steps,
 )
 
 from leanforge import corpus
@@ -40,9 +41,9 @@ from leanforge.corpus import (
     TokenKind,
     UnterminatedComment,
     UnterminatedString,
+    code_and_steps,
     code_divergence,
     code_texts,
-    count_tactic_steps,
     extract_theorems,
     lex_lean,
 )
@@ -292,7 +293,7 @@ class TestExtractTheorems:
 
     def test_difficulty_populated(self):
         records = extract_theorems(listings.MATHD_ALGEBRA_338, "x.lean", "c")
-        assert records[0].difficulty == count_tactic_steps(records[0].proof)
+        assert records[0].difficulty == tactic_steps(records[0].proof)
 
     def test_comment_that_would_glue_an_opener_is_extracted(self, caplog):
         # `/- half -/` separates `/` from `-b`, as in Lean, so nothing glues
@@ -321,54 +322,54 @@ class TestExtractTheorems:
 class TestCountTacticSteps:
     # Frozen expected counts; derived by hand-walking each listing.
     def test_single_tactic(self):
-        assert count_tactic_steps(":= by rfl") == 1
+        assert tactic_steps(":= by rfl") == 1
 
     def test_term_mode(self):
-        assert count_tactic_steps(":= rfl") == 1
+        assert tactic_steps(":= rfl") == 1
 
     def test_bare_tactic_block(self):
-        assert count_tactic_steps("subst x\nring") == 2
+        assert tactic_steps("subst x\nring") == 2
 
     def test_full_declaration_two_steps(self):
-        assert count_tactic_steps(listings.AMC12B_2002_P2) == 2
+        assert tactic_steps(listings.AMC12B_2002_P2) == 2
 
     def test_semicolon_chain_counts_individually(self):
-        assert count_tactic_steps(":= by constructor; rfl; rfl") == 3
+        assert tactic_steps(":= by constructor; rfl; rfl") == 3
 
     def test_alternation_combinator_not_split(self):
-        assert count_tactic_steps(":= by rw [h] <;> rfl") == 1
+        assert tactic_steps(":= by rw [h] <;> rfl") == 1
 
     def test_semicolon_in_char_literal_not_split(self):
-        assert count_tactic_steps(":= by exact ';'") == 1
-        assert count_tactic_steps(":= by\n  exact ';'\n  exact '\\''; rfl") == 3
-        assert count_tactic_steps(":= by exact 'a'; simp") == 2
+        assert tactic_steps(":= by exact ';'") == 1
+        assert tactic_steps(":= by\n  exact ';'\n  exact '\\''; rfl") == 3
+        assert tactic_steps(":= by exact 'a'; simp") == 2
         # after an identifier character `'` is a prime, so `;` splits
-        assert count_tactic_steps(":= by exact h'; simp") == 2
-        assert count_tactic_steps(":= by exact h''; simp") == 2
+        assert tactic_steps(":= by exact h'; simp") == 2
+        assert tactic_steps(":= by exact h''; simp") == 2
 
     def test_bracket_in_char_literal_counts_for_nothing(self):
         proof = ("theorem t (h : c = '[') : a + b = b + a := by\n"
                  "  simp [Nat.add_comm]\n  rfl")
-        assert count_tactic_steps(proof) == 2
+        assert tactic_steps(proof) == 2
         # after an identifier character `'` is a prime, so `(` opens a bracket
         assert corpus._bracket_delta("x'('") == 1
         assert corpus._bracket_delta("'('") == corpus._bracket_delta("')'") == 0
 
     def test_term_mode_listing(self):
-        assert count_tactic_steps(listings.INTEGRAL_PROOF) == 1
+        assert tactic_steps(listings.INTEGRAL_PROOF) == 1
 
     def test_commented_listing_same_count(self):
-        assert count_tactic_steps(listings.INTEGRAL_COMMENTED) == count_tactic_steps(
+        assert tactic_steps(listings.INTEGRAL_COMMENTED) == tactic_steps(
             listings.INTEGRAL_PROOF
         )
 
     def test_sqineq_counts_ignore_comments(self):
         # have + linarith, with three interleaved comment lines.
-        assert count_tactic_steps(listings.SQINEQ_COMMENTED) == 2
+        assert tactic_steps(listings.SQINEQ_COMMENTED) == 2
 
     def test_continuation_lines_not_counted(self):
         # calc continuation lines are deeper than the block base indent.
-        assert count_tactic_steps(listings.MATHD_ALGEBRA_270) == 2
+        assert tactic_steps(listings.MATHD_ALGEBRA_270) == 2
 
     def test_frozen_counts_for_listings(self):
         expected = {
@@ -378,15 +379,15 @@ class TestCountTacticSteps:
             "AMC12_2000_P5": 3,
         }
         for attr, count in expected.items():
-            assert count_tactic_steps(getattr(listings, attr)) == count, attr
+            assert tactic_steps(getattr(listings, attr)) == count, attr
 
     def test_newline_inside_a_string_starts_no_line(self):
-        assert count_tactic_steps(':= by\n  exact "a\nb; c"\n  rfl') == 2
-        assert count_tactic_steps(':= by\n  exact "a\n  b"\n  rfl') == 2
+        assert tactic_steps(':= by\n  exact "a\nb; c"\n  rfl') == 2
+        assert tactic_steps(':= by\n  exact "a\n  b"\n  rfl') == 2
 
     def test_empty_input(self):
-        assert count_tactic_steps("") == 0
-        assert count_tactic_steps("   \n ") == 0
+        assert tactic_steps("") == 0
+        assert tactic_steps("   \n ") == 0
 
     def test_invariant_under_line_respecting_comment_insertion(self):
         rng = random.Random(11)
@@ -400,18 +401,18 @@ class TestCountTacticSteps:
         ]
         for trial in range(150):
             src = sources[trial % len(sources)]
-            baseline = count_tactic_steps(src)
+            baseline = tactic_steps(src)
             mutated = insert_comments_line_respecting(src, rng, count=rng.randint(1, 3))
-            assert count_tactic_steps(mutated) == baseline, (trial, mutated)
+            assert tactic_steps(mutated) == baseline, (trial, mutated)
 
     def test_invariant_under_blank_line_insertion(self):
         rng = random.Random(13)
         src = listings.MATHD_ALGEBRA_338
-        baseline = count_tactic_steps(src)
+        baseline = tactic_steps(src)
         for _ in range(30):
             lines = src.split("\n")
             lines.insert(rng.randint(1, len(lines) - 1), "")
-            assert count_tactic_steps("\n".join(lines)) == baseline
+            assert tactic_steps("\n".join(lines)) == baseline
 
 
 class TestDetectLean3Artifacts:
@@ -577,7 +578,7 @@ def step_outcome(count, source):
 @example("-/- c -/- rfl")
 @settings(max_examples=500, deadline=None)
 def test_property_token_step_count_matches_text_count(source):
-    assert step_outcome(count_tactic_steps, source) == step_outcome(
+    assert step_outcome(tactic_steps, source) == step_outcome(
         reference_count_tactic_steps, source)
 
 
@@ -586,7 +587,7 @@ def test_property_token_step_count_matches_text_count(source):
 @example("theorem t : (a := b) := by\n  simp; rfl\n  done")
 @settings(max_examples=400, deadline=None)
 def test_property_step_count_of_delimited_texts_matches_reference(source):
-    assert step_outcome(count_tactic_steps, source) == step_outcome(
+    assert step_outcome(tactic_steps, source) == step_outcome(
         reference_count_tactic_steps, source)
 
 
@@ -607,39 +608,66 @@ TACTIC_LINE = st.lists(st.sampled_from([
 @settings(max_examples=1000, deadline=None)
 def test_property_split_matches_character_loop(line):
     proof = ":= by\n  " + line
-    assert step_outcome(count_tactic_steps, proof) == step_outcome(
+    assert step_outcome(tactic_steps, proof) == step_outcome(
         reference_count_tactic_steps, proof)
+
+
+# --- code texts and step count from one scan --------------------------------------
+
+
+def reference_code_and_steps(source):
+    """``code_texts`` of ``source`` and the step count the per-character
+    lexer's tokens give."""
+    return code_texts(source), reference_count_tactic_steps(source)
+
+
+@given(st.one_of(PROOF_TEXT, lean_delimited_texts(),
+                 TACTIC_LINE.map(lambda line: ":= by\n  " + line)))
+@example(":= by " + _TOO_DEEP + "simp\n  rfl")
+@example("theorem t : a = b := by\n  simp\n  " + _TOO_DEEP + "rfl")
+@example("theorem t : a = b :=/- c -/by\n  simp\n  rfl")
+@example(":= by simp </- c -/;> rfl")
+@example(":= by simp </- c -/;> rfl " + _TOO_DEEP)
+@example('theorem t : a = b := by\n  exact "open')
+@example("theorem t : a = b := by\n  simp /- open")
+@example(":= by\n  exact ';'\n  exact h'; rfl")
+@settings(max_examples=600, deadline=None)
+def test_property_code_and_steps_match_code_texts_and_reference_count(source):
+    # the code half is code_texts, a text that does not lex raises its error
+    # at its offset, and the step half is the per-character reference's
+    assert lex_outcome(code_and_steps, source) == lex_outcome(
+        reference_code_and_steps, source)
 
 
 def test_comment_between_assign_and_by_separates_them():
     # a comment separates tokens, as in Lean: `:=` and `by` stay two tokens
     # and open a tactic block, with or without a space beside the comment
-    assert count_tactic_steps(":=/- c -/by\n  simp\n  rfl") == 2
-    assert count_tactic_steps(":= /- c -/by\n  simp\n  rfl") == 2
+    assert tactic_steps(":=/- c -/by\n  simp\n  rfl") == 2
+    assert tactic_steps(":= /- c -/by\n  simp\n  rfl") == 2
 
 
 def test_comment_that_would_glue_an_opener_separates_tokens():
     # `/- half -/` stands between `/` and `-b`, so no `/-` opens there
     proof = "theorem t : a = b := by\n  simp [a //- half -/-b]\n  rfl"
-    assert count_tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
+    assert tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
     with pytest.raises(UnterminatedComment):
-        count_tactic_steps(proof.replace("-/-b", "b"))
+        tactic_steps(proof.replace("-/-b", "b"))
 
 
 def test_comment_between_angle_and_semicolon_is_no_combinator():
     # `<;>` is one token; `<`, a comment and `;>` are `<` and a `;` that splits
     for proof in (":= by simp </- c -/;> rfl", ":= by simp <;/- c -/> rfl"):
-        assert count_tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
-    assert count_tactic_steps(":= by simp < ;> rfl") == 2
-    assert count_tactic_steps(":= by simp <;> rfl") == 1
+        assert tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
+    assert tactic_steps(":= by simp < ;> rfl") == 2
+    assert tactic_steps(":= by simp <;> rfl") == 1
     # the same rule in the fallback for a comment nested too deep to scan
-    assert count_tactic_steps(":= by simp </- c -/;> rfl " + _TOO_DEEP) == 2
-    assert count_tactic_steps(":= by simp <;> rfl " + _TOO_DEEP) == 1
+    assert tactic_steps(":= by simp </- c -/;> rfl " + _TOO_DEEP) == 2
+    assert tactic_steps(":= by simp <;> rfl " + _TOO_DEEP) == 1
 
 
 def test_comment_between_dashes_leaves_two_tokens():
     # `-/- c -/-` is `-`, a comment and `-`: one line of code
-    assert count_tactic_steps("-/- c -/-") == reference_count_tactic_steps("-/- c -/-") == 1
+    assert tactic_steps("-/- c -/-") == reference_count_tactic_steps("-/- c -/-") == 1
 
 
 def test_extraction_counts_from_the_file_tokens():
@@ -680,7 +708,7 @@ def test_property_comment_in_place_of_spacing_keeps_the_count(source, pick, comm
     assume(gaps)
     gap = gaps[pick % len(gaps)]
     commented = source[:gap.start] + comment + source[gap.end:]
-    assert count_tactic_steps(commented) == count_tactic_steps(source)
+    assert tactic_steps(commented) == tactic_steps(source)
 
 
 # --- extraction from the token scan against the token-list walk ------------------
@@ -717,6 +745,41 @@ LEAN_FILE = st.one_of(
     st.tuples(_FILE_PARTS, _UNTERMINATED, _FILE_PARTS).map("".join),
     lean_delimited_texts(),
 )
+
+
+# Declarations whose steps the walk reads in each way: a tactic block, a term,
+# a comment between `:=` and `by`, a comment nested deeper than the scans
+# follow in the body, and names whose brackets the step count reads whole.
+_STEP_DECLARATIONS = st.sampled_from([
+    "theorem t : a = b := by\n  simp\n  rfl\n",
+    "lemma l : 1 = 1 := rfl\n",
+    "theorem c : a = b :=/- c -/by\n  simp; rfl\n  done\n",
+    "theorem d : a = b := by\n  simp " + _TOO_DEEP + "\n  rfl\n",
+    "theorem e : a = b := by " + _TOO_DEEP + "simp <;> rfl\n",
+    "theorem a)b : x := by\n  simp\n  rfl\n",
+    "theorem a)b (h : c) : x := by\n  simp\n  rfl\n",
+    "theorem ')' : x := by\n  simp\n  rfl\n",
+    "theorem '(' : x := by\n  simp\n  rfl\n",
+    "theorem s : a = b := by\n  exact \"a;\nb\"\n  simp </- c -/;> rfl\n",
+    "theorem q : a = b := by\n  exact ';'\n  rw [h] <;> simp; rfl\n",
+])
+STEP_FILE = st.lists(st.one_of(_STEP_DECLARATIONS, _DECLARATIONS, _DECLARATION_ATOMS,
+                               _STEP_ATOMS, _GLUED, _NESTED), max_size=16).map("".join)
+
+
+@given(STEP_FILE)
+@example("theorem a)b : x := by\n  simp\n  rfl\n")
+@example("theorem '(' : x := by\n  simp\n  rfl\n")
+@example("theorem q : a = b := by\n  exact ';'\n  rw [h] <;> simp; rfl\n")
+@example("theorem t : a := by\n  simp " + _TOO_DEEP + "\n  rfl\nlemma l : 1 = 1 := rfl\n")
+@settings(max_examples=500, deadline=None)
+def test_property_extracted_difficulty_is_the_scan_count_of_the_proof(source):
+    try:
+        records = extract_theorems(source, "f.lean", "c")
+    except LexError:
+        return
+    assert [r.difficulty for r in records] == [
+        code_and_steps(r.proof)[1] for r in records]
 
 
 def extract_outcome(extract, source):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from leanforge import artifacts
 from leanforge.config import PrepSettings
-from leanforge.corpus import code_divergence, count_tactic_steps
+from leanforge.corpus import code_divergence
 from leanforge.prompts import (
     FL_PROOF_SECTION,
     FL_STATEMENT_SECTION,
@@ -37,7 +37,7 @@ from leanforge.trainprep import (
     pack_sources,
 )
 from fixtures.listings import MATHD_ALGEBRA_270, SQINEQ_COMMENTED
-from support import strip_comments
+from support import strip_comments, tactic_steps
 
 
 def oracle_count(text):
@@ -375,7 +375,7 @@ class StubRecord:
     difficulty: int = field(init=False)
 
     def __post_init__(self):
-        self.difficulty = count_tactic_steps(self.proof)
+        self.difficulty = tactic_steps(self.proof)
 
 
 def stub_corpus():
