@@ -258,11 +258,12 @@ def make_tokenizer(settings: PrepSettings):
 def cmd_prep(args, config: PipelineConfig) -> int:
     obt_records = bootstrap_mod.load_obt_dataset(
         require(stage_path(config, "obt"), "bootstrap"))
-    packed, skipped = trainprep.emit_training_set(
-        obt_records, config.prep, make_tokenizer(config.prep))
-    artifacts.write_jsonl(stage_path(config, "train"), packed)
+    skipped = trainprep.emit_training_set(
+        obt_records, config.prep, make_tokenizer(config.prep),
+        functools.partial(artifacts.write_jsonl, stage_path(config, "train")))
     artifacts.write_jsonl(stage_path(config, "train_skips"), skipped)
-    print(f"packed {len(packed)} training records ({len(skipped)} skipped)")
+    print(f"packed {len(obt_records) - len(skipped)} training records "
+          f"({len(skipped)} skipped)")
     return 0
 
 

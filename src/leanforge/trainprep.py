@@ -7,6 +7,11 @@ treating the sorted dataset as a ring; with block packing off a record is
 a ring of one and gets no examples.  Instructions are built, counted and
 filled by ``leanforge.prompts``, the same functions that build the prover's
 prompts, so the model sees one layout in training and testing.
+
+The packed records go to a writer as they are built, so ``prep`` holds one
+instruction at a time however many examples each one takes; what it keeps
+for the whole run is the dataset, one example block per record and, in
+``artifacts.write_jsonl``, each block's escape.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import artifacts
 from .config import PrepSettings
@@ -192,14 +197,19 @@ def pack_sources(records: Sequence, settings: PrepSettings) -> List[PackSource]:
 
 
 def emit_training_set(
-    records: Sequence, settings: PrepSettings, tokenizer
-) -> Tuple[List[PackedRecord], List[dict]]:
-    """Produce the packed dataset plus a skip report of oversized records.
+    records: Sequence, settings: PrepSettings, tokenizer,
+    write: Callable[[Iterator[PackedRecord]], None],
+) -> List[dict]:
+    """Pack the dataset into ``write`` and return a skip report of
+    oversized records.
 
-    The ``use_*`` switches of ``settings`` cover the four ablation arms: NL
-    guidance in instructions, bootstrapped targets, block packing and
-    curriculum order. Every record fits ``token_budget`` tokens of
-    ``tokenizer``."""
+    ``write`` is called once, within this call, with an iterator that packs
+    each record as it is taken, so only the record being written holds its
+    instruction; it must take every record. Each record is either handed to
+    ``write`` or reported as skipped. The ``use_*`` switches of ``settings``
+    cover the four ablation arms: NL guidance in instructions, bootstrapped
+    targets, block packing and curriculum order. Every record fits
+    ``token_budget`` tokens of ``tokenizer``."""
     sources = pack_sources(records, settings)
     if settings.use_curriculum:
         sources = curriculum_sort(sources)
@@ -207,21 +217,26 @@ def emit_training_set(
     # each record's block is counted once, whichever rings it serves in, and
     # gives the count of its own instruction too
     blocks = counted_blocks(sources, counter)
-    packed: List[PackedRecord] = []
     skipped: List[dict] = []
-    for i, source in enumerate(sources):
-        if settings.use_block:
-            ring, ring_blocks, at = sources, blocks, i
-        else:  # each record is a ring of one: no examples
-            ring, ring_blocks, at = [source], blocks[i : i + 1], 0
-        try:
-            item = pack_block(ring, at, settings.token_budget, counter, ring_blocks)
-        except PromptExceedsBudget as exc:
-            logger.warning("skipping %s: %s", source.name, exc)
-            skipped.append(
-                {"name": exc.name, "reason": "record-exceeds-budget",
-                 "token_count": exc.needed, "budget": exc.budget}
-            )
-            continue
-        packed.append(item)
-    return packed, skipped
+
+    def packed() -> Iterator[PackedRecord]:
+        for i, source in enumerate(sources):
+            if settings.use_block:
+                ring, ring_blocks, at = sources, blocks, i
+            else:  # each record is a ring of one: no examples
+                ring, ring_blocks, at = [source], blocks[i : i + 1], 0
+            try:
+                item = pack_block(ring, at, settings.token_budget, counter, ring_blocks)
+            except PromptExceedsBudget as exc:
+                logger.warning("skipping %s: %s", source.name, exc)
+                skipped.append(
+                    {"name": exc.name, "reason": "record-exceeds-budget",
+                     "token_count": exc.needed, "budget": exc.budget}
+                )
+                continue
+            yield item
+
+    # the packing runs inside this call, where the traced run counts the
+    # tokenizer's work for prep
+    write(packed())
+    return skipped

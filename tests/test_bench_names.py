@@ -32,17 +32,22 @@ ACTIVE_SPANS = ("prover.run_iteration", "trainprep.emit_training_set",
                 "bootstrap.bootstrap_theorem")
 
 
-def resolves(name):
-    """Whether ``name`` is a span the tracer opens: a public function
-    defined in its module, or a method defined on its class."""
+def lookup(name):
+    """The function or method ``name`` names, or None."""
     module_name, *path = name.split(".")
     module = importlib.import_module(f"leanforge.{module_name}")
     if len(path) == 1:
         obj = getattr(module, path[0], None)
-        return inspect.isfunction(obj) and obj.__module__ == module.__name__
+        return obj if getattr(obj, "__module__", None) == module.__name__ else None
     cls_name, method = path
     cls = getattr(module, cls_name, None)
-    return inspect.isclass(cls) and inspect.isfunction(vars(cls).get(method))
+    return vars(cls).get(method) if inspect.isclass(cls) else None
+
+
+def resolves(name):
+    """Whether ``name`` is a span the tracer opens: a public function
+    defined in its module, or a method defined on its class."""
+    return inspect.isfunction(lookup(name))
 
 
 @pytest.mark.parametrize("name", sorted(tracing.OBSERVERS))
@@ -58,3 +63,11 @@ def test_every_traced_method_resolves(name):
 @pytest.mark.parametrize("name", ACTIVE_SPANS)
 def test_every_span_the_summary_keys_on_resolves(name):
     assert resolves(name)
+
+
+@pytest.mark.parametrize("name", ACTIVE_SPANS)
+def test_no_span_the_summary_keys_on_is_a_generator(name):
+    """Observers read ``tracer.active(name)`` while the work runs. A
+    generator function's span closes when it returns the generator, before
+    its body runs, so nothing counted in the body would be counted."""
+    assert not inspect.isgeneratorfunction(lookup(name))

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -1028,22 +1029,59 @@ class TestPrepCommand:
         assert not any(prompts.NL_SECTION in r["instruction"] for r in without_nl)
         assert all(prompts.NL_SECTION in r["instruction"] for r in with_nl)
 
-    def test_failed_write_keeps_previous_train_set(self, tmp_path, monkeypatch):
+    def test_memory_does_not_grow_with_the_packed_text(self, tmp_path):
+        """Every ring takes all the other blocks, so the instructions
+        written hold about 48 times the text of the dataset; prep keeps at
+        most one of them alive at a time."""
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        records = []
+        for k in range(48):
+            name = f"wide_{k}"
+            body = "\n".join(f"  have h{j} : {k} + {j} = {j} + {k} := Nat.add_comm _ _"
+                             for j in range(30))
+            proof = f"theorem {name} : True := by\n{body}\n  trivial\n"
+            nl = f"Statement: case {k} holds. Proof: " + "swap the sums. " * 40
+            records.append(bootstrap_mod.ObtRecord(
+                name=name, statement=f"theorem {name} : True :=", proof=proof,
+                file_path="prep/wide.lean", commit="c0ffee",
+                generated_informal_statement_and_proof=nl,
+                commented_proof=bootstrap_mod.head_bootstrap(nl, proof)))
+        artifacts.write_jsonl(str(workdir / "obt.jsonl"), records)
+        config = write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir)})
+        tracemalloc.start()
+        try:
+            assert run(["prep", "-c", config, "--token-budget", "10000000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = read_jsonl(workdir / "train.jsonl")
+        assert [row["example_count"] for row in rows] == [47] * 48
+        written = sum(len(row["instruction"]) for row in rows)
+        assert peak < written / 4, (peak, written)
+
+    def test_failed_write_keeps_previous_train_set(self, tmp_path, monkeypatch, capsys):
         config = self.make_workdir(tmp_path)
         assert run(["prep", "-c", config]) == 0
         workdir = tmp_path / "work"
-        before = read_bytes(workdir / "train.jsonl")
-        emit = trainprep.emit_training_set
+        names = ("train.jsonl", "train_skips.jsonl")
+        before = [read_bytes(workdir / name) for name in names]
+        pack_block = trainprep.pack_block
+        calls = []
 
-        def emit_unserializable(*args, **kwargs):
-            packed, skipped = emit(*args, **kwargs)
-            packed[1] = dataclasses.replace(packed[1], target=object())
-            return packed, skipped
+        def fail_at_second_record(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                # the first record's line has gone to train.jsonl's temp file
+                assert [n for n in os.listdir(workdir) if n.endswith(".tmp")]
+                raise OSError("disk full")
+            return pack_block(*args, **kwargs)
 
-        monkeypatch.setattr(trainprep, "emit_training_set", emit_unserializable)
-        with pytest.raises(TypeError):
-            run(["prep", "-c", config])
-        assert read_bytes(workdir / "train.jsonl") == before
+        monkeypatch.setattr(trainprep, "pack_block", fail_at_second_record)
+        assert run(["prep", "-c", config]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert len(calls) == 2
+        assert [read_bytes(workdir / name) for name in names] == before
         assert [n for n in os.listdir(workdir) if n.endswith(".tmp")] == []
 
 

@@ -162,8 +162,9 @@ def test_counts_equal_a_recount_of_the_assembled_text(texts, budget, use_nl, nam
     records = [BootstrappedRecord(f"r{j}", nl, f"theorem r{j} :{statement}",
                                   proof, proof, 1)
                for j, (nl, statement, proof) in enumerate(texts)]
-    packed, _ = emit_training_set(
-        records, PrepSettings(token_budget=budget, use_nl=use_nl), tok)
+    packed = []
+    emit_training_set(
+        records, PrepSettings(token_budget=budget, use_nl=use_nl), tok, packed.extend)
     for item in packed:
         assert item.token_count == tok.count(item.instruction) + tok.count(item.target)
 

@@ -404,9 +404,13 @@ def stub_corpus():
 
 
 def emit(records, tokenizer=WhitespaceTokenizer(), token_budget=5000, **settings):
-    """``emit_training_set`` with ``PrepSettings(**settings)``."""
-    return emit_training_set(
-        records, PrepSettings(token_budget=token_budget, **settings), tokenizer)
+    """``emit_training_set`` with ``PrepSettings(**settings)``: the packed
+    records, which its writer collects in a list, and the skip report."""
+    packed = []
+    skipped = emit_training_set(
+        records, PrepSettings(token_budget=token_budget, **settings), tokenizer,
+        packed.extend)
+    return packed, skipped
 
 
 class TestEmitTrainingSet:
