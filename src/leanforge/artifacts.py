@@ -104,26 +104,30 @@ def _json_line(entry: Any) -> str:
 
 
 def _jsonl_line(entry: Any, escapes: Dict[str, bytes]) -> Union[str, bytes]:
-    """``entry``'s JSON line. A record with a ``Joined`` field is built
-    field by field, as bytes, taking each part's escape from ``escapes``
-    and adding the parts it lacks; any other entry is one ``_json_line``.
-    Private, as ``_decode`` is: a traced run would add a span per line."""
+    """``entry``'s JSON line. A record with a ``Joined`` field is one join
+    of bytes: its keys, quotes, braces and separators, its other values'
+    JSON and each part's escape, taken from ``escapes``, which gains the
+    parts it lacks. Any other entry is one ``_json_line``. Private, as
+    ``_decode`` is: a traced run would add a span per line."""
     if not dataclasses.is_dataclass(entry):
         return _json_line(entry)
     fields = _to_entry(entry)
     if not any(type(value) is Joined for value in fields.values()):
         return _json_line(fields)
-    items = []
+    pieces: List[bytes] = []
     for key, value in fields.items():
+        pieces += (b", " if pieces else b"{", _encode(key).encode("utf-8"), b": ")
         if type(value) is Joined:
+            pieces.append(b'"')
             for part in value.parts:
                 if part not in escapes:
                     escapes[part] = _escape(part)[1:-1].encode("utf-8")
-            text = b'"%s"' % b"".join([escapes[part] for part in value.parts])
+                pieces.append(escapes[part])
+            pieces.append(b'"')
         else:
-            text = _encode(value).encode("utf-8")
-        items.append(b"%s: %s" % (_encode(key).encode("utf-8"), text))
-    return b"{%s}\n" % b", ".join(items)
+            pieces.append(_encode(value).encode("utf-8"))
+    pieces.append(b"}\n")
+    return b"".join(pieces)
 
 
 def write_jsonl(path: str, entries: Iterable[Any]) -> None:

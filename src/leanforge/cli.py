@@ -217,8 +217,10 @@ def cmd_informalize(args, config: PipelineConfig) -> int:
     informalize.save_informal_dataset(
         records, results, stage_path(config, "informal"))
     passed = sum(1 for r in results if r.verdict == "pass")
+    errors = sum(1 for r in results if r.reasons == (informalize.BACKEND_ERROR,))
     print(f"informalized {passed}/{len(results)} theorems "
-          f"({len(results) - passed} failed screening)")
+          f"({len(results) - passed - errors} failed screening, "
+          f"{errors} failed on backend errors)")
     return 0
 
 

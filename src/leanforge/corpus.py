@@ -10,7 +10,7 @@ walk as a list of ``LeanToken`` named tuples; nothing else builds a token.
 declaration, and counts a theorem's steps from the body that walk found.
 ``code_texts`` gives only the texts of the code and string tokens, from one
 ``findall`` or, past a deeper comment, from the walk, and raises what
-``lex_lean`` raises; ``code_divergence`` (the rule that two texts carry the
+``_walk`` raises; ``code_divergence`` (the rule that two texts carry the
 same code) and Lean3 detection work from those texts. ``code_and_steps``
 gives a proof's code texts and its tactic-step count from one ``findall``
 of ``_PROOF_SCAN``, whose items keep whitespace apart from code and string
@@ -285,7 +285,7 @@ def code_texts(text: str) -> List[str]:
     """The texts of the code and string-literal tokens of ``text``, in order.
 
     Equal to ``[t.text for t in lex_lean(text) if t.kind in SEMANTIC_KINDS]``,
-    and raises the ``LexError`` that ``lex_lean`` raises, but one ``findall``
+    and raises the ``LexError`` that ``_walk`` raises, but one ``findall``
     gives the texts without building a token for each.
     """
     texts = list(filter(None, re.findall(_CODE_SCAN, text)))
@@ -297,7 +297,7 @@ def code_texts(text: str) -> List[str]:
 def _semantic_tokens(text: str) -> Iterator[Tuple[str, int]]:
     """The text and end offset of each code or string token of ``text``, in
     order. The text is walked only as far as the tokens are taken, and
-    raises what ``lex_lean`` raises."""
+    raises what ``_walk`` raises."""
     return ((m.group(), m.end()) for m in _walk(text)
             if m.lastindex >= 4)  # a string literal or a code run
 
@@ -419,7 +419,7 @@ _NAME, _ASSIGN, _BY, _BODY = range(4)
 def _declarations(source: str) -> List[_Declaration]:
     """The declarations of ``source``, from one ``_walk`` that builds no
     token, only the pieces of each tactic block's tactic text; raises the
-    ``LexError`` that ``lex_lean`` raises.
+    ``LexError`` that ``_walk`` raises.
 
     A declaration opens at a ``theorem`` or ``lemma`` token that begins its
     line, or that follows a modifier that does with only modifiers,

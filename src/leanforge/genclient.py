@@ -38,7 +38,7 @@ from typing import (
 )
 
 from . import __version__
-from .config import BackendSettings, BudgetSettings, RetrySettings
+from .config import BackendSettings, BudgetSettings, ConfigError, RetrySettings
 
 logger = logging.getLogger(__name__)
 
@@ -476,8 +476,8 @@ class ChatCompletionBackend:
     Wire format: POST {model, messages, temperature, n, max_tokens} to the
     endpoint; reply {choices: [{message: {content}, finish_reason}]}, with
     the ``system_prompt`` as a system message when it is set. The bearer
-    token comes from the environment variable named by api_key_env; a
-    missing key surfaces as BackendUnavailable at call time.
+    token comes from the environment variable named by api_key_env, read
+    once: an unset one raises ``ConfigError`` as the backend is built.
 
     All calls share a pool of keep-alive connections. At most
     ``max_in_flight`` requests are on the wire at once and a further call
@@ -497,6 +497,13 @@ class ChatCompletionBackend:
         # http.client and ssl at start-up (about 30 ms).
         import http.client
 
+        self._headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        if settings.api_key_env:
+            key = os.environ.get(settings.api_key_env)
+            if not key:
+                raise ConfigError([f"backend.api_key_env: environment variable "
+                                   f"{settings.api_key_env} is not set"])
+            self._headers["Authorization"] = f"Bearer {key}"
         self.settings = settings
         self.name = settings.model
         self.concurrency = 2 * settings.max_in_flight
@@ -517,16 +524,6 @@ class ChatCompletionBackend:
         for connection in idle:
             connection.close()
 
-    def _headers(self) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        key_env = self.settings.api_key_env
-        if key_env:
-            key = os.environ.get(key_env)
-            if not key:
-                raise BackendUnavailable(f"environment variable {key_env} is not set")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def _checkout(self):
         """An idle connection the server has kept open, or a new one."""
         with self._idle_lock:
@@ -539,14 +536,14 @@ class ChatCompletionBackend:
                 connection.close()
         return self._connect()
 
-    def _post(self, body: bytes, headers: Dict[str, str]) -> Tuple[int, bytes]:
+    def _post(self, body: bytes) -> Tuple[int, bytes]:
         """The status and body of the reply to one POST of ``body``."""
         import http.client
 
         with self._slots:
             connection = self._checkout()
             try:
-                connection.request("POST", self._target, body, headers)
+                connection.request("POST", self._target, body, self._headers)
                 with connection.getresponse() as reply:
                     data = reply.read()
             except (OSError, http.client.HTTPException) as exc:
@@ -571,7 +568,7 @@ class ChatCompletionBackend:
             "n": request.n_samples,
             "max_tokens": request.max_new_tokens,
         }
-        status, data = self._post(json.dumps(body).encode(), self._headers())
+        status, data = self._post(json.dumps(body).encode())
         if status == 429 or status >= 500:
             raise BackendUnavailable(f"service returned {status}")
         if status != 200:
@@ -585,10 +582,6 @@ class ChatCompletionBackend:
             ]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedBackendReply(f"unparseable reply: {exc}") from exc
-        if len(out) != request.n_samples:
-            raise MalformedBackendReply(
-                f"reply has {len(out)} choices, requested {request.n_samples}"
-            )
         if any(type(text) is not str for text, _ in out):
             raise MalformedBackendReply("reply has a choice whose content is not a string")
         return out

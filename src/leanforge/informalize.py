@@ -40,6 +40,9 @@ class CheckpointCorrupt(RuntimeError):
     """The checkpoint cannot be reconciled with the requested run."""
 
 
+_DISCARD = "run without --resume (or pass restart) to discard the checkpoint"
+
+
 @dataclass(frozen=True)
 class QualityVerdict:
     passed: bool
@@ -184,7 +187,7 @@ def load_checkpoint(path: str) -> List[InformalizationResult]:
                 for line in artifacts.resume_jsonl(path)]
     except artifacts.ArtifactError as exc:
         raise CheckpointCorrupt(
-            f"{exc}; pass restart to discard the checkpoint") from exc
+            f"{exc}; {_DISCARD}") from exc
 
 
 def _validate_resume(
@@ -195,22 +198,18 @@ def _validate_resume(
     if len(done) > len(records):
         raise CheckpointCorrupt(
             f"checkpoint has {len(done)} entries for {len(records)} records; "
-            "pass restart to discard the checkpoint"
-        )
+            f"{_DISCARD}")
     for i, (result, record) in enumerate(zip(done, records)):
         if result.theorem_name != record.name:
             raise CheckpointCorrupt(
                 f"checkpoint entry {i} is {result.theorem_name!r} but input "
-                f"record {i} is {record.name!r}; pass restart to discard"
-            )
+                f"record {i} is {record.name!r}; {_DISCARD}")
         if result.verdict == "pass":
             verdict = quality_check(result.nl_statement_and_proof, settings)
             if not verdict.passed:
                 raise CheckpointCorrupt(
                     f"checkpoint pass entry {result.theorem_name!r} violates "
-                    f"current limits ({', '.join(verdict.reasons)}); "
-                    "pass restart to regenerate"
-                )
+                    f"current limits ({', '.join(verdict.reasons)}); {_DISCARD}")
 
 
 def informalize_corpus(

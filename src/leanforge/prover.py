@@ -108,7 +108,6 @@ class PoolExample:
     name: str
     nl: str
     fl: str
-    source: str = artifacts.wire(None, default="seed")  # or "round <n>"
 
 
 @dataclass(frozen=True)
@@ -157,22 +156,6 @@ class HarnessReport:
 # --- prompt assembly -----------------------------------------------------------
 
 
-def selection_order(pool: Sequence[PoolExample]) -> List[PoolExample]:
-    """Examples in inclusion priority: most recently verified first, then
-    seeds in their original order."""
-    verified = [e for e in pool if e.source != "seed"]
-    seeds = [e for e in pool if e.source == "seed"]
-    return list(reversed(verified)) + seeds
-
-
-def pool_blocks(
-    pool: Sequence[PoolExample], k_max: int, counter: PromptCounter
-) -> List[Tuple[str, int]]:
-    """The example blocks a round's prompts choose from, each with its
-    count: the first ``k_max`` examples of ``selection_order(pool)``."""
-    return [counter.block(e.nl, e.fl) for e in selection_order(pool)[:k_max]]
-
-
 def assemble_proof_prompt(
     problem: Problem,
     blocks: Sequence[Tuple[str, int]],
@@ -182,17 +165,15 @@ def assemble_proof_prompt(
 ) -> str:
     """Build the proving prompt with as many whole examples as fit.
 
-    ``blocks`` is ``pool_blocks`` of the round's pool, at most ``k_max``
-    of them. They are added in order until the next one would push the
-    prompt past ``token_budget``. The zero-example prompt's count
+    ``blocks`` are the counted blocks (``PromptCounter.block``) of the
+    round's first ``k_max`` examples, added in order until the next one would
+    push the prompt past ``token_budget``. The zero-example prompt's count
     (``PromptCounter.prompt``) and the blocks' counts are summed
     (``prompts.fit_blocks``): counts add at the whitespace that ends every
     block, so the sum is the count of the assembled prompt. A prompt with
     fewer than ``k_min`` examples is still returned, with a warning; one
     over ``token_budget`` with no examples raises ``PromptExceedsBudget``.
     """
-    if not blocks:
-        raise ValueError("example pool is empty")
     nl, statement = problem.nl_statement_and_proof, problem.fl_statement
     taken, _ = fit_blocks(problem.name, counter.prompt(nl, statement), blocks,
                           token_budget)
@@ -440,11 +421,12 @@ def run_iteration(
     tokenizer,
     rejected: Dict[str, Dict[str, str]],
 ) -> List[ProofAttempt]:
-    """Run one round over ``problems``, the open ones, prompting with
-    ``pool``, which the caller grows between rounds. Returns each problem's
-    attempts, in problem order. ``rejected`` maps each problem's name to its
-    map of rejected proofs (``judge_proof``), which the round's unit for that
-    problem consults and grows.
+    """Run one round over ``problems``, the open ones. Their prompts choose
+    from the first ``settings.k_max`` examples of ``pool``, newest first,
+    counted once for the round; the caller grows the pool between rounds.
+    Returns each problem's attempts, in problem order. ``rejected`` maps
+    each problem's name to its map of rejected proofs (``judge_proof``),
+    which the round's unit for that problem consults and grows.
 
     Problems go through ``genclient.in_order``. Above a backend
     ``concurrency`` of 1, ``backend.concurrency + verifier.concurrency``
@@ -456,11 +438,10 @@ def run_iteration(
     draws the sample sequence a serial run gives it, and results are taken
     in problem order. With a budget, each problem reserves ``n_samples``
     requests of its prompt, in problem order, so a run that hits a ceiling
-    stops at the samples a serial run stops at. The pool's example blocks
-    are counted once for the round's prompts.
+    stops at the samples a serial run stops at.
     """
     counter = PromptCounter(tokenizer)
-    blocks = pool_blocks(pool, settings.k_max, counter)
+    blocks = [counter.block(e.nl, e.fl) for e in pool[:settings.k_max]]
 
     def units():
         for problem in problems:
@@ -493,8 +474,9 @@ def run_iterative(
     """Run rounds until ``settings.max_rounds`` or a round proves nothing
     new. Prompts are counted with ``tokenizer``. Problem names are unique and
     ``seed_pool`` is nonempty: the CLI checks both where it reads them.
-    A round's verified proofs join the pool in problem order; every sample
-    drawn counts toward ``budget_used``.
+    The pool is kept newest first, the order prompts read it: a round's
+    verified proofs go in front of it in reverse problem order, and the
+    seeds stay last; every sample drawn counts toward ``budget_used``.
 
     Each problem keeps one map of its rejected proofs for the whole run, so
     the verifier sees each distinct proof text of a problem once, unless it
@@ -515,10 +497,8 @@ def run_iterative(
         for a in verified:
             proved[a.problem] = ReportProof(
                 a.problem, round_number, a.sample_index, a.proof)
-        pool += tuple(
-            PoolExample(a.problem, by_name[a.problem].nl_statement_and_proof, a.proof,
-                        source=f"round {round_number}")
-            for a in verified)
+        pool = tuple(PoolExample(a.problem, by_name[a.problem].nl_statement_and_proof,
+                                 a.proof) for a in reversed(verified)) + pool
         if not verified:
             break
     rounds = round_summaries(attempts, len(problems), round_number)

@@ -3,6 +3,7 @@ end-to-end pipeline fixture (built around the mock backend so every byte is
 reproducible)."""
 
 import dataclasses
+import http.server
 import json
 import math
 import os
@@ -860,6 +861,8 @@ class TestSettingsReachTheirObjects:
             (tmp_path / value).write_text(
                 json.dumps([{"pattern": "needle", "response": "found"}]), encoding="utf-8")
             value = str(tmp_path / value)
+        if key == "backend.api_key_env":
+            monkeypatch.setenv(value, "sk-test")
         backend = {"endpoint": "http://127.0.0.1:9/v1", "model": "m"}
         if chat:
             backend["kind"] = "chat"
@@ -874,6 +877,112 @@ class TestSettingsReachTheirObjects:
         monkeypatch.setattr(bootstrap_mod, "bootstrap_corpus", recording)
         assert run(["bootstrap", "-c", config]) == 0
         assert built == [carried]
+
+
+def theorems_workdir(tmp_path, name, count, backend=None):
+    """A workdir holding ``count`` extracted theorems, and a config on it
+    with ``backend`` as its backend section (a mock by default)."""
+    workdir = tmp_path / name
+    workdir.mkdir()
+    artifacts.write_jsonl(str(workdir / "theorems.jsonl"), (
+        dataclasses.asdict(corpus.TheoremRecord(
+            f"thm{i}", f"theorem thm{i} : {i} = {i} :=",
+            f"theorem thm{i} : {i} = {i} := rfl", "A.lean", "c", 1))
+        for i in range(count)))
+    return workdir, write_yaml(tmp_path / f"{name}.yaml", {
+        "workdir": str(workdir), "backend": backend or {"kind": "mock"}})
+
+
+class TestInformalizeMessages:
+    def test_summary_counts_backend_errors_apart_from_screening(
+            self, tmp_path, monkeypatch, capsys):
+        def reply(request):
+            name = request.request_id.split(":")[1]
+            if name == "thm0":
+                raise genclient.MalformedBackendReply("no choices")
+            if name == "thm1":
+                return "the " * 40
+            return f"Statement: {name} holds. Proof: compute it."
+
+        _, config = theorems_workdir(tmp_path, "run", 3)
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda settings: support.KeyedBackend(reply, 0))
+        assert run(["informalize", "-c", config]) == 0
+        assert capsys.readouterr().out == (
+            "informalized 1/3 theorems (1 failed screening, "
+            "1 failed on backend errors)\n")
+
+    def test_corrupt_checkpoint_names_the_flag_that_discards_it(
+            self, tmp_path, capsys):
+        workdir, config = theorems_workdir(tmp_path, "run", 2)
+        (workdir / "informalize.ckpt.jsonl").write_text("not json\n", encoding="utf-8")
+        assert run(["informalize", "-c", config, "--resume"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "; run without --resume (or pass restart) to discard the checkpoint\n")
+        assert not (workdir / "informal.jsonl").exists()
+
+
+class TestUnsetApiKey:
+    """A chat backend whose ``backend.api_key_env`` names an unset variable
+    is a config error: a paid stage exits 2 before its first request."""
+
+    KEY = "LEANFORGE_TEST_UNSET_KEY"
+    ERROR = (f"config error: backend.api_key_env: environment variable {KEY} "
+             "is not set\n")
+
+    @pytest.fixture()
+    def chat(self, monkeypatch):
+        """The backend section of a chat service on localhost that counts
+        the requests it gets, and that count."""
+        posts = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                posts.append(body)
+                reply = json.dumps({"choices": [
+                    {"message": {"content": "Statement: s. Proof: p."},
+                     "finish_reason": "stop"}] * body["n"]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        monkeypatch.delenv(self.KEY, raising=False)
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        # one attempt a request: a run that does send one ends soon
+        yield {"kind": "chat", "model": "m", "api_key_env": self.KEY,
+               "endpoint": f"http://127.0.0.1:{server.server_address[1]}/v1",
+               "retry": {"max_attempts": 1}}, posts
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+    def test_informalize_exits_2_before_its_first_request(self, tmp_path, capsys, chat):
+        backend, posts = chat
+        workdir, config = theorems_workdir(tmp_path, "run", 2, backend)
+        assert run(["informalize", "-c", config]) == 2
+        assert capsys.readouterr().err == self.ERROR
+        assert posts == []
+        assert not (workdir / "informal.jsonl").exists()
+
+    def test_prove_exits_2_before_it_makes_its_workdir(self, tmp_path, capsys, chat):
+        backend, posts = chat
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        with open(pipeline_config(tmp_path, fixture, workdir), encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"] = backend
+        assert run(["prove", "-c", write_yaml(tmp_path / "chat.yaml", settings)]) == 2
+        assert capsys.readouterr().err == self.ERROR
+        assert posts == []
+        assert not workdir.exists()
 
 
 class TestInformalizeResumeUnderConcurrency:
@@ -895,15 +1004,7 @@ class TestInformalizeResumeUnderConcurrency:
         return run(["informalize", "-c", config, *flags])
 
     def workdir(self, tmp_path, name):
-        workdir = tmp_path / name
-        workdir.mkdir()
-        artifacts.write_jsonl(str(workdir / "theorems.jsonl"), (
-            dataclasses.asdict(corpus.TheoremRecord(
-                f"thm{i}", f"theorem thm{i} : {i} = {i} :=",
-                f"theorem thm{i} : {i} = {i} := rfl", "A.lean", "c", 1))
-            for i in range(self.RECORDS)))
-        return workdir, write_yaml(tmp_path / f"{name}.yaml", {
-            "workdir": str(workdir), "backend": {"kind": "mock"}})
+        return theorems_workdir(tmp_path, name, self.RECORDS)
 
     def test_fault_at_every_call_then_resume(self, tmp_path, monkeypatch):
         full_dir, full_config = self.workdir(tmp_path, "full")

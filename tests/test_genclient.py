@@ -17,7 +17,7 @@ import pytest
 
 import leanforge
 from leanforge import genclient
-from leanforge.config import ProverSettings
+from leanforge.config import ConfigError, ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
     BudgetExceeded,
@@ -634,11 +634,12 @@ class TestChatCompletionBackend:
         backend.generate(make_request("p"))
         assert _ChatHandler.seen[-1]["auth"] is None
 
-    def test_missing_key_is_unavailable(self, chat, monkeypatch):
+    def test_unset_key_env_is_a_config_error_as_the_backend_is_built(
+            self, chat, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY_VAR", raising=False)
-        backend = chat("/ok", model="m", api_key_env="ABSENT_KEY_VAR")
-        with pytest.raises(BackendUnavailable, match="ABSENT_KEY_VAR"):
-            backend.generate(make_request("p"))
+        with pytest.raises(ConfigError,
+                           match="backend.api_key_env: .*ABSENT_KEY_VAR is not set"):
+            chat("/ok", model="m", api_key_env="ABSENT_KEY_VAR")
         assert _ChatHandler.seen == []
 
     def test_truncation_flag_from_finish_reason(self, chat):
@@ -679,8 +680,11 @@ class TestChatCompletionBackend:
 
     def test_short_choice_list_rejected(self, chat):
         backend = chat("/short", model="m")
+        policy, sleeps = recording_policy()
         with pytest.raises(MalformedBackendReply, match="requested 2"):
-            backend.generate(make_request("p", n_samples=2))
+            complete(make_request("p", n_samples=2), backend, retry=policy)
+        assert len(_ChatHandler.seen) == 1
+        assert sleeps == []
 
     def test_connection_refused_is_unavailable(self):
         with contextlib.closing(chat_backend(

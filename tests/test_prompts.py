@@ -32,7 +32,6 @@ from leanforge.prover import (
     PoolExample,
     Problem,
     assemble_proof_prompt,
-    pool_blocks,
 )
 from leanforge.trainprep import (
     PackSource,
@@ -81,8 +80,8 @@ def prove_prompt(tokenizer, examples, nl, statement, budget):
     counter = PromptCounter(tokenizer)
     pool = [PoolExample(f"e{j}", ex_nl, fl) for j, (ex_nl, fl) in enumerate(examples)]
     return assemble_proof_prompt(
-        Problem("goal", statement, nl), pool_blocks(pool, 16, counter), 1, counter,
-        budget)
+        Problem("goal", statement, nl), [counter.block(e.nl, e.fl) for e in pool[:16]],
+        1, counter, budget)
 
 
 @pytest.mark.parametrize("case", list(SAME_LAYOUT_CASES))

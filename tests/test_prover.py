@@ -45,12 +45,10 @@ from leanforge.prover import (
     extract_proof,
     format_report_table,
     load_report,
-    pool_blocks,
     run_iteration,
     run_iterative,
     save_report,
     screen_proof,
-    selection_order,
 )
 from leanforge.trainprep import WhitespaceTokenizer
 
@@ -82,8 +80,8 @@ def make_problem(i):
 def prompt_for(problem, pool, k_range=(10, 16), token_budget=4096):
     counter = PromptCounter(WhitespaceTokenizer())
     return assemble_proof_prompt(
-        problem, pool_blocks(pool, k_range[1], counter), k_range[0], counter,
-        token_budget)
+        problem, [counter.block(e.nl, e.fl) for e in pool[:k_range[1]]], k_range[0],
+        counter, token_budget)
 
 
 def canonical_proof(i):
@@ -162,9 +160,9 @@ class TestAssemblePrompt:
         problem = make_problem(0)
         base_tokens = tok.count(prompt_for(
             problem, pool, (1, 1), 100_000)) - tok.count(
-                oracle_block(selection_order(pool)[0]))
+                oracle_block(pool[0]))
 
-        ordered = selection_order(pool)[:16]
+        ordered = pool[:16]
         piece_tokens = [tok.count(oracle_block(e)) for e in ordered]
         for budget in range(base_tokens, base_tokens + sum(piece_tokens) + 5, 7):
             total, expected_k = base_tokens, 0
@@ -181,23 +179,6 @@ class TestAssemblePrompt:
             prompt_for(make_problem(0), seed_examples(1), token_budget=3)
         assert info.value.budget == 3
         assert info.value.needed > 3
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="pool"):
-            prompt_for(make_problem(0), [], token_budget=1000)
-
-    def test_verified_examples_lead_most_recent_first(self):
-        pool = seed_examples(2) + [
-            PoolExample("v1", "Statement: one. Proof: p.",
-                        "theorem v1 : True := by\n  trivial\n", source="round 1"),
-            PoolExample("v2", "Statement: two. Proof: q.",
-                        "theorem v2 : True := by\n  trivial\n", source="round 2"),
-        ]
-        prompt = prompt_for(make_problem(0), pool, token_budget=100_000)
-        assert count_examples(prompt) == 4
-        positions = [prompt.index(f"theorem {n}") for n in
-                     ("v2", "v1", "seed0", "seed1")]
-        assert positions == sorted(positions)
 
     def test_problem_text_after_examples(self):
         problem = make_problem(7)
@@ -589,9 +570,11 @@ class CountingBackend:
         self.inner = inner
         self.name = inner.name
         self.calls = 0
+        self.requests = []
 
     def generate(self, request):
         self.calls += 1
+        self.requests.append(request)
         return self.inner.generate(request)
 
 
@@ -659,9 +642,8 @@ class TestRunIteration:
         first = one_round(problems, seed_examples(1), make_sampler(backend), verifier,
                           config())
         assert verified(first) == {"prob00": canonical_proof(0)}
-        grown = seed_examples(1) + [PoolExample(
-            "prob00", problems[0].nl_statement_and_proof, canonical_proof(0),
-            "round 1")]
+        grown = [PoolExample("prob00", problems[0].nl_statement_and_proof,
+                             canonical_proof(0))] + seed_examples(1)
         second = one_round(problems[1:], grown, make_sampler(backend), verifier,
                            config(), round_number=2)
         assert verified(second) == {"prob01": canonical_proof(1)}
@@ -771,6 +753,26 @@ class TestRunIterative:
         assert report.cumulative_rate == 0.0
         assert report.rounds[0].budget_used == 488
 
+    def test_prompts_read_the_newest_proofs_first(self):
+        # a<i> proves at once, b<i> once a<i>'s proof is in its prompt and
+        # c<i> once b<i>'s is, so round 3 prompts c1 and c2 over two rounds
+        # of proofs
+        problems, gates, proofs = scenario(
+            {"a1": "always", "a2": "always", "b1": "dep:a1", "b2": "dep:a2",
+             "c1": "dep:b1", "c2": "dep:b2"})
+        backend = CountingBackend(ScenarioBackend(gates, proofs))
+        report = run_iterative(problems, seed_examples(2), make_sampler(backend),
+                               MockVerifier(proofs), config(max_rounds=3), TOKENIZER)
+        assert [r.newly_proved for r in report.rounds] == [2, 2, 2]
+        third = [r.prompt for r in backend.requests if ":r3:" in r.request_id]
+        assert len(third) == 2
+        for prompt in third:
+            # round 2's proofs, then round 1's, each in reverse problem
+            # order, then the seeds in file order
+            positions = [prompt.index(f"theorem {name} ") for name in
+                         ("b2", "b1", "a2", "a1", "seed0", "seed1")]
+            assert positions == sorted(positions)
+
     def test_deterministic_reports(self):
         problems, seeds, backend, verifier = two_round_setup()
         first = run_iterative(problems, seeds, make_sampler(backend), verifier,
@@ -846,14 +848,20 @@ def random_scenario(rng):
             gates[name] = f"dep:{names[rng.randrange(n)]}"
         else:
             gates[name] = "never"
+    return scenario(gates)
+
+
+def scenario(gates):
+    """The problems, ``gates`` and canonical proofs of a ``ScenarioBackend``
+    run over the problems ``gates`` names."""
     problems = [
         Problem(name=name,
                 fl_statement=f"theorem {name} (n : ℕ) : n = n :=",
                 nl_statement_and_proof=f"Statement: {name}. Proof: rfl.")
-        for name in names
+        for name in gates
     ]
     proofs = {name: f"theorem {name} (n : ℕ) : n = n := by\n  rfl_{name}\n"
-              for name in names}
+              for name in gates}
     return problems, gates, proofs
 
 
