@@ -207,8 +207,8 @@ def bootstrap_corpus(
 
     Interleaved records go through ``genclient.in_order``: up to the
     backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
-    each making up to ``settings.max_attempts`` requests and reserving that
-    many of its prompt when there is a budget. The fallback, the stats and
+    each making up to ``settings.max_attempts`` requests and, when pooled,
+    reserving that many of its prompt. The fallback, the stats and
     record assembly run here, in entry order.
     """
     interleaved = settings.mode == "interleaved"

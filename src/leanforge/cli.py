@@ -174,16 +174,15 @@ def make_backend(settings: BackendSettings):
 @contextlib.contextmanager
 def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.Sampler]:
     """How a paid stage asks the model, with the ``backend`` section's
-    retry policy, budget and temperature. The backend's connections are
-    closed when the stage is done."""
+    retry policy, budget and temperature. The budget counts every request,
+    with or without a ceiling. The backend's connections are closed when
+    the stage is done."""
     b = config.backend
-    budget = None
-    if b.budget.max_requests is not None or b.budget.max_tokens is not None:
-        budget = genclient.GenerationBudget(b.budget)
     retry = genclient.RetryPolicy(b.retry, fork_seed(config.seed, "retry"))
     backend = make_backend(b)
     try:
-        yield genclient.Sampler(backend, retry, budget, max_new_tokens, b.temperature)
+        yield genclient.Sampler(backend, retry, genclient.GenerationBudget(b.budget),
+                                max_new_tokens, b.temperature)
     finally:
         getattr(backend, "close", lambda: None)()
 

@@ -10,11 +10,11 @@ A stage asks the model in one way only. Its ``Sampler`` holds the backend,
 the retry policy, the budget and the settings of every request. It runs
 its units (a theorem, a problem: each an item and the prompt it sends)
 through ``in_order``, which keeps up to ``backend.concurrency`` of them in
-flight (one for a backend without the attribute), or as many as its
-caller asks above a concurrency of one. It prices each unit's budget
-reservation from its prompt, and hands each unit's work an ``Ask`` that
-sends that prompt. Results come back in unit order. No other
-module builds a request or calls ``complete``.
+flight, or as many as its caller asks above a concurrency of one. It
+prices each unit's budget reservation from its prompt, and hands each
+unit's work an ``Ask`` that charges each request and sends that prompt.
+Results come back in unit order. No other module builds a request or
+calls ``complete``.
 
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
@@ -95,7 +95,8 @@ def estimate_tokens(text: str) -> int:
 @dataclass
 class GenerationBudget:
     """The request/token ceilings of ``settings``, shared across a pipeline
-    stage.
+    stage. Every run has one: with no ceiling set it refuses nothing, and
+    still counts every request and token.
 
     Charged once per logical request, up front: prompt estimate plus the
     worst-case completion (max_new_tokens per sample).  Retries of a failed
@@ -148,9 +149,9 @@ class GenerationBudget:
 class Reservation:
     """Budget set aside by ``GenerationBudget.reserve``.
 
-    Passed to ``complete`` in place of the budget: each charge moves its cost
-    from reserved to used and fails only past the reservation. ``release``
-    hands back what was not charged.
+    Charged by a unit's ``Ask`` in place of the budget: each charge moves
+    its cost from reserved to used and fails only past the reservation.
+    ``release`` hands back what was not charged.
     """
 
     def __init__(self, budget: GenerationBudget, requests: int, tokens: int):
@@ -193,7 +194,8 @@ def in_order(
     """Run ``work(item, ask)`` over ``units``, ``(item, prompt)`` pairs, up to
     the backend's ``concurrency`` at once, and yield ``(item, result)`` in
     unit order, each as soon as it and every earlier result are in. Units
-    are drawn only as they are started; ``ask`` sends the unit's prompt.
+    are drawn only as they are started; ``ask`` charges and sends a request
+    of the unit's prompt.
 
     At concurrency 1 the units run one by one on the calling thread, each
     charging the budget itself: this is the serial run. Above it they run
@@ -202,12 +204,12 @@ def in_order(
     their own work, so that a long unit does not start late, behind shorter
     ones.
 
-    With a budget each pooled unit first reserves, in unit order,
-    ``attempts`` requests of its prompt; its ``ask`` charges that
-    reservation, which is released when the work returns or raises. A unit
-    whose reservation does not fit waits for every earlier unit and then
-    runs alone on the budget itself, so it sees what the serial run sees
-    and a run that hits a ceiling stops where the serial run stops.
+    Each pooled unit first reserves, in unit order, ``attempts`` requests
+    of its prompt; its ``ask`` charges that reservation, which is released
+    when the work returns or raises. A unit whose reservation does not fit
+    waits for every earlier unit and then runs alone on the budget itself,
+    so it sees what the serial run sees and a run that hits a ceiling stops
+    where the serial run stops.
 
     When the work of unit k raises, no unit is started once that is seen,
     the ``ask`` of every running unit after k raises ``Halted`` at its next
@@ -217,13 +219,15 @@ def in_order(
     ``Halted``, so the pool waits only for the requests and checks under
     way.
     """
-    concurrency = getattr(sampler.backend, "concurrency", 1)
+    budget = sampler.budget
+    concurrency = sampler.backend.concurrency
     if concurrency == 1:
         # No pool: with one unit in flight a worker thread only adds
         # hand-offs, and a mock run's informalize and bootstrap ran about a
         # third slower through one (2-core host, Python 3.11).
+        never = _Halt()
         for item, prompt in units:
-            yield item, work(item, Ask(sampler, prompt))
+            yield item, work(item, Ask(sampler, prompt, budget, never))
         return
     if in_flight is not None:
         concurrency = in_flight
@@ -234,7 +238,7 @@ def in_order(
         try:
             return work(item, ask)
         finally:
-            if ask.charge is not None:
+            if ask.charge is not budget:
                 ask.charge.release()
 
     queue: collections.deque = collections.deque()  # (item, future), unyielded
@@ -254,7 +258,6 @@ def in_order(
                 halt.after(index)
         return stop_later_units
 
-    budget = sampler.budget
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         try:
             for index, (item, prompt) in enumerate(units):
@@ -265,17 +268,16 @@ def in_order(
                     running = [f for _, f in queue if not f.done()]
                 if failed():
                     break
-                charge = None
-                if budget is not None:
-                    cost = _cost(sampler.request(prompt))
-                    charge = budget.reserve(attempts, attempts * cost)
-                    if charge is None:
-                        wait([f for _, f in queue])
-                        yield from finished()
-                future = pool.submit(run, item, Ask(sampler, prompt, charge, halt, index))
+                cost = _cost(sampler.request(prompt))
+                reservation = budget.reserve(attempts, attempts * cost)
+                if reservation is None:
+                    wait([f for _, f in queue])
+                    yield from finished()
+                future = pool.submit(
+                    run, item, Ask(sampler, prompt, reservation or budget, halt, index))
                 future.add_done_callback(on_done(index))
                 queue.append((item, future))
-                if budget is not None and charge is None:
+                if reservation is None:
                     wait([future])
                 yield from finished()
             while queue:
@@ -330,16 +332,10 @@ class RetryPolicy:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def complete(
-    request: GenerationRequest,
-    backend,
-    retry: RetryPolicy,
-    budget: Optional[GenerationBudget] = None,
-) -> GenerationResponse:
-    """Run one generation request with retry, budget, and contract checks."""
+def complete(request: GenerationRequest, backend, retry: RetryPolicy) -> GenerationResponse:
+    """Send one generation request, with retry and contract checks; the
+    caller has charged it."""
     limits = retry.settings
-    if budget is not None:
-        budget.charge(request)
     started = time.perf_counter()
     attempt = 1
     slept = 0.0
@@ -393,7 +389,7 @@ class Sampler:
 
     backend: Any
     retry: RetryPolicy
-    budget: Optional[GenerationBudget]
+    budget: GenerationBudget
     max_new_tokens: int
     temperature: float
 
@@ -404,22 +400,24 @@ class Sampler:
 
 @dataclass(frozen=True)
 class Ask:
-    """One unit's way to ask: ``ask(request_id)`` sends ``prompt`` through
-    ``complete`` with the sampler's settings. It charges ``charge``, the
-    unit's reservation, or the sampler's budget when that is None."""
+    """One unit's way to ask: ``ask(request_id)`` charges a request of
+    ``prompt`` to ``charge``, the sampler's budget or the unit's
+    reservation, then sends it through ``complete`` with the sampler's
+    settings. No request is sent once ``halt`` passes ``index``."""
 
     sampler: Sampler
     prompt: str
-    charge: Optional[Reservation] = None
-    halt: Optional[_Halt] = None  # set by in_order's pool, with the unit's index
+    charge: Union[GenerationBudget, Reservation]
+    halt: _Halt
     index: int = 0
 
     def __call__(self, request_id: str) -> GenerationResponse:
-        if self.halt is not None and self.index > self.halt.last:
+        if self.index > self.halt.last:
             raise Halted(f"request {request_id} not sent: its result will not be read")
         s = self.sampler
-        return complete(s.request(self.prompt, request_id), s.backend, s.retry,
-                        s.budget if self.charge is None else self.charge)
+        request = s.request(self.prompt, request_id)
+        self.charge.charge(request)
+        return complete(request, s.backend, s.retry)
 
 
 # --- backends -----------------------------------------------------------------

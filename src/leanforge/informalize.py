@@ -233,8 +233,8 @@ def informalize_corpus(
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight, each a whole ``informalize_theorem``
-    call. With a budget, a record reserves ``max_attempts`` requests of
-    the prompt it sends, examples included. Results, and checkpoint lines,
+    call. A pooled record reserves ``max_attempts`` requests of the
+    prompt it sends, examples included. Results, and checkpoint lines,
     come in record order, so a crash leaves a checkpoint that is a prefix
     of the records.
     """

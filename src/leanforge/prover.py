@@ -346,7 +346,7 @@ class ExternalVerifier:
 
 
 def judge_proof(problem: Problem, proof: str, verifier,
-                rejected: Optional[Dict[str, str]] = None) -> Tuple[str, str]:
+                rejected: Dict[str, str]) -> Tuple[str, str]:
     """The verdict and diagnostic for ``proof``, sampled or stored: it is
     screened, then checked. A verifier that times out or cannot run gives an
     ``error`` verdict.
@@ -356,8 +356,9 @@ def judge_proof(problem: Problem, proof: str, verifier,
     nor checked again; a new rejection joins it. The key is the exact text,
     since Lean 4 reads whitespace and a comment can move a token's column.
     An ``error`` is never remembered: its repeat is checked again.
-    ``load_report`` passes no map, so the audit checks every stored proof."""
-    if rejected is not None and proof in rejected:
+    ``load_report`` passes a fresh map per proof, so the audit checks every
+    stored proof."""
+    if proof in rejected:
         return "rejected", rejected[proof]
     verdict = "rejected"
     diagnostic = screen_proof(problem, proof)
@@ -366,17 +367,17 @@ def judge_proof(problem: Problem, proof: str, verifier,
             verdict, diagnostic = verifier.check(problem, proof)
         except (VerifierTimeout, VerifierCrashed) as exc:
             return "error", str(exc)
-    if verdict == "rejected" and rejected is not None:
+    if verdict == "rejected":
         rejected[proof] = diagnostic
     return verdict, diagnostic
 
 
 def evaluate_sample(
     problem: Problem, round_number: int, sample_index: int, generated_text: str,
-    verifier, rejected: Optional[Dict[str, str]] = None,
+    verifier, rejected: Dict[str, str],
 ) -> ProofAttempt:
     """Extract one generated sample's proof and judge it (``judge_proof``,
-    with ``problem``'s map of rejected proofs when one is given)."""
+    with ``problem``'s map of rejected proofs)."""
     try:
         proof = extract_proof(generated_text, problem)
     except NoProofFound as exc:
@@ -430,15 +431,14 @@ def run_iteration(
 
     Problems go through ``genclient.in_order``. Above a backend
     ``concurrency`` of 1, ``backend.concurrency + verifier.concurrency``
-    of them are in flight (a verifier without the attribute counts 1): a
-    problem alternates between a request and a check, so beside the units
-    that keep the backend's connections busy, one per checker can be out
-    checking. The backend bounds the requests on the wire and the verifier
-    its checks, and the threads do not grow with the problems. Each problem
-    draws the sample sequence a serial run gives it, and results are taken
-    in problem order. With a budget, each problem reserves ``n_samples``
-    requests of its prompt, in problem order, so a run that hits a ceiling
-    stops at the samples a serial run stops at.
+    of them are in flight: a problem alternates between a request and a
+    check, so beside the units that keep the backend's connections busy,
+    one per checker can be out checking. The backend bounds the requests on
+    the wire and the verifier its checks, and the threads do not grow with
+    the problems. Each problem draws the sample sequence a serial run gives
+    it, and results are taken in problem order. Each pooled problem
+    reserves ``n_samples`` requests of its prompt, in problem order, so a
+    run that hits a ceiling stops at the samples a serial run stops at.
     """
     counter = PromptCounter(tokenizer)
     blocks = [counter.block(e.nl, e.fl) for e in pool[:settings.k_max]]
@@ -457,9 +457,8 @@ def run_iteration(
         return _prove_problem(problem, round_number, ask, verifier, settings.n_samples,
                               rejected[problem.name])
 
-    in_flight = (getattr(sampler.backend, "concurrency", 1)
-                 + getattr(verifier, "concurrency", 1))
-    results = in_order(units(), work, sampler, settings.n_samples, in_flight=in_flight)
+    results = in_order(units(), work, sampler, settings.n_samples,
+                       in_flight=sampler.backend.concurrency + verifier.concurrency)
     return [attempt for _, attempts in results for attempt in attempts]
 
 
@@ -535,11 +534,11 @@ def load_report(path: str, log_path: str, problems: Sequence[Problem],
     """Load a report, re-verifying every stored proof, and check that it is an
     account of the attempt log at ``log_path`` (see ``round_summaries``).
 
-    The stored proofs are judged on up to ``verifier.concurrency`` threads
-    (one for a verifier without the attribute). The error raised is the one
-    a serial pass raises: that of the first failing proof line in file
-    order, whether the line is malformed (it does not parse, names an
-    unknown problem, or names one listed before) or its proof fails."""
+    The stored proofs are judged on up to ``verifier.concurrency`` threads.
+    The error raised is the one a serial pass raises: that of the first
+    failing proof line in file order, whether the line is malformed (it
+    does not parse, names an unknown problem, or names one listed before)
+    or its proof fails."""
     by_name = {p.name: p for p in problems}
     lines = artifacts.read_jsonl(path)
     if not lines:
@@ -607,12 +606,11 @@ def _first_unverified(proofs: Sequence[Tuple[Problem, str]],
     ``verifier.concurrency`` are judged at once; once the first failure is
     known, the proofs not yet started are not judged."""
     def judge(pair):
-        return judge_proof(*pair, verifier)
+        return judge_proof(*pair, verifier, {})
 
     # Imported here: the CLI's start-up does not pay for the thread pool.
     from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(
-        max_workers=max(1, min(getattr(verifier, "concurrency", 1), len(proofs))))
+    pool = ThreadPoolExecutor(max_workers=max(1, min(verifier.concurrency, len(proofs))))
     try:
         return next(((i, diagnostic) for i, (verdict, diagnostic)
                      in enumerate(pool.map(judge, proofs)) if verdict != "verified"), None)

@@ -28,6 +28,7 @@ request id after a jittered pause, so the paid stages can be run at several
 concurrencies and compared. ``make_sampler``, ``make_request``,
 ``mock_backend``, ``chat_backend``, ``retry_policy`` and ``make_budget``
 build the generation objects with the config's default settings, and
+``serial_ask`` is the ``ask`` a serial run hands a unit.
 ``contrastive_loss`` and ``contrastive_gradient`` give the loss and
 gradient that ``retrieval.train_projection`` uses, for a batch of pairs.
 """
@@ -1027,10 +1028,18 @@ def make_budget(**settings):
     return genclient.GenerationBudget(BudgetSettings(**settings))
 
 
+def serial_ask(sampler, prompt):
+    """The ``ask`` that ``genclient.in_order`` hands a unit of ``prompt`` at
+    a backend concurrency of 1: it charges the sampler's budget and is never
+    halted."""
+    return genclient.Ask(sampler, prompt, sampler.budget, genclient._Halt())
+
+
 def make_sampler(backend, retry=None, budget=None, max_new_tokens=BACKEND.max_new_tokens):
-    """A sampler with the backend section's retry policy and temperature."""
-    return genclient.Sampler(backend, retry or retry_policy(), budget, max_new_tokens,
-                             BACKEND.temperature)
+    """A sampler with the backend section's retry policy and temperature,
+    charging ``budget``, or a budget with no ceiling."""
+    return genclient.Sampler(backend, retry or retry_policy(), budget or make_budget(),
+                             max_new_tokens, BACKEND.temperature)
 
 
 def contrastive_loss(pairs, head):

@@ -26,7 +26,7 @@ from leanforge.bootstrap import (
 )
 from leanforge.config import BootstrapSettings
 from leanforge.corpus import LexError
-from leanforge.genclient import Ask, BackendUnavailable, MalformedBackendReply
+from leanforge.genclient import BackendUnavailable, MalformedBackendReply
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -58,6 +58,7 @@ from support import (
     random_leanish_source,
     reference_divergence,
     retry_policy,
+    serial_ask,
     strip_comments,
 )
 
@@ -245,6 +246,8 @@ def test_property_verify_bootstrap_agrees_with_token_divergence(pair):
 class Counting:
     """Wraps a backend, counting generate calls."""
 
+    concurrency = 1
+
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
@@ -258,8 +261,9 @@ class Counting:
 def sq_ask(backend, **settings):
     """The ask ``bootstrap_corpus`` hands ``sq_record()``."""
     record = sq_record()
-    return Ask(make_sampler(backend, max_new_tokens=1024, **settings), bootstrap_prompt(
-        record.generated_informal_statement_and_proof, record.proof))
+    return serial_ask(make_sampler(backend, max_new_tokens=1024, **settings),
+                      bootstrap_prompt(record.generated_informal_statement_and_proof,
+                                       record.proof))
 
 
 class TestBootstrapTheorem:
@@ -322,6 +326,7 @@ class TestBootstrapTheorem:
     def test_backend_errors_propagate(self):
         class Down:
             name = "down"
+            concurrency = 1
 
             def generate(self, request):
                 raise BackendUnavailable("offline")
@@ -425,6 +430,7 @@ class TestBootstrapCorpus:
 
         class Down:
             name = "down"
+            concurrency = 1
 
             def generate(self, request):
                 raise BackendUnavailable("offline")

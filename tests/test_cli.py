@@ -879,6 +879,34 @@ class TestSettingsReachTheirObjects:
         assert built == [carried]
 
 
+class TestSamplerBudget:
+    """``cli._sampler`` always builds a budget. A config with no
+    ``backend.budget`` sets no ceiling, and the budget still counts every
+    request, serial or pooled."""
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_budget_without_a_ceiling_counts_every_request(self, tmp_path, concurrency):
+        config = config_mod.load_config(
+            write_yaml(tmp_path / "c.yaml", {"workdir": str(tmp_path)}))
+        asks = [1, 3, 2, 3, 1]  # requests per unit, each at most its attempts
+
+        def work(item, ask):
+            for i in range(asks[item]):
+                ask(f"r{item}:{i}")
+            return item
+
+        with cli._sampler(config, 64) as sampler:
+            budget = sampler.budget
+            assert isinstance(budget, genclient.GenerationBudget)
+            assert (budget.settings.max_requests, budget.settings.max_tokens) == (None, None)
+            sampler.backend.concurrency = concurrency
+            units = ((item, "p") for item in range(len(asks)))
+            out = list(genclient.in_order(units, work, sampler, max(asks)))
+        assert [item for item, _ in out] == list(range(len(asks)))
+        assert budget.requests_used == sum(asks)
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+
+
 def theorems_workdir(tmp_path, name, count, backend=None):
     """A workdir holding ``count`` extracted theorems, and a config on it
     with ``backend`` as its backend section (a mock by default)."""

@@ -38,6 +38,7 @@ from leanforge.prover import (
 from leanforge.trainprep import WhitespaceTokenizer
 from fixtures.listings import SQINEQ_COMMENTED
 from support import (
+    KeyedBackend,
     chat_backend,
     make_budget,
     make_request,
@@ -102,6 +103,7 @@ class _Flaky:
     """Backend failing transiently a fixed number of times, then delegating."""
 
     name = "flaky"
+    concurrency = 1
 
     def __init__(self, failures, inner):
         self.failures = failures
@@ -179,6 +181,7 @@ class TestComplete:
     def test_malformed_reply_not_retried(self):
         class Broken:
             name = "broken"
+            concurrency = 1
             calls = 0
 
             def generate(self, request):
@@ -193,6 +196,7 @@ class TestComplete:
     def test_wrong_sample_count_rejected(self):
         class Overeager:
             name = "overeager"
+            concurrency = 1
 
             def generate(self, request):
                 return [("a", False)] * (request.n_samples + 1)
@@ -213,24 +217,23 @@ class TestComplete:
 
     def test_request_budget_enforced(self):
         budget = make_budget(max_requests=2)
-        backend = mock_backend()
         for _ in range(2):
-            complete(make_request("p"), backend, retry_policy(), budget=budget)
+            budget.charge(make_request("p"))
         with pytest.raises(BudgetExceeded, match="request ceiling"):
-            complete(make_request("p"), backend, retry_policy(), budget=budget)
+            budget.charge(make_request("p"))
         assert budget.requests_used == 2
 
     def test_token_budget_enforced(self):
         budget = make_budget(max_tokens=100)
         request = make_request("x" * 40, max_new_tokens=95)
         with pytest.raises(BudgetExceeded, match="token ceiling"):
-            complete(request, mock_backend(), retry_policy(), budget=budget)
+            budget.charge(request)
         assert budget.tokens_used == 0
 
     def test_token_budget_accumulates(self):
         budget = make_budget(max_tokens=1000)
         request = make_request("x" * 40, max_new_tokens=90)
-        complete(request, mock_backend(), retry_policy(), budget=budget)
+        budget.charge(request)
         assert budget.tokens_used == 100
         assert budget.requests_used == 1
 
@@ -244,8 +247,7 @@ class TestReservations:
         assert budget.reserve(2, 701) is None  # 1001 tokens > 1000
         second = budget.reserve(2, 700)
         with pytest.raises(BudgetExceeded):
-            complete(make_request("p", max_new_tokens=1), mock_backend(),
-                     retry_policy(), budget=budget)
+            budget.charge(make_request("p", max_new_tokens=1))
         assert (budget.requests_used, budget.requests_reserved) == (0, 5)
         second.release()
         first.release()
@@ -255,7 +257,7 @@ class TestReservations:
         budget = make_budget(max_requests=4, max_tokens=1000)
         request = make_request("x" * 40, max_new_tokens=90)
         reservation = budget.reserve(2, 200)
-        complete(request, mock_backend(), retry_policy(), budget=reservation)
+        reservation.charge(request)
         assert (budget.requests_used, budget.tokens_used) == (1, 100)
         assert (budget.requests_reserved, budget.tokens_reserved) == (1, 100)
         reservation.release()
@@ -266,9 +268,9 @@ class TestReservations:
         budget = make_budget()
         reservation = budget.reserve(1, 100)
         request = make_request("x" * 40, max_new_tokens=90)
-        complete(request, mock_backend(), retry_policy(), budget=reservation)
+        reservation.charge(request)
         with pytest.raises(BudgetExceeded, match="reservation"):
-            complete(request, mock_backend(), retry_policy(), budget=reservation)
+            reservation.charge(request)
         assert budget.requests_used == 1
 
     def test_concurrent_charges_respect_the_ceiling(self):
@@ -392,7 +394,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 2 failed"):
-            for item, _ in in_order(units(items()), work, concurrent(2), 1, in_flight=4):
+            for item, _ in in_order(units(items()), work, concurrent(2), 20, in_flight=4):
                 yielded.append(item)
         # the units before it run to their end; the one after it stops at its
         # next request, and nothing after that starts
@@ -413,7 +415,7 @@ class TestInOrder:
                 time.sleep(0.01)
             return item
 
-        results = in_order(units(range(4)), work, concurrent(2), 1, in_flight=4)
+        results = in_order(units(range(4)), work, concurrent(2), 50, in_flight=4)
         assert next(results) == (0, 0)
         results.close()  # as when a KeyboardInterrupt leaves the reader's loop
         assert all(asked[item] < 50 for item in (1, 2, 3))
@@ -509,6 +511,40 @@ class TestInOrder:
             left -= expected[-1]
         assert [taken for _, taken in out] == expected
         assert budget.requests_used == 150
+        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_budget_at_its_ceiling_refuses_before_sending(self, concurrency):
+        budget = make_budget(max_requests=1)
+        budget.charge(make_request("p"))
+        backend = KeyedBackend(lambda request: "ok", 0, concurrency)
+
+        def work(item, ask):
+            with pytest.raises(BudgetExceeded, match="request ceiling"):
+                ask(f"r{item}")
+            return item
+
+        sampler = make_sampler(backend, budget=budget)
+        assert list(in_order(units(range(3)), work, sampler, 1)) == [(i, i) for i in range(3)]
+        assert backend.calls == 0
+        assert budget.requests_used == 1
+
+    def test_pooled_unit_that_asks_past_its_attempts_is_refused(self):
+        # no ceiling is set: the unit's reservation of ``attempts`` binds
+        budget = make_budget()
+        backend = KeyedBackend(lambda request: "ok", 0, 2)
+
+        def work(item, ask):
+            for i in range(3):
+                try:
+                    ask(f"r{item}:{i}")
+                except BudgetExceeded as exc:
+                    return i, str(exc)
+            return 3, ""
+
+        out = list(in_order(units(range(4)), work, make_sampler(backend, budget=budget), 2))
+        assert out == [(i, (2, "request exceeds its reservation")) for i in range(4)]
+        assert backend.calls == budget.requests_used == 8
         assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
 
     def test_mock_serves_one_caller_and_chat_two_per_connection(self):

@@ -17,7 +17,7 @@ from leanforge import retrieval
 from leanforge.artifacts import read_jsonl
 from leanforge.config import InformalizeSettings
 from leanforge.corpus import TheoremRecord
-from leanforge.genclient import Ask, BackendUnavailable, MalformedBackendReply
+from leanforge.genclient import BackendUnavailable, MalformedBackendReply
 from leanforge.informalize import (
     BACKEND_ERROR,
     MISSING_SECTION,
@@ -47,6 +47,7 @@ from support import (
     make_sampler,
     mock_backend,
     retry_policy,
+    serial_ask,
 )
 
 
@@ -253,8 +254,8 @@ class TestSelectExamples:
 
 def ask(record, backend, **settings):
     """The ask ``informalize_corpus`` hands ``record`` with no examples."""
-    return Ask(make_sampler(backend, **settings),
-               informalization_prompt((), record.statement, record.proof))
+    return serial_ask(make_sampler(backend, **settings),
+                      informalization_prompt((), record.statement, record.proof))
 
 
 class TestInformalizeTheorem:
@@ -307,6 +308,7 @@ class TestInformalizeTheorem:
     def test_backend_failure_recorded_not_raised(self):
         class Down:
             name = "down"
+            concurrency = 1
 
             def generate(self, request):
                 raise BackendUnavailable("offline")
@@ -331,6 +333,7 @@ class TestInformalizeTheorem:
     def test_truncated_sample_is_overlength(self):
         class Truncating:
             name = "truncating"
+            concurrency = 1
 
             def generate(self, request):
                 return [(GOOD_NL, True)] * request.n_samples
@@ -354,8 +357,9 @@ def passing_backend():
 def informalize(records, backend, budget=None, max_new_tokens=BACKEND.max_new_tokens,
                 k_examples=InformalizeSettings.k_examples, pool=(), index=None,
                 embedder=None, checkpoint_path=None, restart=False):
-    """``informalize_corpus`` asking ``backend`` with ``budget``. With no
-    ``checkpoint_path`` the checkpoint goes to a directory removed after."""
+    """``informalize_corpus`` asking ``backend`` with ``budget``, or a budget
+    with no ceiling. With no ``checkpoint_path`` the checkpoint goes to a
+    directory removed after."""
     with tempfile.TemporaryDirectory() as scratch:
         return informalize_corpus(
             records, make_sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
@@ -402,6 +406,7 @@ class TestInformalizeCorpus:
 
         class Counting:
             name = "counting"
+            concurrency = 1
 
             def generate(self, request):
                 calls.append(request.prompt)
@@ -424,6 +429,7 @@ class TestInformalizeCorpus:
 
         class Exploding:
             name = "exploding"
+            concurrency = 1
 
             def generate(self, request):
                 raise AssertionError("should not be called")
@@ -495,6 +501,7 @@ class TestInformalizeCorpus:
 
         class Recording:
             name = "recording"
+            concurrency = 1
 
             def generate(self, request):
                 seen.append(request.prompt)
@@ -523,6 +530,7 @@ class TestInformalizeCorpus:
 
         class Recording:
             name = "recording"
+            concurrency = 1
 
             def generate(self, request):
                 prompts.append(request.prompt)

@@ -409,6 +409,7 @@ def process_running(pid):
 
 class ExplodingVerifier:
     name = "exploding"
+    concurrency = 1
 
     def check(self, problem, proof_text):
         raise AssertionError("verifier must not be consulted")
@@ -429,7 +430,7 @@ class TestEvaluateSample:
         sample = key.replace("  norm_num", "  -- close it\n  norm_num")
         problem = make_problem(3)
         for index in range(3):
-            attempt = evaluate_sample(problem, 1, index, sample, verifier)
+            attempt = evaluate_sample(problem, 1, index, sample, verifier, {})
             assert attempt.verdict == "verified"
         # the screen, the statement and the verifier compare code texts
         assert lexed == []
@@ -438,13 +439,13 @@ class TestEvaluateSample:
         verifier = MockVerifier({"prob03": canonical_proof(3)})
         attempt = evaluate_sample(make_problem(3), 1, 0,
                                   "```lean\n" + canonical_proof(3) + "```",
-                                  verifier)
+                                  verifier, {})
         assert attempt.verdict == "verified"
         assert attempt.proof == canonical_proof(3)
 
     def test_no_proof_is_rejected(self):
         attempt = evaluate_sample(make_problem(3), 1, 2, "I am not sure.",
-                                  ExplodingVerifier())
+                                  ExplodingVerifier(), {})
         assert attempt.verdict == "rejected"
         assert "prob03" in attempt.diagnostic
         assert (attempt.round, attempt.sample_index, attempt.proof) == (1, 2, "")
@@ -455,7 +456,7 @@ class TestEvaluateSample:
             fl_statement="theorem amc12a_2019_p21 : True :=",
             nl_statement_and_proof="x")
         attempt = evaluate_sample(problem, 1, 0, LEAN3_OUTPUT_A,
-                                  ExplodingVerifier())
+                                  ExplodingVerifier(), {})
         assert attempt.verdict == "rejected"
         assert "begin-end-block" in attempt.diagnostic
 
@@ -468,7 +469,8 @@ class TestEvaluateSample:
     def test_sorry_rejected_before_verification(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"], ProverSettings.timeout_s))
+        attempt = evaluate_sample(problem, 1, 0, sample,
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s), {})
         assert attempt.verdict == "rejected"
         assert attempt.diagnostic == "pre-verification screen: sorry"
 
@@ -482,7 +484,8 @@ class TestEvaluateSample:
     def test_names_strings_and_unlexable_proofs_pass_the_screen(self, body):
         problem = make_problem(3)
         sample = f"{problem.fl_statement} by\n{body}\n"
-        attempt = evaluate_sample(problem, 1, 0, sample, ExternalVerifier(["true"], ProverSettings.timeout_s))
+        attempt = evaluate_sample(problem, 1, 0, sample,
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s), {})
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     @pytest.mark.parametrize("statement", [
@@ -494,7 +497,7 @@ class TestEvaluateSample:
     def test_changed_statement_rejected_before_verification(self, statement):
         sample = f"{statement} by\n  norm_num\n"
         attempt = evaluate_sample(make_problem(3), 1, 0, sample,
-                                  ExternalVerifier(["true"], ProverSettings.timeout_s))
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s), {})
         assert (attempt.verdict, attempt.diagnostic) == (
             "rejected", "pre-verification screen: statement changed")
 
@@ -502,15 +505,17 @@ class TestEvaluateSample:
         sample = ("theorem prob03 :\n    3 + 0 -- the sum\n    = 3 :=\n"
                   "  /- by evaluation -/ by\n  norm_num\n")
         attempt = evaluate_sample(make_problem(3), 1, 0, sample,
-                                  ExternalVerifier(["true"], ProverSettings.timeout_s))
+                                  ExternalVerifier(["true"], ProverSettings.timeout_s), {})
         assert (attempt.verdict, attempt.diagnostic) == ("verified", "")
 
     def test_verifier_timeout_becomes_error_verdict(self):
         class Slow:
+            concurrency = 1
+
             def check(self, problem, proof_text):
                 raise VerifierTimeout("verifier exceeded 1s")
 
-        attempt = evaluate_sample(make_problem(3), 1, 1, canonical_proof(3), Slow())
+        attempt = evaluate_sample(make_problem(3), 1, 1, canonical_proof(3), Slow(), {})
         assert attempt.verdict == "error"
         assert "exceeded" in attempt.diagnostic
 
@@ -566,6 +571,8 @@ def test_screen_and_mock_check_match_the_token_based_reference(sample):
 
 
 class CountingBackend:
+    concurrency = 1
+
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
@@ -653,6 +660,7 @@ class TestRunIteration:
 
         class Selective:
             name = "selective"
+            concurrency = 1
 
             def generate(self, request):
                 if "prob00" in request.prompt.split(NL_SECTION)[-1]:
@@ -792,6 +800,7 @@ class ScenarioBackend:
     """
 
     name = "scenario"
+    concurrency = 1
 
     def __init__(self, gates, proofs):
         self.gates = gates
@@ -1038,6 +1047,8 @@ class TestConcurrentRounds:
 
     def test_long_diagnostics_are_cut(self):
         class Verbose:
+            concurrency = 1
+
             def check(self, problem, proof_text):
                 return "rejected", "x" * 500
 
@@ -1225,7 +1236,7 @@ class TestDistinctChecks:
                                config(n_samples=4, max_rounds=3), TOKENIZER)
         alone = [evaluate_sample(problems[int(a.problem[4:])], a.round, a.sample_index,
                                  reply(a.problem, a.round, a.sample_index),
-                                 Verbose(answer_key(3)))
+                                 Verbose(answer_key(3)), {})
                  for a in report.attempts]
         write_jsonl(str(tmp_path / "mapped.jsonl"), report.attempts)
         write_jsonl(str(tmp_path / "alone.jsonl"), alone)
@@ -1380,6 +1391,8 @@ class TestReports:
         _, path, problems, _ = self.round_trip(tmp_path)
 
         class Slow:
+            concurrency = 1
+
             def check(self, problem, proof_text):
                 raise VerifierTimeout(f"verifier exceeded 1s on {problem.name}")
 
