@@ -38,14 +38,6 @@ class ArtifactError(ValueError):
     """A file holds text that is not JSON, or a line not the record it should."""
 
 
-def require(path: str, producer: str) -> str:
-    """``path``, which must exist; ``producer`` is the command that writes it."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"expected file {path} is missing; run `leanforge {producer}` first")
-    return path
-
-
 class Line(NamedTuple):
     """One nonblank line of a JSONL file."""
 
@@ -80,10 +72,11 @@ def write_text(path: str, text: Union[str, Iterable[Union[str, bytes]]]) -> None
 
     Strings are written as UTF-8 bytes; one that cannot be, such as a lone
     surrogate, raises ``UnicodeEncodeError``. The temp file sits in the
-    target's directory so that ``os.replace`` is a rename within one file
-    system. It is removed if anything fails, an exception raised by the
-    pieces' producer included.
+    target's directory, made here if it is missing, so that ``os.replace``
+    is a rename within one file system. It is removed if anything fails, an
+    exception raised by the pieces' producer included.
     """
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     temp = f"{path}.{os.urandom(4).hex()}.tmp"
     sink = open(temp, "xb")
     try:
@@ -335,7 +328,9 @@ def resume_jsonl(path: str) -> List[Line]:
 @contextlib.contextmanager
 def appending_jsonl(path: str) -> Iterator[Callable[[Any], None]]:
     """Yield a function that appends one entry, a record or a JSON value, to
-    ``path`` as a JSON line and flushes it."""
+    ``path`` as a JSON line and flushes it. The directory ``path`` goes in is
+    made if it is missing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "a", encoding="utf-8", newline="") as sink:
         def append(entry: Any) -> None:
             sink.write(_json_line(entry))

@@ -132,21 +132,23 @@ def _unfence(text: str) -> str:
 
 def bootstrap_theorem(
     record: AlignedTheorem,
+    position: int,
     ask: Ask,
     code: List[str],
     max_attempts: int,
 ) -> str:
     """Interleave comments into one theorem's proof through the backend.
 
-    ``ask`` sends the record's ``prompts.bootstrap_prompt``. Each reply is
-    checked against ``code``, the proof's ``corpus.code_texts``; the reply
-    returned is verified. After ``max_attempts`` unverifiable replies this
+    ``ask`` sends the record's ``prompts.bootstrap_prompt``; each request id
+    holds ``position``, the record's index among the entries, since names
+    repeat. Each reply is checked against ``code``, the proof's
+    ``corpus.code_texts``; the reply returned is verified. After ``max_attempts`` unverifiable replies this
     raises with the last divergence. Backend failures propagate.
     """
     divergence: Optional[TokenDivergence] = None
     detail = ""
     for attempt in range(1, max_attempts + 1):
-        response = ask(f"bootstrap:{record.name}:{attempt}")
+        response = ask(f"bootstrap:{position}:{record.name}:{attempt}")
         candidate = _unfence(response.samples[0])
         try:
             ok, divergence = verify_bootstrap(record.proof, candidate, code)
@@ -222,29 +224,29 @@ def bootstrap_corpus(
 
     def scan(index, draft):
         try:
-            return draft, corpus.code_texts(draft.proof)
+            return draft, index, corpus.code_texts(draft.proof)
         except LexError as exc:
             raise UnlexableProof(index, draft.name, exc) from None
 
     scanned = (scan(index, draft) for index, draft in drafts)
 
     def work(item, ask):
-        draft, code = item
+        draft, index, code = item
         try:
-            return bootstrap_theorem(draft, ask, code, settings.max_attempts)
+            return bootstrap_theorem(draft, index, ask, code, settings.max_attempts)
         except (BootstrapVerificationFailed, GenClientError) as exc:
             return exc
 
     if interleaved:
-        units = (((draft, code), prompts.bootstrap_prompt(
+        units = (((draft, index, code), prompts.bootstrap_prompt(
             draft.generated_informal_statement_and_proof, draft.proof))
-            for draft, code in scanned)
+            for draft, index, code in scanned)
         replies = in_order(units, work, sampler, settings.max_attempts)
     else:
         replies = ((item, None) for item in scanned)
     out: List[ObtRecord] = []
     with contextlib.closing(replies):
-        for (draft, code), commented in replies:
+        for (draft, _, code), commented in replies:
             if isinstance(commented, BootstrapVerificationFailed):
                 stats.verification_fallbacks += 1
             elif isinstance(commented, GenClientError):

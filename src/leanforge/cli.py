@@ -2,10 +2,13 @@
 
 Each subcommand runs one stage against a shared config file and the fixed
 artifact names inside the working directory, so stages compose by pointing
-at the same workdir. Config validation happens before any output is
-touched; a validation failure exits 2, runtime failures exit 1. A flag
-that overrides a setting is written into its key before validation, so it
-is checked by the same rule as the key.
+at the same workdir. ``STAGES`` declares each command's handler and the
+files it reads and writes; ``main`` checks that every file a command reads
+exists before the handler runs, and only a write makes the workdir. Config
+validation happens before any output is touched; a validation failure
+exits 2, runtime failures exit 1. A flag that overrides a setting is
+written into its key before validation, so it is checked by the same rule
+as the key.
 """
 
 import argparse
@@ -15,12 +18,11 @@ import functools
 import os
 import random
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import artifacts
 from . import bootstrap as bootstrap_mod
 from . import corpus, genclient, informalize, prover, retrieval, trainprep
-from .artifacts import require
 from .config import (
     BackendSettings,
     ConfigError,
@@ -62,16 +64,12 @@ def _iter_corpus_sources(config: PipelineConfig):
                 yield (artifacts.read_text(full), os.path.relpath(full, root),
                        config.corpus.commit)
     else:
-        require(root, "extract with a corpus directory, or create the file")
         for entry in artifacts.read_records(root, _SourceFile):
             yield (entry.source, entry.file_path,
                    config.corpus.commit if entry.commit is None else entry.commit)
 
 
-def cmd_extract(args, config: PipelineConfig) -> int:
-    if not config.corpus.path:
-        raise ConfigError(["corpus.path: required for extract"])
-    os.makedirs(config.workdir, exist_ok=True)
+def cmd_extract(args, config: PipelineConfig) -> None:
     records: List[corpus.TheoremRecord] = []
     skips: List[dict] = []
     files = 0
@@ -81,11 +79,10 @@ def cmd_extract(args, config: PipelineConfig) -> int:
             records.extend(corpus.extract_theorems(source, file_path, commit))
         except corpus.LexError as exc:
             skips.append({"file": file_path, "reason": str(exc)})
-    artifacts.write_jsonl(stage_path(config, "theorems"), records)
-    artifacts.write_jsonl(stage_path(config, "extract_skips"), skips)
+    artifacts.write_jsonl(stage_path(config, "theorems.jsonl"), records)
+    artifacts.write_jsonl(stage_path(config, "extract_skips.jsonl"), skips)
     print(f"extracted {len(records)} theorems from {files} files "
           f"({len(skips)} files skipped)")
-    return 0
 
 
 # --- train-retriever -------------------------------------------------------------
@@ -97,12 +94,9 @@ class _TextPair:
     fl: str
 
 
-def cmd_train_retriever(args, config: PipelineConfig) -> int:
+def cmd_train_retriever(args, config: PipelineConfig) -> None:
     r = config.retrieval
-    if not r.pairs:
-        raise ConfigError(["retrieval.pairs: required for train-retriever"])
-    texts = artifacts.read_records(
-        require(r.pairs, "extract, then build a pair file"), _TextPair)
+    texts = artifacts.read_records(r.pairs, _TextPair)
     # hashed by the embedder informalize applies the head to
     embedder = retrieval.HashEmbedder(r.dimension)
     nl_vectors = embedder.embed([pair.nl for pair in texts])
@@ -114,16 +108,15 @@ def cmd_train_retriever(args, config: PipelineConfig) -> int:
     except retrieval.EmptyInput as exc:
         raise retrieval.EmptyInput(
             f"{r.pairs} (retrieval.pairs) holds {len(texts)}: {exc}") from None
-    os.makedirs(config.workdir, exist_ok=True)
-    retrieval.save_head(head, stage_path(config, "projection"))
-    artifacts.write_text(stage_path(config, "loss_trace"), "step,loss\n" + "".join(
+    retrieval.save_head(head, stage_path(config, "projection.json"))
+    artifacts.write_text(stage_path(config, "loss_trace.csv"), "step,loss\n" + "".join(
         f"{step},{loss:.10f}\n" for step, loss in enumerate(trace, start=1)))
     edges, counts, _ = retrieval.similarity_histogram(nl_vectors, fl_vectors, head)
-    retrieval.write_histogram_csv(stage_path(config, "histogram"), edges, counts)
+    retrieval.write_histogram_csv(
+        stage_path(config, "similarity_histogram.csv"), edges, counts)
     final = trace[-1] if trace else float("nan")
     print(f"trained on {len(texts)} pairs for {r.steps} steps, "
           f"final loss {final:.6f}")
-    return 0
 
 
 # --- the paid stages --------------------------------------------------------------
@@ -190,44 +183,40 @@ def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.
 # --- informalize -----------------------------------------------------------------
 
 
-def cmd_informalize(args, config: PipelineConfig) -> int:
+def cmd_informalize(args, config: PipelineConfig) -> None:
     records = artifacts.read_records(
-        require(stage_path(config, "theorems"), "extract"), corpus.TheoremRecord)
+        stage_path(config, "theorems.jsonl"), corpus.TheoremRecord)
     pool: Sequence[prover.PoolExample] = ()
     index = None
     embedder = None
     if config.retrieval.examples:
-        require(config.retrieval.examples, "informalize with a pool file")
         pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
         if not pool:
             raise ValueError(f"{config.retrieval.examples} (retrieval.examples) "
                              "holds 0: cannot index an empty corpus")
-        head = retrieval.load_head(
-            require(stage_path(config, "projection"), "train-retriever"),
-            config.retrieval.dimension)
+        head = retrieval.load_head(stage_path(config, "projection.json"),
+                                   config.retrieval.dimension)
         embedder = retrieval.HashEmbedder(config.retrieval.dimension)
         index = informalize.build_example_index(
             pool, embedder, head, config.retrieval.side)
-    os.makedirs(config.workdir, exist_ok=True)
     with _sampler(config, config.backend.max_new_tokens) as sampler:
         results = informalize.informalize_corpus(
             records, sampler, config.informalize, pool, index, embedder,
-            stage_path(config, "informal_checkpoint"), not args.resume)
+            stage_path(config, "informalize.ckpt.jsonl"), not args.resume)
     informalize.save_informal_dataset(
-        records, results, stage_path(config, "informal"))
+        records, results, stage_path(config, "informal.jsonl"))
     passed = sum(1 for r in results if r.verdict == "pass")
     errors = sum(1 for r in results if r.reasons == (informalize.BACKEND_ERROR,))
     print(f"informalized {passed}/{len(results)} theorems "
           f"({len(results) - passed - errors} failed screening, "
           f"{errors} failed on backend errors)")
-    return 0
 
 
 # --- bootstrap -------------------------------------------------------------------
 
 
-def cmd_bootstrap(args, config: PipelineConfig) -> int:
-    path = require(stage_path(config, "informal"), "informalize")
+def cmd_bootstrap(args, config: PipelineConfig) -> None:
+    path = stage_path(config, "informal.jsonl")
     lines = artifacts.read_jsonl(path)
     entries = [artifacts.as_record(path, line, bootstrap_mod.InformalRecord)
                for line in lines]
@@ -239,12 +228,11 @@ def cmd_bootstrap(args, config: PipelineConfig) -> int:
                 entries, sampler, config.bootstrap)
         except bootstrap_mod.UnlexableProof as exc:
             raise ValueError(f"{path}:{lines[exc.index].lineno}: {exc}") from None
-    artifacts.write_jsonl(stage_path(config, "obt"), obt_records)
+    artifacts.write_jsonl(stage_path(config, "obt.jsonl"), obt_records)
     print(f"bootstrapped {stats.emitted}/{stats.total} records "
           f"({stats.informal_failures} informal failures, "
           f"{stats.verification_fallbacks} verification fallbacks, "
           f"{stats.backend_fallbacks} backend fallbacks)")
-    return 0
 
 
 # --- prep ------------------------------------------------------------------------
@@ -256,16 +244,14 @@ def make_tokenizer(settings: PrepSettings):
     return trainprep.WhitespaceTokenizer()
 
 
-def cmd_prep(args, config: PipelineConfig) -> int:
-    obt_records = bootstrap_mod.load_obt_dataset(
-        require(stage_path(config, "obt"), "bootstrap"))
+def cmd_prep(args, config: PipelineConfig) -> None:
+    obt_records = bootstrap_mod.load_obt_dataset(stage_path(config, "obt.jsonl"))
     skipped = trainprep.emit_training_set(
         obt_records, config.prep, make_tokenizer(config.prep),
-        functools.partial(artifacts.write_jsonl, stage_path(config, "train")))
-    artifacts.write_jsonl(stage_path(config, "train_skips"), skipped)
+        functools.partial(artifacts.write_jsonl, stage_path(config, "train.jsonl")))
+    artifacts.write_jsonl(stage_path(config, "train_skips.jsonl"), skipped)
     print(f"packed {len(obt_records) - len(skipped)} training records "
           f"({len(skipped)} skipped)")
-    return 0
 
 
 # --- prove / report --------------------------------------------------------------
@@ -273,7 +259,7 @@ def cmd_prep(args, config: PipelineConfig) -> int:
 
 def _read_problems(path: str) -> List[prover.Problem]:
     """The problems of ``prover.problems``, whose names are unique."""
-    lines = artifacts.read_jsonl(require(path, "prove with a problem file"))
+    lines = artifacts.read_jsonl(path)
     problems = [artifacts.as_record(path, line, prover.Problem) for line in lines]
     first = {}
     for line, problem in zip(lines, problems):
@@ -302,41 +288,28 @@ def make_verifier(settings: ProverSettings):
         raise ConfigError([f"{settings.answer_key}: {exc}"]) from None
 
 
-def cmd_prove(args, config: PipelineConfig) -> int:
+def cmd_prove(args, config: PipelineConfig) -> None:
     v = config.prover
-    if not v.problems:
-        raise ConfigError(["prover.problems: required for prove"])
-    if not v.seed_examples:
-        raise ConfigError(["prover.seed_examples: required for prove"])
     problems = _read_problems(v.problems)
-    seed_pool = artifacts.read_records(
-        require(v.seed_examples, "prove with a seed example file"), prover.PoolExample)
+    seed_pool = artifacts.read_records(v.seed_examples, prover.PoolExample)
     if not seed_pool:
         raise ValueError(f"{v.seed_examples} (prover.seed_examples) holds 0: "
                          "seed pool must be nonempty")
     verifier, tokenizer = make_verifier(v), make_tokenizer(config.prep)
     with _sampler(config, v.max_new_tokens) as sampler:
-        # made only once every input is read and the backend built, so a
-        # config error leaves no workdir behind
-        os.makedirs(config.workdir, exist_ok=True)
         report = prover.run_iterative(
             problems, seed_pool, sampler, verifier, v, tokenizer)
-    prover.save_report(report, stage_path(config, "report"))
-    artifacts.write_jsonl(stage_path(config, "attempts"), report.attempts)
+    prover.save_report(report, stage_path(config, "report.jsonl"))
+    artifacts.write_jsonl(stage_path(config, "prove.attempts.jsonl"), report.attempts)
     print(prover.format_report_table(report))
-    return 0
 
 
-def cmd_report(args, config: PipelineConfig) -> int:
+def cmd_report(args, config: PipelineConfig) -> None:
     v = config.prover
-    if not v.problems:
-        raise ConfigError(["prover.problems: required for report"])
-    problems = _read_problems(v.problems)
     report = prover.load_report(
-        require(stage_path(config, "report"), "prove"), stage_path(config, "attempts"),
-        problems, make_verifier(v))
+        stage_path(config, "report.jsonl"), stage_path(config, "prove.attempts.jsonl"),
+        _read_problems(v.problems), make_verifier(v))
     print(prover.format_report_table(report))
-    return 0
 
 
 # --- sample ----------------------------------------------------------------------
@@ -360,9 +333,8 @@ def _review_block(entry: dict) -> str:
             + "[FL]\n" + _pick(entry, _FL_KEYS).rstrip("\n") + "\n\n")
 
 
-def cmd_sample(args, config: PipelineConfig) -> int:
-    dataset = args.dataset or stage_path(config, "obt")
-    require(dataset, "bootstrap, or pass --dataset")
+def cmd_sample(args, config: PipelineConfig) -> None:
+    dataset = args.dataset or stage_path(config, "obt.jsonl")
     lines = artifacts.read_jsonl(dataset)
     if args.n > len(lines):
         raise ValueError(
@@ -370,20 +342,107 @@ def cmd_sample(args, config: PipelineConfig) -> int:
     seed = args.seed if args.seed is not None else fork_seed(config.seed, "sample")
     rng = random.Random(seed)
     indices = rng.sample(range(len(lines)), args.n)
-    os.makedirs(config.workdir, exist_ok=True)
     if args.for_review:
         for line in lines:
             if not isinstance(line.entry, dict):
                 raise ValueError(f"{dataset}:{line.lineno}: entry is not an object")
-        output = args.output or stage_path(config, "review")
+        output = args.output or stage_path(config, "review.txt")
         artifacts.write_text(output, (_review_block(lines[i].entry) for i in indices))
     else:
-        output = args.output or stage_path(config, "sample")
+        output = args.output or stage_path(config, "sample.jsonl")
         # Original lines pass through untouched so the subset stays
         # byte-comparable against its source dataset.
         artifacts.write_text(output, (lines[i].text for i in indices))
     print(f"sampled {args.n}/{len(lines)} records (seed {seed}) -> {output}")
-    return 0
+
+
+# --- the stage table ---------------------------------------------------------------
+
+
+class Stage(NamedTuple):
+    """A command: its handler and help line, the files it reads in the order
+    it reads them, and the workdir artifacts it writes. A file read is an
+    artifact, or the one a setting (``section.key``) or flag (``--flag``)
+    names. An entry may end in ``when`` and conditions joined by ``and``:
+    ``set`` (its own setting or flag is set), ``key`` (that one is set),
+    ``no key`` or ``key: value``. A setting read but not ``when set`` is
+    required. README's Pipeline table lists the same entries."""
+
+    handler: Callable[[argparse.Namespace, PipelineConfig], None]
+    help: str
+    reads: Tuple[str, ...]
+    writes: Tuple[str, ...]
+
+
+_SCRIPT = "backend.script when set and backend.kind: mock"
+_KEY = "prover.answer_key when set and prover.verifier: mock"
+_VOCAB = "prep.vocab when prep.tokenizer: vocab"
+STAGES = {
+    "extract": Stage(cmd_extract, "pull theorem declarations out of a Lean4 corpus",
+                     ("corpus.path",), ("theorems.jsonl", "extract_skips.jsonl")),
+    "train-retriever": Stage(
+        cmd_train_retriever, "train the NL-FL projection head", ("retrieval.pairs",),
+        ("projection.json", "loss_trace.csv", "similarity_histogram.csv")),
+    "informalize": Stage(
+        cmd_informalize, "generate natural-language texts for extracted theorems",
+        ("theorems.jsonl", "retrieval.examples when set",
+         "projection.json when retrieval.examples", _SCRIPT),
+        ("informal.jsonl", "informalize.ckpt.jsonl")),
+    "bootstrap": Stage(
+        cmd_bootstrap, "comment proofs with their natural-language steps",
+        ("informal.jsonl", _SCRIPT + " and bootstrap.mode: interleaved"), ("obt.jsonl",)),
+    "prep": Stage(cmd_prep, "pack the instruction-tuning dataset",
+                  ("obt.jsonl", _VOCAB), ("train.jsonl", "train_skips.jsonl")),
+    "prove": Stage(cmd_prove, "run the iterative proof harness",
+                   ("prover.problems", "prover.seed_examples", _KEY, _VOCAB, _SCRIPT),
+                   ("report.jsonl", "prove.attempts.jsonl")),
+    "sample": Stage(cmd_sample, "draw a seeded dataset subset",
+                    ("--dataset when set", "obt.jsonl when no --dataset"),
+                    ("sample.jsonl when no --output and no --for-review",
+                     "review.txt when no --output and --for-review")),
+    "report": Stage(cmd_report, "check a harness report against its attempt log",
+                    ("prover.problems", "report.jsonl", "prove.attempts.jsonl", _KEY), ()),
+}
+
+
+# the command that writes each artifact
+_WRITER = {entry.partition(" when ")[0]: command
+           for command, stage in STAGES.items() for entry in stage.writes}
+
+
+def _declared(entries: Sequence[str], config: PipelineConfig,
+              args: argparse.Namespace) -> List[Tuple[str, str]]:
+    """(name, path) of each of ``entries`` whose conditions hold: an
+    artifact's path in the workdir, or what a setting or flag holds."""
+    def value(name):
+        if name.startswith("--"):
+            return getattr(args, name[2:].replace("-", "_"))
+        return functools.reduce(getattr, name.split("."), config)
+
+    def holds(condition, name):
+        key, _, wanted = condition.removeprefix("no ").partition(": ")
+        actual = value(name if key == "set" else key)
+        return (actual == wanted if wanted else bool(actual)) != condition.startswith("no ")
+
+    return [(name, stage_path(config, name) if name in _WRITER else value(name))
+            for name, _, when in (entry.partition(" when ") for entry in entries)
+            if all(holds(c, name) for c in when.split(" and ") if c)]
+
+
+def _check_reads(command: str, config: PipelineConfig,
+                 args: argparse.Namespace) -> None:
+    """Raise, before ``command``'s handler runs, a config error for each
+    required setting it reads that is unset, then an error for the first
+    file it reads that is missing, naming its writer or its setting."""
+    reads = _declared(STAGES[command].reads, config, args)
+    unset = [f"{name}: required for {command}" for name, path in reads if not path]
+    if unset:
+        raise ConfigError(unset)
+    for name, path in reads:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"expected file {path} is missing; " + (
+                f"run `leanforge {_WRITER[name]}` first" if name in _WRITER
+                else f"create it or change {name}"))
 
 
 # --- parser ----------------------------------------------------------------------
@@ -395,58 +454,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lean4 corpus-to-prover data pipeline and proof harness.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, stage in STAGES.items():
+        sub[name] = commands.add_parser(name, help=stage.help)
+        sub[name].add_argument("-c", "--config", required=True,
+                               help="pipeline config file")
 
-    def command(name, handler, help_text):
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("-c", "--config", required=True,
-                         help="pipeline config file")
-        sub.set_defaults(handler=handler)
-        return sub
-
-    def setting(sub, flag, key, **kwargs):
+    def setting(command, flag, key, **kwargs):
         # The flag's value is stored under its ``section.key``; ``main``
         # writes it into that key before the config is checked.
-        sub.add_argument(flag, dest=key, default=None, **kwargs)
+        sub[command].add_argument(flag, dest=key, default=None, **kwargs)
 
-    def switch_off(sub, flag, key, help_text):
-        setting(sub, flag, key, action="store_const", const=False, help=help_text)
+    def switch_off(flag, key, help_text):
+        setting("prep", flag, key, action="store_const", const=False, help=help_text)
 
-    command("extract", cmd_extract,
-            "pull theorem declarations out of a Lean4 corpus")
-
-    train = command("train-retriever", cmd_train_retriever,
-                    "train the NL-FL projection head")
-    setting(train, "--steps", "retrieval.steps", type=int,
+    setting("train-retriever", "--steps", "retrieval.steps", type=int,
             help="override training step count")
 
-    inf = command("informalize", cmd_informalize,
-                  "generate natural-language texts for extracted theorems")
-    inf.add_argument("--resume", action="store_true",
-                     help="continue from the stage checkpoint")
-    setting(inf, "--max-attempts", "informalize.max_attempts", type=int,
+    sub["informalize"].add_argument("--resume", action="store_true",
+                                    help="continue from the stage checkpoint")
+    setting("informalize", "--max-attempts", "informalize.max_attempts", type=int,
             help="override per-theorem attempt limit")
 
-    boot = command("bootstrap", cmd_bootstrap,
-                   "comment proofs with their natural-language steps")
-    setting(boot, "--mode", "bootstrap.mode",
+    setting("bootstrap", "--mode", "bootstrap.mode",
             help="override bootstrap mode: interleaved or head")
 
-    prep = command("prep", cmd_prep, "pack the instruction-tuning dataset")
-    setting(prep, "--token-budget", "prep.token_budget", type=int)
-    switch_off(prep, "--no-nl", "prep.use_nl",
+    setting("prep", "--token-budget", "prep.token_budget", type=int)
+    switch_off("--no-nl", "prep.use_nl",
                "drop natural-language guidance from instructions")
-    switch_off(prep, "--no-bootstrapped", "prep.use_bootstrapped",
+    switch_off("--no-bootstrapped", "prep.use_bootstrapped",
                "target plain proofs instead of commented ones")
-    switch_off(prep, "--no-block", "prep.use_block",
-               "disable in-context example packing")
-    switch_off(prep, "--no-curriculum", "prep.use_curriculum",
+    switch_off("--no-block", "prep.use_block", "disable in-context example packing")
+    switch_off("--no-curriculum", "prep.use_curriculum",
                "keep input order instead of difficulty order")
 
-    prove = command("prove", cmd_prove, "run the iterative proof harness")
-    setting(prove, "--n-samples", "prover.n_samples", type=int)
-    setting(prove, "--max-rounds", "prover.max_rounds", type=int)
+    setting("prove", "--n-samples", "prover.n_samples", type=int)
+    setting("prove", "--max-rounds", "prover.max_rounds", type=int)
 
-    sample = command("sample", cmd_sample, "draw a seeded dataset subset")
+    sample = sub["sample"]
     sample.add_argument("--dataset", default=None,
                         help="JSONL to sample from (default: the OBT dataset)")
     sample.add_argument("-n", type=int, required=True,
@@ -455,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--for-review", action="store_true",
                         help="emit side-by-side NL/FL text instead of JSONL")
     sample.add_argument("--output", default=None)
-
-    command("report", cmd_report, "check a harness report against its attempt log")
     return parser
 
 
@@ -471,7 +514,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {key: value for key, value in vars(args).items()
                  if "." in key and value is not None}
     try:
-        return args.handler(args, load_config(args.config, overrides))
+        config = load_config(args.config, overrides)
+        _check_reads(args.command, config, args)
+        STAGES[args.command].handler(args, config)
+        return 0
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)

@@ -32,25 +32,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-# Fixed output names inside the working directory, one per stage artifact.
-STAGE_FILES = {
-    "theorems": "theorems.jsonl",
-    "extract_skips": "extract_skips.jsonl",
-    "projection": "projection.json",
-    "loss_trace": "loss_trace.csv",
-    "histogram": "similarity_histogram.csv",
-    "informal_checkpoint": "informalize.ckpt.jsonl",
-    "informal": "informal.jsonl",
-    "obt": "obt.jsonl",
-    "train": "train.jsonl",
-    "train_skips": "train_skips.jsonl",
-    "report": "report.jsonl",
-    "attempts": "prove.attempts.jsonl",
-    "sample": "sample.jsonl",
-    "review": "review.txt",
-}
-
-
 @dataclass
 class CorpusSettings:
     path: str = ""
@@ -155,8 +136,9 @@ class PipelineConfig:
     prover: ProverSettings = field(default_factory=ProverSettings)
 
 
-def stage_path(config: PipelineConfig, key: str) -> str:
-    return os.path.join(config.workdir, STAGE_FILES[key])
+def stage_path(config: PipelineConfig, name: str) -> str:
+    """The path of the workdir artifact ``name``."""
+    return os.path.join(config.workdir, name)
 
 
 # --- loading -------------------------------------------------------------------

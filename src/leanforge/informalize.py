@@ -129,6 +129,7 @@ def select_examples(
 
 def informalize_theorem(
     record: TheoremRecord,
+    position: int,
     examples: Sequence[PoolExample],
     ask: genclient.Ask,
     settings: InformalizeSettings,
@@ -136,9 +137,10 @@ def informalize_theorem(
     """Generate and screen the NL text, re-querying on quality failures up
     to ``settings.max_attempts`` attempts.
 
-    ``ask`` sends the record's prompt, built with ``examples``. Backend
-    failures are recorded as BACKEND_ERROR attempts rather than raised, so
-    one dead record cannot stop a corpus run.
+    ``ask`` sends the record's prompt, built with ``examples``; each request
+    id holds ``position``, the record's index in the corpus, since names
+    repeat. Backend failures are recorded as BACKEND_ERROR attempts rather
+    than raised, so one dead record cannot stop a corpus run.
     """
     max_attempts = settings.max_attempts
     example_names = tuple(p.name for p in examples)
@@ -146,7 +148,7 @@ def informalize_theorem(
     text = ""
     for attempt in range(1, max_attempts + 1):
         try:
-            response = ask(f"informalize:{record.name}:{attempt}")
+            response = ask(f"informalize:{position}:{record.name}:{attempt}")
         except genclient.GenClientError as exc:
             logger.warning("informalize %s attempt %d: %s", record.name, attempt, exc)
             attempt_reasons.append((BACKEND_ERROR,))
@@ -253,16 +255,15 @@ def informalize_corpus(
                if index is not None else [None] * len(pending))
 
     def units():
-        for record, query in zip(pending, queries):
+        for position, (record, query) in enumerate(zip(pending, queries), len(done)):
             examples: Sequence[PoolExample] = ()
             if index is not None:
                 examples = select_examples(query, index, pool, settings.k_examples)
-            yield (record, examples), prompts.informalization_prompt(
+            yield (record, position, examples), prompts.informalization_prompt(
                 examples, record.statement, record.proof)
 
     def work(item, ask):
-        record, examples = item
-        return informalize_theorem(record, examples, ask, settings)
+        return informalize_theorem(*item, ask, settings)
 
     results = list(done)
     with artifacts.appending_jsonl(checkpoint_path) as append, contextlib.closing(

@@ -570,7 +570,7 @@ def load_report(path: str, log_path: str, problems: Sequence[Problem],
             "no longer verifies" + (f": {diagnostic}" if diagnostic else ""))
     if malformed is not None:
         raise malformed
-    log = artifacts.read_records(artifacts.require(log_path, "prove"), ProofAttempt)
+    log = artifacts.read_records(log_path, ProofAttempt)
     if header.problems_total != len(problems):
         raise ReportInvalid(f"{path}: problems_total is {header.problems_total}, "
                             f"but there are {len(problems)} problems")

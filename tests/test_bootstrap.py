@@ -287,14 +287,14 @@ class TestBootstrapTheorem:
 
     def test_interleaved_verified_first_try(self):
         backend = Counting(mock_backend([("algebra_sqineq", SQINEQ_COMMENTED)]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
+        out = bootstrap_theorem(sq_record(), 0, sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 1
 
     def test_fenced_reply_unwrapped(self):
         fenced = "```lean\n" + SQINEQ_COMMENTED + "```"
         backend = mock_backend([("algebra_sqineq", fenced)])
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
+        out = bootstrap_theorem(sq_record(), 0, sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert verify_bootstrap(SQINEQ_PLAIN, out)[0]
         assert "```" not in out
 
@@ -302,7 +302,7 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(mock_backend([("algebra_sqineq", mutated)]))
         with pytest.raises(BootstrapVerificationFailed) as info:
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
+            bootstrap_theorem(sq_record(), 0, sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert backend.calls == ATTEMPTS
         assert info.value.divergence.expected == "linarith"
         assert info.value.divergence.actual == "nlinarith"
@@ -314,14 +314,14 @@ class TestBootstrapTheorem:
         mutated = SQINEQ_COMMENTED.replace("linarith", "nlinarith")
         backend = Counting(mock_backend(
             script=[("algebra_sqineq", [mutated, SQINEQ_COMMENTED])]))
-        out = bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, ATTEMPTS)
+        out = bootstrap_theorem(sq_record(), 0, sq_ask(backend), SQ_CODE, ATTEMPTS)
         assert out == SQINEQ_COMMENTED
         assert backend.calls == 2
 
     def test_non_lexing_reply_counts_as_failure(self):
         backend = mock_backend(default_text="/- never closed")
         with pytest.raises(BootstrapVerificationFailed, match="does not lex"):
-            bootstrap_theorem(sq_record(), sq_ask(backend), SQ_CODE, 2)
+            bootstrap_theorem(sq_record(), 0, sq_ask(backend), SQ_CODE, 2)
 
     def test_backend_errors_propagate(self):
         class Down:
@@ -333,7 +333,7 @@ class TestBootstrapTheorem:
 
         policy = retry_policy(max_attempts=2, sleep=lambda s: None)
         with pytest.raises(BackendUnavailable):
-            bootstrap_theorem(sq_record(), sq_ask(Down(), retry=policy), SQ_CODE,
+            bootstrap_theorem(sq_record(), 0, sq_ask(Down(), retry=policy), SQ_CODE,
                               ATTEMPTS)
 
 
@@ -485,7 +485,7 @@ def keyed_replies(entries, seed):
     proofs = {e.name: e.proof for e in entries}
 
     def reply(request):
-        _, name, attempt = request.request_id.split(":")
+        _, _, name, attempt = request.request_id.split(":")
         roll = random.Random(f"{seed}:reply:{request.request_id}").random()
         if roll < 0.15:
             raise MalformedBackendReply("scripted bad reply")

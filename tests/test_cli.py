@@ -643,6 +643,114 @@ class TestTrainRetriever:
         assert "nope.jsonl" in capsys.readouterr().err
 
 
+# --- the stage table ---------------------------------------------------------------
+
+
+# The command whose run leaves each workdir artifact that some command reads.
+PRODUCERS = {"theorems.jsonl": "extract", "projection.json": "train-retriever",
+             "informal.jsonl": "informalize", "obt.jsonl": "bootstrap",
+             "report.jsonl": "prove", "prove.attempts.jsonl": "prove"}
+
+
+def readme_pipeline_rows():
+    """(command, reads, writes) of each row of README's Pipeline table."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Pipeline\n", 1)[1].split("\n## ", 1)[0]
+    return [tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def missing_input_cases():
+    """(command, entry, case) for every file each command reads: the file
+    missing, and a required setting unset."""
+    for command, stage in cli.STAGES.items():
+        for entry in stage.reads:
+            yield command, entry, "missing"
+            if " when " not in entry and entry not in PRODUCERS:
+                yield command, entry, "unset"
+
+
+def listing(path):
+    return sorted(os.listdir(path)) if path.exists() else None
+
+
+class TestStageTable:
+    def test_readme_pipeline_table_is_the_stage_table(self):
+        rows = [(command.strip("`"), reads.replace("`", ""), writes.replace("`", ""))
+                for command, reads, writes in readme_pipeline_rows()]
+        assert rows == [(command, ", ".join(stage.reads), ", ".join(stage.writes) or "nothing")
+                        for command, stage in cli.STAGES.items()]
+
+    @pytest.mark.parametrize("command, target, case", list(missing_input_cases()))
+    def test_missing_input_names_its_writer_or_setting_and_writes_nothing(
+            self, tmp_path, capsys, command, target, case):
+        """Every other file the command reads exists, and every condition of
+        its entries holds: the one input missing, or left unset, fails the
+        command before its handler runs."""
+        workdir, inputs = tmp_path / "work", tmp_path / "inputs"
+        inputs.mkdir()
+        absent = str(tmp_path / "absent.jsonl")
+        settings, argv = {}, [command, "-c", str(tmp_path / "c.yaml")]
+        if command == "sample":
+            argv += ["-n", "1"]
+
+        def put(key, value):
+            section, field = key.split(".")
+            settings.setdefault(section, {})[field] = value
+
+        for entry in cli.STAGES[command].reads:
+            name, _, when = entry.partition(" when ")
+            for condition in when.split(" and "):
+                key, _, value = condition.partition(": ")
+                if value:
+                    put(key, value)
+            if name.startswith("--"):
+                if entry == target:
+                    argv += [name, absent]
+            elif name in PRODUCERS:
+                if entry != target:
+                    workdir.mkdir(exist_ok=True)
+                    (workdir / name).write_text("", encoding="utf-8")
+            elif entry != target:
+                (inputs / name).write_text("", encoding="utf-8")
+                put(name, str(inputs / name))
+            elif case == "missing":
+                put(name, absent)
+        write_yaml(tmp_path / "c.yaml", {"workdir": str(workdir), **settings})
+        before = listing(workdir)
+
+        name = target.partition(" when ")[0]
+        if case == "unset":
+            code, message = 2, f"config error: {name}: required for {command}"
+        elif name in PRODUCERS:
+            code, message = 1, (f"error: expected file {workdir / name} is missing; "
+                                f"run `leanforge {PRODUCERS[name]}` first")
+        else:
+            code, message = 1, (f"error: expected file {absent} is missing; "
+                                f"create it or change {name}")
+        assert run(argv) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert listing(workdir) == before
+
+    def test_each_command_leaves_exactly_its_declared_writes(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fixture")
+        workdir = tmp_path / "run"
+        config = pipeline_config(tmp_path, fixture, workdir)
+        elsewhere = tmp_path / "elsewhere" / "subset.jsonl"
+        for argv in (["extract"], ["train-retriever"], ["informalize"], ["bootstrap"],
+                     ["prep"], ["prove"], ["report"], ["sample", "-n", "3"],
+                     ["sample", "-n", "3", "--for-review"],
+                     ["sample", "-n", "3", "--output", str(elsewhere)]):
+            argv = [*argv, "-c", config]
+            before = set(listing(workdir) or ())
+            assert run(argv) == 0, argv
+            declared = cli._declared(cli.STAGES[argv[0]].writes, load_config(config),
+                                     cli._parser().parse_args(argv))
+            assert set(listing(workdir)) - before == {name for name, _ in declared}, argv
+        assert elsewhere.exists()
+
+
 # --- missing upstream artifacts ---------------------------------------------------
 
 
@@ -715,23 +823,29 @@ INFORMAL_ENTRY = {
 }
 
 
+def same_name_config(tmp_path, mode):
+    """A config over the ``SAME_NAME_FILES`` corpus, whose mock script
+    answers each proof's informalization with its ``SAME_NAME_NL``."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for filename, text in SAME_NAME_FILES.items():
+        (corpus_dir / filename).write_text(text, encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(
+        [{"pattern": key, "response": nl} for key, nl in SAME_NAME_NL.items()],
+        ensure_ascii=False), encoding="utf-8")
+    return write_yaml(tmp_path / "c.yaml", {
+        "workdir": str(tmp_path / "work"),
+        "corpus": {"path": str(corpus_dir), "commit": "deadbeef"},
+        "backend": {"kind": "mock", "script": str(script)},
+        "bootstrap": {"mode": mode},
+    })
+
+
 class TestBootstrapCommand:
     def test_same_name_theorems_keep_their_own_nl(self, tmp_path):
-        corpus_dir = tmp_path / "corpus"
-        corpus_dir.mkdir()
-        for filename, text in SAME_NAME_FILES.items():
-            (corpus_dir / filename).write_text(text, encoding="utf-8")
-        script = tmp_path / "script.json"
-        script.write_text(json.dumps(
-            [{"pattern": key, "response": nl} for key, nl in SAME_NAME_NL.items()],
-            ensure_ascii=False), encoding="utf-8")
         workdir = tmp_path / "work"
-        config = write_yaml(tmp_path / "c.yaml", {
-            "workdir": str(workdir),
-            "corpus": {"path": str(corpus_dir), "commit": "deadbeef"},
-            "backend": {"kind": "mock", "script": str(script)},
-            "bootstrap": {"mode": "head"},
-        })
+        config = same_name_config(tmp_path, "head")
         for command in ("extract", "informalize", "bootstrap"):
             assert run([command, "-c", config]) == 0, command
 
@@ -747,6 +861,25 @@ class TestBootstrapCommand:
         for entry in obt:
             assert entry["Commented_proof"] == bootstrap_mod.head_bootstrap(
                 scripted_nl(entry["Proof"]), entry["Proof"])
+
+    def test_same_name_theorems_get_request_ids_of_their_own(self, tmp_path, monkeypatch):
+        # both theorems are named foo: each request id holds the record's
+        # position as well, so no two requests share one
+        ids = []
+        generate = genclient.MockBackend.generate
+
+        def recording(backend, request):
+            ids.append(request.request_id)
+            return generate(backend, request)
+
+        monkeypatch.setattr(genclient.MockBackend, "generate", recording)
+        config = same_name_config(tmp_path, "interleaved")
+        for command in ("extract", "informalize", "bootstrap"):
+            assert run([command, "-c", config]) == 0, command
+        assert sorted(ids) == [
+            "bootstrap:0:foo:1", "bootstrap:0:foo:2", "bootstrap:0:foo:3",
+            "bootstrap:1:foo:1", "bootstrap:1:foo:2", "bootstrap:1:foo:3",
+            "informalize:0:foo:1", "informalize:1:foo:1"]
 
     @pytest.mark.parametrize("key", [k for k in INFORMAL_ENTRY if k != "reasons"])
     def test_entry_without_a_key_bootstrap_reads_names_line_and_key(
@@ -925,7 +1058,7 @@ class TestInformalizeMessages:
     def test_summary_counts_backend_errors_apart_from_screening(
             self, tmp_path, monkeypatch, capsys):
         def reply(request):
-            name = request.request_id.split(":")[1]
+            name = request.request_id.split(":")[2]
             if name == "thm0":
                 raise genclient.MalformedBackendReply("no choices")
             if name == "thm1":
@@ -1022,7 +1155,7 @@ class TestInformalizeResumeUnderConcurrency:
 
     @staticmethod
     def reply(request):
-        _, name, attempt = request.request_id.split(":")
+        _, _, name, attempt = request.request_id.split(":")
         if random.Random(f"resume:{request.request_id}").random() < 0.4:
             return "the " * 40
         return f"Statement: {name} holds. Proof: attempt {attempt} computes it."
@@ -1256,6 +1389,8 @@ class Reader(NamedTuple):
 
 THEOREMS = (("theorems.jsonl", THEOREM_ENTRY),)
 PROBLEMS = (("problems.jsonl", PROBLEM_ENTRY),)
+# report checks that the attempt log exists before it reads the report
+REPORT_INPUTS = (*PROBLEMS, ("prove.attempts.jsonl", {}))
 PROVER = (("prover", "problems", "problems.jsonl"),
           ("prover", "seed_examples", "seeds.jsonl"))
 READERS = {
@@ -1274,7 +1409,9 @@ READERS = {
         "theorems.jsonl", ("informalize",), THEOREM_ENTRY, "proof", ("commit", 5)),
     "pool": Reader(
         "pool.jsonl", ("informalize",), SEED_ENTRY, "fl", ("nl", ["x"]),
-        others=THEOREMS, settings=(("retrieval", "examples", "pool.jsonl"),)),
+        # the head is checked to exist before the pool is read, and read after it
+        others=(*THEOREMS, ("projection.json", {})),
+        settings=(("retrieval", "examples", "pool.jsonl"),)),
     "checkpoint": Reader(
         "informalize.ckpt.jsonl", ("informalize", "--resume"),
         {"theorem_name": "foo", "nl_statement_and_proof": "", "examples_used": [],
@@ -1294,11 +1431,11 @@ READERS = {
         others=PROBLEMS, settings=PROVER),
     "report-header": Reader(
         "report.jsonl", ("report",), HEADER_ENTRY, "problems_total",
-        ("problems_total", True), others=PROBLEMS, settings=PROVER),
+        ("problems_total", True), others=REPORT_INPUTS, settings=PROVER),
     "report-proof": Reader(
         "report.jsonl", ("report",),
         {"name": "p", "round": 1, "sample_index": 0, "proof": "theorem p : 1 = 1 := rfl"},
-        "name", ("sample_index", 0.5), before=(HEADER_ENTRY,), others=PROBLEMS,
+        "name", ("sample_index", 0.5), before=(HEADER_ENTRY,), others=REPORT_INPUTS,
         settings=PROVER,
         invalid=("round", 0, "round must be >= 1 and sample_index >= 0")),
     "attempts": Reader(
@@ -1473,6 +1610,7 @@ class TestConfiguredFiles:
     def test_bad_answer_key_exits_2(self, tmp_path, capsys, command, key, message):
         workdir = self.workdir(tmp_path, problems=[PROBLEM_ENTRY],
                                seeds=[SEED_ENTRY], report=[HEADER_ENTRY])
+        (workdir / "prove.attempts.jsonl").write_text("", encoding="utf-8")
         answer_key = tmp_path / "key.json"
         answer_key.write_text(json.dumps(key), encoding="utf-8")
         config = write_yaml(tmp_path / "c.yaml", {
@@ -1527,7 +1665,8 @@ class TestConfiguredFiles:
         workdir, paths, config = self.prover_config(
             tmp_path, [PROBLEM_ENTRY, other, PROBLEM_ENTRY], [SEED_ENTRY])
         if command == "report":
-            self.workdir(tmp_path, report=[HEADER_ENTRY])
+            workdir = self.workdir(tmp_path, report=[HEADER_ENTRY])
+            (workdir / "prove.attempts.jsonl").write_text("", encoding="utf-8")
         self.expect(capsys, [command, "-c", config], 1,
                     f"error: {paths['problems']}:3 (prover.problems): problem 'p' "
                     "repeats line 1")

@@ -277,7 +277,7 @@ class TestInformalizeTheorem:
         backend = mock_backend([("mythm", GOOD_NL)])
         record = theorem("mythm")
         result = informalize_theorem(
-            record, [], ask(record, backend), InformalizeSettings())
+            record, 0, [], ask(record, backend), InformalizeSettings())
         assert result.verdict == "pass"
         assert result.attempts == 1
         assert result.nl_statement_and_proof == GOOD_NL
@@ -288,7 +288,7 @@ class TestInformalizeTheorem:
         backend = mock_backend([("mythm", [too_long, GOOD_NL])])
         record = theorem("mythm")
         result = informalize_theorem(
-            record, [], ask(record, backend), InformalizeSettings())
+            record, 0, [], ask(record, backend), InformalizeSettings())
         assert result.verdict == "pass"
         assert result.attempts == 2
         assert result.attempt_reasons == ((OVERLENGTH,), ())
@@ -296,7 +296,7 @@ class TestInformalizeTheorem:
     def test_always_failing_records_all_attempts(self):
         backend = mock_backend(default_text="no sections at all here")
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), backend),
+            theorem("t"), 0, [], ask(theorem("t"), backend),
             InformalizeSettings(max_attempts=3))
         assert result.verdict == "fail"
         assert result.attempts == 3
@@ -315,7 +315,7 @@ class TestInformalizeTheorem:
 
         policy = retry_policy(max_attempts=2, sleep=lambda s: None)
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), Down(), retry=policy),
+            theorem("t"), 0, [], ask(theorem("t"), Down(), retry=policy),
             InformalizeSettings(max_attempts=2))
         assert result.verdict == "fail"
         assert result.attempt_reasons == ((BACKEND_ERROR,), (BACKEND_ERROR,))
@@ -324,7 +324,7 @@ class TestInformalizeTheorem:
         backend = mock_backend(default_text="no sections")
         budget = make_budget(max_requests=1)
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), backend, budget=budget),
+            theorem("t"), 0, [], ask(theorem("t"), backend, budget=budget),
             InformalizeSettings(max_attempts=5))
         assert result.verdict == "fail"
         assert result.attempts == 2
@@ -339,7 +339,7 @@ class TestInformalizeTheorem:
                 return [(GOOD_NL, True)] * request.n_samples
 
         result = informalize_theorem(
-            theorem("t"), [], ask(theorem("t"), Truncating()),
+            theorem("t"), 0, [], ask(theorem("t"), Truncating()),
             InformalizeSettings(max_attempts=1))
         assert result.verdict == "fail"
         assert OVERLENGTH in result.reasons
