@@ -21,7 +21,7 @@ from .genclient import Ask, GenClientError, Sampler, in_order
 logger = logging.getLogger(__name__)
 
 
-class BootstrapVerificationFailed(RuntimeError):
+class BootstrapVerificationFailed(ValueError):
     """The commented proof does not carry the original code token stream."""
 
     def __init__(self, name: str, divergence: Optional[TokenDivergence], detail: str = ""):
@@ -32,11 +32,7 @@ class BootstrapVerificationFailed(RuntimeError):
         super().__init__(f"bootstrap verification failed for {name}: {where}")
 
 
-class PreconditionViolated(ValueError):
-    """A record-assembly input does not satisfy its contract."""
-
-
-class UnlexableProof(PreconditionViolated):
+class UnlexableProof(ValueError):
     """The proof of ``entries[index]`` does not lex."""
 
     def __init__(self, index: int, name: str, error: LexError):
@@ -80,7 +76,7 @@ class ObtRecord(AlignedTheorem):
     def __post_init__(self):
         for attr, key in _OBT_KEYS:
             if not getattr(self, attr):
-                raise PreconditionViolated(f"{key} is empty for {self.name}")
+                raise ValueError(f"{key} is empty for {self.name}")
 
 
 _OBT_KEYS = artifacts.wire_keys(ObtRecord)
@@ -142,8 +138,9 @@ def bootstrap_theorem(
     ``ask`` sends the record's ``prompts.bootstrap_prompt``; each request id
     holds ``position``, the record's index among the entries, since names
     repeat. Each reply is checked against ``code``, the proof's
-    ``corpus.code_texts``; the reply returned is verified. After ``max_attempts`` unverifiable replies this
-    raises with the last divergence. Backend failures propagate.
+    ``corpus.code_texts``; the reply returned is verified. After
+    ``max_attempts`` unverifiable replies this raises with the last
+    divergence. Backend failures propagate.
     """
     divergence: Optional[TokenDivergence] = None
     detail = ""
@@ -278,23 +275,19 @@ def load_obt_dataset(path: str) -> List[ObtRecord]:
     proof against and the tactic-step count that becomes its
     ``difficulty``, and ``verify_bootstrap`` scans the commented proof.
     """
-    try:
-        lines = artifacts.read_jsonl(path)
-        records = [artifacts.as_record(path, line, ObtRecord) for line in lines]
-    except artifacts.ArtifactError as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    lines = artifacts.read_jsonl(path)
+    records = [artifacts.as_record(path, line, ObtRecord) for line in lines]
     out: List[ObtRecord] = []
     for line, record in zip(lines, records):
         where = f"{path}:{line.lineno}: {record.name}"
         try:
             code, steps = corpus.code_and_steps(record.proof)
         except LexError as exc:
-            raise PreconditionViolated(f"{where}: Proof does not lex: {exc}") from None
+            raise ValueError(f"{where}: Proof does not lex: {exc}") from None
         try:
             ok, divergence = verify_bootstrap(record.proof, record.commented_proof, code)
         except LexError as exc:
-            raise PreconditionViolated(
-                f"{where}: Commented_proof does not lex: {exc}") from None
+            raise ValueError(f"{where}: Commented_proof does not lex: {exc}") from None
         if not ok:
             raise BootstrapVerificationFailed(where, divergence)
         out.append(replace(record, difficulty=steps))

@@ -6,9 +6,10 @@ at the same workdir. ``STAGES`` declares each command's handler and the
 files it reads and writes; ``main`` checks that every file a command reads
 exists before the handler runs, and only a write makes the workdir. Config
 validation happens before any output is touched; a validation failure
-exits 2, runtime failures exit 1. A flag that overrides a setting is
-written into its key before validation, so it is checked by the same rule
-as the key.
+exits 2, and an input, file or service failure (``ValueError``,
+``OSError``, ``GenClientError``) exits 1. Any other exception is a bug and
+keeps its traceback. A flag that overrides a setting is written into its
+key before validation, so it is checked by the same rule as the key.
 """
 
 import argparse
@@ -386,7 +387,8 @@ STAGES = {
     "informalize": Stage(
         cmd_informalize, "generate natural-language texts for extracted theorems",
         ("theorems.jsonl", "retrieval.examples when set",
-         "projection.json when retrieval.examples", _SCRIPT),
+         "projection.json when retrieval.examples", _SCRIPT,
+         "informalize.ckpt.jsonl when --resume"),
         ("informal.jsonl", "informalize.ckpt.jsonl")),
     "bootstrap": Stage(
         cmd_bootstrap, "comment proofs with their natural-language steps",
@@ -522,8 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, KeyError,
-            genclient.GenClientError) as exc:
+    except (OSError, ValueError, genclient.GenClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,20 +113,12 @@ _IDENT_TAIL = r"(?:[A-Za-z0-9_'!?]|[^\x00-\x7f\U00010000-\U0010ffff])"
 
 
 class LexError(ValueError):
-    """Lexer failure; ``offset`` is the character offset of the offending
-    construct."""
+    """A string literal or block comment that never closes; ``offset`` is
+    the character offset where it opens."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class UnterminatedComment(LexError):
-    pass
-
-
-class UnterminatedString(LexError):
-    pass
 
 
 class TokenKind(Enum):
@@ -230,8 +222,8 @@ _DEEP_COMMENT = re.compile(r"()()([\s\S]*)")
 def _walk(source: str) -> Iterator[re.Match]:
     """The ``_TOKEN`` matches that tile ``source``, in order, a comment
     nested deeper than ``_SCAN_NESTING`` followed in place and given as one
-    block-comment match. Raises ``UnterminatedString`` or
-    ``UnterminatedComment`` where a literal or a comment never closes."""
+    block-comment match. Raises ``LexError`` where a literal or a comment
+    never closes."""
     pos = 0
     while True:
         for m in _TOKEN.finditer(source, pos):
@@ -240,7 +232,7 @@ def _walk(source: str) -> Iterator[re.Match]:
                 continue
             start = m.start()
             if m.lastindex == _OPEN_STRING:
-                raise UnterminatedString("unterminated string literal", start)
+                raise LexError("unterminated string literal", start)
             pos = _nested_comment_end(source, start)
             yield _DEEP_COMMENT.match(source, start, pos)
             break
@@ -268,7 +260,7 @@ def _nested_comment_end(source: str, start: int) -> int:
     while True:
         m = _COMMENT_DELIMITER.search(source, pos)
         if m is None:
-            raise UnterminatedComment("unterminated block comment", start)
+            raise LexError("unterminated block comment", start)
         depth += 1 if m.group() == "/-" else -1
         pos = m.end()
         if depth == 0:

@@ -46,19 +46,16 @@ _USER_AGENT = f"leanforge/{__version__}"
 
 
 class GenClientError(Exception):
-    pass
+    """A failed request. Raised as itself for a reply that breaks the wire
+    contract, which ``complete`` does not retry."""
 
 
 class BackendUnavailable(GenClientError):
     """Transient transport or service failure; retried by complete()."""
 
 
-class MalformedBackendReply(GenClientError):
-    """The backend answered but violated the wire contract; not retried."""
-
-
 class BudgetExceeded(GenClientError):
-    pass
+    """A request the budget or the unit's reservation refuses; not sent."""
 
 
 # --- requests and responses ---------------------------------------------------
@@ -363,14 +360,14 @@ def complete(request: GenerationRequest, backend, retry: RetryPolicy) -> Generat
             attempt += 1
     latency_ms = (time.perf_counter() - started) * 1000.0
     if len(pairs) != request.n_samples:
-        raise MalformedBackendReply(
+        raise GenClientError(
             f"backend {backend.name} returned {len(pairs)} samples, "
             f"requested {request.n_samples}"
         )
     for index, (text, _) in enumerate(pairs):
         # an ASCII text, the common case, is known to be one without a scan
         if not text.isascii() and _SURROGATE.search(text):
-            raise MalformedBackendReply(
+            raise GenClientError(
                 f"backend {backend.name} sample {index} holds a lone surrogate, "
                 "which no file can hold as UTF-8"
             )
@@ -571,7 +568,7 @@ class ChatCompletionBackend:
             raise BackendUnavailable(f"service returned {status}")
         if status != 200:
             text = data.decode("utf-8", errors="replace")
-            raise MalformedBackendReply(f"service returned {status}: {text[:200]}")
+            raise GenClientError(f"service returned {status}: {text[:200]}")
         try:
             choices = json.loads(data)["choices"]
             out = [
@@ -579,7 +576,7 @@ class ChatCompletionBackend:
                 for c in choices
             ]
         except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedBackendReply(f"unparseable reply: {exc}") from exc
+            raise GenClientError(f"unparseable reply: {exc}") from exc
         if any(type(text) is not str for text, _ in out):
-            raise MalformedBackendReply("reply has a choice whose content is not a string")
+            raise GenClientError("reply has a choice whose content is not a string")
         return out

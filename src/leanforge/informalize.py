@@ -36,10 +36,6 @@ BACKEND_ERROR = "BACKEND_ERROR"
 REQUIRED_SECTIONS = ("Statement:", "Proof:")
 
 
-class CheckpointCorrupt(RuntimeError):
-    """The checkpoint cannot be reconciled with the requested run."""
-
-
 _DISCARD = "run without --resume (or pass restart) to discard the checkpoint"
 
 
@@ -188,8 +184,7 @@ def load_checkpoint(path: str) -> List[InformalizationResult]:
         return [artifacts.as_record(path, line, InformalizationResult)
                 for line in artifacts.resume_jsonl(path)]
     except artifacts.ArtifactError as exc:
-        raise CheckpointCorrupt(
-            f"{exc}; {_DISCARD}") from exc
+        raise artifacts.ArtifactError(f"{exc}; {_DISCARD}") from exc
 
 
 def _validate_resume(
@@ -198,18 +193,18 @@ def _validate_resume(
     settings: InformalizeSettings,
 ) -> None:
     if len(done) > len(records):
-        raise CheckpointCorrupt(
+        raise artifacts.ArtifactError(
             f"checkpoint has {len(done)} entries for {len(records)} records; "
             f"{_DISCARD}")
     for i, (result, record) in enumerate(zip(done, records)):
         if result.theorem_name != record.name:
-            raise CheckpointCorrupt(
+            raise artifacts.ArtifactError(
                 f"checkpoint entry {i} is {result.theorem_name!r} but input "
                 f"record {i} is {record.name!r}; {_DISCARD}")
         if result.verdict == "pass":
             verdict = quality_check(result.nl_statement_and_proof, settings)
             if not verdict.passed:
-                raise CheckpointCorrupt(
+                raise artifacts.ArtifactError(
                     f"checkpoint pass entry {result.theorem_name!r} violates "
                     f"current limits ({', '.join(verdict.reasons)}); {_DISCARD}")
 

@@ -34,15 +34,11 @@ class NoProofFound(RuntimeError):
     """The generated text contains no code region declaring the problem."""
 
 
-class VerifierTimeout(RuntimeError):
-    pass
+class VerifierError(RuntimeError):
+    """The checker timed out or could not run; no verdict was reached."""
 
 
-class VerifierCrashed(RuntimeError):
-    pass
-
-
-class ReportInvalid(RuntimeError):
+class ReportInvalid(ValueError):
     """A saved report does not re-verify, or does not account for its attempt log."""
 
 
@@ -289,8 +285,8 @@ class ExternalVerifier:
 
     Exit 0 means verified; anything else is a rejection with the captured
     stderr as diagnostic. The checker runs in its own session: a slow check
-    is killed with every process it started and raises VerifierTimeout. A
-    command that cannot run raises VerifierCrashed; the harness maps both to
+    is killed with every process it started. A check that times out, or
+    whose command cannot run, raises VerifierError; the harness maps it to
     an error verdict for that sample and moves on.
 
     A Lean check is one core's work, so at most ``concurrency`` checkers run
@@ -325,7 +321,7 @@ class ExternalVerifier:
                         start_new_session=True,
                     )
                 except OSError as exc:
-                    raise VerifierCrashed(
+                    raise VerifierError(
                         f"verifier command {self.command[0]!r} failed to run: {exc}"
                     ) from exc
                 with process:
@@ -334,7 +330,7 @@ class ExternalVerifier:
                     except subprocess.TimeoutExpired as exc:
                         os.killpg(process.pid, signal.SIGKILL)
                         process.communicate()
-                        raise VerifierTimeout(
+                        raise VerifierError(
                             f"verifier exceeded {self.timeout_s}s on {problem.name}"
                         ) from exc
             if process.returncode == 0:
@@ -365,7 +361,7 @@ def judge_proof(problem: Problem, proof: str, verifier,
     if not diagnostic:
         try:
             verdict, diagnostic = verifier.check(problem, proof)
-        except (VerifierTimeout, VerifierCrashed) as exc:
+        except VerifierError as exc:
             return "error", str(exc)
     if verdict == "rejected":
         rejected[proof] = diagnostic

@@ -24,24 +24,8 @@ from .config import RetrievalSettings
 logger = logging.getLogger(__name__)
 
 
-class RetrievalError(ValueError):
-    pass
-
-
-class EmptyInput(RetrievalError):
-    pass
-
-
-class ZeroNormVector(RetrievalError):
-    pass
-
-
-class ZeroNormQuery(RetrievalError):
-    pass
-
-
-class DivergedLoss(RetrievalError):
-    pass
+class EmptyInput(ValueError):
+    """Too few vectors to train on, index or compare."""
 
 
 # --- projection head ---------------------------------------------------------
@@ -89,10 +73,10 @@ def load_head(path: str, dimension: int) -> ProjectionHead:
     (``retrieval.dimension``, the width of every embedding it projects)."""
     stored = artifacts.decode(artifacts.read_json(path), _HeadFile, path)
     if [len(row) for row in stored.weights] != [stored.d_in] * stored.d_out:
-        raise RetrievalError(
+        raise artifacts.ArtifactError(
             f"{path}: weights are not {stored.d_out} rows of {stored.d_in} values")
     if stored.d_in != dimension:
-        raise RetrievalError(
+        raise artifacts.ArtifactError(
             f"{path}: head takes vectors of {stored.d_in} values, but "
             f"retrieval.dimension is {dimension}; run `leanforge train-retriever` "
             f"at this dimension")
@@ -103,7 +87,7 @@ def load_head(path: str, dimension: int) -> ProjectionHead:
         seed=stored.seed,
     )
     if head.checksum() != stored.checksum:
-        raise RetrievalError(f"head checksum mismatch in {path}")
+        raise artifacts.ArtifactError(f"head checksum mismatch in {path}")
     return head
 
 
@@ -127,7 +111,7 @@ def _projected_rows(
     for side, norms in (("nl", na), ("fl", nb)):
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
-            raise ZeroNormVector(f"projected {side} vector of pair {zero[0]} has zero norm")
+            raise ValueError(f"projected {side} vector of pair {zero[0]} has zero norm")
     return nl_raw, fl_raw, a, b, na, nb
 
 
@@ -207,7 +191,7 @@ def train_projection(
         rows = _projected_rows(nl_all[chosen], fl_all[chosen], head)
         loss = _loss(rows, j)
         if not np.isfinite(loss):
-            raise DivergedLoss(f"non-finite loss {loss!r} at step {step}")
+            raise ValueError(f"non-finite loss {loss!r} at step {step}")
         grad = _gradient(rows, j)
         head.weights = head.weights - settings.lr * grad
         trace.append(loss)
@@ -238,7 +222,7 @@ def build_index(
     norms = np.linalg.norm(vectors, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
-        raise ZeroNormVector(f"projected entry {ids[zero[0]]!r} has zero norm")
+        raise ValueError(f"projected entry {ids[zero[0]]!r} has zero norm")
     return SimilarityIndex(ids=ids, vectors=vectors, norms=norms, head=head)
 
 
@@ -249,7 +233,7 @@ def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[Any, 
     projected = index.head.project(query)
     qnorm = float(np.linalg.norm(projected))
     if qnorm == 0.0:
-        raise ZeroNormQuery("projected query has zero norm")
+        raise ValueError("projected query has zero norm")
     sims = index.vectors @ projected / (index.norms * qnorm)
     # The last key sorts first. Ids sit in a one-dimensional object array, so
     # they compare as Python values: a fixed-width unicode array would drop
@@ -280,7 +264,7 @@ def similarity_histogram(
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ZeroNormVector("projected vector has zero norm")
+        raise ValueError("projected vector has zero norm")
     # rounding can push a self-cosine a hair past 1.0; clamp to the valid range
     matrix = np.clip((a @ b.T) / np.outer(na, nb), -1.0, 1.0)
     counts, edges = np.histogram(matrix.ravel(), bins=bins, range=(-1.0, 1.0))

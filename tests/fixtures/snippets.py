@@ -3,7 +3,7 @@
 A mix of real theorem sources and hand-written stress cases: nested block
 comments, comment markers inside strings, char literals, docstrings, unusual
 whitespace.  Every entry must lex losslessly; entries in BAD_SNIPPETS must
-raise the named error.
+raise a LexError with the given message.
 """
 
 from . import listings
@@ -87,11 +87,11 @@ SNIPPETS = {
     "inline_comment_between_tactics": "theorem ict : 2 = 2 := by\n  have h : 1 = 1 := rfl /- mid -/\n  rfl\n",
 }
 
-# Sources that must fail to lex, mapped to the expected error name.
+# Sources that must fail to lex, mapped to the expected error message.
 BAD_SNIPPETS = {
-    "unterminated_block": ("/- never closed", "UnterminatedComment"),
-    "unterminated_nested": ("/- outer /- inner -/ still open", "UnterminatedComment"),
-    "unterminated_string": ('def s := "no close\n', "UnterminatedString"),
-    "unterminated_string_eof": ('def s := "ends here', "UnterminatedString"),
-    "string_trailing_backslash": ('def s := "oops\\', "UnterminatedString"),
+    "unterminated_block": ("/- never closed", "unterminated block comment"),
+    "unterminated_nested": ("/- outer /- inner -/ still open", "unterminated block comment"),
+    "unterminated_string": ('def s := "no close\n', "unterminated string literal"),
+    "unterminated_string_eof": ('def s := "ends here', "unterminated string literal"),
+    "string_trailing_backslash": ('def s := "oops\\', "unterminated string literal"),
 }

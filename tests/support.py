@@ -142,8 +142,7 @@ def _is_ws(ch: str) -> bool:
 def reference_lex_lean(source: str):
     """Per-character Lean4 lexer: the implementation ``lex_lean`` had before
     the regex scanner, unchanged but for its name."""
-    from leanforge.corpus import (
-        LeanToken, TokenKind, UnterminatedComment, UnterminatedString)
+    from leanforge.corpus import LeanToken, LexError, TokenKind
 
     tokens = []
     n = len(source)
@@ -180,7 +179,7 @@ def reference_lex_lean(source: str):
                 else:
                     i += 1
             if depth > 0:
-                raise UnterminatedComment("unterminated block comment", start)
+                raise LexError("unterminated block comment", start)
             emit(TokenKind.BLOCK_COMMENT, start, i)
             continue
         if ch == '"':
@@ -195,9 +194,9 @@ def reference_lex_lean(source: str):
                     break
                 i += 1
             else:
-                raise UnterminatedString("unterminated string literal", start)
+                raise LexError("unterminated string literal", start)
             if i > n:
-                raise UnterminatedString("unterminated string literal", start)
+                raise LexError("unterminated string literal", start)
             emit(TokenKind.STRING, start, i)
             continue
 
@@ -970,7 +969,8 @@ class KeyedBackend:
     0-3 ms pause seeded by the request id, so units in flight together
     finish in a shuffled order. ``concurrency`` is what a stage reads from
     its backend. With ``fail_at`` set, that call (counted from 1 over all
-    threads) raises a RuntimeError, a fault no stage handles.
+    threads) raises an OSError, a fault no stage handles and ``main``
+    reports as an error.
     """
 
     name = "keyed"
@@ -988,7 +988,7 @@ class KeyedBackend:
             self.calls += 1
             call = self.calls
         if call == self.fail_at:
-            raise RuntimeError(f"injected fault at call {call}")
+            raise OSError(f"injected fault at call {call}")
         time.sleep(random.Random(f"{self.seed}:{request.request_id}").uniform(0.0, 0.003))
         return [(self.reply(request), False)] * request.n_samples
 

@@ -15,7 +15,6 @@ from leanforge.bootstrap import (
     BootstrapVerificationFailed,
     InformalRecord,
     ObtRecord,
-    PreconditionViolated,
     assemble_obt_record,
     bootstrap_corpus,
     bootstrap_theorem,
@@ -26,7 +25,7 @@ from leanforge.bootstrap import (
 )
 from leanforge.config import BootstrapSettings
 from leanforge.corpus import LexError
-from leanforge.genclient import BackendUnavailable, MalformedBackendReply
+from leanforge.genclient import BackendUnavailable, GenClientError
 from leanforge.prompts import (
     COMMENT_INSTRUCTION,
     COMMENTED_SECTION,
@@ -203,7 +202,7 @@ def verify_outcome(verify, proof, commented):
     try:
         return verify(proof, commented)
     except LexError as exc:
-        return type(exc), exc.offset
+        return str(exc)
 
 
 def reference_verify(proof, commented):
@@ -361,9 +360,9 @@ class TestAssembleObtRecord:
         assert record.commented_proof == INTEGRAL_COMMENTED
 
     def test_empty_field_rejected(self):
-        with pytest.raises(PreconditionViolated, match="Commit is empty"):
+        with pytest.raises(ValueError, match="Commit is empty"):
             assemble_obt_record(integral_record(commit=""), INTEGRAL_COMMENTED)
-        with pytest.raises(PreconditionViolated, match="Commented_proof is empty"):
+        with pytest.raises(ValueError, match="Commented_proof is empty"):
             assemble_obt_record(integral_record(), "")
 
 
@@ -488,7 +487,7 @@ def keyed_replies(entries, seed):
         _, _, name, attempt = request.request_id.split(":")
         roll = random.Random(f"{seed}:reply:{request.request_id}").random()
         if roll < 0.15:
-            raise MalformedBackendReply("scripted bad reply")
+            raise GenClientError("scripted bad reply")
         if roll < 0.5:
             return proofs[name].replace("simpa", "simp")
         return proofs[name] + f"  -- note {attempt}\n"
@@ -590,7 +589,7 @@ class TestDatasetFiles:
         path = tmp_path / "obt.jsonl"
         path.write_text(json.dumps(mirror, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-        with pytest.raises(PreconditionViolated, match="entry has no 'Name' field"):
+        with pytest.raises(artifacts.ArtifactError, match="entry has no 'Name' field"):
             load_obt_dataset(str(path))
 
     def test_tampered_code_rejected_on_load(self, tmp_path):
@@ -613,7 +612,7 @@ class TestDatasetFiles:
         entry["Commit"] = ""
         path.write_text(json.dumps(entry, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-        with pytest.raises(PreconditionViolated, match="Commit"):
+        with pytest.raises(artifacts.ArtifactError, match="Commit"):
             load_obt_dataset(str(path))
 
     def test_missing_field_rejected(self, tmp_path):
@@ -623,7 +622,7 @@ class TestDatasetFiles:
         del entry["Proof"]
         path.write_text(json.dumps(entry, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-        with pytest.raises(PreconditionViolated,
+        with pytest.raises(artifacts.ArtifactError,
                            match="obt.jsonl:1: entry has no 'Proof' field"):
             load_obt_dataset(str(path))
 
@@ -632,5 +631,5 @@ class TestDatasetFiles:
         artifacts.write_jsonl(str(path), [self.worked_record()])
         with open(path, "a", encoding="utf-8") as sink:
             sink.write("{broken\n")
-        with pytest.raises(PreconditionViolated, match="obt.jsonl:2"):
+        with pytest.raises(artifacts.ArtifactError, match="obt.jsonl:2"):
             load_obt_dataset(str(path))

@@ -622,7 +622,7 @@ class TestTrainRetriever:
             pairs, config.retrieval, fork_seed(config.seed, "train-retriever"))
         path = str(tmp_path / "projection.json")
         retrieval.save_head(head, path)
-        with pytest.raises(retrieval.RetrievalError) as raised:
+        with pytest.raises(artifacts.ArtifactError) as raised:
             retrieval.load_head(path, config.retrieval.dimension)
         assert (f"{path}: head takes vectors of 3 values, "
                 f"but retrieval.dimension is 64") in str(raised.value)
@@ -648,7 +648,8 @@ class TestTrainRetriever:
 
 # The command whose run leaves each workdir artifact that some command reads.
 PRODUCERS = {"theorems.jsonl": "extract", "projection.json": "train-retriever",
-             "informal.jsonl": "informalize", "obt.jsonl": "bootstrap",
+             "informal.jsonl": "informalize",
+             "informalize.ckpt.jsonl": "informalize", "obt.jsonl": "bootstrap",
              "report.jsonl": "prove", "prove.attempts.jsonl": "prove"}
 
 
@@ -705,6 +706,8 @@ class TestStageTable:
                 key, _, value = condition.partition(": ")
                 if value:
                     put(key, value)
+                elif key.startswith("--"):  # a switch, such as --resume
+                    argv.append(key)
             if name.startswith("--"):
                 if entry == target:
                     argv += [name, absent]
@@ -749,6 +752,44 @@ class TestStageTable:
                                      cli._parser().parse_args(argv))
             assert set(listing(workdir)) - before == {name for name, _ in declared}, argv
         assert elsewhere.exists()
+
+
+# --- the error rule ----------------------------------------------------------------
+
+
+class TestErrorRule:
+    """``main`` prints one line for a config error (exit 2) and for an
+    input, file or service failure (exit 1). Any other exception is a bug:
+    it propagates with its traceback."""
+
+    @staticmethod
+    def extract_raising(tmp_path, monkeypatch, failure):
+        def handler(args, config):
+            raise failure
+
+        monkeypatch.setitem(cli.STAGES, "extract",
+                            cli.STAGES["extract"]._replace(handler=handler))
+        return ["extract", "-c", write_yaml(tmp_path / "c.yaml", {
+            "workdir": str(tmp_path / "work"), "corpus": {"path": str(tmp_path)}})]
+
+    @pytest.mark.parametrize("bug", [KeyError("x"), RuntimeError("invariant broken")])
+    def test_a_bug_propagates_out_of_main(self, tmp_path, monkeypatch, bug):
+        argv = self.extract_raising(tmp_path, monkeypatch, bug)
+        with pytest.raises(type(bug)) as raised:
+            run(argv)
+        assert raised.value is bug
+
+    @pytest.mark.parametrize("failure, code, line", [
+        (ConfigError(["corpus.path: bad"]), 2, "config error: corpus.path: bad"),
+        (FileNotFoundError("gone"), 1, "error: gone"),
+        (ValueError("bad input"), 1, "error: bad input"),
+        (genclient.GenClientError("no reply"), 1, "error: no reply"),
+    ])
+    def test_an_input_file_or_service_failure_is_one_line(
+            self, tmp_path, monkeypatch, capsys, failure, code, line):
+        argv = self.extract_raising(tmp_path, monkeypatch, failure)
+        assert run(argv) == code
+        assert capsys.readouterr().err == line + "\n"
 
 
 # --- missing upstream artifacts ---------------------------------------------------
@@ -1060,7 +1101,7 @@ class TestInformalizeMessages:
         def reply(request):
             name = request.request_id.split(":")[2]
             if name == "thm0":
-                raise genclient.MalformedBackendReply("no choices")
+                raise genclient.GenClientError("no choices")
             if name == "thm1":
                 return "the " * 40
             return f"Statement: {name} holds. Proof: compute it."
@@ -1072,6 +1113,15 @@ class TestInformalizeMessages:
         assert capsys.readouterr().out == (
             "informalized 1/3 theorems (1 failed screening, "
             "1 failed on backend errors)\n")
+
+    def test_resume_without_a_checkpoint_names_the_command_that_writes_it(
+            self, tmp_path, capsys):
+        workdir, config = theorems_workdir(tmp_path, "run", 2)
+        assert run(["informalize", "-c", config, "--resume"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected file {workdir / 'informalize.ckpt.jsonl'} is missing; "
+            "run `leanforge informalize` first\n")
+        assert sorted(os.listdir(workdir)) == ["theorems.jsonl"]
 
     def test_corrupt_checkpoint_names_the_flag_that_discards_it(
             self, tmp_path, capsys):
@@ -2325,6 +2375,9 @@ class TestReadSet:
         assert reads(["train-retriever", "-c", config]) == inputs("pairs")
         assert reads(["informalize", "-c", config]) == \
             work("theorems.jsonl", "projection.json") | inputs("pool", "script")
+        assert reads(["informalize", "-c", config, "--resume"]) == work(
+            "theorems.jsonl", "projection.json", "informalize.ckpt.jsonl") | inputs(
+            "pool", "script")
         assert reads(["bootstrap", "-c", config]) == work("informal.jsonl")
         assert reads(["prep", "-c", config]) == work("obt.jsonl")
         assert reads(["prove", "-c", config]) == \
@@ -2346,7 +2399,7 @@ class TestProveConcurrency:
 
         def recording(units, work, sampler, attempts, **options):
             seen.append((sampler.backend.concurrency, options))
-            raise RuntimeError("stopped before any request")
+            raise OSError("stopped before any request")
 
         for module in (genclient, bootstrap_mod):
             monkeypatch.setattr(module, "in_order", recording)

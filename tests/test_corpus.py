@@ -39,8 +39,6 @@ from leanforge.corpus import (
     LexError,
     SEMANTIC_KINDS,
     TokenKind,
-    UnterminatedComment,
-    UnterminatedString,
     code_and_steps,
     code_divergence,
     code_texts,
@@ -89,24 +87,20 @@ class TestLexer:
             assert got == expected, name
 
     def test_bad_snippets_raise(self):
-        errors = {
-            "UnterminatedComment": UnterminatedComment,
-            "UnterminatedString": UnterminatedString,
-        }
-        for name, (src, error_name) in BAD_SNIPPETS.items():
-            with pytest.raises(errors[error_name]) as exc_info:
+        for name, (src, message) in BAD_SNIPPETS.items():
+            with pytest.raises(LexError, match=message) as exc_info:
                 lex_lean(src)
             assert exc_info.value.offset >= 0, name
             with pytest.raises(ReferenceScanError):
                 reference_scan(src)
 
     def test_unterminated_comment_offset(self):
-        with pytest.raises(UnterminatedComment) as exc_info:
+        with pytest.raises(LexError, match="unterminated block comment") as exc_info:
             lex_lean("rfl /- open")
         assert exc_info.value.offset == 4
 
     def test_unterminated_string_offset(self):
-        with pytest.raises(UnterminatedString) as exc_info:
+        with pytest.raises(LexError, match="unterminated string literal") as exc_info:
             lex_lean('x "no end')
         assert exc_info.value.offset == 2
 
@@ -122,7 +116,7 @@ class TestLexer:
     def test_lossless_or_lexerror_on_adversarial_text(self, src):
         try:
             toks = lex_lean(src)
-        except (UnterminatedComment, UnterminatedString):
+        except LexError:
             with pytest.raises(ReferenceScanError):
                 reference_scan(src)
             return
@@ -487,11 +481,12 @@ class TestTokenCore:
 
 
 def lex_outcome(lexer, source):
-    """The tokens, or the error type and offset when the source does not lex."""
+    """The tokens, or the error's message, which holds its kind and offset,
+    when the source does not lex."""
     try:
         return lexer(source)
     except LexError as exc:
-        return type(exc), exc.offset
+        return str(exc)
 
 
 _LEX_ATOMS = st.sampled_from([
@@ -568,7 +563,7 @@ def step_outcome(count, source):
     try:
         return count(source)
     except LexError as exc:
-        return type(exc)
+        return str(exc)
 
 
 @given(PROOF_TEXT)
@@ -650,7 +645,7 @@ def test_comment_that_would_glue_an_opener_separates_tokens():
     # `/- half -/` stands between `/` and `-b`, so no `/-` opens there
     proof = "theorem t : a = b := by\n  simp [a //- half -/-b]\n  rfl"
     assert tactic_steps(proof) == reference_count_tactic_steps(proof) == 2
-    with pytest.raises(UnterminatedComment):
+    with pytest.raises(LexError, match="unterminated block comment"):
         tactic_steps(proof.replace("-/-b", "b"))
 
 
@@ -787,7 +782,7 @@ def extract_outcome(extract, source):
     try:
         return extract(source, "f.lean", "c")
     except LexError as exc:
-        return type(exc), str(exc)
+        return str(exc)
 
 
 @given(LEAN_FILE)

@@ -21,9 +21,9 @@ from leanforge.config import ConfigError, ProverSettings
 from leanforge.genclient import (
     BackendUnavailable,
     BudgetExceeded,
+    GenClientError,
     GenerationRequest,
     GenerationResponse,
-    MalformedBackendReply,
     Reservation,
     complete,
     estimate_tokens,
@@ -186,10 +186,10 @@ class TestComplete:
 
             def generate(self, request):
                 self.calls += 1
-                raise MalformedBackendReply("gibberish")
+                raise GenClientError("gibberish")
 
         backend = Broken()
-        with pytest.raises(MalformedBackendReply):
+        with pytest.raises(GenClientError, match="^gibberish$"):
             complete(make_request("p"), backend, retry_policy())
         assert backend.calls == 1
 
@@ -201,7 +201,7 @@ class TestComplete:
             def generate(self, request):
                 return [("a", False)] * (request.n_samples + 1)
 
-        with pytest.raises(MalformedBackendReply, match="requested 2"):
+        with pytest.raises(GenClientError, match="requested 2"):
             complete(make_request("p", n_samples=2), Overeager(), retry_policy())
 
     def test_sample_with_a_lone_surrogate_rejected(self):
@@ -209,7 +209,7 @@ class TestComplete:
         # as UTF-8, so it never reaches a stage
         texts = ["plain", "∀ n, 𝔽 n", "half a pair \ud800 here"]
         backend = mock_backend([("p", texts)])
-        with pytest.raises(MalformedBackendReply, match="sample 2 holds a lone surrogate"):
+        with pytest.raises(GenClientError, match="sample 2 holds a lone surrogate"):
             complete(make_request("p", n_samples=3), backend, retry_policy())
         good = complete(make_request("q"), mock_backend(default_text=texts[1]),
                         retry_policy())
@@ -699,25 +699,33 @@ class TestChatCompletionBackend:
     def test_auth_failure_not_retried(self, chat):
         backend = chat("/unauth", model="m")
         policy, sleeps = recording_policy()
-        with pytest.raises(MalformedBackendReply, match="401"):
+        with pytest.raises(GenClientError, match="401"):
             complete(make_request("p"), backend, retry=policy)
         assert len(_ChatHandler.seen) == 1
         assert sleeps == []
 
     def test_unparseable_body_rejected(self, chat):
         backend = chat("/badjson", model="m")
-        with pytest.raises(MalformedBackendReply, match="unparseable"):
-            backend.generate(make_request("p"))
+        policy, sleeps = recording_policy()
+        with pytest.raises(GenClientError, match="unparseable") as raised:
+            complete(make_request("p"), backend, retry=policy)
+        assert type(raised.value) is GenClientError
+        assert len(_ChatHandler.seen) == 1
+        assert sleeps == []
 
     def test_content_that_is_not_text_rejected(self, chat):
         backend = chat("/nullcontent", model="m")
-        with pytest.raises(MalformedBackendReply, match="not a string"):
-            backend.generate(make_request("p"))
+        policy, sleeps = recording_policy()
+        with pytest.raises(GenClientError, match="not a string") as raised:
+            complete(make_request("p"), backend, retry=policy)
+        assert type(raised.value) is GenClientError
+        assert len(_ChatHandler.seen) == 1
+        assert sleeps == []
 
     def test_short_choice_list_rejected(self, chat):
         backend = chat("/short", model="m")
         policy, sleeps = recording_policy()
-        with pytest.raises(MalformedBackendReply, match="requested 2"):
+        with pytest.raises(GenClientError, match="requested 2"):
             complete(make_request("p", n_samples=2), backend, retry=policy)
         assert len(_ChatHandler.seen) == 1
         assert sleeps == []

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from leanforge import retrieval
-from leanforge.artifacts import read_jsonl
+from leanforge.artifacts import ArtifactError, read_jsonl
 from leanforge.config import InformalizeSettings
 from leanforge.corpus import TheoremRecord
-from leanforge.genclient import BackendUnavailable, MalformedBackendReply
+from leanforge.genclient import BackendUnavailable, GenClientError
 from leanforge.informalize import (
     BACKEND_ERROR,
     MISSING_SECTION,
     OVERLENGTH,
     REPETITION,
-    CheckpointCorrupt,
     InformalizationResult,
     build_example_index,
     informalize_corpus,
@@ -444,14 +443,14 @@ class TestInformalizeCorpus:
         informalize(records, passing_backend(),
             checkpoint_path=str(checkpoint))
         reordered = list(reversed(records))
-        with pytest.raises(CheckpointCorrupt, match="restart"):
+        with pytest.raises(ArtifactError, match="restart"):
             informalize(reordered, passing_backend(),
                 checkpoint_path=str(checkpoint))
 
     def test_unparseable_checkpoint_refused(self, tmp_path):
         checkpoint = tmp_path / "c.jsonl"
         checkpoint.write_text('{"theorem_name": "thm00"\n', encoding="utf-8")
-        with pytest.raises(CheckpointCorrupt, match="restart"):
+        with pytest.raises(ArtifactError, match="restart"):
             informalize(corpus_records(2), passing_backend(),
                 checkpoint_path=str(checkpoint))
 
@@ -479,7 +478,7 @@ class TestInformalizeCorpus:
         entries[0]["nl_statement_and_proof"] = "the " * 50
         checkpoint.write_text(
             "\n".join(json.dumps(e) for e in entries) + "\n", encoding="utf-8")
-        with pytest.raises(CheckpointCorrupt, match="violates"):
+        with pytest.raises(ArtifactError, match="violates"):
             informalize(records, passing_backend(),
                 checkpoint_path=str(checkpoint))
 
@@ -561,7 +560,7 @@ def scenario_reply(seed):
     def reply(request):
         roll = random.Random(f"{seed}:reply:{request.request_id}").random()
         if roll < 0.15:
-            raise MalformedBackendReply("scripted bad reply")
+            raise GenClientError("scripted bad reply")
         return "the " * 40 if roll < 0.45 else GOOD_NL
     return reply
 

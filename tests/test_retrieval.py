@@ -15,15 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanforge import retrieval
+from leanforge.artifacts import ArtifactError
 from leanforge.config import PipelineConfig, RetrievalSettings, validate
 from leanforge.retrieval import (
-    DivergedLoss,
     EmptyInput,
     HashEmbedder,
     ProjectionHead,
-    RetrievalError,
-    ZeroNormQuery,
-    ZeroNormVector,
     build_index,
     load_head,
     save_head,
@@ -111,7 +108,8 @@ class TestContrastiveLoss:
 
     def test_zero_norm_names_pair(self):
         pairs = [(ev(1.0, 0.0), ev(1.0, 0.0)), (ev(0.0, 0.0), ev(0.0, 1.0))]
-        with pytest.raises(ZeroNormVector, match="pair 1"):
+        with pytest.raises(ValueError,
+                           match="projected nl vector of pair 1 has zero norm"):
             contrastive_loss(pairs, identity_head(2))
 
     def test_scale_invariance(self):
@@ -187,7 +185,7 @@ class TestContrastiveGradient:
 
     def test_gradient_zero_norm_raises(self):
         pairs = [(ev(0.0, 0.0), ev(1.0, 0.0)), (ev(0.0, 1.0), ev(1.0, 1.0))]
-        with pytest.raises(ZeroNormVector):
+        with pytest.raises(ValueError, match="has zero norm"):
             contrastive_gradient(pairs, identity_head(2))
 
 
@@ -247,7 +245,7 @@ class TestTrainProjection:
     def test_diverged_loss_reports_step(self):
         rng = np.random.default_rng(67)
         pairs = random_pairs(rng, 4, 4)
-        with pytest.raises(DivergedLoss, match="step"):
+        with pytest.raises(ValueError, match="non-finite loss .* at step"):
             train_projection(pairs, RetrievalSettings(lr=1e160, steps=20), 0)
 
     def test_too_few_pairs(self):
@@ -312,7 +310,7 @@ class TestProjectionHead:
         payload["weights"][0][0] += 0.5
         with open(path, "w") as f:
             json.dump(payload, f)
-        with pytest.raises(RetrievalError, match="checksum"):
+        with pytest.raises(ArtifactError, match="checksum"):
             load_head(path, 4)
 
 
@@ -353,7 +351,7 @@ class TestSimilarityIndex:
             build_index([], identity_head(2))
 
     def test_zero_norm_entry(self):
-        with pytest.raises(ZeroNormVector, match="a"):
+        with pytest.raises(ValueError, match="projected entry 'a' has zero norm"):
             build_index([("a", ev(0.0, 0.0)), ("b", ev(1.0, 0.0))], identity_head(2))
 
 
@@ -425,7 +423,7 @@ class TestTopK:
             weights=np.array([[1.0, 0.0]]), d_in=2, d_out=1, seed=0
         )
         index = build_index([("a", ev(1.0, 0.0))], head)
-        with pytest.raises(ZeroNormQuery):
+        with pytest.raises(ValueError, match="projected query has zero norm"):
             top_k(index, ev(0.0, 1.0), 1)
 
 

@@ -6,9 +6,14 @@ definition: called, subclassed, used as a type, or named in a string such as
 ``getattr(backend, "close")``. Docstrings do not count, and dunder methods
 are called by the language. A name is matched by its spelling alone, so a
 method is taken as reached when any attribute of that name is read.
+
+An exception class is kept only where ``src/`` tells it apart: some
+``except`` clause or ``isinstance`` call under ``src/`` names it. One that
+no code catches by name raises a type its callers already catch.
 """
 
 import ast
+import builtins
 import collections
 import os
 
@@ -23,6 +28,15 @@ ALLOWED = {
         "the benchmark's tracer keys an observer on it and "
         "tests/test_bench_names.py checks that name; it goes when the "
         "benchmark measures lexing without it"),
+}
+
+
+# ``module.Class`` -> why the exception class stays although no ``except``
+# clause or ``isinstance`` call under src/ names it.
+UNCAUGHT_ALLOWED = {
+    "genclient.Halted": (
+        "it is raised into a stage's work, and exists so that no "
+        "GenClientError handler there takes it for a failed request"),
 }
 
 
@@ -88,6 +102,46 @@ def unreached():
         if total[name] - references(node, docstrings)[name] <= 0)
 
 
+def _spelled(node):
+    """The class names an ``except`` type or ``isinstance`` argument spells:
+    a name, an attribute, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return {name for element in node.elts for name in _spelled(element)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def uncaught():
+    """The qualified names of the exception classes under src/ that no
+    ``except`` clause or ``isinstance`` call under src/ names."""
+    modules = list(_modules())
+    caught, bases = set(), {}
+    for module, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _spelled(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                caught |= _spelled(node.args[1])
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases[f"{module}.{node.name}"] = (
+                    node.name, set().union(*map(_spelled, node.bases)))
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    grown = True
+    while grown:  # a subclass of an exception class under src/ is one too
+        found = {name for name, parents in bases.values() if parents & exceptions}
+        grown = not found <= exceptions
+        exceptions |= found
+    return sorted(qualified for qualified, (name, _) in bases.items()
+                  if name in exceptions and name not in caught)
+
+
 def test_every_definition_in_src_is_reached_from_src():
     assert [name for name in unreached() if name not in ALLOWED] == []
 
@@ -96,3 +150,12 @@ def test_every_definition_in_src_is_reached_from_src():
 def test_every_allowed_name_is_still_unreached(name):
     # an allowance outlives its reason once src/ reaches the name again
     assert name in unreached()
+
+
+def test_every_exception_class_in_src_is_caught_by_name_in_src():
+    assert [name for name in uncaught() if name not in UNCAUGHT_ALLOWED] == []
+
+
+@pytest.mark.parametrize("name", sorted(UNCAUGHT_ALLOWED))
+def test_every_allowed_exception_class_is_still_uncaught(name):
+    assert name in uncaught()
