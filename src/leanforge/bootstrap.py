@@ -205,9 +205,9 @@ def bootstrap_corpus(
     an interleaved reply by ``bootstrap_theorem``, a head text here.
 
     Interleaved records go through ``genclient.in_order``: up to the
-    backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight,
-    each making up to ``settings.max_attempts`` requests and, when pooled,
-    reserving that many of its prompt. The fallback, the stats and
+    backend's ``concurrency`` ``bootstrap_theorem`` calls are in flight
+    (one when the budget has a ceiling), each making up to
+    ``settings.max_attempts`` requests. The fallback, the stats and
     record assembly run here, in entry order.
     """
     interleaved = settings.mode == "interleaved"
@@ -238,7 +238,7 @@ def bootstrap_corpus(
         units = (((draft, index, code), prompts.bootstrap_prompt(
             draft.generated_informal_statement_and_proof, draft.proof))
             for draft, index, code in scanned)
-        replies = in_order(units, work, sampler, settings.max_attempts)
+        replies = in_order(units, work, sampler)
     else:
         replies = ((item, None) for item in scanned)
     out: List[ObtRecord] = []

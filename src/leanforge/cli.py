@@ -178,7 +178,7 @@ def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.
         yield genclient.Sampler(backend, retry, genclient.GenerationBudget(b.budget),
                                 max_new_tokens, b.temperature)
     finally:
-        getattr(backend, "close", lambda: None)()
+        backend.close()
 
 
 # --- informalize -----------------------------------------------------------------
@@ -337,9 +337,9 @@ def _review_block(entry: dict) -> str:
 def cmd_sample(args, config: PipelineConfig) -> None:
     dataset = args.dataset or stage_path(config, "obt.jsonl")
     lines = artifacts.read_jsonl(dataset)
-    if args.n > len(lines):
+    if not 0 <= args.n <= len(lines):
         raise ValueError(
-            f"cannot sample {args.n} records from a dataset of {len(lines)}")
+            f"-n {args.n} must be between 0 and the {len(lines)} records of {dataset}")
     seed = args.seed if args.seed is not None else fork_seed(config.seed, "sample")
     rng = random.Random(seed)
     indices = rng.sample(range(len(lines)), args.n)

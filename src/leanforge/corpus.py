@@ -129,10 +129,6 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
-SEMANTIC_KINDS = (TokenKind.CODE, TokenKind.STRING)
-
-
 class LeanToken(NamedTuple):
     kind: TokenKind
     text: str
@@ -276,7 +272,7 @@ _CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)}
 def code_texts(text: str) -> List[str]:
     """The texts of the code and string-literal tokens of ``text``, in order.
 
-    Equal to ``[t.text for t in lex_lean(text) if t.kind in SEMANTIC_KINDS]``,
+    Equal to the texts of ``lex_lean(text)``'s code and string tokens,
     and raises the ``LexError`` that ``_walk`` raises, but one ``findall``
     gives the texts without building a token for each.
     """

@@ -10,11 +10,11 @@ A stage asks the model in one way only. Its ``Sampler`` holds the backend,
 the retry policy, the budget and the settings of every request. It runs
 its units (a theorem, a problem: each an item and the prompt it sends)
 through ``in_order``, which keeps up to ``backend.concurrency`` of them in
-flight, or as many as its caller asks above a concurrency of one. It
-prices each unit's budget reservation from its prompt, and hands each
-unit's work an ``Ask`` that charges each request and sends that prompt.
-Results come back in unit order. No other module builds a request or
-calls ``complete``.
+flight, or as many as its caller asks above a concurrency of one, and
+one at a time when the budget has a ceiling. It hands each unit's work
+an ``Ask`` that charges each request to the budget and sends that
+prompt. Results come back in unit order. No other module builds a
+request or calls ``complete``.
 
 API keys are read from environment variables named in the backend config;
 they never appear in config files or serialized state.
@@ -55,7 +55,7 @@ class BackendUnavailable(GenClientError):
 
 
 class BudgetExceeded(GenClientError):
-    """A request the budget or the unit's reservation refuses; not sent."""
+    """A request the budget refuses; not sent."""
 
 
 # --- requests and responses ---------------------------------------------------
@@ -97,116 +97,51 @@ class GenerationBudget:
 
     Charged once per logical request, up front: prompt estimate plus the
     worst-case completion (max_new_tokens per sample).  Retries of a failed
-    attempt are not re-charged.  Charges and reservations take one lock, so
-    concurrent callers see the ceilings exactly.
+    attempt are not re-charged.  Charges take one lock, so concurrent
+    callers count every request once.  A stage whose budget has a ceiling
+    runs its units one at a time (``in_order``), so it stops where a serial
+    run stops.
     """
 
     settings: BudgetSettings
     requests_used: int = field(default=0, init=False)
     tokens_used: int = field(default=0, init=False)
-    requests_reserved: int = field(default=0, init=False)
-    tokens_reserved: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   repr=False, compare=False)
 
-    def _ceiling_crossed(self, requests: int, tokens: int) -> Optional[str]:
-        """Which ceiling ``requests`` and ``tokens`` more would cross beside
-        what is used and reserved already, or None; the caller holds the lock."""
-        max_requests, max_tokens = self.settings.max_requests, self.settings.max_tokens
-        if max_requests is not None and (
-                self.requests_used + self.requests_reserved + requests > max_requests):
-            return f"request ceiling {max_requests} reached"
-        if max_tokens is not None and (
-                self.tokens_used + self.tokens_reserved + tokens > max_tokens):
-            return (f"token ceiling {max_tokens} would be exceeded "
-                    f"({self.tokens_used} used, next request needs ~{tokens})")
-        return None
-
     def charge(self, request: GenerationRequest) -> None:
-        cost = _cost(request)
+        cost = estimate_tokens(request.prompt) + request.max_new_tokens * request.n_samples
+        max_requests, max_tokens = self.settings.max_requests, self.settings.max_tokens
         with self._lock:
-            crossed = self._ceiling_crossed(1, cost)
-            if crossed:
-                raise BudgetExceeded(crossed)
+            if max_requests is not None and self.requests_used >= max_requests:
+                raise BudgetExceeded(f"request ceiling {max_requests} reached")
+            if max_tokens is not None and self.tokens_used + cost > max_tokens:
+                raise BudgetExceeded(
+                    f"token ceiling {max_tokens} would be exceeded "
+                    f"({self.tokens_used} used, next request needs ~{cost})")
             self.requests_used += 1
             self.tokens_used += cost
-
-    def reserve(self, requests: int, tokens: int) -> Optional["Reservation"]:
-        """Set aside ``requests`` and ``tokens`` for one caller, or return
-        None when they do not fit under the ceilings beside what is used
-        and reserved already."""
-        with self._lock:
-            if self._ceiling_crossed(requests, tokens):
-                return None
-            self.requests_reserved += requests
-            self.tokens_reserved += tokens
-        return Reservation(self, requests, tokens)
-
-
-class Reservation:
-    """Budget set aside by ``GenerationBudget.reserve``.
-
-    Charged by a unit's ``Ask`` in place of the budget: each charge moves
-    its cost from reserved to used and fails only past the reservation.
-    ``release`` hands back what was not charged.
-    """
-
-    def __init__(self, budget: GenerationBudget, requests: int, tokens: int):
-        self.budget = budget
-        self.requests = requests
-        self.tokens = tokens
-
-    def charge(self, request: GenerationRequest) -> None:
-        cost = _cost(request)
-        if self.requests < 1 or cost > self.tokens:
-            raise BudgetExceeded("request exceeds its reservation")
-        with self.budget._lock:
-            self.requests -= 1
-            self.tokens -= cost
-            self.budget.requests_reserved -= 1
-            self.budget.tokens_reserved -= cost
-            self.budget.requests_used += 1
-            self.budget.tokens_used += cost
-
-    def release(self) -> None:
-        with self.budget._lock:
-            self.budget.requests_reserved -= self.requests
-            self.budget.tokens_reserved -= self.tokens
-            self.requests = self.tokens = 0
-
-
-def _cost(request: GenerationRequest) -> int:
-    """Tokens a budget charges for ``request``."""
-    return estimate_tokens(request.prompt) + request.max_new_tokens * request.n_samples
 
 
 def in_order(
     units: Iterable[Tuple[Any, str]],
     work: Callable[[Any, Ask], Any],
     sampler: Sampler,
-    attempts: int,
     *,
     in_flight: Optional[int] = None,
 ) -> Iterator[Tuple[Any, Any]]:
     """Run ``work(item, ask)`` over ``units``, ``(item, prompt)`` pairs, up to
     the backend's ``concurrency`` at once, and yield ``(item, result)`` in
     unit order, each as soon as it and every earlier result are in. Units
-    are drawn only as they are started; ``ask`` charges and sends a request
-    of the unit's prompt.
+    are drawn only as they are started; ``ask`` charges the sampler's
+    budget and sends a request of the unit's prompt.
 
-    At concurrency 1 the units run one by one on the calling thread, each
-    charging the budget itself: this is the serial run. Above it they run
-    on a thread pool, ``in_flight`` of them at once when it is given: for
-    units that mostly wait on a backend and a verifier that each bound
-    their own work, so that a long unit does not start late, behind shorter
-    ones.
-
-    Each pooled unit first reserves, in unit order, ``attempts`` requests
-    of its prompt; its ``ask`` charges that reservation, which is released
-    when the work returns or raises. A unit whose reservation does not fit
-    waits for every earlier unit and then runs alone on the budget itself,
-    so it sees what the serial run sees and a run that hits a ceiling stops
-    where the serial run stops.
+    At concurrency 1, or when the budget has a ceiling, the units run one
+    by one on the calling thread: this is the serial run, and a run that
+    hits a ceiling stops where it stops. Otherwise they run on a thread
+    pool, ``in_flight`` of them at once when it is given: for units that
+    mostly wait on a backend and a verifier that each bound their own
+    work, so that a long unit does not start late, behind shorter ones.
 
     When the work of unit k raises, no unit is started once that is seen,
     the ``ask`` of every running unit after k raises ``Halted`` at its next
@@ -216,27 +151,22 @@ def in_order(
     ``Halted``, so the pool waits only for the requests and checks under
     way.
     """
-    budget = sampler.budget
     concurrency = sampler.backend.concurrency
-    if concurrency == 1:
-        # No pool: with one unit in flight a worker thread only adds
-        # hand-offs, and a mock run's informalize and bootstrap ran about a
-        # third slower through one (2-core host, Python 3.11).
+    ceilings = sampler.budget.settings
+    capped = ceilings.max_requests is not None or ceilings.max_tokens is not None
+    if concurrency == 1 or capped:
+        # No pool: a capped run must charge what the serial run charges,
+        # and with one unit in flight a worker thread only adds hand-offs;
+        # a mock run's informalize and bootstrap ran about a third slower
+        # through one (2-core host, Python 3.11).
         never = _Halt()
         for item, prompt in units:
-            yield item, work(item, Ask(sampler, prompt, budget, never))
+            yield item, work(item, Ask(sampler, prompt, never))
         return
     if in_flight is not None:
         concurrency = in_flight
     # Imported here: the CLI's start-up does not pay for the thread pool.
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    def run(item, ask):
-        try:
-            return work(item, ask)
-        finally:
-            if ask.charge is not budget:
-                ask.charge.release()
 
     queue: collections.deque = collections.deque()  # (item, future), unyielded
     halt = _Halt()
@@ -245,9 +175,6 @@ def in_order(
         while queue and queue[0][1].done():
             item, future = queue.popleft()
             yield item, future.result()
-
-    def failed() -> bool:
-        return any(f.done() and f.exception() is not None for _, f in queue)
 
     def on_done(index):
         def stop_later_units(future):
@@ -263,19 +190,11 @@ def in_order(
                     wait(running, return_when=FIRST_COMPLETED)
                     yield from finished()
                     running = [f for _, f in queue if not f.done()]
-                if failed():
+                if halt.last < index:  # an earlier unit raised
                     break
-                cost = _cost(sampler.request(prompt))
-                reservation = budget.reserve(attempts, attempts * cost)
-                if reservation is None:
-                    wait([f for _, f in queue])
-                    yield from finished()
-                future = pool.submit(
-                    run, item, Ask(sampler, prompt, reservation or budget, halt, index))
+                future = pool.submit(work, item, Ask(sampler, prompt, halt, index))
                 future.add_done_callback(on_done(index))
                 queue.append((item, future))
-                if reservation is None:
-                    wait([future])
                 yield from finished()
             while queue:
                 item, future = queue.popleft()
@@ -390,7 +309,7 @@ class Sampler:
     max_new_tokens: int
     temperature: float
 
-    def request(self, prompt: str, request_id: str = "") -> GenerationRequest:
+    def request(self, prompt: str, request_id: str) -> GenerationRequest:
         return GenerationRequest(prompt, self.max_new_tokens, self.temperature,
                                  request_id=request_id)
 
@@ -398,13 +317,12 @@ class Sampler:
 @dataclass(frozen=True)
 class Ask:
     """One unit's way to ask: ``ask(request_id)`` charges a request of
-    ``prompt`` to ``charge``, the sampler's budget or the unit's
-    reservation, then sends it through ``complete`` with the sampler's
-    settings. No request is sent once ``halt`` passes ``index``."""
+    ``prompt`` to the sampler's budget, then sends it through ``complete``
+    with the sampler's settings. No request is sent once ``halt`` passes
+    ``index``."""
 
     sampler: Sampler
     prompt: str
-    charge: Union[GenerationBudget, Reservation]
     halt: _Halt
     index: int = 0
 
@@ -413,7 +331,7 @@ class Ask:
             raise Halted(f"request {request_id} not sent: its result will not be read")
         s = self.sampler
         request = s.request(self.prompt, request_id)
-        self.charge.charge(request)
+        s.budget.charge(request)
         return complete(request, s.backend, s.retry)
 
 
@@ -443,6 +361,9 @@ class MockBackend:
         self.script = list(script)
         self.default_text = default_text
         self._cursor: Dict[int, int] = {}
+
+    def close(self) -> None:
+        """Nothing to close: the mock holds no connection."""
 
     def _lookup(self, rule_index: int) -> str:
         response = self.script[rule_index][1] if rule_index >= 0 else self.default_text
@@ -484,7 +405,8 @@ class ChatCompletionBackend:
     whether to try again is ``complete``'s decision. ``informalize`` and
     ``bootstrap`` keep two units in flight per connection
     (``concurrency``), so one unit's reply can be checked while another's
-    request waits; ``prove`` keeps one problem more per verifier check.
+    request waits; ``prove`` keeps one problem more per verifier check. A
+    budget with a ceiling keeps one unit in flight (``in_order``).
     """
 
     def __init__(self, settings: BackendSettings):

@@ -36,7 +36,7 @@ BACKEND_ERROR = "BACKEND_ERROR"
 REQUIRED_SECTIONS = ("Statement:", "Proof:")
 
 
-_DISCARD = "run without --resume (or pass restart) to discard the checkpoint"
+_DISCARD = "run without --resume to discard the checkpoint"
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,10 @@ def informalize_corpus(
     resumed, or discarded with ``restart``.
 
     Records go through ``genclient.in_order``: up to the backend's
-    ``concurrency`` are in flight, each a whole ``informalize_theorem``
-    call. A pooled record reserves ``max_attempts`` requests of the
-    prompt it sends, examples included. Results, and checkpoint lines,
-    come in record order, so a crash leaves a checkpoint that is a prefix
-    of the records.
+    ``concurrency`` are in flight (one when the budget has a ceiling),
+    each a whole ``informalize_theorem`` call. Results, and checkpoint
+    lines, come in record order, so a crash leaves a checkpoint that is a
+    prefix of the records.
     """
     done: List[InformalizationResult] = []
     if os.path.exists(checkpoint_path):
@@ -262,7 +261,7 @@ def informalize_corpus(
 
     results = list(done)
     with artifacts.appending_jsonl(checkpoint_path) as append, contextlib.closing(
-            genclient.in_order(units(), work, sampler, settings.max_attempts)) as finished:
+            genclient.in_order(units(), work, sampler)) as finished:
         for _, result in finished:
             results.append(result)
             append(result)

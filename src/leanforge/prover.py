@@ -432,9 +432,9 @@ def run_iteration(
     one per checker can be out checking. The backend bounds the requests on
     the wire and the verifier its checks, and the threads do not grow with
     the problems. Each problem draws the sample sequence a serial run gives
-    it, and results are taken in problem order. Each pooled problem
-    reserves ``n_samples`` requests of its prompt, in problem order, so a
-    run that hits a ceiling stops at the samples a serial run stops at.
+    it, and results are taken in problem order. When the budget has a
+    ceiling the problems run one at a time, so a run that hits it stops at
+    the samples a serial run stops at.
     """
     counter = PromptCounter(tokenizer)
     blocks = [counter.block(e.nl, e.fl) for e in pool[:settings.k_max]]
@@ -453,7 +453,7 @@ def run_iteration(
         return _prove_problem(problem, round_number, ask, verifier, settings.n_samples,
                               rejected[problem.name])
 
-    results = in_order(units(), work, sampler, settings.n_samples,
+    results = in_order(units(), work, sampler,
                        in_flight=sampler.backend.concurrency + verifier.concurrency)
     return [attempt for _, attempts in results for attempt in attempts]
 

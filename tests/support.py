@@ -47,6 +47,11 @@ import numpy as np
 
 from leanforge import genclient, retrieval
 from leanforge.config import BackendSettings, BudgetSettings, RetrySettings
+from leanforge.corpus import TokenKind
+
+# The token kinds that are comments, and those that carry a proof's code.
+COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
+SEMANTIC_KINDS = (TokenKind.CODE, TokenKind.STRING)
 
 _WS_RUN = re.compile(r"[ \t\r\n]+")
 _CHAR_LIT = re.compile(r"'(?:\\(?:x[0-9a-fA-F]{2}|u\{[0-9a-fA-F]+\}|.)|[^'\\\n])'")
@@ -338,8 +343,6 @@ def reference_count_tactic_steps(proof: str) -> int:
     literal whole), so no literal is read again across a dropped comment.
     Each `<;>` inside one code token becomes `_`, so a `<` and a `;>` that a
     dropped comment separated do not join into the combinator."""
-    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
-
     tokens = reference_lex_lean(proof)
     code = [t for t in tokens if t.kind in SEMANTIC_KINDS]
     if not code:
@@ -439,7 +442,7 @@ def _starts_declaration(source: str, tokens, idx: int) -> bool:
                 return False
             j -= 1
             continue
-        if prev.kind in corpus.COMMENT_KINDS:
+        if prev.kind in COMMENT_KINDS:
             j -= 1
             continue
         if prev.kind == corpus.TokenKind.CODE and prev.text in corpus._DECL_MODIFIERS:
@@ -455,7 +458,6 @@ def _extract_one(source: str, tokens, start_idx: int, file_path: str, commit: st
     """The record of the declaration whose keyword is ``tokens[start_idx]``
     (None when it is skipped), and the index of the token after it."""
     from leanforge import corpus
-    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
 
     keyword = tokens[start_idx]
 
@@ -564,7 +566,7 @@ def reference_divergence(reference: str, candidate: str):
     ``reference``, or None: the token comparison ``code_divergence`` made
     before it located a mismatch from code texts. Both texts are lexed whole
     by the per-character lexer, the reference first."""
-    from leanforge.corpus import SEMANTIC_KINDS, TokenDivergence
+    from leanforge.corpus import TokenDivergence
 
     expected = [t for t in reference_lex_lean(reference) if t.kind in SEMANTIC_KINDS]
     tokens = reference_lex_lean(candidate)
@@ -586,14 +588,14 @@ def reference_divergence(reference: str, candidate: str):
 
 def strip_comments(source: str) -> str:
     """Remove comment tokens, keeping every other byte in place."""
-    from leanforge.corpus import COMMENT_KINDS, lex_lean
+    from leanforge.corpus import lex_lean
 
     return "".join(t.text for t in lex_lean(source) if t.kind not in COMMENT_KINDS)
 
 
 def semantic_tokens(source: str):
     """Code and string tokens of ``source``, in order."""
-    from leanforge.corpus import SEMANTIC_KINDS, lex_lean
+    from leanforge.corpus import lex_lean
 
     return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
 
@@ -661,7 +663,6 @@ def reference_lean3_patterns(text: str, tokens) -> List[str]:
 def reference_screen_proof(problem, proof: str) -> Optional[str]:
     """``prover.screen_proof`` as it was when the prover lexed each sample
     and its problem's statement into tokens."""
-    from leanforge.corpus import SEMANTIC_KINDS, TokenKind
     from leanforge.prover import _PLACEHOLDER
 
     tokens = lex_or_none(proof)
@@ -992,6 +993,9 @@ class KeyedBackend:
         time.sleep(random.Random(f"{self.seed}:{request.request_id}").uniform(0.0, 0.003))
         return [(self.reply(request), False)] * request.n_samples
 
+    def close(self):
+        """Nothing to close."""
+
 
 # --- runtime objects with the config's defaults ---------------------------------
 #
@@ -1032,7 +1036,7 @@ def serial_ask(sampler, prompt):
     """The ``ask`` that ``genclient.in_order`` hands a unit of ``prompt`` at
     a backend concurrency of 1: it charges the sampler's budget and is never
     halted."""
-    return genclient.Ask(sampler, prompt, sampler.budget, genclient._Halt())
+    return genclient.Ask(sampler, prompt, genclient._Halt())
 
 
 def make_sampler(backend, retry=None, budget=None, max_new_tokens=BACKEND.max_new_tokens):

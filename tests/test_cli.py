@@ -4,6 +4,7 @@ reproducible)."""
 
 import dataclasses
 import http.server
+import itertools
 import json
 import math
 import os
@@ -1062,7 +1063,7 @@ class TestSamplerBudget:
     def test_budget_without_a_ceiling_counts_every_request(self, tmp_path, concurrency):
         config = config_mod.load_config(
             write_yaml(tmp_path / "c.yaml", {"workdir": str(tmp_path)}))
-        asks = [1, 3, 2, 3, 1]  # requests per unit, each at most its attempts
+        asks = [1, 3, 2, 3, 1]  # requests per unit
 
         def work(item, ask):
             for i in range(asks[item]):
@@ -1075,10 +1076,9 @@ class TestSamplerBudget:
             assert (budget.settings.max_requests, budget.settings.max_tokens) == (None, None)
             sampler.backend.concurrency = concurrency
             units = ((item, "p") for item in range(len(asks)))
-            out = list(genclient.in_order(units, work, sampler, max(asks)))
+            out = list(genclient.in_order(units, work, sampler))
         assert [item for item, _ in out] == list(range(len(asks)))
         assert budget.requests_used == sum(asks)
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
 
 
 def theorems_workdir(tmp_path, name, count, backend=None):
@@ -1129,7 +1129,7 @@ class TestInformalizeMessages:
         (workdir / "informalize.ckpt.jsonl").write_text("not json\n", encoding="utf-8")
         assert run(["informalize", "-c", config, "--resume"]) == 1
         assert capsys.readouterr().err.endswith(
-            "; run without --resume (or pass restart) to discard the checkpoint\n")
+            "; run without --resume to discard the checkpoint\n")
         assert not (workdir / "informal.jsonl").exists()
 
 
@@ -1837,6 +1837,16 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert "11" in err and "10" in err
 
+    def test_negative_n_exits_1_naming_the_flag(self, tmp_path, capsys):
+        dataset = sample_dataset(tmp_path, 10)
+        config = self.config(tmp_path)
+        out = tmp_path / "none.jsonl"
+        assert run(["sample", "-c", config, "--dataset", dataset,
+                    "-n", "-1", "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: -n -1 must be between 0 and the 10 records of {dataset}\n")
+        assert not out.exists()
+
     def test_review_format_pairs_nl_with_fl(self, tmp_path):
         dataset = sample_dataset(tmp_path, 20)
         config = self.config(tmp_path)
@@ -2397,7 +2407,7 @@ class TestProveConcurrency:
     def units_in_flight(self, monkeypatch, argv):
         seen = []
 
-        def recording(units, work, sampler, attempts, **options):
+        def recording(units, work, sampler, **options):
             seen.append((sampler.backend.concurrency, options))
             raise OSError("stopped before any request")
 
@@ -2468,6 +2478,42 @@ class TestProveConcurrency:
             assert self.units_in_flight(
                 monkeypatch,
                 ["bootstrap", "-c", path, "--mode", "interleaved"]) == expected
+
+    def test_a_capped_prove_writes_what_a_serial_one_writes(self, tmp_path, monkeypatch):
+        # the round would draw 4 samples for each of 5 problems, but the
+        # budget admits 10 requests. Every third call, counted over all
+        # problems, gets the script's reply and the rest get none, so
+        # problems that ran side by side would verify at other samples.
+        config = self.five_problem_config(tmp_path)
+        with open(config, encoding="utf-8") as source:
+            settings = yaml.safe_load(source)
+        settings["backend"]["budget"] = {"max_requests": 10}
+        script = cli.make_backend(config_mod.load_config(config).backend)
+        written = []
+        for concurrency in (1, 3):
+            workdir = tmp_path / f"capped{concurrency}"
+            settings["workdir"] = str(workdir)
+            capped = write_yaml(tmp_path / f"capped{concurrency}.yaml", settings)
+            calls = itertools.count()
+
+            def reply(request):
+                call = next(calls)
+                if call % 3 < 2:
+                    return "no proof here"
+                return f"{script.generate(request)[0][0]}\n-- reply {call}\n"
+
+            monkeypatch.setattr(cli, "make_backend",
+                                lambda _: support.KeyedBackend(reply, 0, concurrency))
+            assert run(["prove", "-c", capped]) == 0
+            written.append([read_bytes(workdir / name)
+                            for name in ("report.jsonl", "prove.attempts.jsonl")])
+        assert written[0] == written[1]
+        attempts = read_jsonl(tmp_path / "capped3" / "prove.attempts.jsonl")
+        assert [(a["problem"], a["sample_index"], a["verdict"]) for a in attempts] == [
+            ("demo_add_comm", 0, "rejected"), ("demo_add_comm", 1, "rejected"),
+            ("demo_add_comm", 2, "verified"), ("demo_sub_self", 0, "rejected"),
+            ("demo_sub_self", 1, "rejected"), ("demo_sub_self", 2, "verified"),
+        ] + [("demo_true_0", i, "rejected") for i in range(4)]
 
     def test_attempt_log_has_one_line_per_sample(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fixture")

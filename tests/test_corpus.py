@@ -16,6 +16,7 @@ from fixtures import listings
 from fixtures.snippets import BAD_SNIPPETS, SNIPPETS
 from support import (
     ReferenceScanError,
+    SEMANTIC_KINDS,
     insert_comments_line_respecting,
     insert_comments_reckless,
     lean3_findings,
@@ -37,7 +38,6 @@ from leanforge import corpus
 from leanforge.corpus import (
     LeanToken,
     LexError,
-    SEMANTIC_KINDS,
     TokenKind,
     code_and_steps,
     code_divergence,

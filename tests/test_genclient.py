@@ -24,7 +24,6 @@ from leanforge.genclient import (
     GenClientError,
     GenerationRequest,
     GenerationResponse,
-    Reservation,
     complete,
     estimate_tokens,
     in_order,
@@ -237,42 +236,6 @@ class TestComplete:
         assert budget.tokens_used == 100
         assert budget.requests_used == 1
 
-
-class TestReservations:
-    def test_reservation_counts_against_the_ceilings(self):
-        budget = make_budget(max_requests=5, max_tokens=1000)
-        first = budget.reserve(3, 300)
-        assert first is not None
-        assert budget.reserve(3, 300) is None  # 6 requests > 5
-        assert budget.reserve(2, 701) is None  # 1001 tokens > 1000
-        second = budget.reserve(2, 700)
-        with pytest.raises(BudgetExceeded):
-            budget.charge(make_request("p", max_new_tokens=1))
-        assert (budget.requests_used, budget.requests_reserved) == (0, 5)
-        second.release()
-        first.release()
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
-
-    def test_charges_move_from_reserved_to_used(self):
-        budget = make_budget(max_requests=4, max_tokens=1000)
-        request = make_request("x" * 40, max_new_tokens=90)
-        reservation = budget.reserve(2, 200)
-        reservation.charge(request)
-        assert (budget.requests_used, budget.tokens_used) == (1, 100)
-        assert (budget.requests_reserved, budget.tokens_reserved) == (1, 100)
-        reservation.release()
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
-        assert (budget.requests_used, budget.tokens_used) == (1, 100)
-
-    def test_charge_past_the_reservation_refused(self):
-        budget = make_budget()
-        reservation = budget.reserve(1, 100)
-        request = make_request("x" * 40, max_new_tokens=90)
-        reservation.charge(request)
-        with pytest.raises(BudgetExceeded, match="reservation"):
-            reservation.charge(request)
-        assert budget.requests_used == 1
-
     def test_concurrent_charges_respect_the_ceiling(self):
         budget = make_budget(max_requests=50)
         request = make_request("p")
@@ -315,7 +278,7 @@ class TestInOrder:
                 finished.append(item)
             return item * 10
 
-        out = list(in_order(units(range(6)), work, concurrent(4), 1))
+        out = list(in_order(units(range(6)), work, concurrent(4)))
         assert out == [(i, i * 10) for i in range(6)]
         assert finished != sorted(finished)  # the items did overlap
 
@@ -332,7 +295,7 @@ class TestInOrder:
                 active[0] -= 1
             return item
 
-        assert [r for _, r in in_order(units(range(12)), work, concurrent(3), 1)] == \
+        assert [r for _, r in in_order(units(range(12)), work, concurrent(3))] == \
             list(range(12))
         assert peak[0] == 3
 
@@ -345,7 +308,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 2 failed"):
-            for item, _ in in_order(units(range(8)), work, concurrent(4), 1):
+            for item, _ in in_order(units(range(8)), work, concurrent(4)):
                 yielded.append(item)
         assert yielded == [0, 1]
 
@@ -365,7 +328,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 1 failed"):
-            for item, _ in in_order(units(items()), work, concurrent(2), 1):
+            for item, _ in in_order(units(items()), work, concurrent(2)):
                 yielded.append(item)
         # item 1 fails while item 0 still runs: nothing after it starts
         assert yielded == [0]
@@ -394,7 +357,7 @@ class TestInOrder:
 
         yielded = []
         with pytest.raises(RuntimeError, match="item 2 failed"):
-            for item, _ in in_order(units(items()), work, concurrent(2), 20, in_flight=4):
+            for item, _ in in_order(units(items()), work, concurrent(2), in_flight=4):
                 yielded.append(item)
         # the units before it run to their end; the one after it stops at its
         # next request, and nothing after that starts
@@ -415,103 +378,110 @@ class TestInOrder:
                 time.sleep(0.01)
             return item
 
-        results = in_order(units(range(4)), work, concurrent(2), 50, in_flight=4)
+        results = in_order(units(range(4)), work, concurrent(2), in_flight=4)
         assert next(results) == (0, 0)
         results.close()  # as when a KeyboardInterrupt leaves the reader's loop
         assert all(asked[item] < 50 for item in (1, 2, 3))
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_reservations_are_returned(self, fail):
-        budget = make_budget(max_requests=100, max_tokens=10_000)
-        sampler = concurrent(3, budget=budget, max_new_tokens=8)
-        charges, sent = [], []
+    @pytest.mark.parametrize("ceiling", [{"max_requests": 5}, {"max_tokens": 10}])
+    def test_a_ceiling_runs_one_unit_at_a_time(self, ceiling):
+        # each request costs 2 tokens, so either ceiling admits five: the
+        # units run one by one, whatever the backend's concurrency, and stop
+        # where the serial run stops
+        def run(concurrency):
+            budget = make_budget(**ceiling)
+            sampler = concurrent(concurrency, budget=budget, max_new_tokens=1)
+            active, peak = [0], [0]
+            lock = threading.Lock()
+
+            def work(item, ask):
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                sent = 0
+                for i in range(2):
+                    time.sleep(0.005)
+                    try:
+                        ask(f"r{item}:{i}")
+                    except BudgetExceeded:
+                        break
+                    sent += 1
+                with lock:
+                    active[0] -= 1
+                return sent
+
+            out = list(in_order(units(range(4)), work, sampler, in_flight=4))
+            return out, (budget.requests_used, budget.tokens_used), peak[0]
+
+        serial = run(1)
+        assert serial == ([(0, 2), (1, 2), (2, 1), (3, 0)], (5, 10), 1)
+        assert run(3) == serial
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_a_capped_run_stops_at_the_unit_that_raised(self, concurrency):
+        budget = make_budget(max_requests=100)
+        sampler = concurrent(concurrency, budget=budget, max_new_tokens=1)
+        drawn = []
+
+        def items():
+            for item in range(6):
+                drawn.append(item)
+                yield item
 
         def work(item, ask):
-            charges.append(ask.charge)
-            ask(f"r{item}")  # after item 3 fails, a later item's ask may refuse
-            sent.append(item)
-            if fail and item == 3:
-                raise RuntimeError("after one charge")
+            ask(f"r{item}")
+            if item == 2:
+                raise RuntimeError("item 2 failed")
             return item
 
-        def drain():
-            return list(in_order(units(range(6), "p" * 8), work, sampler, 4))
+        yielded = []
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            for item, _ in in_order(units(items()), work, sampler, in_flight=4):
+                yielded.append(item)
+        # serial whatever the concurrency: nothing after the failing unit is
+        # drawn, and only the requests sent before it are charged
+        assert yielded == [0, 1]
+        assert drawn == [0, 1, 2]
+        assert budget.requests_used == 3
 
-        if fail:
-            with pytest.raises(RuntimeError, match="after one charge"):
-                drain()
-        else:
-            assert len(drain()) == 6
-        assert all(isinstance(c, Reservation) for c in charges)
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
-        assert set(range(4)) <= set(sent)
-        assert budget.requests_used == len(sent)
-        assert budget.tokens_used == 10 * len(sent)
-
-    def test_item_that_does_not_fit_runs_alone_on_the_budget(self):
-        budget = make_budget(max_requests=5)
-        sampler = concurrent(3, budget=budget, max_new_tokens=1)  # 2 tokens
-        active = [0]
-        seen = []
-        lock = threading.Lock()
+    def test_a_pooled_unit_may_ask_as_often_as_it_needs(self):
+        # with no ceiling a unit is not held to a count of requests: each of
+        # these asks three times and every request is sent
+        budget = make_budget()
+        backend = KeyedBackend(lambda request: "ok", 0, 2)
 
         def work(item, ask):
-            with lock:
-                active[0] += 1
-                seen.append((item, isinstance(ask.charge, Reservation), active[0]))
-            time.sleep(0.005)
-            for _ in range(2):
-                try:
-                    ask(f"r{item}")
-                except BudgetExceeded:
-                    break
-            with lock:
-                active[0] -= 1
-            return item
+            return [ask(f"r{item}:{i}").samples[0] for i in range(3)]
 
-        out = list(in_order(units(range(4)), work, sampler, 2))
-        assert [item for item, _ in out] == [0, 1, 2, 3]
-        by_item = {item: (reserved, peers) for item, reserved, peers in seen}
-        # items 0 and 1 reserve 4 of the 5 requests; item 2 cannot reserve
-        # its 2, so it waits for both and runs alone on the last request;
-        # item 3 then finds nothing left and runs alone as well
-        assert by_item[0][0] and by_item[1][0]
-        assert by_item[2] == (False, 1)
-        assert by_item[3] == (False, 1)
-        assert budget.requests_used == 5
+        out = list(in_order(units(range(4)), work, make_sampler(backend, budget=budget)))
+        assert out == [(i, ["ok"] * 3) for i in range(4)]
+        assert backend.calls == budget.requests_used == 12
 
     def test_shared_budget_under_thread_switch_stress(self):
-        # eight threads on a tight ceiling, switching as often as they can:
-        # every item is charged what a serial run charges it
-        budget = make_budget(max_requests=150)
-        sampler = concurrent(8, budget=budget, max_new_tokens=1)
+        # eight threads on a budget with no ceiling, switching as often as
+        # they can: every request is sent and counted exactly once
+        budget = make_budget()
+        backend = KeyedBackend(lambda request: "ok", 0, 8)
+        sampler = make_sampler(backend, budget=budget, max_new_tokens=1)
 
         def wanted(item):
             return item % 5 + 1
 
         def work(item, ask):
-            taken = 0
-            for _ in range(wanted(item)):
-                try:
-                    ask(f"r{item}")
-                except BudgetExceeded:
-                    break
-                taken += 1
-            return taken
+            for i in range(wanted(item)):
+                ask(f"r{item}:{i}")
+            return wanted(item)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = list(in_order(units(range(100)), work, sampler, 5))
+            out = list(in_order(units(range(100)), work, sampler))
         finally:
             sys.setswitchinterval(interval)
-        expected, left = [], 150
-        for item in range(100):
-            expected.append(min(wanted(item), left))
-            left -= expected[-1]
-        assert [taken for _, taken in out] == expected
-        assert budget.requests_used == 150
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
+        sent = sum(wanted(item) for item in range(100))
+        assert [item for item, _ in out] == list(range(100))
+        assert backend.calls == budget.requests_used == sent
+        assert budget.tokens_used == 2 * sent  # one prompt token, one new token
 
     @pytest.mark.parametrize("concurrency", [1, 2])
     def test_budget_at_its_ceiling_refuses_before_sending(self, concurrency):
@@ -525,27 +495,9 @@ class TestInOrder:
             return item
 
         sampler = make_sampler(backend, budget=budget)
-        assert list(in_order(units(range(3)), work, sampler, 1)) == [(i, i) for i in range(3)]
+        assert list(in_order(units(range(3)), work, sampler)) == [(i, i) for i in range(3)]
         assert backend.calls == 0
         assert budget.requests_used == 1
-
-    def test_pooled_unit_that_asks_past_its_attempts_is_refused(self):
-        # no ceiling is set: the unit's reservation of ``attempts`` binds
-        budget = make_budget()
-        backend = KeyedBackend(lambda request: "ok", 0, 2)
-
-        def work(item, ask):
-            for i in range(3):
-                try:
-                    ask(f"r{item}:{i}")
-                except BudgetExceeded as exc:
-                    return i, str(exc)
-            return 3, ""
-
-        out = list(in_order(units(range(4)), work, make_sampler(backend, budget=budget), 2))
-        assert out == [(i, (2, "request exceeds its reservation")) for i in range(4)]
-        assert backend.calls == budget.requests_used == 8
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
 
     def test_mock_serves_one_caller_and_chat_two_per_connection(self):
         assert mock_backend().concurrency == 1

@@ -443,14 +443,14 @@ class TestInformalizeCorpus:
         informalize(records, passing_backend(),
             checkpoint_path=str(checkpoint))
         reordered = list(reversed(records))
-        with pytest.raises(ArtifactError, match="restart"):
+        with pytest.raises(ArtifactError, match="run without --resume"):
             informalize(reordered, passing_backend(),
                 checkpoint_path=str(checkpoint))
 
     def test_unparseable_checkpoint_refused(self, tmp_path):
         checkpoint = tmp_path / "c.jsonl"
         checkpoint.write_text('{"theorem_name": "thm00"\n', encoding="utf-8")
-        with pytest.raises(ArtifactError, match="restart"):
+        with pytest.raises(ArtifactError, match="run without --resume"):
             informalize(corpus_records(2), passing_backend(),
                 checkpoint_path=str(checkpoint))
 

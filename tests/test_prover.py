@@ -1070,17 +1070,16 @@ class TestConcurrentRounds:
             one_round(problems, seed_examples(1), make_sampler(Broken()),
                       MockVerifier({}), config())
 
-    def test_reservations_are_returned(self):
+    def test_a_capped_round_stops_where_a_serial_round_stops(self):
         problems = [make_problem(i) for i in range(5)]
         budget = make_budget(max_requests=11)
         backend = mock_backend(default_text=canonical_proof(0))
         backend.concurrency = 3  # every prompt gets the same text
         attempts = one_round(problems, seed_examples(1), make_sampler(backend, budget=budget),
                              MockVerifier({}), config(n_samples=4))
-        # two problems reserve their 4 requests each; the third cannot and
-        # runs alone on the 3 left, as a serial run would
+        # the problems run one at a time: two draw their 4 samples each and
+        # the third the 3 left, as a serial run would
         assert len(attempts) == budget.requests_used == 11
-        assert (budget.requests_reserved, budget.tokens_reserved) == (0, 0)
         assert [a.problem for a in attempts] == (
             ["prob00"] * 4 + ["prob01"] * 4 + ["prob02"] * 3)
 

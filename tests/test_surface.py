@@ -7,6 +7,9 @@ definition: called, subclassed, used as a type, or named in a string such as
 are called by the language. A name is matched by its spelling alone, so a
 method is taken as reached when any attribute of that name is read.
 
+A module-level name that an assignment binds, such as a constant, must be
+read by some code under ``src/`` other than its own assignment.
+
 An exception class is kept only where ``src/`` tells it apart: some
 ``except`` clause or ``isinstance`` call under ``src/`` names it. One that
 no code catches by name raises a type its callers already catch.
@@ -89,8 +92,21 @@ def definitions(module, tree):
                     yield f"{module}.{node.name}.{member.name}", member.name, member
 
 
-def unreached():
-    """The qualified names that no code under src/ reads but their own."""
+def constants(module, tree):
+    """``(qualified name, name, node)`` of each name a module-level
+    assignment binds, with that assignment as its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield f"{module}.{name.id}", name.id, node
+
+
+def unreached(defined=definitions):
+    """The qualified names ``defined`` yields that no code under src/ reads
+    but their own node."""
     modules = list(_modules())
     docstrings = set().union(*(_docstrings(tree) for _, tree in modules))
     total = collections.Counter()
@@ -98,7 +114,7 @@ def unreached():
         total += references(tree, docstrings)
     return sorted(
         qualified for module, tree in modules
-        for qualified, name, node in definitions(module, tree)
+        for qualified, name, node in defined(module, tree)
         if total[name] - references(node, docstrings)[name] <= 0)
 
 
@@ -150,6 +166,10 @@ def test_every_definition_in_src_is_reached_from_src():
 def test_every_allowed_name_is_still_unreached(name):
     # an allowance outlives its reason once src/ reaches the name again
     assert name in unreached()
+
+
+def test_every_module_constant_in_src_is_read_from_src():
+    assert unreached(constants) == []
 
 
 def test_every_exception_class_in_src_is_caught_by_name_in_src():
