@@ -6,16 +6,16 @@ sources are treated as token streams, never elaborated. ``_walk`` is the
 one token walk: the matches of the ``_TOKEN`` regex, with a block comment
 nested deeper than ``_SCAN_NESTING`` followed in place. ``lex_lean`` is that
 walk as a list of ``LeanToken`` named tuples; nothing else builds a token.
-``extract_theorems`` walks a file once, keeps only what finds a
-declaration, and counts a theorem's steps from the body that walk found.
 ``code_texts`` gives only the texts of the code and string tokens, from one
 ``findall`` or, past a deeper comment, from the walk, and raises what
 ``_walk`` raises; ``code_divergence`` (the rule that two texts carry the
-same code) and Lean3 detection work from those texts. ``code_and_steps``
-gives a proof's code texts and its tactic-step count from one ``findall``
-of ``_PROOF_SCAN``, whose items keep whitespace apart from code and string
-tokens: the code texts are one column, and the tactic text of the body is
-built from the same items.
+same code) and Lean3 detection work from those texts. ``_proof_items`` is
+one ``findall`` of ``_PROOF_SCAN``, or the walk past a deeper comment: its
+items tile the text in three columns, whitespace, comment and token, and
+the token column is the code texts. ``_steps`` counts a proof's tactic
+steps from its items: ``code_and_steps`` gives a proof's code texts and
+that count, and ``extract_theorems`` finds a file's declarations in the
+items of the file's one scan and counts each from its own slice of them.
 Everywhere, as in Lean, a comment separates tokens and is otherwise
 ignored. Offsets are character offsets: ``str`` indices, not UTF-8 byte
 positions.
@@ -195,7 +195,7 @@ def _block_comment(nesting: int) -> str:
 # bare `/-` or `"` item, which no token or run of tokens can be: ``_walk``
 # follows such a comment in place with ``_nested_comment_end`` (or raises),
 # and every other scan falls back to ``_walk``. ``re`` compiles the scans of
-# ``code_texts`` and ``code_and_steps`` on first use and keeps them.
+# ``code_texts`` and ``_proof_items`` on first use and keeps them.
 _SCAN_NESTING = 2
 
 # One alternative per token kind, tried in this order at each position:
@@ -357,9 +357,9 @@ class _Declaration(NamedTuple):
     finds it. ``name`` is "" when the keyword has no name token before the
     next declaration; ``statement_end`` is None when there is no ``:=`` at
     bracket depth zero; the proof is empty when ``proof_end`` does not pass
-    ``statement_end``. ``steps`` is the tactic-step count of the proof,
-    ``source[start:proof_end]``, as ``code_and_steps`` gives it
-    (``_declared_steps``)."""
+    ``statement_end``. ``steps`` is ``_steps`` of the proof's items, its
+    slice of the file's ``_proof_items``: the count ``code_and_steps``
+    gives ``source[start:proof_end]``."""
 
     start: int  # offset of the keyword
     name: str
@@ -376,10 +376,8 @@ def extract_theorems(source: str, file_path: str, commit: str) -> List[TheoremRe
     skipped with a log entry rather than raised, so one malformed declaration
     cannot sink a file. A file that does not lex raises ``LexError``.
 
-    A record's ``difficulty`` is its proof's step count, as
-    ``code_and_steps`` counts it, read from the file's walk: the tactic
-    block after a ``by`` that closed the statement, and 1 for a term-mode
-    proof (``_declared_steps``).
+    A record's ``difficulty`` is its proof's step count by the rule of
+    ``code_and_steps``, read from the items of the file's one scan.
     """
     records: List[TheoremRecord] = []
     for start, name, statement_end, proof_end, steps in _declarations(source):
@@ -405,8 +403,7 @@ _NAME, _ASSIGN, _BY, _BODY = range(4)
 
 
 def _declarations(source: str) -> List[_Declaration]:
-    """The declarations of ``source``, from one ``_walk`` that builds no
-    token, only the pieces of each tactic block's tactic text; raises the
+    """The declarations of ``source``, from its ``_proof_items``; raises the
     ``LexError`` that ``_walk`` raises.
 
     A declaration opens at a ``theorem`` or ``lemma`` token that begins its
@@ -418,120 +415,98 @@ def _declarations(source: str) -> List[_Declaration]:
     is the next code token, up to a binder. The statement runs through the
     first ``:=`` at bracket depth zero, and through a ``by`` right after it;
     the proof ends at the last code or string token, so trailing comments
-    are not swallowed.
+    are not swallowed. Its steps are ``_steps`` of its items and their code
+    column, sliced from the file's.
     """
+    items, code = _proof_items(source)
     found: List[_Declaration] = []
-    start = None  # the keyword of the open declaration
-    body = None  # its tactic text's pieces, once a `by` closed the statement
+
+    def close() -> _Declaration:
+        return _Declaration(start, name, statement_end, proof_end, _steps(
+            items[first:last + 1], code[code_first:code_last + 1]))
+
+    first = None  # the keyword's item of the open declaration
     lead = False  # a modifier began this line, then only modifiers and spacing
-    for m in _walk(source):
-        group = m.lastindex
-        if group <= 2:  # whitespace or a line comment
-            if group == 1 and body is not None:
-                body.append(m.group())
-            elif lead and group == 1 and "\n" in m.group():
+    line_start = True  # the item begins a line
+    end = 0  # the offset where the item ends
+    at = -1  # the token's index in ``code``
+    for i, (space, comment, token) in enumerate(items):
+        if space:
+            end += len(space)
+            if lead and "\n" in space:
                 lead = False
+            line_start = space[-1] == "\n"
             continue
-        begin = m.start()
-        if group == 3:  # a block comment
-            if (start is not None and source[begin - 1] == "\n"
-                    and source.startswith("/--", begin)):
-                found.append(_Declaration(start, name, statement_end, proof_end,
-                                          _declared_steps(source, start, proof_end,
-                                                          skew, body)))
-                start = body = None
+        at_line, line_start = line_start, False
+        if comment:
+            if first is not None and at_line and comment.startswith("/--"):
+                found.append(close())
+                first = None
+            end += len(comment)
             continue
-        # a string literal (4) or a code run (5); a code run's text is
-        # read only where it can matter
-        code = group == 5
-        text = ""
-        if code and (start is None or phase != _BODY or body is not None
-                     or source[begin - 1] == "\n"):
-            text = m.group()
-        if start is not None:
-            if not (text and source[begin - 1] == "\n" and (
-                    text.startswith("@[")
-                    or _leading_word(text) in _DECL_BOUNDARY_KEYWORDS)):
-                if phase == _BODY:
-                    if body is not None:
-                        body.append(_tactic_token(text) if "'" in text or "<;>" in text
-                                    else text if code else '"')
-                elif phase == _NAME:
-                    name = _name_from_token(text) if code else ""
-                    depth = _bracket_delta(text[len(name):])
-                    skew = _bracket_delta(text) - depth
+        begin = end
+        end += len(token)
+        at += 1
+        if first is not None:
+            if not (at_line and (token.startswith("@[")
+                                 or _leading_word(token) in _DECL_BOUNDARY_KEYWORDS)):
+                if phase == _NAME:
+                    name = "" if token[0] == '"' else _name_from_token(token)
+                    depth = _bracket_delta(token[len(name):])
                     phase = _ASSIGN if name else _BODY
                 elif phase == _ASSIGN:
-                    if depth == 0 and text == ":=":
-                        statement_end = m.end()
+                    if depth == 0 and token == ":=":
+                        statement_end = end
                         phase = _BY
-                    else:
-                        depth += _bracket_delta(text)
-                else:  # _BY
-                    if text == "by":
-                        statement_end = m.end()
-                        body = []
+                    elif token[0] != '"':
+                        depth += _bracket_delta(token)
+                elif phase == _BY:
+                    if token == "by":
+                        statement_end = end
                     phase = _BODY
-                proof_end = m.end()
+                last, code_last, proof_end = i, at, end
                 continue
-            found.append(_Declaration(start, name, statement_end, proof_end,
-                                      _declared_steps(source, start, proof_end,
-                                                      skew, body)))
-            start = body = None
-        if text == "theorem" or text == "lemma":
-            if lead or begin == 0 or source[begin - 1] == "\n":
-                start, name, statement_end, proof_end, skew = begin, "", None, begin, 0
-                phase = _NAME
+            found.append(close())
+            first = None
+        if token == "theorem" or token == "lemma":
+            if lead or at_line:
+                first = last = i
+                code_first = code_last = at
+                start, proof_end = begin, end
+                name, statement_end, phase = "", None, _NAME
             lead = False
-        elif text in _DECL_MODIFIERS:
-            lead = lead or begin == 0 or source[begin - 1] == "\n"
+        elif token in _DECL_MODIFIERS:
+            lead = lead or at_line
         else:
             lead = False
-    if start is not None:
-        found.append(_Declaration(start, name, statement_end, proof_end,
-                                  _declared_steps(source, start, proof_end, skew, body)))
+    if first is not None:
+        found.append(close())
     return found
-
-
-def _declared_steps(source: str, start: int, proof_end: int, skew: int,
-                    body: Optional[List[str]]) -> int:
-    """The step count of the proof ``source[start:proof_end]`` from what
-    ``_declarations`` kept of it: ``body``, the pieces of the tactic text
-    after a ``by`` that closed the statement, each whitespace or a token as
-    ``_tactic_token`` gives it, or None for a term-mode proof, which is one
-    step. ``skew`` is the name token's bracket delta read whole, as
-    ``_steps`` reads it, less the delta after the name, where the
-    statement's depth starts. Where it is not 0, ``_steps`` ends the
-    statement at another ``:=``, so the proof is scanned and counted whole.
-    """
-    if skew:
-        return _steps(*_proof_items(source[start:proof_end]))
-    if body is None:
-        return 1  # a term-mode proof
-    return _block_steps("".join(body))
 
 
 # --- tactic-step counting ---------------------------------------------------
 
 
-# One item per token: whitespace gives (its text, ""); a string literal or a
-# code run ("", its text); a comment ("", ""); the bare `/-` or `"` of a
-# deeper comment or an open string ("", "/-" or '"').
-_PROOF_SCAN = (f"({_WHITESPACE})|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)}"
+# One item per token, its text in one of three columns: (whitespace, "", ""),
+# ("", a comment, "") or ("", "", a string literal or a code run); the bare
+# `/-` or `"` of a deeper comment or an open string is a token. The items
+# tile the text.
+_PROOF_SCAN = (f"({_WHITESPACE})|({_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
                f'|({_STRING}|{_CODE_RUN}|/-|")')
 
 
-def _proof_items(text: str) -> Tuple[List[Tuple[str, str]], List[str]]:
-    """The ``_PROOF_SCAN`` items of ``text`` and their code column, from one
-    ``findall`` or, past a deeper comment, from ``_walk``; raises what
-    ``code_texts`` raises."""
+def _proof_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[str]]:
+    """The ``_PROOF_SCAN`` items of ``text``, whose columns joined are
+    ``text``, and their token column, which is ``code_texts(text)``: from
+    one ``findall`` or, past a deeper comment, from ``_walk``, whose
+    comment match is one comment item. Raises what ``code_texts`` raises."""
     items = re.findall(_PROOF_SCAN, text)
-    code = [token for _, token in items if token]
+    code = [token for _, _, token in items if token]
     if "/-" in code or '"' in code:
-        items = [(m.group(), "") if m.lastindex == 1
-                 else ("", m.group() if m.lastindex >= 4 else "")
-                 for m in _walk(text)]
-        code = [token for _, token in items if token]
+        items = [(m.group(), "", "") if m.lastindex == 1
+                 else ("", m.group(), "") if m.lastindex <= 3
+                 else ("", "", m.group()) for m in _walk(text)]
+        code = [token for _, _, token in items if token]
     return items, code
 
 
@@ -545,16 +520,18 @@ def code_and_steps(proof: str) -> Tuple[List[str], int]:
     a comment separates tokens and is otherwise ignored, so commenting a
     proof between its tokens never changes its count.
 
-    The code texts are the scan's code column. The count finds the first
-    ``:=`` at bracket depth zero and the token after it in that column, and
-    reads the block after a ``by`` from the same items (``_tactic_text``).
+    The code texts are the token column of ``_proof_items``, and the count
+    is ``_steps`` of its items, the rule ``extract_theorems`` counts by.
     """
     items, code = _proof_items(proof)
     return code, _steps(items, code)
 
 
-def _steps(items: List[Tuple[str, str]], code: List[str]) -> int:
-    """The tactic-step count of a proof from its ``_proof_items``."""
+def _steps(items: List[Tuple[str, str, str]], code: List[str]) -> int:
+    """The tactic-step count of a proof from its ``_proof_items``: the first
+    ``:=`` at bracket depth zero and the token after it are found in the
+    token column, and the block after a ``by`` is read from the items
+    (``_tactic_text``)."""
     if not code:
         return 0  # only comments and whitespace
     depth = 0
@@ -562,39 +539,39 @@ def _steps(items: List[Tuple[str, str]], code: List[str]) -> int:
     for _ in range(code.count(":=")):
         passed = at + 1
         at = code.index(":=", passed)
-        item = items.index(("", ":="), item + 1)
+        item = items.index(("", "", ":="), item + 1)
         # a newline ends any char literal, so the tokens count as one text
         depth += _bracket_delta("\n".join(
             [token for token in code[passed:at] if token[0] != '"']))
         if depth == 0:
             if code[at + 1:at + 2] != ["by"]:
                 return 1  # a term-mode proof
-            body = items.index(("", "by"), item) + 1
+            body = items.index(("", "", "by"), item) + 1
             return _block_steps(_tactic_text(items[body:]))
 
     # No `:=`: a leading `by` marks a tactic block, otherwise we treat the
     # whole text as tactic lines (the fragment form used by callers).
     if code[0] == "by":
-        return _block_steps(_tactic_text(items[items.index(("", "by")) + 1:]))
+        return _block_steps(_tactic_text(items[items.index(("", "", "by")) + 1:]))
     return _block_steps(_tactic_text(items))
 
 
-def _tactic_text(items: List[Tuple[str, str]]) -> str:
+def _tactic_text(items: List[Tuple[str, str, str]]) -> str:
     """The tactic text of a block from its ``_proof_items``: its whitespace
-    and tokens, each as ``_tactic_token`` gives it, without comments. Each
-    token is read on its own, so a `<` and a `;>` that a comment separates
-    stay a `<` and a `;`."""
+    and tokens, each token as ``_tactic_token`` gives it, and its comment
+    column left out. Each token is read on its own, so a `<` and a `;>`
+    that a comment separates stay a `<` and a `;`."""
     return "".join([
-        space or (token if "'" not in token and "<;>" not in token
-                  and token[:1] != '"' else _tactic_token(token))
-        for space, token in items])
+        space or token and (_tactic_token(token) if "'" in token or "<;>" in token
+                            or token[0] == '"' else token)
+        for space, _, token in items])
 
 
 def _tactic_token(token: str) -> str:
     """A code or string token as a tactic text holds it: each string or
     char literal cut to its opening quote, so a newline inside one starts no
-    line and no `;` is left in one, and each `<;>` made `_`. Callers pass a
-    token with no quote and no `<;>` on as it is."""
+    line and no `;` is left in one, and each `<;>` made `_`. ``_tactic_text``
+    passes a token with no quote and no `<;>` on as it is."""
     if token[0] == '"':
         return '"'
     if "'" in token:

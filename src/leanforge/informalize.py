@@ -40,12 +40,6 @@ _DISCARD = "run without --resume to discard the checkpoint"
 
 
 @dataclass(frozen=True)
-class QualityVerdict:
-    passed: bool
-    reasons: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class InformalizationResult:
     theorem_name: str
     nl_statement_and_proof: str
@@ -56,10 +50,10 @@ class InformalizationResult:
     attempt_reasons: Tuple[Tuple[str, ...], ...]
 
 
-def quality_check(nl_text: str, settings: InformalizeSettings) -> QualityVerdict:
-    """Screen a generated NL text against the limits in ``settings``
+def quality_check(nl_text: str, settings: InformalizeSettings) -> Tuple[str, ...]:
+    """The reasons a generated NL text fails the limits in ``settings``
     (``max_tokens``, ``repetition_ngram``, ``repetition_ratio_max``) and
-    for ``REQUIRED_SECTIONS``.
+    ``REQUIRED_SECTIONS``, in that order; empty when it passes.
 
     Length and repetition are measured in ``WhitespaceTokenizer`` tokens.
     Repetition fails only when some n-gram both repeats (count >= 2) and
@@ -80,7 +74,7 @@ def quality_check(nl_text: str, settings: InformalizeSettings) -> QualityVerdict
         if marker not in nl_text:
             reasons.append(MISSING_SECTION)
             break
-    return QualityVerdict(passed=not reasons, reasons=tuple(reasons))
+    return tuple(reasons)
 
 
 # --- example retrieval ---------------------------------------------------------
@@ -152,8 +146,7 @@ def informalize_theorem(
                 break
             continue
         text = response.samples[0]
-        verdict = quality_check(text, settings)
-        reasons = verdict.reasons
+        reasons = quality_check(text, settings)
         if response.truncated[0] and OVERLENGTH not in reasons:
             reasons = (OVERLENGTH,) + reasons
         attempt_reasons.append(reasons)
@@ -202,11 +195,11 @@ def _validate_resume(
                 f"checkpoint entry {i} is {result.theorem_name!r} but input "
                 f"record {i} is {record.name!r}; {_DISCARD}")
         if result.verdict == "pass":
-            verdict = quality_check(result.nl_statement_and_proof, settings)
-            if not verdict.passed:
+            reasons = quality_check(result.nl_statement_and_proof, settings)
+            if reasons:
                 raise artifacts.ArtifactError(
                     f"checkpoint pass entry {result.theorem_name!r} violates "
-                    f"current limits ({', '.join(verdict.reasons)}); {_DISCARD}")
+                    f"current limits ({', '.join(reasons)}); {_DISCARD}")
 
 
 def informalize_corpus(

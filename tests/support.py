@@ -17,8 +17,8 @@ token made `_`, split into lines and then into segments by
 ``_split_tactic_segments`` replaced.
 ``tactic_steps`` is the step half of ``corpus.code_and_steps``.
 ``reference_extract_theorems`` walks a file's token list the way
-``extract_theorems`` did before it walked the token scan itself. Both count
-bracket depth per character, skipping char literals.
+``extract_theorems`` did before it read the items of one scan of the file.
+Both count bracket depth per character, skipping char literals.
 ``reference_screen_proof`` and ``reference_mock_check`` judge a prover sample
 from its tokens, as the prover did before it compared code texts.
 ``reference_train_projection`` is the training loop that projected each
@@ -384,8 +384,8 @@ def tactic_steps(proof: str) -> int:
 
 def reference_extract_theorems(source: str, file_path: str, commit: str):
     """Top-level ``theorem``/``lemma`` declarations of a Lean4 file, found as
-    ``extract_theorems`` found them before it walked one token scan without
-    building tokens: lex the file whole, then walk its token list. Raises
+    ``extract_theorems`` found them before it read one scan of the file
+    without building tokens: lex the file whole, then walk its token list. Raises
     the file's ``LexError``; a malformed declaration is skipped, unlogged."""
     from leanforge import corpus
 

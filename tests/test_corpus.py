@@ -543,6 +543,40 @@ def test_property_code_texts_agree_with_per_character_reference(source):
     assert lex_outcome(code_texts, source) == lex_outcome(reference_code_texts, source)
 
 
+def walk_error(source):
+    """The offset and message of the ``LexError`` that ``_walk`` raises on
+    ``source``, or None when it lexes."""
+    try:
+        for _ in corpus._walk(source):
+            pass
+    except LexError as exc:
+        return exc.offset, str(exc)
+    return None
+
+
+@given(st.one_of(lean_delimited_texts(), LEAN_TEXT))
+@example("a " + _DEEPEST_SCANNED + "b -- c\n\"s\"")
+@example("a " + _TOO_DEEP + "b -- c\n\"s\"")
+@example("/-- " + _TOO_DEEP + "-/\r\ntheorem t : ℕ := by\r\n  simp ⦃x⦄ /- 𝔸 -/")
+@example('a /- c -/ "open')
+@example("a " + _TOO_DEEP[:-3] + "b")
+@settings(max_examples=400, deadline=None)
+def test_property_proof_items_tile_their_text(source):
+    # each item is whitespace, a comment or a token; joined they are the
+    # text, and the token column is code_texts; a text that does not lex
+    # raises _walk's error at its offset
+    error = walk_error(source)
+    if error is not None:
+        with pytest.raises(LexError) as raised:
+            corpus._proof_items(source)
+        assert (raised.value.offset, str(raised.value)) == error
+        return
+    items, code = corpus._proof_items(source)
+    assert "".join(map("".join, items)) == source
+    assert all(sum(map(bool, item)) == 1 for item in items)
+    assert code == [token for _, _, token in items if token] == code_texts(source)
+
+
 # --- step counts from tokens against the text form --------------------------------
 
 
@@ -742,8 +776,8 @@ LEAN_FILE = st.one_of(
 )
 
 
-# Declarations whose steps the walk reads in each way: a tactic block, a term,
-# a comment between `:=` and `by`, a comment nested deeper than the scans
+# Declarations whose steps are read in each way: a tactic block, a term, a
+# comment between `:=` and `by`, a comment nested deeper than the scans
 # follow in the body, and names whose brackets the step count reads whole.
 _STEP_DECLARATIONS = st.sampled_from([
     "theorem t : a = b := by\n  simp\n  rfl\n",
@@ -793,7 +827,30 @@ def extract_outcome(extract, source):
 @example("theorem t : a := by\n  simp\n" + '"open')
 @example("theorem t : a := by\n  simp\n/- open")
 @example("theorem p (h : c = '(') : c = '(' := by\n  exact h\ntheorem q (h : '[' = c) := rfl")
+@example("theorem t : ℕ = ℕ := by\r\n  simp\r\n  rfl\r\n\r\n"
+         "theorem u ⦃x : ℕ⦄ : x = x := by\r\n  rfl; simp\r\n")
+@example("theorem t : a = b := by\n  simp -- 𝔸\n  /- 𝔸 -/ rfl\n"
+         "theorem u : ℕ := by\n  exact ⦃⦄\n  /- 𝔸 /- 𝔸 -/ -/ rfl\n")
+@example("theorem t : a := by\n  simp " + _TOO_DEEP + "\n  rfl\n"
+         "/-- doc 𝔸 -/\ntheorem u : b := by\n  rfl\n  simp\n")
 @settings(max_examples=500, deadline=None)
 def test_property_extraction_matches_token_list_walk(source):
     assert extract_outcome(extract_theorems, source) == extract_outcome(
         reference_extract_theorems, source)
+
+
+def test_extraction_walks_only_past_a_deeper_comment(monkeypatch):
+    # a file's one scan is a findall; the token walk runs only on a file
+    # with a comment nested deeper than the scan follows
+    plain = ("theorem t : a = b := by\n  simp " + _DEEPEST_SCANNED + "\n  rfl\n\n"
+             "/-- doc -/\nlemma l : 1 = 1 := rfl\n")
+    deep = plain.replace(_DEEPEST_SCANNED, _TOO_DEEP)
+    expected = {src: reference_extract_theorems(src, "f.lean", "c") for src in (plain, deep)}
+    walked = []
+    walk = corpus._walk
+    monkeypatch.setattr(corpus, "_walk", lambda text: walked.append(text) or walk(text))
+    assert extract_theorems(plain, "f.lean", "c") == expected[plain]
+    assert walked == []
+    assert extract_theorems(deep, "f.lean", "c") == expected[deep]
+    assert walked == [deep]
+    assert [r.difficulty for r in expected[deep]] == [2, 1]

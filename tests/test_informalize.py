@@ -119,34 +119,32 @@ class TestQualityCheck:
     def test_calibration_goods(self):
         settings = InformalizeSettings()
         for text in GOOD_TEXTS:
-            verdict = quality_check(text, settings)
-            assert verdict.passed, (text[:60], verdict.reasons)
+            reasons = quality_check(text, settings)
+            assert not reasons, (text[:60], reasons)
 
     def test_calibration_bads(self):
         settings = InformalizeSettings()
         for text, expected in BAD_TEXTS:
-            verdict = quality_check(text, settings)
-            assert not verdict.passed, text[:60]
-            assert expected <= set(verdict.reasons), (text[:60], verdict.reasons)
+            reasons = quality_check(text, settings)
+            assert reasons, text[:60]
+            assert expected <= set(reasons), (text[:60], reasons)
 
     def test_twenty_fixtures_on_file(self):
         assert len(GOOD_TEXTS) + len(BAD_TEXTS) == 20
 
     def test_overlength_threshold_exact(self):
         settings = InformalizeSettings(max_tokens=5)
-        assert quality_check("Statement: Proof: ok", settings).passed  # 5 tokens
-        verdict = quality_check("Statement: Proof: ok ok", settings)
-        assert OVERLENGTH in verdict.reasons
+        assert quality_check("Statement: Proof: ok", settings) == ()  # 5 tokens
+        assert OVERLENGTH in quality_check("Statement: Proof: ok ok", settings)
 
     def test_unique_ngrams_never_repetition(self):
         # two total 4-grams, each seen once: ratio 0.5 > 0.3, but nothing
         # actually repeats
-        verdict = quality_check("Statement: Proof: x", InformalizeSettings())
-        assert verdict.passed
+        assert quality_check("Statement: Proof: x", InformalizeSettings()) == ()
 
     def test_all_reasons_reported_together(self):
         text = "ring " * 2100
-        reasons = quality_check(text, InformalizeSettings()).reasons
+        reasons = quality_check(text, InformalizeSettings())
         assert reasons == (OVERLENGTH, REPETITION, MISSING_SECTION)
 
 
@@ -612,8 +610,8 @@ class TestDatasetFile:
         path = tmp_path / "informal.jsonl"
         save_informal_dataset(records, results, str(path))
         entries = [line.entry for line in read_jsonl(str(path))]
-        assert all(quality_check(e["Generated_informal_statement_and_proof"],
-                                 InformalizeSettings()).passed for e in entries)
+        assert not any(quality_check(e["Generated_informal_statement_and_proof"],
+                                     InformalizeSettings()) for e in entries)
         assert len(entries) == 4
         assert set(entries[0]) == {
             "Name", "Statement", "Proof", "File_path", "Commit",
