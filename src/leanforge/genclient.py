@@ -395,6 +395,14 @@ class ChatCompletionBackend:
     token comes from the environment variable named by api_key_env, read
     once: an unset one raises ``ConfigError`` as the backend is built.
 
+    The backend speaks HTTP/1.1 on its own sockets: each request goes out
+    in one write, and the reply is read from the socket's buffered reader
+    (``_read_reply``). ``socket`` is imported as a backend is built, and
+    ``ssl`` only for an ``https://`` endpoint, so a run on the mock backend
+    pays for neither, and one on an ``http://`` endpoint not for ``ssl``
+    (about 20 ms). TLS checks the server's certificate and host name
+    against the default CA store, as ``http.client`` does.
+
     All calls share a pool of keep-alive connections. At most
     ``max_in_flight`` requests are on the wire at once and a further call
     blocks until one ends, so concurrent callers never open more
@@ -410,28 +418,45 @@ class ChatCompletionBackend:
     """
 
     def __init__(self, settings: BackendSettings):
-        # Imported here: a run on the mock backend does not pay for
-        # http.client and ssl at start-up (about 30 ms).
-        import http.client
-
-        self._headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        auth = ""
         if settings.api_key_env:
             key = os.environ.get(settings.api_key_env)
             if not key:
                 raise ConfigError([f"backend.api_key_env: environment variable "
                                    f"{settings.api_key_env} is not set"])
-            self._headers["Authorization"] = f"Bearer {key}"
+            if not (key.isascii() and key.isprintable()):
+                raise ConfigError([f"backend.api_key_env: environment variable "
+                                   f"{settings.api_key_env} holds a character "
+                                   "a header cannot carry"])
+            auth = f"Authorization: Bearer {key}\r\n"
         self.settings = settings
         self.name = settings.model
         self.concurrency = 2 * settings.max_in_flight
         url = urllib.parse.urlsplit(settings.endpoint)
-        connection = (http.client.HTTPSConnection if url.scheme == "https"
-                      else http.client.HTTPConnection)
-        address = (url.hostname, url.port or connection.default_port)
-        self._connect = lambda: connection(*address, timeout=settings.timeout)
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        default_port = 443 if self._tls is not None else 80
+        host = url.hostname
+        self._address = (host, url.port or default_port)
+        # the head http.client writes: Host names the port only when it is
+        # not the scheme's, and an IPv6 address in brackets, without its zone
+        if not host.isascii():
+            host = host.encode("idna").decode("ascii")
+        if ":" in host:
+            host = f"[{host.partition('%')[0]}]"
+        if url.port not in (None, default_port):
+            host = f"{host}:{url.port}"
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                      "Accept-Encoding: identity\r\nContent-Length: ").encode("ascii")
+        self._fields = (f"\r\nContent-Type: application/json\r\n"
+                        f"User-Agent: {_USER_AGENT}\r\n{auth}\r\n").encode("ascii")
         self._slots = threading.BoundedSemaphore(settings.max_in_flight)
-        self._idle: list = []  # open connections, the most recently used last
+        self._idle: list = []  # open (socket, reader) pairs, the most recently used last
         self._idle_lock = threading.Lock()
 
     def close(self) -> None:
@@ -439,7 +464,21 @@ class ChatCompletionBackend:
         with self._idle_lock:
             idle, self._idle = self._idle, []
         for connection in idle:
-            connection.close()
+            _close(connection)
+
+    def _connect(self):
+        """A new connection: a socket (TLS for https://) and its reader."""
+        import socket
+
+        sock = socket.create_connection(self._address, self.settings.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            return sock, sock.makefile("rb")
+        except BaseException:
+            sock.close()
+            raise
 
     def _checkout(self):
         """An idle connection the server has kept open, or a new one."""
@@ -447,31 +486,34 @@ class ChatCompletionBackend:
             while self._idle:
                 connection = self._idle.pop()
                 # with no request outstanding, a socket that reads as ready
-                # holds the server's close (or bytes nobody asked for)
-                if not select.select([connection.sock], [], [], 0)[0]:
+                # holds the server's close (or bytes nobody asked for);
+                # poll, unlike select, takes a descriptor past 1023
+                ready = select.poll()
+                ready.register(connection[0], select.POLLIN)
+                if not ready.poll(0):
                     return connection
-                connection.close()
+                _close(connection)
         return self._connect()
 
     def _post(self, body: bytes) -> Tuple[int, bytes]:
         """The status and body of the reply to one POST of ``body``."""
-        import http.client
-
+        message = b"%s%d%s%s" % (self._head, len(body), self._fields, body)
         with self._slots:
-            connection = self._checkout()
+            connection = None
             try:
-                connection.request("POST", self._target, body, self._headers)
-                with connection.getresponse() as reply:
-                    data = reply.read()
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()
+                connection = self._checkout()
+                connection[0].sendall(message)
+                status, data, reusable = _read_reply(connection[1])
+            except (OSError, ValueError) as exc:
+                if connection is not None:
+                    _close(connection)
                 raise BackendUnavailable(f"request failed: {exc}") from exc
-            if reply.will_close:
-                connection.close()
-            else:
+            if reusable:
                 with self._idle_lock:
                     self._idle.append(connection)
-        return reply.status, data
+            else:
+                _close(connection)
+        return status, data
 
     def generate(self, request: GenerationRequest) -> List[Tuple[str, bool]]:
         messages = []
@@ -502,3 +544,96 @@ class ChatCompletionBackend:
         if any(type(text) is not str for text, _ in out):
             raise GenClientError("reply has a choice whose content is not a string")
         return out
+
+
+# http.client's limits: the longest status, header or chunk-size line, and
+# the most header (or trailer) lines of one reply
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d+) +([1-9]\d\d)(?: |\r?\n)")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+
+
+def _close(connection) -> None:
+    sock, reader = connection
+    reader.close()
+    sock.close()
+
+
+def _line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line:
+        raise ConnectionError("connection closed before the reply ended")
+    return line
+
+
+def _fields(reader) -> Dict[bytes, bytes]:
+    """The header (or trailer) fields up to the blank line that ends them,
+    by lower-case name."""
+    fields = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ValueError(f"malformed header line {line[:80]!r}")
+        fields[name.strip().lower()] = value.strip()
+    raise ValueError(f"more than {_MAX_FIELDS} header lines")
+
+
+def _read_reply(reader) -> Tuple[int, bytes, bool]:
+    """The status and body of one HTTP/1.x reply, and whether its
+    connection may carry another request: a 1.1 reply that does not close
+    it and whose body is not delimited by the close.
+
+    Interim (1xx) replies are read past; a 204 or 304 reply has no body.
+    The body is framed by ``Transfer-Encoding: chunked`` (extensions and
+    trailer read past), else by ``Content-Length``, else by the close.
+    A malformed or cut-short reply raises ``ValueError`` or ``OSError``.
+    """
+    while True:
+        line = _line(reader)
+        status_line = _STATUS_LINE.match(line)
+        if status_line is None:
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        fields = _fields(reader)
+        status = int(status_line[2])
+        if status >= 200:
+            break
+    reusable = (status_line[1] != b"0"
+                and b"close" not in fields.get(b"connection", b"").lower())
+    if status in (204, 304):
+        return status, b"", reusable
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _chunked_body(reader), reusable
+    length = fields.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False
+    if not length.isdigit():
+        raise ValueError(f"malformed Content-Length {length[:80]!r}")
+    size = int(length)
+    data = reader.read(size)
+    if len(data) < size:
+        raise ValueError(f"reply body ended after {len(data)} of {size} bytes")
+    return status, data, reusable
+
+
+def _chunked_body(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _line(reader)
+        size = line.split(b";", 1)[0].strip()
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise ValueError(f"malformed chunk size line {line[:80]!r}")
+        size = int(size, 16)
+        if not size:
+            _fields(reader)  # the trailer
+            return b"".join(chunks)
+        chunk = reader.read(size)
+        if len(chunk) < size or reader.read(2) != b"\r\n":
+            raise ValueError(f"chunk of {size} bytes cut short or not ended by CRLF")
+        chunks.append(chunk)

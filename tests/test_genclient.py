@@ -6,6 +6,9 @@ import gc
 import http.server
 import json
 import os
+import resource
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -571,20 +574,46 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def chat_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+def _serve_chat(server, scheme):
+    """Runs ``server``, a ``_ChatHandler`` server, and yields its base URL."""
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _ChatHandler.seen = []
     _ChatHandler.flaky_failures = 0
     _ChatHandler.release = threading.Event()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield f"{scheme}://127.0.0.1:{server.server_address[1]}"
     _ChatHandler.release.set()
     server.shutdown()
     server.server_close()
     thread.join()
+
+
+@pytest.fixture()
+def chat_server():
+    yield from _serve_chat(
+        http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler), "http")
+
+
+# A self-signed certificate for localhost and 127.0.0.1, valid 2020-2120,
+# and its key, made with OpenSSL 3.5:
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout localhost.key -out localhost.crt -subj /CN=localhost \
+#     -addext "subjectAltName=DNS:localhost,IP:127.0.0.1" \
+#     -not_before 20200101000000Z -not_after 21200101000000Z
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+LOCALHOST_CERT = os.path.join(FIXTURES, "localhost.crt")
+LOCALHOST_KEY = os.path.join(FIXTURES, "localhost.key")
+
+
+@pytest.fixture()
+def tls_chat_server():
+    """``chat_server`` over TLS, with the localhost certificate."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(LOCALHOST_CERT, LOCALHOST_KEY)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    yield from _serve_chat(server, "https")
 
 
 @pytest.fixture()
@@ -628,6 +657,13 @@ class TestChatCompletionBackend:
         with pytest.raises(ConfigError,
                            match="backend.api_key_env: .*ABSENT_KEY_VAR is not set"):
             chat("/ok", model="m", api_key_env="ABSENT_KEY_VAR")
+        assert _ChatHandler.seen == []
+
+    @pytest.mark.parametrize("key", ["sk-1\r\nX-Injected: 1", "sk-\u00e9"])
+    def test_key_a_header_cannot_carry_is_a_config_error(self, chat, monkeypatch, key):
+        monkeypatch.setenv("ODD_KEY_VAR", key)
+        with pytest.raises(ConfigError, match="ODD_KEY_VAR holds a character"):
+            chat("/ok", model="m", api_key_env="ODD_KEY_VAR")
         assert _ChatHandler.seen == []
 
     def test_truncation_flag_from_finish_reason(self, chat):
@@ -699,21 +735,155 @@ class TestChatCompletionBackend:
         assert [w for w in caught if w.category is ResourceWarning] == []
         assert len(_ChatHandler.seen) == 1
 
+    def test_https_checks_the_certificate_against_the_ca_store(
+            self, tls_chat_server, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", LOCALHOST_CERT)
+        with contextlib.closing(chat_backend(tls_chat_server + "/ok", model="m")) as backend:
+            assert backend.generate(make_request("p")) == [("reply 0 to p", False)]
+        monkeypatch.delenv("SSL_CERT_FILE")
+        with contextlib.closing(chat_backend(tls_chat_server + "/ok", model="m")) as backend:
+            with pytest.raises(BackendUnavailable, match="certificate verify failed"):
+                backend.generate(make_request("p"))
+        assert len(_ChatHandler.seen) == 1
 
-def test_cli_start_up_loads_no_http_library():
-    # the chat backend speaks HTTP through http.client, imported only when
-    # one is built; modules the interpreter loaded before the import
-    # (a site hook, say) do not count
+
+def test_cli_start_up_loads_no_http_library(chat_server):
+    # the chat backend speaks HTTP/1.1 on a socket, imported only when one
+    # is built, and loads ssl only for an https:// endpoint; modules the
+    # interpreter loaded before the import (a site hook, say) do not count
     code = ("import sys; before = set(sys.modules); import leanforge.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+            "print(*sorted(set(sys.modules) - before)); "
+            "from leanforge import config, genclient; "
+            "backend = genclient.ChatCompletionBackend(config.BackendSettings("
+            "kind='chat', endpoint=sys.argv[1], model='m')); "
+            "backend.generate(genclient.GenerationRequest('p', 8, 0.0)); "
+            "backend.close(); print(*sorted(set(sys.modules) - before))")
     src = os.path.dirname(os.path.dirname(leanforge.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True).stdout.split()
-    assert "leanforge.genclient" in loaded
-    roots = {"requests", "urllib3", "charset_normalizer", "idna", "certifi", "http"}
-    assert [name for name in loaded if name.split(".")[0] in roots] == []
+    at_start, after_request = subprocess.run(
+        [sys.executable, "-c", code, chat_server + "/ok"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "leanforge.genclient" in at_start.split()
+    roots = {"requests", "urllib3", "charset_normalizer", "idna", "certifi",
+             "http", "email", "ssl"}
+    assert [name for name in at_start.split()
+            if name.split(".")[0] in roots | {"socket"}] == []
+    assert [name for name in after_request.split() if name.split(".")[0] in roots] == []
+    assert len(_ChatHandler.seen) == 1
+
+
+_OK = json.dumps({"choices": [
+    {"message": {"content": "ok"}, "finish_reason": "stop"}]}).encode()
+_SIZED = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK), _OK)
+
+
+class _ScriptedServer:
+    """Answers the requests it reads, in order, with ``replies``: each the
+    bytes to send and whether to close the connection after them. Serves
+    one connection at a time, counts the connections it accepts, and
+    keeps each request's head lines."""
+
+    def __init__(self, replies):
+        self.replies = collections.deque(replies)
+        self.heads = []
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        with self.listener:
+            while self.replies:
+                try:
+                    connection, _ = self.listener.accept()
+                except OSError:
+                    return
+                self.accepted += 1
+                connection.settimeout(5)
+                with connection, connection.makefile("rb") as reader:
+                    try:
+                        self._answer(connection, reader)
+                    except OSError:
+                        pass
+
+    def _answer(self, connection, reader):
+        while self.replies:
+            head = []
+            line = reader.readline()
+            while line not in (b"", b"\r\n"):
+                head.append(line.decode("ascii").rstrip("\r\n"))
+                line = reader.readline()
+            if not line:  # the client closed the connection
+                return
+            reader.read(int(dict(h.split(": ", 1) for h in head[1:])["Content-Length"]))
+            self.heads.append(head)
+            reply, close = self.replies.popleft()
+            connection.sendall(reply)
+            if close:
+                return
+
+
+@contextlib.contextmanager
+def scripted_server(*replies):
+    """A running ``_ScriptedServer`` and its chat endpoint."""
+    server = _ScriptedServer(replies)
+    try:
+        yield server, f"http://127.0.0.1:{server.listener.getsockname()[1]}/v1"
+    finally:
+        server.thread.join(10)
+
+
+class TestWire:
+    # parity with http.client, whose head, framing and errors the backend
+    # keeps
+
+    def test_request_head_is_the_one_http_client_sends(self, monkeypatch):
+        monkeypatch.setenv("TEST_LLM_KEY", "sk-test-123")
+        with scripted_server((_SIZED, False)) as (server, url), contextlib.closing(
+                chat_backend(url, model="m", api_key_env="TEST_LLM_KEY")) as backend:
+            backend.generate(make_request("p"))
+        port = url.split(":")[2].split("/")[0]
+        (head,) = server.heads
+        length = head.pop(3)
+        assert head == [
+            "POST /v1 HTTP/1.1", f"Host: 127.0.0.1:{port}", "Accept-Encoding: identity",
+            "Content-Type: application/json",
+            f"User-Agent: leanforge/{leanforge.__version__}",
+            "Authorization: Bearer sk-test-123",
+        ]
+        assert length.startswith("Content-Length: ")
+
+    @pytest.mark.parametrize("first, connections", [
+        ((b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+          b"%x;note=first\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Digest: none\r\n\r\n"
+          % (5, _OK[:5], len(_OK) - 5, _OK[5:]), False), 1),
+        ((b"HTTP/1.1 100 Continue\r\n\r\n" + _SIZED, False), 1),
+        ((_SIZED.replace(b"OK\r\n", b"OK\r\nConnection: close\r\n"), True), 2),
+        ((b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK, True), 2),
+    ], ids=["chunked", "continue", "connection-close", "http-1.0-read-to-close"])
+    def test_reply_framing(self, first, connections):
+        # a reply that may leave its connection open is read to its end:
+        # the next request goes on the same connection
+        with scripted_server(first, (_SIZED, False)) as (server, url), contextlib.closing(
+                chat_backend(url, model="m")) as backend:
+            assert backend.generate(make_request("p")) == [("ok", False)]
+            assert backend.generate(make_request("p")) == [("ok", False)]
+        assert server.accepted == connections
+
+    @pytest.mark.parametrize("first", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_OK) + 10, _OK),
+        b"SPDY/9 banana\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+    ], ids=["cut-short", "garbage-status-line", "over-long-header"])
+    def test_broken_reply_is_unavailable_and_its_connection_dropped(self, first):
+        with scripted_server((first, True), (_SIZED, False)) as (server, url), \
+                contextlib.closing(chat_backend(url, model="m")) as backend:
+            with pytest.raises(BackendUnavailable, match="request failed"):
+                backend.generate(make_request("p"))
+            assert backend.generate(make_request("p")) == [("ok", False)]
+        assert server.accepted == 2
 
 
 class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
@@ -827,3 +997,17 @@ class TestConnectionBound:
             second = complete(make_request("p"), backend, retry=policy)
         assert (first.attempts, second.attempts, sleeps) == (1, 1, [])
         assert (server.accepted, server.posts) == (2, 2)
+
+    @pytest.mark.skipif(resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200,
+                        reason="needs about 1,200 open files")
+    def test_pooled_connection_past_descriptor_1023_is_reused(self):
+        # select.select refuses a descriptor of 1024 or more; the idle check
+        # must not
+        with contextlib.ExitStack() as held:
+            for _ in range(1100):
+                held.enter_context(open(os.devnull, "rb"))
+            with pooled_server(1, self.IDLE_S) as (server, url), contextlib.closing(
+                    chat_backend(url, model="m")) as backend:
+                backend.generate(make_request("p"))
+                backend.generate(make_request("p"))
+        assert (server.accepted, server.posts) == (1, 2)
