@@ -2,20 +2,20 @@
 and Lean3-artifact detection.
 
 Everything here is a pure text transformation. No Lean toolchain is invoked;
-sources are treated as token streams, never elaborated. ``_walk`` is the
-one token walk: the matches of the ``_TOKEN`` regex, with a block comment
-nested deeper than ``_SCAN_NESTING`` followed in place. ``lex_lean`` is that
-walk as a list of ``LeanToken`` named tuples; nothing else builds a token.
-``code_texts`` gives only the texts of the code and string tokens, from one
-``findall`` or, past a deeper comment, from the walk, and raises what
+sources are treated as token streams, never elaborated, and no token object
+is built. A text is scanned into the items of ``_PROOF_SCAN``, which tile it
+in three columns, whitespace, comment and token: ``_proof_items`` is one
+``findall``, and ``_walk``, the one fallback, continues that scan past a
+block comment nested deeper than ``_SCAN_NESTING``, which it gives as one
+comment item. ``lex_lean`` is the walk's items as a list; no stage calls it.
+``code_texts`` gives only the token column, from one ``findall`` of
+``_CODE_SCAN`` or, past a deeper comment, from the walk, and raises what
 ``_walk`` raises; ``code_divergence`` (the rule that two texts carry the
-same code) and Lean3 detection work from those texts. ``_proof_items`` is
-one ``findall`` of ``_PROOF_SCAN``, or the walk past a deeper comment: its
-items tile the text in three columns, whitespace, comment and token, and
-the token column is the code texts. ``_steps`` counts a proof's tactic
-steps from its items: ``code_and_steps`` gives a proof's code texts and
-that count, and ``extract_theorems`` finds a file's declarations in the
-items of the file's one scan and counts each from its own slice of them.
+same code) and Lean3 detection work from those texts, and a mismatch is
+located by summing item lengths. ``_steps`` counts a proof's tactic steps
+from its items: ``code_and_steps`` gives a proof's code texts and that
+count, and ``extract_theorems`` finds a file's declarations in the items
+of the file's one scan and counts each from its own slice of them.
 Everywhere, as in Lean, a comment separates tokens and is otherwise
 ignored. Offsets are character offsets: ``str`` indices, not UTF-8 byte
 positions.
@@ -23,11 +23,9 @@ positions.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
@@ -121,24 +119,6 @@ class LexError(ValueError):
         self.offset = offset
 
 
-class TokenKind(Enum):
-    CODE = "code"
-    LINE_COMMENT = "line-comment"
-    BLOCK_COMMENT = "block-comment"
-    STRING = "string-literal"
-    WHITESPACE = "whitespace"
-
-
-class LeanToken(NamedTuple):
-    kind: TokenKind
-    text: str
-    start: int
-    end: int
-
-    def __repr__(self) -> str:
-        return f"LeanToken({self.kind.value}, {self.text!r}, {self.start}:{self.end})"
-
-
 @dataclass(frozen=True)
 class TokenDivergence:
     """First point where two semantic token streams disagree.
@@ -169,11 +149,11 @@ class TheoremRecord:
     difficulty: int
 
 
-# The sub-patterns of a token, each declared once: ``_TOKEN`` and the scans of
-# ``code_texts`` and ``code_and_steps`` are built from them. A code run stops at
-# whitespace, a double quote or a comment opener; a char literal inside it is
-# taken whole (so `'"'` opens no string), except after an identifier
-# character, where `'` is a prime (h').
+# The sub-patterns of a token, each declared once: the scans of ``code_texts``
+# and ``_proof_items`` are built from them. A code run stops at whitespace, a
+# double quote or a comment opener; a char literal inside it is taken whole
+# (so `'"'` opens no string), except after an identifier character, where `'`
+# is a prime (h').
 _WHITESPACE = r"[ \t\r\n]+"
 _LINE_COMMENT = r"--[^\n]*"
 _STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
@@ -192,61 +172,47 @@ def _block_comment(nesting: int) -> str:
 
 # Every scan below matches block comments nested this deep inside a block
 # comment. A deeper one, or a comment or string that never closes, leaves a
-# bare `/-` or `"` item, which no token or run of tokens can be: ``_walk``
-# follows such a comment in place with ``_nested_comment_end`` (or raises),
-# and every other scan falls back to ``_walk``. ``re`` compiles the scans of
-# ``code_texts`` and ``_proof_items`` on first use and keeps them.
+# bare `/-` or `"` token, which no string literal or code run can be:
+# ``_walk`` continues the scan past such a comment (or raises), and every
+# other scan falls back to ``_walk``. ``re`` compiles the scans on first use
+# and keeps them.
 _SCAN_NESTING = 2
 
-# One alternative per token kind, tried in this order at each position:
-# whitespace, line comment, block comment, string literal, code run. The last
-# two groups catch the bare `/-` and `"`. Some alternative matches at every
-# position, so the matches tile the text.
-_TOKEN = re.compile(
-    f"({_WHITESPACE})|({_LINE_COMMENT})|({_block_comment(_SCAN_NESTING)})|({_STRING})"
-    f'|({_CODE_RUN})|(/-)|(")'
-)
-_KIND_OF_GROUP = (None, TokenKind.WHITESPACE, TokenKind.LINE_COMMENT,
-                  TokenKind.BLOCK_COMMENT, TokenKind.STRING, TokenKind.CODE)
-_NESTED_COMMENT, _OPEN_STRING = 6, 7
+# One item per token, its text in one of three columns: (whitespace, "", ""),
+# ("", a comment, "") or ("", "", a string literal or a code run); the bare
+# `/-` or `"` of a deeper comment or an open string is a token. Some
+# alternative matches at every position, so the items tile the text.
+_PROOF_SCAN = (f"({_WHITESPACE})|({_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
+               f'|({_STRING}|{_CODE_RUN}|/-|")')
 _COMMENT_DELIMITER = re.compile(r"/-|-/")
-# Matched over the span of a comment that ``_walk`` follows, it gives that
-# comment as ``_TOKEN`` gives a block comment: with lastindex 3.
-_DEEP_COMMENT = re.compile(r"()()([\s\S]*)")
 
 
-def _walk(source: str) -> Iterator[re.Match]:
-    """The ``_TOKEN`` matches that tile ``source``, in order, a comment
-    nested deeper than ``_SCAN_NESTING`` followed in place and given as one
-    block-comment match. Raises ``LexError`` where a literal or a comment
-    never closes."""
+def _walk(source: str) -> Iterator[Tuple[str, str, str]]:
+    """The ``_PROOF_SCAN`` items that tile ``source``, in order: those of
+    ``re.findall(_PROOF_SCAN, source)``, with a comment nested deeper than
+    ``_SCAN_NESTING`` followed in place and given as one comment item.
+    Raises ``LexError`` where a literal or a comment never closes."""
     pos = 0
     while True:
-        for m in _TOKEN.finditer(source, pos):
-            if m.lastindex < _NESTED_COMMENT:
-                yield m
+        for m in re.compile(_PROOF_SCAN).finditer(source, pos):
+            token = m[3]
+            if token != "/-" and token != '"':
+                yield m.groups("")
                 continue
             start = m.start()
-            if m.lastindex == _OPEN_STRING:
+            if token == '"':
                 raise LexError("unterminated string literal", start)
             pos = _nested_comment_end(source, start)
-            yield _DEEP_COMMENT.match(source, start, pos)
+            yield "", source[start:pos], ""
             break
         else:
             return
 
 
-def lex_lean(source: str) -> List[LeanToken]:
-    """Tokenize Lean4 source into code / comment / string / whitespace spans.
-
-    The tokenization is lossless: concatenating the token texts reproduces the
-    input exactly.  Block comments nest; string literals are never classified
-    as comments.  Char literals are consumed atomically inside code spans so a
-    quote character inside one cannot open a bogus string, but they do not get
-    a token kind of their own.
-    """
-    return [LeanToken(_KIND_OF_GROUP[m.lastindex], m.group(), *m.span())
-            for m in _walk(source)]
+def lex_lean(source: str) -> List[Tuple[str, str, str]]:
+    """The ``_walk`` items of ``source``, as a list. No stage calls it: every
+    scan follows a deeper comment with ``_walk`` itself."""
+    return list(_walk(source))
 
 
 def _nested_comment_end(source: str, start: int) -> int:
@@ -263,6 +229,19 @@ def _nested_comment_end(source: str, start: int) -> int:
             return pos
 
 
+def _proof_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[str]]:
+    """The ``_PROOF_SCAN`` items of ``text``, whose columns joined are
+    ``text``, and their token column, which is ``code_texts(text)``: from
+    one ``findall`` or, past a deeper comment, from ``_walk``. Raises what
+    ``_walk`` raises."""
+    items = re.findall(_PROOF_SCAN, text)
+    code = [token for _, _, token in items if token]
+    if "/-" in code or '"' in code:
+        items = list(_walk(text))
+        code = [token for _, _, token in items if token]
+    return items, code
+
+
 # One group per string literal or code run; whitespace and comments match
 # outside it, so ``findall`` gives them as empty items.
 _CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
@@ -270,24 +249,14 @@ _CODE_SCAN = (f"(?:{_WHITESPACE}|{_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)}
 
 
 def code_texts(text: str) -> List[str]:
-    """The texts of the code and string-literal tokens of ``text``, in order.
-
-    Equal to the texts of ``lex_lean(text)``'s code and string tokens,
-    and raises the ``LexError`` that ``_walk`` raises, but one ``findall``
-    gives the texts without building a token for each.
-    """
+    """The texts of the code and string-literal tokens of ``text``, in order:
+    the token column of its ``_walk`` items, from one ``findall`` that
+    builds no item, and the walk's own column past a deeper comment. Raises
+    what ``_walk`` raises."""
     texts = list(filter(None, re.findall(_CODE_SCAN, text)))
     if "/-" in texts or '"' in texts:
-        return [t for t, _ in _semantic_tokens(text)]
+        return [token for _, _, token in _walk(text) if token]
     return texts
-
-
-def _semantic_tokens(text: str) -> Iterator[Tuple[str, int]]:
-    """The text and end offset of each code or string token of ``text``, in
-    order. The text is walked only as far as the tokens are taken, and
-    raises what ``_walk`` raises."""
-    return ((m.group(), m.end()) for m in _walk(text)
-            if m.lastindex >= 4)  # a string literal or a code run
 
 
 def code_divergence(
@@ -300,7 +269,8 @@ def code_divergence(
     reference many times compute once and pass. Comments and whitespace are
     free; code and string-literal tokens must match in content and order,
     and a text that does not lex raises ``LexError``. A mismatch is located
-    by scanning ``candidate`` only up to its diverging token.
+    by summing the lengths of ``candidate``'s items up to its diverging
+    token.
     """
     if code is None:
         code = code_texts(reference)
@@ -312,8 +282,14 @@ def code_divergence(
     if index == len(texts):  # the candidate ran out
         return TokenDivergence(index, code[index], None, len(candidate))
     expected = code[index] if index < len(code) else None
-    actual, end = next(itertools.islice(_semantic_tokens(candidate), index, None))
-    return TokenDivergence(index, expected, actual, end - len(actual))
+    offset = seen = 0
+    for space, comment, token in _proof_items(candidate)[0]:
+        if token:
+            if seen == index:
+                break
+            seen += 1
+        offset += len(space) + len(comment) + len(token)
+    return TokenDivergence(index, expected, texts[index], offset)
 
 
 # --- theorem extraction -----------------------------------------------------
@@ -485,29 +461,6 @@ def _declarations(source: str) -> List[_Declaration]:
 
 
 # --- tactic-step counting ---------------------------------------------------
-
-
-# One item per token, its text in one of three columns: (whitespace, "", ""),
-# ("", a comment, "") or ("", "", a string literal or a code run); the bare
-# `/-` or `"` of a deeper comment or an open string is a token. The items
-# tile the text.
-_PROOF_SCAN = (f"({_WHITESPACE})|({_LINE_COMMENT}|{_block_comment(_SCAN_NESTING)})"
-               f'|({_STRING}|{_CODE_RUN}|/-|")')
-
-
-def _proof_items(text: str) -> Tuple[List[Tuple[str, str, str]], List[str]]:
-    """The ``_PROOF_SCAN`` items of ``text``, whose columns joined are
-    ``text``, and their token column, which is ``code_texts(text)``: from
-    one ``findall`` or, past a deeper comment, from ``_walk``, whose
-    comment match is one comment item. Raises what ``code_texts`` raises."""
-    items = re.findall(_PROOF_SCAN, text)
-    code = [token for _, _, token in items if token]
-    if "/-" in code or '"' in code:
-        items = [(m.group(), "", "") if m.lastindex == 1
-                 else ("", m.group(), "") if m.lastindex <= 3
-                 else ("", "", m.group()) for m in _walk(text)]
-        code = [token for _, _, token in items if token]
-    return items, code
 
 
 def code_and_steps(proof: str) -> Tuple[List[str], int]:

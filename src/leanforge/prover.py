@@ -284,10 +284,11 @@ class ExternalVerifier:
     """Runs a checker command on a temp .lean file holding imports + proof.
 
     Exit 0 means verified; anything else is a rejection with the captured
-    stderr as diagnostic. The checker runs in its own session: a slow check
-    is killed with every process it started. A check that times out, or
-    whose command cannot run, raises VerifierError; the harness maps it to
-    an error verdict for that sample and moves on.
+    stderr as diagnostic. Its output is read as UTF-8 whatever the locale,
+    a byte that does not decode becoming U+FFFD. The checker runs in its
+    own session: a slow check is killed with every process it started. A
+    check that times out, or whose command cannot run, raises VerifierError;
+    the harness maps it to an error verdict for that sample and moves on.
 
     A Lean check is one core's work, so at most ``concurrency`` checkers run
     at once, one per CPU this process may run on. A further ``check`` waits
@@ -317,7 +318,8 @@ class ExternalVerifier:
                         self.command + [handle.name],
                         stdout=subprocess.PIPE,
                         stderr=subprocess.PIPE,
-                        text=True,
+                        encoding="utf-8",
+                        errors="replace",
                         start_new_session=True,
                     )
                 except OSError as exc:

@@ -4,8 +4,10 @@
 scanner written against the same surface grammar but structured differently
 (explicit mode stack, regex dispatch for literals).  Tests compare the
 implementation against it over the snippet corpus and randomized inputs.
-``reference_lex_lean`` is the per-character lexer that the regex scanner in
-``corpus.lex_lean`` replaced; it emits ``LeanToken``s and raises the corpus
+``lex_lean`` gives the items of ``corpus._walk``, the program's one walk,
+as ``LeanToken``s, each of a ``TokenKind`` told by its column and its first
+characters. ``reference_lex_lean`` is the per-character lexer that the regex
+scanner replaced; it emits ``LeanToken``s and raises the corpus
 ``LexError``s, so the two must agree token for token and error for error.
 ``reference_divergence`` compares two texts token by token over that lexer.
 ``reference_count_tactic_steps`` counts steps from the per-character
@@ -41,13 +43,52 @@ import random
 import re
 import threading
 import time
-from typing import List, Optional, Tuple
+from enum import Enum
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from leanforge import genclient, retrieval
 from leanforge.config import BackendSettings, BudgetSettings, RetrySettings
-from leanforge.corpus import TokenKind
+
+
+class TokenKind(Enum):
+    CODE = "code"
+    LINE_COMMENT = "line-comment"
+    BLOCK_COMMENT = "block-comment"
+    STRING = "string-literal"
+    WHITESPACE = "whitespace"
+
+
+class LeanToken(NamedTuple):
+    kind: TokenKind
+    text: str
+    start: int
+    end: int
+
+    def __repr__(self) -> str:
+        return f"LeanToken({self.kind.value}, {self.text!r}, {self.start}:{self.end})"
+
+
+def lex_lean(source: str) -> List[LeanToken]:
+    """The tokens of ``source``, one per ``corpus._walk`` item: whitespace,
+    a line comment (`--`) or a block comment (`/-`), a string literal (`"`)
+    or a code run. Raises what ``_walk`` raises."""
+    from leanforge import corpus
+
+    tokens = []
+    end = 0
+    for space, comment, token in corpus._walk(source):
+        text = space or comment or token
+        kind = (TokenKind.WHITESPACE if space
+                else TokenKind.LINE_COMMENT if comment.startswith("--")
+                else TokenKind.BLOCK_COMMENT if comment
+                else TokenKind.STRING if token[0] == '"'
+                else TokenKind.CODE)
+        tokens.append(LeanToken(kind, text, end, end + len(text)))
+        end += len(text)
+    return tokens
+
 
 # The token kinds that are comments, and those that carry a proof's code.
 COMMENT_KINDS = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
@@ -147,7 +188,7 @@ def _is_ws(ch: str) -> bool:
 def reference_lex_lean(source: str):
     """Per-character Lean4 lexer: the implementation ``lex_lean`` had before
     the regex scanner, unchanged but for its name."""
-    from leanforge.corpus import LeanToken, LexError, TokenKind
+    from leanforge.corpus import LexError
 
     tokens = []
     n = len(source)
@@ -389,13 +430,13 @@ def reference_extract_theorems(source: str, file_path: str, commit: str):
     the file's ``LexError``; a malformed declaration is skipped, unlogged."""
     from leanforge import corpus
 
-    tokens = corpus.lex_lean(source)
+    tokens = lex_lean(source)
     records = []
     idx = 0
     while idx < len(tokens):
         tok = tokens[idx]
         if (
-            tok.kind == corpus.TokenKind.CODE
+            tok.kind == TokenKind.CODE
             and tok.text in ("theorem", "lemma")
             and _starts_declaration(source, tokens, idx)
         ):
@@ -417,9 +458,9 @@ def _is_decl_boundary(source: str, token) -> bool:
 
     if not _at_line_start(source, token.start):
         return False
-    if token.kind == corpus.TokenKind.BLOCK_COMMENT:
+    if token.kind == TokenKind.BLOCK_COMMENT:
         return token.text.startswith("/--")
-    if token.kind != corpus.TokenKind.CODE:
+    if token.kind != TokenKind.CODE:
         return False
     if token.text.startswith("@["):
         return True
@@ -437,7 +478,7 @@ def _starts_declaration(source: str, tokens, idx: int) -> bool:
     j = idx - 1
     while j >= 0:
         prev = tokens[j]
-        if prev.kind == corpus.TokenKind.WHITESPACE:
+        if prev.kind == TokenKind.WHITESPACE:
             if "\n" in prev.text:
                 return False
             j -= 1
@@ -445,7 +486,7 @@ def _starts_declaration(source: str, tokens, idx: int) -> bool:
         if prev.kind in COMMENT_KINDS:
             j -= 1
             continue
-        if prev.kind == corpus.TokenKind.CODE and prev.text in corpus._DECL_MODIFIERS:
+        if prev.kind == TokenKind.CODE and prev.text in corpus._DECL_MODIFIERS:
             if _at_line_start(source, prev.start):
                 return True
             j -= 1
@@ -588,15 +629,11 @@ def reference_divergence(reference: str, candidate: str):
 
 def strip_comments(source: str) -> str:
     """Remove comment tokens, keeping every other byte in place."""
-    from leanforge.corpus import lex_lean
-
     return "".join(t.text for t in lex_lean(source) if t.kind not in COMMENT_KINDS)
 
 
 def semantic_tokens(source: str):
     """Code and string tokens of ``source``, in order."""
-    from leanforge.corpus import lex_lean
-
     return [t for t in lex_lean(source) if t.kind in SEMANTIC_KINDS]
 
 
@@ -629,7 +666,7 @@ def reference_lean3_patterns(text: str, tokens) -> List[str]:
     """Lean3 detection as it was when it took a text's tokens (None when the
     text does not lex) and located each finding: the pattern names in the
     order of their offsets."""
-    from leanforge.corpus import _LEAN3_IMPORT_ROOTS, _LEAN3_MODULE, TokenKind
+    from leanforge.corpus import _LEAN3_IMPORT_ROOTS, _LEAN3_MODULE
 
     found = []
     if tokens is None:
@@ -707,8 +744,6 @@ def _random_comment_text(rng: random.Random) -> str:
 
 def token_boundaries(src: str) -> List[int]:
     """Byte offsets at which a comment may be inserted: every token edge."""
-    from leanforge.corpus import lex_lean
-
     edges = {0, len(src)}
     for tok in lex_lean(src):
         edges.add(tok.start)

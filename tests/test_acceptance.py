@@ -14,6 +14,7 @@ import support
 import test_cli
 import test_prover
 from fixtures import listings
+from support import lex_lean
 from leanforge import artifacts, retrieval
 from leanforge.bootstrap import (
     InformalRecord,
@@ -24,7 +25,7 @@ from leanforge.bootstrap import (
     verify_bootstrap,
 )
 from leanforge.config import RetrievalSettings
-from leanforge.corpus import code_divergence, lex_lean
+from leanforge.corpus import code_divergence
 from leanforge.prompts import PromptCounter, PromptExceedsBudget
 from leanforge.prover import run_iterative
 from leanforge.retrieval import (

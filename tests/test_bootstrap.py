@@ -236,6 +236,8 @@ def proof_and_commented(draw):
 
 @given(proof_and_commented())
 @example(("ℕ a b", "ℕ a" + _TOO_DEEP + " c"))
+@example(("ℕ a b c", "ℕ a" + _TOO_DEEP + " b" + _TOO_DEEP + " d"))
+@example(('a "s t" b', "a" + _TOO_DEEP + ' "s u" b'))
 @settings(max_examples=400, deadline=None)
 def test_property_verify_bootstrap_agrees_with_token_divergence(pair):
     assert verify_outcome(verify_bootstrap, *pair) == verify_outcome(

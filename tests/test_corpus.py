@@ -7,6 +7,7 @@ and frozen here.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 from fixtures import listings
 from fixtures.snippets import BAD_SNIPPETS, SNIPPETS
 from support import (
+    LeanToken,
     ReferenceScanError,
     SEMANTIC_KINDS,
+    TokenKind,
     insert_comments_line_respecting,
     insert_comments_reckless,
     lean3_findings,
     lean_delimited_texts,
+    lex_lean,
     lex_or_none,
     nested_comment,
     random_leanish_source,
@@ -36,14 +40,11 @@ from support import (
 
 from leanforge import corpus
 from leanforge.corpus import (
-    LeanToken,
     LexError,
-    TokenKind,
     code_and_steps,
     code_divergence,
     code_texts,
     extract_theorems,
-    lex_lean,
 )
 
 
@@ -575,6 +576,40 @@ def test_property_proof_items_tile_their_text(source):
     assert "".join(map("".join, items)) == source
     assert all(sum(map(bool, item)) == 1 for item in items)
     assert code == [token for _, _, token in items if token] == code_texts(source)
+
+
+_DEEPER = (_TOO_DEEP, nested_comment(corpus._SCAN_NESTING + 2))
+
+
+@given(lean_delimited_texts(),
+       st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_DEEPER)), max_size=2))
+@example("a b", [(1, _TOO_DEEP)])
+@example('a "s" -- c\nb', [(0, _TOO_DEEP), (5, _DEEPER[1])])
+@settings(max_examples=400, deadline=None)
+def test_property_walk_continues_the_scan_past_a_deeper_comment(text, inserts):
+    # a comment nested deeper than the scan follows, put in at an item edge
+    # outside a line comment, is one comment item of the walk; the walk's
+    # items tile the text, and are the findall's where it leaves no bare
+    # `/-` or `"` token
+    if walk_error(text) is not None:
+        return
+    edges, end = [0], 0
+    for item in corpus._walk(text):
+        end += len("".join(item))
+        if not item[1].startswith("--"):
+            edges.append(end)
+    for at, comment in sorted(((edges[pick % len(edges)], comment)
+                               for pick, comment in inserts), reverse=True):
+        text = text[:at] + comment + text[at:]
+    items = list(corpus._walk(text))
+    assert "".join(map("".join, items)) == text
+    assert all(sum(map(bool, item)) == 1 for item in items)
+    found = re.findall(corpus._PROOF_SCAN, text)
+    tokens = [token for _, _, token in found]
+    if "/-" not in tokens and '"' not in tokens:
+        assert items == found
+    for _, comment in inserts:
+        assert ("", comment.rstrip(), "") in items
 
 
 # --- step counts from tokens against the text form --------------------------------

@@ -322,6 +322,12 @@ class TestExternalVerifier:
         verdict, diagnostic = verifier.check(bare, canonical_proof(3))
         assert (verdict, diagnostic) == ("rejected", "missing imports")
 
+    def test_diagnostic_that_is_not_utf8_is_decoded_with_replacement(self):
+        verifier = ExternalVerifier(
+            ["sh", "-c", "printf 'bad \\377 byte' >&2; exit 1"], timeout_s=30)
+        assert verifier.check(make_problem(0), canonical_proof(0)) == (
+            "rejected", "bad \ufffd byte")
+
     def test_timeout_raises(self, tmp_path):
         slow = tmp_path / "slow.py"
         slow.write_text("import time; time.sleep(30)\n", encoding="utf-8")
