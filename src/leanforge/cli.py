@@ -21,6 +21,10 @@ import random
 import sys
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+# OpenBLAS sizes its thread pool once, when numpy loads it; the program's
+# numpy work is small, so one thread, unless the caller has chosen a count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import artifacts
 from . import bootstrap as bootstrap_mod
 from . import corpus, genclient, informalize, prover, retrieval, trainprep

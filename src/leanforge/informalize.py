@@ -15,9 +15,7 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import artifacts, genclient, prompts, retrieval
 from .bootstrap import InformalRecord
@@ -25,6 +23,9 @@ from .config import InformalizeSettings
 from .corpus import TheoremRecord
 from .prover import PoolExample
 from .trainprep import WhitespaceTokenizer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 

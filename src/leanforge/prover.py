@@ -293,6 +293,9 @@ class ExternalVerifier:
     A Lean check is one core's work, so at most ``concurrency`` checkers run
     at once, one per CPU this process may run on. A further ``check`` waits
     for a free one, and its ``timeout_s`` counts from its checker's start.
+
+    The checker inherits this process's environment, the CLI's
+    ``OPENBLAS_NUM_THREADS=1`` included; Lean does not read it.
     """
 
     def __init__(self, command: Sequence[str], timeout_s: float):

@@ -747,6 +747,18 @@ class TestChatCompletionBackend:
         assert len(_ChatHandler.seen) == 1
 
 
+def _run_child(code, *args, **env):
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports leanforge from this tree, its environment without
+    OPENBLAS_NUM_THREADS but for ``env``."""
+    src = os.path.dirname(os.path.dirname(leanforge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**child, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_start_up_loads_no_http_library(chat_server):
     # the chat backend speaks HTTP/1.1 on a socket, imported only when one
     # is built, and loads ssl only for an https:// endpoint; modules the
@@ -758,12 +770,7 @@ def test_cli_start_up_loads_no_http_library(chat_server):
             "kind='chat', endpoint=sys.argv[1], model='m')); "
             "backend.generate(genclient.GenerationRequest('p', 8, 0.0)); "
             "backend.close(); print(*sorted(set(sys.modules) - before))")
-    src = os.path.dirname(os.path.dirname(leanforge.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    at_start, after_request = subprocess.run(
-        [sys.executable, "-c", code, chat_server + "/ok"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True).stdout.splitlines()
+    at_start, after_request = _run_child(code, chat_server + "/ok").splitlines()
     assert "leanforge.genclient" in at_start.split()
     roots = {"requests", "urllib3", "charset_normalizer", "idna", "certifi",
              "http", "email", "ssl"}
@@ -771,6 +778,35 @@ def test_cli_start_up_loads_no_http_library(chat_server):
             if name.split(".")[0] in roots | {"socket"}] == []
     assert [name for name in after_request.split() if name.split(".")[0] in roots] == []
     assert len(_ChatHandler.seen) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_start_up_runs_one_thread():
+    # numpy's BLAS starts no thread of its own under the CLI, also once a
+    # projection has run
+    code = ("import os, leanforge.cli; from leanforge import retrieval; "
+            "head = retrieval.ProjectionHead.initialize(64, 32, 0); "
+            "head.project(head.weights[0]); print(len(os.listdir('/proc/self/task')))")
+    assert _run_child(code).split() == ["1"]
+
+
+_NUMPY_ENV_PROBE = (
+    "import os, sys\n"
+    "seen = []\n"
+    "class Probe:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, Probe())\n"
+    "import leanforge.cli\n"
+    "print(*seen, os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+
+
+@pytest.mark.parametrize("env, count", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_sets_the_blas_thread_count_before_numpy_loads(env, count):
+    # one thread unless the caller chose a count, in the environment that
+    # numpy's import sees and after it
+    assert _run_child(_NUMPY_ENV_PROBE, **env).split() == [count, count]
 
 
 _OK = json.dumps({"choices": [
