@@ -42,7 +42,7 @@ class Line(NamedTuple):
     """One nonblank line of a JSONL file."""
 
     lineno: int
-    text: str  # as read, newline included
+    text: str  # as stored, its line end included
     entry: Any
 
 
@@ -161,7 +161,7 @@ def read_jsonl(path: str) -> List[Line]:
     ``path:lineno`` for the first line that is not JSON.
     """
     lines = []
-    with _utf8(path), open(path, "r", encoding="utf-8") as source:
+    with _utf8(path), open(path, "r", encoding="utf-8", newline="") as source:
         for lineno, text in enumerate(source, start=1):
             if not text.strip():
                 continue

@@ -25,7 +25,6 @@ class BootstrapVerificationFailed(ValueError):
     """The commented proof does not carry the original code token stream."""
 
     def __init__(self, name: str, divergence: Optional[TokenDivergence], detail: str = ""):
-        self.name = name
         self.divergence = divergence
         where = str(divergence) if divergence is not None else (
             detail or "output does not lex")

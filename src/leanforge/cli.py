@@ -191,22 +191,22 @@ def _sampler(config: PipelineConfig, max_new_tokens: int) -> Iterator[genclient.
 def cmd_informalize(args, config: PipelineConfig) -> None:
     records = artifacts.read_records(
         stage_path(config, "theorems.jsonl"), corpus.TheoremRecord)
-    pool: Sequence[prover.PoolExample] = ()
+    r = config.retrieval
     index = None
-    embedder = None
-    if config.retrieval.examples:
-        pool = artifacts.read_records(config.retrieval.examples, prover.PoolExample)
+    if r.examples:
+        pool = artifacts.read_records(r.examples, prover.PoolExample)
         if not pool:
-            raise ValueError(f"{config.retrieval.examples} (retrieval.examples) "
+            raise ValueError(f"{r.examples} (retrieval.examples) "
                              "holds 0: cannot index an empty corpus")
-        head = retrieval.load_head(stage_path(config, "projection.json"),
-                                   config.retrieval.dimension)
-        embedder = retrieval.HashEmbedder(config.retrieval.dimension)
-        index = informalize.build_example_index(
-            pool, embedder, head, config.retrieval.side)
+        # "nl" crosses the language gap through the trained head; "fl"
+        # compares FL texts directly
+        index = retrieval.ExampleIndex(
+            pool, [p.nl if r.side == "nl" else p.fl for p in pool],
+            retrieval.HashEmbedder(r.dimension),
+            retrieval.load_head(stage_path(config, "projection.json"), r.dimension))
     with _sampler(config, config.backend.max_new_tokens) as sampler:
         results = informalize.informalize_corpus(
-            records, sampler, config.informalize, pool, index, embedder,
+            records, sampler, config.informalize, index,
             stage_path(config, "informalize.ckpt.jsonl"), not args.resume)
     informalize.save_informal_dataset(
         records, results, stage_path(config, "informal.jsonl"))
@@ -356,8 +356,11 @@ def cmd_sample(args, config: PipelineConfig) -> None:
     else:
         output = args.output or stage_path(config, "sample.jsonl")
         # Original lines pass through untouched so the subset stays
-        # byte-comparable against its source dataset.
-        artifacts.write_text(output, (lines[i].text for i in indices))
+        # byte-comparable against its source dataset; a last line stored
+        # without its line end gains one, so no two records share a line.
+        texts = (lines[i].text for i in indices)
+        artifacts.write_text(output, (
+            text if text.endswith(("\n", "\r")) else text + "\n" for text in texts))
     print(f"sampled {args.n}/{len(lines)} records (seed {seed}) -> {output}")
 
 

@@ -15,7 +15,7 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import artifacts, genclient, prompts, retrieval
 from .bootstrap import InformalRecord
@@ -23,9 +23,6 @@ from .config import InformalizeSettings
 from .corpus import TheoremRecord
 from .prover import PoolExample
 from .trainprep import WhitespaceTokenizer
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -76,43 +73,6 @@ def quality_check(nl_text: str, settings: InformalizeSettings) -> Tuple[str, ...
             reasons.append(MISSING_SECTION)
             break
     return tuple(reasons)
-
-
-# --- example retrieval ---------------------------------------------------------
-
-
-def build_example_index(
-    pool: Sequence[PoolExample],
-    embedder,
-    head: retrieval.ProjectionHead,
-    side: str,
-) -> retrieval.SimilarityIndex:
-    """Index the pool for retrieval. An entry's id is its (name, position)
-    in the pool: similarity ties rank by name, and entries that share a
-    name stay apart.
-
-    ``side`` is ``retrieval.side``: "nl" indexes the pool's NL texts
-    (queries cross the language gap through the trained head); "fl"
-    indexes the FL texts directly.
-    """
-    texts = [p.nl if side == "nl" else p.fl for p in pool]
-    vectors = embedder.embed(texts)
-    return retrieval.build_index(
-        [((p.name, i), v) for i, (p, v) in enumerate(zip(pool, vectors))], head
-    )
-
-
-def select_examples(
-    query: np.ndarray,
-    index: retrieval.SimilarityIndex,
-    pool: Sequence[PoolExample],
-    k: int,
-) -> List[PoolExample]:
-    """The k pool entries most similar to ``query``, the embedding of a
-    record's FL statement; ``index`` is ``build_example_index`` over the
-    same pool."""
-    ranked = retrieval.top_k(index, query, k)
-    return [pool[position] for (_, position), _ in ranked]
 
 
 # --- per-theorem generation -----------------------------------------------------
@@ -207,20 +167,17 @@ def informalize_corpus(
     records: Sequence[TheoremRecord],
     sampler: genclient.Sampler,
     settings: InformalizeSettings,
-    pool: Sequence[PoolExample],
-    index: Optional[retrieval.SimilarityIndex],
-    embedder,
+    index: Optional[retrieval.ExampleIndex],
     checkpoint_path: str,
     restart: bool,
 ) -> List[InformalizationResult]:
     """One result per record, in input order, checkpointed after each.
 
-    With an ``index`` (``build_example_index`` over ``pool`` with
-    ``embedder``), each prompt shows the record's ``k_examples`` nearest
-    pool entries; the statements of the records still to run are embedded
-    in one ``embed`` call before any is sent. With None for ``index`` no
-    prompt shows an example. A checkpoint at ``checkpoint_path`` is
-    resumed, or discarded with ``restart``.
+    With an ``index``, each prompt shows the record's ``k_examples``
+    nearest pool entries, chosen by one ``index.nearest`` call over the
+    statements of the records still to run before any is sent. With None
+    for ``index`` no prompt shows an example. A checkpoint at
+    ``checkpoint_path`` is resumed, or discarded with ``restart``.
 
     Records go through ``genclient.in_order``: up to the backend's
     ``concurrency`` are in flight (one when the budget has a ceiling),
@@ -239,14 +196,11 @@ def informalize_corpus(
                 logger.info("resuming after %d checkpointed records", len(done))
 
     pending = records[len(done):]
-    queries = (embedder.embed([record.statement for record in pending])
-               if index is not None else [None] * len(pending))
+    chosen = (index.nearest([record.statement for record in pending], settings.k_examples)
+              if index is not None else [()] * len(pending))
 
     def units():
-        for position, (record, query) in enumerate(zip(pending, queries), len(done)):
-            examples: Sequence[PoolExample] = ()
-            if index is not None:
-                examples = select_examples(query, index, pool, settings.k_examples)
+        for position, (record, examples) in enumerate(zip(pending, chosen), len(done)):
             yield (record, position, examples), prompts.informalization_prompt(
                 examples, record.statement, record.proof)
 

@@ -243,6 +243,32 @@ def top_k(index: SimilarityIndex, query: np.ndarray, k: int) -> List[Tuple[Any, 
     return [(index.ids[i], float(sims[i])) for i in order[:k]]
 
 
+class ExampleIndex:
+    """A pool of examples ranked by how near their texts are to a query.
+
+    ``texts[i]`` is the text of ``examples[i]`` that queries are compared
+    with, and each example has a ``name``. An entry's id is its ``(name,
+    position)`` in the pool: similarity ties rank by name, then position,
+    and entries that share a name stay apart. The texts are embedded in
+    one call.
+    """
+
+    def __init__(self, examples: Sequence[Any], texts: Sequence[str],
+                 embedder: HashEmbedder, head: ProjectionHead):
+        self.examples = examples
+        self.embedder = embedder
+        vectors = embedder.embed(texts)
+        self.index = build_index(
+            [((example.name, position), vector) for position, (example, vector)
+             in enumerate(zip(examples, vectors, strict=True))], head)
+
+    def nearest(self, queries: Sequence[str], k: int) -> List[List[Any]]:
+        """Each query's ``k`` nearest examples, nearest first, by ``top_k``;
+        the queries are embedded in one call."""
+        return [[self.examples[position] for (_, position), _ in top_k(self.index, query, k)]
+                for query in self.embedder.embed(queries)]
+
+
 # --- similarity histogram -----------------------------------------------------
 
 

@@ -120,7 +120,6 @@ class PackedRecord:
     target: str
     example_count: int
     token_count: int = artifacts.wire(None)
-    source_name: str = artifacts.wire(None)
     difficulty: int
 
 
@@ -169,7 +168,6 @@ def pack_block(
         target=record.target,
         example_count=len(taken),
         token_count=used,
-        source_name=record.name,
         difficulty=record.difficulty,
     )
 

@@ -33,6 +33,8 @@ build the generation objects with the config's default settings, and
 ``serial_ask`` is the ``ask`` a serial run hands a unit.
 ``contrastive_loss`` and ``contrastive_gradient`` give the loss and
 gradient that ``retrieval.train_projection`` uses, for a batch of pairs.
+``example_pool`` builds a pool of distinct examples, and ``example_index``
+a ``retrieval.ExampleIndex`` over a pool under the identity head.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 
 from leanforge import genclient, retrieval
 from leanforge.config import BackendSettings, BudgetSettings, RetrySettings
+from leanforge.prover import PoolExample
 
 
 class TokenKind(Enum):
@@ -1095,3 +1098,27 @@ def contrastive_gradient(pairs, head):
 def _batch_rows(pairs, head):
     return retrieval._projected_rows(np.stack([nl for nl, _ in pairs]),
                                      np.stack([fl for _, fl in pairs]), head)
+
+
+# --- example retrieval ------------------------------------------------------------
+
+
+def example_pool(count):
+    return [
+        PoolExample(
+            name=f"ex{i}",
+            nl=f"Statement: fact number {i}. Proof: by arithmetic {i}.",
+            fl=f"theorem ex{i} : {i} + 0 = {i} := by norm_num",
+        )
+        for i in range(count)
+    ]
+
+
+def example_index(pool, side, embedder):
+    """An ``ExampleIndex`` over the ``side`` ("nl" or "fl") texts of
+    ``pool``, under the identity head of ``embedder.dimension``, so that it
+    ranks by the cosine of the embeddings themselves."""
+    d = embedder.dimension
+    return retrieval.ExampleIndex(
+        pool, [p.nl if side == "nl" else p.fl for p in pool], embedder,
+        retrieval.ProjectionHead(np.eye(d), d, d, seed=0))

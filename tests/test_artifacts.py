@@ -253,9 +253,9 @@ REPORT = HarnessReport(
     {NAME: ReportProof(NAME, 1, 4, PROOF)})
 ATTEMPT = ProofAttempt(NAME, 2, 3, "rejected",
                        'token 8: expected "ℕ", got "ℤ" at offset 20', PROOF)
-PACKED = PackedRecord("### instruction ℕ\n", "target\n", 2, 40, NAME, 1)
+PACKED = PackedRecord("### instruction ℕ\n", "target\n", 2, 40, 1)
 JOINED = PackedRecord(artifacts.Joined(['### block "ℕ"\n\t', "", "\\ own 𝔽\x1f\n"]),
-                      "target\n", 1, 40, NAME, 1)
+                      "target\n", 1, 40, 1)
 
 def append_one(path, entry):
     with artifacts.appending_jsonl(path) as append:
@@ -353,7 +353,7 @@ def test_joined_lines_are_the_lines_json_dumps_writes(data):
         parts = data.draw(st.lists(st.sampled_from(shared) | PART, max_size=6))
         instruction = artifacts.Joined(parts)
         assert instruction == "".join(parts)
-        written.append(PackedRecord(instruction, data.draw(PART), len(parts), 0, NAME, 1))
+        written.append(PackedRecord(instruction, data.draw(PART), len(parts), 0, 1))
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "train.jsonl")
         artifacts.write_jsonl(path, written)
@@ -371,7 +371,7 @@ def test_each_distinct_part_is_escaped_once_per_file(tmp_path, monkeypatch):
     monkeypatch.setattr(artifacts, "_escape", escape)
     blocks = [f'block {i} "ℕ"\n\n' for i in range(3)]
     owns = [f"own {i}\n" for i in range(4)]
-    written = [PackedRecord(artifacts.Joined((*blocks[:i], own)), "target\n", i, 0, NAME, 1)
+    written = [PackedRecord(artifacts.Joined((*blocks[:i], own)), "target\n", i, 0, 1)
                for i, own in enumerate(owns)]
     for name in ("first.jsonl", "second.jsonl"):
         escaped.clear()
@@ -382,9 +382,9 @@ def test_each_distinct_part_is_escaped_once_per_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     {"text": "lone \ud800"},
-    PackedRecord("lone \ud800", "target\n", 0, 0, NAME, 1),
-    PackedRecord(artifacts.Joined(["block\n"]), "lone \udfff", 1, 0, NAME, 1),
-    PackedRecord(artifacts.Joined(["block\n", "lone \udfff"]), "target\n", 1, 0, NAME, 1),
+    PackedRecord("lone \ud800", "target\n", 0, 0, 1),
+    PackedRecord(artifacts.Joined(["block\n"]), "lone \udfff", 1, 0, 1),
+    PackedRecord(artifacts.Joined(["block\n", "lone \udfff"]), "target\n", 1, 0, 1),
 ], ids=["value", "record-field", "field-beside-joined", "joined-part"])
 def test_lone_surrogate_keeps_the_old_file(tmp_path, entry):
     path = tmp_path / "train.jsonl"

@@ -1873,6 +1873,27 @@ class TestSampleCommand:
                 assert line in original
 
 
+    def test_a_last_line_without_its_newline_stays_a_line_of_its_own(self, tmp_path):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_bytes(b'{"Name": "a"}\n{"Name": "b"}')
+        config = self.config(tmp_path)
+        out = tmp_path / "all.jsonl"
+        # seed 0 draws the unterminated last line first
+        assert run(["sample", "-c", config, "--dataset", str(dataset), "-n", "2",
+                    "--seed", "0", "--output", out]) == 0
+        assert read_bytes(out) == b'{"Name": "b"}\n{"Name": "a"}\n'
+
+    def test_crlf_line_ends_are_copied_as_they_are(self, tmp_path):
+        dataset = tmp_path / "dataset.jsonl"
+        lines = [b'{"Name": "record_%d"}\r\n' % i for i in range(5)]
+        dataset.write_bytes(b"".join(lines))
+        config = self.config(tmp_path)
+        out = tmp_path / "all.jsonl"
+        assert run(["sample", "-c", config, "--dataset", str(dataset), "-n", "5",
+                    "--seed", "4", "--output", out]) == 0
+        assert sorted(read_bytes(out).splitlines(keepends=True)) == lines
+
+
 # --- the golden end-to-end fixture -------------------------------------------------
 
 

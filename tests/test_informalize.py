@@ -10,7 +10,6 @@ import os
 import random
 import tempfile
 
-import numpy as np
 import pytest
 
 from leanforge import retrieval
@@ -24,13 +23,11 @@ from leanforge.informalize import (
     OVERLENGTH,
     REPETITION,
     InformalizationResult,
-    build_example_index,
     informalize_corpus,
     informalize_theorem,
     load_checkpoint,
     quality_check,
     save_informal_dataset,
-    select_examples,
 )
 from leanforge.prompts import (
     FL_PROOF_SECTION,
@@ -38,10 +35,11 @@ from leanforge.prompts import (
     NL_SECTION,
     informalization_prompt,
 )
-from leanforge.prover import PoolExample
 from support import (
     BACKEND,
     KeyedBackend,
+    example_index,
+    example_pool,
     make_budget,
     make_sampler,
     mock_backend,
@@ -160,95 +158,6 @@ def theorem(name, statement=None, proof=":= by norm_num"):
     )
 
 
-def example_pool(count):
-    return [
-        PoolExample(
-            name=f"ex{i}",
-            nl=f"Statement: fact number {i}. Proof: by arithmetic {i}.",
-            fl=f"theorem ex{i} : {i} + 0 = {i} := by norm_num",
-        )
-        for i in range(count)
-    ]
-
-
-class TestSelectExamples:
-    def test_pool_of_one(self):
-        pool = example_pool(1)
-        embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
-        index = build_example_index(pool, embedder, head, side="fl")
-        out = select_examples(embedder.embed(["anything"])[0], index, pool, 3)
-        assert [p.name for p in out] == ["ex0"]
-
-    def test_identical_fl_text_ranks_first(self):
-        pool = example_pool(10)
-        embedder = retrieval.HashEmbedder(dimension=64)
-        head = retrieval.ProjectionHead(np.eye(64), 64, 64, seed=0)
-        index = build_example_index(pool, embedder, head, side="fl")
-        out = select_examples(embedder.embed([pool[7].fl])[0], index, pool, 3)
-        assert out[0].name == "ex7"
-
-    def test_matches_brute_force_ranking(self):
-        rng = random.Random(5)
-        pool = [
-            PoolExample(
-                name=f"p{i:02d}",
-                nl=" ".join(rng.choices(["sum", "prime", "ring", "group", "field"],
-                                        k=rng.randint(4, 12))),
-                fl=f"theorem p{i:02d} : x = x := rfl",
-            )
-            for i in range(50)
-        ]
-        embedder = retrieval.HashEmbedder(dimension=48)
-        head = retrieval.ProjectionHead(np.eye(48), 48, 48, seed=0)
-        index = build_example_index(pool, embedder, head, side="nl")
-        query = embedder.embed(["sum of a ring and a field"])[0]
-        got = [p.name for p in select_examples(query, index, pool, 5)]
-
-        sims = []
-        for pair, vec in zip(pool, embedder.embed([p.nl for p in pool])):
-            a, b = head.project(query), head.project(vec)
-            sims.append((pair.name,
-                         float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))))
-        expected = [n for n, _ in sorted(sims, key=lambda t: (-t[1], t[0]))[:5]]
-        assert got == expected
-
-    def test_same_name_entries_stay_apart(self):
-        # one example named ``ex`` per namespace
-        pool = [PoolExample("ex", f"Statement: one is one in {t}. Proof: rfl.",
-                            f"theorem ex : (1 : {t}) = 1 := rfl")
-                for t in ("Nat", "Int")]
-        embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
-        index = build_example_index(pool, embedder, head, side="fl")
-        for probe in pool:
-            out = select_examples(embedder.embed([probe.fl])[0], index, pool, 2)
-            assert out[0] is probe
-            assert {id(p) for p in out} == {id(p) for p in pool}
-
-    def test_ties_rank_by_name_then_position(self):
-        class Flat:
-            """Every text embeds to the same unit vector: all ties, exactly."""
-
-            def embed(self, texts):
-                return [np.asarray([1.0, 0.0, 0.0, 0.0], dtype=np.float64) for _ in texts]
-
-        pool = [PoolExample(name, f"Statement: entry {i}. Proof: p.", "theorem x")
-                for i, name in enumerate(("b", "a", "b", "c", "a"))]
-        head = retrieval.ProjectionHead(np.eye(4), 4, 4, seed=0)
-        index = build_example_index(pool, Flat(), head, side="nl")
-        out = select_examples(Flat().embed(["probe"])[0], index, pool, 5)
-        assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
-
-    def test_k_clamped_to_pool(self):
-        pool = example_pool(4)
-        embedder = retrieval.HashEmbedder(dimension=16)
-        head = retrieval.ProjectionHead(np.eye(16), 16, 16, seed=0)
-        index = build_example_index(pool, embedder, head, side="nl")
-        out = select_examples(embedder.embed(["t"])[0], index, pool, 10)
-        assert len(out) == 4
-
-
 def ask(record, backend, **settings):
     """The ask ``informalize_corpus`` hands ``record`` with no examples."""
     return serial_ask(make_sampler(backend, **settings),
@@ -352,15 +261,15 @@ def passing_backend():
 
 
 def informalize(records, backend, budget=None, max_new_tokens=BACKEND.max_new_tokens,
-                k_examples=InformalizeSettings.k_examples, pool=(), index=None,
-                embedder=None, checkpoint_path=None, restart=False):
+                k_examples=InformalizeSettings.k_examples, index=None,
+                checkpoint_path=None, restart=False):
     """``informalize_corpus`` asking ``backend`` with ``budget``, or a budget
     with no ceiling. With no ``checkpoint_path`` the checkpoint goes to a
     directory removed after."""
     with tempfile.TemporaryDirectory() as scratch:
         return informalize_corpus(
             records, make_sampler(backend, budget=budget, max_new_tokens=max_new_tokens),
-            InformalizeSettings(k_examples=k_examples), pool, index, embedder,
+            InformalizeSettings(k_examples=k_examples), index,
             checkpoint_path or os.path.join(scratch, "informalize.ckpt.jsonl"), restart)
 
 
@@ -490,10 +399,7 @@ class TestInformalizeCorpus:
         assert len(load_checkpoint(str(checkpoint))) == 3
 
     def test_examples_flow_into_prompts(self):
-        pool = example_pool(3)
-        embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
-        index = build_example_index(pool, embedder, head, side="fl")
+        index = example_index(example_pool(3), "fl", retrieval.HashEmbedder(dimension=32))
         seen = []
 
         class Recording:
@@ -504,8 +410,7 @@ class TestInformalizeCorpus:
                 seen.append(request.prompt)
                 return [(GOOD_NL, False)] * request.n_samples
 
-        results = informalize(corpus_records(2), Recording(), pool=pool,
-                              index=index, embedder=embedder, k_examples=2)
+        results = informalize(corpus_records(2), Recording(), index=index, k_examples=2)
         assert all(len(r.examples_used) == 2 for r in results)
         assert all(FL_PROOF_SECTION in p for p in seen)
 
@@ -517,10 +422,8 @@ class TestInformalizeCorpus:
                 self.calls.append(list(texts))
                 return super().embed(texts)
 
-        pool = example_pool(6)
         embedder = Counting(dimension=32)
-        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
-        index = build_example_index(pool, embedder, head, side="fl")
+        index = example_index(example_pool(6), "fl", embedder)
         records = [theorem(f"thm{i:02d}", f"theorem thm{i:02d} : {i % 6} + 0 = {i % 6} :=")
                    for i in range(7)]
         prompts = []
@@ -535,15 +438,12 @@ class TestInformalizeCorpus:
 
         def run(count):
             del embedder.calls[:], prompts[:]
-            informalize(records[:count], Recording(), pool=pool, index=index,
-                        embedder=embedder, k_examples=2,
+            informalize(records[:count], Recording(), index=index, k_examples=2,
                         checkpoint_path=str(tmp_path / "c.jsonl"))
 
         # one call per record, as before the queries were batched
         one_by_one = [
-            informalization_prompt(
-                select_examples(embedder.embed([r.statement])[0], index, pool, 2),
-                r.statement, r.proof)
+            informalization_prompt(index.nearest([r.statement], 2)[0], r.statement, r.proof)
             for r in records]
         run(3)
         assert embedder.calls == [[r.statement for r in records[:3]]]
@@ -569,15 +469,12 @@ class TestConcurrentCorpus:
     mid-run."""
 
     def run(self, tmp_path, records, seed, concurrency, **ceilings):
-        pool = example_pool(6)
-        embedder = retrieval.HashEmbedder(dimension=32)
-        head = retrieval.ProjectionHead(np.eye(32), 32, 32, seed=0)
+        index = example_index(example_pool(6), "fl", retrieval.HashEmbedder(dimension=32))
         budget = make_budget(**ceilings)
         checkpoint = tmp_path / f"c{concurrency}.jsonl"
         results = informalize(
             records, KeyedBackend(scenario_reply(seed), seed, concurrency),
-            pool=pool, index=build_example_index(pool, embedder, head, side="fl"),
-            embedder=embedder, k_examples=2, checkpoint_path=str(checkpoint),
+            index=index, k_examples=2, checkpoint_path=str(checkpoint),
             restart=True, budget=budget, max_new_tokens=64)
         return (results, checkpoint.read_bytes(), budget.requests_used,
                 budget.tokens_used)

@@ -8,6 +8,7 @@ ranking is checked against brute-force sorts.
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from leanforge import retrieval
 from leanforge.artifacts import ArtifactError
 from leanforge.config import PipelineConfig, RetrievalSettings, validate
+from leanforge.prover import PoolExample
 from leanforge.retrieval import (
     EmptyInput,
     HashEmbedder,
@@ -33,6 +35,8 @@ from support import (
     contrastive_gradient,
     contrastive_loss,
     cosine_pair_gradient,
+    example_index,
+    example_pool,
     fd_contrastive_gradient,
     oracle_contrastive_loss,
     reference_hash_embed,
@@ -425,6 +429,73 @@ class TestTopK:
         index = build_index([("a", ev(1.0, 0.0))], head)
         with pytest.raises(ValueError, match="projected query has zero norm"):
             top_k(index, ev(0.0, 1.0), 1)
+
+
+class TestExampleIndex:
+    """``ExampleIndex.nearest``: each query's nearest pool entries."""
+
+    def test_pool_of_one(self):
+        index = example_index(example_pool(1), "fl", HashEmbedder(dimension=32))
+        (out,) = index.nearest(["anything"], 3)
+        assert [p.name for p in out] == ["ex0"]
+
+    def test_identical_fl_text_ranks_first(self):
+        pool = example_pool(10)
+        index = example_index(pool, "fl", HashEmbedder(dimension=64))
+        (out,) = index.nearest([pool[7].fl], 3)
+        assert out[0].name == "ex7"
+
+    def test_matches_brute_force_ranking(self):
+        rng = random.Random(5)
+        pool = [
+            PoolExample(
+                name=f"p{i:02d}",
+                nl=" ".join(rng.choices(["sum", "prime", "ring", "group", "field"],
+                                        k=rng.randint(4, 12))),
+                fl=f"theorem p{i:02d} : x = x := rfl",
+            )
+            for i in range(50)
+        ]
+        embedder = HashEmbedder(dimension=48)
+        index = example_index(pool, "nl", embedder)
+        (got,) = index.nearest(["sum of a ring and a field"], 5)
+
+        (query,) = embedder.embed(["sum of a ring and a field"])
+        sims = []
+        for pair, vec in zip(pool, embedder.embed([p.nl for p in pool])):
+            sims.append((pair.name,
+                         float(query @ vec / (np.linalg.norm(query) * np.linalg.norm(vec)))))
+        expected = [n for n, _ in sorted(sims, key=lambda t: (-t[1], t[0]))[:5]]
+        assert [p.name for p in got] == expected
+
+    def test_same_name_entries_stay_apart(self):
+        # one example named ``ex`` per namespace
+        pool = [PoolExample("ex", f"Statement: one is one in {t}. Proof: rfl.",
+                            f"theorem ex : (1 : {t}) = 1 := rfl")
+                for t in ("Nat", "Int")]
+        index = example_index(pool, "fl", HashEmbedder(dimension=32))
+        for probe, out in zip(pool, index.nearest([p.fl for p in pool], 2)):
+            assert out[0] is probe
+            assert {id(p) for p in out} == {id(p) for p in pool}
+
+    def test_ties_rank_by_name_then_position(self):
+        class Flat:
+            """Every text embeds to the same unit vector: all ties, exactly."""
+
+            dimension = 4
+
+            def embed(self, texts):
+                return [np.asarray([1.0, 0.0, 0.0, 0.0], dtype=np.float64) for _ in texts]
+
+        pool = [PoolExample(name, f"Statement: entry {i}. Proof: p.", "theorem x")
+                for i, name in enumerate(("b", "a", "b", "c", "a"))]
+        (out,) = example_index(pool, "nl", Flat()).nearest(["probe"], 5)
+        assert out == [pool[i] for i in (1, 4, 0, 2, 3)]
+
+    def test_k_clamped_to_pool(self):
+        index = example_index(example_pool(4), "nl", HashEmbedder(dimension=16))
+        (out,) = index.nearest(["t"], 10)
+        assert len(out) == 4
 
 
 class TestHistogram:

@@ -13,6 +13,10 @@ read by some code under ``src/`` other than its own assignment.
 An exception class is kept only where ``src/`` tells it apart: some
 ``except`` clause or ``isinstance`` call under ``src/`` names it. One that
 no code catches by name raises a type its callers already catch.
+
+``retrieval`` is the one module under ``src/`` that imports numpy, an
+import under ``if TYPE_CHECKING:`` included, so loading numpy lazily has
+one site to change.
 """
 
 import ast
@@ -179,3 +183,14 @@ def test_every_exception_class_in_src_is_caught_by_name_in_src():
 @pytest.mark.parametrize("name", sorted(UNCAUGHT_ALLOWED))
 def test_every_allowed_exception_class_is_still_uncaught(name):
     assert name in uncaught()
+
+
+def test_retrieval_is_the_one_module_that_imports_numpy():
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    importers = {module for module, tree in _modules() for node in ast.walk(tree)
+                 if any(name.split(".")[0] == "numpy" for name in imported(node))}
+    assert importers == {"retrieval"}

@@ -413,6 +413,12 @@ def emit(records, tokenizer=WhitespaceTokenizer(), token_budget=5000, **settings
     return packed, skipped
 
 
+def source_name(packed):
+    """The name of the record a packed instruction is for: its statement,
+    which is last, reads ``theorem <name> ...``."""
+    return packed.instruction.rpartition(FL_STATEMENT_SECTION)[2].split()[1]
+
+
 class TestEmitTrainingSet:
     def test_empty_input(self):
         assert emit([]) == ([], [])
@@ -430,7 +436,7 @@ class TestEmitTrainingSet:
         with_boot, _ = emit(records, use_bootstrapped=True)
         without, _ = emit(records, use_bootstrapped=False)
         for a, b in zip(with_boot, without):
-            assert a.source_name == b.source_name
+            assert source_name(a) == source_name(b)
             assert a.target != b.target
             assert code_divergence(a.target, b.target) is None
             assert strip_comments(b.target) == b.target
@@ -441,13 +447,13 @@ class TestEmitTrainingSet:
         without, _ = emit(records, use_bootstrapped=False)
         assert all(p.example_count == len(records) - 1 for p in with_boot + without)
         assert all("-- rewrite with the hypothesis" in p.instruction
-                   for p in with_boot if p.source_name != "t_two")
+                   for p in with_boot if source_name(p) != "t_two")
         assert all("--" not in p.instruction for p in without)
 
     def test_curriculum_flag_off_preserves_input_order(self):
         records = stub_corpus()
         packed, _ = emit(records, use_curriculum=False)
-        assert [p.source_name for p in packed] == [r.name for r in records]
+        assert [source_name(p) for p in packed] == [r.name for r in records]
 
     def test_block_flag_off_packs_nothing(self):
         packed, _ = emit(stub_corpus(), use_block=False)
@@ -470,7 +476,7 @@ class TestEmitTrainingSet:
         records[2].commented_proof = records[2].proof
         packed, skipped = emit(records, token_budget=120)
         assert [s["name"] for s in skipped] == ["t_three"]
-        assert all(p.source_name != "t_three" for p in packed)
+        assert all(source_name(p) != "t_three" for p in packed)
         assert all(p.token_count <= 120 for p in packed)
 
     def test_examples_are_whole_records(self):
@@ -492,7 +498,7 @@ class TestEmitTrainingSet:
         assert skipped == []
         by_name = {r.name: r for r in records}
         for p in packed:
-            r = by_name[p.source_name]
+            r = by_name[source_name(p)]
             assert p.instruction == (
                 f"{NL_SECTION}\n{r.generated_informal_statement_and_proof}\n\n"
                 f"{FL_STATEMENT_SECTION}\n{r.statement}\n\n{FL_PROOF_SECTION}\n")
@@ -531,7 +537,7 @@ class TestEmitMatchesOracle:
                                use_curriculum=False)
         sources = [make_source(r.name, r.generated_informal_statement_and_proof,
                                r.statement, r.commented_proof) for r in records]
-        by_name = {p.source_name: p for p in packed}
+        by_name = {source_name(p): p for p in packed}
         assert len(packed) + len(skipped) == len(records)
         for i, source in enumerate(sources):
             expected = oracle_pack(sources, i, budget, use_nl, count)
